@@ -1,6 +1,6 @@
 /**
  * @file
- * Lint-pass overhead checks (gates LNT-01, LNT-02).
+ * Lint-pass overhead check (gate LNT-01).
  *
  * LNT-01: a full-tree netchar-lint run with the CFG/lockset
  * concurrency pass enabled vs the same run with taint only. The
@@ -8,13 +8,6 @@
  * fixpoint), so it cannot be free — the gate bounds it at <= 2x the
  * taint-only wall time, keeping the build-time race detection cheap
  * enough to stay in the default CI lint step.
- *
- * LNT-02: the incremental cache (--cache) must actually pay for
- * itself — a warm run over an unchanged tree re-reads sources,
- * hashes them, and reuses the cached report, so it is bounded at
- * <= 0.5x the cold cached run's wall time. If the warm fraction
- * creeps toward 1.0 the cache is pure bookkeeping and CI should
- * stop persisting it.
  *
  * Runs over the live tree (src tools bench tests examples), so it
  * must execute from the repository root — the same working-
@@ -26,7 +19,6 @@
 #include "common.hh"
 #include "core/report.hh"
 #include "lint/driver.hh"
-#include "lint/lint.hh"
 
 using namespace netchar;
 
@@ -47,10 +39,10 @@ NETCHAR_BENCH(lint_overhead,
     // whichever side runs first.
     {
         std::vector<std::string> errors;
-        lint::LintOptions warm;
-        warm.taint = false;
-        warm.concurrency = false;
-        lint::lintPaths(paths, errors, warm);
+        lint::DriverOptions warm;
+        warm.lint.taint = false;
+        warm.lint.concurrency = false;
+        lint::runLint(paths, errors, warm);
         if (!errors.empty()) {
             ctx.fail("cannot read the live tree: " + errors[0]);
             return;
@@ -63,15 +55,15 @@ NETCHAR_BENCH(lint_overhead,
     for (int r = 0; r < reps; ++r) {
         std::vector<std::string> errors;
 
-        lint::LintOptions taintOnly;
-        taintOnly.concurrency = false;
+        lint::DriverOptions taintOnly;
+        taintOnly.lint.concurrency = false;
         const double t0 = bench::nowSeconds();
-        const auto base = lint::lintPaths(paths, errors, taintOnly);
+        const auto base = lint::runLint(paths, errors, taintOnly);
         const double taint_s = bench::nowSeconds() - t0;
 
-        lint::LintOptions full; // taint + concurrency (defaults)
+        lint::DriverOptions full; // taint + concurrency (defaults)
         const double t1 = bench::nowSeconds();
-        const auto both = lint::lintPaths(paths, errors, full);
+        const auto both = lint::runLint(paths, errors, full);
         const double full_s = bench::nowSeconds() - t1;
 
         if (!errors.empty()) {
@@ -92,58 +84,5 @@ NETCHAR_BENCH(lint_overhead,
                       fmtFixed(full_s, 3), fmtFixed(ratio, 2)});
     }
     ctx.print(table.render());
-
-    // LNT-02: cold vs warm incremental-cache runs. The cache dir is
-    // rebuilt from scratch each rep so "cold" really is cold; the
-    // warm run immediately after sees an unchanged tree and must
-    // short-circuit on the whole-report entry.
-    const std::filesystem::path cacheDir =
-        std::filesystem::temp_directory_path() /
-        "netchar_bench_lint_cache";
-    ctx.printf("\nIncremental cache, cold vs warm (%d rep(s))\n\n",
-               reps);
-    TextTable cacheTable({"Rep", "Cold s", "Warm s", "Warm/cold"});
-    for (int r = 0; r < reps; ++r) {
-        std::error_code ec;
-        std::filesystem::remove_all(cacheDir, ec);
-
-        std::vector<std::string> errors;
-        lint::DriverOptions cached;
-        cached.cacheDir = cacheDir.generic_string();
-
-        const double t0 = bench::nowSeconds();
-        const auto cold = lint::runLint(paths, errors, cached);
-        const double cold_s = bench::nowSeconds() - t0;
-
-        lint::LintStats stats;
-        const double t1 = bench::nowSeconds();
-        const auto warm =
-            lint::runLint(paths, errors, cached, &stats);
-        const double warm_s = bench::nowSeconds() - t1;
-
-        if (!errors.empty()) {
-            ctx.fail("cached lint I/O error: " + errors[0]);
-            return;
-        }
-        if (lint::renderJson(warm) != lint::renderJson(cold)) {
-            ctx.fail("warm cached report differs from cold");
-            return;
-        }
-        if (stats.reportCacheHits != 1) {
-            ctx.fail("warm run did not hit the report cache");
-            return;
-        }
-
-        const double frac = cold_s > 0.0 ? warm_s / cold_s : 1.0;
-        ctx.metric("cold_cached_lint_s", "s", cold_s, false);
-        ctx.metric("warm_cached_lint_s", "s", warm_s, false);
-        ctx.metric("warm_over_cold_frac", "frac", frac, false);
-        cacheTable.addRow({std::to_string(r + 1),
-                           fmtFixed(cold_s, 3), fmtFixed(warm_s, 3),
-                           fmtFixed(frac, 2)});
-    }
-    std::error_code ec;
-    std::filesystem::remove_all(cacheDir, ec);
-    ctx.print(cacheTable.render());
 }
 NETCHAR_BENCH_MAIN(lint_overhead)

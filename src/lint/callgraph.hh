@@ -74,7 +74,7 @@ class CallGraph
 
     /**
      * Definitions a call site can reach, in file order. A call
-     * written with a qualifier (`serve::parseJson(...)`) links only
+     * written with a qualifier (`serve::parseRequest(...)`) links only
      * to definitions whose own qualified spelling ends with the
      * same `::` components, so `ns::f()` no longer links to every
      * unrelated `f`. Bare and member calls keep the conservative

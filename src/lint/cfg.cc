@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "lint/tokens.hh"
+
 namespace netchar::lint
 {
 
@@ -10,54 +12,6 @@ namespace
 {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-bool
-isPunct(const Token &t, std::string_view text)
-{
-    return t.kind == TokenKind::Punct && t.text == text;
-}
-
-bool
-isWord(const Token &t, std::string_view text)
-{
-    return t.kind == TokenKind::Identifier && t.text == text;
-}
-
-/** Index of the `)` matching the `(` at `open`, or `limit`. */
-std::size_t
-matchParen(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "("))
-            ++depth;
-        else if (isPunct(toks[j], ")")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
-
-/** Index of the `}` matching the `{` at `open`, or `limit`. */
-std::size_t
-matchBrace(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "{"))
-            ++depth;
-        else if (isPunct(toks[j], "}")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
 
 /**
  * Recursive-descent basic-block builder over one body token range.
@@ -144,25 +98,25 @@ class Builder
             return close + 1;
         }
 
-        if (isWord(t, "if"))
+        if (isId(t, "if"))
             return parseIf(i, end, brks, conts);
-        if (isWord(t, "while") || isWord(t, "for"))
+        if (isId(t, "while") || isId(t, "for"))
             return parseLoop(i, end);
-        if (isWord(t, "do"))
+        if (isId(t, "do"))
             return parseDoWhile(i, end);
-        if (isWord(t, "switch"))
+        if (isId(t, "switch"))
             return parseSwitch(i, end, conts);
-        if (isWord(t, "try"))
+        if (isId(t, "try"))
             return parseTry(i, end, brks, conts);
 
-        if (isWord(t, "return")) {
+        if (isId(t, "return")) {
             const std::size_t semi = findSemi(i + 1, end);
             addStmt(cur_, i, semi);
             edge(cur_, Cfg::kExit);
             terminated_ = true;
             return semi + 1;
         }
-        if (isWord(t, "break") || isWord(t, "continue")) {
+        if (isId(t, "break") || isId(t, "continue")) {
             std::vector<std::size_t> *pending =
                 t.text == "break" ? brks : conts;
             if (pending != nullptr) {
@@ -218,7 +172,7 @@ class Builder
         const std::size_t thenEnd = cur_;
         const bool thenTerm = terminated_;
 
-        if (j < end && isWord(toks_[j], "else")) {
+        if (j < end && isId(toks_[j], "else")) {
             const std::size_t elseBlock = newBlock();
             edge(condBlock, elseBlock);
             cur_ = elseBlock;
@@ -296,7 +250,7 @@ class Builder
             edge(cur_, cond);
         for (const std::size_t c : conts)
             edge(c, cond);
-        if (j < end && isWord(toks_[j], "while")) {
+        if (j < end && isId(toks_[j], "while")) {
             const std::size_t close = matchParen(toks_, j + 1, end);
             addStmt(cond, j, close + 1);
             j = close + 1;
@@ -335,8 +289,8 @@ class Builder
         bool prevTerm = true;
         std::size_t pos = j + 1;
         while (pos < bodyClose) {
-            if (isWord(toks_[pos], "case") ||
-                isWord(toks_[pos], "default")) {
+            if (isId(toks_[pos], "case") ||
+                isId(toks_[pos], "default")) {
                 hasDefault |= toks_[pos].text == "default";
                 // Swallow the label through its `:`.
                 while (pos < bodyClose && !isPunct(toks_[pos], ":"))
@@ -350,8 +304,8 @@ class Builder
                 terminated_ = false;
                 // Statements up to the next label or the end.
                 while (pos < bodyClose &&
-                       !isWord(toks_[pos], "case") &&
-                       !isWord(toks_[pos], "default")) {
+                       !isId(toks_[pos], "case") &&
+                       !isId(toks_[pos], "default")) {
                     if (terminated_) {
                         cur_ = newBlock();
                         terminated_ = false;
@@ -397,7 +351,7 @@ class Builder
         if (!terminated_)
             joins.push_back(cur_);
 
-        while (j < end && isWord(toks_[j], "catch")) {
+        while (j < end && isId(toks_[j], "catch")) {
             const std::size_t close = matchParen(toks_, j + 1, end);
             const std::size_t handler = newBlock();
             edge(entryBlock, handler);

@@ -8,6 +8,7 @@
 
 #include "lint/cfg.hh"
 #include "lint/summary.hh"
+#include "lint/tokens.hh"
 
 namespace netchar::lint
 {
@@ -42,13 +43,6 @@ constexpr std::array<ConcurrencyRule, 5> kRules = {{
      "error-carrying bool return discarded in serve/journal code"},
 }};
 
-/** RAII guard types that sanction lock/unlock discipline. */
-constexpr std::array<std::string_view, 3> kGuardTypes = {
-    "lock_guard",
-    "scoped_lock",
-    "unique_lock",
-};
-
 /** Executor task submission entry points (escape-set seeds). */
 constexpr std::array<std::string_view, 2> kSubmitNames = {
     "forEach",
@@ -75,119 +69,6 @@ constexpr std::array<std::string_view, 13> kStmtKeywords = {
     "do",     "case",  "default",  "break", "continue",
     "throw",  "delete", "co_return",
 };
-
-bool
-contains(const auto &table, std::string_view text)
-{
-    for (const std::string_view t : table)
-        if (t == text)
-            return true;
-    return false;
-}
-
-bool
-isPunct(const Token &t, std::string_view text)
-{
-    return t.kind == TokenKind::Punct && t.text == text;
-}
-
-/** Index of the `)` matching the `(` at `open`, or `limit`. */
-std::size_t
-matchParen(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "("))
-            ++depth;
-        else if (isPunct(toks[j], ")")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
-
-/** Index of the `]`/`}` matching the bracket at `open`, or
- *  `limit`. */
-std::size_t
-matchClose(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit, std::string_view openText,
-           std::string_view closeText)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], openText))
-            ++depth;
-        else if (isPunct(toks[j], closeText)) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
-
-/** Skip a balanced template argument list starting at `<`, or
- *  return `open` unchanged when it does not look like one. `>>`
- *  closes two levels. */
-std::size_t
-skipAngles(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        const Token &t = toks[j];
-        if (isPunct(t, "<"))
-            ++depth;
-        else if (isPunct(t, ">")) {
-            if (--depth == 0)
-                return j + 1;
-        } else if (isPunct(t, ">>")) {
-            depth -= 2;
-            if (depth <= 0)
-                return j + 1;
-        } else if (isPunct(t, ";") || isPunct(t, "{") ||
-                   t.kind == TokenKind::String)
-            break; // not a template argument list after all
-    }
-    return open;
-}
-
-/** The dotted receiver spelling whose last token sits just before
- *  the `.`/`->` at `dot` (`state.mu` for `state . mu . lock`), or
- *  "" when the receiver is not a plain identifier chain. */
-std::string
-receiverChain(const std::vector<Token> &toks, std::size_t dot)
-{
-    std::vector<std::string> parts;
-    std::size_t j = dot;
-    while (j > 0) {
-        if (toks[j - 1].kind != TokenKind::Identifier)
-            return ""; // subscript / call result receiver
-        parts.push_back(toks[j - 1].text);
-        if (j < 2 || (!isPunct(toks[j - 2], ".") &&
-                      !isPunct(toks[j - 2], "->") &&
-                      !isPunct(toks[j - 2], "::")))
-            break;
-        j -= 2;
-    }
-    std::string out;
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-        if (!out.empty())
-            out += '.';
-        out += *it;
-    }
-    return out;
-}
-
-std::string
-lastComponent(const std::string &chain)
-{
-    const std::size_t dot = chain.rfind('.');
-    return dot == std::string::npos ? chain : chain.substr(dot + 1);
-}
 
 // ---------------------------------------------------------------
 // Lock events and the (must, may) state
@@ -699,7 +580,7 @@ class Engine
                 const bool paren = isPunct(toks[k + 1], "(");
                 const std::size_t close =
                     paren ? matchParen(toks, k + 1, e)
-                          : matchClose(toks, k + 1, e, "{", "}");
+                          : matchBrace(toks, k + 1, e);
                 std::vector<std::string> resources;
                 std::size_t argStart = k + 2;
                 for (std::size_t a = argStart; a <= close; ++a) {
@@ -1236,7 +1117,7 @@ class Engine
                 continue;
             const std::size_t ob = k;
             const std::size_t cb =
-                matchClose(toks, ob, fn.bodyEnd, "{", "}");
+                matchBrace(toks, ob, fn.bodyEnd);
             scanLambdaBody(ref, j, ob, cb, refAll, byRef, locals,
                            guardVars);
             j = cb;

@@ -1,12 +1,9 @@
 #include "lint/driver.hh"
 
 #include <fstream>
-#include <map>
-#include <optional>
 #include <sstream>
 
 #include "core/executor.hh"
-#include "lint/cache.hh"
 
 namespace netchar::lint
 {
@@ -38,79 +35,34 @@ runLint(const std::vector<std::string> &paths,
         sources.push_back({file, buf.str()});
     }
 
-    std::optional<LintCache> cache;
-    std::vector<std::string> keys(sources.size());
-    std::string reportKey;
-    if (!opts.cacheDir.empty()) {
-        cache.emplace(opts.cacheDir, lintCacheVersionTag());
-        std::map<std::string, std::string> unitKeys;
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-            keys[i] =
-                cache->unitKey(sources[i].path, sources[i].content);
-            unitKeys.emplace(sources[i].path, keys[i]);
-        }
-        reportKey = cache->reportKey(unitKeys, opts.lint);
-        LintResult cached;
-        if (cache->loadReport(reportKey, cached)) {
-            st.cacheInvalidations = cache->invalidations();
-            st.reportCacheHits = cache->reportHits();
-            return cached;
-        }
-    }
-
-    // Probe the unit cache serially (counter determinism), then fan
-    // the misses out: each task writes only its own slot, and the
-    // assembly below walks the slots in sorted-path order, so the
-    // report bytes never depend on the job count.
+    // Each task writes only its own slot, and the assembly below
+    // walks the slots in sorted-path order, so the report bytes
+    // never depend on the job count.
     std::vector<FileUnit> units(sources.size());
-    std::vector<std::size_t> pending;
-    if (cache) {
-        for (std::size_t i = 0; i < sources.size(); ++i)
-            if (!cache->loadUnit(keys[i], units[i]))
-                pending.push_back(i);
-    } else {
-        pending.resize(sources.size());
-        for (std::size_t i = 0; i < sources.size(); ++i)
-            pending[i] = i;
-    }
-
-    const auto analyzeAt = [&](std::size_t p) {
-        const std::size_t i = pending[p];
+    const auto analyzeAt = [&](std::size_t i) {
         units[i] =
             analyzeFileUnit(sources[i].path, sources[i].content);
     };
-    if (opts.jobs != 1 && pending.size() > 1) {
+    if (opts.jobs != 1 && sources.size() > 1) {
         Executor pool(opts.jobs);
-        pool.forEach(pending.size(), analyzeAt);
+        pool.forEach(sources.size(), analyzeAt);
     } else {
-        for (std::size_t p = 0; p < pending.size(); ++p)
-            analyzeAt(p);
+        for (std::size_t i = 0; i < sources.size(); ++i)
+            analyzeAt(i);
     }
 
-    st.filesAnalyzed = pending.size();
-    for (const std::size_t i : pending) {
-        // Summed task time, not wall time: with --jobs > 1 the
-        // per-phase numbers can exceed the elapsed clock.
-        st.lexSeconds += units[i].lexSeconds;
-        st.rulesSeconds += units[i].rulesSeconds;
-        st.parseSeconds += units[i].parseSeconds;
-        if (cache)
-            cache->storeUnit(sources[i].path, keys[i], units[i]);
+    // Summed task time, not wall time: with --jobs > 1 the
+    // per-phase numbers can exceed the elapsed clock.
+    for (const FileUnit &unit : units) {
+        st.lexSeconds += unit.lexSeconds;
+        st.rulesSeconds += unit.rulesSeconds;
+        st.parseSeconds += unit.parseSeconds;
     }
 
     AssembleTimes times;
     LintResult result =
         assembleUnits(std::move(units), opts.lint, &times);
     st.summarySeconds = times.summarySeconds;
-
-    if (cache) {
-        cache->storeReport(reportKey, result);
-        cache->flush();
-        st.cacheHits = cache->hits();
-        st.cacheMisses = cache->misses();
-        st.cacheInvalidations = cache->invalidations();
-        st.reportCacheHits = cache->reportHits();
-    }
     return result;
 }
 

@@ -1,22 +1,16 @@
 /**
  * @file
- * Parallel, incrementally-cached lint driver.
+ * Parallel lint driver: the entry point that lints files and
+ * directory trees.
  *
  * The analysis layers below (lint.hh) are deliberately split into a
  * per-file phase (analyzeFileUnit — a pure function of path and
- * content) and a cross-file phase (assembleUnits). This driver
- * exploits that split twice:
- *
- *  --jobs N   fans the per-file phase out over a core::Executor.
- *             Each task writes only its own unit slot and the
- *             cross-file phase consumes the slots in sorted-path
- *             order, so the report is byte-identical at any job
- *             count (ctest-enforced, same bar as lint.concurrency).
- *  --cache D  consults the two-level content-addressed cache
- *             (cache.hh): unchanged files load their FileUnit from
- *             disk instead of being re-analyzed, and a fully
- *             unchanged tree short-circuits through the report-
- *             level entry without running any analysis at all.
+ * content) and a cross-file phase (assembleUnits). With --jobs N
+ * the driver fans the per-file phase out over a core::Executor.
+ * Each task writes only its own unit slot and the cross-file phase
+ * consumes the slots in sorted-path order, so the report is
+ * byte-identical at any job count (ctest-enforced, same bar as
+ * lint.concurrency).
  *
  * This is the only lint layer allowed to link netchar_core: the
  * analysis code audits the executor, so it must not depend on it
@@ -43,18 +37,14 @@ struct DriverOptions
      *  thread, 1 (the default) is a serial loop. Never affects
      *  report bytes. */
     unsigned jobs = 1;
-    /** Incremental cache directory (--cache); empty disables
-     *  caching. Created on first use, wiped when its version tag
-     *  does not match this binary's. */
-    std::string cacheDir;
 };
 
 /**
  * Lint files and directory trees: discover (sorted, de-duplicated,
- * lexically normalized), analyze per file (parallel, cached),
- * assemble the cross-file report. Equivalent to lintPaths() byte
- * for byte; `stats` (optional) receives per-phase timings and the
- * cache counters.
+ * lexically normalized), analyze per file (in parallel when
+ * `opts.jobs` != 1), assemble the cross-file report. An unreadable
+ * path appends to `errors` and is otherwise skipped. `stats`
+ * (optional) receives per-phase timings.
  */
 LintResult runLint(const std::vector<std::string> &paths,
                    std::vector<std::string> &errors,

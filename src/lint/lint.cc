@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "lint/concurrency.hh"
@@ -334,27 +333,6 @@ discoverFiles(const std::vector<std::string> &paths,
     return files;
 }
 
-LintResult
-lintPaths(const std::vector<std::string> &paths,
-          std::vector<std::string> &errors, const LintOptions &opts)
-{
-    const std::vector<std::string> files =
-        discoverFiles(paths, errors);
-    std::vector<SourceBuffer> sources;
-    sources.reserve(files.size());
-    for (const std::string &file : files) {
-        std::ifstream in(file, std::ios::binary);
-        if (!in) {
-            errors.push_back(file + ": cannot open");
-            continue;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        sources.push_back({file, buf.str()});
-    }
-    return lintSources(std::move(sources), opts);
-}
-
 std::string
 renderText(const LintResult &result)
 {
@@ -423,12 +401,6 @@ renderJson(const LintResult &result, const LintStats *stats)
             << ", \"parseSeconds\": " << stats->parseSeconds
             << ", \"rulesSeconds\": " << stats->rulesSeconds
             << ", \"summarySeconds\": " << stats->summarySeconds
-            << ", \"filesAnalyzed\": " << stats->filesAnalyzed
-            << ", \"cacheHits\": " << stats->cacheHits
-            << ", \"cacheMisses\": " << stats->cacheMisses
-            << ", \"cacheInvalidations\": "
-            << stats->cacheInvalidations
-            << ", \"reportCacheHits\": " << stats->reportCacheHits
             << "}";
     out << ",\n  \"findings\": [";
     bool first = true;
@@ -495,12 +467,7 @@ renderStatsText(const LintStats &stats)
         << "  lex       " << stats.lexSeconds << "s\n"
         << "  parse     " << stats.parseSeconds << "s\n"
         << "  rules     " << stats.rulesSeconds << "s\n"
-        << "  summaries " << stats.summarySeconds << "s\n"
-        << "  files analyzed: " << stats.filesAnalyzed << '\n'
-        << "  cache: " << stats.cacheHits << " hit(s), "
-        << stats.cacheMisses << " miss(es), "
-        << stats.cacheInvalidations << " invalidation(s), "
-        << stats.reportCacheHits << " report hit(s)\n";
+        << "  summaries " << stats.summarySeconds << "s\n";
     return out.str();
 }
 

@@ -9,7 +9,7 @@
  * (file, line, column, rule), and the text, JSON and SARIF
  * renderings are pure functions of the sorted finding list —
  * repeated runs over an unchanged tree are byte-identical, at any
- * --jobs count and whether the analysis cache was cold or warm.
+ * --jobs count.
  *
  * Three analysis layers feed the same report:
  *  - token rules (rules.hh), checked per file,
@@ -22,13 +22,12 @@
  * summaries of summary.hh, computed bottom-up over the call graph's
  * strongly connected components.
  *
- * The pipeline is split to support parallel and incremental
- * driving (driver.hh): analyzeFileUnit() does all the per-file work
- * (lex, token rules, pragma suppression, parse) and is a pure
- * function of (path, content) — safe to fan out over an executor
- * and to cache on a content hash — while assembleUnits() does the
- * cross-file work (call graph, summaries, taint, concurrency) and
- * the final deterministic sort.
+ * The pipeline is split to support parallel driving (driver.hh):
+ * analyzeFileUnit() does all the per-file work (lex, token rules,
+ * pragma suppression, parse) and is a pure function of (path,
+ * content) — safe to fan out over an executor — while
+ * assembleUnits() does the cross-file work (call graph, summaries,
+ * taint, concurrency) and the final deterministic sort.
  *
  * Suppression contract: a token finding is dropped only when a
  * well-formed netchar-lint `allow(<rule>) -- <reason>` pragma
@@ -101,7 +100,7 @@ struct SourceBuffer
  * parsed declaration model plus the pragma-filtered token findings.
  * A FileUnit is a pure function of (path, content) — no analysis
  * option reaches the per-file phase — which is what makes it the
- * unit of both parallelism and content-hash caching (cache.hh).
+ * unit of parallelism (driver.hh).
  */
 struct FileUnit
 {
@@ -111,8 +110,7 @@ struct FileUnit
     std::vector<Finding> findings;
     /** Token findings a valid allow() pragma dropped. */
     std::size_t suppressed = 0;
-    /** Per-phase wall time of this unit's analysis (zero when the
-     *  unit was loaded from cache rather than analyzed). */
+    /** Per-phase wall time of this unit's analysis. */
     double lexSeconds = 0;
     double rulesSeconds = 0;
     double parseSeconds = 0;
@@ -125,26 +123,15 @@ struct AssembleTimes
     double summarySeconds = 0;
 };
 
-/** --stats payload: per-phase timing plus cache counters. Timings
- *  are nondeterministic by nature, so stats never appear in a
- *  report unless explicitly requested. */
+/** --stats payload: per-phase timing. Timings are nondeterministic
+ *  by nature, so stats never appear in a report unless explicitly
+ *  requested. */
 struct LintStats
 {
     double lexSeconds = 0;
     double parseSeconds = 0;
     double rulesSeconds = 0;
     double summarySeconds = 0;
-    /** Units freshly analyzed this run (≠ filesScanned when the
-     *  cache served the rest). */
-    std::size_t filesAnalyzed = 0;
-    /** Incremental-cache counters (driver.hh); all zero when the
-     *  run was uncached. */
-    std::size_t cacheHits = 0;
-    std::size_t cacheMisses = 0;
-    std::size_t cacheInvalidations = 0;
-    /** 1 when the whole report was served from the report-level
-     *  cache (no per-file or cross-file analysis ran at all). */
-    std::size_t reportCacheHits = 0;
 };
 
 /**
@@ -196,13 +183,6 @@ LintResult lintSource(const std::string &path,
 LintResult lintSources(std::vector<SourceBuffer> sources,
                        const LintOptions &opts = {});
 
-/**
- * Lint files and directory trees (discoverFiles + lintSources).
- */
-LintResult lintPaths(const std::vector<std::string> &paths,
-                     std::vector<std::string> &errors,
-                     const LintOptions &opts = {});
-
 /** Render `file:line: rule: message` lines (flow findings followed
  *  by their indented hop lines) plus a summary line. */
 std::string renderText(const LintResult &result);
@@ -212,9 +192,9 @@ std::string renderText(const LintResult &result);
  * added the `flows` array of taint paths; v3 the `callGraph` link
  * statistics and the `locksets` array; v4 the `summaries` object
  * of interprocedural summary statistics and — only when `stats` is
- * non-null — the `stats` object of per-phase timings and cache
- * counters). Without `stats` the rendering is a pure function of
- * the result, byte-identical across runs.
+ * non-null — the `stats` object of per-phase timings). Without
+ * `stats` the rendering is a pure function of the result,
+ * byte-identical across runs.
  */
 std::string renderJson(const LintResult &result,
                        const LintStats *stats = nullptr);

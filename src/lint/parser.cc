@@ -2,17 +2,13 @@
 
 #include <array>
 
+#include "lint/tokens.hh"
+
 namespace netchar::lint
 {
 
 namespace
 {
-
-bool
-isPunct(const Token &t, std::string_view text)
-{
-    return t.kind == TokenKind::Punct && t.text == text;
-}
 
 /** Keywords that can precede `(` without naming a call/function. */
 bool
@@ -41,40 +37,6 @@ isTypeWord(std::string_view text)
         if (text == k)
             return true;
     return false;
-}
-
-/** Index of the `)` matching the `(` at `open`, or npos. */
-std::size_t
-matchParen(const std::vector<Token> &toks, std::size_t open)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < toks.size(); ++j) {
-        if (isPunct(toks[j], "("))
-            ++depth;
-        else if (isPunct(toks[j], ")")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return std::string::npos;
-}
-
-/** Index of the `}` matching the `{` at `open`, or npos. */
-std::size_t
-matchBrace(const std::vector<Token> &toks, std::size_t open)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < toks.size(); ++j) {
-        if (isPunct(toks[j], "{"))
-            ++depth;
-        else if (isPunct(toks[j], "}")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return std::string::npos;
 }
 
 /**
@@ -146,8 +108,8 @@ recognizeHeader(const std::vector<Token> &toks, std::size_t i,
     if (i > 0 &&
         (isPunct(toks[i - 1], ".") || isPunct(toks[i - 1], "->")))
         return std::string::npos; // member call, not a definition
-    const std::size_t close = matchParen(toks, i + 1);
-    if (close == std::string::npos)
+    const std::size_t close = matchParen(toks, i + 1, toks.size());
+    if (close == toks.size())
         return std::string::npos;
 
     // Walk the tokens between `)` and the body `{`: cv/ref
@@ -164,8 +126,9 @@ recognizeHeader(const std::vector<Token> &toks, std::size_t i,
              t.text == "mutable" || t.text == "volatile")) {
             if (t.text == "noexcept" && k + 1 < toks.size() &&
                 isPunct(toks[k + 1], "(")) {
-                const std::size_t nc = matchParen(toks, k + 1);
-                if (nc == std::string::npos)
+                const std::size_t nc =
+                    matchParen(toks, k + 1, toks.size());
+                if (nc == toks.size())
                     return std::string::npos;
                 k = nc + 1;
                 continue;
@@ -196,9 +159,9 @@ recognizeHeader(const std::vector<Token> &toks, std::size_t i,
             if (!ctorInit)
                 return std::string::npos;
             const std::size_t gc = isPunct(t, "(")
-                ? matchParen(toks, k)
-                : matchBrace(toks, k);
-            if (gc == std::string::npos)
+                ? matchParen(toks, k, toks.size())
+                : matchBrace(toks, k, toks.size());
+            if (gc == toks.size())
                 return std::string::npos;
             k = gc + 1;
             // After a group: `,` continues the list, `{` is the
@@ -266,8 +229,9 @@ collectCalls(const std::vector<Token> &toks, std::size_t begin,
         if (t.kind != TokenKind::Identifier ||
             isControlKeyword(t.text) || !isPunct(toks[j + 1], "("))
             continue;
-        const std::size_t close = matchParen(toks, j + 1);
-        if (close == std::string::npos || close >= end)
+        const std::size_t close =
+            matchParen(toks, j + 1, toks.size());
+        if (close == toks.size() || close >= end)
             continue;
         CallSite call;
         call.callee = t.text;
@@ -406,8 +370,8 @@ parseFile(const std::string &path, LexedFile lexed)
                 recognizeHeader(toks, i, fn);
             if (bodyOpen != std::string::npos) {
                 const std::size_t bodyClose =
-                    matchBrace(toks, bodyOpen);
-                if (bodyClose != std::string::npos) {
+                    matchBrace(toks, bodyOpen, toks.size());
+                if (bodyClose != toks.size()) {
                     fn.qualified = qualifiedSpelling(toks, i);
                     if (fn.qualified.empty())
                         fn.qualified = fn.name;

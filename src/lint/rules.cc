@@ -4,46 +4,13 @@
 #include <array>
 #include <functional>
 
+#include "lint/tokens.hh"
+
 namespace netchar::lint
 {
 
 namespace
 {
-
-bool
-isId(const Token &t, std::string_view text)
-{
-    return t.kind == TokenKind::Identifier && t.text == text;
-}
-
-bool
-isPunct(const Token &t, std::string_view text)
-{
-    return t.kind == TokenKind::Punct && t.text == text;
-}
-
-template <std::size_t N>
-bool
-idIn(const Token &t, const std::array<std::string_view, N> &set)
-{
-    if (t.kind != TokenKind::Identifier)
-        return false;
-    for (const std::string_view s : set)
-        if (t.text == s)
-            return true;
-    return false;
-}
-
-bool
-idIn(const Token &t, const std::vector<std::string_view> &set)
-{
-    if (t.kind != TokenKind::Identifier)
-        return false;
-    for (const std::string_view s : set)
-        if (t.text == s)
-            return true;
-    return false;
-}
 
 void
 report(std::vector<Finding> &out, std::string_view path,

@@ -5,29 +5,13 @@
 
 #include "lint/cfg.hh"
 #include "lint/taint.hh"
+#include "lint/tokens.hh"
 
 namespace netchar::lint
 {
 
 namespace
 {
-
-bool
-isPunct(const Token &t, std::string_view text)
-{
-    return t.kind == TokenKind::Punct && t.text == text;
-}
-
-bool
-idIn(const Token &t, const std::vector<std::string_view> &set)
-{
-    if (t.kind != TokenKind::Identifier)
-        return false;
-    for (const std::string_view s : set)
-        if (t.text == s)
-            return true;
-    return false;
-}
 
 /** The serialization surface. A tainted argument to any of these is
  *  a flow finding: csv/json text helpers, the export entry points,
@@ -81,116 +65,6 @@ laundersPointer(const std::vector<Token> &toks, std::size_t open)
 // ---------------------------------------------------------------
 // Lock-event extraction (the concurrency pass's vocabulary)
 // ---------------------------------------------------------------
-
-/** RAII guard types that sanction lock/unlock discipline. */
-constexpr std::array<std::string_view, 3> kGuardTypes = {
-    "lock_guard",
-    "scoped_lock",
-    "unique_lock",
-};
-
-bool
-contains(const auto &table, std::string_view text)
-{
-    for (const std::string_view t : table)
-        if (t == text)
-            return true;
-    return false;
-}
-
-/** Index of the `)` matching the `(` at `open`, or `limit`. */
-std::size_t
-matchParen(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "("))
-            ++depth;
-        else if (isPunct(toks[j], ")")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
-
-/** Index of the `}` matching the `{` at `open`, or `limit`. */
-std::size_t
-matchBrace(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "{"))
-            ++depth;
-        else if (isPunct(toks[j], "}")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
-
-/** Skip a balanced template argument list starting at `<`, or
- *  return `open` unchanged when it does not look like one. */
-std::size_t
-skipAngles(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        const Token &t = toks[j];
-        if (isPunct(t, "<"))
-            ++depth;
-        else if (isPunct(t, ">")) {
-            if (--depth == 0)
-                return j + 1;
-        } else if (isPunct(t, ">>")) {
-            depth -= 2;
-            if (depth <= 0)
-                return j + 1;
-        } else if (isPunct(t, ";") || isPunct(t, "{") ||
-                   t.kind == TokenKind::String)
-            break; // not a template argument list after all
-    }
-    return open;
-}
-
-/** The dotted receiver spelling whose last token sits just before
- *  the `.`/`->` at `dot`, or "" for non-identifier receivers. */
-std::string
-receiverChain(const std::vector<Token> &toks, std::size_t dot)
-{
-    std::vector<std::string> parts;
-    std::size_t j = dot;
-    while (j > 0) {
-        if (toks[j - 1].kind != TokenKind::Identifier)
-            return "";
-        parts.push_back(toks[j - 1].text);
-        if (j < 2 || (!isPunct(toks[j - 2], ".") &&
-                      !isPunct(toks[j - 2], "->") &&
-                      !isPunct(toks[j - 2], "::")))
-            break;
-        j -= 2;
-    }
-    std::string out;
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-        if (!out.empty())
-            out += '.';
-        out += *it;
-    }
-    return out;
-}
-
-std::string
-lastComponent(const std::string &chain)
-{
-    const std::size_t dot = chain.rfind('.');
-    return dot == std::string::npos ? chain : chain.substr(dot + 1);
-}
 
 struct LSite
 {

@@ -13,7 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "serve/protocol.hh" // parseJson (structured refusals)
+#include "stats/json.hh" // parseJson (structured refusals)
 
 namespace netchar::serve
 {

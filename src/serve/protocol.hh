@@ -56,45 +56,12 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "core/characterize.hh"
+#include "stats/json.hh"
 
 namespace netchar::serve
 {
-
-// ---------------------------------------------------------------
-// Minimal JSON document model (requests are tiny; no external lib).
-// ---------------------------------------------------------------
-
-/** One parsed JSON value. Object members keep source order. */
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /** Object member by key; nullptr when absent or not an object. */
-    const JsonValue *find(std::string_view key) const;
-
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
-    bool isObject() const { return kind == Kind::Object; }
-};
-
-/**
- * Parse one JSON document. Returns false with a descriptive message
- * in `error` on malformed input (trailing bytes after the document
- * are an error too — a request line is exactly one object).
- */
-bool parseJson(std::string_view text, JsonValue &out,
-               std::string &error);
 
 // ---------------------------------------------------------------
 // Requests.

@@ -205,6 +205,18 @@ TEST(Report, ParseRejectsGarbage)
     EXPECT_FALSE(error.empty());
     EXPECT_FALSE(parseReportJson("{\"schema\": \"bogus\"}", out,
                                  error));
+
+    // A baseline cut short anywhere before its closing brace (a
+    // truncated write or download) is rejected with a message.
+    const std::string json = reportJson(selfBaseline());
+    const std::size_t close = json.rfind('}');
+    ASSERT_NE(close, std::string::npos);
+    for (std::size_t n = 0; n < close; ++n) {
+        error.clear();
+        EXPECT_FALSE(parseReportJson(json.substr(0, n), out, error))
+            << "prefix of " << n << " bytes parsed";
+        EXPECT_FALSE(error.empty()) << "prefix of " << n << " bytes";
+    }
 }
 
 TEST(Report, BytesStableUnderRegistrationOrder)

@@ -1,14 +1,10 @@
 /**
  * @file
- * Driver tests (driver.hh + cache.hh): the parallel, incrementally
- * cached front half of netchar-lint.
+ * Driver tests (driver.hh): the parallel front half of netchar-lint.
  *
  * The contract under test is byte-identity: the rendered report
- * must not change with --jobs, with a cold vs. warm cache, or with
- * how the --check paths were spelled. The cache counters are the
- * observable that warm runs actually skipped work, so the tests
- * assert them exactly — they are deterministic by construction
- * (serial probe order in the driver).
+ * must not change with --jobs or with how the --check paths were
+ * spelled.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/cache.hh"
 #include "lint/driver.hh"
 #include "lint/lint.hh"
 
@@ -28,7 +23,6 @@ namespace
 {
 
 using netchar::lint::DriverOptions;
-using netchar::lint::FileUnit;
 using netchar::lint::LintResult;
 using netchar::lint::LintStats;
 using netchar::lint::renderJson;
@@ -69,12 +63,6 @@ class ScratchTree
         return (root_ / "bench").generic_string();
     }
 
-    std::string
-    cacheDir() const
-    {
-        return (root_ / "cache").generic_string();
-    }
-
   private:
     fs::path root_;
 };
@@ -92,75 +80,12 @@ const char *const kCleanSource =
     "}\n";
 
 std::string
-jsonOf(const ScratchTree &tree, const DriverOptions &opts,
-       LintStats *stats = nullptr)
+jsonOf(const ScratchTree &tree, const DriverOptions &opts)
 {
     std::vector<std::string> errors;
-    const LintResult r = runLint({tree.dir()}, errors, opts, stats);
+    const LintResult r = runLint({tree.dir()}, errors, opts);
     EXPECT_TRUE(errors.empty());
     return renderJson(r);
-}
-
-TEST(Driver, ColdThenWarmIsByteIdenticalAndSkipsAnalysis)
-{
-    ScratchTree tree("cold_warm");
-    tree.write("bench/a.cc", kTaintedSource);
-    tree.write("bench/b.cc", kCleanSource);
-    tree.write("bench/c.cc", kCleanSource);
-
-    DriverOptions opts;
-    opts.cacheDir = tree.cacheDir();
-
-    LintStats cold;
-    const std::string first = jsonOf(tree, opts, &cold);
-    EXPECT_EQ(cold.filesAnalyzed, 3u);
-    EXPECT_EQ(cold.cacheMisses, 3u);
-    EXPECT_EQ(cold.cacheHits, 0u);
-    EXPECT_EQ(cold.reportCacheHits, 0u);
-
-    LintStats warm;
-    const std::string second = jsonOf(tree, opts, &warm);
-    EXPECT_EQ(second, first);
-    // The whole-report entry short-circuits the warm run: nothing
-    // is re-analyzed, not even from per-file cache entries.
-    EXPECT_EQ(warm.reportCacheHits, 1u);
-    EXPECT_EQ(warm.filesAnalyzed, 0u);
-    EXPECT_EQ(warm.cacheMisses, 0u);
-}
-
-TEST(Driver, EditedFileIsTheOnlyOneReanalyzed)
-{
-    ScratchTree tree("incremental");
-    tree.write("bench/a.cc", kTaintedSource);
-    tree.write("bench/b.cc", kCleanSource);
-    tree.write("bench/c.cc", kCleanSource);
-
-    DriverOptions opts;
-    opts.cacheDir = tree.cacheDir();
-    jsonOf(tree, opts);
-
-    // Edit one file: the report key changes (so no whole-report
-    // short-circuit), the other two files hit the unit cache, and
-    // the stale entry for the edited file is retired.
-    tree.write("bench/b.cc",
-               "double shape2(double v) {\n"
-               "  return v + 1;\n"
-               "}\n");
-    LintStats incremental;
-    jsonOf(tree, opts, &incremental);
-    EXPECT_EQ(incremental.reportCacheHits, 0u);
-    EXPECT_EQ(incremental.cacheHits, 2u);
-    EXPECT_EQ(incremental.cacheMisses, 1u);
-    EXPECT_EQ(incremental.filesAnalyzed, 1u);
-    // Two stale entries retired: the edited file's unit and the
-    // previous whole-report entry.
-    EXPECT_EQ(incremental.cacheInvalidations, 2u);
-
-    // And the run after the edit short-circuits again.
-    LintStats warm;
-    jsonOf(tree, opts, &warm);
-    EXPECT_EQ(warm.reportCacheHits, 1u);
-    EXPECT_EQ(warm.filesAnalyzed, 0u);
 }
 
 TEST(Driver, JobsDoNotChangeReportBytes)
@@ -187,28 +112,6 @@ TEST(Driver, JobsDoNotChangeReportBytes)
     const std::string c = jsonOf(tree, automatic);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, c);
-}
-
-TEST(Driver, JobsComposeWithCache)
-{
-    ScratchTree tree("jobs_cache");
-    tree.write("bench/a.cc", kTaintedSource);
-    tree.write("bench/b.cc", kCleanSource);
-
-    DriverOptions cold;
-    cold.jobs = 4;
-    cold.cacheDir = tree.cacheDir();
-    const std::string first = jsonOf(tree, cold);
-
-    // Warm run at a different width must reuse the report entry:
-    // the report key deliberately excludes --jobs.
-    DriverOptions warm;
-    warm.jobs = 1;
-    warm.cacheDir = tree.cacheDir();
-    LintStats stats;
-    const std::string second = jsonOf(tree, warm, &stats);
-    EXPECT_EQ(second, first);
-    EXPECT_EQ(stats.reportCacheHits, 1u);
 }
 
 TEST(Driver, RepeatedAndOverlappingPathsAreDeduplicated)
@@ -239,123 +142,20 @@ TEST(Driver, RepeatedAndOverlappingPathsAreDeduplicated)
     EXPECT_EQ(messy.filesScanned, 2u);
 }
 
-TEST(Driver, ChangedOptionsMissTheReportCacheButStayCoherent)
-{
-    ScratchTree tree("opts");
-    tree.write("bench/a.cc", kTaintedSource);
-
-    DriverOptions taint;
-    taint.cacheDir = tree.cacheDir();
-    const std::string withTaint = jsonOf(tree, taint);
-
-    DriverOptions noTaint = taint;
-    noTaint.lint.taint = false;
-    LintStats stats;
-    const std::string without = jsonOf(tree, noTaint, &stats);
-    // Different analysis options → different report key; the unit
-    // entries (option-independent) still hit.
-    EXPECT_EQ(stats.reportCacheHits, 0u);
-    EXPECT_EQ(stats.cacheHits, 1u);
-    EXPECT_NE(without, withTaint);
-
-    // Flip back: the original report entry was retired when the
-    // no-taint report was stored, so this re-assembles from units —
-    // and must reproduce the original bytes exactly.
-    LintStats again;
-    const std::string back = jsonOf(tree, taint, &again);
-    EXPECT_EQ(back, withTaint);
-}
-
-TEST(Driver, UnitSerializationRoundTrips)
-{
-    // serializeUnit/parseUnit must preserve everything assembleUnits
-    // consumes: the model (functions, statements, calls), per-file
-    // findings, and the suppression count.
-    const std::string path = "bench/round.cc";
-    const std::string content =
-        "// netchar-lint: allow(no-wallclock) -- fixture\n"
-        "double shape(double v) {\n"
-        "  return v;\n"
-        "}\n"
-        "void emit() {\n"
-        "  int s = rand();\n"
-        "  row += csvField(shape(s));\n"
-        "}\n";
-    const FileUnit unit =
-        netchar::lint::analyzeFileUnit(path, content);
-    const std::string blob = netchar::lint::serializeUnit(unit);
-
-    FileUnit parsed;
-    ASSERT_TRUE(netchar::lint::parseUnit(blob, parsed));
-    EXPECT_EQ(netchar::lint::serializeUnit(parsed), blob);
-
-    // Assembling from the parsed copy and from the original must
-    // produce identical reports (the cross-function taint flow
-    // through shape() exercises the statement/call payload).
-    std::vector<FileUnit> a, b;
-    a.push_back(netchar::lint::analyzeFileUnit(path, content));
-    b.push_back(parsed);
-    EXPECT_EQ(renderJson(netchar::lint::assembleUnits(std::move(a))),
-              renderJson(netchar::lint::assembleUnits(std::move(b))));
-}
-
-TEST(Driver, CorruptCacheEntryIsAMissNotACrash)
-{
-    ScratchTree tree("corrupt");
-    tree.write("bench/a.cc", kTaintedSource);
-
-    DriverOptions opts;
-    opts.cacheDir = tree.cacheDir();
-    const std::string first = jsonOf(tree, opts);
-
-    // Truncate every cache payload; the next run must fall back to
-    // re-analysis and still produce the same bytes.
-    for (const auto &entry : fs::directory_iterator(tree.cacheDir()))
-        if (entry.path().extension() == ".unit" ||
-            entry.path().extension() == ".report") {
-            std::ofstream out(entry.path(), std::ios::binary);
-            out << "netchar-lint-unit 1\ngarbage\n";
-        }
-    LintStats stats;
-    const std::string second = jsonOf(tree, opts, &stats);
-    EXPECT_EQ(second, first);
-    EXPECT_EQ(stats.filesAnalyzed, 1u);
-}
-
-TEST(Driver, VersionTagMismatchWipesTheCache)
-{
-    ScratchTree tree("version");
-    tree.write("bench/a.cc", kTaintedSource);
-
-    DriverOptions opts;
-    opts.cacheDir = tree.cacheDir();
-    const std::string first = jsonOf(tree, opts);
-
-    {
-        std::ofstream out(fs::path(tree.cacheDir()) / "VERSION",
-                          std::ios::binary);
-        out << "netchar-lint-cache 0 schema 3 rules stale\n";
-    }
-    LintStats stats;
-    const std::string second = jsonOf(tree, opts, &stats);
-    EXPECT_EQ(second, first);
-    EXPECT_EQ(stats.reportCacheHits, 0u);
-    EXPECT_EQ(stats.filesAnalyzed, 1u);
-    EXPECT_GE(stats.cacheInvalidations, 1u);
-}
-
 TEST(Driver, StatsTextRendersCounters)
 {
     LintStats stats;
-    stats.filesAnalyzed = 3;
-    stats.cacheHits = 2;
-    stats.cacheMisses = 1;
+    stats.lexSeconds = 0.25;
+    stats.parseSeconds = 0.5;
+    stats.rulesSeconds = 0.125;
+    stats.summarySeconds = 2;
     const std::string text =
         netchar::lint::renderStatsText(stats);
     EXPECT_NE(text.find("netchar-lint stats:"), std::string::npos);
-    EXPECT_NE(text.find("files analyzed: 3"), std::string::npos);
-    EXPECT_NE(text.find("2 hit(s)"), std::string::npos);
-    EXPECT_NE(text.find("1 miss(es)"), std::string::npos);
+    EXPECT_NE(text.find("lex       0.25s"), std::string::npos);
+    EXPECT_NE(text.find("parse     0.5s"), std::string::npos);
+    EXPECT_NE(text.find("rules     0.125s"), std::string::npos);
+    EXPECT_NE(text.find("summaries 2s"), std::string::npos);
 }
 
 } // namespace

@@ -33,6 +33,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/shard.hh"
+#include "stats/json.hh"
 #include "trace/analyzer.hh"
 #include "trace/export_trace.hh"
 #include "workloads/registry.hh"
@@ -939,24 +940,24 @@ cmdQuery(int argc, char **argv)
                          address.c_str(), error.c_str());
             return EXIT_FAILURE;
         }
-        serve::JsonValue doc;
+        JsonValue doc;
         std::string jerr;
-        if (!serve::parseJson(response, doc, jerr)) {
+        if (!parseJson(response, doc, jerr)) {
             std::fprintf(stderr,
                          "netchar query: %s: bad response: %s\n",
                          address.c_str(), jerr.c_str());
             return EXIT_FAILURE;
         }
-        const serve::JsonValue *ok = doc.find("ok");
+        const JsonValue *ok = doc.find("ok");
         if (ok == nullptr ||
-            ok->kind != serve::JsonValue::Kind::Bool) {
+            ok->kind != JsonValue::Kind::Bool) {
             std::fprintf(stderr,
                          "netchar query: %s: response without ok\n",
                          address.c_str());
             return EXIT_FAILURE;
         }
         if (!ok->boolean) {
-            const serve::JsonValue *err = doc.find("error");
+            const JsonValue *err = doc.find("error");
             std::fprintf(stderr,
                          "netchar query: %s: server error: %s\n",
                          address.c_str(),
@@ -965,8 +966,8 @@ cmdQuery(int argc, char **argv)
                              : "(no message)");
             return EXIT_FAILURE;
         }
-        const serve::JsonValue *cache = doc.find("cache");
-        const serve::JsonValue *key = doc.find("key");
+        const JsonValue *cache = doc.find("cache");
+        const JsonValue *key = doc.find("key");
         if (cache != nullptr && cache->isString() && key != nullptr &&
             key->isString())
             std::fprintf(stderr, "  %s: cache %s (key %s)\n",
@@ -988,15 +989,15 @@ cmdQuery(int argc, char **argv)
 
     std::vector<serve::SweepPartial> partials;
     for (std::size_t i = 0; i < responses.size(); ++i) {
-        serve::JsonValue doc;
+        JsonValue doc;
         std::string jerr;
         // Parsed once above; re-parse here to keep ownership simple.
-        if (!serve::parseJson(responses[i], doc, jerr)) {
+        if (!parseJson(responses[i], doc, jerr)) {
             std::fprintf(stderr, "netchar query: %s\n",
                          jerr.c_str());
             return EXIT_FAILURE;
         }
-        const serve::JsonValue *body = doc.find("body");
+        const JsonValue *body = doc.find("body");
         serve::SweepPartial partial;
         std::string perr;
         if (body == nullptr ||

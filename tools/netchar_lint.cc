@@ -5,17 +5,17 @@
  * src/lint/taint.hh for the flow-aware taint pass).
  *
  *   netchar_lint --check <path>... [--json] [--sarif FILE]
- *                [--jobs N] [--cache DIR] [--stats]
+ *                [--jobs N] [--stats]
  *                [--taint|--no-taint]
  *                [--concurrency|--no-concurrency]
  *   netchar_lint --list-rules
  *
  * Exit codes: 0 clean tree, 1 unsuppressed findings, 2 usage or I/O
  * error. The report is deterministic: sorted findings, byte-identical
- * across repeated runs, independent of directory enumeration order,
- * of --jobs, and of whether the --cache was cold or warm. (--stats
- * adds wall-clock timings, which are inherently nondeterministic —
- * leave it off when comparing report bytes.)
+ * across repeated runs, independent of directory enumeration order
+ * and of --jobs. (--stats adds wall-clock timings, which are
+ * inherently nondeterministic — leave it off when comparing report
+ * bytes.)
  *
  * docs/CLI.md documents the tool; keep it in sync with usage().
  */
@@ -39,7 +39,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: netchar_lint --check <path>... [--json] "
-        "[--sarif FILE] [--jobs N] [--cache DIR]\n"
+        "[--sarif FILE] [--jobs N]\n"
         "                    [--stats] [--taint|--no-taint] "
         "[--concurrency|--no-concurrency]\n"
         "       netchar_lint --list-rules\n"
@@ -49,10 +49,8 @@ usage()
         "  --jobs N           analyze files on N threads (0 = one\n"
         "                     per hardware thread; default 1);\n"
         "                     never changes report bytes\n"
-        "  --cache DIR        incremental analysis cache: warm runs\n"
-        "                     re-analyze only changed files\n"
-        "  --stats            append per-phase timings and cache\n"
-        "                     counters to the report\n"
+        "  --stats            append per-phase timings to the\n"
+        "                     report\n"
         "  --taint            run the taint pass (default)\n"
         "  --no-taint         skip the taint pass\n"
         "  --concurrency      run the CFG/lockset pass (default)\n"
@@ -110,14 +108,6 @@ main(int argc, char **argv)
                 return usage();
             }
             opts.jobs = static_cast<unsigned>(n);
-        } else if (arg == "--cache") {
-            if (i + 1 >= argc) {
-                std::fprintf(
-                    stderr,
-                    "netchar_lint: --cache needs a directory\n");
-                return usage();
-            }
-            opts.cacheDir = argv[++i];
         } else if (arg == "--sarif") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
