@@ -22,6 +22,7 @@
 #include "lint/callgraph.hh"
 #include "lint/lint.hh"
 #include "lint/summary.hh"
+#include "stats/hash.hh"
 
 namespace
 {
@@ -298,6 +299,131 @@ TEST(Summary, DoubleLockThroughHelperCall)
     EXPECT_EQ(f->function, "twice");
     EXPECT_NE(f->message.find("double-lock"), std::string::npos);
     EXPECT_NE(f->message.find("acquire"), std::string::npos);
+}
+
+// ---------------------------------------------------------------
+// golden lock report
+// ---------------------------------------------------------------
+
+TEST(Locks, GoldenReportDigest)
+{
+    // One tree that drives every lock-event kind and every call
+    // effect path through both consumers of the lock model — the
+    // lock-effect summaries and the lockset pass — pinned by the
+    // content hash of the JSON report. A deliberate change to lock
+    // reporting must re-record the constant in the same change.
+    const std::vector<SourceBuffer> tree = {
+        {"src/core/locks_guard.cc",
+         "static std::mutex mu_;\n"
+         "static int counter_ = 0;\n"
+         "static long hits_ = 0;\n"
+         "static long hot_ = 0;\n"
+         "std::mutex &pick(long v);\n"
+         "void guarded(std::mutex &m) {\n"
+         "    std::unique_lock<std::mutex> lk(m);\n"
+         "    counter_ += 1;\n"
+         "    lk.unlock();\n"
+         "    counter_ += 2;\n"
+         "    lk.lock();\n"
+         "    lk.lock();\n"
+         "}\n"
+         "void deferred(std::mutex &m) {\n"
+         "    std::unique_lock<std::mutex> lk(m, std::defer_lock);\n"
+         "    lk.lock();\n"
+         "}\n"
+         "void inArgs() {\n"
+         "    std::lock_guard<std::mutex> g(pick(hot_.load()));\n"
+         "    hot_ = 1;\n"
+         "}\n"
+         "long sample() {\n"
+         "    return std::atomic_ref<long>(hits_).load();\n"
+         "}\n"
+         "void bump() {\n"
+         "    hits_ += 1;\n"
+         "    hits_.store(2);\n"
+         "}\n"},
+        {"src/core/locks_raw.cc",
+         "static std::mutex a_;\n"
+         "static std::mutex b_;\n"
+         "void leaky(std::mutex &m, bool c) {\n"
+         "    m.lock();\n"
+         "    if (c)\n"
+         "        return;\n"
+         "    m.unlock();\n"
+         "}\n"
+         "void maybeRelease(bool c) {\n"
+         "    if (c)\n"
+         "        mu_.unlock();\n"
+         "}\n"
+         "void useMaybe(bool c) {\n"
+         "    mu_.lock();\n"
+         "    maybeRelease(c);\n"
+         "    mu_.unlock();\n"
+         "}\n"
+         "void swapLocks() {\n"
+         "    a_.unlock();\n"
+         "    b_.lock();\n"
+         "}\n"
+         "void swapper() {\n"
+         "    a_.lock();\n"
+         "    swapLocks();\n"
+         "    b_.unlock();\n"
+         "}\n"
+         "void acquireB() {\n"
+         "    b_.lock();\n"
+         "}\n"
+         "void rootLeak() {\n"
+         "    acquireB();\n"
+         "}\n"
+         "void twice() {\n"
+         "    b_.lock();\n"
+         "    acquireB();\n"
+         "    b_.unlock();\n"
+         "}\n"},
+        {"src/core/locks_cycle.cc",
+         "void stepA(int n) {\n"
+         "    mu_.lock();\n"
+         "    stepB(n);\n"
+         "}\n"
+         "void stepB(int n) {\n"
+         "    if (n)\n"
+         "        stepA(n - 1);\n"
+         "    mu_.unlock();\n"
+         "}\n"
+         "void driveSteps(int n) {\n"
+         "    stepA(n);\n"
+         "    while (n > 0) {\n"
+         "        mu_.lock();\n"
+         "        --n;\n"
+         "    }\n"
+         "}\n"},
+        {"src/core/locks_task.cc",
+         "static int tally_ = 0;\n"
+         "void helperWrite() { tally_ += 1; }\n"
+         "void helperGuarded(std::mutex &m) {\n"
+         "    std::lock_guard<std::mutex> g(m);\n"
+         "    tally_ += 2;\n"
+         "}\n"
+         "void submit(Executor &ex, std::mutex &m) {\n"
+         "    int shared = 0;\n"
+         "    ex.forEach(4, [&](std::size_t i) {\n"
+         "        shared += 1;\n"
+         "        m.lock();\n"
+         "        shared = 2;\n"
+         "        m.unlock();\n"
+         "        std::unique_lock<std::mutex> lk(m);\n"
+         "        lk.unlock();\n"
+         "        shared = 3;\n"
+         "        helperWrite();\n"
+         "        helperGuarded(m);\n"
+         "    });\n"
+         "    shared = 4;\n"
+         "}\n"},
+    };
+    const std::string json = renderJson(lintSources(tree));
+    EXPECT_EQ(netchar::contentHashHex(json),
+              "6d1cef938c087560d4d88441c503044a")
+        << json;
 }
 
 // ---------------------------------------------------------------
