@@ -49,20 +49,6 @@ constexpr std::array<std::string_view, 2> kSubmitNames = {
     "forEachCollect",
 };
 
-/** Member calls that read/write an object atomically. */
-constexpr std::array<std::string_view, 10> kAtomicOps = {
-    "load",
-    "store",
-    "exchange",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "compare_exchange_weak",
-    "compare_exchange_strong",
-};
-
 /** Statement-leading keywords that are never a discarded call. */
 constexpr std::array<std::string_view, 13> kStmtKeywords = {
     "return", "if",    "while",    "for",   "switch",
@@ -70,137 +56,13 @@ constexpr std::array<std::string_view, 13> kStmtKeywords = {
     "throw",  "delete", "co_return",
 };
 
-// ---------------------------------------------------------------
-// Lock events and the (must, may) state
-// ---------------------------------------------------------------
-
-struct LockEvent
-{
-    enum class Kind
-    {
-        GuardAcquire, ///< RAII guard declaration
-        GuardRelease, ///< guard receiver `.unlock()`
-        GuardRelock,  ///< guard receiver `.lock()`
-        RawLock,
-        RawUnlock,
-        CallEffect, ///< callee with a net lock effect (summary.hh)
-    };
-    Kind kind = Kind::RawLock;
-    std::vector<std::string> resources;
-    std::size_t token = 0; ///< ordering within the statement
-    int line = 0;
-    int column = 0;
-    /** CallEffect only: the callee's net effects and spelling. */
-    const LockEffects *effects = nullptr;
-    std::string callee;
+/** Assignment operators that make a statement-leading identifier a
+ *  plain write. */
+constexpr std::array<std::string_view, 11> kAssignOps = {
+    "=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=",
 };
 
-struct WriteSite
-{
-    std::string name;
-    std::size_t token = 0;
-    int line = 0;
-    int column = 0;
-};
-
-/** Per-block dataflow facts. The lattice element is a pair of
- *  resource sets: `must` (∩ at joins) and `may` (∪ at joins), plus
- *  the raw subset of `may` that feeds the leak check. */
-struct LockState
-{
-    bool reached = false;
-    std::set<std::string> must;
-    std::set<std::string> may;
-    std::set<std::string> rawMay;
-
-    bool meet(const LockState &pred)
-    {
-        if (!pred.reached)
-            return false;
-        if (!reached) {
-            *this = pred;
-            return true;
-        }
-        bool changed = false;
-        for (auto it = must.begin(); it != must.end();)
-            if (pred.must.count(*it) == 0) {
-                it = must.erase(it);
-                changed = true;
-            } else
-                ++it;
-        for (const std::string &r : pred.may)
-            changed |= may.insert(r).second;
-        for (const std::string &r : pred.rawMay)
-            changed |= rawMay.insert(r).second;
-        return changed;
-    }
-
-    void apply(const LockEvent &ev)
-    {
-        switch (ev.kind) {
-        case LockEvent::Kind::GuardAcquire:
-        case LockEvent::Kind::GuardRelock:
-            for (const std::string &r : ev.resources) {
-                must.insert(r);
-                may.insert(r);
-            }
-            break;
-        case LockEvent::Kind::GuardRelease:
-            for (const std::string &r : ev.resources) {
-                must.erase(r);
-                may.erase(r);
-            }
-            break;
-        case LockEvent::Kind::RawLock:
-            for (const std::string &r : ev.resources) {
-                must.insert(r);
-                may.insert(r);
-                rawMay.insert(r);
-            }
-            break;
-        case LockEvent::Kind::RawUnlock:
-            for (const std::string &r : ev.resources) {
-                must.erase(r);
-                may.erase(r);
-                rawMay.erase(r);
-            }
-            break;
-        case LockEvent::Kind::CallEffect:
-            // A callee with a net lock effect acts like an inlined
-            // raw lock/unlock sequence: releases first (a wrapper
-            // that swaps locks releases before re-acquiring), then
-            // acquisitions — which join the raw-may set so a lock
-            // leaked through a helper is still caught at this
-            // function's exit.
-            for (const std::string &r : ev.effects->mustRelease) {
-                must.erase(r);
-                may.erase(r);
-                rawMay.erase(r);
-            }
-            for (const std::string &r : ev.effects->mayRelease)
-                if (ev.effects->mustRelease.count(r) == 0)
-                    must.erase(r);
-            for (const std::string &r : ev.effects->mustAcquire) {
-                must.insert(r);
-                may.insert(r);
-                rawMay.insert(r);
-            }
-            for (const std::string &r : ev.effects->mayAcquire)
-                if (ev.effects->mustAcquire.count(r) == 0) {
-                    may.insert(r);
-                    rawMay.insert(r);
-                }
-            break;
-        }
-    }
-};
-
-struct SharedStatic
-{
-    int line = 0;
-    int column = 0;
-};
-
+/** A source position. */
 struct Site
 {
     int line = 0;
@@ -215,14 +77,14 @@ class Engine
 {
   public:
     Engine(const std::vector<FileModel> &files,
-           const CallGraph &graph, const SummarySet *sums)
+           const CallGraph &graph, const SummarySet &sums)
         : files_(files), graph_(graph), sums_(sums)
     {
     }
 
     ConcurrencyAnalysis run()
     {
-        collectDeclTypes();
+        declType_ = collectDeclTypes(files_);
         collectStatics();
         computeEscapeSet();
         collectLockPairing();
@@ -238,7 +100,7 @@ class Engine
   private:
     const std::vector<FileModel> &files_;
     const CallGraph &graph_;
-    const SummarySet *sums_;
+    const SummarySet &sums_;
     ConcurrencyAnalysis out_;
     std::set<std::string> emitted_;
     /** Per resource: functions that syntactically raw-lock /
@@ -251,9 +113,9 @@ class Engine
      *  (later files win; files arrive sorted, so this is
      *  deterministic). Used to spot guard/atomic/mutex objects and
      *  to type member-call receivers. */
-    std::map<std::string, std::string> declType_;
+    DeclTypes declType_;
     /** Per file: mutable, non-atomic statics by name. */
-    std::vector<std::map<std::string, SharedStatic>> statics_;
+    std::vector<std::map<std::string, Site>> statics_;
     /** Per file: object name → atomic access sites. */
     std::vector<std::map<std::string, std::vector<Site>>>
         atomicSites_;
@@ -315,43 +177,6 @@ class Engine
     }
 
     // -- vocabulary collection ----------------------------------
-
-    /** Record `Type name` declaration pairs: identifier (last of a
-     *  `::` chain), optional `<...>`, identifier, then one of
-     *  `; = { ( ,`. Heuristic but deterministic; collisions keep
-     *  the last writer in sorted file order. */
-    void collectDeclTypes()
-    {
-        for (const FileModel &file : files_) {
-            const auto &toks = file.lexed.tokens;
-            for (std::size_t j = 0; j + 1 < toks.size(); ++j) {
-                if (toks[j].kind != TokenKind::Identifier)
-                    continue;
-                if (j > 0 && (isPunct(toks[j - 1], ".") ||
-                              isPunct(toks[j - 1], "->")))
-                    continue; // member access, not a declaration
-                std::size_t k = j + 1;
-                if (isPunct(toks[k], "<")) {
-                    const std::size_t past =
-                        skipAngles(toks, k, toks.size());
-                    if (past == k)
-                        continue;
-                    k = past;
-                }
-                if (k >= toks.size() ||
-                    toks[k].kind != TokenKind::Identifier)
-                    continue;
-                if (k + 1 >= toks.size())
-                    continue;
-                const Token &after = toks[k + 1];
-                if (!isPunct(after, ";") && !isPunct(after, "=") &&
-                    !isPunct(after, "{") && !isPunct(after, "(") &&
-                    !isPunct(after, ","))
-                    continue;
-                declType_[toks[k].text] = toks[j].text;
-            }
-        }
-    }
 
     /** Mutable, non-atomic `static` objects per file — the shared
      *  state the race rule protects. Const/constexpr/thread_local/
@@ -489,13 +314,11 @@ class Engine
 
     void collectLockPairing()
     {
-        if (sums_ == nullptr)
-            return;
         for (std::size_t fi = 0; fi < files_.size(); ++fi)
             for (std::size_t gi = 0;
                  gi < files_[fi].functions.size(); ++gi) {
                 const FunctionRef ref{fi, gi};
-                const LockEffects &e = sums_->of(ref).locks;
+                const LockEffects &e = sums_.of(ref).locks;
                 for (const std::string &r : e.localLocks)
                     rawLockers_[r].insert(ref);
                 for (const std::string &r : e.localUnlocks)
@@ -512,8 +335,6 @@ class Engine
         const std::map<std::string, std::set<FunctionRef>> &table,
         const std::string &r, FunctionRef ref) const
     {
-        if (sums_ == nullptr)
-            return false;
         const auto it = table.find(r);
         if (it == table.end())
             return false;
@@ -527,170 +348,26 @@ class Engine
 
     // -- per-function lockset analysis --------------------------
 
-    /** Extract lock events and plain writes from the statement
-     *  token range [b, e). `guardVars` maps guard variables to the
-     *  resources they hold and accumulates across the function. */
-    void extractFromStmt(
-        const std::vector<Token> &toks, std::size_t b,
-        std::size_t e,
-        std::map<std::string, std::vector<std::string>> &guardVars,
-        std::vector<LockEvent> &events,
-        std::vector<WriteSite> &writes, std::size_t fi)
+    /** The identifier a statement writes as its whole left-hand
+     *  side (`x = ...`, `x += ...`, `x++`, `++x`), or null. */
+    static const Token *plainWrite(const std::vector<Token> &toks,
+                                   const CfgStmt &st)
     {
-        // Plain single-identifier write: `x = ...`, `x += ...`,
-        // `x++`, `++x` as the whole left-hand side.
-        if (e > b + 1 && toks[b].kind == TokenKind::Identifier &&
+        const std::size_t b = st.begin;
+        if (st.end <= b + 1)
+            return nullptr;
+        if (toks[b].kind == TokenKind::Identifier &&
             !contains(kStmtKeywords, toks[b].text)) {
-            static constexpr std::array<std::string_view, 11> kOps =
-                {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=",
-                 "^=", "<<=", ">>="};
             const Token &op = toks[b + 1];
             if ((op.kind == TokenKind::Punct &&
-                 contains(kOps, op.text)) ||
+                 contains(kAssignOps, op.text)) ||
                 isPunct(op, "++") || isPunct(op, "--"))
-                writes.push_back({toks[b].text, b, toks[b].line,
-                                  toks[b].column});
+                return &toks[b];
         }
-        if (e > b + 1 && (isPunct(toks[b], "++") ||
-                          isPunct(toks[b], "--")) &&
+        if ((isPunct(toks[b], "++") || isPunct(toks[b], "--")) &&
             toks[b + 1].kind == TokenKind::Identifier)
-            writes.push_back({toks[b + 1].text, b,
-                              toks[b + 1].line,
-                              toks[b + 1].column});
-
-        for (std::size_t j = b; j < e; ++j) {
-            const Token &t = toks[j];
-            // RAII guard declaration.
-            if (t.kind == TokenKind::Identifier &&
-                contains(kGuardTypes, t.text)) {
-                std::size_t k = j + 1;
-                if (k < e && isPunct(toks[k], "<")) {
-                    const std::size_t past = skipAngles(toks, k, e);
-                    if (past == k)
-                        continue;
-                    k = past;
-                }
-                if (k >= e ||
-                    toks[k].kind != TokenKind::Identifier)
-                    continue;
-                const std::string var = toks[k].text;
-                if (k + 1 >= e || (!isPunct(toks[k + 1], "(") &&
-                                   !isPunct(toks[k + 1], "{")))
-                    continue;
-                const bool paren = isPunct(toks[k + 1], "(");
-                const std::size_t close =
-                    paren ? matchParen(toks, k + 1, e)
-                          : matchBrace(toks, k + 1, e);
-                std::vector<std::string> resources;
-                std::size_t argStart = k + 2;
-                for (std::size_t a = argStart; a <= close; ++a) {
-                    if (a == close || (isPunct(toks[a], ",") &&
-                                       a > argStart)) {
-                        // Resource spelling: the identifier chain
-                        // at the start of the argument.
-                        std::size_t s = argStart;
-                        while (s < a && (isPunct(toks[s], "*") ||
-                                         isPunct(toks[s], "&")))
-                            ++s;
-                        std::string res;
-                        while (s < a) {
-                            if (toks[s].kind ==
-                                TokenKind::Identifier) {
-                                if (!res.empty())
-                                    res += '.';
-                                res += toks[s].text;
-                                if (s + 2 < a &&
-                                    (isPunct(toks[s + 1], ".") ||
-                                     isPunct(toks[s + 1], "->") ||
-                                     isPunct(toks[s + 1], "::"))) {
-                                    s += 2;
-                                    continue;
-                                }
-                            }
-                            break;
-                        }
-                        if (!res.empty() &&
-                            res.find("defer_lock") ==
-                                std::string::npos)
-                            resources.push_back(res);
-                        argStart = a + 1;
-                    }
-                }
-                guardVars[var] = resources;
-                if (!resources.empty()) {
-                    LockEvent ev;
-                    ev.kind = LockEvent::Kind::GuardAcquire;
-                    ev.resources = resources;
-                    ev.token = j;
-                    ev.line = t.line;
-                    ev.column = t.column;
-                    events.push_back(std::move(ev));
-                }
-                j = close;
-                continue;
-            }
-            // Member calls: lock/unlock discipline and atomic ops.
-            if ((isPunct(t, ".") || isPunct(t, "->")) &&
-                j + 2 < e &&
-                toks[j + 1].kind == TokenKind::Identifier &&
-                isPunct(toks[j + 2], "(")) {
-                const std::string &method = toks[j + 1].text;
-                if (method == "lock" || method == "unlock") {
-                    const std::string recv =
-                        receiverChain(toks, j);
-                    if (recv.empty())
-                        continue;
-                    LockEvent ev;
-                    ev.token = j + 1;
-                    ev.line = toks[j + 1].line;
-                    ev.column = toks[j + 1].column;
-                    const auto guard = guardVars.find(recv);
-                    const auto type =
-                        declType_.find(lastComponent(recv));
-                    const bool isGuardVar =
-                        guard != guardVars.end() ||
-                        (type != declType_.end() &&
-                         contains(kGuardTypes, type->second));
-                    if (isGuardVar) {
-                        if (guard == guardVars.end() ||
-                            guard->second.empty())
-                            continue; // resources unknown
-                        ev.resources = guard->second;
-                        ev.kind = method == "lock"
-                                      ? LockEvent::Kind::GuardRelock
-                                      : LockEvent::Kind::
-                                            GuardRelease;
-                    } else {
-                        ev.resources = {recv};
-                        ev.kind = method == "lock"
-                                      ? LockEvent::Kind::RawLock
-                                      : LockEvent::Kind::RawUnlock;
-                    }
-                    events.push_back(std::move(ev));
-                    continue;
-                }
-                if (contains(kAtomicOps, method)) {
-                    const std::string recv =
-                        receiverChain(toks, j);
-                    if (!recv.empty())
-                        atomicSites_[fi][lastComponent(recv)]
-                            .push_back({toks[j + 1].line,
-                                        toks[j + 1].column});
-                    continue;
-                }
-            }
-            // std::atomic_ref<T>(x) wraps x for atomic access.
-            if (t.kind == TokenKind::Identifier &&
-                t.text == "atomic_ref") {
-                std::size_t k = j + 1;
-                if (k < e && isPunct(toks[k], "<"))
-                    k = skipAngles(toks, k, e);
-                if (k < e && isPunct(toks[k], "(") && k + 1 < e &&
-                    toks[k + 1].kind == TokenKind::Identifier)
-                    atomicSites_[fi][toks[k + 1].text].push_back(
-                        {toks[k + 1].line, toks[k + 1].column});
-            }
-        }
+            return &toks[b + 1];
+        return nullptr;
     }
 
     void analyzeFunction(FunctionRef ref)
@@ -700,95 +377,15 @@ class Engine
         if (fn.bodyEnd <= fn.bodyBegin)
             return;
         const auto &toks = file.lexed.tokens;
-        const Cfg cfg = buildCfg(file, fn);
-
-        // Events and writes per block, in statement order.
-        std::map<std::string, std::vector<std::string>> guardVars;
-        std::vector<std::vector<LockEvent>> events(
-            cfg.blocks.size());
-        std::vector<std::vector<WriteSite>> writes(
-            cfg.blocks.size());
-        for (std::size_t b = 0; b < cfg.blocks.size(); ++b)
-            for (const CfgStmt &st : cfg.blocks[b].stmts)
-                extractFromStmt(toks, st.begin, st.end, guardVars,
-                                events[b], writes[b], ref.file);
-
-        // Calls whose callee has a net lock effect (per the
-        // interprocedural summaries) become events too, so a mutex
-        // locked in acquire() and released in release() is tracked
-        // through the function that pairs them.
-        if (sums_ != nullptr) {
-            for (const Statement &stmt : fn.stmts)
-                for (const CallSite &call : stmt.calls) {
-                    const LockEffects *eff = nullptr;
-                    for (const FunctionRef def :
-                         graph_.resolve(call)) {
-                        const LockEffects &e =
-                            sums_->of(def).locks;
-                        if (e.hasNetEffect()) {
-                            eff = &e;
-                            break;
-                        }
-                    }
-                    if (eff == nullptr)
-                        continue;
-                    for (std::size_t b = 0;
-                         b < cfg.blocks.size(); ++b)
-                        for (const CfgStmt &st :
-                             cfg.blocks[b].stmts)
-                            if (call.begin >= st.begin &&
-                                call.begin < st.end) {
-                                LockEvent ev;
-                                ev.kind =
-                                    LockEvent::Kind::CallEffect;
-                                ev.token = call.begin;
-                                ev.line = call.line;
-                                ev.column = call.column;
-                                ev.effects = eff;
-                                ev.callee = call.callee;
-                                events[b].push_back(
-                                    std::move(ev));
-                                b = cfg.blocks.size() - 1;
-                                break;
-                            }
-                }
-            for (auto &evs : events)
-                std::stable_sort(
-                    evs.begin(), evs.end(),
-                    [](const LockEvent &a, const LockEvent &b) {
-                        return a.token < b.token;
-                    });
-        }
-
-        // Forward fixpoint over (must, may).
-        std::vector<std::vector<std::size_t>> preds(
-            cfg.blocks.size());
-        for (std::size_t b = 0; b < cfg.blocks.size(); ++b)
-            for (const std::size_t s : cfg.blocks[b].succs)
-                preds[s].push_back(b);
-        std::vector<LockState> in(cfg.blocks.size());
-        std::vector<LockState> outState(cfg.blocks.size());
-        in[Cfg::kEntry].reached = true;
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-                for (const std::size_t p : preds[b])
-                    changed |= in[b].meet(outState[p]);
-                if (!in[b].reached)
-                    continue;
-                LockState s = in[b];
-                for (const LockEvent &ev : events[b])
-                    s.apply(ev);
-                if (!(s.must == outState[b].must &&
-                      s.may == outState[b].may &&
-                      s.rawMay == outState[b].rawMay &&
-                      s.reached == outState[b].reached)) {
-                    outState[b] = std::move(s);
-                    changed = true;
-                }
-            }
-        }
+        FunctionLocks locks = extractLocks(file, fn, declType_);
+        bindCalleeEffects(locks, graph_, sums_);
+        const Cfg &cfg = locks.cfg;
+        for (const std::vector<LockEvent> &evs : locks.events)
+            for (const LockEvent &ev : evs)
+                if (ev.kind == LockEvent::Kind::Atomic)
+                    atomicSites_[ref.file][ev.resources.front()]
+                        .push_back({ev.line, ev.column});
+        const std::vector<LockState> in = solveLocks(locks);
 
         // Reporting pass over the converged states, in block and
         // statement order (deterministic by construction).
@@ -799,87 +396,74 @@ class Engine
             escHop = &it->second;
         std::map<std::string, Site> firstRawLock;
         std::map<std::string, Site> firstHeldAt;
-        struct CallIntro
-        {
-            Site site;
-            std::string callee;
-            const LockEffects *effects = nullptr;
-        };
-        std::map<std::string, CallIntro> callIntro;
+        /** Resource → the first call that leaves it held. */
+        std::map<std::string, const LockEvent *> callIntro;
         for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
             if (!in[b].reached || !cfg.blocks[b].reachable)
                 continue;
             LockState s = in[b];
+            // Events are in token order, each inside one of the
+            // block's statements.
+            const std::vector<LockEvent> &evs = locks.events[b];
+            std::size_t next = 0;
             for (const CfgStmt &st : cfg.blocks[b].stmts) {
-                // Writes are checked against the lockset at the
+                // A write is checked against the lockset at the
                 // statement entry; the statement's own lock events
                 // apply afterwards.
-                for (const WriteSite &w : writes[b]) {
-                    if (w.token < st.begin || w.token >= st.end)
-                        continue;
-                    plainWrites_[ref.file][w.name].push_back(
-                        {w.line, w.column});
-                    if (!isEscaped || !s.must.empty())
-                        continue;
+                if (const Token *w = plainWrite(toks, st)) {
+                    plainWrites_[ref.file][w->text].push_back(
+                        {w->line, w->column});
                     const auto shared =
-                        statics_[ref.file].find(w.name);
-                    if (shared == statics_[ref.file].end())
-                        continue;
-                    std::vector<FlowHop> hops;
-                    hops.push_back({file.path,
-                                    shared->second.line,
-                                    shared->second.column,
-                                    "mutable static shared state "
-                                    "declared here"});
-                    if (escHop != nullptr)
-                        hops.push_back(*escHop);
-                    hops.push_back({file.path, w.line, w.column,
-                                    "written with an empty "
-                                    "lockset"});
-                    emit("race-shared-write", file, w.line,
-                         w.column,
-                         "write to shared static '" + w.name +
-                             "' reachable from executor tasks "
-                             "with an empty lockset",
-                         std::move(hops), fn.qualified, s.must);
+                        statics_[ref.file].find(w->text);
+                    if (isEscaped && s.must.empty() &&
+                        shared != statics_[ref.file].end()) {
+                        std::vector<FlowHop> hops;
+                        hops.push_back({file.path,
+                                        shared->second.line,
+                                        shared->second.column,
+                                        "mutable static shared state "
+                                        "declared here"});
+                        if (escHop != nullptr)
+                            hops.push_back(*escHop);
+                        hops.push_back({file.path, w->line, w->column,
+                                        "written with an empty "
+                                        "lockset"});
+                        emit("race-shared-write", file, w->line,
+                             w->column,
+                             "write to shared static '" + w->text +
+                                 "' reachable from executor tasks "
+                                 "with an empty lockset",
+                             std::move(hops), fn.qualified, s.must);
+                    }
                 }
-                for (const LockEvent &ev : events[b]) {
-                    if (ev.token < st.begin || ev.token >= st.end)
-                        continue;
+                for (; next < evs.size() && evs[next].token < st.end;
+                     ++next) {
+                    const LockEvent &ev = evs[next];
                     checkDiscipline(ref, file, fn, s, ev,
                                     firstHeldAt);
                     s.apply(ev);
-                    if (ev.kind == LockEvent::Kind::RawLock)
+                    const Site at{ev.line, ev.column};
+                    switch (ev.kind) {
+                    case LockEvent::Kind::RawLock:
+                        firstRawLock.try_emplace(ev.resources.front(),
+                                                 at);
+                        [[fallthrough]];
+                    case LockEvent::Kind::GuardAcquire:
+                    case LockEvent::Kind::GuardRelock:
                         for (const std::string &r : ev.resources)
-                            firstRawLock.try_emplace(
-                                r, Site{ev.line, ev.column});
-                    if (ev.kind == LockEvent::Kind::RawLock ||
-                        ev.kind == LockEvent::Kind::GuardAcquire ||
-                        ev.kind == LockEvent::Kind::GuardRelock)
-                        for (const std::string &r : ev.resources)
-                            firstHeldAt.try_emplace(
-                                r, Site{ev.line, ev.column});
-                    if (ev.kind == LockEvent::Kind::CallEffect) {
-                        for (const std::string &r :
-                             ev.effects->mayAcquire) {
-                            callIntro.try_emplace(
-                                r, CallIntro{Site{ev.line,
-                                                  ev.column},
-                                             ev.callee,
-                                             ev.effects});
-                            firstHeldAt.try_emplace(
-                                r, Site{ev.line, ev.column});
-                        }
-                        for (const std::string &r :
-                             ev.effects->mustAcquire) {
-                            callIntro.try_emplace(
-                                r, CallIntro{Site{ev.line,
-                                                  ev.column},
-                                             ev.callee,
-                                             ev.effects});
-                            firstHeldAt.try_emplace(
-                                r, Site{ev.line, ev.column});
-                        }
+                            firstHeldAt.try_emplace(r, at);
+                        break;
+                    case LockEvent::Kind::Call:
+                        // mustAcquire ⊆ mayAcquire
+                        if (ev.effects != nullptr)
+                            for (const std::string &r :
+                                 ev.effects->mayAcquire) {
+                                callIntro.try_emplace(r, &ev);
+                                firstHeldAt.try_emplace(r, at);
+                            }
+                        break;
+                    default:
+                        break;
                     }
                 }
             }
@@ -927,17 +511,15 @@ class Engine
                     continue;
                 if (!graph_.callersOf(fn.name).empty())
                     continue;
+                const LockEvent &call = *intro->second;
+                const std::string &callee = call.call->callee;
                 std::vector<FlowHop> hops;
                 if (const auto chain =
-                        intro->second.effects->acquireChain.find(
-                            r);
-                    chain !=
-                    intro->second.effects->acquireChain.end())
+                        call.effects->acquireChain.find(r);
+                    chain != call.effects->acquireChain.end())
                     hops = chain->second;
-                hops.push_back({file.path, intro->second.site.line,
-                                intro->second.site.column,
-                                "call to '" +
-                                    intro->second.callee +
+                hops.push_back({file.path, call.line, call.column,
+                                "call to '" + callee +
                                     "()' leaves '" + r +
                                     "' locked"});
                 hops.push_back(
@@ -946,10 +528,9 @@ class Engine
                      toks[fn.bodyEnd].column,
                      "a path reaches the function exit without "
                      "unlocking"});
-                emit("lock-leak", file, intro->second.site.line,
-                     intro->second.site.column,
+                emit("lock-leak", file, call.line, call.column,
                      "'" + r + ".lock()' acquired by call to '" +
-                         intro->second.callee +
+                         callee +
                          "()' is not matched by an unlock on "
                          "every path (use lock_guard/scoped_lock/"
                          "unique_lock)",
@@ -957,7 +538,7 @@ class Engine
             }
 
         if (seeds_.count(ref) != 0)
-            scanTaskLambdas(ref, guardVars);
+            scanTaskLambdas(ref, locks.guardVars);
         if (pathInDir(file.path, "src/serve") ||
             file.path.rfind("serve/", 0) == 0)
             scanDiscardedErrors(ref, cfg);
@@ -970,7 +551,10 @@ class Engine
     {
         // A callee that acquires a lock already (possibly) held is
         // a double-lock, same as a raw .lock() here.
-        if (ev.kind == LockEvent::Kind::CallEffect) {
+        if (ev.kind == LockEvent::Kind::Call) {
+            if (ev.effects == nullptr)
+                return;
+            const std::string &callee = ev.call->callee;
             for (const std::string &r : ev.effects->mustAcquire)
                 if (s.may.count(r) != 0) {
                     std::vector<FlowHop> hops;
@@ -982,12 +566,12 @@ class Engine
                                         "'" + r +
                                             "' first locked here"});
                     hops.push_back({file.path, ev.line, ev.column,
-                                    "call to '" + ev.callee +
+                                    "call to '" + callee +
                                         "()' locks it again"});
                     emit("guard-discipline", file, ev.line,
                          ev.column,
                          "double-lock of '" + r + "': call to '" +
-                             ev.callee +
+                             callee +
                              "()' acquires a lock already held "
                              "on some path",
                          std::move(hops), fn.qualified, s.must);
@@ -1046,10 +630,7 @@ class Engine
     /** Scan every lambda in a submitting function: writes to
      *  by-reference captures (or file statics) without a lock held
      *  inside the task body race across workers. */
-    void scanTaskLambdas(
-        FunctionRef ref,
-        const std::map<std::string, std::vector<std::string>>
-            &guardVars)
+    void scanTaskLambdas(FunctionRef ref, const GuardVars &guardVars)
     {
         const FileModel &file = files_[ref.file];
         const FunctionModel &fn = fnOf(ref);
@@ -1128,9 +709,7 @@ class Engine
         FunctionRef ref, std::size_t captureTok, std::size_t ob,
         std::size_t cb, bool refAll,
         const std::set<std::string> &byRef,
-        std::set<std::string> locals,
-        const std::map<std::string, std::vector<std::string>>
-            &guardVars)
+        std::set<std::string> locals, const GuardVars &guardVars)
     {
         const FileModel &file = files_[ref.file];
         const FunctionModel &fn = fnOf(ref);
@@ -1205,14 +784,8 @@ class Engine
                 const std::string &m = toks[p + 1].text;
                 if (m != "lock" && m != "unlock")
                     continue;
-                const std::string recv = receiverChain(toks, p);
-                const auto type =
-                    declType_.find(lastComponent(recv));
-                const bool guardRecv =
-                    guardVars.count(recv) != 0 ||
-                    (type != declType_.end() &&
-                     contains(kGuardTypes, type->second));
-                if (guardRecv)
+                if (isGuardReceiver(receiverChain(toks, p), guardVars,
+                                    declType_))
                     continue;
                 held += m == "lock" ? 1 : -1;
                 continue;
@@ -1230,13 +803,10 @@ class Engine
             if (!atStart || t.kind != TokenKind::Identifier ||
                 contains(kStmtKeywords, t.text) || p + 1 >= cb)
                 continue;
-            static constexpr std::array<std::string_view, 11> kOps =
-                {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=",
-                 "^=", "<<=", ">>="};
             const Token &op = toks[p + 1];
             const bool isWrite =
                 (op.kind == TokenKind::Punct &&
-                 (contains(kOps, op.text) || op.text == "++" ||
+                 (contains(kAssignOps, op.text) || op.text == "++" ||
                   op.text == "--"));
             if (!isWrite)
                 continue;
@@ -1434,17 +1004,10 @@ concurrencyRuleSeverity(std::string_view rule)
 
 ConcurrencyAnalysis
 analyzeConcurrency(const std::vector<FileModel> &files,
-                   const CallGraph &graph)
-{
-    return Engine(files, graph, nullptr).run();
-}
-
-ConcurrencyAnalysis
-analyzeConcurrency(const std::vector<FileModel> &files,
                    const CallGraph &graph,
                    const SummarySet &summaries)
 {
-    return Engine(files, graph, &summaries).run();
+    return Engine(files, graph, summaries).run();
 }
 
 } // namespace netchar::lint

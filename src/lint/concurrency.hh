@@ -5,8 +5,10 @@
  * TSan only vets the interleavings the tests happen to execute;
  * this pass makes the absence of data races a property of the
  * build. It runs a forward dataflow over the per-function CFGs
- * (cfg.hh), computing at every program point the set of held lock
- * resources as a (must, may) pair:
+ * (cfg.hh) — the shared lock model's extractor and solver in
+ * summary.hh, the same ones the lock-effect summaries use —
+ * computing at every program point the set of held lock resources
+ * as a (must, may) pair:
  *
  *   must — locks held on EVERY path reaching the point (set
  *          intersection at joins): the safety the code can rely on;
@@ -92,16 +94,12 @@ std::string_view concurrencyRuleSummary(std::string_view rule);
 Severity concurrencyRuleSeverity(std::string_view rule);
 
 /** Run the pass. `files` must already be in sorted path order;
- *  `graph` must have been built over the same `files`. */
-ConcurrencyAnalysis
-analyzeConcurrency(const std::vector<FileModel> &files,
-                   const CallGraph &graph);
-
-/** Same, with interprocedural lock-effect summaries (summary.hh):
- *  calls to functions with a net lock effect become lockset events,
- *  so a mutex locked in `acquire()` and released in `release()` is
- *  tracked through the callers that pair them, and a lock leaked
- *  through a helper is reported at the root caller. */
+ *  `graph` and `summaries` must have been built over the same
+ *  `files`. Calls to functions with a net lock effect (summary.hh)
+ *  are lockset events, so a mutex locked in `acquire()` and released
+ *  in `release()` is tracked through the callers that pair them,
+ *  and a lock leaked through a helper is reported at the root
+ *  caller. */
 ConcurrencyAnalysis
 analyzeConcurrency(const std::vector<FileModel> &files,
                    const CallGraph &graph,

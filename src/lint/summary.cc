@@ -63,91 +63,6 @@ laundersPointer(const std::vector<Token> &toks, std::size_t open)
 }
 
 // ---------------------------------------------------------------
-// Lock-event extraction (the concurrency pass's vocabulary)
-// ---------------------------------------------------------------
-
-struct LSite
-{
-    int line = 0;
-    int column = 0;
-};
-
-/** One lock-relevant event of a function body, in token order. */
-struct LockEv
-{
-    enum class Kind
-    {
-        GuardAcquire,
-        GuardRelease,
-        GuardRelock,
-        RawLock,
-        RawUnlock,
-        Call, ///< apply the callee's net LockEffects
-    };
-    Kind kind = Kind::RawLock;
-    std::vector<std::string> resources;
-    const CallSite *call = nullptr;
-    std::size_t token = 0;
-    int line = 0;
-    int column = 0;
-};
-
-/** Mode-independent per-function lock facts, extracted once. */
-struct LockLocal
-{
-    Cfg cfg;
-    std::vector<std::vector<LockEv>> events; ///< per block
-    std::set<std::string> guardResources;
-    std::set<std::string> localLocks;
-    std::set<std::string> localUnlocks;
-    std::map<std::string, LSite> firstRawLock;
-};
-
-/** (held, released) dataflow element for the effect computation.
- *  heldMust ∩ / heldMay ∪ at joins track net acquisitions;
- *  relMust ∩ / relMay ∪ track releases of entry-held resources. */
-struct EffState
-{
-    bool reached = false;
-    std::set<std::string> heldMust;
-    std::set<std::string> heldMay;
-    std::set<std::string> relMust;
-    std::set<std::string> relMay;
-
-    bool operator==(const EffState &o) const = default;
-
-    bool meet(const EffState &pred)
-    {
-        if (!pred.reached)
-            return false;
-        if (!reached) {
-            *this = pred;
-            return true;
-        }
-        bool changed = false;
-        const auto intersect = [&](std::set<std::string> &mine,
-                                   const std::set<std::string> &th) {
-            for (auto it = mine.begin(); it != mine.end();)
-                if (th.count(*it) == 0) {
-                    it = mine.erase(it);
-                    changed = true;
-                } else
-                    ++it;
-        };
-        const auto unite = [&](std::set<std::string> &mine,
-                               const std::set<std::string> &th) {
-            for (const std::string &r : th)
-                changed |= mine.insert(r).second;
-        };
-        intersect(heldMust, pred.heldMust);
-        unite(heldMay, pred.heldMay);
-        intersect(relMust, pred.relMust);
-        unite(relMay, pred.relMay);
-        return changed;
-    }
-};
-
-// ---------------------------------------------------------------
 // The taint value and the two-mode interpreter
 // ---------------------------------------------------------------
 
@@ -624,405 +539,223 @@ class Interp
 };
 
 // ---------------------------------------------------------------
-// Lock effects
+// Lock-event extraction and lock effects
 // ---------------------------------------------------------------
 
-class LockEffectBuilder
-{
-  public:
-    LockEffectBuilder(const std::vector<FileModel> &files,
-                      const CallGraph &graph)
-        : files_(files), graph_(graph)
-    {
-        collectDeclTypes();
-    }
-
-    /** Extract the mode-independent lock facts of one function
-     *  (done once; only the Call events' meanings change across
-     *  fixpoint passes). */
-    LockLocal extract(FunctionRef ref)
-    {
-        LockLocal out;
-        const FileModel &file = files_[ref.file];
-        const FunctionModel &fn = file.functions[ref.fn];
-        if (fn.bodyEnd <= fn.bodyBegin)
-            return out;
-        const auto &toks = file.lexed.tokens;
-        out.cfg = buildCfg(file, fn);
-        out.events.resize(out.cfg.blocks.size());
-
-        std::map<std::string, std::vector<std::string>> guardVars;
-        for (std::size_t b = 0; b < out.cfg.blocks.size(); ++b)
-            for (const CfgStmt &st : out.cfg.blocks[b].stmts)
-                extractFromStmt(toks, st.begin, st.end, guardVars,
-                                out, b);
-
-        // Call events, injected at the callee token and merged
-        // into token order with the lock events of the same block.
-        for (const Statement &stmt : fn.stmts)
-            for (const CallSite &call : stmt.calls)
-                placeCall(out, call);
-        for (auto &evs : out.events)
-            std::stable_sort(evs.begin(), evs.end(),
-                             [](const LockEv &a, const LockEv &b) {
-                                 return a.token < b.token;
-                             });
-        return out;
-    }
-
-    /** Compute the net effects of one function under the current
-     *  callee summaries. */
-    LockEffects compute(FunctionRef ref, const LockLocal &local,
-                        const SummarySet &sums)
-    {
-        LockEffects out;
-        out.localLocks = local.localLocks;
-        out.localUnlocks = local.localUnlocks;
-        if (local.events.empty())
-            return out;
-        const std::size_t n = local.cfg.blocks.size();
-
-        std::vector<std::vector<std::size_t>> preds(n);
-        for (std::size_t b = 0; b < n; ++b)
-            for (const std::size_t s : local.cfg.blocks[b].succs)
-                preds[s].push_back(b);
-
-        std::vector<EffState> in(n);
-        std::vector<EffState> outState(n);
-        in[Cfg::kEntry].reached = true;
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (std::size_t b = 0; b < n; ++b) {
-                for (const std::size_t p : preds[b])
-                    changed |= in[b].meet(outState[p]);
-                if (!in[b].reached)
-                    continue;
-                EffState s = in[b];
-                for (const LockEv &ev : local.events[b])
-                    apply(s, ev, sums);
-                if (!(s == outState[b])) {
-                    outState[b] = std::move(s);
-                    changed = true;
-                }
-            }
-        }
-
-        const EffState &exit = in[Cfg::kExit];
-        if (!exit.reached)
-            return out;
-        const auto keep = [&](const std::set<std::string> &src,
-                              std::set<std::string> &dst) {
-            for (const std::string &r : src)
-                if (local.guardResources.count(r) == 0)
-                    dst.insert(r);
-        };
-        keep(exit.heldMust, out.mustAcquire);
-        keep(exit.heldMay, out.mayAcquire);
-        keep(exit.relMust, out.mustRelease);
-        keep(exit.relMay, out.mayRelease);
-        buildAcquireChains(ref, local, sums, out);
-        return out;
-    }
-
-    const LockEffects *effectsFor(const CallSite &call,
-                                  const SummarySet &sums) const
-    {
-        for (const FunctionRef def : graph_.resolve(call)) {
-            const LockEffects &e = sums.of(def).locks;
-            if (e.hasNetEffect())
-                return &e;
-        }
-        return nullptr;
-    }
-
-  private:
-    const std::vector<FileModel> &files_;
-    const CallGraph &graph_;
-    /** name → last type-word of its declaration, over all files
-     *  (same heuristic the concurrency pass uses to classify
-     *  guard-variable receivers). */
-    std::map<std::string, std::string> declType_;
-
-    void collectDeclTypes()
-    {
-        for (const FileModel &file : files_) {
-            const auto &toks = file.lexed.tokens;
-            for (std::size_t j = 0; j + 1 < toks.size(); ++j) {
-                if (toks[j].kind != TokenKind::Identifier)
-                    continue;
-                if (j > 0 && (isPunct(toks[j - 1], ".") ||
-                              isPunct(toks[j - 1], "->")))
-                    continue;
-                std::size_t k = j + 1;
-                if (isPunct(toks[k], "<")) {
-                    const std::size_t past =
-                        skipAngles(toks, k, toks.size());
-                    if (past == k)
-                        continue;
-                    k = past;
-                }
-                if (k >= toks.size() ||
-                    toks[k].kind != TokenKind::Identifier)
-                    continue;
-                if (k + 1 >= toks.size())
-                    continue;
-                const Token &after = toks[k + 1];
-                if (!isPunct(after, ";") && !isPunct(after, "=") &&
-                    !isPunct(after, "{") && !isPunct(after, "(") &&
-                    !isPunct(after, ","))
-                    continue;
-                declType_[toks[k].text] = toks[j].text;
-            }
-        }
-    }
-
-    void extractFromStmt(
-        const std::vector<Token> &toks, std::size_t b,
-        std::size_t e,
-        std::map<std::string, std::vector<std::string>> &guardVars,
-        LockLocal &out, std::size_t block)
-    {
-        for (std::size_t j = b; j < e; ++j) {
-            const Token &t = toks[j];
-            // RAII guard declaration.
-            if (t.kind == TokenKind::Identifier &&
-                contains(kGuardTypes, t.text)) {
-                std::size_t k = j + 1;
-                if (k < e && isPunct(toks[k], "<")) {
-                    const std::size_t past = skipAngles(toks, k, e);
-                    if (past == k)
-                        continue;
-                    k = past;
-                }
-                if (k >= e ||
-                    toks[k].kind != TokenKind::Identifier)
-                    continue;
-                const std::string var = toks[k].text;
-                if (k + 1 >= e || (!isPunct(toks[k + 1], "(") &&
-                                   !isPunct(toks[k + 1], "{")))
-                    continue;
-                const bool paren = isPunct(toks[k + 1], "(");
-                const std::size_t close =
-                    paren ? matchParen(toks, k + 1, e)
-                          : matchBrace(toks, k + 1, e);
-                std::vector<std::string> resources;
-                std::size_t argStart = k + 2;
-                for (std::size_t a = argStart; a <= close; ++a) {
-                    if (a == close || (isPunct(toks[a], ",") &&
-                                       a > argStart)) {
-                        std::size_t s = argStart;
-                        while (s < a && (isPunct(toks[s], "*") ||
-                                         isPunct(toks[s], "&")))
-                            ++s;
-                        std::string res;
-                        while (s < a) {
-                            if (toks[s].kind ==
-                                TokenKind::Identifier) {
-                                if (!res.empty())
-                                    res += '.';
-                                res += toks[s].text;
-                                if (s + 2 < a &&
-                                    (isPunct(toks[s + 1], ".") ||
-                                     isPunct(toks[s + 1], "->") ||
-                                     isPunct(toks[s + 1], "::"))) {
-                                    s += 2;
-                                    continue;
-                                }
-                            }
-                            break;
-                        }
-                        if (!res.empty() &&
-                            res.find("defer_lock") ==
-                                std::string::npos)
-                            resources.push_back(res);
-                        argStart = a + 1;
-                    }
-                }
-                guardVars[var] = resources;
-                if (!resources.empty()) {
-                    for (const std::string &r : resources)
-                        out.guardResources.insert(r);
-                    LockEv ev;
-                    ev.kind = LockEv::Kind::GuardAcquire;
-                    ev.resources = resources;
-                    ev.token = j;
-                    ev.line = t.line;
-                    ev.column = t.column;
-                    out.events[block].push_back(std::move(ev));
-                }
-                j = close;
-                continue;
-            }
-            // Member lock/unlock.
-            if ((isPunct(t, ".") || isPunct(t, "->")) &&
-                j + 2 < e &&
-                toks[j + 1].kind == TokenKind::Identifier &&
-                isPunct(toks[j + 2], "(")) {
-                const std::string &method = toks[j + 1].text;
-                if (method != "lock" && method != "unlock")
-                    continue;
-                const std::string recv = receiverChain(toks, j);
-                if (recv.empty())
-                    continue;
-                LockEv ev;
-                ev.token = j + 1;
-                ev.line = toks[j + 1].line;
-                ev.column = toks[j + 1].column;
-                const auto guard = guardVars.find(recv);
-                const auto type =
-                    declType_.find(lastComponent(recv));
-                const bool isGuardVar =
-                    guard != guardVars.end() ||
-                    (type != declType_.end() &&
-                     contains(kGuardTypes, type->second));
-                if (isGuardVar) {
-                    if (guard == guardVars.end() ||
-                        guard->second.empty())
-                        continue; // resources unknown
-                    ev.resources = guard->second;
-                    ev.kind = method == "lock"
-                                  ? LockEv::Kind::GuardRelock
-                                  : LockEv::Kind::GuardRelease;
-                } else {
-                    ev.resources = {recv};
-                    if (method == "lock") {
-                        ev.kind = LockEv::Kind::RawLock;
-                        out.localLocks.insert(recv);
-                        out.firstRawLock.try_emplace(
-                            recv, LSite{ev.line, ev.column});
-                    } else {
-                        ev.kind = LockEv::Kind::RawUnlock;
-                        out.localUnlocks.insert(recv);
-                    }
-                }
-                out.events[block].push_back(std::move(ev));
-            }
-        }
-    }
-
-    void placeCall(LockLocal &out, const CallSite &call)
-    {
-        for (std::size_t b = 0; b < out.cfg.blocks.size(); ++b)
-            for (const CfgStmt &st : out.cfg.blocks[b].stmts)
-                if (call.begin >= st.begin && call.begin < st.end) {
-                    LockEv ev;
-                    ev.kind = LockEv::Kind::Call;
-                    ev.call = &call;
-                    ev.token = call.begin;
-                    ev.line = call.line;
-                    ev.column = call.column;
-                    out.events[b].push_back(std::move(ev));
-                    return;
-                }
-    }
-
-    void apply(EffState &s, const LockEv &ev,
-               const SummarySet &sums) const
-    {
-        switch (ev.kind) {
-        case LockEv::Kind::GuardAcquire:
-        case LockEv::Kind::GuardRelock:
-        case LockEv::Kind::RawLock:
-            for (const std::string &r : ev.resources) {
-                s.heldMust.insert(r);
-                s.heldMay.insert(r);
-            }
-            break;
-        case LockEv::Kind::GuardRelease:
-        case LockEv::Kind::RawUnlock:
-            for (const std::string &r : ev.resources) {
-                if (s.heldMay.count(r) != 0) {
-                    s.heldMust.erase(r);
-                    s.heldMay.erase(r);
-                } else {
-                    // Releases a lock the caller held at entry.
-                    s.relMust.insert(r);
-                    s.relMay.insert(r);
-                }
-            }
-            break;
-        case LockEv::Kind::Call: {
-            const LockEffects *eff = effectsFor(*ev.call, sums);
-            if (eff == nullptr)
-                break;
-            for (const std::string &r : eff->mustRelease) {
-                if (s.heldMay.count(r) != 0) {
-                    s.heldMust.erase(r);
-                    s.heldMay.erase(r);
-                } else {
-                    s.relMust.insert(r);
-                    s.relMay.insert(r);
-                }
-            }
-            for (const std::string &r : eff->mayRelease) {
-                if (eff->mustRelease.count(r) != 0)
-                    continue;
-                s.heldMust.erase(r);
-                if (s.heldMay.count(r) == 0)
-                    s.relMay.insert(r);
-            }
-            for (const std::string &r : eff->mustAcquire) {
-                s.heldMust.insert(r);
-                s.heldMay.insert(r);
-            }
-            for (const std::string &r : eff->mayAcquire)
-                if (eff->mustAcquire.count(r) == 0)
-                    s.heldMay.insert(r);
-            break;
-        }
-        }
-    }
-
-    /** Explain each net acquisition: the local raw-lock site, or
-     *  the first call (block/token order) that bubbles it up, with
-     *  the callee's own chain prepended (capped to keep paths
-     *  readable). */
-    void buildAcquireChains(FunctionRef ref,
-                            const LockLocal &local,
-                            const SummarySet &sums,
-                            LockEffects &out) const
-    {
-        const FileModel &file = files_[ref.file];
-        for (const std::string &r : out.mayAcquire) {
-            if (const auto site = local.firstRawLock.find(r);
-                site != local.firstRawLock.end()) {
-                out.acquireChain[r] = {
-                    {file.path, site->second.line,
-                     site->second.column,
-                     "raw lock acquired here"}};
-                continue;
-            }
-            for (std::size_t b = 0;
-                 b < local.events.size() &&
-                 out.acquireChain.count(r) == 0;
-                 ++b)
-                for (const LockEv &ev : local.events[b]) {
-                    if (ev.kind != LockEv::Kind::Call)
-                        continue;
-                    const LockEffects *eff =
-                        effectsFor(*ev.call, sums);
-                    if (eff == nullptr ||
-                        (eff->mustAcquire.count(r) == 0 &&
-                         eff->mayAcquire.count(r) == 0))
-                        continue;
-                    std::vector<FlowHop> chain;
-                    if (const auto it = eff->acquireChain.find(r);
-                        it != eff->acquireChain.end())
-                        chain = it->second;
-                    chain.push_back(
-                        {file.path, ev.line, ev.column,
-                         "call to '" + ev.call->callee +
-                             "()' leaves '" + r + "' locked"});
-                    if (chain.size() > 6)
-                        chain.erase(chain.begin(),
-                                    chain.end() - 6);
-                    out.acquireChain[r] = std::move(chain);
-                    break;
-                }
-        }
-    }
+/** Member calls that read/write an object atomically. */
+constexpr std::array<std::string_view, 10> kAtomicOps = {
+    "load",
+    "store",
+    "exchange",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_and",
+    "fetch_or",
+    "fetch_xor",
+    "compare_exchange_weak",
+    "compare_exchange_strong",
 };
+
+/** The resources a guard declaration locks: the identifier chain at
+ *  the start of each argument in (open, close), `defer_lock` tags
+ *  dropped. */
+std::vector<std::string>
+guardArgResources(const std::vector<Token> &toks, std::size_t open,
+                  std::size_t close)
+{
+    std::vector<std::string> resources;
+    std::size_t argStart = open + 1;
+    for (std::size_t a = argStart; a <= close; ++a) {
+        if (a != close && !(isPunct(toks[a], ",") && a > argStart))
+            continue;
+        std::size_t s = argStart;
+        while (s < a &&
+               (isPunct(toks[s], "*") || isPunct(toks[s], "&")))
+            ++s;
+        std::string res;
+        while (s < a && toks[s].kind == TokenKind::Identifier) {
+            if (!res.empty())
+                res += '.';
+            res += toks[s].text;
+            if (s + 2 < a && (isPunct(toks[s + 1], ".") ||
+                              isPunct(toks[s + 1], "->") ||
+                              isPunct(toks[s + 1], "::")))
+                s += 2;
+            else
+                break;
+        }
+        if (!res.empty() &&
+            res.find("defer_lock") == std::string::npos)
+            resources.push_back(res);
+        argStart = a + 1;
+    }
+    return resources;
+}
+
+/** Append the lock and atomic events of the statement [b, e) in
+ *  token order. `guardVars` accumulates across the function. */
+void
+extractFromStmt(const std::vector<Token> &toks, std::size_t b,
+                std::size_t e, const DeclTypes &types,
+                GuardVars &guardVars, std::vector<LockEvent> &events)
+{
+    using Kind = LockEvent::Kind;
+    const auto push = [&](Kind kind,
+                          std::vector<std::string> resources,
+                          std::size_t token, const Token &at) {
+        LockEvent ev;
+        ev.kind = kind;
+        ev.resources = std::move(resources);
+        ev.token = token;
+        ev.line = at.line;
+        ev.column = at.column;
+        events.push_back(std::move(ev));
+    };
+    for (std::size_t j = b; j < e; ++j) {
+        const Token &t = toks[j];
+        // RAII guard declaration; its arguments are skipped whole.
+        if (t.kind == TokenKind::Identifier &&
+            contains(kGuardTypes, t.text)) {
+            std::size_t k = j + 1;
+            if (k < e && isPunct(toks[k], "<")) {
+                const std::size_t past = skipAngles(toks, k, e);
+                if (past == k)
+                    continue;
+                k = past;
+            }
+            if (k >= e || toks[k].kind != TokenKind::Identifier)
+                continue;
+            if (k + 1 >= e || (!isPunct(toks[k + 1], "(") &&
+                               !isPunct(toks[k + 1], "{")))
+                continue;
+            const std::size_t close =
+                isPunct(toks[k + 1], "(") ? matchParen(toks, k + 1, e)
+                                          : matchBrace(toks, k + 1, e);
+            std::vector<std::string> resources =
+                guardArgResources(toks, k + 1, close);
+            guardVars[toks[k].text] = resources;
+            if (!resources.empty())
+                push(Kind::GuardAcquire, std::move(resources), j, t);
+            j = close;
+            continue;
+        }
+        // Member calls: lock/unlock discipline and atomic ops.
+        if ((isPunct(t, ".") || isPunct(t, "->")) && j + 2 < e &&
+            toks[j + 1].kind == TokenKind::Identifier &&
+            isPunct(toks[j + 2], "(")) {
+            const std::string &method = toks[j + 1].text;
+            const bool lockOp = method == "lock" || method == "unlock";
+            if (!lockOp && !contains(kAtomicOps, method))
+                continue;
+            const std::string recv = receiverChain(toks, j);
+            if (recv.empty())
+                continue;
+            if (!lockOp) {
+                push(Kind::Atomic, {lastComponent(recv)}, j + 1,
+                     toks[j + 1]);
+            } else if (isGuardReceiver(recv, guardVars, types)) {
+                const auto guard = guardVars.find(recv);
+                if (guard == guardVars.end() || guard->second.empty())
+                    continue; // resources unknown
+                push(method == "lock" ? Kind::GuardRelock
+                                      : Kind::GuardRelease,
+                     guard->second, j + 1, toks[j + 1]);
+            } else {
+                push(method == "lock" ? Kind::RawLock
+                                      : Kind::RawUnlock,
+                     {recv}, j + 1, toks[j + 1]);
+            }
+            continue;
+        }
+        // std::atomic_ref<T>(x) wraps x for atomic access.
+        if (t.kind == TokenKind::Identifier &&
+            t.text == "atomic_ref") {
+            std::size_t k = j + 1;
+            if (k < e && isPunct(toks[k], "<"))
+                k = skipAngles(toks, k, e);
+            if (k < e && isPunct(toks[k], "(") && k + 1 < e &&
+                toks[k + 1].kind == TokenKind::Identifier)
+                push(Kind::Atomic, {toks[k + 1].text}, j, toks[k + 1]);
+        }
+    }
+}
+
+/**
+ * The net lock effects of one function under the callee effects
+ * last bound into `locks`. RAII guard resources are excluded: their
+ * destructors make them net-zero. Each net acquisition is explained
+ * by the local raw-lock site, or by the first call (block/token
+ * order) that bubbles it up, with the callee's own chain prepended
+ * (capped to keep paths readable).
+ */
+LockEffects
+lockEffectsOf(const FunctionLocks &locks, const std::string &path)
+{
+    LockEffects out;
+    std::set<std::string> guardResources;
+    std::map<std::string, const LockEvent *> firstRawLock;
+    for (const std::vector<LockEvent> &evs : locks.events)
+        for (const LockEvent &ev : evs) {
+            if (ev.kind == LockEvent::Kind::GuardAcquire)
+                guardResources.insert(ev.resources.begin(),
+                                      ev.resources.end());
+            if (ev.kind == LockEvent::Kind::RawLock) {
+                out.localLocks.insert(ev.resources.front());
+                firstRawLock.try_emplace(ev.resources.front(), &ev);
+            }
+            if (ev.kind == LockEvent::Kind::RawUnlock)
+                out.localUnlocks.insert(ev.resources.front());
+        }
+    if (locks.events.empty())
+        return out;
+
+    const std::vector<LockState> in = solveLocks(locks);
+    const LockState &exit = in[Cfg::kExit];
+    if (!exit.reached)
+        return out;
+    const auto keep = [&](const std::set<std::string> &src,
+                          std::set<std::string> &dst) {
+        for (const std::string &r : src)
+            if (guardResources.count(r) == 0)
+                dst.insert(r);
+    };
+    keep(exit.must, out.mustAcquire);
+    keep(exit.may, out.mayAcquire);
+    keep(exit.relMust, out.mustRelease);
+    keep(exit.relMay, out.mayRelease);
+
+    for (const std::string &r : out.mayAcquire) {
+        if (const auto site = firstRawLock.find(r);
+            site != firstRawLock.end()) {
+            out.acquireChain[r] = {{path, site->second->line,
+                                    site->second->column,
+                                    "raw lock acquired here"}};
+            continue;
+        }
+        for (std::size_t b = 0;
+             b < locks.events.size() && out.acquireChain.count(r) == 0;
+             ++b)
+            for (const LockEvent &ev : locks.events[b]) {
+                const LockEffects *eff = ev.effects;
+                if (eff == nullptr ||
+                    (eff->mustAcquire.count(r) == 0 &&
+                     eff->mayAcquire.count(r) == 0))
+                    continue;
+                std::vector<FlowHop> chain;
+                if (const auto it = eff->acquireChain.find(r);
+                    it != eff->acquireChain.end())
+                    chain = it->second;
+                chain.push_back({path, ev.line, ev.column,
+                                 "call to '" + ev.call->callee +
+                                     "()' leaves '" + r + "' locked"});
+                if (chain.size() > 6)
+                    chain.erase(chain.begin(), chain.end() - 6);
+                out.acquireChain[r] = std::move(chain);
+                break;
+            }
+    }
+    return out;
+}
 
 // ---------------------------------------------------------------
 // Tarjan SCC (iterative) over the function call graph
@@ -1238,6 +971,282 @@ flowSanitizedAt(const std::vector<FlowSanitizer> &sanitizers,
 }
 
 // ---------------------------------------------------------------
+// Shared lock model
+// ---------------------------------------------------------------
+
+DeclTypes
+collectDeclTypes(const std::vector<FileModel> &files)
+{
+    DeclTypes types;
+    for (const FileModel &file : files) {
+        const auto &toks = file.lexed.tokens;
+        for (std::size_t j = 0; j + 1 < toks.size(); ++j) {
+            if (toks[j].kind != TokenKind::Identifier)
+                continue;
+            if (j > 0 && (isPunct(toks[j - 1], ".") ||
+                          isPunct(toks[j - 1], "->")))
+                continue; // member access, not a declaration
+            std::size_t k = j + 1;
+            if (isPunct(toks[k], "<")) {
+                const std::size_t past =
+                    skipAngles(toks, k, toks.size());
+                if (past == k)
+                    continue;
+                k = past;
+            }
+            if (k + 1 >= toks.size() ||
+                toks[k].kind != TokenKind::Identifier)
+                continue;
+            const Token &after = toks[k + 1];
+            if (!isPunct(after, ";") && !isPunct(after, "=") &&
+                !isPunct(after, "{") && !isPunct(after, "(") &&
+                !isPunct(after, ","))
+                continue;
+            types[toks[k].text] = toks[j].text;
+        }
+    }
+    return types;
+}
+
+bool
+isGuardReceiver(const std::string &recv, const GuardVars &guardVars,
+                const DeclTypes &types)
+{
+    if (guardVars.count(recv) != 0)
+        return true;
+    const auto type = types.find(lastComponent(recv));
+    return type != types.end() && contains(kGuardTypes, type->second);
+}
+
+FunctionLocks
+extractLocks(const FileModel &file, const FunctionModel &fn,
+             const DeclTypes &types)
+{
+    FunctionLocks out;
+    if (fn.bodyEnd <= fn.bodyBegin)
+        return out;
+    const auto &toks = file.lexed.tokens;
+    out.cfg = buildCfg(file, fn);
+    out.events.resize(out.cfg.blocks.size());
+
+    // Statement spans are disjoint; sorted by first token they
+    // place each call in the block of the statement holding it.
+    struct Span
+    {
+        std::size_t begin;
+        std::size_t end;
+        std::size_t block;
+    };
+    std::vector<Span> spans;
+    for (std::size_t b = 0; b < out.cfg.blocks.size(); ++b)
+        for (const CfgStmt &st : out.cfg.blocks[b].stmts) {
+            extractFromStmt(toks, st.begin, st.end, types,
+                            out.guardVars, out.events[b]);
+            spans.push_back({st.begin, st.end, b});
+        }
+    std::sort(spans.begin(), spans.end(),
+              [](const Span &a, const Span &b) {
+                  return a.begin < b.begin;
+              });
+
+    // One Call event per call site, at the callee token, merged
+    // into token order with the lock events of the same block.
+    for (const Statement &stmt : fn.stmts)
+        for (const CallSite &call : stmt.calls) {
+            const auto it = std::upper_bound(
+                spans.begin(), spans.end(), call.begin,
+                [](std::size_t tok, const Span &s) {
+                    return tok < s.begin;
+                });
+            if (it == spans.begin() || call.begin >= (it - 1)->end)
+                continue;
+            LockEvent ev;
+            ev.kind = LockEvent::Kind::Call;
+            ev.token = call.begin;
+            ev.line = call.line;
+            ev.column = call.column;
+            ev.call = &call;
+            out.events[(it - 1)->block].push_back(std::move(ev));
+        }
+    for (std::vector<LockEvent> &evs : out.events)
+        std::stable_sort(evs.begin(), evs.end(),
+                         [](const LockEvent &a, const LockEvent &b) {
+                             return a.token < b.token;
+                         });
+    return out;
+}
+
+void
+bindCalleeEffects(FunctionLocks &locks, const CallGraph &graph,
+                  const SummarySet &sums)
+{
+    for (std::vector<LockEvent> &evs : locks.events)
+        for (LockEvent &ev : evs) {
+            if (ev.kind != LockEvent::Kind::Call)
+                continue;
+            ev.effects = nullptr;
+            for (const FunctionRef def : graph.resolve(*ev.call))
+                if (const LockEffects &e = sums.of(def).locks;
+                    e.hasNetEffect()) {
+                    ev.effects = &e;
+                    break;
+                }
+        }
+}
+
+bool
+LockState::meet(const LockState &pred)
+{
+    if (!pred.reached)
+        return false;
+    if (!reached) {
+        *this = pred;
+        return true;
+    }
+    bool changed = false;
+    const auto intersect = [&](std::set<std::string> &mine,
+                               const std::set<std::string> &theirs) {
+        for (auto it = mine.begin(); it != mine.end();)
+            if (theirs.count(*it) == 0) {
+                it = mine.erase(it);
+                changed = true;
+            } else
+                ++it;
+    };
+    const auto unite = [&](std::set<std::string> &mine,
+                           const std::set<std::string> &theirs) {
+        for (const std::string &r : theirs)
+            changed |= mine.insert(r).second;
+    };
+    intersect(must, pred.must);
+    unite(may, pred.may);
+    unite(rawMay, pred.rawMay);
+    intersect(relMust, pred.relMust);
+    unite(relMay, pred.relMay);
+    return changed;
+}
+
+void
+LockState::apply(const LockEvent &ev)
+{
+    const auto acquire = [&](const std::string &r, bool raw) {
+        must.insert(r);
+        may.insert(r);
+        if (raw)
+            rawMay.insert(r);
+    };
+    // Releasing a lock not held here releases one the caller held
+    // at entry (must ⊆ may, so `may` alone decides).
+    const auto release = [&](const std::string &r) {
+        if (may.erase(r) != 0) {
+            must.erase(r);
+        } else {
+            relMust.insert(r);
+            relMay.insert(r);
+        }
+    };
+    switch (ev.kind) {
+    case LockEvent::Kind::GuardAcquire:
+    case LockEvent::Kind::GuardRelock:
+        for (const std::string &r : ev.resources)
+            acquire(r, false);
+        break;
+    case LockEvent::Kind::RawLock:
+        for (const std::string &r : ev.resources)
+            acquire(r, true);
+        break;
+    case LockEvent::Kind::GuardRelease:
+        for (const std::string &r : ev.resources)
+            release(r);
+        break;
+    case LockEvent::Kind::RawUnlock:
+        for (const std::string &r : ev.resources) {
+            release(r);
+            rawMay.erase(r);
+        }
+        break;
+    case LockEvent::Kind::Call: {
+        // A callee with a net lock effect acts like an inlined raw
+        // lock/unlock sequence: releases first (a wrapper that swaps
+        // locks releases before re-acquiring), then acquisitions —
+        // which join `rawMay`, so a lock leaked through a helper is
+        // still caught at this function's exit.
+        const LockEffects *eff = ev.effects;
+        if (eff == nullptr)
+            break;
+        for (const std::string &r : eff->mustRelease) {
+            release(r);
+            rawMay.erase(r);
+        }
+        for (const std::string &r : eff->mayRelease) {
+            if (eff->mustRelease.count(r) != 0)
+                continue;
+            must.erase(r);
+            if (may.count(r) == 0)
+                relMay.insert(r);
+        }
+        for (const std::string &r : eff->mustAcquire)
+            acquire(r, true);
+        for (const std::string &r : eff->mayAcquire)
+            if (eff->mustAcquire.count(r) == 0) {
+                may.insert(r);
+                rawMay.insert(r);
+            }
+        break;
+    }
+    case LockEvent::Kind::Atomic:
+        break;
+    }
+}
+
+std::vector<LockState>
+solveLocks(const FunctionLocks &locks)
+{
+    const std::vector<BasicBlock> &blocks = locks.cfg.blocks;
+    const std::size_t n = blocks.size();
+    std::vector<LockState> in(n);
+    // With no event that can change a state, every set stays empty
+    // and the fixpoint is plain reachability.
+    bool active = false;
+    for (const std::vector<LockEvent> &evs : locks.events)
+        for (const LockEvent &ev : evs)
+            active |= ev.kind != LockEvent::Kind::Atomic &&
+                      (ev.kind != LockEvent::Kind::Call ||
+                       ev.effects != nullptr);
+    if (!active) {
+        for (std::size_t b = 0; b < n; ++b)
+            in[b].reached = blocks[b].reachable;
+        return in;
+    }
+
+    std::vector<std::vector<std::size_t>> preds(n);
+    for (std::size_t b = 0; b < n; ++b)
+        for (const std::size_t s : blocks[b].succs)
+            preds[s].push_back(b);
+    std::vector<LockState> out(n);
+    in[Cfg::kEntry].reached = true;
+    LockState s; // scratch: copy-assignment reuses its nodes
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (std::size_t b = 0; b < n; ++b) {
+            for (const std::size_t p : preds[b])
+                changed |= in[b].meet(out[p]);
+            if (!in[b].reached)
+                continue;
+            s = in[b];
+            for (const LockEvent &ev : locks.events[b])
+                s.apply(ev);
+            if (!(s == out[b])) {
+                std::swap(s, out[b]);
+                changed = true;
+            }
+        }
+    }
+    return in;
+}
+
+// ---------------------------------------------------------------
 // Summary computation
 // ---------------------------------------------------------------
 
@@ -1280,10 +1289,15 @@ computeSummaries(const std::vector<FileModel> &files,
         tarjanSccs(adj);
 
     Interp interp(files, graph, out);
-    LockEffectBuilder lockBuilder(files, graph);
-    std::vector<LockLocal> locals(n);
-    for (std::size_t v = 0; v < n; ++v)
-        locals[v] = lockBuilder.extract(refs[v]);
+    // Lock events are extracted once; only the Call events'
+    // bindings change across fixpoint passes.
+    const DeclTypes types = collectDeclTypes(files);
+    std::vector<FunctionLocks> locks(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        const FileModel &file = files[refs[v].file];
+        locks[v] = extractLocks(file, file.functions[refs[v].fn],
+                                types);
+    }
 
     SummaryStats &st = out.stats_;
     st.functions = n;
@@ -1305,8 +1319,9 @@ computeSummaries(const std::vector<FileModel> &files,
             bool changed = false;
             interp.runFunction(ref, Interp::Mode::Build, &sum,
                                &changed, nullptr);
+            bindCalleeEffects(locks[v], graph, out);
             LockEffects eff =
-                lockBuilder.compute(ref, locals[v], out);
+                lockEffectsOf(locks[v], files[ref.file].path);
             if (lockEffectsDiffer(eff, sum.locks))
                 changed = true;
             sum.locks = std::move(eff);

@@ -25,12 +25,18 @@
  * guaranteed termination) and the lock effects iterate to a fixed
  * point under a deterministic iteration cap.
  *
+ * The module also owns the one lock model of the linter: the lock
+ * event extractor (`extractLocks`) and the (must, may) lockset
+ * solver (`solveLocks`). Lock effects are the exit state of that
+ * solver; the concurrency pass runs the same extractor and solver
+ * and reports over the converged states.
+ *
  * Consumers: taint.cc composes `paramSinks`/`returnTaint` at call
  * sites so a source→sink chain spanning any number of helper
- * functions is reported without inlining, and concurrency.cc turns
- * `LockEffects` into call events in its lockset dataflow so a mutex
- * locked in `acquire()` and released in `release()` is tracked
- * through the callers that pair them.
+ * functions is reported without inlining, and concurrency.cc binds
+ * each call event to the callee's `LockEffects` in its lockset
+ * dataflow so a mutex locked in `acquire()` and released in
+ * `release()` is tracked through the callers that pair them.
  *
  * Determinism contract (same as every lint layer): files arrive in
  * sorted order, SCC member order and every container iteration is
@@ -51,6 +57,7 @@
 #include <vector>
 
 #include "lint/callgraph.hh"
+#include "lint/cfg.hh"
 #include "lint/parser.hh"
 #include "lint/rules.hh"
 
@@ -101,6 +108,105 @@ std::vector<FlowSanitizer> collectFlowSanitizers(const LexedFile &lexed);
  *  its own span plus the line directly below). */
 bool flowSanitizedAt(const std::vector<FlowSanitizer> &sanitizers,
                      int line, std::string_view rule);
+
+// ---------------------------------------------------------------
+// Shared lock model (one extractor and one solver for every
+// consumer: the lock-effect summaries and the lockset pass)
+// ---------------------------------------------------------------
+
+struct LockEffects;
+class SummarySet;
+
+/** name → last type-word of its `Type name` declaration, over all
+ *  files. Collisions keep the last writer in sorted file order. */
+using DeclTypes = std::map<std::string, std::string>;
+
+/** Guard variable → the resources its declaration locked. */
+using GuardVars = std::map<std::string, std::vector<std::string>>;
+
+/** Record `Type name` declaration pairs: identifier (last of a `::`
+ *  chain), optional `<...>`, identifier, then one of `; = { ( ,`.
+ *  Heuristic but deterministic. */
+DeclTypes collectDeclTypes(const std::vector<FileModel> &files);
+
+/** True when `recv` names an RAII guard: a guard variable of the
+ *  function, or a name declared with a guard type anywhere. */
+bool isGuardReceiver(const std::string &recv,
+                     const GuardVars &guardVars,
+                     const DeclTypes &types);
+
+/** One lock-relevant event of a function body. Resources are
+ *  receiver spellings (`mu`, `state.mu`). */
+struct LockEvent
+{
+    enum class Kind
+    {
+        GuardAcquire, ///< RAII guard declaration
+        GuardRelease, ///< guard receiver `.unlock()`
+        GuardRelock,  ///< guard receiver `.lock()`
+        RawLock,
+        RawUnlock,
+        Call,   ///< a call site; applies the callee's net effects
+        Atomic, ///< atomic access to the object in resources[0]
+    };
+    Kind kind = Kind::RawLock;
+    std::vector<std::string> resources;
+    std::size_t token = 0; ///< ordering within the block
+    int line = 0;
+    int column = 0;
+    /** Call only: the call site, and the callee's net effects as
+     *  last bound by bindCalleeEffects (null: no net effect). */
+    const CallSite *call = nullptr;
+    const LockEffects *effects = nullptr;
+};
+
+/** The lock facts of one function, extracted once. */
+struct FunctionLocks
+{
+    Cfg cfg;
+    /** Per block, in token order; one Call event per call site. */
+    std::vector<std::vector<LockEvent>> events;
+    GuardVars guardVars;
+};
+
+/** Build the function's CFG and extract its lock events in one
+ *  token walk per statement. Empty for a function without a body. */
+FunctionLocks extractLocks(const FileModel &file,
+                           const FunctionModel &fn,
+                           const DeclTypes &types);
+
+/** Bind every Call event to the callee's first resolved definition
+ *  with a net lock effect under `sums`. */
+void bindCalleeEffects(FunctionLocks &locks,
+                       const CallGraph &graph,
+                       const SummarySet &sums);
+
+/**
+ * The dataflow element. `must` (∩ at joins) and `may` (∪) are the
+ * held locks; `rawMay` (∪) is the raw-locked subset that feeds the
+ * leak check; `relMust` (∩) and `relMay` (∪) are the entry-held
+ * locks released on every / some path. The held sets evolve
+ * independently of the other three.
+ */
+struct LockState
+{
+    bool reached = false;
+    std::set<std::string> must;
+    std::set<std::string> may;
+    std::set<std::string> rawMay;
+    std::set<std::string> relMust;
+    std::set<std::string> relMay;
+
+    bool operator==(const LockState &) const = default;
+
+    /** Join a predecessor's out-state; true when this changed. */
+    bool meet(const LockState &pred);
+    /** The transfer function of one event. */
+    void apply(const LockEvent &ev);
+};
+
+/** Forward fixpoint over the CFG; returns each block's in-state. */
+std::vector<LockState> solveLocks(const FunctionLocks &locks);
 
 // ---------------------------------------------------------------
 // Per-function summaries

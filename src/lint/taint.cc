@@ -65,21 +65,6 @@ flowRuleSummary(std::string_view rule)
 }
 
 TaintAnalysis
-analyzeTaint(const std::vector<FileModel> &files)
-{
-    const CallGraph graph(files);
-    return analyzeTaint(files, graph);
-}
-
-TaintAnalysis
-analyzeTaint(const std::vector<FileModel> &files,
-             const CallGraph &graph)
-{
-    const SummarySet sums = computeSummaries(files, graph);
-    return analyzeTaint(files, graph, sums);
-}
-
-TaintAnalysis
 analyzeTaint(const std::vector<FileModel> &files,
              const CallGraph &graph, const SummarySet &sums)
 {

@@ -67,18 +67,11 @@ bool isFlowRuleName(std::string_view name);
 /** One-line description of a flow rule, for --list-rules/SARIF. */
 std::string_view flowRuleSummary(std::string_view rule);
 
-/** Run the taint pass. `files` must already be in sorted path
- *  order; the result is deterministic given that order. */
-TaintAnalysis analyzeTaint(const std::vector<FileModel> &files);
-
-/** Same, over a call graph the caller already built (the lint
- *  driver shares one graph between taint and concurrency). */
-TaintAnalysis analyzeTaint(const std::vector<FileModel> &files,
-                           const CallGraph &graph);
-
-/** Same, over interprocedural summaries the caller already
- *  computed (summary.hh) — the driver shares one SummarySet
- *  between the taint and concurrency passes. */
+/** Run the taint pass over interprocedural summaries the caller
+ *  already computed (summary.hh) — the driver shares one call graph
+ *  and one SummarySet between the taint and concurrency passes.
+ *  `files` must already be in sorted path order; the result is
+ *  deterministic given that order. */
 TaintAnalysis analyzeTaint(const std::vector<FileModel> &files,
                            const CallGraph &graph,
                            const SummarySet &summaries);

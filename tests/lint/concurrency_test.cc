@@ -4,7 +4,7 @@
  * concurrency rule, a true negative per RAII guard type
  * (lock_guard, scoped_lock, unique_lock), pragma suppression, and
  * the determinism contract (byte-identical reports across buffer
- * orders, locksets surfaced in the JSON schema-v3 report).
+ * orders, locksets surfaced in the JSON schema-v4 report).
  *
  * Fixtures run through lintSources(), so token rules fire too
  * (e.g. no-unguarded-static on the shared statics the race rule
