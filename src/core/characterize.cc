@@ -75,8 +75,75 @@ struct Rig
                                         budgetCycles);
         }
     }
+
+    /** Cumulative measurement state at one instant. */
+    struct Snapshot
+    {
+        sim::PerfCounters counters;
+        sim::SlotAccount slots;
+        rt::RuntimeEventCounts events;
+        double seconds = 0.0;
+    };
+
+    Snapshot
+    snapshot() const
+    {
+        return {machine->totalCounters(), machine->totalSlots(),
+                clr ? clr->trace().counts() : rt::RuntimeEventCounts{},
+                machine->seconds()};
+    }
+
+    /** The measured window since `start`: deltas plus metrics. */
+    RunResult
+    resultSince(const Snapshot &start, double cpu_util) const
+    {
+        const Snapshot now = snapshot();
+        RunResult result;
+        result.counters = now.counters.delta(start.counters);
+        result.slots = now.slots.delta(start.slots);
+        result.events = now.events.delta(start.events);
+        result.seconds = now.seconds - start.seconds;
+        result.metrics = computeMetrics(result.counters, result.events,
+                                        cpu_util, result.seconds);
+        result.instructionsPerSecond = result.seconds > 0.0
+            ? static_cast<double>(result.counters.instructions) /
+                  result.seconds
+            : 0.0;
+        return result;
+    }
 };
 
+/** Measured instructions per core: the option, else the profile's. */
+std::uint64_t
+measuredOf(const RunOptions &options, const wl::WorkloadProfile &profile)
+{
+    return options.measuredInstructions > 0 ? options.measuredInstructions
+                                             : profile.instructions;
+}
+
+/**
+ * Every per-interval measurement after warm-up: `advanceOne(prev)`
+ * moves the rig through one interval that started at snapshot `prev`.
+ */
+template <typename AdvanceFn>
+std::vector<IntervalSample>
+sampleWindows(Rig &rig, std::size_t samples, AdvanceFn &&advanceOne)
+{
+    std::vector<IntervalSample> out;
+    out.reserve(samples);
+    Rig::Snapshot prev = rig.snapshot();
+    for (std::size_t i = 0; i < samples; ++i) {
+        advanceOne(prev);
+        const Rig::Snapshot now = rig.snapshot();
+        out.push_back({now.counters.delta(prev.counters),
+                       now.slots.delta(prev.slots),
+                       now.events.delta(prev.events)});
+        prev = now;
+    }
+    return out;
+}
+
+/** A fresh machine and workload set, already warmed up. */
 Rig
 buildRig(const sim::MachineConfig &config,
          const wl::WorkloadProfile &profile, const RunOptions &options)
@@ -97,6 +164,8 @@ buildRig(const sim::MachineConfig &config,
         rig.workloads.push_back(std::make_unique<wl::SynthWorkload>(
             profile, options.seed * 1000003ULL + c, rig.clr, spread));
     }
+    // The discarded warm-up (§III-A); every caller measures after it.
+    rig.advance(options.warmupInstructions, options.quantum);
     return rig;
 }
 
@@ -245,219 +314,39 @@ publishFailures(SweepState &state,
             s.quarantined.push_back(e.benchmark);
 }
 
-} // namespace
-
-RunResult
-Characterizer::run(const wl::WorkloadProfile &raw_profile,
-                   const RunOptions &options) const
+/** The measured window a sweep attempt is screened on. */
+RunResult &
+measuredResult(RunResult &r)
 {
-    const auto profile = applyOverrides(raw_profile, options);
-    Rig rig = buildRig(config_, profile, options);
-
-    rig.advance(options.warmupInstructions, options.quantum);
-
-    const auto snap_counters = rig.machine->totalCounters();
-    const auto snap_slots = rig.machine->totalSlots();
-    const auto snap_events = rig.clr
-        ? rig.clr->trace().counts()
-        : rt::RuntimeEventCounts{};
-    const double snap_seconds = rig.machine->seconds();
-
-    const std::uint64_t measured = options.measuredInstructions > 0
-        ? options.measuredInstructions
-        : profile.instructions;
-    rig.advance(measured, options.quantum);
-
-    RunResult result;
-    result.counters = rig.machine->totalCounters().delta(snap_counters);
-    result.slots = rig.machine->totalSlots().delta(snap_slots);
-    result.events = rig.clr
-        ? rig.clr->trace().counts().delta(snap_events)
-        : rt::RuntimeEventCounts{};
-    result.seconds = rig.machine->seconds() - snap_seconds;
-    result.metrics = computeMetrics(result.counters, result.events,
-                                    profile.cpuUtil, result.seconds);
-    result.instructionsPerSecond = result.seconds > 0.0
-        ? static_cast<double>(result.counters.instructions) /
-              result.seconds
-        : 0.0;
-    return result;
+    return r;
 }
 
-std::vector<IntervalSample>
-Characterizer::sample(const wl::WorkloadProfile &raw_profile,
-                      const RunOptions &options,
-                      std::uint64_t interval_instructions,
-                      std::size_t samples) const
+RunResult &
+measuredResult(CaptureResult &c)
 {
-    const auto profile = applyOverrides(raw_profile, options);
-    Rig rig = buildRig(config_, profile, options);
-
-    rig.advance(options.warmupInstructions, options.quantum);
-
-    std::vector<IntervalSample> out;
-    out.reserve(samples);
-    auto prev_counters = rig.machine->totalCounters();
-    auto prev_slots = rig.machine->totalSlots();
-    auto prev_events = rig.clr
-        ? rig.clr->trace().counts()
-        : rt::RuntimeEventCounts{};
-
-    for (std::size_t i = 0; i < samples; ++i) {
-        rig.advance(interval_instructions, options.quantum);
-        IntervalSample s;
-        const auto counters = rig.machine->totalCounters();
-        const auto slots = rig.machine->totalSlots();
-        const auto events = rig.clr
-            ? rig.clr->trace().counts()
-            : rt::RuntimeEventCounts{};
-        s.counters = counters.delta(prev_counters);
-        s.slots = slots.delta(prev_slots);
-        s.events = events.delta(prev_events);
-        prev_counters = counters;
-        prev_slots = slots;
-        prev_events = events;
-        out.push_back(s);
-    }
-    return out;
+    return c.result;
 }
 
-std::vector<IntervalSample>
-Characterizer::sampleCycles(const wl::WorkloadProfile &raw_profile,
-                            const RunOptions &options,
-                            double interval_cycles,
-                            std::size_t samples) const
-{
-    const auto profile = applyOverrides(raw_profile, options);
-    Rig rig = buildRig(config_, profile, options);
-
-    rig.advance(options.warmupInstructions, options.quantum);
-
-    std::vector<IntervalSample> out;
-    out.reserve(samples);
-    auto prev_counters = rig.machine->totalCounters();
-    auto prev_slots = rig.machine->totalSlots();
-    auto prev_events = rig.clr
-        ? rig.clr->trace().counts()
-        : rt::RuntimeEventCounts{};
-
-    // Advance in small instruction chunks until each cycle window
-    // fills; granularity error is one chunk.
-    const std::uint64_t chunk =
-        std::max<std::uint64_t>(500, options.quantum / 16);
-    for (std::size_t i = 0; i < samples; ++i) {
-        const double target =
-            prev_counters.cycles + interval_cycles;
-        while (rig.machine->totalCounters().cycles < target)
-            rig.advance(chunk, chunk);
-        IntervalSample s;
-        const auto counters = rig.machine->totalCounters();
-        const auto slots = rig.machine->totalSlots();
-        const auto events = rig.clr
-            ? rig.clr->trace().counts()
-            : rt::RuntimeEventCounts{};
-        s.counters = counters.delta(prev_counters);
-        s.slots = slots.delta(prev_slots);
-        s.events = events.delta(prev_events);
-        prev_counters = counters;
-        prev_slots = slots;
-        prev_events = events;
-        out.push_back(s);
-    }
-    return out;
-}
-
-CaptureResult
-Characterizer::capture(const wl::WorkloadProfile &raw_profile,
-                       const RunOptions &options,
-                       const TraceOptions &topts) const
-{
-    const auto profile = applyOverrides(raw_profile, options);
-    Rig rig = buildRig(config_, profile, options);
-
-    rig.advance(options.warmupInstructions, options.quantum);
-
-    CaptureResult out;
-    out.trace.benchmark = profile.name;
-    out.trace.machine = config_.name;
-    out.trace.ghz = config_.maxGhz;
-    out.trace.seed = options.seed;
-    const std::uint64_t chunk = topts.chunkInstructions > 0
-        ? topts.chunkInstructions
-        : std::max<std::uint64_t>(500, options.quantum / 16);
-    out.trace.chunkInstructions = chunk;
-    out.trace.events =
-        trace::TraceBuffer<trace::TraceEvent>(topts.bufferEvents);
-    out.trace.samples =
-        trace::TraceBuffer<trace::CounterRecord>(topts.bufferSamples);
-
-    // Attach after warmup: the trace covers the measured window only.
-    trace::TraceRecorder recorder(&out.trace.events,
-                                  rig.machine.get());
-    if (rig.clr)
-        rig.clr->trace().setRecorder(&recorder);
-    rig.machine->attachTrace(&recorder, &out.trace.samples);
-
-    const auto snap_counters = rig.machine->totalCounters();
-    const auto snap_slots = rig.machine->totalSlots();
-    const auto snap_events = rig.clr
-        ? rig.clr->trace().counts()
-        : rt::RuntimeEventCounts{};
-    const double snap_seconds = rig.machine->seconds();
-
-    // S0: the post-warmup baseline record every re-slice starts from.
-    rig.machine->emitCounterSample();
-
-    if (topts.measuredCycles > 0.0) {
-        // Fixed-cycle span on the exact chunk grid live cycle
-        // sampling advances on, so re-slices reproduce sampleCycles
-        // boundaries bit-for-bit.
-        const double target =
-            snap_counters.cycles + topts.measuredCycles;
-        while (rig.machine->totalCounters().cycles < target) {
-            rig.advance(chunk, chunk);
-            rig.machine->emitCounterSample();
-        }
-    } else {
-        const std::uint64_t measured = options.measuredInstructions > 0
-            ? options.measuredInstructions
-            : profile.instructions;
-        std::uint64_t done = 0;
-        while (done < measured) {
-            const std::uint64_t step =
-                std::min<std::uint64_t>(chunk, measured - done);
-            rig.advance(step, step);
-            done += step;
-            rig.machine->emitCounterSample();
-        }
-    }
-
-    if (rig.clr)
-        rig.clr->trace().setRecorder(nullptr);
-    rig.machine->attachTrace(nullptr, nullptr);
-
-    RunResult &result = out.result;
-    result.counters =
-        rig.machine->totalCounters().delta(snap_counters);
-    result.slots = rig.machine->totalSlots().delta(snap_slots);
-    result.events = rig.clr
-        ? rig.clr->trace().counts().delta(snap_events)
-        : rt::RuntimeEventCounts{};
-    result.seconds = rig.machine->seconds() - snap_seconds;
-    result.metrics = computeMetrics(result.counters, result.events,
-                                    profile.cpuUtil, result.seconds);
-    result.instructionsPerSecond = result.seconds > 0.0
-        ? static_cast<double>(result.counters.instructions) /
-              result.seconds
-        : 0.0;
-    return out;
-}
-
-std::vector<CaptureResult>
-Characterizer::captureAll(
-    const std::vector<wl::WorkloadProfile> &profiles,
-    const RunOptions &options, const TraceOptions &topts,
-    const Parallelism &par, SuiteRunStats *stats) const
+/**
+ * The resilient sweep behind runAll and captureAll: jobs resolution,
+ * the fault injector, per-run retries through attemptResiliently,
+ * the executor fan-out and the run ledger. `attemptOnce(i, opt,
+ * fault)` performs one attempt of profile i. Injected Throw and
+ * Stall faults are applied before it, CorruptCounter and the result
+ * screen after it; `noun` and `product` word the injected-fault
+ * messages ("the run would hang", "before producing results"),
+ * which are part of the failure ledger bytes.
+ *
+ * Results land at their input index, so ordering (and output bytes)
+ * are independent of scheduling; see the header contract.
+ */
+template <typename Result, typename AttemptFn>
+std::vector<Result>
+sweep(const std::vector<wl::WorkloadProfile> &profiles,
+      const RunOptions &options, const Parallelism &par,
+      const std::string &machine, SuiteRunStats *stats,
+      std::string_view noun, std::string_view product,
+      AttemptFn &&attemptOnce)
 {
     // Host wall time feeds only the run ledger (SuiteRunStats),
     // never simulated results.
@@ -473,13 +362,11 @@ Characterizer::captureAll(
     state.resilience = par.resilience;
     std::optional<FaultInjector> injector;
     if (par.resilience.chaos && par.resilience.chaos->enabled()) {
-        injector.emplace(*par.resilience.chaos, config_.name);
+        injector.emplace(*par.resilience.chaos, machine);
         state.inject = &*injector;
     }
 
-    // Each capture owns a private rig and private rings, so traces
-    // are independent of scheduling, like runAll() results.
-    std::vector<CaptureResult> out(n);
+    std::vector<Result> out(n);
     std::vector<RunLedgerEntry> ledger(n);
     const auto run_one = [&](std::size_t i) {
         const auto t0 = Clock::now();
@@ -491,34 +378,29 @@ Characterizer::captureAll(
                     throw FaultInjectedError(
                         FaultKind::Throw,
                         "injected fault: benchmark crashed before "
-                        "producing a trace");
+                        "producing " +
+                            std::string(product));
                 if (fault.kind == FaultKind::Stall) {
                     if (opt.runBudgetCycles == 0)
                         throw FaultInjectedError(
                             FaultKind::Stall,
                             "injected stall with no cycle budget: "
-                            "the capture would hang (set "
-                            "RunOptions::runBudgetCycles / "
-                            "--run-budget)");
-                    const std::uint64_t measured =
-                        opt.measuredInstructions > 0
-                            ? opt.measuredInstructions
-                            : profiles[i].instructions;
-                    opt.measuredInstructions = measured * 1024;
+                            "the " +
+                                std::string(noun) +
+                                " would hang (set "
+                                "RunOptions::runBudgetCycles / "
+                                "--run-budget)");
+                    // Inflate the run so the watchdog must trip;
+                    // cost is bounded by the budget, not by this.
+                    opt.measuredInstructions =
+                        measuredOf(opt, profiles[i]) * 1024;
                 }
-                TraceOptions t = topts;
-                if (fault.kind == FaultKind::TraceExhaust) {
-                    // Graceful degradation, not failure: the rings
-                    // shrink, the capture succeeds, drops recorded.
-                    t.bufferEvents = fault.traceCapacity;
-                    t.bufferSamples = fault.traceCapacity;
-                }
-                CaptureResult c = capture(profiles[i], opt, t);
+                Result r = attemptOnce(i, opt, fault);
+                RunResult &measured = measuredResult(r);
                 if (fault.kind == FaultKind::CorruptCounter)
-                    c.result.metrics[fault.selector % kNumMetrics] =
+                    measured.metrics[fault.selector % kNumMetrics] =
                         fault.badValue;
-                const std::string screen =
-                    screenRunResult(c.result);
+                const std::string screen = screenRunResult(measured);
                 if (!screen.empty()) {
                     if (fault.kind == FaultKind::CorruptCounter)
                         throw FaultInjectedError(
@@ -526,7 +408,7 @@ Characterizer::captureAll(
                             "injected fault: " + screen);
                     throw ScreenFailure(screen);
                 }
-                out[i] = std::move(c);
+                out[i] = std::move(r);
             });
         entry.worker = Executor::workerId();
         entry.wallSeconds =
@@ -560,6 +442,137 @@ Characterizer::captureAll(
         *stats = std::move(s);
     }
     return out;
+}
+
+} // namespace
+
+RunResult
+Characterizer::run(const wl::WorkloadProfile &raw_profile,
+                   const RunOptions &options) const
+{
+    const auto profile = applyOverrides(raw_profile, options);
+    Rig rig = buildRig(config_, profile, options);
+    const Rig::Snapshot start = rig.snapshot();
+    rig.advance(measuredOf(options, profile), options.quantum);
+    return rig.resultSince(start, profile.cpuUtil);
+}
+
+std::vector<IntervalSample>
+Characterizer::sample(const wl::WorkloadProfile &raw_profile,
+                      const RunOptions &options,
+                      std::uint64_t interval_instructions,
+                      std::size_t samples) const
+{
+    const auto profile = applyOverrides(raw_profile, options);
+    Rig rig = buildRig(config_, profile, options);
+    return sampleWindows(rig, samples, [&](const Rig::Snapshot &) {
+        rig.advance(interval_instructions, options.quantum);
+    });
+}
+
+std::vector<IntervalSample>
+Characterizer::sampleCycles(const wl::WorkloadProfile &raw_profile,
+                            const RunOptions &options,
+                            double interval_cycles,
+                            std::size_t samples) const
+{
+    const auto profile = applyOverrides(raw_profile, options);
+    Rig rig = buildRig(config_, profile, options);
+    // Advance in small instruction chunks until each cycle window
+    // fills; granularity error is one chunk.
+    const std::uint64_t chunk =
+        std::max<std::uint64_t>(500, options.quantum / 16);
+    return sampleWindows(rig, samples, [&](const Rig::Snapshot &prev) {
+        const double target = prev.counters.cycles + interval_cycles;
+        while (rig.machine->totalCounters().cycles < target)
+            rig.advance(chunk, chunk);
+    });
+}
+
+CaptureResult
+Characterizer::capture(const wl::WorkloadProfile &raw_profile,
+                       const RunOptions &options,
+                       const TraceOptions &topts) const
+{
+    const auto profile = applyOverrides(raw_profile, options);
+    Rig rig = buildRig(config_, profile, options);
+
+    CaptureResult out;
+    out.trace.benchmark = profile.name;
+    out.trace.machine = config_.name;
+    out.trace.ghz = config_.maxGhz;
+    out.trace.seed = options.seed;
+    const std::uint64_t chunk = topts.chunkInstructions > 0
+        ? topts.chunkInstructions
+        : std::max<std::uint64_t>(500, options.quantum / 16);
+    out.trace.chunkInstructions = chunk;
+    out.trace.events =
+        trace::TraceBuffer<trace::TraceEvent>(topts.bufferEvents);
+    out.trace.samples =
+        trace::TraceBuffer<trace::CounterRecord>(topts.bufferSamples);
+
+    // Attach after warmup: the trace covers the measured window only.
+    trace::TraceRecorder recorder(&out.trace.events,
+                                  rig.machine.get());
+    if (rig.clr)
+        rig.clr->trace().setRecorder(&recorder);
+    rig.machine->attachTrace(&recorder, &out.trace.samples);
+
+    const Rig::Snapshot start = rig.snapshot();
+    // S0: the post-warmup baseline record every re-slice starts from.
+    rig.machine->emitCounterSample();
+
+    if (topts.measuredCycles > 0.0) {
+        // Fixed-cycle span on the exact chunk grid live cycle
+        // sampling advances on, so re-slices reproduce sampleCycles
+        // boundaries bit-for-bit.
+        const double target = start.counters.cycles + topts.measuredCycles;
+        while (rig.machine->totalCounters().cycles < target) {
+            rig.advance(chunk, chunk);
+            rig.machine->emitCounterSample();
+        }
+    } else {
+        const std::uint64_t measured = measuredOf(options, profile);
+        std::uint64_t done = 0;
+        while (done < measured) {
+            const std::uint64_t step =
+                std::min<std::uint64_t>(chunk, measured - done);
+            rig.advance(step, step);
+            done += step;
+            rig.machine->emitCounterSample();
+        }
+    }
+
+    if (rig.clr)
+        rig.clr->trace().setRecorder(nullptr);
+    rig.machine->attachTrace(nullptr, nullptr);
+
+    out.result = rig.resultSince(start, profile.cpuUtil);
+    return out;
+}
+
+std::vector<CaptureResult>
+Characterizer::captureAll(
+    const std::vector<wl::WorkloadProfile> &profiles,
+    const RunOptions &options, const TraceOptions &topts,
+    const Parallelism &par, SuiteRunStats *stats) const
+{
+    // Each capture owns a private rig and private rings, so traces
+    // are independent of scheduling, like runAll() results.
+    return sweep<CaptureResult>(
+        profiles, options, par, config_.name, stats, "capture",
+        "a trace",
+        [&](std::size_t i, const RunOptions &opt,
+            const FaultDecision &fault) {
+            TraceOptions t = topts;
+            if (fault.kind == FaultKind::TraceExhaust) {
+                // Graceful degradation, not failure: the rings
+                // shrink, the capture succeeds, drops recorded.
+                t.bufferEvents = fault.traceCapacity;
+                t.bufferSamples = fault.traceCapacity;
+            }
+            return capture(profiles[i], opt, t);
+        });
 }
 
 std::vector<RunResult>
@@ -633,103 +646,11 @@ Characterizer::runAll(const std::vector<wl::WorkloadProfile> &profiles,
                       const RunOptions &options, const Parallelism &par,
                       SuiteRunStats *stats) const
 {
-    // Host wall time feeds only the run ledger (SuiteRunStats),
-    // never simulated results.
-    // netchar-lint: allow(no-wallclock) -- wall-time run ledger site
-    using Clock = std::chrono::steady_clock;
-    const std::size_t n = profiles.size();
-    unsigned jobs = par.jobs != 0
-        ? par.jobs
-        : std::max(1u, std::thread::hardware_concurrency());
-    const unsigned attempts = std::max(1u, par.maxAttempts);
-
-    std::vector<RunResult> out(n);
-    std::vector<RunLedgerEntry> ledger(n);
-
-    SweepState state;
-    state.attempts = attempts;
-    state.resilience = par.resilience;
-    std::optional<FaultInjector> injector;
-    if (par.resilience.chaos && par.resilience.chaos->enabled()) {
-        injector.emplace(*par.resilience.chaos, config_.name);
-        state.inject = &*injector;
-    }
-
-    // Results land at their input index, so ordering (and output
-    // bytes) are independent of scheduling; see the header contract.
-    const auto run_one = [&](std::size_t i) {
-        const auto t0 = Clock::now();
-        RunLedgerEntry entry;
-        attemptResiliently(
-            i, profiles[i].name, options, state, entry,
-            [&](RunOptions &opt, const FaultDecision &fault) {
-                if (fault.kind == FaultKind::Throw)
-                    throw FaultInjectedError(
-                        FaultKind::Throw,
-                        "injected fault: benchmark crashed before "
-                        "producing results");
-                if (fault.kind == FaultKind::Stall) {
-                    if (opt.runBudgetCycles == 0)
-                        throw FaultInjectedError(
-                            FaultKind::Stall,
-                            "injected stall with no cycle budget: "
-                            "the run would hang (set "
-                            "RunOptions::runBudgetCycles / "
-                            "--run-budget)");
-                    // Inflate the run so the watchdog must trip;
-                    // cost is bounded by the budget, not by this.
-                    const std::uint64_t measured =
-                        opt.measuredInstructions > 0
-                            ? opt.measuredInstructions
-                            : profiles[i].instructions;
-                    opt.measuredInstructions = measured * 1024;
-                }
-                RunResult r = run(profiles[i], opt);
-                if (fault.kind == FaultKind::CorruptCounter)
-                    r.metrics[fault.selector % kNumMetrics] =
-                        fault.badValue;
-                const std::string screen = screenRunResult(r);
-                if (!screen.empty()) {
-                    if (fault.kind == FaultKind::CorruptCounter)
-                        throw FaultInjectedError(
-                            FaultKind::CorruptCounter,
-                            "injected fault: " + screen);
-                    throw ScreenFailure(screen);
-                }
-                out[i] = std::move(r);
-            });
-        entry.worker = Executor::workerId();
-        entry.wallSeconds =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        ledger[i] = std::move(entry);
-    };
-
-    const auto sweep_start = Clock::now();
-    std::uint64_t steals = 0;
-    if (jobs <= 1 || n <= 1) {
-        jobs = 1;
-        for (std::size_t i = 0; i < n; ++i)
-            run_one(i);
-    } else {
-        Executor executor(jobs);
-        executor.forEach(n, run_one);
-        steals = executor.stealCount();
-    }
-
-    if (stats) {
-        SuiteRunStats s;
-        s.jobs = jobs;
-        s.wallSeconds = std::chrono::duration<double>(
-                            Clock::now() - sweep_start)
-                            .count();
-        for (const auto &e : ledger)
-            s.busySeconds += e.wallSeconds;
-        s.steals = steals;
-        s.runs = std::move(ledger);
-        publishFailures(state, s.runs, s);
-        *stats = std::move(s);
-    }
-    return out;
+    return sweep<RunResult>(
+        profiles, options, par, config_.name, stats, "run", "results",
+        [&](std::size_t i, const RunOptions &opt, const FaultDecision &) {
+            return run(profiles[i], opt);
+        });
 }
 
 } // namespace netchar

@@ -79,9 +79,6 @@ struct RunResult
     double instructionsPerSecond = 0.0;
 };
 
-// IntervalSample moved to trace/sample.hh (shared with the trace
-// layer's re-slicing); included above, still namespace netchar.
-
 /** Knobs for one trace capture (see Characterizer::capture). */
 struct TraceOptions
 {
@@ -145,7 +142,7 @@ struct ResilienceOptions
     const FaultPlan *chaos = nullptr;
 };
 
-/** Fan-out policy for suite-scale sweeps (runAll). */
+/** Fan-out policy for suite-scale sweeps (runAll/captureAll). */
 struct Parallelism
 {
     /** Concurrent runs; 1 = serial on the calling thread, 0 = one
@@ -206,7 +203,7 @@ struct RunFailure
     std::uint64_t backoffMicros = 0;
 };
 
-/** Observability surface of one runAll sweep. */
+/** Observability surface of one runAll/captureAll sweep. */
 struct SuiteRunStats
 {
     /** Jobs actually used (after resolving jobs == 0). */
@@ -240,9 +237,9 @@ struct SuiteRunStats
  * Screen a run result for corrupted measurements: every counter-
  * derived metric and the timing fields must be finite. Returns an
  * empty string when clean, else a message naming the first offending
- * field (e.g. "non-finite metric 'cpi' = nan"). runAll applies this
- * to every attempt, so a wedged counter read is a retryable failure,
- * never a silent row of NaNs.
+ * field (e.g. "non-finite metric 'cpi' = nan"). runAll and
+ * captureAll apply this to every attempt, so a wedged counter read
+ * is a retryable failure, never a silent row of NaNs.
  */
 std::string screenRunResult(const RunResult &result);
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "stats/hash.hh" // fnv1a / splitmix64 / unitInterval
+#include "stats/textio.hh"
 
 namespace netchar
 {
@@ -12,57 +13,75 @@ namespace netchar
 namespace
 {
 
-FaultKind
-kindFromName(std::string_view name)
+/** One fault kind and its spec-syntax name. */
+template <typename Kind>
+struct KindName
 {
-    if (name == "throw")
-        return FaultKind::Throw;
-    if (name == "corrupt" || name == "nan")
-        return FaultKind::CorruptCounter;
-    if (name == "stall")
-        return FaultKind::Stall;
-    if (name == "trace")
-        return FaultKind::TraceExhaust;
-    return FaultKind::None;
-}
+    Kind kind;
+    std::string_view name;
+};
 
-const std::vector<FaultKind> &
-allKinds()
-{
-    static const std::vector<FaultKind> kinds = {
-        FaultKind::Throw,
-        FaultKind::CorruptCounter,
-        FaultKind::Stall,
-        FaultKind::TraceExhaust,
-    };
-    return kinds;
-}
+/** Simulator fault kinds, in default-plan order. */
+constexpr KindName<FaultKind> kFaultKinds[] = {
+    {FaultKind::Throw, "throw"},
+    {FaultKind::CorruptCounter, "corrupt"},
+    {FaultKind::Stall, "stall"},
+    {FaultKind::TraceExhaust, "trace"},
+};
 
-} // namespace
+/** Wire fault kinds, in default-plan order. */
+constexpr KindName<WireFaultKind> kWireFaultKinds[] = {
+    {WireFaultKind::SplitWrite, "split"},
+    {WireFaultKind::MergeFrames, "merge"},
+    {WireFaultKind::StallWrite, "stall"},
+    {WireFaultKind::ResetMidResponse, "reset"},
+    {WireFaultKind::TruncateJournal, "journal"},
+};
 
+template <typename Kind, std::size_t N>
 std::string_view
-faultKindName(FaultKind kind)
+nameOf(Kind kind, const KindName<Kind> (&table)[N])
 {
-    switch (kind) {
-    case FaultKind::None:
-        return "none";
-    case FaultKind::Throw:
-        return "throw";
-    case FaultKind::CorruptCounter:
-        return "corrupt";
-    case FaultKind::Stall:
-        return "stall";
-    case FaultKind::TraceExhaust:
-        return "trace";
-    }
+    for (const auto &k : table)
+        if (k.kind == kind)
+            return k.name;
     return "none";
 }
 
-FaultPlan
-FaultPlan::parse(const std::string &spec)
+/** "throw, corrupt, stall, trace": the table's names, in order. */
+template <typename Kind, std::size_t N>
+std::string
+nameList(const KindName<Kind> (&table)[N])
 {
-    FaultPlan plan;
-    plan.kinds_ = allKinds();
+    std::string out;
+    for (const auto &k : table)
+        out += (out.empty() ? "" : ", ") + std::string(k.name);
+    return out;
+}
+
+[[noreturn]] void
+specError(std::string_view what, const std::string &message)
+{
+    throw std::invalid_argument(std::string(what) + ": " + message);
+}
+
+/**
+ * The `rate=...,kinds=...,seed=...` grammar both fault plans share.
+ * `what` prefixes every error ("chaos spec"), `example` is the spec
+ * the errors suggest, and `alias` (optional) is one more accepted
+ * kind name. Unset fields keep their defaults: every kind in table
+ * order, seed 1. Throws std::invalid_argument naming the bad field.
+ */
+template <typename Kind, std::size_t N>
+void
+parseSpec(const std::string &spec, std::string_view what,
+          std::string_view example, const KindName<Kind> (&table)[N],
+          double &rate, std::vector<Kind> &kinds, std::uint64_t &seed,
+          const KindName<Kind> *alias = nullptr)
+{
+    kinds.clear();
+    for (const auto &k : table)
+        kinds.push_back(k.kind);
     bool have_rate = false;
 
     std::istringstream fields(spec);
@@ -72,79 +91,97 @@ FaultPlan::parse(const std::string &spec)
             continue;
         const auto eq = field.find('=');
         if (eq == std::string::npos)
-            throw std::invalid_argument(
-                "chaos spec: expected key=value, got '" + field +
-                "' (example: rate=0.1,kinds=throw+stall,seed=7)");
+            specError(what, "expected key=value, got '" + field +
+                                "' (example: " + std::string(example) +
+                                ")");
         const std::string key = field.substr(0, eq);
         const std::string value = field.substr(eq + 1);
         if (key == "rate") {
             try {
                 std::size_t used = 0;
-                plan.rate_ = std::stod(value, &used);
+                rate = std::stod(value, &used);
                 if (used != value.size())
                     throw std::invalid_argument(value);
             } catch (const std::exception &) {
-                throw std::invalid_argument(
-                    "chaos spec: rate expects a number in [0,1], "
-                    "got '" + value + "'");
+                specError(what, "rate expects a number in [0,1], got '" +
+                                    value + "'");
             }
-            if (!(plan.rate_ >= 0.0 && plan.rate_ <= 1.0))
-                throw std::invalid_argument(
-                    "chaos spec: rate must be in [0,1], got '" +
-                    value + "'");
+            if (!(rate >= 0.0 && rate <= 1.0))
+                specError(what,
+                          "rate must be in [0,1], got '" + value + "'");
             have_rate = true;
         } else if (key == "kinds") {
-            plan.kinds_.clear();
+            kinds.clear();
             std::istringstream names(value);
             std::string name;
             while (std::getline(names, name, '+')) {
-                const FaultKind kind = kindFromName(name);
-                if (kind == FaultKind::None)
-                    throw std::invalid_argument(
-                        "chaos spec: unknown kind '" + name +
-                        "' (valid: throw, corrupt, stall, trace)");
-                plan.kinds_.push_back(kind);
+                const KindName<Kind> *found = nullptr;
+                for (const auto &k : table)
+                    if (k.name == name)
+                        found = &k;
+                if (!found && alias && alias->name == name)
+                    found = alias;
+                if (!found)
+                    specError(what, "unknown kind '" + name +
+                                        "' (valid: " + nameList(table) +
+                                        ")");
+                kinds.push_back(found->kind);
             }
-            if (plan.kinds_.empty())
-                throw std::invalid_argument(
-                    "chaos spec: kinds= needs at least one of "
-                    "throw, corrupt, stall, trace");
+            if (kinds.empty())
+                specError(what, "kinds= needs at least one of " +
+                                    nameList(table));
         } else if (key == "seed") {
-            try {
-                std::size_t used = 0;
-                plan.seed_ = std::stoull(value, &used);
-                if (used != value.size())
-                    throw std::invalid_argument(value);
-            } catch (const std::exception &) {
-                throw std::invalid_argument(
-                    "chaos spec: seed expects an integer, got '" +
-                    value + "'");
-            }
+            if (!parseUnsigned(value, seed))
+                specError(what,
+                          "seed expects an integer, got '" + value + "'");
         } else {
-            throw std::invalid_argument(
-                "chaos spec: unknown key '" + key +
-                "' (valid: rate, kinds, seed)");
+            specError(what, "unknown key '" + key +
+                                "' (valid: rate, kinds, seed)");
         }
     }
     if (!have_rate)
-        throw std::invalid_argument(
-            "chaos spec: rate= is required "
-            "(example: rate=0.1,kinds=throw+stall,seed=7)");
+        specError(what, "rate= is required (example: " +
+                            std::string(example) + ")");
+}
+
+/** Canonical spec text: parseSpec(describeSpec(...)) round-trips. */
+template <typename Kind, std::size_t N>
+std::string
+describeSpec(double rate, const std::vector<Kind> &kinds,
+             std::uint64_t seed, const KindName<Kind> (&table)[N])
+{
+    std::ostringstream os;
+    os << "rate=" << rate << ",kinds=";
+    for (std::size_t i = 0; i < kinds.size(); ++i)
+        os << (i > 0 ? "+" : "") << nameOf(kinds[i], table);
+    os << ",seed=" << seed;
+    return os.str();
+}
+
+} // namespace
+
+std::string_view
+faultKindName(FaultKind kind)
+{
+    return nameOf(kind, kFaultKinds);
+}
+
+FaultPlan
+FaultPlan::parse(const std::string &spec)
+{
+    static constexpr KindName<FaultKind> kNanAlias{
+        FaultKind::CorruptCounter, "nan"};
+    FaultPlan plan;
+    parseSpec(spec, "chaos spec", "rate=0.1,kinds=throw+stall,seed=7",
+              kFaultKinds, plan.rate_, plan.kinds_, plan.seed_,
+              &kNanAlias);
     return plan;
 }
 
 std::string
 FaultPlan::describe() const
 {
-    std::ostringstream os;
-    os << "rate=" << rate_ << ",kinds=";
-    for (std::size_t i = 0; i < kinds_.size(); ++i) {
-        if (i > 0)
-            os << '+';
-        os << faultKindName(kinds_[i]);
-    }
-    os << ",seed=" << seed_;
-    return os.str();
+    return describeSpec(rate_, kinds_, seed_, kFaultKinds);
 }
 
 FaultDecision
@@ -207,146 +244,26 @@ perturbedSeed(std::uint64_t base, std::string_view benchmark,
 // Wire faults
 // ---------------------------------------------------------------
 
-namespace
-{
-
-WireFaultKind
-wireKindFromName(std::string_view name)
-{
-    if (name == "split")
-        return WireFaultKind::SplitWrite;
-    if (name == "merge")
-        return WireFaultKind::MergeFrames;
-    if (name == "stall")
-        return WireFaultKind::StallWrite;
-    if (name == "reset")
-        return WireFaultKind::ResetMidResponse;
-    if (name == "journal")
-        return WireFaultKind::TruncateJournal;
-    return WireFaultKind::None;
-}
-
-const std::vector<WireFaultKind> &
-allWireKinds()
-{
-    static const std::vector<WireFaultKind> kinds = {
-        WireFaultKind::SplitWrite,      WireFaultKind::MergeFrames,
-        WireFaultKind::StallWrite,      WireFaultKind::ResetMidResponse,
-        WireFaultKind::TruncateJournal,
-    };
-    return kinds;
-}
-
-} // namespace
-
 std::string_view
 wireFaultKindName(WireFaultKind kind)
 {
-    switch (kind) {
-    case WireFaultKind::None:
-        return "none";
-    case WireFaultKind::SplitWrite:
-        return "split";
-    case WireFaultKind::MergeFrames:
-        return "merge";
-    case WireFaultKind::StallWrite:
-        return "stall";
-    case WireFaultKind::ResetMidResponse:
-        return "reset";
-    case WireFaultKind::TruncateJournal:
-        return "journal";
-    }
-    return "none";
+    return nameOf(kind, kWireFaultKinds);
 }
 
 WireFaultPlan
 WireFaultPlan::parse(const std::string &spec)
 {
     WireFaultPlan plan;
-    plan.kinds_ = allWireKinds();
-    bool have_rate = false;
-
-    std::istringstream fields(spec);
-    std::string field;
-    while (std::getline(fields, field, ',')) {
-        if (field.empty())
-            continue;
-        const auto eq = field.find('=');
-        if (eq == std::string::npos)
-            throw std::invalid_argument(
-                "chaos-wire spec: expected key=value, got '" + field +
-                "' (example: rate=0.25,kinds=split+reset,seed=9)");
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        if (key == "rate") {
-            try {
-                std::size_t used = 0;
-                plan.rate_ = std::stod(value, &used);
-                if (used != value.size())
-                    throw std::invalid_argument(value);
-            } catch (const std::exception &) {
-                throw std::invalid_argument(
-                    "chaos-wire spec: rate expects a number in "
-                    "[0,1], got '" + value + "'");
-            }
-            if (!(plan.rate_ >= 0.0 && plan.rate_ <= 1.0))
-                throw std::invalid_argument(
-                    "chaos-wire spec: rate must be in [0,1], got '" +
-                    value + "'");
-            have_rate = true;
-        } else if (key == "kinds") {
-            plan.kinds_.clear();
-            std::istringstream names(value);
-            std::string name;
-            while (std::getline(names, name, '+')) {
-                const WireFaultKind kind = wireKindFromName(name);
-                if (kind == WireFaultKind::None)
-                    throw std::invalid_argument(
-                        "chaos-wire spec: unknown kind '" + name +
-                        "' (valid: split, merge, stall, reset, "
-                        "journal)");
-                plan.kinds_.push_back(kind);
-            }
-            if (plan.kinds_.empty())
-                throw std::invalid_argument(
-                    "chaos-wire spec: kinds= needs at least one of "
-                    "split, merge, stall, reset, journal");
-        } else if (key == "seed") {
-            try {
-                std::size_t used = 0;
-                plan.seed_ = std::stoull(value, &used);
-                if (used != value.size())
-                    throw std::invalid_argument(value);
-            } catch (const std::exception &) {
-                throw std::invalid_argument(
-                    "chaos-wire spec: seed expects an integer, "
-                    "got '" + value + "'");
-            }
-        } else {
-            throw std::invalid_argument(
-                "chaos-wire spec: unknown key '" + key +
-                "' (valid: rate, kinds, seed)");
-        }
-    }
-    if (!have_rate)
-        throw std::invalid_argument(
-            "chaos-wire spec: rate= is required "
-            "(example: rate=0.25,kinds=split+reset,seed=9)");
+    parseSpec(spec, "chaos-wire spec",
+              "rate=0.25,kinds=split+reset,seed=9", kWireFaultKinds,
+              plan.rate_, plan.kinds_, plan.seed_);
     return plan;
 }
 
 std::string
 WireFaultPlan::describe() const
 {
-    std::ostringstream os;
-    os << "rate=" << rate_ << ",kinds=";
-    for (std::size_t i = 0; i < kinds_.size(); ++i) {
-        if (i > 0)
-            os << '+';
-        os << wireFaultKindName(kinds_[i]);
-    }
-    os << ",seed=" << seed_;
-    return os.str();
+    return describeSpec(rate_, kinds_, seed_, kWireFaultKinds);
 }
 
 WireFaultDecision

@@ -78,9 +78,11 @@ struct FaultDecision
  *   rate=0.1                  fraction of attempts hit (required)
  *   kinds=throw+corrupt+stall+trace
  *                             enabled kinds (default: all four)
- *   seed=7                    plan seed (default 1)
+ *   seed=7                    plan seed, a decimal unsigned 64-bit
+ *                             integer without sign (default 1)
  *
- * e.g. "rate=0.1,kinds=throw+stall,seed=42".
+ * e.g. "rate=0.1,kinds=throw+stall,seed=42". `nan` is an alias for
+ * `corrupt`.
  */
 class FaultPlan
 {
@@ -246,7 +248,8 @@ struct WireFaultDecision
 /**
  * A seeded wire-fault plan: overall rate, enabled kinds, seed.
  *
- * Spec syntax (parse()) mirrors FaultPlan::parse():
+ * Spec syntax (parse()) is FaultPlan::parse()'s grammar — one parser
+ * serves both families — with the wire kinds:
  *
  *   rate=0.25                 fraction of responses hit (required)
  *   kinds=split+merge+stall+reset+journal

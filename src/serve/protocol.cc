@@ -5,7 +5,9 @@
 #include <sstream>
 
 #include "runtime/gc.hh"
+#include "sim/config.hh"
 #include "stats/textio.hh"
+#include "workloads/registry.hh"
 
 namespace netchar::serve
 {
@@ -175,10 +177,9 @@ parseRequest(const std::string &line)
         }
     }
 
-    if (request.machine != "i9" && request.machine != "xeon" &&
-        request.machine != "arm")
+    if (!sim::findMachineModel(request.machine))
         protocolError("unknown machine '" + request.machine +
-                      "' (valid: i9, xeon, arm)");
+                      "' (valid: " + sim::machineKeyList() + ")");
     if (request.format != "csv" && request.format != "json")
         protocolError("unknown format '" + request.format +
                       "' (valid: csv, json)");
@@ -189,10 +190,9 @@ parseRequest(const std::string &line)
         request.suite.empty())
         protocolError(std::string(verbName(request.verb)) +
                       " needs a 'suite'");
-    if (!request.suite.empty() && request.suite != "dotnet" &&
-        request.suite != "aspnet" && request.suite != "spec")
+    if (!request.suite.empty() && !wl::suiteForKey(request.suite))
         protocolError("unknown suite '" + request.suite +
-                      "' (valid: dotnet, aspnet, spec)");
+                      "' (valid: " + wl::suiteKeyList() + ")");
     return request;
 }
 

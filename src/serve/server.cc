@@ -23,6 +23,7 @@
 #include "core/subset.hh"
 #include "serve/protocol.hh"
 #include "serve/shard.hh"
+#include "sim/config.hh"
 #include "stats/hash.hh"
 #include "workloads/registry.hh"
 
@@ -31,26 +32,6 @@ namespace netchar::serve
 
 namespace
 {
-
-sim::MachineConfig
-machineConfigFor(const std::string &name)
-{
-    if (name == "xeon")
-        return sim::MachineConfig::intelXeonE52620V4();
-    if (name == "arm")
-        return sim::MachineConfig::armServer();
-    return sim::MachineConfig::intelCoreI99980Xe();
-}
-
-wl::Suite
-suiteFor(const std::string &name)
-{
-    if (name == "aspnet")
-        return wl::Suite::AspNet;
-    if (name == "spec")
-        return wl::Suite::SpecCpu17;
-    return wl::Suite::DotNet;
-}
 
 /** Deterministic number rendering for stats/subset bodies (same
  *  precision the exporters use). */
@@ -390,8 +371,11 @@ Server::handleParsed(const Request &request)
         break;
     }
 
-    const sim::MachineConfig config = machineConfigFor(request.machine);
-    const auto profiles = wl::suiteProfiles(suiteFor(request.suite));
+    // parseRequest accepted only registered machine and suite keys.
+    const sim::MachineConfig config =
+        sim::findMachineModel(request.machine)->make();
+    const auto profiles =
+        wl::suiteProfiles(*wl::suiteForKey(request.suite));
 
     if (request.verb == Verb::Sweep) {
         const auto indices = shardIndices(
@@ -591,7 +575,7 @@ Server::handleBatch(const std::vector<std::string> &lines,
             continue;
         }
         const sim::MachineConfig config =
-            machineConfigFor(r.machine);
+            sim::findMachineModel(r.machine)->make();
         const std::string key = contentHashHex(
             "run/" + cacheKeyText(*profile, config, r.options));
         if (const std::string *body = cache_.lookup(key)) {

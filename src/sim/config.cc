@@ -271,4 +271,39 @@ MachineConfig::armServer()
     return cfg;
 }
 
+namespace
+{
+
+constexpr MachineModel kMachineModels[] = {
+    {"i9", &MachineConfig::intelCoreI99980Xe},
+    {"xeon", &MachineConfig::intelXeonE52620V4},
+    {"arm", &MachineConfig::armServer},
+};
+
+} // namespace
+
+std::span<const MachineModel>
+machineModels()
+{
+    return kMachineModels;
+}
+
+const MachineModel *
+findMachineModel(std::string_view key)
+{
+    for (const auto &m : kMachineModels)
+        if (m.key == key)
+            return &m;
+    return nullptr;
+}
+
+std::string
+machineKeyList()
+{
+    std::string out;
+    for (const auto &m : kMachineModels)
+        out += (out.empty() ? "" : ", ") + std::string(m.key);
+    return out;
+}
+
 } // namespace netchar::sim

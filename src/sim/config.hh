@@ -12,7 +12,9 @@
 #define NETCHAR_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace netchar::sim
 {
@@ -164,6 +166,22 @@ struct MachineConfig
     /** Factory: AArch64 server of §V-D. */
     static MachineConfig armServer();
 };
+
+/** A modeled machine under the short key the CLI and wire use. */
+struct MachineModel
+{
+    std::string_view key;
+    MachineConfig (*make)();
+};
+
+/** Every modeled machine, in listing order: i9, xeon, arm. */
+std::span<const MachineModel> machineModels();
+
+/** The model registered under `key`, or nullptr. */
+const MachineModel *findMachineModel(std::string_view key);
+
+/** The valid keys for error messages: "i9, xeon, arm". */
+std::string machineKeyList();
 
 } // namespace netchar::sim
 

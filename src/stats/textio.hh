@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared text-serialization helpers: JSON string escaping and RFC
- * 4180 CSV field quoting.
+ * Shared text helpers: JSON string escaping, RFC 4180 CSV field
+ * quoting, and the one rule for reading an unsigned number from text.
  *
  * These lived in core/export until the trace exporters needed them
  * too; they sit in the base stats library so every layer (core
@@ -12,7 +12,10 @@
 #ifndef NETCHAR_STATS_TEXTIO_HH
 #define NETCHAR_STATS_TEXTIO_HH
 
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace netchar
 {
@@ -26,6 +29,27 @@ std::string jsonEscape(const std::string &raw);
 
 /** Quote a CSV field when needed (RFC 4180). */
 std::string csvField(const std::string &raw);
+
+/**
+ * Read `text` as a decimal unsigned integer that fits in T: digits
+ * only (no sign, no whitespace, nothing after the number) and no
+ * larger than T's maximum. Returns false, leaving `out` unchanged,
+ * for anything else, so "-1" can never wrap to 2^64-1 and
+ * "4294967297" can never truncate to 1 in a 32-bit field.
+ */
+template <typename T>
+bool
+parseUnsigned(std::string_view text, T &out)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        return false;
+    out = value;
+    return true;
+}
 
 } // namespace netchar
 

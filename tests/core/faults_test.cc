@@ -4,8 +4,10 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/faults.hh"
+#include "stats/hash.hh"
 
 using namespace netchar;
 
@@ -227,4 +229,154 @@ TEST(PerturbedSeedTest, RetriesGetDistinctDeterministicSeeds)
     EXPECT_EQ(perturbedSeed(1, "Json", 2), s2); // deterministic
     // Different benchmarks diverge even at the same attempt.
     EXPECT_NE(perturbedSeed(1, "Mono", 2), s2);
+}
+
+TEST(FaultPlanTest, SeedIsAnUnsignedIntegerThatFits)
+{
+    EXPECT_EQ(FaultPlan::parse("rate=0,seed=18446744073709551615")
+                  .seed(),
+              18446744073709551615ULL);
+    // A sign or an out-of-range value is an error, never a wrap.
+    for (const char *bad :
+         {"rate=0,seed=-1", "rate=0,seed=+7", "rate=0,seed= 7",
+          "rate=0,seed=18446744073709551616", "rate=0,seed="}) {
+        EXPECT_THROW(FaultPlan::parse(bad), std::invalid_argument)
+            << bad;
+        EXPECT_THROW(WireFaultPlan::parse(bad), std::invalid_argument)
+            << bad;
+    }
+    try {
+        FaultPlan::parse("rate=0,seed=-1");
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "chaos spec: seed expects an integer, got '-1'");
+    }
+}
+
+TEST(FaultPlanTest, ErrorMessagesNameTheSpecFamily)
+{
+    const auto message = [](auto parse, const std::string &spec) {
+        try {
+            parse(spec);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("(accepted)");
+    };
+    const auto chaos = [](const std::string &s) {
+        return FaultPlan::parse(s);
+    };
+    const auto wire = [](const std::string &s) {
+        return WireFaultPlan::parse(s);
+    };
+    EXPECT_EQ(message(chaos, "rate=0.1,kinds=x"),
+              "chaos spec: unknown kind 'x' (valid: throw, corrupt, "
+              "stall, trace)");
+    EXPECT_EQ(message(wire, "rate=0.1,kinds=x"),
+              "chaos-wire spec: unknown kind 'x' (valid: split, merge, "
+              "stall, reset, journal)");
+    EXPECT_EQ(message(chaos, "rate=0.1,kinds="),
+              "chaos spec: kinds= needs at least one of throw, "
+              "corrupt, stall, trace");
+    EXPECT_EQ(message(wire, "seed=3"),
+              "chaos-wire spec: rate= is required (example: "
+              "rate=0.25,kinds=split+reset,seed=9)");
+    EXPECT_EQ(message(chaos, "rate"),
+              "chaos spec: expected key=value, got 'rate' (example: "
+              "rate=0.1,kinds=throw+stall,seed=7)");
+    EXPECT_EQ(message(wire, "rate=1,kinds=nan"),
+              "chaos-wire spec: unknown kind 'nan' (valid: split, "
+              "merge, stall, reset, journal)");
+}
+
+namespace
+{
+
+/**
+ * Seeded byte mutator: 1-4 edits (overwrite, insert, delete,
+ * duplicate a span, truncate) drawn from a splitmix64 stream, with
+ * replacement bytes biased towards the grammar's own punctuation.
+ */
+std::string
+mutate(std::string s, std::uint64_t &state)
+{
+    static const std::string alphabet =
+        ",=+-.0123456789eE xnatr\x7f\xff";
+    const auto next = [&state] { return state = splitmix64(state); };
+    const auto byte = [&]() -> char {
+        const std::uint64_t r = next();
+        return r % 4 == 0 ? static_cast<char>(r >> 8)
+                          : alphabet[(r >> 8) % alphabet.size()];
+    };
+    const unsigned edits = 1 + next() % 4;
+    for (unsigned e = 0; e < edits; ++e) {
+        const std::size_t at = s.empty() ? 0 : next() % (s.size() + 1);
+        switch (next() % 5) {
+        case 0:
+            if (at < s.size())
+                s[at] = byte();
+            break;
+        case 1:
+            s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), byte());
+            break;
+        case 2:
+            if (at < s.size())
+                s.erase(at, 1 + next() % 3);
+            break;
+        case 3:
+            if (at < s.size())
+                s.insert(at, s.substr(at, 1 + next() % 6));
+            break;
+        default:
+            s.resize(at);
+            break;
+        }
+    }
+    return s;
+}
+
+template <typename Plan>
+void
+fuzzSpecs(const std::vector<std::string> &seeds, const char *prefix,
+          std::uint64_t state)
+{
+    unsigned accepted = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string spec =
+            mutate(seeds[static_cast<std::size_t>(i) % seeds.size()],
+                   state);
+        try {
+            const Plan plan = Plan::parse(spec);
+            ++accepted;
+            const std::string canonical = plan.describe();
+            EXPECT_EQ(Plan::parse(canonical).describe(), canonical)
+                << "spec: " << spec;
+        } catch (const std::invalid_argument &e) {
+            ++rejected;
+            EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+                << "spec: " << spec << "\nwhat: " << e.what();
+        }
+    }
+    // The mutator must exercise both outcomes to mean anything.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
+}
+
+} // namespace
+
+TEST(FaultSpecFuzz, ChaosSpecsParseOrFailWithThePrefix)
+{
+    fuzzSpecs<FaultPlan>({"rate=0.1,kinds=throw+stall,seed=7",
+                          "rate=0.5", "rate=1,kinds=nan+trace,seed=42",
+                          "seed=3,rate=0.25,kinds=corrupt"},
+                         "chaos spec:", 1);
+}
+
+TEST(FaultSpecFuzz, WireSpecsParseOrFailWithThePrefix)
+{
+    fuzzSpecs<WireFaultPlan>({"rate=0.25,kinds=split+reset,seed=9",
+                              "rate=1",
+                              "rate=0.5,kinds=merge+stall+journal",
+                              "kinds=reset,seed=11,rate=0.75"},
+                             "chaos-wire spec:", 2);
 }

@@ -304,6 +304,24 @@ TEST(Protocol, MalformedRequestsThrowNamedErrors)
     }
 }
 
+TEST(Protocol, UnknownKeysListTheValidOnes)
+{
+    const auto message = [](const std::string &line) {
+        try {
+            parseRequest(line);
+        } catch (const ProtocolError &ex) {
+            return std::string(ex.what());
+        }
+        return std::string("(accepted)");
+    };
+    EXPECT_EQ(message(R"({"verb":"run","benchmark":"x","machine":"x"})"),
+              "unknown machine 'x' (valid: i9, xeon, arm)");
+    EXPECT_EQ(message(R"({"verb":"sweep","suite":"x"})"),
+              "unknown suite 'x' (valid: dotnet, aspnet, spec)");
+    EXPECT_EQ(message(R"({"verb":"sweep","suite":"spec","machine":"arm"})"),
+              "(accepted)");
+}
+
 TEST(Protocol, ServerAnswersMalformedLinesWithStructuredErrors)
 {
     Server server(ServerOptions{});

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "serve/server.hh"
 #include "serve/shard.hh"
 #include "stats/json.hh"
+#include "stats/textio.hh"
 #include "trace/analyzer.hh"
 #include "trace/export_trace.hh"
 #include "workloads/registry.hh"
@@ -155,60 +157,72 @@ usage()
 sim::MachineConfig
 machineFor(const std::string &name)
 {
-    if (name == "i9")
-        return sim::MachineConfig::intelCoreI99980Xe();
-    if (name == "xeon")
-        return sim::MachineConfig::intelXeonE52620V4();
-    if (name == "arm")
-        return sim::MachineConfig::armServer();
+    if (const auto *model = sim::findMachineModel(name))
+        return model->make();
     std::fprintf(stderr, "unknown machine '%s'\n", name.c_str());
     std::exit(EXIT_FAILURE);
 }
 
-bool
-parseSuite(const std::string &name, wl::Suite &suite)
+/**
+ * Cursor over one subcommand's flags. value() takes the current
+ * flag's argument; number() also requires a decimal unsigned integer
+ * that fits its destination, so "--seed -1" or "--cores 4294967297"
+ * is an error instead of a silent wrap or truncation. Both exit 1
+ * naming the flag.
+ */
+struct FlagCursor
 {
-    if (name == "dotnet")
-        suite = wl::Suite::DotNet;
-    else if (name == "aspnet")
-        suite = wl::Suite::AspNet;
-    else if (name == "spec")
-        suite = wl::Suite::SpecCpu17;
-    else
-        return false;
-    return true;
-}
+    int argc;
+    char **argv;
+    int i;
+    std::string arg;
+
+    /** Step to the next flag; false past the end. */
+    bool
+    next()
+    {
+        if (++i >= argc)
+            return false;
+        arg = argv[i];
+        return true;
+    }
+
+    std::string
+    value()
+    {
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+            std::exit(EXIT_FAILURE);
+        }
+        return argv[++i];
+    }
+
+    template <typename T>
+    void
+    number(T &dest)
+    {
+        const std::string text = value();
+        if (parseUnsigned(text, dest))
+            return;
+        std::fprintf(stderr,
+                     "netchar: %s expects an unsigned integer up to "
+                     "%s, got '%s'\n",
+                     arg.c_str(),
+                     std::to_string(std::numeric_limits<T>::max())
+                         .c_str(),
+                     text.c_str());
+        std::exit(EXIT_FAILURE);
+    }
+};
 
 CliOptions
 parseOptions(int argc, char **argv, int first)
 {
     CliOptions opts;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(EXIT_FAILURE);
-            }
-            return argv[++i];
-        };
-        auto nextNumber = [&]() -> std::uint64_t {
-            const std::string value = next();
-            try {
-                std::size_t used = 0;
-                const std::uint64_t n = std::stoull(value, &used);
-                if (used == value.size())
-                    return n;
-            } catch (const std::exception &) {
-            }
-            std::fprintf(stderr,
-                         "netchar: %s expects a number, got '%s'\n",
-                         arg.c_str(), value.c_str());
-            std::exit(EXIT_FAILURE);
-        };
+    for (FlagCursor f{argc, argv, first - 1, {}}; f.next();) {
+        const std::string &arg = f.arg;
         auto nextPositiveDouble = [&]() -> double {
-            const std::string value = next();
+            const std::string value = f.value();
             try {
                 std::size_t used = 0;
                 const double d = std::stod(value, &used);
@@ -223,32 +237,31 @@ parseOptions(int argc, char **argv, int first)
             std::exit(EXIT_FAILURE);
         };
         if (arg == "--machine")
-            opts.machine = next();
+            opts.machine = f.value();
         else if (arg == "--cores")
-            opts.run.cores = static_cast<unsigned>(nextNumber());
+            f.number(opts.run.cores);
         else if (arg == "--warmup")
-            opts.run.warmupInstructions = nextNumber();
+            f.number(opts.run.warmupInstructions);
         else if (arg == "--measure")
-            opts.run.measuredInstructions = nextNumber();
+            f.number(opts.run.measuredInstructions);
         else if (arg == "--seed")
-            opts.run.seed = nextNumber();
+            f.number(opts.run.seed);
         else if (arg == "--size")
-            opts.subsetSize = nextNumber();
+            f.number(opts.subsetSize);
         else if (arg == "--format")
-            opts.format = next();
+            opts.format = f.value();
         else if (arg == "--jobs")
-            opts.par.jobs = static_cast<unsigned>(nextNumber());
+            f.number(opts.par.jobs);
         else if (arg == "--stats")
             opts.stats = true;
         else if (arg == "--interval")
             opts.intervalMs = nextPositiveDouble();
         else if (arg == "--buffer-events")
-            opts.bufferEvents =
-                static_cast<std::size_t>(nextNumber());
+            f.number(opts.bufferEvents);
         else if (arg == "--trace-out")
-            opts.traceOut = next();
+            opts.traceOut = f.value();
         else if (arg == "--chaos") {
-            opts.chaosSpec = next();
+            opts.chaosSpec = f.value();
             try {
                 FaultPlan::parse(opts.chaosSpec); // validate early
             } catch (const std::exception &ex) {
@@ -260,8 +273,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--fail-fast")
             opts.par.resilience.keepGoing = false;
         else if (arg == "--max-attempts") {
-            opts.par.maxAttempts =
-                static_cast<unsigned>(nextNumber());
+            f.number(opts.par.maxAttempts);
             if (opts.par.maxAttempts == 0) {
                 std::fprintf(
                     stderr,
@@ -269,14 +281,13 @@ parseOptions(int argc, char **argv, int first)
                 std::exit(EXIT_FAILURE);
             }
         } else if (arg == "--quarantine-after")
-            opts.par.resilience.quarantineAfter =
-                static_cast<unsigned>(nextNumber());
+            f.number(opts.par.resilience.quarantineAfter);
         else if (arg == "--run-budget")
-            opts.run.runBudgetCycles = nextNumber();
+            f.number(opts.run.runBudgetCycles);
         else if (arg == "--backoff-us")
-            opts.par.resilience.backoffBaseMicros = nextNumber();
+            f.number(opts.par.resilience.backoffBaseMicros);
         else if (arg == "--ledger")
-            opts.ledgerFile = next();
+            opts.ledgerFile = f.value();
         else {
             // Name the offending flag first, then the usage block,
             // so the error survives a scrolled-off screen.
@@ -370,25 +381,15 @@ cmdMachines()
 {
     TextTable table({"Key", "Name", "Cores", "L2", "LLC", "Slices",
                      "Max GHz"});
-    const struct
-    {
-        const char *key;
-        sim::MachineConfig cfg;
-    } machines[] = {
-        {"i9", sim::MachineConfig::intelCoreI99980Xe()},
-        {"xeon", sim::MachineConfig::intelXeonE52620V4()},
-        {"arm", sim::MachineConfig::armServer()},
-    };
-    for (const auto &m : machines) {
+    for (const auto &model : sim::machineModels()) {
+        const sim::MachineConfig cfg = model.make();
         table.addRow(
-            {m.key, m.cfg.name,
-             std::to_string(m.cfg.physicalCores) + "/" +
-                 std::to_string(m.cfg.logicalCores),
-             std::to_string(m.cfg.l2.sizeBytes / 1024) + "KiB",
-             std::to_string(m.cfg.llc.sizeBytes / (1024 * 1024)) +
-                 "MiB",
-             std::to_string(m.cfg.llcSlices),
-             fmtFixed(m.cfg.maxGhz, 1)});
+            {std::string(model.key), cfg.name,
+             std::to_string(cfg.physicalCores) + "/" +
+                 std::to_string(cfg.logicalCores),
+             std::to_string(cfg.l2.sizeBytes / 1024) + "KiB",
+             std::to_string(cfg.llc.sizeBytes / (1024 * 1024)) + "MiB",
+             std::to_string(cfg.llcSlices), fmtFixed(cfg.maxGhz, 1)});
     }
     std::printf("%s", table.render().c_str());
     return EXIT_SUCCESS;
@@ -398,11 +399,10 @@ int
 cmdList(const std::string &filter)
 {
     std::vector<wl::WorkloadProfile> profiles;
-    wl::Suite suite;
     if (filter.empty()) {
         profiles = wl::allProfiles();
-    } else if (parseSuite(filter, suite)) {
-        profiles = wl::suiteProfiles(suite);
+    } else if (const auto suite = wl::suiteForKey(filter)) {
+        profiles = wl::suiteProfiles(*suite);
     } else {
         return usage();
     }
@@ -536,10 +536,10 @@ cmdTrace(const std::string &name, const CliOptions &opts)
 int
 cmdSuite(const std::string &suite_name, const CliOptions &opts)
 {
-    wl::Suite suite;
-    if (!parseSuite(suite_name, suite))
+    const auto suite = wl::suiteForKey(suite_name);
+    if (!suite)
         return usage();
-    const auto profiles = wl::suiteProfiles(suite);
+    const auto profiles = wl::suiteProfiles(*suite);
     Characterizer ch(machineFor(opts.machine));
 
     // The plan must outlive the sweep; par holds a pointer to it.
@@ -620,10 +620,10 @@ cmdSuite(const std::string &suite_name, const CliOptions &opts)
 int
 cmdSubset(const std::string &suite_name, const CliOptions &opts)
 {
-    wl::Suite suite;
-    if (!parseSuite(suite_name, suite))
+    const auto suite = wl::suiteForKey(suite_name);
+    if (!suite)
         return usage();
-    const auto profiles = wl::suiteProfiles(suite);
+    const auto profiles = wl::suiteProfiles(*suite);
     Characterizer ch(machineFor(opts.machine));
 
     FaultPlan chaos;
@@ -688,66 +688,41 @@ cmdServe(int argc, char **argv)
 {
     serve::ServerOptions sopts;
     sopts.listen = argv[2];
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(EXIT_FAILURE);
-            }
-            return argv[++i];
-        };
-        auto nextNumber = [&]() -> std::uint64_t {
-            const std::string value = next();
-            try {
-                std::size_t used = 0;
-                const std::uint64_t n = std::stoull(value, &used);
-                if (used == value.size())
-                    return n;
-            } catch (const std::exception &) {
-            }
-            std::fprintf(stderr,
-                         "netchar: %s expects a number, got '%s'\n",
-                         arg.c_str(), value.c_str());
-            std::exit(EXIT_FAILURE);
-        };
+    for (FlagCursor f{argc, argv, 2, {}}; f.next();) {
+        const std::string &arg = f.arg;
         if (arg == "--jobs")
-            sopts.jobs = static_cast<unsigned>(nextNumber());
+            f.number(sopts.jobs);
         else if (arg == "--max-attempts")
-            sopts.maxAttempts = static_cast<unsigned>(nextNumber());
+            f.number(sopts.maxAttempts);
         else if (arg == "--shard") {
             std::string error;
-            if (!serve::parseShardSpec(next(), sopts.shard,
+            if (!serve::parseShardSpec(f.value(), sopts.shard,
                                        sopts.shards, error)) {
                 std::fprintf(stderr, "netchar serve: %s\n",
                              error.c_str());
                 return EXIT_FAILURE;
             }
         } else if (arg == "--cache-entries")
-            sopts.cache.maxEntries =
-                static_cast<std::size_t>(nextNumber());
+            f.number(sopts.cache.maxEntries);
         else if (arg == "--cache-bytes")
-            sopts.cache.maxBytes = nextNumber();
+            f.number(sopts.cache.maxBytes);
         else if (arg == "--cache-persist")
-            sopts.persistPath = next();
+            sopts.persistPath = f.value();
         else if (arg == "--max-pending")
-            sopts.maxBatchRequests =
-                static_cast<std::size_t>(nextNumber());
+            f.number(sopts.maxBatchRequests);
         else if (arg == "--max-pending-bytes")
-            sopts.maxBatchBytes = nextNumber();
+            f.number(sopts.maxBatchBytes);
         else if (arg == "--max-line-bytes")
-            sopts.maxLineBytes =
-                static_cast<std::size_t>(nextNumber());
+            f.number(sopts.maxLineBytes);
         else if (arg == "--retry-after-ms")
-            sopts.retryAfterMs = nextNumber();
+            f.number(sopts.retryAfterMs);
         else if (arg == "--idle-timeout-ms")
-            sopts.idleTimeoutMs = nextNumber();
+            f.number(sopts.idleTimeoutMs);
         else if (arg == "--checkpoint-bytes")
-            sopts.checkpointBytes = nextNumber();
+            f.number(sopts.checkpointBytes);
         else if (arg == "--chaos-wire") {
             try {
-                sopts.chaosWire = WireFaultPlan::parse(next());
+                sopts.chaosWire = WireFaultPlan::parse(f.value());
             } catch (const std::exception &ex) {
                 std::fprintf(stderr, "netchar serve: %s\n",
                              ex.what());
@@ -824,68 +799,43 @@ cmdQuery(int argc, char **argv)
     bool merge = false;
     std::string ledger_file;
     serve::ClientOptions copts;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(EXIT_FAILURE);
-            }
-            return argv[++i];
-        };
-        auto nextNumber = [&]() -> std::uint64_t {
-            const std::string value = next();
-            try {
-                std::size_t used = 0;
-                const std::uint64_t n = std::stoull(value, &used);
-                if (used == value.size())
-                    return n;
-            } catch (const std::exception &) {
-            }
-            std::fprintf(stderr,
-                         "netchar: %s expects a number, got '%s'\n",
-                         arg.c_str(), value.c_str());
-            std::exit(EXIT_FAILURE);
-        };
+    for (FlagCursor f{argc, argv, 2, {}}; f.next();) {
+        const std::string &arg = f.arg;
         if (arg == "--verb")
-            verb = next();
+            verb = f.value();
         else if (arg == "--benchmark")
-            req.benchmark = next();
+            req.benchmark = f.value();
         else if (arg == "--suite")
-            req.suite = next();
+            req.suite = f.value();
         else if (arg == "--machine")
-            req.machine = next();
+            req.machine = f.value();
         else if (arg == "--format")
-            req.format = next();
+            req.format = f.value();
         else if (arg == "--size")
-            req.subsetSize =
-                static_cast<std::size_t>(nextNumber());
+            f.number(req.subsetSize);
         else if (arg == "--cores")
-            req.options.cores =
-                static_cast<unsigned>(nextNumber());
+            f.number(req.options.cores);
         else if (arg == "--warmup")
-            req.options.warmupInstructions = nextNumber();
+            f.number(req.options.warmupInstructions);
         else if (arg == "--measure")
-            req.options.measuredInstructions = nextNumber();
+            f.number(req.options.measuredInstructions);
         else if (arg == "--seed")
-            req.options.seed = nextNumber();
+            f.number(req.options.seed);
         else if (arg == "--merge")
             merge = true;
         else if (arg == "--ledger")
-            ledger_file = next();
+            ledger_file = f.value();
         else if (arg == "--retries")
-            copts.maxAttempts =
-                static_cast<unsigned>(nextNumber());
+            f.number(copts.maxAttempts);
         else if (arg == "--backoff-us")
-            copts.backoffBaseMicros = nextNumber();
+            f.number(copts.backoffBaseMicros);
         else if (arg == "--deadline-ms") {
             // One budget, both ends: the client stops retrying and
             // the server sheds the request once it expires in queue.
-            copts.deadlineMs = nextNumber();
+            f.number(copts.deadlineMs);
             req.deadlineMs = copts.deadlineMs;
         } else if (arg == "--io-timeout-ms")
-            copts.ioTimeoutMs = nextNumber();
+            f.number(copts.ioTimeoutMs);
         else {
             std::fprintf(stderr, "netchar: unknown option '%s'\n\n",
                          arg.c_str());
