@@ -6,7 +6,8 @@
  * with structured errors, never crashes), concurrent clients over a
  * real socket, and the headline guarantee — shard-merged sweep
  * output byte-identical to the single-process sweep on every
- * machine model.
+ * machine model. Golden digests pin the sweep and subset response
+ * bytes.
  */
 
 #include <atomic>
@@ -670,6 +671,40 @@ TEST(Socket, ClientRetriesThenReportsConnectFailure)
     EXPECT_FALSE(client.request(R"({"verb":"ping"})", response,
                                 error));
     EXPECT_NE(error.find("connect"), std::string::npos);
+}
+
+// -- golden response digests ---------------------------------------
+
+// Pins the exact bytes of the sweep (CSV and JSON) and subset
+// responses. A deliberate behaviour change re-records the constants
+// in the same change and says so; any other drift is a regression.
+TEST(GoldenDigest, SweepAndSubsetResponses)
+{
+    ServerOptions sopts;
+    sopts.jobs = 2; // sweep bytes are the same at any job count
+    Server server(sopts);
+    const std::string options =
+        R"("machine":"i9","options":{"warmup":20000,"measure":40000})";
+    const std::vector<std::string> requests = {
+        R"({"verb":"sweep","suite":"spec",)" + options + "}",
+        R"({"verb":"sweep","suite":"spec","format":"json",)" + options +
+            "}",
+        R"({"verb":"subset","suite":"spec","size":4,)" + options + "}",
+    };
+    const char *golden[] = {
+        "6d8c61681749c3a85ac48be051a05f29",
+        "e9512eac8aa1a004a39e1a11f948f051",
+        "f81a6b142781d089b061346bdc7c9940",
+    };
+    const auto responses = server.handleBatch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+        EXPECT_EQ(responses[i].rfind(R"({"ok":true,)", 0), 0u)
+            << responses[i];
+        EXPECT_EQ(contentHashHex(responses[i]), golden[i])
+            << "request: " << requests[i] << "\nresponse:\n"
+            << responses[i];
+    }
 }
 
 } // namespace
