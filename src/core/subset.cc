@@ -66,6 +66,30 @@ buildSubset(const stats::Matrix &metrics, const SubsetOptions &options)
     return result;
 }
 
+SurvivorSubset
+buildSurvivorSubset(const std::vector<RunResult> &results,
+                    const SuiteRunStats &stats,
+                    const SubsetOptions &options)
+{
+    std::vector<MetricVector> rows;
+    std::vector<std::size_t> survivors;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (stats.runs[i].succeeded) {
+            rows.push_back(results[i].metrics);
+            survivors.push_back(i);
+        }
+    }
+    SurvivorSubset out{buildSubset(rows, options), rows.size()};
+    for (auto &cluster : out.subset.clusters)
+        for (auto &idx : cluster)
+            idx = survivors[idx];
+    for (auto &idx : out.subset.representatives)
+        idx = survivors[idx];
+    for (auto &idx : out.subset.rowMap)
+        idx = survivors[idx];
+    return out;
+}
+
 std::vector<double>
 benchmarkScores(std::span<const double> baseline_seconds,
                 std::span<const double> machine_seconds)

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/characterize.hh"
 #include "core/metrics.hh"
 #include "stats/cluster.hh"
 #include "stats/pca.hh"
@@ -72,6 +73,29 @@ SubsetResult buildSubset(const std::vector<MetricVector> &metric_rows,
 /** As above but over a pre-built (possibly reduced) matrix. */
 SubsetResult buildSubset(const stats::Matrix &metrics,
                          const SubsetOptions &options = {});
+
+/** A subset built over the runs of a sweep that succeeded. */
+struct SurvivorSubset
+{
+    /** Clusters, representatives and rowMap index the sweep's
+     *  profiles; pca and sanitize describe the survivors' matrix. */
+    SubsetResult subset;
+    /** Runs that succeeded: the rows the subset was built over. */
+    std::size_t surviving = 0;
+};
+
+/**
+ * Keep-going subsetting: buildSubset over the succeeded runs of a
+ * runAll sweep, with indices mapped back to the sweep's profiles.
+ * Throws as buildSubset does.
+ *
+ * @param results runAll results, one per profile.
+ * @param stats The sweep's ledger (which runs succeeded).
+ */
+SurvivorSubset
+buildSurvivorSubset(const std::vector<RunResult> &results,
+                    const SuiteRunStats &stats,
+                    const SubsetOptions &options = {});
 
 /**
  * Per-benchmark score: execution time on the baseline machine divided

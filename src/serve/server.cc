@@ -471,36 +471,30 @@ Server::handleParsed(const Request &request)
         return errorResponse(std::string("subset: ") + ex.what());
     }
 
-    std::vector<MetricVector> rows;
-    std::vector<std::size_t> survivors;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (stats.runs[i].succeeded) {
-            rows.push_back(results[i].metrics);
-            survivors.push_back(i);
-        }
-    }
     SubsetOptions sopts;
     sopts.subsetSize = request.subsetSize;
-    SubsetResult subset;
+    SurvivorSubset survivors;
     try {
-        subset = buildSubset(rows, sopts);
+        survivors = buildSurvivorSubset(results, stats, sopts);
     } catch (const std::exception &ex) {
         ++counters_.errors;
         return errorResponse(std::string("subset: ") + ex.what());
     }
+    const SubsetResult &subset = survivors.subset;
 
     std::ostringstream body;
     body << "{\"suite\":" << jsonString(request.suite)
          << ",\"size\":" << request.subsetSize
          << ",\"total\":" << profiles.size()
-         << ",\"surviving\":" << rows.size() << ",\"prcoVariance\":"
+         << ",\"surviving\":" << survivors.surviving
+         << ",\"prcoVariance\":"
          << num(subset.pca.cumulativeExplained())
          << ",\"representatives\":[";
     for (std::size_t c = 0; c < subset.clusters.size(); ++c) {
-        const std::size_t rep = survivors[subset.representatives[c]];
         if (c > 0)
             body << ',';
-        body << "{\"benchmark\":" << jsonString(profiles[rep].name)
+        body << "{\"benchmark\":"
+             << jsonString(profiles[subset.representatives[c]].name)
              << ",\"clusterSize\":" << subset.clusters[c].size()
              << '}';
     }

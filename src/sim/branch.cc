@@ -60,87 +60,50 @@ BranchPredictor::reset()
     history_ = 0;
 }
 
-Btb::Btb(unsigned entries, unsigned assoc) : assoc_(assoc)
+namespace
+{
+
+std::size_t
+setsFor(unsigned entries, unsigned assoc)
 {
     if (entries == 0 || assoc == 0 || entries % assoc != 0)
         throw std::invalid_argument("Btb: bad geometry");
-    sets_.resize(entries / assoc);
-    for (auto &set : sets_)
-        set.resize(assoc_);
+    return entries / assoc;
+}
+
+} // namespace
+
+Btb::Btb(unsigned entries, unsigned assoc)
+    : entries_(setsFor(entries, assoc), assoc)
+{
 }
 
 bool
 Btb::accessAndFill(std::uint64_t pc)
 {
     ++lookups_;
-    ++tick_;
-    const std::uint64_t tag = pc >> 2;
-    auto &set = sets_[tag % sets_.size()];
-    for (Entry &e : set) {
-        if (e.valid && e.tag == tag) {
-            e.lastUse = tick_;
-            return true;
-        }
-    }
+    if (entries_.accessAndFill(pc >> 2))
+        return true;
     ++misses_;
-    Entry *victim = &set.front();
-    for (Entry &e : set) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->tag = tag;
-    victim->valid = true;
-    victim->lastUse = tick_;
     return false;
 }
 
 bool
 Btb::contains(std::uint64_t pc) const
 {
-    const std::uint64_t tag = pc >> 2;
-    const auto &set = sets_[tag % sets_.size()];
-    for (const Entry &e : set)
-        if (e.valid && e.tag == tag)
-            return true;
-    return false;
+    return entries_.find(pc >> 2) != nullptr;
 }
 
 void
 Btb::install(std::uint64_t pc)
 {
-    ++tick_;
-    const std::uint64_t tag = pc >> 2;
-    auto &set = sets_[tag % sets_.size()];
-    for (Entry &e : set) {
-        if (e.valid && e.tag == tag) {
-            e.lastUse = tick_;
-            return;
-        }
-    }
-    Entry *victim = &set.front();
-    for (Entry &e : set) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->tag = tag;
-    victim->valid = true;
-    victim->lastUse = tick_;
+    entries_.accessAndFill(pc >> 2);
 }
 
 void
 Btb::invalidateAll()
 {
-    for (auto &set : sets_)
-        for (auto &e : set)
-            e = Entry{};
+    entries_.clear();
 }
 
 } // namespace netchar::sim

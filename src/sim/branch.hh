@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/lru_sets.hh"
+
 namespace netchar::sim
 {
 
@@ -91,16 +93,7 @@ class Btb
     std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    unsigned assoc_;
-    std::vector<std::vector<Entry>> sets_;
-    std::uint64_t tick_ = 0;
+    LruSets<> entries_;
     std::uint64_t lookups_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -5,118 +5,81 @@
 namespace netchar::sim
 {
 
-Cache::Cache(const CacheGeometry &geometry, std::string name)
-    : name_(std::move(name)),
-      lineBytes_(geometry.lineBytes),
-      assoc_(geometry.associativity)
+namespace
 {
-    if (lineBytes_ == 0 || assoc_ == 0)
-        throw std::invalid_argument(name_ + ": zero line size or assoc");
+
+/** Set count of a valid geometry; throws naming the cache otherwise. */
+std::uint64_t
+setsFor(const CacheGeometry &geometry, const std::string &name)
+{
+    if (geometry.lineBytes == 0 || geometry.associativity == 0)
+        throw std::invalid_argument(name + ": zero line size or assoc");
     const std::uint64_t way_bytes =
-        static_cast<std::uint64_t>(lineBytes_) * assoc_;
+        static_cast<std::uint64_t>(geometry.lineBytes) *
+        geometry.associativity;
     if (geometry.sizeBytes == 0 || geometry.sizeBytes % way_bytes != 0)
         throw std::invalid_argument(
-            name_ + ": size not a multiple of assoc x line");
-    const std::uint64_t num_sets = geometry.sizeBytes / way_bytes;
-    sets_.resize(num_sets);
-    for (auto &set : sets_)
-        set.ways.resize(assoc_);
+            name + ": size not a multiple of assoc x line");
+    return geometry.sizeBytes / way_bytes;
+}
+
+} // namespace
+
+Cache::Cache(const CacheGeometry &geometry, std::string name)
+    : lineBytes_(geometry.lineBytes),
+      lines_(setsFor(geometry, name), geometry.associativity)
+{
+}
+
+CacheOutcome
+Cache::fill(std::uint64_t line, LineState state)
+{
+    CacheOutcome out;
+    auto &victim = lines_.victim(line);
+    if (victim.valid) {
+        out.evictedUnusedPrefetch = victim.data.prefetched;
+        out.writeback = victim.data.dirty;
+    }
+    lines_.stamp(victim, line, state);
+    return out;
 }
 
 CacheOutcome
 Cache::access(std::uint64_t addr, bool is_write)
 {
-    CacheOutcome out;
     ++accesses_;
-    ++tick_;
     const std::uint64_t line = lineFor(addr);
-    Set &set = sets_[line % sets_.size()];
-
-    for (Way &way : set.ways) {
-        if (way.valid && way.tag == line) {
-            out.hit = true;
-            out.hitOnPrefetch = way.prefetched;
-            way.prefetched = false;
-            way.lastUse = tick_;
-            way.dirty = way.dirty || is_write;
-            return out;
-        }
+    if (auto *hit = lines_.touch(line)) {
+        CacheOutcome out;
+        out.hit = true;
+        out.hitOnPrefetch = hit->data.prefetched;
+        hit->data.prefetched = false;
+        hit->data.dirty = hit->data.dirty || is_write;
+        return out;
     }
-
     ++misses_;
-    // Victim: invalid way first, else LRU.
-    Way *victim = &set.ways.front();
-    for (Way &way : set.ways) {
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
-    }
-    if (victim->valid) {
-        out.evictedUnusedPrefetch = victim->prefetched;
-        out.writeback = victim->dirty;
-    }
-    victim->tag = line;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->prefetched = false;
-    victim->lastUse = tick_;
-    return out;
+    return fill(line, {is_write, false});
 }
 
 CacheOutcome
 Cache::insertPrefetch(std::uint64_t addr)
 {
-    CacheOutcome out;
-    ++tick_;
     const std::uint64_t line = lineFor(addr);
-    Set &set = sets_[line % sets_.size()];
-
-    for (Way &way : set.ways) {
-        if (way.valid && way.tag == line)
-            return out; // already present; nothing to do
-    }
-
-    Way *victim = &set.ways.front();
-    for (Way &way : set.ways) {
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
-    }
-    if (victim->valid) {
-        out.evictedUnusedPrefetch = victim->prefetched;
-        out.writeback = victim->dirty;
-    }
-    victim->tag = line;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->prefetched = true;
-    victim->lastUse = tick_;
-    return out;
+    if (lines_.find(line) != nullptr)
+        return {}; // already present; nothing to do
+    return fill(line, {false, true});
 }
 
 bool
 Cache::contains(std::uint64_t addr) const
 {
-    const std::uint64_t line = lineFor(addr);
-    const Set &set = sets_[line % sets_.size()];
-    for (const Way &way : set.ways)
-        if (way.valid && way.tag == line)
-            return true;
-    return false;
+    return lines_.find(lineFor(addr)) != nullptr;
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &set : sets_)
-        for (auto &way : set.ways)
-            way = Way{};
+    lines_.clear();
 }
 
 } // namespace netchar::sim

@@ -13,9 +13,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/config.hh"
+#include "sim/lru_sets.hh"
 
 namespace netchar::sim
 {
@@ -81,24 +81,16 @@ class Cache
     std::uint64_t misses() const { return misses_; }
 
     /** Number of sets (geometry introspection for tests). */
-    std::size_t numSets() const { return sets_.size(); }
+    std::size_t numSets() const { return lines_.sets(); }
 
     /** Line size in bytes. */
     unsigned lineBytes() const { return lineBytes_; }
 
   private:
-    struct Way
+    struct LineState
     {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false;
-    };
-
-    struct Set
-    {
-        std::vector<Way> ways;
     };
 
     std::uint64_t lineFor(std::uint64_t addr) const
@@ -106,11 +98,11 @@ class Cache
         return addr / lineBytes_;
     }
 
-    std::string name_;
+    /** Fill a missing line; reports what the evicted line leaves. */
+    CacheOutcome fill(std::uint64_t line, LineState state);
+
     unsigned lineBytes_;
-    unsigned assoc_;
-    std::vector<Set> sets_;
-    std::uint64_t tick_ = 0;
+    LruSets<LineState> lines_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -71,15 +71,27 @@ Core::setMlp(double mlp)
 }
 
 void
+Core::stall(SlotNode node, double cycles)
+{
+    counters_.cycles += cycles;
+    stallCycles_[static_cast<std::size_t>(node)] += cycles;
+}
+
+double
+Core::walkCycles(const TlbOutcome &out) const
+{
+    return out.stlbHit ? cfg_.pipe.stlbHitLatency
+                       : cfg_.pipe.tlbWalkLatency;
+}
+
+void
 Core::touchPage(std::uint64_t addr)
 {
     const std::uint64_t page = addr / 4096;
     if (touchedPages_.insert(page).second) {
         ++counters_.pageFaults;
         // Fault service time; most of it is the walk + kernel entry.
-        counters_.cycles += cfg_.pipe.pageFaultPenalty;
-        stallCycles_[static_cast<std::size_t>(SlotNode::BeDramBound)] +=
-            cfg_.pipe.pageFaultPenalty;
+        stall(SlotNode::BeDramBound, cfg_.pipe.pageFaultPenalty);
     }
 }
 
@@ -153,19 +165,11 @@ void
 Core::doLoad(std::uint64_t addr)
 {
     ++counters_.loads;
-    auto stall = [&](SlotNode node, double cyc) {
-        counters_.cycles += cyc;
-        stallCycles_[static_cast<std::size_t>(node)] += cyc;
-    };
-
     const auto tlb_out = dtlb_.access(addr);
     if (!tlb_out.hit) {
         ++counters_.dtlbLoadMisses;
-        const double walk = tlb_out.stlbHit
-            ? cfg_.pipe.stlbHitLatency
-            : cfg_.pipe.tlbWalkLatency;
         stall(SlotNode::BeL1Bound,
-              walk * cfg_.pipe.memStallExposure / mlp_);
+              walkCycles(tlb_out) * cfg_.pipe.memStallExposure / mlp_);
     }
 
     const auto l1_out = l1d_.access(addr, false);
@@ -189,19 +193,11 @@ void
 Core::doStore(std::uint64_t addr)
 {
     ++counters_.stores;
-    auto stall = [&](SlotNode node, double cyc) {
-        counters_.cycles += cyc;
-        stallCycles_[static_cast<std::size_t>(node)] += cyc;
-    };
-
     const auto tlb_out = dtlb_.access(addr);
     if (!tlb_out.hit) {
         ++counters_.dtlbStoreMisses;
-        const double walk = tlb_out.stlbHit
-            ? cfg_.pipe.stlbHitLatency
-            : cfg_.pipe.tlbWalkLatency;
         stall(SlotNode::BeStoreBound,
-              walk * cfg_.pipe.memStallExposure / mlp_);
+              walkCycles(tlb_out) * cfg_.pipe.memStallExposure / mlp_);
     }
 
     if (rng_.chance(cfg_.pipe.storeBufferStall))
@@ -232,11 +228,6 @@ Core::fetch(std::uint64_t pc, bool kernel)
         return;
     lastFetchLine_ = fetch_line;
 
-    auto stall = [&](SlotNode node, double cyc) {
-        counters_.cycles += cyc;
-        stallCycles_[static_cast<std::size_t>(node)] += cyc;
-    };
-
     if (loopBuffer_.accessAndFill(fetch_line))
         return; // replay from the loop buffer: no fetch at all
 
@@ -252,10 +243,8 @@ Core::fetch(std::uint64_t pc, bool kernel)
     const auto tlb_out = itlb_.access(pc);
     if (!tlb_out.hit) {
         ++counters_.itlbMisses;
-        const double walk = tlb_out.stlbHit
-            ? cfg_.pipe.stlbHitLatency
-            : cfg_.pipe.tlbWalkLatency;
-        stall(SlotNode::FeITlb, walk * cfg_.pipe.feExposure);
+        stall(SlotNode::FeITlb,
+              walkCycles(tlb_out) * cfg_.pipe.feExposure);
     }
 
     const auto l1_out = l1i_.access(pc, false);
@@ -302,11 +291,6 @@ Core::execute(const Inst &inst)
         issue_.portStallPerInst();
 
     fetch(inst.pc, inst.kernel);
-
-    auto stall = [&](SlotNode node, double cyc) {
-        counters_.cycles += cyc;
-        stallCycles_[static_cast<std::size_t>(node)] += cyc;
-    };
 
     if (inst.microcoded)
         stall(SlotNode::FeMsSwitch, cfg_.pipe.msSwitchPenalty);

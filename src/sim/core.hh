@@ -134,6 +134,10 @@ class Core
     double missPath(std::uint64_t addr, bool is_write, SlotNode &node);
     void issuePrefetches(std::uint64_t addr);
     void touchPage(std::uint64_t addr);
+    /** Charge `cycles` to the clock and to one Top-Down node. */
+    void stall(SlotNode node, double cycles);
+    /** Translation latency of a first-level TLB miss. */
+    double walkCycles(const TlbOutcome &out) const;
 
     const MachineConfig &cfg_;
     LlcNoc &llc_;

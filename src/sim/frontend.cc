@@ -5,78 +5,46 @@
 namespace netchar::sim
 {
 
-Dsb::Dsb(unsigned lines, unsigned assoc)
-    : enabled_(lines > 0)
+namespace
 {
-    if (!enabled_)
-        return;
-    assoc_ = std::max(1u, std::min(assoc, lines));
-    unsigned num_sets = std::max(1u, lines / assoc_);
-    sets_.resize(num_sets);
-    for (auto &set : sets_)
-        set.resize(assoc_);
+
+/** Ways per set: assoc clamped to [1, lines]. */
+unsigned
+dsbWays(unsigned lines, unsigned assoc)
+{
+    return std::max(1u, std::min(assoc, lines));
+}
+
+} // namespace
+
+Dsb::Dsb(unsigned lines, unsigned assoc)
+    : lines_(lines == 0 ? 0 : std::max(1u, lines / dsbWays(lines, assoc)),
+             dsbWays(lines, assoc))
+{
 }
 
 bool
 Dsb::accessAndFill(std::uint64_t fetch_line)
 {
     ++lookups_;
-    if (!enabled_)
+    if (!lines_.accessAndFill(fetch_line))
         return false;
-    ++tick_;
-    auto &set = sets_[static_cast<std::size_t>(
-        fetch_line % sets_.size())];
-    for (Entry &e : set) {
-        if (e.valid && e.tag == fetch_line) {
-            e.lastUse = tick_;
-            ++hits_;
-            return true;
-        }
-    }
-    Entry *victim = &set.front();
-    for (Entry &e : set) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->tag = fetch_line;
-    victim->valid = true;
-    victim->lastUse = tick_;
-    return false;
+    ++hits_;
+    return true;
 }
 
 void
 Dsb::invalidateAll()
 {
-    for (auto &set : sets_)
-        for (auto &e : set)
-            e = Entry{};
+    lines_.clear();
 }
 
-LoopBuffer::LoopBuffer(unsigned lines) : capacity_(lines)
-{
-    lines_.reserve(capacity_);
-}
+LoopBuffer::LoopBuffer(unsigned lines) : lines_(1, lines) {}
 
 bool
 LoopBuffer::accessAndFill(std::uint64_t fetch_line)
 {
-    if (capacity_ == 0)
-        return false;
-    auto it = std::find(lines_.begin(), lines_.end(), fetch_line);
-    if (it != lines_.end()) {
-        // Move to most-recent position.
-        lines_.erase(it);
-        lines_.push_back(fetch_line);
-        return true;
-    }
-    if (lines_.size() >= capacity_)
-        lines_.erase(lines_.begin());
-    lines_.push_back(fetch_line);
-    return false;
+    return lines_.accessAndFill(fetch_line);
 }
 
 void

@@ -14,7 +14,8 @@
 #define NETCHAR_SIM_FRONTEND_HH
 
 #include <cstdint>
-#include <vector>
+
+#include "sim/lru_sets.hh"
 
 namespace netchar::sim
 {
@@ -44,17 +45,7 @@ class Dsb
     std::uint64_t hits() const { return hits_; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    bool enabled_;
-    unsigned assoc_ = 1;
-    std::vector<std::vector<Entry>> sets_;
-    std::uint64_t tick_ = 0;
+    LruSets<> lines_;
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;
 };
@@ -77,8 +68,7 @@ class LoopBuffer
     void invalidateAll();
 
   private:
-    unsigned capacity_;
-    std::vector<std::uint64_t> lines_; ///< most recent last
+    LruSets<> lines_;
 };
 
 } // namespace netchar::sim

@@ -1,0 +1,138 @@
+/**
+ * @file
+ * One set-associative tag store with true-LRU replacement, shared by
+ * every tagged structure in sim/: caches, TLBs, the BTB, the DSB, the
+ * loop buffer and the stream-prefetcher table.
+ *
+ * Entries live in one flat set-major array. The set of a tag is
+ * `tag % sets` (not a mask: the Xeon DSB has 12 sets). A victim is the
+ * first invalid way of the set, otherwise its least recently used way.
+ */
+
+#ifndef NETCHAR_SIM_LRU_SETS_HH
+#define NETCHAR_SIM_LRU_SETS_HH
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+namespace netchar::sim
+{
+
+/** Payload of a store that keeps only tags. */
+struct NoPayload
+{
+};
+
+/**
+ * Set-associative LRU tag store.
+ *
+ * A store built with zero sets or zero ways holds nothing: every probe
+ * misses and accessAndFill() never fills.
+ */
+template <typename Payload = NoPayload>
+class LruSets
+{
+  public:
+    struct Entry
+    {
+        std::uint64_t tag = 0;
+        /** Stamp of the last fill or hit; only the order matters. */
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        Payload data{};
+    };
+
+    LruSets(std::size_t sets, std::size_t ways)
+        : sets_(sets == 0 ? 1 : sets),
+          ways_(sets == 0 ? 0 : ways),
+          entries_(sets_ * ways_)
+    {
+    }
+
+    std::size_t sets() const { return sets_; }
+
+    /** Probe without any state change; nullptr on a miss. */
+    Entry *find(std::uint64_t tag)
+    {
+        Entry *set = setFor(tag);
+        for (std::size_t w = 0; w < ways_; ++w)
+            if (set[w].valid && set[w].tag == tag)
+                return &set[w];
+        return nullptr;
+    }
+
+    const Entry *find(std::uint64_t tag) const
+    {
+        return const_cast<LruSets *>(this)->find(tag);
+    }
+
+    /** Probe; a hit becomes the most recently used way of its set. */
+    Entry *touch(std::uint64_t tag)
+    {
+        Entry *e = find(tag);
+        if (e != nullptr)
+            e->lastUse = ++tick_;
+        return e;
+    }
+
+    /**
+     * The way a fill of `tag` replaces: the first invalid way of the
+     * set, else the least recently used one. Needs ways > 0. Read
+     * what it held before stamp() overwrites it.
+     */
+    Entry &victim(std::uint64_t tag)
+    {
+        Entry *set = setFor(tag);
+        Entry *v = set;
+        for (std::size_t w = 0; w < ways_; ++w) {
+            if (!set[w].valid)
+                return set[w];
+            if (set[w].lastUse < v->lastUse)
+                v = &set[w];
+        }
+        return *v;
+    }
+
+    /** Fill `e` with `tag` as the most recently used way. */
+    void stamp(Entry &e, std::uint64_t tag, const Payload &data = {})
+    {
+        e.tag = tag;
+        e.lastUse = ++tick_;
+        e.valid = true;
+        e.data = data;
+    }
+
+    /** touch(), filling the victim on a miss. @return true on a hit. */
+    bool accessAndFill(std::uint64_t tag)
+    {
+        if (touch(tag) != nullptr)
+            return true;
+        if (ways_ > 0)
+            stamp(victim(tag), tag);
+        return false;
+    }
+
+    /** Invalidate every entry. */
+    void clear()
+    {
+        for (Entry &e : entries_)
+            e = Entry{};
+    }
+
+  private:
+    Entry *setFor(std::uint64_t tag)
+    {
+        return entries_.data() +
+               static_cast<std::size_t>(tag % sets_) * ways_;
+    }
+
+    std::size_t sets_;
+    std::size_t ways_;
+    std::vector<Entry> entries_;
+    std::uint64_t tick_ = 0;
+};
+
+} // namespace netchar::sim
+
+#endif // NETCHAR_SIM_LRU_SETS_HH

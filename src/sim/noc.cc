@@ -17,9 +17,9 @@ LlcNoc::LlcNoc(const CacheGeometry &geometry, unsigned slices,
             "LlcNoc: capacity does not divide across slices");
     CacheGeometry slice_geom = geometry;
     slice_geom.sizeBytes = geometry.sizeBytes / slices;
+    slices_.reserve(slices);
     for (unsigned i = 0; i < slices; ++i)
-        slices_.push_back(
-            std::make_unique<Cache>(slice_geom, "llc-slice"));
+        slices_.emplace_back(slice_geom, "llc-slice");
 }
 
 std::size_t
@@ -71,7 +71,7 @@ LlcNoc::access(std::uint64_t addr, bool is_write,
     lastQueueDelay_ = queue_delay;
 
     const auto cache_out =
-        slices_[sliceFor(addr)]->access(addr, is_write);
+        slices_[sliceFor(addr)].access(addr, is_write);
     out.hit = cache_out.hit;
     out.evictedUnusedPrefetch = cache_out.evictedUnusedPrefetch;
     out.writeback = cache_out.writeback;
@@ -84,20 +84,20 @@ LlcNoc::access(std::uint64_t addr, bool is_write,
 CacheOutcome
 LlcNoc::insertPrefetch(std::uint64_t addr)
 {
-    return slices_[sliceFor(addr)]->insertPrefetch(addr);
+    return slices_[sliceFor(addr)].insertPrefetch(addr);
 }
 
 bool
 LlcNoc::contains(std::uint64_t addr) const
 {
-    return slices_[sliceFor(addr)]->contains(addr);
+    return slices_[sliceFor(addr)].contains(addr);
 }
 
 void
 LlcNoc::reset()
 {
     for (auto &slice : slices_)
-        slice->invalidateAll();
+        slice.invalidateAll();
     accesses_ = 0;
     misses_ = 0;
     smoothedRate_ = 0.0;

@@ -15,7 +15,6 @@
 #define NETCHAR_SIM_NOC_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/cache.hh"
@@ -109,7 +108,7 @@ class LlcNoc
   private:
     std::size_t sliceFor(std::uint64_t addr) const;
 
-    std::vector<std::unique_ptr<Cache>> slices_;
+    std::vector<Cache> slices_;
     double baseLatency_;
     NocParams params_;
     std::uint64_t accesses_ = 0;

@@ -6,50 +6,28 @@ namespace netchar::sim
 {
 
 StreamPrefetcher::StreamPrefetcher(const PrefetcherParams &params)
-    : params_(params)
+    : params_(params), streams_(1, params.streams)
 {
     if (params_.streams == 0 || params_.lineBytes == 0 ||
         params_.pageBytes == 0)
         throw std::invalid_argument("StreamPrefetcher: bad params");
-    streams_.resize(params_.streams);
 }
 
 std::vector<std::uint64_t>
 StreamPrefetcher::observe(std::uint64_t addr)
 {
-    ++tick_;
     const std::uint64_t line = addr / params_.lineBytes;
     const std::uint64_t page = addr / params_.pageBytes;
 
     // Find the stream for this page, or allocate one (LRU victim,
     // preferring invalid slots).
-    Stream *stream = nullptr;
-    for (Stream &s : streams_) {
-        if (s.valid && s.page == page) {
-            stream = &s;
-            break;
-        }
-    }
-    if (stream == nullptr) {
-        Stream *victim = &streams_.front();
-        for (Stream &s : streams_) {
-            if (!s.valid) {
-                victim = &s;
-                break;
-            }
-            if (s.lastUse < victim->lastUse)
-                victim = &s;
-        }
-        victim->page = page;
-        victim->lastLine = line;
-        victim->direction = 0;
-        victim->confidence = 0;
-        victim->valid = true;
-        victim->lastUse = tick_;
+    auto *entry = streams_.touch(page);
+    if (entry == nullptr) {
+        streams_.stamp(streams_.victim(page), page, {line, 0, 0});
         return {};
     }
 
-    stream->lastUse = tick_;
+    Stream *stream = &entry->data;
     std::vector<std::uint64_t> out;
     if (line == stream->lastLine)
         return out; // same line, no new direction information
@@ -87,8 +65,7 @@ StreamPrefetcher::observe(std::uint64_t addr)
 void
 StreamPrefetcher::reset()
 {
-    for (auto &s : streams_)
-        s = Stream{};
+    streams_.clear();
 }
 
 } // namespace netchar::sim

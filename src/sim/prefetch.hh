@@ -5,9 +5,10 @@
  * §VII-A1 of the paper hinges on a property of real hardware stream
  * prefetchers: they do not prefetch across 4 KiB page boundaries, so
  * freshly JITed code pages always start cold. The `crossPageHint`
- * switch models the paper's proposed ISA hook that lets the runtime
- * tell the prefetcher about new code pages — the basis of the
- * `bench_ablation_jit_prefetch` experiment.
+ * switch lets a stream run on past the boundary. The paper's proposed
+ * ISA hook for new code pages is modelled separately, by
+ * `RunOptions::jitHint` and `Core::onJitPage`, which is what
+ * `bench_ablation_jit_prefetch` sets.
  */
 
 #ifndef NETCHAR_SIM_PREFETCH_HH
@@ -15,6 +16,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "sim/lru_sets.hh"
 
 namespace netchar::sim
 {
@@ -28,7 +31,7 @@ struct PrefetcherParams
     unsigned degree = 2;
     /** Accesses on a stream required before prefetching starts. */
     unsigned trainThreshold = 2;
-    /** Allow prefetches to cross 4 KiB page boundaries (ISA hint). */
+    /** Allow prefetches to cross page boundaries. */
     bool crossPageHint = false;
     /** Page size used for the boundary check. */
     std::uint64_t pageBytes = 4096;
@@ -64,19 +67,16 @@ class StreamPrefetcher
     const PrefetcherParams &params() const { return params_; }
 
   private:
+    /** Per-page stream state; the table is tagged by page number. */
     struct Stream
     {
-        std::uint64_t page = 0;
         std::uint64_t lastLine = 0;
         int direction = 0;     ///< +1 ascending, -1 descending
         unsigned confidence = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     PrefetcherParams params_;
-    std::vector<Stream> streams_;
-    std::uint64_t tick_ = 0;
+    LruSets<Stream> streams_;
 };
 
 } // namespace netchar::sim

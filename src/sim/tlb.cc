@@ -5,88 +5,56 @@
 namespace netchar::sim
 {
 
-Tlb::Tlb(const TlbGeometry &geometry)
-    : pageBytes_(geometry.pageBytes), assoc_(geometry.associativity)
+namespace
 {
-    if (geometry.pageBytes == 0 || assoc_ == 0)
+
+/** Set count of a valid geometry; throws otherwise. */
+std::size_t
+setsFor(const TlbGeometry &geometry)
+{
+    if (geometry.pageBytes == 0 || geometry.associativity == 0)
         throw std::invalid_argument("Tlb: zero page size or assoc");
-    if (geometry.entries == 0 || geometry.entries % assoc_ != 0)
+    if (geometry.entries == 0 ||
+        geometry.entries % geometry.associativity != 0)
         throw std::invalid_argument(
             "Tlb: entries not a multiple of associativity");
-    sets_.resize(geometry.entries / assoc_);
-    for (auto &set : sets_)
-        set.resize(assoc_);
+    return geometry.entries / geometry.associativity;
 }
 
-Tlb::Entry *
-Tlb::findVictim(std::vector<Entry> &set)
+} // namespace
+
+Tlb::Tlb(const TlbGeometry &geometry)
+    : pageBytes_(geometry.pageBytes),
+      entries_(setsFor(geometry), geometry.associativity)
 {
-    Entry *victim = &set.front();
-    for (Entry &e : set) {
-        if (!e.valid)
-            return &e;
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    return victim;
 }
 
 bool
 Tlb::access(std::uint64_t addr)
 {
     ++accesses_;
-    ++tick_;
-    const std::uint64_t vpn = vpnFor(addr);
-    auto &set = sets_[vpn % sets_.size()];
-    for (Entry &e : set) {
-        if (e.valid && e.vpn == vpn) {
-            e.lastUse = tick_;
-            return true;
-        }
-    }
+    if (entries_.accessAndFill(vpnFor(addr)))
+        return true;
     ++misses_;
-    Entry *victim = findVictim(set);
-    victim->vpn = vpn;
-    victim->valid = true;
-    victim->lastUse = tick_;
     return false;
 }
 
 bool
 Tlb::contains(std::uint64_t addr) const
 {
-    const std::uint64_t vpn = vpnFor(addr);
-    const auto &set = sets_[vpn % sets_.size()];
-    for (const Entry &e : set)
-        if (e.valid && e.vpn == vpn)
-            return true;
-    return false;
+    return entries_.find(vpnFor(addr)) != nullptr;
 }
 
 void
 Tlb::install(std::uint64_t addr)
 {
-    ++tick_;
-    const std::uint64_t vpn = vpnFor(addr);
-    auto &set = sets_[vpn % sets_.size()];
-    for (Entry &e : set) {
-        if (e.valid && e.vpn == vpn) {
-            e.lastUse = tick_;
-            return;
-        }
-    }
-    Entry *victim = findVictim(set);
-    victim->vpn = vpn;
-    victim->valid = true;
-    victim->lastUse = tick_;
+    entries_.accessAndFill(vpnFor(addr));
 }
 
 void
 Tlb::invalidateAll()
 {
-    for (auto &set : sets_)
-        for (auto &e : set)
-            e = Entry{};
+    entries_.clear();
 }
 
 TlbHierarchy::TlbHierarchy(const TlbGeometry &l1, const TlbGeometry &stlb)
@@ -107,9 +75,6 @@ TlbHierarchy::access(std::uint64_t addr)
     if (hasStlb_ && stlb_.access(addr)) {
         out.stlbHit = true;
         return out;
-    }
-    if (hasStlb_) {
-        // The walk filled the STLB via access(); nothing more to do.
     }
     ++walks_;
     return out;

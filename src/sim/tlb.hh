@@ -11,9 +11,9 @@
 #define NETCHAR_SIM_TLB_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/config.hh"
+#include "sim/lru_sets.hh"
 
 namespace netchar::sim
 {
@@ -55,24 +55,13 @@ class Tlb
     std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t vpn = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
     std::uint64_t vpnFor(std::uint64_t addr) const
     {
         return addr / pageBytes_;
     }
 
-    Entry *findVictim(std::vector<Entry> &set);
-
     std::uint64_t pageBytes_;
-    unsigned assoc_;
-    std::vector<std::vector<Entry>> sets_;
-    std::uint64_t tick_ = 0;
+    LruSets<> entries_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -123,6 +123,48 @@ TEST(SubsetTest, CleanInputHasIdentityRowMap)
         EXPECT_EQ(result.rowMap[i], i);
 }
 
+TEST(SubsetTest, SurvivorSubsetSkipsFailedRunsAndIndexesProfiles)
+{
+    const auto rows = twoGroups(8); // profiles 0..7 group A, 8..15 B
+    std::vector<RunResult> results(rows.size());
+    SuiteRunStats stats;
+    stats.runs.resize(rows.size());
+    std::vector<MetricVector> kept;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        stats.runs[i].index = i;
+        stats.runs[i].succeeded = i != 2 && i != 9;
+        // A failed run's result is default-constructed.
+        if (stats.runs[i].succeeded) {
+            results[i].metrics = rows[i];
+            kept.push_back(rows[i]);
+        }
+    }
+    SubsetOptions opts;
+    opts.subsetSize = 2;
+    const auto out = buildSurvivorSubset(results, stats, opts);
+    EXPECT_EQ(out.surviving, 14u);
+
+    // Same subset as over the survivors alone, re-indexed by profile.
+    const auto direct = buildSubset(kept, opts);
+    const auto profileOf = [](std::size_t row) {
+        return row + (row >= 2) + (row >= 8);
+    };
+    ASSERT_EQ(out.subset.clusters.size(), direct.clusters.size());
+    for (std::size_t c = 0; c < direct.clusters.size(); ++c) {
+        EXPECT_EQ(out.subset.representatives[c],
+                  profileOf(direct.representatives[c]));
+        ASSERT_EQ(out.subset.clusters[c].size(),
+                  direct.clusters[c].size());
+        for (std::size_t k = 0; k < direct.clusters[c].size(); ++k)
+            EXPECT_EQ(out.subset.clusters[c][k],
+                      profileOf(direct.clusters[c][k]));
+    }
+    ASSERT_EQ(out.subset.rowMap.size(), 14u);
+    EXPECT_EQ(out.subset.rowMap[1], 1u);
+    EXPECT_EQ(out.subset.rowMap[2], 3u);
+    EXPECT_EQ(out.subset.rowMap[8], 10u);
+}
+
 TEST(SubsetTest, ThrowsWhenTooFewFiniteRowsSurvive)
 {
     auto rows = twoGroups(2); // 4 benchmarks

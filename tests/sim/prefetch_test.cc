@@ -81,7 +81,7 @@ TEST(PrefetchTest, StopsAtPageBoundary)
 TEST(PrefetchTest, CrossPageHintPrefetchesThroughBoundary)
 {
     PrefetcherParams p = basicParams();
-    p.crossPageHint = true; // the paper's proposed ISA hook
+    p.crossPageHint = true; // streams run past the page boundary
     StreamPrefetcher pf(p);
     pf.observe(0xE80);
     pf.observe(0xEC0);

@@ -646,38 +646,30 @@ cmdSubset(const std::string &suite_name, const CliOptions &opts)
     if (!writeLedger(stats, opts.ledgerFile))
         return EXIT_FAILURE;
 
-    // Keep-going semantics: build the subset over surviving rows,
-    // keeping the original benchmark names attached.
-    std::vector<MetricVector> rows;
-    std::vector<std::size_t> survivors;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (stats.runs[i].succeeded) {
-            rows.push_back(results[i].metrics);
-            survivors.push_back(i);
-        }
-    }
     const int sweep_code = sweepExitCode(stats);
     if (sweep_code == EXIT_FAILURE)
         return EXIT_FAILURE;
 
+    // Keep-going semantics: build the subset over surviving rows,
+    // keeping the original benchmark names attached.
     SubsetOptions sopts;
     sopts.subsetSize = opts.subsetSize;
-    SubsetResult subset;
+    SurvivorSubset survivors;
     try {
-        subset = buildSubset(rows, sopts);
+        survivors = buildSurvivorSubset(results, stats, sopts);
     } catch (const std::exception &ex) {
         std::fprintf(stderr, "error: %s\n", ex.what());
         return EXIT_FAILURE;
     }
+    const SubsetResult &subset = survivors.subset;
     std::printf("# representative subset (%zu of %zu surviving, "
                 "%zu total), PRCO variance %s\n",
-                subset.representatives.size(), rows.size(),
+                subset.representatives.size(), survivors.surviving,
                 profiles.size(),
                 fmtPercent(subset.pca.cumulativeExplained()).c_str());
     for (std::size_t c = 0; c < subset.clusters.size(); ++c) {
-        const std::size_t rep = survivors[subset.representatives[c]];
         std::printf("%s  (cluster of %zu)\n",
-                    profiles[rep].name.c_str(),
+                    profiles[subset.representatives[c]].name.c_str(),
                     subset.clusters[c].size());
     }
     return sweep_code;
