@@ -1,7 +1,10 @@
 #include "core/canonical.hh"
 
 #include <cstdio>
-#include <sstream>
+#include <stdexcept>
+
+#include "stats/hash.hh"
+#include "workloads/registry.hh"
 
 namespace netchar
 {
@@ -23,58 +26,71 @@ canonNum(double value)
 }
 
 void
-field(std::ostringstream &os, const char *key, const std::string &v)
+field(std::string &os, const char *key, std::string_view v)
 {
-    os << key << '=' << v << ';';
+    os.append(key).append(1, '=').append(v).append(1, ';');
 }
 
 void
-field(std::ostringstream &os, const char *key, double v)
+field(std::string &os, const char *key, double v)
 {
-    os << key << '=' << canonNum(v) << ';';
+    field(os, key, canonNum(v));
 }
 
 void
-field(std::ostringstream &os, const char *key, std::uint64_t v)
+field(std::string &os, const char *key, std::uint64_t v)
 {
-    os << key << '=' << v << ';';
+    field(os, key, std::to_string(v));
 }
 
 void
-field(std::ostringstream &os, const char *key, unsigned v)
+field(std::string &os, const char *key, unsigned v)
 {
-    os << key << '=' << v << ';';
+    field(os, key, std::to_string(v));
 }
 
 void
-field(std::ostringstream &os, const char *key, bool v)
+field(std::string &os, const char *key, bool v)
 {
-    os << key << '=' << (v ? 1 : 0) << ';';
+    os.append(key).append(v ? "=1;" : "=0;");
 }
 
 void
-cacheField(std::ostringstream &os, const char *key,
+cacheField(std::string &os, const char *key,
            const sim::CacheGeometry &g)
 {
-    os << key << '=' << g.sizeBytes << '/' << g.associativity << '/'
-       << g.lineBytes << ';';
+    field(os, key,
+          std::to_string(g.sizeBytes) + '/' +
+              std::to_string(g.associativity) + '/' +
+              std::to_string(g.lineBytes));
 }
 
 void
-tlbField(std::ostringstream &os, const char *key,
-         const sim::TlbGeometry &g)
+tlbField(std::string &os, const char *key, const sim::TlbGeometry &g)
 {
-    os << key << '=' << g.entries << '/' << g.associativity << '/'
-       << g.pageBytes << ';';
+    field(os, key,
+          std::to_string(g.entries) + '/' +
+              std::to_string(g.associativity) + '/' +
+              std::to_string(g.pageBytes));
 }
+
+/** The version tag that opens every cache-key text. */
+std::string
+keyHead()
+{
+    return "netchar-key/v" + std::to_string(kCanonicalVersion) + '{';
+}
+
+/** Namespace the serve layer puts in front of a single run's key
+ *  text before hashing it. */
+constexpr std::string_view kRunNamespace = "run/";
 
 } // namespace
 
 std::string
 canonicalProfile(const wl::WorkloadProfile &p)
 {
-    std::ostringstream os;
-    os << "profile{";
+    std::string os = "profile{";
     field(os, "name", p.name);
     field(os, "suite", wl::suiteName(p.suite));
     field(os, "instructions", p.instructions);
@@ -113,15 +129,14 @@ canonicalProfile(const wl::WorkloadProfile &p)
     field(os, "exceptionPki", p.exceptionPki);
     field(os, "contentionPki", p.contentionPki);
     field(os, "seed", p.seed);
-    os << '}';
-    return os.str();
+    os += '}';
+    return os;
 }
 
 std::string
 canonicalMachine(const sim::MachineConfig &m)
 {
-    std::ostringstream os;
-    os << "machine{";
+    std::string os = "machine{";
     field(os, "name", m.name);
     field(os, "isa", static_cast<unsigned>(static_cast<int>(m.isa)));
     field(os, "physicalCores", m.physicalCores);
@@ -168,15 +183,14 @@ canonicalMachine(const sim::MachineConfig &m)
     field(os, "divLatency", p.divLatency);
     field(os, "codeSpreadFactor", m.codeSpreadFactor);
     field(os, "dataSpreadFactor", m.dataSpreadFactor);
-    os << '}';
-    return os.str();
+    os += '}';
+    return os;
 }
 
 std::string
 canonicalRunOptions(const RunOptions &o)
 {
-    std::ostringstream os;
-    os << "options{";
+    std::string os = "options{";
     field(os, "warmupInstructions", o.warmupInstructions);
     field(os, "measuredInstructions", o.measuredInstructions);
     field(os, "cores", o.cores);
@@ -190,21 +204,21 @@ canonicalRunOptions(const RunOptions &o)
         field(os, "gcMode",
               static_cast<unsigned>(static_cast<int>(*o.gcMode)));
     else
-        os << "gcMode=unset;";
+        os += "gcMode=unset;";
     if (o.gcAssist)
         field(os, "gcAssist",
               static_cast<unsigned>(static_cast<int>(*o.gcAssist)));
     else
-        os << "gcAssist=unset;";
+        os += "gcAssist=unset;";
     if (o.maxHeapBytes)
         field(os, "maxHeapBytes", *o.maxHeapBytes);
     else
-        os << "maxHeapBytes=unset;";
+        os += "maxHeapBytes=unset;";
     field(os, "allocScale", o.allocScale);
     field(os, "quantum", o.quantum);
     field(os, "runBudgetCycles", o.runBudgetCycles);
-    os << '}';
-    return os.str();
+    os += '}';
+    return os;
 }
 
 std::string
@@ -212,11 +226,65 @@ cacheKeyText(const wl::WorkloadProfile &profile,
              const sim::MachineConfig &config,
              const RunOptions &options)
 {
-    std::ostringstream os;
-    os << "netchar-key/v" << kCanonicalVersion << '{'
-       << canonicalProfile(profile) << canonicalMachine(config)
-       << canonicalRunOptions(options) << '}';
-    return os.str();
+    return keyHead() + canonicalProfile(profile) +
+           canonicalMachine(config) + canonicalRunOptions(options) + '}';
+}
+
+RunKeyTable::RunKeyTable() : runHead_(std::string(kRunNamespace) + keyHead())
+{
+    for (const wl::WorkloadProfile &p : wl::registeredProfiles())
+        profiles_.push_back(canonicalProfile(p));
+    for (const sim::MachineModel &m : sim::machineModels())
+        machines_.push_back(canonicalMachine(m.make()));
+    const std::uint64_t head = fnv1a(runHead_);
+    forward_.reserve(profiles_.size() * machines_.size());
+    for (const std::string &profile : profiles_) {
+        const std::uint64_t h = fnv1a(profile, head);
+        for (const std::string &machine : machines_)
+            forward_.push_back(fnv1a(machine, h));
+    }
+}
+
+const RunKeyTable &
+RunKeyTable::instance()
+{
+    static const RunKeyTable table;
+    return table;
+}
+
+const std::string &
+RunKeyTable::profileText(std::size_t profile) const
+{
+    return profiles_.at(profile);
+}
+
+const std::string &
+RunKeyTable::machineText(std::string_view machineKey) const
+{
+    return machines_[machineIndex(machineKey)];
+}
+
+std::string
+RunKeyTable::runKey(std::size_t profile, std::string_view machineKey,
+                    const RunOptions &options) const
+{
+    const std::size_t m = machineIndex(machineKey);
+    const std::string_view pieces[] = {runHead_, profiles_.at(profile),
+                                       machines_[m]};
+    return contentHashHex(
+        {forward_[profile * machines_.size() + m], pieces},
+        canonicalRunOptions(options) + '}');
+}
+
+std::size_t
+RunKeyTable::machineIndex(std::string_view machineKey) const
+{
+    const auto models = sim::machineModels();
+    for (std::size_t m = 0; m < models.size(); ++m)
+        if (models[m].key == machineKey)
+            return m;
+    throw std::invalid_argument("unknown machine '" +
+                                std::string(machineKey) + "'");
 }
 
 } // namespace netchar

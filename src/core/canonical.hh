@@ -19,7 +19,11 @@
 #ifndef NETCHAR_CORE_CANONICAL_HH
 #define NETCHAR_CORE_CANONICAL_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/characterize.hh"
 #include "sim/config.hh"
@@ -55,6 +59,52 @@ std::string canonicalRunOptions(const RunOptions &options);
 std::string cacheKeyText(const wl::WorkloadProfile &profile,
                          const sim::MachineConfig &config,
                          const RunOptions &options);
+
+/**
+ * The canonical texts of every registered profile
+ * (wl::registeredProfiles()) and machine model (sim::machineModels()),
+ * rendered once, plus the forward FNV-1a state of each run key's
+ * static head: `"run/" + "netchar-key/v1{" + profile + machine`. A
+ * run key then costs one canonicalRunOptions() rendering and one hash
+ * over text the table already holds — the serve daemon's cache-hit
+ * path. Per (profile, machine) pair it stores 8 bytes, not the ~1.9 KB
+ * head text. cacheKeyText() stays the reference: runKey() returns
+ * exactly contentHashHex("run/" + cacheKeyText(...)).
+ */
+class RunKeyTable
+{
+  public:
+    /** The table, built on first use and immutable after (so any
+     *  thread may read it). */
+    static const RunKeyTable &instance();
+
+    /** canonicalProfile() of the profile at registry index
+     *  `profile`. */
+    const std::string &profileText(std::size_t profile) const;
+
+    /** canonicalMachine() of the model registered under
+     *  `machineKey`; throws std::invalid_argument for an unknown
+     *  key. */
+    const std::string &machineText(std::string_view machineKey) const;
+
+    /** contentHashHex("run/" + cacheKeyText(profile, machine,
+     *  options)) for the profile at registry index `profile` and
+     *  the model registered under `machineKey`. */
+    std::string runKey(std::size_t profile, std::string_view machineKey,
+                       const RunOptions &options) const;
+
+  private:
+    RunKeyTable();
+    std::size_t machineIndex(std::string_view machineKey) const;
+
+    /** "run/" plus the version tag that opens cacheKeyText(). */
+    std::string runHead_;
+    std::vector<std::string> profiles_;
+    /** In sim::machineModels() order. */
+    std::vector<std::string> machines_;
+    /** fnv1a(runHead_ + profile + machine), profile-major. */
+    std::vector<std::uint64_t> forward_;
+};
 
 } // namespace netchar
 

@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "core/canonical.hh"
 #include "core/executor.hh"
 #include "core/faults.hh"
 #include "serve/cache.hh"
@@ -249,6 +250,9 @@ class Server
     std::string address_;
     ResultCache cache_;
     Executor executor_;
+    /** Canonical key texts and run-key hash heads, built once per
+     *  process. */
+    const RunKeyTable &runKeys_;
     ServerCounters counters_;
     CacheJournal journal_;
     JournalRecoveryReport recovery_;

@@ -5,10 +5,28 @@
 namespace netchar
 {
 
+namespace
+{
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/** FNV-1a continuation over the bytes of `s` in reverse order. */
+std::uint64_t
+fnv1aReversed(std::string_view s, std::uint64_t h)
+{
+    for (auto it = s.rbegin(); it != s.rend(); ++it) {
+        h ^= static_cast<unsigned char>(*it);
+        h *= kFnvPrime;
+    }
+    return h;
+}
+
+} // namespace
+
 std::uint64_t
 fnv1a(std::string_view s)
 {
-    return fnv1a(s, 1469598103934665603ULL);
+    return fnv1a(s, kFnvOffsetBasis);
 }
 
 std::uint64_t
@@ -16,7 +34,7 @@ fnv1a(std::string_view s, std::uint64_t h)
 {
     for (const char c : s) {
         h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
+        h *= kFnvPrime;
     }
     return h;
 }
@@ -39,9 +57,18 @@ unitInterval(std::uint64_t h)
 std::string
 contentHashHex(std::string_view s)
 {
-    const std::uint64_t lo = splitmix64(fnv1a(s));
-    std::string reversed(s.rbegin(), s.rend());
-    const std::uint64_t hi = splitmix64(fnv1a(reversed) ^ lo);
+    return contentHashHex(HashedPrefix{}, s);
+}
+
+std::string
+contentHashHex(const HashedPrefix &prefix, std::string_view suffix)
+{
+    const std::uint64_t lo = splitmix64(fnv1a(suffix, prefix.forward));
+    std::uint64_t reversed = fnv1aReversed(suffix, kFnvOffsetBasis);
+    for (auto it = prefix.pieces.rbegin(); it != prefix.pieces.rend();
+         ++it)
+        reversed = fnv1aReversed(*it, reversed);
+    const std::uint64_t hi = splitmix64(reversed ^ lo);
     static const char digits[] = "0123456789abcdef";
     std::string hex(32, '0');
     for (int i = 0; i < 16; ++i) {

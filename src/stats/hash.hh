@@ -16,10 +16,15 @@
 #define NETCHAR_STATS_HASH_HH
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <string_view>
 
 namespace netchar
 {
+
+/** FNV-1a's initial state: the hash of no bytes. */
+inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 
 /** FNV-1a over a byte string: stable, platform-independent. */
 std::uint64_t fnv1a(std::string_view s);
@@ -41,6 +46,29 @@ double unitInterval(std::uint64_t h);
  * dependency-free and bit-stable everywhere.
  */
 std::string contentHashHex(std::string_view s);
+
+/**
+ * A leading run of bytes already folded into the forward FNV-1a
+ * state: `forward` is fnv1a() of the concatenated `pieces`, which
+ * stay where they are (the reverse pass reads them, no copy is made).
+ * The default is the empty prefix.
+ */
+struct HashedPrefix
+{
+    std::uint64_t forward = kFnvOffsetBasis;
+    std::span<const std::string_view> pieces;
+};
+
+/**
+ * contentHashHex(prefix bytes + suffix) without rehashing the prefix
+ * forwards or materializing the concatenation: the forward pass
+ * continues from `prefix.forward` over `suffix`, the reverse pass
+ * walks `suffix` and then the prefix pieces backwards. The
+ * one-argument form is this with an empty prefix, so both give the
+ * same hex for the same bytes.
+ */
+std::string contentHashHex(const HashedPrefix &prefix,
+                           std::string_view suffix);
 
 } // namespace netchar
 

@@ -20,6 +20,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -750,6 +751,78 @@ TEST(Admission, OversizedLineGetsErrorAndClose)
     EXPECT_TRUE(peerClosed)
         << "connection must be dropped after an oversized line";
     EXPECT_EQ(server.counters().oversized, 1u);
+}
+
+// -- accepted sockets ---------------------------------------------
+
+/** The daemon's end of a connection to the TCP port `port`: an
+ *  accepted (non-listening) socket of this process bound to it. */
+int
+acceptedSocketOnPort(std::uint16_t port)
+{
+    for (int fd = 0; fd < 1024; ++fd) {
+        sockaddr_in local{};
+        socklen_t len = sizeof(local);
+        int listening = 0;
+        socklen_t optLen = sizeof(listening);
+        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&local),
+                          &len) == 0 &&
+            local.sin_family == AF_INET && ntohs(local.sin_port) == port &&
+            ::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening,
+                         &optLen) == 0 &&
+            listening == 0)
+            return fd;
+    }
+    return -1;
+}
+
+TEST(Accept, TcpConnectionsGetNoDelayAndSendTimeout)
+{
+    ServerOptions sopts;
+    sopts.listen = "127.0.0.1:0";
+    sopts.idleTimeoutMs = 2500;
+    Server server(sopts);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    const auto port = static_cast<std::uint16_t>(std::stoul(
+        server.address().substr(server.address().rfind(':') + 1)));
+
+    int noDelay = -1;
+    timeval sendTimeout{};
+    std::vector<std::string> lines;
+    Executor executor(2);
+    executor.forEach(2, [&](std::size_t task) {
+        if (task == 0) {
+            server.serve();
+            return;
+        }
+        const int fd = rawConnect(server.address());
+        if (fd >= 0) {
+            // A pong proves the daemon has accepted and set up its
+            // end of the connection.
+            rawSend(fd, "{\"verb\":\"ping\"}\n");
+            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
+            lines = rawReadLines(fd, 1);
+            const int accepted = acceptedSocketOnPort(port);
+            socklen_t len = sizeof(noDelay);
+            ::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &noDelay,
+                         &len);
+            len = sizeof(sendTimeout);
+            ::getsockopt(accepted, SOL_SOCKET, SO_SNDTIMEO, &sendTimeout,
+                         &len);
+            ::close(fd);
+        }
+        ClientOptions copts;
+        copts.address = server.address();
+        Client client(copts);
+        std::string response, err;
+        client.request(R"({"verb":"shutdown"})", response, err);
+    });
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("pong"), std::string::npos) << lines[0];
+    EXPECT_EQ(noDelay, 1);
+    EXPECT_EQ(sendTimeout.tv_sec, 2);
+    EXPECT_EQ(sendTimeout.tv_usec, 500000);
 }
 
 // -- deadlines ----------------------------------------------------

@@ -138,6 +138,34 @@ TEST(RegistryTest, AllProfilesValidateAndHaveUniqueNames)
     }
 }
 
+TEST(RegistryTest, ProfileNamesAreUnique)
+{
+    // Distinct names make the registry's name index agree with a
+    // first-match scan of allProfiles().
+    const auto all = wl::allProfiles();
+    const auto registered = wl::registeredProfiles();
+    ASSERT_EQ(registered.size(), all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        std::size_t firstMatch = 0;
+        while (all[firstMatch].name != all[i].name)
+            ++firstMatch;
+        EXPECT_EQ(firstMatch, i) << "duplicate name " << all[i].name;
+        EXPECT_EQ(wl::profileIndex(all[i].name), i) << all[i].name;
+        EXPECT_EQ(registered[i].name, all[i].name);
+        EXPECT_EQ(wl::findProfile(all[i].name)->seed, all[i].seed);
+    }
+    // Each suite sits at its registry offset, in suiteProfiles order.
+    for (const auto suite : {wl::Suite::DotNet, wl::Suite::AspNet,
+                             wl::Suite::SpecCpu17}) {
+        const auto profiles = wl::suiteProfiles(suite);
+        for (std::size_t j = 0; j < profiles.size(); ++j)
+            EXPECT_EQ(registered[wl::suiteBegin(suite) + j].name,
+                      profiles[j].name);
+    }
+    EXPECT_FALSE(wl::profileIndex("").has_value());
+    EXPECT_FALSE(wl::profileIndex("seekunroll").has_value());
+}
+
 TEST(RegistryTest, TableIVSubsetNamesExist)
 {
     // Table IV of the paper lists these representative benchmarks.
