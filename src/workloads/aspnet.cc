@@ -61,8 +61,10 @@ aspnetBase(const char *name, const char *description,
     return p;
 }
 
+} // namespace
+
 std::vector<WorkloadProfile>
-buildAspnet()
+aspnetBenchmarks()
 {
     std::vector<WorkloadProfile> out;
     out.reserve(kAspNetBenchmarks);
@@ -270,15 +272,6 @@ buildAspnet()
     if (out.size() != kAspNetBenchmarks)
         throw std::logic_error("aspnet: benchmark count drifted");
     return out;
-}
-
-} // namespace
-
-std::vector<WorkloadProfile>
-aspnetBenchmarks()
-{
-    static const std::vector<WorkloadProfile> profiles = buildAspnet();
-    return profiles;
 }
 
 } // namespace netchar::wl

@@ -20,7 +20,8 @@ namespace netchar::wl
 /** Number of ASP.NET benchmarks. */
 constexpr std::size_t kAspNetBenchmarks = 53;
 
-/** The 53 benchmark profiles, canonical order. */
+/** The 53 benchmark profiles, canonical order.
+ *  Built on every call; wl::registeredProfiles() keeps one copy. */
 std::vector<WorkloadProfile> aspnetBenchmarks();
 
 } // namespace netchar::wl

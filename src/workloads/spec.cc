@@ -56,8 +56,10 @@ specBase(const char *name, const char *description, std::uint64_t seed)
     return p;
 }
 
+} // namespace
+
 std::vector<WorkloadProfile>
-buildSpec()
+specBenchmarks()
 {
     std::vector<WorkloadProfile> out;
     out.reserve(kSpecBenchmarks);
@@ -369,15 +371,6 @@ buildSpec()
     if (out.size() != kSpecBenchmarks)
         throw std::logic_error("spec: benchmark count drifted");
     return out;
-}
-
-} // namespace
-
-std::vector<WorkloadProfile>
-specBenchmarks()
-{
-    static const std::vector<WorkloadProfile> profiles = buildSpec();
-    return profiles;
 }
 
 } // namespace netchar::wl

@@ -19,7 +19,8 @@ namespace netchar::wl
 /** Number of SPEC CPU17 benchmarks modeled. */
 constexpr std::size_t kSpecBenchmarks = 20;
 
-/** The 20 SPEC CPU17 profiles, canonical order (int then fp). */
+/** The 20 SPEC CPU17 profiles, canonical order (int then fp).
+ *  Built on every call; wl::registeredProfiles() keeps one copy. */
 std::vector<WorkloadProfile> specBenchmarks();
 
 } // namespace netchar::wl
