@@ -73,4 +73,3 @@ NETCHAR_BENCH(ablation_gc_compact,
     ctx.metric("hw_gc_speedup_geomean", "x",
                bench::geomeanFloored(hw_speedups), true);
 }
-NETCHAR_BENCH_MAIN(ablation_gc_compact)

@@ -67,4 +67,3 @@ NETCHAR_BENCH(ablation_jit_prefetch,
     ctx.metric("cpi_speedup_geomean", "x",
                bench::geomeanFloored(cpi_gains), true);
 }
-NETCHAR_BENCH_MAIN(ablation_jit_prefetch)

@@ -57,4 +57,3 @@ NETCHAR_BENCH(ablation_mlp,
                                   : 0.0,
                true);
 }
-NETCHAR_BENCH_MAIN(ablation_mlp)

@@ -61,4 +61,3 @@ NETCHAR_BENCH(ablation_noc,
     ctx.metric("l3_bound_16c_contention_on", "frac", on_16c);
     ctx.metric("l3_bound_16c_contention_off", "frac", off_16c);
 }
-NETCHAR_BENCH_MAIN(ablation_noc)

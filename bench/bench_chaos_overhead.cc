@@ -2,14 +2,13 @@
  * @file
  * Resilience-machinery overhead check: wall time of the hardened
  * runAll path (watchdog plumbing, result screening, ledger plumbing,
- * chaos decision hooks — all with injection disabled) vs the plain
- * serial run loop, over the Table IV .NET subset. The acceptance
- * target is <= 5% overhead: with no chaos plan the per-run cost is a
- * null injector check, one seed pass-through and 24 isfinite() tests,
- * all constant per run and invisible next to the simulation itself.
- *
- * Exit code is 0 when overhead is within the target, 1 otherwise, so
- * the check can gate CI.
+ * chaos decision hooks — all with injection disabled) vs a plain
+ * run, profile by profile over the Table IV .NET subset. The OVH-02
+ * gate bounds the overhead at 10%: with no chaos plan the per-run
+ * cost is a null injector check, one seed pass-through and 24
+ * isfinite() tests, all constant per run and invisible next to the
+ * simulation itself. The bench fails only on divergence or
+ * unexpected run failures.
  */
 
 #include <cstdio>
@@ -22,7 +21,7 @@ using namespace netchar;
 
 NETCHAR_BENCH(chaos_overhead,
               "CI overhead check: hardened runAll vs plain run loop "
-              "with injection disabled (target <= 5%)")
+              "with injection disabled (target <= 10%)")
 {
     std::fprintf(stderr,
                  "Chaos overhead: resilient runAll vs plain runs\n");
@@ -44,27 +43,40 @@ NETCHAR_BENCH(chaos_overhead,
         ch.runAll({profiles.front()}, opts, par, &warm_stats);
     }
 
+    // Interleaved per profile, alternating which path goes first:
+    // timing all plain runs and then all hardened runs put seconds of
+    // host-load drift between the two sides, and on a shared host
+    // that alone swung the fraction by +-0.2 from run to run.
     double plain_s = 0.0, hardened_s = 0.0;
     for (int r = 0; r < reps; ++r) {
-        const double t0 = bench::nowSeconds();
-        std::vector<RunResult> plain;
-        plain.reserve(profiles.size());
-        for (const auto &p : profiles)
-            plain.push_back(ch.run(p, opts));
-        plain_s += bench::nowSeconds() - t0;
-
-        const double t1 = bench::nowSeconds();
-        SuiteRunStats stats;
-        const auto hardened = ch.runAll(profiles, opts, par, &stats);
-        hardened_s += bench::nowSeconds() - t1;
-
-        if (stats.failedRuns() != 0 || !stats.failures.empty()) {
-            ctx.fail("injection disabled yet runs failed");
-            return;
-        }
         for (std::size_t i = 0; i < profiles.size(); ++i) {
-            if (hardened[i].counters.instructions !=
-                plain[i].counters.instructions) {
+            RunResult plain;
+            std::vector<RunResult> hardened;
+            SuiteRunStats stats;
+            const auto timePlain = [&] {
+                const double t0 = bench::nowSeconds();
+                plain = ch.run(profiles[i], opts);
+                plain_s += bench::nowSeconds() - t0;
+            };
+            const auto timeHardened = [&] {
+                const double t0 = bench::nowSeconds();
+                hardened = ch.runAll({profiles[i]}, opts, par, &stats);
+                hardened_s += bench::nowSeconds() - t0;
+            };
+            if (i % 2 == 0) {
+                timePlain();
+                timeHardened();
+            } else {
+                timeHardened();
+                timePlain();
+            }
+
+            if (stats.failedRuns() != 0 || !stats.failures.empty()) {
+                ctx.fail("injection disabled yet runs failed");
+                return;
+            }
+            if (hardened.front().counters.instructions !=
+                plain.counters.instructions) {
                 ctx.fail(profiles[i].name + ": hardened run diverged");
                 return;
             }
@@ -77,13 +89,12 @@ NETCHAR_BENCH(chaos_overhead,
         "Resilience overhead over the .NET subset (%d rep(s))\n\n",
         reps);
     TextTable table({"Path", "Wall s"});
-    table.addRow({"plain run loop", fmtFixed(plain_s, 3)});
+    table.addRow({"plain runs", fmtFixed(plain_s, 3)});
     table.addRow({"hardened runAll", fmtFixed(hardened_s, 3)});
     ctx.printf("%s\n", table.render().c_str());
-    ctx.printf("overhead: %+.1f%% (target: <= 5%%)\n",
+    ctx.printf("overhead: %+.1f%% (target: <= 10%%)\n",
                100.0 * overhead);
     // The OVH-02 gate enforces the budget over the best repeat; a
     // hard failure here would make a single noisy sample fatal.
     ctx.metric("overhead_frac", "frac", overhead, false);
 }
-NETCHAR_BENCH_MAIN(chaos_overhead)

@@ -61,4 +61,3 @@ NETCHAR_BENCH(fig01_dendrogram,
     ctx.metric("clusters", "count",
                static_cast<double>(subset.clusters.size()), true);
 }
-NETCHAR_BENCH_MAIN(fig01_dendrogram)

@@ -135,4 +135,3 @@ NETCHAR_BENCH(fig02_validation,
     ctx.metric("accuracy_b_pct", "%",
                subsetAccuracyPct(micro_full, subset_b), true);
 }
-NETCHAR_BENCH_MAIN(fig02_validation)

@@ -71,4 +71,3 @@ NETCHAR_BENCH(fig03_kernel_frac,
                "stack dominates ASP.NET kernel time).\n");
     ctx.metric("kernel_frac_mean_aspnet", "frac", mean(aspnet));
 }
-NETCHAR_BENCH_MAIN(fig03_kernel_frac)

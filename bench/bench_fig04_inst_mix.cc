@@ -93,4 +93,3 @@ NETCHAR_BENCH(fig04_inst_mix,
     ctx.metric("spec_gm_stores_frac", "frac",
                bench::geomeanFloored(spec.stores));
 }
-NETCHAR_BENCH_MAIN(fig04_inst_mix)

@@ -79,4 +79,3 @@ NETCHAR_BENCH(fig05_ctrl_pca,
     ctx.metric("stddev_ratio_spec_vs_dotnet", "x",
                sd_spec / sd_dotnet, true);
 }
-NETCHAR_BENCH_MAIN(fig05_ctrl_pca)

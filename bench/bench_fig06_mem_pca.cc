@@ -92,4 +92,3 @@ NETCHAR_BENCH(fig06_mem_pca,
     ctx.metric("stddev_ratio_spec_vs_aspnet", "x",
                sd_spec / sd_asp, true);
 }
-NETCHAR_BENCH_MAIN(fig06_mem_pca)

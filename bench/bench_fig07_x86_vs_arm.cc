@@ -122,4 +122,3 @@ NETCHAR_BENCH(fig07_x86_vs_arm,
     ctx.metric("llc_mpki_ratio_arm_vs_x86", "x",
                llc_arm / llc_x86, true);
 }
-NETCHAR_BENCH_MAIN(fig07_x86_vs_arm)

@@ -122,4 +122,3 @@ NETCHAR_BENCH(fig08_counters,
     ctx.metric("l1d_mpki_gm_spec", "mpki",
                gmMetric(suites[2], MetricId::L1dMpki));
 }
-NETCHAR_BENCH_MAIN(fig08_counters)

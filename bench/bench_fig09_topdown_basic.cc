@@ -84,4 +84,3 @@ NETCHAR_BENCH(fig09_topdown_basic,
     ctx.metric("backend_bound_mean_aspnet", "frac",
                mean(be_aspnet));
 }
-NETCHAR_BENCH_MAIN(fig09_topdown_basic)

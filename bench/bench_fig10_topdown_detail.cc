@@ -84,4 +84,3 @@ NETCHAR_BENCH(fig10_topdown_detail,
             bench::standardOptions());
     ctx.metric("sections", "count", 3.0);
 }
-NETCHAR_BENCH_MAIN(fig10_topdown_detail)

@@ -68,4 +68,3 @@ NETCHAR_BENCH(fig11_scaling_topdown,
     ctx.metric("backend_bound_mean_16c", "frac",
                mean_be_by_cores.back());
 }
-NETCHAR_BENCH_MAIN(fig11_scaling_topdown)

@@ -86,4 +86,3 @@ NETCHAR_BENCH(fig12_l3_bound,
     ctx.metric("l3_bound_mean_16c", "frac",
                mean(l3_by_cores.back()));
 }
-NETCHAR_BENCH_MAIN(fig12_l3_bound)

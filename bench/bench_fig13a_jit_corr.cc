@@ -123,4 +123,3 @@ NETCHAR_BENCH(fig13a_jit_corr,
                "(jitted pages are prefetchable) signal.\n");
     ctx.metric("branch_mpki_mean_r", "r", branch_mean_r, true);
 }
-NETCHAR_BENCH_MAIN(fig13a_jit_corr)

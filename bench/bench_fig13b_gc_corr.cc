@@ -217,4 +217,3 @@ NETCHAR_BENCH(fig13b_gc_corr,
     ctx.metric("gc_events_aligned", "count",
                static_cast<double>(llc_pp.events), true);
 }
-NETCHAR_BENCH_MAIN(fig13b_gc_corr)

@@ -212,4 +212,3 @@ NETCHAR_BENCH(fig14_gc_sweep,
     ctx.metric("speedup_ws_over_srv", "x",
                bench::geomeanFloored(time_ratios), true);
 }
-NETCHAR_BENCH_MAIN(fig14_gc_sweep)

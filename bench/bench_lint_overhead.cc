@@ -85,4 +85,3 @@ NETCHAR_BENCH(lint_overhead,
     }
     ctx.print(table.render());
 }
-NETCHAR_BENCH_MAIN(lint_overhead)

@@ -88,4 +88,3 @@ NETCHAR_BENCH(metric_redundancy,
     ctx.metric("components_for_90pct", "count",
                static_cast<double>(needed_for_90));
 }
-NETCHAR_BENCH_MAIN(metric_redundancy)

@@ -94,4 +94,3 @@ NETCHAR_BENCH(parallel_scaling,
                    "@ 8 jobs target needs >= 8\n",
                    hw);
 }
-NETCHAR_BENCH_MAIN(parallel_scaling)

@@ -1,7 +1,9 @@
 /**
  * @file
- * Serving throughput over a loopback socket (feeds the SRV-01 and
- * SRV-02 gates).
+ * Serving throughput over a loopback socket. No gate reads it:
+ * perfbench's serve-hit workload judges the hit path end to end, and
+ * the admission-overhead fraction varies more from run to run than
+ * any useful bound.
  *
  * One daemon, one client, TCP on 127.0.0.1: after warming the
  * content-addressed cache with a single run request, the bench
@@ -18,7 +20,7 @@
  * per-round request/byte budgets, line-size cap, idle timer). The
  * uncontended single-client path never trips a budget, so the gap
  * between the two is pure bookkeeping overhead —
- * `admission_overhead_frac`, bounded at <= 5% by the SRV-02 gate.
+ * `admission_overhead_frac`.
  * The headline ping/hit metrics come from the defaults run: that is
  * the configuration users get.
  */
@@ -106,8 +108,7 @@ measureLoopback(serve::ServerOptions sopts, int pings, int hits)
 NETCHAR_BENCH_REPEATS(serve_loopback,
                       "Loopback serving throughput: ping and "
                       "cache-hit round-trips per second, plus the "
-                      "admission-control overhead fraction (feeds "
-                      "the SRV-01 and SRV-02 gates)",
+                      "admission-control overhead fraction",
                       3, 2, 1)
 {
     const int pings = bench::quickMode() ? 2000 : 10000;
@@ -140,8 +141,7 @@ NETCHAR_BENCH_REPEATS(serve_loopback,
     ctx.metric("ping_rps", "req/s", guarded.pingRps, true);
     ctx.metric("hit_rps", "req/s", guarded.hitRps, true);
     ctx.metric("miss_ms", "ms", guarded.missMs, false);
-    // The SRV-02 gate enforces <= 5% over the best repeat; negative
-    // values just mean the gap is below measurement noise.
+    // Negative values just mean the gap is below measurement noise.
     ctx.metric("admission_overhead_frac", "frac", overhead, false);
     ctx.printf("loopback serving: %.0f ping/s, %.0f cache-hit "
                "run/s (first miss %.2f ms); unbounded %.0f hit/s "
@@ -149,4 +149,3 @@ NETCHAR_BENCH_REPEATS(serve_loopback,
                guarded.pingRps, guarded.hitRps, guarded.missMs,
                open.hitRps, 100.0 * overhead);
 }
-NETCHAR_BENCH_MAIN(serve_loopback)

@@ -69,4 +69,3 @@ NETCHAR_BENCH(table3_pca_loadings,
     ctx.metric("cumulative_variance_top4", "frac",
                pca.cumulativeExplained(), true);
 }
-NETCHAR_BENCH_MAIN(table3_pca_loadings)

@@ -79,4 +79,3 @@ NETCHAR_BENCH(table4_subsets,
     ctx.metric("subset_size_dotnet", "count",
                static_cast<double>(dotnet.size()), true);
 }
-NETCHAR_BENCH_MAIN(table4_subsets)

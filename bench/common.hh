@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the paper-reproduction bench binaries: the
+ * Shared helpers for the paper-reproduction benches: the
  * Table IV representative subsets, standard run options, progress
  * reporting, and a quick mode for smoke runs.
  */
@@ -28,7 +28,7 @@ std::vector<wl::WorkloadProfile> tableIvAspnet();
 std::vector<wl::WorkloadProfile> tableIvSpec();
 
 // quickMode()/scaledInstructions()/nowSeconds() live in harness.hh:
-// one clock and one quick-mode policy for every bench binary.
+// one clock and one quick-mode policy for every bench.
 
 /** Standard §III methodology options (honors quick mode). */
 RunOptions standardOptions();
@@ -41,9 +41,6 @@ std::vector<RunResult>
 runSuite(const Characterizer &ch,
          const std::vector<wl::WorkloadProfile> &profiles,
          const RunOptions &options);
-
-/** Scale an instruction budget down in quick mode. */
-std::uint64_t scaledInstructions(std::uint64_t full);
 
 /** Names of a profile list. */
 std::vector<std::string>

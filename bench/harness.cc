@@ -7,12 +7,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "core/report.hh"
-#include "stats/json.hh"
 #include "stats/textio.hh"
 
 namespace netchar::bench
@@ -43,7 +43,7 @@ double
 nowSeconds()
 {
     // The bench harness measures host wall time by design: that is
-    // its output, recorded into reports and baselines. Every timing
+    // its output, recorded into reports and gated. Every timing
     // in bench/ flows from this single sanctioned site.
     // netchar-lint: allow-flow(flow-wallclock) -- bench measurements are wall time by definition
     return std::chrono::duration<double>(
@@ -107,10 +107,7 @@ Registration::Registration(BenchDef def)
 // Context.
 // ---------------------------------------------------------------
 
-Context::Context(bool echoText, int repeat, int repeats)
-    : echo_(echoText), repeat_(repeat), repeats_(repeats)
-{
-}
+Context::Context(bool echoText) : echo_(echoText) {}
 
 void
 Context::metric(const std::string &name, const std::string &unit,
@@ -257,16 +254,16 @@ BenchResult
 runBench(const BenchDef &def, const RunConfig &config)
 {
     const auto clock = config.clock ? config.clock : &nowSeconds;
-    int repeats = config.repeatOverride > 0
+    const unsigned repeats = config.repeatOverride > 0
         ? config.repeatOverride
-        : (quickMode() ? def.quickRepeats : def.repeats);
-    repeats = std::max(1, repeats);
+        : static_cast<unsigned>(std::max(
+              1, quickMode() ? def.quickRepeats : def.repeats));
 
     BenchResult result;
     result.name = def.name;
 
     for (int w = 0; w < def.warmupRepeats; ++w) {
-        Context ctx(false, -1, repeats);
+        Context ctx(false);
         def.fn(ctx);
         if (ctx.failed()) {
             result.failed = true;
@@ -277,9 +274,9 @@ runBench(const BenchDef &def, const RunConfig &config)
 
     std::vector<SampleSet> sets;
     std::vector<double> walls;
-    for (int r = 0; r < repeats; ++r) {
+    for (unsigned r = 0; r < repeats; ++r) {
         const bool last = r + 1 == repeats;
-        Context ctx(config.echoText && last, r, repeats);
+        Context ctx(config.echoText && last);
         const double t0 = clock();
         def.fn(ctx);
         walls.push_back(clock() - t0);
@@ -473,115 +470,6 @@ reportJson(const Report &report)
 }
 
 // ---------------------------------------------------------------
-// Baseline reading.
-// ---------------------------------------------------------------
-
-namespace
-{
-
-double
-numberOr(const JsonValue *v, double fallback)
-{
-    return v != nullptr && v->kind == JsonValue::Kind::Number
-        ? v->number
-        : fallback;
-}
-
-} // namespace
-
-bool
-parseReportJson(const std::string &text, Report &out,
-                std::string &error)
-{
-    JsonValue root;
-    if (!parseJson(text, root, error))
-        return false;
-    if (root.kind != JsonValue::Kind::Object) {
-        error = "report must be a JSON object";
-        return false;
-    }
-    out = Report{};
-    if (const auto *mode = root.find("mode");
-        mode != nullptr && mode->kind == JsonValue::Kind::String)
-        out.mode = mode->string;
-    out.hardwareThreads = static_cast<unsigned>(
-        numberOr(root.find("hardwareThreads"), 0.0));
-
-    const auto *benches = root.find("benches");
-    if (benches == nullptr ||
-        benches->kind != JsonValue::Kind::Array) {
-        error = "report has no \"benches\" array";
-        return false;
-    }
-    for (const auto &entry : benches->array) {
-        if (entry.kind != JsonValue::Kind::Object) {
-            error = "bench entry is not an object";
-            return false;
-        }
-        BenchResult bench;
-        const auto *name = entry.find("name");
-        if (name == nullptr ||
-            name->kind != JsonValue::Kind::String) {
-            error = "bench entry has no name";
-            return false;
-        }
-        bench.name = name->string;
-        if (const auto *failed = entry.find("failed");
-            failed != nullptr &&
-            failed->kind == JsonValue::Kind::Bool)
-            bench.failed = failed->boolean;
-        if (const auto *failure = entry.find("failure");
-            failure != nullptr &&
-            failure->kind == JsonValue::Kind::String)
-            bench.failure = failure->string;
-        if (const auto *metrics = entry.find("metrics");
-            metrics != nullptr &&
-            metrics->kind == JsonValue::Kind::Array) {
-            for (const auto &mj : metrics->array) {
-                if (mj.kind != JsonValue::Kind::Object)
-                    continue;
-                MetricResult metric;
-                const auto *mname = mj.find("name");
-                if (mname == nullptr ||
-                    mname->kind != JsonValue::Kind::String) {
-                    error = "metric entry has no name (bench " +
-                            bench.name + ")";
-                    return false;
-                }
-                metric.name = mname->string;
-                if (const auto *unit = mj.find("unit");
-                    unit != nullptr &&
-                    unit->kind == JsonValue::Kind::String)
-                    metric.unit = unit->string;
-                if (const auto *hib = mj.find("higherIsBetter");
-                    hib != nullptr &&
-                    hib->kind == JsonValue::Kind::Bool)
-                    metric.higherIsBetter = hib->boolean;
-                metric.agg.n = static_cast<std::size_t>(
-                    numberOr(mj.find("n"), 0.0));
-                metric.agg.p50 = numberOr(mj.find("p50"), 0.0);
-                metric.agg.p90 = numberOr(mj.find("p90"), 0.0);
-                metric.agg.p99 = numberOr(mj.find("p99"), 0.0);
-                metric.agg.min = numberOr(mj.find("min"), 0.0);
-                metric.agg.max = numberOr(mj.find("max"), 0.0);
-                metric.agg.mean = numberOr(mj.find("mean"), 0.0);
-                bench.metrics.push_back(std::move(metric));
-            }
-        }
-        std::sort(bench.metrics.begin(), bench.metrics.end(),
-                  [](const MetricResult &a, const MetricResult &b) {
-                      return a.name < b.name;
-                  });
-        out.benches.push_back(std::move(bench));
-    }
-    std::sort(out.benches.begin(), out.benches.end(),
-              [](const BenchResult &a, const BenchResult &b) {
-                  return a.name < b.name;
-              });
-    return true;
-}
-
-// ---------------------------------------------------------------
 // Perf gates.
 // ---------------------------------------------------------------
 
@@ -589,25 +477,6 @@ const std::vector<Gate> &
 ciGates()
 {
     static const std::vector<Gate> gates = {
-        {"SIM-01", "sim_throughput", "dotnet_minstr_per_s",
-         GateKind::MinRatioVsBaseline, 0.70, 0,
-         "simulator hot path must not regress on the .NET micro "
-         "class (every figure sweep pays this cost)"},
-        {"SIM-02", "sim_throughput", "aspnet_minstr_per_s",
-         GateKind::MinRatioVsBaseline, 0.70, 0,
-         "kernel-heavy ASP.NET class exercises syscall/NoC paths "
-         "the micro class misses"},
-        {"SIM-03", "sim_throughput", "spec_minstr_per_s",
-         GateKind::MinRatioVsBaseline, 0.70, 0,
-         "memory-bound SPEC class exercises the cache/TLB/prefetch "
-         "stack"},
-        {"ANA-01", "sim_throughput", "pca_ms",
-         GateKind::MaxRatioVsBaseline, 1.50, 0,
-         "PCA kernel backs every Table III/Fig 5-6 reproduction"},
-        {"ANA-02", "sim_throughput", "cluster_ms",
-         GateKind::MaxRatioVsBaseline, 1.50, 0,
-         "hierarchical clustering backs the dendrogram and Table IV "
-         "subsetting"},
         {"PAR-01", "parallel_scaling", "speedup_4j",
          GateKind::MinAbsolute, 2.5, 4,
          "the suite engine must keep near-linear fan-out at 4 jobs "
@@ -620,17 +489,6 @@ ciGates()
          GateKind::MaxAbsolute, 0.10, 0,
          "resilience machinery with injection disabled must stay "
          "invisible (PR-3 budget)"},
-        {"SRV-01", "serve_loopback", "hit_rps",
-         GateKind::MinRatioVsBaseline, 0.40, 0,
-         "a cached-hit query must stay a hash plus a socket round "
-         "trip; if serving throughput collapses toward miss "
-         "latency the repeat-queries-are-free contract is broken"},
-        {"SRV-02", "serve_loopback", "admission_overhead_frac",
-         GateKind::MaxAbsolute, 0.05, 0,
-         "admission control (request/byte budgets, line caps, idle "
-         "timers) must be invisible on the uncontended fast path: "
-         "overload protection that taxes normal serving would just "
-         "move the overload"},
         {"LNT-01", "lint_overhead", "concurrency_ratio",
          GateKind::MaxAbsolute, 2.0, 0,
          "the CFG/lockset concurrency pass must stay within 2x of "
@@ -658,30 +516,9 @@ namespace
 std::string
 gateCriterion(const Gate &gate)
 {
-    const std::string subject = gate.bench + "." + gate.metric;
-    switch (gate.kind) {
-    case GateKind::MinRatioVsBaseline:
-        return subject + " >= " + fmtShort(gate.threshold) +
-               "x baseline";
-    case GateKind::MaxRatioVsBaseline:
-        return subject + " <= " + fmtShort(gate.threshold) +
-               "x baseline";
-    case GateKind::MinAbsolute:
-        return subject + " >= " + fmtShort(gate.threshold);
-    case GateKind::MaxAbsolute:
-        return subject + " <= " + fmtShort(gate.threshold);
-    }
-    return subject;
-}
-
-const MetricResult *
-findMetric(const Report &report, const Gate &gate,
-           const BenchResult **benchOut = nullptr)
-{
-    const BenchResult *bench = report.find(gate.bench);
-    if (benchOut != nullptr)
-        *benchOut = bench;
-    return bench != nullptr ? bench->find(gate.metric) : nullptr;
+    return gate.bench + "." + gate.metric +
+           (gate.kind == GateKind::MinAbsolute ? " >= " : " <= ") +
+           fmtShort(gate.threshold);
 }
 
 /** The statistic a gate compares: the best observed sample. On a
@@ -697,8 +534,7 @@ gateStatistic(const MetricResult &metric)
 } // namespace
 
 GateReport
-checkGates(const Report &current, const Report &baseline,
-           const std::vector<Gate> &gates,
+checkGates(const Report &current, const std::vector<Gate> &gates,
            unsigned hardwareThreads)
 {
     GateReport report;
@@ -715,9 +551,9 @@ checkGates(const Report &current, const Report &baseline,
             continue;
         }
 
-        const BenchResult *bench = nullptr;
+        const BenchResult *bench = current.find(gate.bench);
         const MetricResult *metric =
-            findMetric(current, gate, &bench);
+            bench != nullptr ? bench->find(gate.metric) : nullptr;
         if (metric == nullptr) {
             outcome.verdict = Verdict::MissingMetric;
             outcome.note = bench == nullptr
@@ -728,7 +564,7 @@ checkGates(const Report &current, const Report &baseline,
             continue;
         }
         outcome.current = gateStatistic(*metric);
-        if (bench != nullptr && bench->failed) {
+        if (bench->failed) {
             outcome.verdict = Verdict::Regress;
             outcome.note = "bench failed: " + bench->failure;
             report.pass = false;
@@ -736,43 +572,13 @@ checkGates(const Report &current, const Report &baseline,
             continue;
         }
 
-        const bool ratio =
-            gate.kind == GateKind::MinRatioVsBaseline ||
-            gate.kind == GateKind::MaxRatioVsBaseline;
-        if (ratio) {
-            const MetricResult *base = findMetric(baseline, gate);
-            if (base == nullptr) {
-                outcome.verdict = Verdict::MissingMetric;
-                outcome.note = "metric absent from baseline";
-                report.pass = false;
-                report.outcomes.push_back(std::move(outcome));
-                continue;
-            }
-            outcome.baseline = gateStatistic(*base);
-            outcome.bound = gate.threshold * outcome.baseline;
-        } else {
-            outcome.bound = gate.threshold;
-        }
-
-        const bool wantAtLeast =
-            gate.kind == GateKind::MinRatioVsBaseline ||
-            gate.kind == GateKind::MinAbsolute;
-        const bool ok = wantAtLeast
-            ? outcome.current >= outcome.bound
-            : outcome.current <= outcome.bound;
+        const bool ok = gate.kind == GateKind::MinAbsolute
+            ? outcome.current >= gate.threshold
+            : outcome.current <= gate.threshold;
         outcome.verdict = ok ? Verdict::Pass : Verdict::Regress;
         if (!ok)
             report.pass = false;
         report.outcomes.push_back(std::move(outcome));
-    }
-
-    for (const auto &bench : current.benches) {
-        const BenchResult *base = baseline.find(bench.name);
-        for (const auto &metric : bench.metrics)
-            if (base == nullptr ||
-                base->find(metric.name) == nullptr)
-                report.newMetrics.push_back(bench.name + "." +
-                                            metric.name);
     }
     return report;
 }
@@ -782,20 +588,13 @@ gateTable(const GateReport &report)
 {
     // Markdown pipes: readable in a terminal, renders as a table
     // when CI drops it into the job summary.
-    std::string out =
-        "| Gate | Criterion | Current | Baseline | Bound | Verdict "
-        "|\n|---|---|---|---|---|---|\n";
+    std::string out = "| Gate | Criterion | Current | Verdict |\n"
+                      "|---|---|---|---|\n";
     for (const auto &o : report.outcomes) {
-        const bool ratio =
-            o.gate.kind == GateKind::MinRatioVsBaseline ||
-            o.gate.kind == GateKind::MaxRatioVsBaseline;
         const bool measured = o.verdict == Verdict::Pass ||
                               o.verdict == Verdict::Regress;
         out += "| " + o.gate.id + " | " + gateCriterion(o.gate) +
                " | " + (measured ? fmtShort(o.current) : "-") +
-               " | " +
-               (measured && ratio ? fmtShort(o.baseline) : "-") +
-               " | " + (measured ? fmtShort(o.bound) : "-") +
                " | " + std::string(verdictName(o.verdict));
         if (!o.note.empty())
             out += " (" + o.note + ")";
@@ -814,44 +613,25 @@ injectRegression(Report &report, const std::vector<Gate> &gates)
             for (auto &metric : bench.metrics) {
                 if (metric.name != gate.metric)
                     continue;
-                const bool wantAtLeast =
-                    gate.kind == GateKind::MinRatioVsBaseline ||
-                    gate.kind == GateKind::MinAbsolute;
-                const bool absolute =
-                    gate.kind == GateKind::MinAbsolute ||
-                    gate.kind == GateKind::MaxAbsolute;
-                if (absolute) {
-                    // Scaling cannot push a near-zero metric (e.g.
-                    // an overhead fraction of ~0) past an absolute
-                    // bound, so plant a value that violates it
-                    // outright.
-                    const double bad = wantAtLeast
-                        ? 0.5 * gate.threshold
-                        : 2.0 * gate.threshold;
-                    metric.agg.p50 = bad;
-                    metric.agg.p90 = bad;
-                    metric.agg.p99 = bad;
-                    metric.agg.min = bad;
-                    metric.agg.max = bad;
-                    metric.agg.mean = bad;
-                    continue;
-                }
-                // Ratio gates: a 4x slowdown overwhelms any honest
-                // run-to-run noise between current and baseline.
-                const double factor = wantAtLeast ? 0.25 : 4.0;
-                metric.agg.p50 *= factor;
-                metric.agg.p90 *= factor;
-                metric.agg.p99 *= factor;
-                metric.agg.min *= factor;
-                metric.agg.max *= factor;
-                metric.agg.mean *= factor;
+                // Scaling cannot push a near-zero metric (e.g. an
+                // overhead fraction of ~0) past an absolute bound,
+                // so plant a value that violates it outright.
+                const double bad = gate.kind == GateKind::MinAbsolute
+                    ? 0.5 * gate.threshold
+                    : 2.0 * gate.threshold;
+                metric.agg.p50 = bad;
+                metric.agg.p90 = bad;
+                metric.agg.p99 = bad;
+                metric.agg.min = bad;
+                metric.agg.max = bad;
+                metric.agg.mean = bad;
             }
         }
     }
 }
 
 // ---------------------------------------------------------------
-// Entry points.
+// Entry point.
 // ---------------------------------------------------------------
 
 namespace
@@ -867,18 +647,6 @@ writeFile(const std::string &path, const std::string &content)
     std::ofstream out(path, std::ios::binary);
     out << content;
     return static_cast<bool>(out);
-}
-
-bool
-readFile(const std::string &path, std::string &content)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    content = buf.str();
-    return true;
 }
 
 void
@@ -900,20 +668,16 @@ driverUsage(std::FILE *to)
         "  --table              print the aggregate table (default\n"
         "                       when no other output is selected)\n"
         "  --csv FILE           write CSV results ('-' = stdout)\n"
-        "  --json FILE          write JSON results ('-' = stdout);\n"
-        "                       the baseline-recording format\n"
-        "  --ci-check BASELINE  run the gated benches, compare\n"
-        "                       against BASELINE.json, print the\n"
+        "  --json FILE          write JSON results ('-' = stdout)\n"
+        "  --ci-check           run the gated benches, print the\n"
         "                       gate table; exit 1 on regression\n"
-        "  --ci-bench-only      restrict the run to the benches the\n"
-        "                       gates reference (baseline recording)\n"
         "  --self-test-regress  with --ci-check: inject a synthetic\n"
-        "                       slowdown to prove the gate trips\n"
+        "                       regression to prove the gates trip\n"
         "  --echo               stream figure text to stdout\n"
         "  --no-progress        suppress stderr progress lines\n"
         "\n"
         "exit codes: 0 success; 1 bench failure or gate\n"
-        "regression; 2 usage, I/O or parse error\n",
+        "regression; 2 usage or I/O error\n",
         to);
 }
 
@@ -929,47 +693,11 @@ setQuickEnv(bool quick)
 } // namespace
 
 int
-standaloneMain(const char *benchName, int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg == "--quick") {
-            setQuickEnv(true);
-        } else if (arg == "--full") {
-            setQuickEnv(false);
-        } else {
-            std::fprintf(stderr,
-                         "unknown option '%s' (standalone bench "
-                         "binaries take --quick/--full only; use "
-                         "netchar_bench for the full CLI)\n",
-                         argv[i]);
-            return 2;
-        }
-    }
-    const BenchDef *def = Registry::global().find(benchName);
-    if (def == nullptr) {
-        std::fprintf(stderr, "bench '%s' is not registered\n",
-                     benchName);
-        return 2;
-    }
-    RunConfig config;
-    config.echoText = true;
-    const BenchResult result = runBench(*def, config);
-    if (result.failed) {
-        std::fprintf(stderr, "FAIL: %s: %s\n", result.name.c_str(),
-                     result.failure.c_str());
-        return 1;
-    }
-    return 0;
-}
-
-int
 driverMain(int argc, char **argv)
 {
     bool list = false, listGates = false, table = false;
     bool ciCheck = false, selfTestRegress = false;
-    bool ciBenchOnly = false;
-    std::string csvPath, jsonPath, baselinePath;
+    std::string csvPath, jsonPath;
     RunConfig config;
     config.echoText = false;
 
@@ -1001,8 +729,8 @@ driverMain(int argc, char **argv)
             setQuickEnv(false);
         } else if (arg == "--self-test-regress") {
             selfTestRegress = true;
-        } else if (arg == "--ci-bench-only") {
-            ciBenchOnly = true;
+        } else if (arg == "--ci-check") {
+            ciCheck = true;
         } else if (arg == "--filter") {
             const char *v = value("--filter");
             if (v == nullptr)
@@ -1012,13 +740,16 @@ driverMain(int argc, char **argv)
             const char *v = value("--repeats");
             if (v == nullptr)
                 return 2;
-            const int n = std::atoi(v);
-            if (n <= 0) {
+            if (!parseUnsigned(std::string_view(v),
+                               config.repeatOverride) ||
+                config.repeatOverride == 0) {
                 std::fprintf(stderr,
-                             "--repeats must be positive\n");
+                             "--repeats expects an unsigned integer "
+                             "from 1 to %u, got '%s'\n",
+                             std::numeric_limits<unsigned>::max(),
+                             v);
                 return 2;
             }
-            config.repeatOverride = n;
         } else if (arg == "--csv") {
             const char *v = value("--csv");
             if (v == nullptr)
@@ -1029,12 +760,6 @@ driverMain(int argc, char **argv)
             if (v == nullptr)
                 return 2;
             jsonPath = v;
-        } else if (arg == "--ci-check") {
-            const char *v = value("--ci-check");
-            if (v == nullptr)
-                return 2;
-            ciCheck = true;
-            baselinePath = v;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
             driverUsage(stderr);
@@ -1063,24 +788,9 @@ driverMain(int argc, char **argv)
         return 0;
     }
 
-    Report baseline;
     if (ciCheck) {
-        std::string text, error;
-        if (!readFile(baselinePath, text)) {
-            std::fprintf(stderr, "cannot read baseline '%s'\n",
-                         baselinePath.c_str());
-            return 2;
-        }
-        if (!parseReportJson(text, baseline, error)) {
-            std::fprintf(stderr, "baseline '%s': %s\n",
-                         baselinePath.c_str(), error.c_str());
-            return 2;
-        }
-    }
-    if (ciCheck || ciBenchOnly) {
-        // --ci-check runs exactly the gated benches (as does
-        // --ci-bench-only, the baseline-recording mirror); an
-        // explicit --filter would silently hollow out the gate.
+        // --ci-check runs exactly the gated benches; an explicit
+        // --filter would silently hollow out the gate.
         if (!config.filters.empty()) {
             std::fprintf(stderr,
                          "the gated benches define the run set; "
@@ -1125,26 +835,9 @@ driverMain(int argc, char **argv)
     if (ciCheck) {
         if (selfTestRegress)
             injectRegression(current, ciGates());
-        const GateReport gates = checkGates(
-            current, baseline, ciGates(), current.hardwareThreads);
-        if (baseline.mode != current.mode)
-            std::printf("note: baseline mode '%s' != current mode "
-                        "'%s'\n",
-                        baseline.mode.c_str(),
-                        current.mode.c_str());
-        if (baseline.hardwareThreads != current.hardwareThreads)
-            std::printf("note: baseline recorded on %u hardware "
-                        "thread(s), current host has %u\n",
-                        baseline.hardwareThreads,
-                        current.hardwareThreads);
+        const GateReport gates =
+            checkGates(current, ciGates(), current.hardwareThreads);
         std::printf("%s", gateTable(gates).c_str());
-        if (!gates.newMetrics.empty()) {
-            std::printf("new metrics not in baseline (%zu):",
-                        gates.newMetrics.size());
-            for (const auto &name : gates.newMetrics)
-                std::printf(" %s", name.c_str());
-            std::printf("\n");
-        }
         std::printf("PERF GATE: %s\n",
                     gates.pass ? "PASS" : "FAIL");
         if (!gates.pass)

@@ -1,23 +1,14 @@
 /**
  * @file
- * Shared bench harness: every binary under bench/ registers itself
- * here as a named benchmark that reports named metrics. The harness
- * owns the things the ad-hoc mains used to reimplement — the clock,
- * quick/full mode, warmup and repeat control, percentile aggregation
- * over repeats, and the table/CSV/JSON reporters — and adds the
- * perf-gate machinery: committed JSON baselines plus a `--ci-check`
- * mode that compares a fresh run against a baseline under named
- * thresholds (SIM-01, PAR-01, OVH-01, ...) and exits nonzero with a
- * per-gate verdict table on regression.
- *
- * Two build modes share the same sources:
- *  - standalone: each bench_X.cc compiles to its own binary whose
- *    main() runs just that benchmark (NETCHAR_BENCH_MAIN expands to
- *    a real main);
- *  - combined: every bench_X.cc is compiled with
- *    NETCHAR_BENCH_COMBINED into the netchar_bench driver, whose
- *    CLI (--list/--filter/--json/--csv/--table/--ci-check) runs any
- *    subset of the registry.
+ * Shared bench harness: every bench_X.cc under bench/ registers
+ * itself here as a named benchmark that reports named metrics, and
+ * all of them are compiled once, into the netchar_bench driver. The
+ * harness owns the clock, quick/full mode, warmup and repeat
+ * control, percentile aggregation over repeats, the table/CSV/JSON
+ * reporters, and the `--ci-check` gates (PAR-01, OVH-01, ...). Each
+ * gated metric compares two timings taken in the same process and is
+ * checked against an absolute threshold, so no stored baseline is
+ * needed; end-to-end regressions are perfbench's job.
  */
 
 #ifndef NETCHAR_BENCH_HARNESS_HH
@@ -50,7 +41,7 @@ std::uint64_t scaledInstructions(std::uint64_t full);
  * Monotonic host time in seconds. The single sanctioned wall-clock
  * read under bench/: every measurement in every bench flows from
  * here, so warmup/repeat policy and clock choice cannot drift
- * between binaries.
+ * between benches.
  */
 double nowSeconds();
 
@@ -111,20 +102,20 @@ struct Registration
 
 /**
  * What a benchmark body talks to: named metric samples (one value
- * per repeat), the figure/table text stream (stdout in standalone
- * mode, captured in the combined driver so 27 figures don't
- * interleave), and a failure latch replacing the old `return 1`.
+ * per repeat), the figure/table text stream (captured, and streamed
+ * to stdout only with --echo, so figures don't interleave), and a
+ * failure latch.
  */
 class Context
 {
   public:
-    Context(bool echoText, int repeat, int repeats);
+    explicit Context(bool echoText);
 
     /**
      * Record one sample of a named metric for the current repeat.
      * Units are free-form but documented per bench in
-     * docs/BENCHMARKS.md; `higherIsBetter` steers the regression
-     * direction of ratio gates and the self-test perturbation.
+     * docs/BENCHMARKS.md; `higherIsBetter` picks the best sample a
+     * gate compares.
      */
     void metric(const std::string &name, const std::string &unit,
                 double value, bool higherIsBetter = false);
@@ -141,15 +132,6 @@ class Context
 
     bool failed() const { return failed_; }
     const std::string &failure() const { return failure_; }
-
-    /** Current measured repeat, 0-based; -1 during warmup. */
-    int repeat() const { return repeat_; }
-    /** Total measured repeats this run. */
-    int repeats() const { return repeats_; }
-    /** True on the final measured repeat (figure text is usually
-     *  only worth emitting once). */
-    bool lastRepeat() const { return repeat_ + 1 == repeats_; }
-    bool warmup() const { return repeat_ < 0; }
 
     /** One metric sample as recorded. */
     struct Sample
@@ -168,8 +150,6 @@ class Context
     std::string failure_;
     bool echo_ = false;
     bool failed_ = false;
-    int repeat_ = 0;
-    int repeats_ = 1;
 };
 
 /** Register a benchmark with default repeat policy. */
@@ -186,20 +166,6 @@ class Context
             warm}};                                                  \
     static void netchar_bench_body_##ident(                          \
         ::netchar::bench::Context &ctx)
-
-/**
- * Standalone entry point: expands to a real main() unless the file
- * is being compiled into the combined netchar_bench driver.
- */
-#ifdef NETCHAR_BENCH_COMBINED
-#define NETCHAR_BENCH_MAIN(ident)
-#else
-#define NETCHAR_BENCH_MAIN(ident)                                    \
-    int main(int argc, char **argv)                                  \
-    {                                                                \
-        return ::netchar::bench::standaloneMain(#ident, argc, argv); \
-    }
-#endif
 
 // ---------------------------------------------------------------
 // Aggregation.
@@ -236,7 +202,7 @@ struct MetricResult
     Aggregate agg;
 };
 
-/** One benchmark's aggregated run (also the parsed-baseline shape). */
+/** One benchmark's aggregated run. */
 struct BenchResult
 {
     std::string name;
@@ -266,7 +232,7 @@ struct RunConfig
     /** Substrings; empty = run everything. A bench runs when its
      *  name contains any of the filters. */
     std::vector<std::string> filters;
-    int repeatOverride = 0;  ///< >0 forces the measured repeat count
+    unsigned repeatOverride = 0; ///< >0 forces the measured repeat count
     bool echoText = true;    ///< stream figure text to stdout live
     bool progress = true;    ///< per-bench progress lines on stderr
     /** Injectable clock for deterministic tests; null = nowSeconds. */
@@ -289,24 +255,14 @@ std::string reportTable(const Report &report);
 std::string reportCsv(const Report &report);
 std::string reportJson(const Report &report);
 
-/**
- * Parse a reportJson()/BENCH_baseline.json document. Returns false
- * with a message in `error` on malformed input; unknown fields are
- * ignored so the schema can grow.
- */
-bool parseReportJson(const std::string &text, Report &out,
-                     std::string &error);
-
 // ---------------------------------------------------------------
 // Perf gates.
 // ---------------------------------------------------------------
 
 enum class GateKind
 {
-    MinRatioVsBaseline, ///< current >= threshold * baseline
-    MaxRatioVsBaseline, ///< current <= threshold * baseline
-    MinAbsolute,        ///< current >= threshold
-    MaxAbsolute,        ///< current <= threshold
+    MinAbsolute, ///< current >= threshold
+    MaxAbsolute, ///< current <= threshold
 };
 
 /** One named CI gate over a (bench, metric) pair's best sample
@@ -317,7 +273,7 @@ struct Gate
     std::string id;     ///< e.g. "SIM-01"
     std::string bench;  ///< registry name
     std::string metric; ///< metric name inside the bench
-    GateKind kind = GateKind::MinRatioVsBaseline;
+    GateKind kind = GateKind::MinAbsolute;
     double threshold = 0.0;
     /** Gate is skipped (reported, not failed) on hosts with fewer
      *  hardware threads: PAR-01 needs real cores to say anything. */
@@ -332,7 +288,7 @@ enum class Verdict
 {
     Pass,
     Regress,       ///< threshold violated
-    MissingMetric, ///< gate metric absent from results or baseline
+    MissingMetric, ///< gate metric absent from the results
     Skipped,       ///< host precondition not met
 };
 
@@ -342,23 +298,18 @@ struct GateOutcome
 {
     Gate gate;
     Verdict verdict = Verdict::Pass;
-    double current = 0.0;  ///< measured best sample (0 if missing)
-    double baseline = 0.0; ///< baseline best (ratio gates only)
-    double bound = 0.0;    ///< the resolved pass bound
+    double current = 0.0; ///< measured best sample (0 if missing)
     std::string note;
 };
 
 struct GateReport
 {
     std::vector<GateOutcome> outcomes;
-    /** Metrics present in the current run but absent from the
-     *  baseline — candidates for the next baseline refresh. */
-    std::vector<std::string> newMetrics;
     bool pass = true; ///< no Regress/MissingMetric outcome
 };
 
-/** Evaluate gates for `current` against `baseline`. */
-GateReport checkGates(const Report &current, const Report &baseline,
+/** Evaluate gates over `current`. */
+GateReport checkGates(const Report &current,
                       const std::vector<Gate> &gates,
                       unsigned hardwareThreads);
 
@@ -367,22 +318,16 @@ GateReport checkGates(const Report &current, const Report &baseline,
 std::string gateTable(const GateReport &report);
 
 /**
- * Multiply every gated metric of `report` by a losing factor (half
- * the higher-is-better values, double the rest) — the --self-test
- * regression used to prove the gate actually trips.
+ * Overwrite every gated metric of `report` with a value that
+ * violates its gate (half the threshold of an at-least gate, double
+ * that of an at-most gate) — the --self-test-regress perturbation
+ * used to prove the gates actually trip.
  */
 void injectRegression(Report &report, const std::vector<Gate> &gates);
 
 // ---------------------------------------------------------------
 // Entry points.
 // ---------------------------------------------------------------
-
-/**
- * main() of a standalone bench binary: runs one registered bench
- * with figure text streaming to stdout. Exit 0 on pass, 1 on bench
- * failure, 2 on usage error.
- */
-int standaloneMain(const char *benchName, int argc, char **argv);
 
 /**
  * main() of the combined netchar_bench driver. Exit 0 on success,

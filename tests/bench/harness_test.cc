@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the bench harness: percentile math, JSON round-trip
- * of reports, gate verdicts (pass / regress / missing-metric /
- * new-metric / skipped), the self-test regression injector, and
- * byte-determinism of reports under shuffled registration order.
+ * Unit tests for the bench harness: percentile math, the JSON report
+ * read back through the repo's JSON parser, gate verdicts (pass /
+ * regress / missing-metric / skipped), the self-test regression
+ * injector, and byte-determinism of reports under shuffled
+ * registration order.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <algorithm>
 
 #include "harness.hh"
+#include "stats/json.hh"
 
 using namespace netchar::bench;
 
@@ -42,7 +44,7 @@ bodyAlpha(Context &ctx)
 {
     ctx.metric("throughput", "Minstr/s", 10.0, true);
     ctx.metric("latency", "ms", 2.0, false);
-    ctx.printf("alpha ran repeat %d\n", ctx.repeat());
+    ctx.printf("alpha ran\n");
 }
 
 void
@@ -72,12 +74,11 @@ makeRegistry(bool reversed)
     return registry;
 }
 
-/** Baseline matching bodyAlpha/bodyBeta outputs exactly. */
+/** The report of one quiet run of alpha and beta. */
 Report
-selfBaseline()
+sampleReport()
 {
-    Report report = runAll(makeRegistry(false), quietConfig());
-    return report;
+    return runAll(makeRegistry(false), quietConfig());
 }
 
 Gate
@@ -169,53 +170,46 @@ TEST(RunEngine, DuplicateNameThrows)
 
 TEST(Report, JsonRoundTrip)
 {
-    const Report report = selfBaseline();
-    const std::string json = reportJson(report);
-    Report parsed;
+    const Report report = sampleReport();
+    netchar::JsonValue root;
     std::string error;
-    ASSERT_TRUE(parseReportJson(json, parsed, error)) << error;
-    EXPECT_EQ(parsed.mode, report.mode);
-    EXPECT_EQ(parsed.hardwareThreads, report.hardwareThreads);
-    ASSERT_EQ(parsed.benches.size(), report.benches.size());
-    for (std::size_t b = 0; b < parsed.benches.size(); ++b) {
-        const auto &pb = parsed.benches[b];
+    ASSERT_TRUE(netchar::parseJson(reportJson(report), root, error))
+        << error;
+    const auto *mode = root.find("mode");
+    ASSERT_NE(mode, nullptr);
+    EXPECT_EQ(mode->string, report.mode);
+    const auto *threads = root.find("hardwareThreads");
+    ASSERT_NE(threads, nullptr);
+    EXPECT_EQ(threads->number,
+              static_cast<double>(report.hardwareThreads));
+    const auto *benches = root.find("benches");
+    ASSERT_NE(benches, nullptr);
+    ASSERT_EQ(benches->array.size(), report.benches.size());
+    for (std::size_t b = 0; b < report.benches.size(); ++b) {
+        const auto &jb = benches->array[b];
         const auto &rb = report.benches[b];
-        EXPECT_EQ(pb.name, rb.name);
-        ASSERT_EQ(pb.metrics.size(), rb.metrics.size());
-        for (std::size_t m = 0; m < pb.metrics.size(); ++m) {
-            EXPECT_EQ(pb.metrics[m].name, rb.metrics[m].name);
-            EXPECT_EQ(pb.metrics[m].unit, rb.metrics[m].unit);
-            EXPECT_EQ(pb.metrics[m].higherIsBetter,
-                      rb.metrics[m].higherIsBetter);
-            EXPECT_DOUBLE_EQ(pb.metrics[m].agg.p50,
-                             rb.metrics[m].agg.p50);
-            EXPECT_DOUBLE_EQ(pb.metrics[m].agg.p99,
-                             rb.metrics[m].agg.p99);
+        ASSERT_NE(jb.find("name"), nullptr);
+        EXPECT_EQ(jb.find("name")->string, rb.name);
+        const auto *metrics = jb.find("metrics");
+        ASSERT_NE(metrics, nullptr);
+        ASSERT_EQ(metrics->array.size(), rb.metrics.size());
+        for (std::size_t m = 0; m < rb.metrics.size(); ++m) {
+            const auto &jm = metrics->array[m];
+            const auto &rm = rb.metrics[m];
+            ASSERT_NE(jm.find("name"), nullptr);
+            EXPECT_EQ(jm.find("name")->string, rm.name);
+            ASSERT_NE(jm.find("unit"), nullptr);
+            EXPECT_EQ(jm.find("unit")->string, rm.unit);
+            ASSERT_NE(jm.find("higherIsBetter"), nullptr);
+            EXPECT_EQ(jm.find("higherIsBetter")->boolean,
+                      rm.higherIsBetter);
+            // jsonNumber prints the shortest round-tripping form, so
+            // the values come back exactly.
+            ASSERT_NE(jm.find("p50"), nullptr);
+            EXPECT_EQ(jm.find("p50")->number, rm.agg.p50);
+            ASSERT_NE(jm.find("p99"), nullptr);
+            EXPECT_EQ(jm.find("p99")->number, rm.agg.p99);
         }
-    }
-    // Serializing the parse must give identical bytes.
-    EXPECT_EQ(reportJson(parsed), json);
-}
-
-TEST(Report, ParseRejectsGarbage)
-{
-    Report out;
-    std::string error;
-    EXPECT_FALSE(parseReportJson("not json", out, error));
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(parseReportJson("{\"schema\": \"bogus\"}", out,
-                                 error));
-
-    // A baseline cut short anywhere before its closing brace (a
-    // truncated write or download) is rejected with a message.
-    const std::string json = reportJson(selfBaseline());
-    const std::size_t close = json.rfind('}');
-    ASSERT_NE(close, std::string::npos);
-    for (std::size_t n = 0; n < close; ++n) {
-        error.clear();
-        EXPECT_FALSE(parseReportJson(json.substr(0, n), out, error))
-            << "prefix of " << n << " bytes parsed";
-        EXPECT_FALSE(error.empty()) << "prefix of " << n << " bytes";
     }
 }
 
@@ -231,19 +225,17 @@ TEST(Report, BytesStableUnderRegistrationOrder)
 
 TEST(Gates, PassAndRegress)
 {
-    const Report baseline = selfBaseline();
-    Report current = baseline;
+    Report current = sampleReport();
 
     const std::vector<Gate> gates{
-        gate("T-01", "alpha", "throughput",
-             GateKind::MinRatioVsBaseline, 0.92),
-        gate("T-02", "alpha", "latency",
-             GateKind::MaxRatioVsBaseline, 1.25),
+        gate("T-01", "alpha", "throughput", GateKind::MinAbsolute,
+             9.0),
+        gate("T-02", "alpha", "latency", GateKind::MaxAbsolute, 2.5),
         gate("T-03", "beta", "accuracy", GateKind::MinAbsolute,
              90.0),
     };
 
-    auto report = checkGates(current, baseline, gates, 8);
+    auto report = checkGates(current, gates, 8);
     EXPECT_TRUE(report.pass);
     for (const auto &outcome : report.outcomes)
         EXPECT_EQ(outcome.verdict, Verdict::Pass);
@@ -262,7 +254,7 @@ TEST(Gates, PassAndRegress)
                 metric.agg.max *= 0.5;
                 metric.agg.mean *= 0.5;
             }
-    report = checkGates(current, baseline, gates, 8);
+    report = checkGates(current, gates, 8);
     EXPECT_FALSE(report.pass);
     ASSERT_EQ(report.outcomes.size(), 3u);
     EXPECT_EQ(report.outcomes[0].verdict, Verdict::Regress);
@@ -276,94 +268,42 @@ TEST(Gates, PassAndRegress)
 
 TEST(Gates, MissingMetricFails)
 {
-    const Report baseline = selfBaseline();
     const std::vector<Gate> gates{
         gate("T-04", "alpha", "does_not_exist",
              GateKind::MinAbsolute, 1.0),
     };
-    const auto report = checkGates(baseline, baseline, gates, 8);
+    const auto report = checkGates(sampleReport(), gates, 8);
     EXPECT_FALSE(report.pass);
     ASSERT_EQ(report.outcomes.size(), 1u);
     EXPECT_EQ(report.outcomes[0].verdict, Verdict::MissingMetric);
 }
 
-TEST(Gates, MetricMissingFromBaselineFails)
-{
-    const Report current = selfBaseline();
-    Report baseline = current;
-    // Drop alpha.throughput from the baseline only: a ratio gate
-    // cannot resolve its bound, which must fail loudly rather than
-    // silently pass.
-    for (auto &bench : baseline.benches)
-        if (bench.name == "alpha")
-            bench.metrics.erase(bench.metrics.begin() +
-                                (bench.metrics[0].name == "latency"
-                                     ? 1
-                                     : 0));
-    const std::vector<Gate> gates{
-        gate("T-05", "alpha", "throughput",
-             GateKind::MinRatioVsBaseline, 0.92),
-    };
-    const auto report = checkGates(current, baseline, gates, 8);
-    EXPECT_FALSE(report.pass);
-    EXPECT_EQ(report.outcomes[0].verdict, Verdict::MissingMetric);
-}
-
-TEST(Gates, NewMetricsListed)
-{
-    const Report current = selfBaseline();
-    Report baseline = current;
-    // Remove beta entirely from the baseline: its metrics are "new".
-    baseline.benches.erase(
-        std::remove_if(baseline.benches.begin(),
-                       baseline.benches.end(),
-                       [](const BenchResult &b) {
-                           return b.name == "beta";
-                       }),
-        baseline.benches.end());
-    const auto report =
-        checkGates(current, baseline, {}, 8);
-    EXPECT_TRUE(report.pass); // new metrics inform, never fail
-    ASSERT_FALSE(report.newMetrics.empty());
-    EXPECT_NE(std::find(report.newMetrics.begin(),
-                        report.newMetrics.end(),
-                        "beta.accuracy"),
-              report.newMetrics.end());
-}
-
 TEST(Gates, HardwareThreadPreconditionSkips)
 {
-    const Report baseline = selfBaseline();
+    const Report report = sampleReport();
     const std::vector<Gate> gates{
         gate("T-06", "alpha", "throughput", GateKind::MinAbsolute,
              5.0, /*min_hw=*/4),
     };
-    const auto on_small_host =
-        checkGates(baseline, baseline, gates, 1);
+    const auto on_small_host = checkGates(report, gates, 1);
     EXPECT_TRUE(on_small_host.pass);
     EXPECT_EQ(on_small_host.outcomes[0].verdict, Verdict::Skipped);
 
-    const auto on_big_host =
-        checkGates(baseline, baseline, gates, 8);
+    const auto on_big_host = checkGates(report, gates, 8);
     EXPECT_EQ(on_big_host.outcomes[0].verdict, Verdict::Pass);
 }
 
 TEST(Gates, InjectRegressionTripsEveryGateKind)
 {
-    const Report baseline = selfBaseline();
-    Report perturbed = baseline;
+    Report perturbed = sampleReport();
     const std::vector<Gate> gates{
-        gate("T-07", "alpha", "throughput",
-             GateKind::MinRatioVsBaseline, 0.92),
-        gate("T-08", "alpha", "latency",
-             GateKind::MaxRatioVsBaseline, 1.25),
         gate("T-09", "beta", "accuracy", GateKind::MinAbsolute,
              90.0),
         gate("T-10", "alpha", "latency", GateKind::MaxAbsolute,
              3.0),
     };
     injectRegression(perturbed, gates);
-    const auto report = checkGates(perturbed, baseline, gates, 8);
+    const auto report = checkGates(perturbed, gates, 8);
     EXPECT_FALSE(report.pass);
     for (const auto &outcome : report.outcomes)
         EXPECT_EQ(outcome.verdict, Verdict::Regress)
@@ -387,10 +327,8 @@ TEST(Gates, CiGateSetIsWellFormed)
     EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()),
               ids.end())
         << "duplicate gate id";
-    // Every gated bench must actually exist in the global registry
-    // (all benches self-register into this test binary's process? No
-    // — none do; the gate set is validated against names the driver
-    // documents instead). The stable contract here is the ID scheme.
+    // IDs are unique and hyphenated (FAMILY-NN); the
+    // docs.bench.coverage ctest checks every gated bench is registered.
     for (const auto &g : gates)
         EXPECT_NE(g.id.find('-'), std::string::npos);
 }

@@ -1,11 +1,10 @@
 /**
  * @file
- * Combined bench driver: every bench_* source under bench/ is
- * compiled into this binary (with NETCHAR_BENCH_COMBINED, so their
- * standalone mains vanish) and self-registers into the harness
- * registry. The CLI lists, filters, runs and reports the suite, and
- * --ci-check gates a fresh run against a committed baseline — see
- * docs/BENCHMARKS.md for the gate table and docs/CLI.md for the
+ * The bench driver: every bench_* source under bench/ is compiled
+ * into this binary and self-registers into the harness registry.
+ * The CLI lists, filters, runs and reports the suite, and --ci-check
+ * runs the gated benches and checks each gate's absolute threshold —
+ * see docs/BENCHMARKS.md for the gate table and docs/CLI.md for the
  * flag reference.
  */
 
