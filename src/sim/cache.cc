@@ -65,8 +65,11 @@ CacheOutcome
 Cache::insertPrefetch(std::uint64_t addr)
 {
     const std::uint64_t line = lineFor(addr);
-    if (lines_.find(line) != nullptr)
-        return {}; // already present; nothing to do
+    if (lines_.find(line) != nullptr) {
+        CacheOutcome out;
+        out.wasPresent = true; // nothing to do
+        return out;
+    }
     return fill(line, {false, true});
 }
 

@@ -31,6 +31,8 @@ struct CacheOutcome
     bool evictedUnusedPrefetch = false;
     /** A dirty line was written back by this access. */
     bool writeback = false;
+    /** Prefetch insertion only: the line was resident; nothing moved. */
+    bool wasPresent = false;
 };
 
 /**
@@ -64,7 +66,8 @@ class Cache
      * Prefetch insertion: allocate the line (if absent) marked as
      * unused-prefetch. Does not update hit statistics.
      *
-     * @return Outcome with evictedUnusedPrefetch/writeback set.
+     * @return Outcome with evictedUnusedPrefetch/writeback set, or
+     *         with only wasPresent set when the line was resident.
      */
     CacheOutcome insertPrefetch(std::uint64_t addr);
 
@@ -83,8 +86,34 @@ class Cache
     /** Number of sets (geometry introspection for tests). */
     std::size_t numSets() const { return lines_.sets(); }
 
+    /** Ways per set. */
+    std::size_t ways() const { return lines_.ways(); }
+
     /** Line size in bytes. */
     unsigned lineBytes() const { return lineBytes_; }
+
+    /** The set the line holding `addr` maps to. */
+    std::size_t setOf(std::uint64_t addr) const
+    {
+        return lines_.setIndex(lineFor(addr));
+    }
+
+    /**
+     * Bulk-fill primitives (LlcNoc::preload): reserve stamps, then
+     * write the line holding `addr`, clean and unused-prefetched, into
+     * one way of its set. See LruSets::reserveStamps and write.
+     */
+    std::uint64_t reserveStamps(std::uint64_t n)
+    {
+        return lines_.reserveStamps(n);
+    }
+
+    void writePrefetched(std::size_t way, std::uint64_t addr,
+                         std::uint64_t stamp)
+    {
+        lines_.write(setOf(addr), way, lineFor(addr), stamp,
+                     {false, true});
+    }
 
   private:
     struct LineState

@@ -99,9 +99,9 @@ void
 Core::issuePrefetches(std::uint64_t addr)
 {
     for (std::uint64_t target : dataPrefetcher_.observe(addr)) {
-        if (l2_.contains(target))
-            continue;
         const auto out = l2_.insertPrefetch(target);
+        if (out.wasPresent)
+            continue;
         ++counters_.prefetchesIssued;
         if (out.evictedUnusedPrefetch)
             ++counters_.prefetchesUseless;
@@ -109,12 +109,13 @@ Core::issuePrefetches(std::uint64_t addr)
             dram_.access(target, true);
             counters_.memWriteBytes += cfg_.l2.lineBytes;
         }
-        // The fill itself reads memory.
-        if (!llc_.contains(target)) {
+        // The fill itself reads memory unless the LLC holds the line.
+        // DRAM state does not depend on the LLC, so filling the LLC
+        // first changes nothing.
+        if (!llc_.insertPrefetch(target).wasPresent) {
             dram_.access(target, false);
             counters_.memReadBytes += cfg_.l2.lineBytes;
         }
-        llc_.insertPrefetch(target);
     }
 }
 
@@ -255,14 +256,13 @@ Core::fetch(std::uint64_t pc, bool kernel)
 
     // I-side next-line prefetch into L1I.
     for (std::uint64_t target : instPrefetcher_.observe(pc)) {
-        if (!l1i_.contains(target)) {
-            l1i_.insertPrefetch(target);
-            ++counters_.prefetchesIssued;
-            if (!l2_.contains(target) && !llc_.contains(target)) {
-                dram_.access(target, false);
-                counters_.memReadBytes += cfg_.l1i.lineBytes;
-            }
-            l2_.insertPrefetch(target);
+        if (l1i_.insertPrefetch(target).wasPresent)
+            continue;
+        ++counters_.prefetchesIssued;
+        if (!l2_.insertPrefetch(target).wasPresent &&
+            !llc_.contains(target)) {
+            dram_.access(target, false);
+            counters_.memReadBytes += cfg_.l1i.lineBytes;
         }
     }
 
@@ -338,10 +338,7 @@ Core::prefaultRegion(std::uint64_t base, std::uint64_t bytes)
 void
 Core::preloadLlc(std::uint64_t base, std::uint64_t bytes)
 {
-    const std::uint64_t line = cfg_.llc.lineBytes;
-    for (std::uint64_t addr = base & ~std::uint64_t{line - 1};
-         addr < base + bytes; addr += line)
-        llc_.insertPrefetch(addr);
+    llc_.preload(base, bytes);
 }
 
 void

@@ -5,8 +5,10 @@
  * loop buffer and the stream-prefetcher table.
  *
  * Entries live in one flat set-major array. The set of a tag is
- * `tag % sets` (not a mask: the Xeon DSB has 12 sets). A victim is the
- * first invalid way of the set, otherwise its least recently used way.
+ * `tag % sets`, computed as a mask when the set count is a power of
+ * two and with `%` otherwise (a 96-line DSB has 12 sets). A victim is
+ * the first invalid way of the set, otherwise its least recently used
+ * way.
  */
 
 #ifndef NETCHAR_SIM_LRU_SETS_HH
@@ -46,11 +48,20 @@ class LruSets
     LruSets(std::size_t sets, std::size_t ways)
         : sets_(sets == 0 ? 1 : sets),
           ways_(sets == 0 ? 0 : ways),
+          pow2_((sets_ & (sets_ - 1)) == 0),
           entries_(sets_ * ways_)
     {
     }
 
     std::size_t sets() const { return sets_; }
+    std::size_t ways() const { return ways_; }
+
+    /** The set `tag` maps to: `tag % sets()`. */
+    std::size_t setIndex(std::uint64_t tag) const
+    {
+        return static_cast<std::size_t>(pow2_ ? tag & (sets_ - 1)
+                                              : tag % sets_);
+    }
 
     /** Probe without any state change; nullptr on a miss. */
     Entry *find(std::uint64_t tag)
@@ -103,6 +114,28 @@ class LruSets
         e.data = data;
     }
 
+    /**
+     * Take `n` consecutive stamps, newer than every stamp given so
+     * far. @return the first of them.
+     */
+    std::uint64_t reserveStamps(std::uint64_t n)
+    {
+        const std::uint64_t first = tick_ + 1;
+        tick_ += n;
+        return first;
+    }
+
+    /**
+     * Overwrite way `way` of set `set` with `tag` and a stamp from
+     * reserveStamps(). The caller keeps the set's invariants: no tag
+     * twice in a set, and stamps that order its valid ways.
+     */
+    void write(std::size_t set, std::size_t way, std::uint64_t tag,
+               std::uint64_t stamp, const Payload &data)
+    {
+        entries_[set * ways_ + way] = Entry{tag, stamp, true, data};
+    }
+
     /** touch(), filling the victim on a miss. @return true on a hit. */
     bool accessAndFill(std::uint64_t tag)
     {
@@ -123,12 +156,13 @@ class LruSets
   private:
     Entry *setFor(std::uint64_t tag)
     {
-        return entries_.data() +
-               static_cast<std::size_t>(tag % sets_) * ways_;
+        return entries_.data() + setIndex(tag) * ways_;
     }
 
     std::size_t sets_;
     std::size_t ways_;
+    /** sets_ is a power of two, so setIndex() can mask. */
+    bool pow2_;
     std::vector<Entry> entries_;
     std::uint64_t tick_ = 0;
 };

@@ -87,6 +87,78 @@ LlcNoc::insertPrefetch(std::uint64_t addr)
     return slices_[sliceFor(addr)].insertPrefetch(addr);
 }
 
+void
+LlcNoc::preload(std::uint64_t base, std::uint64_t bytes)
+{
+    const std::uint64_t line = slices_.front().lineBytes();
+    const std::uint64_t first = base & ~(line - 1);
+    const std::uint64_t end = base + bytes;
+    const std::uint64_t count =
+        end > first ? (end - first + line - 1) / line : 0;
+    const auto insertEach = [&]() {
+        for (std::uint64_t i = 0; i < count; ++i)
+            insertPrefetch(first + i * line);
+    };
+    // Per-set state byte: the lines kept so far in pass 1; in pass 2,
+    // kWriting | the ways of a full set still to write.
+    constexpr std::uint8_t kWriting = 0x80;
+    const std::size_t sets = slices_.front().numSets();
+    const std::size_t ways = slices_.front().ways();
+    if (count < slices_.size() * sets * ways || ways >= kWriting) {
+        insertEach();
+        return;
+    }
+
+    // Insert-only fills leave a set holding the last `ways` distinct
+    // lines mapped to it, oldest first, if none of them was resident
+    // before (an insert of a resident line does not refresh it). Pass
+    // 1 walks backwards and counts those lines per set until every
+    // set is full; a resident one sends the whole range to the loop.
+    std::vector<std::uint8_t> kept(slices_.size() * sets);
+    std::size_t unfilled = kept.size();
+    std::uint64_t stop = count; // pass 1 walked lines [stop, count)
+    while (stop > 0 && unfilled > 0) {
+        const std::uint64_t addr = first + --stop * line;
+        const std::size_t slice = sliceFor(addr);
+        std::uint8_t &k = kept[slice * sets + slices_[slice].setOf(addr)];
+        if (k == ways)
+            continue;
+        if (slices_[slice].contains(addr)) {
+            insertEach();
+            return;
+        }
+        if (++k == ways)
+            --unfilled;
+    }
+
+    // Pass 2 walks the same lines backwards and writes each full set,
+    // newest line in its last way. Stamps only order the ways of one
+    // set, so every set of a slice shares one block of `ways`.
+    std::vector<std::uint64_t> stamps(slices_.size());
+    for (std::size_t s = 0; s < slices_.size(); ++s)
+        stamps[s] = slices_[s].reserveStamps(ways);
+    for (std::uint64_t i = count; i-- > stop;) {
+        const std::uint64_t addr = first + i * line;
+        const std::size_t slice = sliceFor(addr);
+        std::uint8_t &k = kept[slice * sets + slices_[slice].setOf(addr)];
+        if (k < ways || k == kWriting)
+            continue; // a set the range never filled, or written
+        if (k == ways)
+            k = static_cast<std::uint8_t>(kWriting + ways);
+        const std::size_t way = --k - kWriting;
+        slices_[slice].writePrefetched(way, addr, stamps[slice] + way);
+    }
+
+    // Sets the range never filled take their few lines in order.
+    if (unfilled > 0)
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const std::uint64_t addr = first + i * line;
+            const std::size_t slice = sliceFor(addr);
+            if (kept[slice * sets + slices_[slice].setOf(addr)] < ways)
+                slices_[slice].insertPrefetch(addr);
+        }
+}
+
 bool
 LlcNoc::contains(std::uint64_t addr) const
 {

@@ -85,6 +85,15 @@ class LlcNoc
     /** Prefetch fill into the right slice. */
     CacheOutcome insertPrefetch(std::uint64_t addr);
 
+    /**
+     * Prefetch-fill every line of [base, base + bytes) in address
+     * order. Leaves the state insertPrefetch() of each line would,
+     * but a range of at least the LLC's line count costs O(capacity)
+     * set probes and writes, not one insert per line. Scratch space
+     * is one byte per set.
+     */
+    void preload(std::uint64_t base, std::uint64_t bytes);
+
     /** Probe without state change. */
     bool contains(std::uint64_t addr) const;
 

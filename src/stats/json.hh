@@ -4,11 +4,11 @@
  * a minimal document model (no external library).
  *
  * It reads both outside bytes that must not crash the process (the
- * serve daemon's NDJSON requests, the bench harness's baseline
- * reports) and the repo's own renderings. Strict means: exactly one
- * document with nothing but whitespace after it, no leading zeros,
- * no non-finite numbers, no surrogate \u escapes. Writers therefore
- * emit `null` for non-finite values.
+ * serve daemon's NDJSON requests and the responses a client reads
+ * back from a daemon) and the repo's own renderings. Strict means:
+ * exactly one document with nothing but whitespace after it, no
+ * leading zeros, no non-finite numbers, no surrogate \u escapes.
+ * Writers therefore emit `null` for non-finite values.
  */
 
 #ifndef NETCHAR_STATS_JSON_HH

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <optional>
@@ -17,7 +18,10 @@
 
 #include "sim/branch.hh"
 #include "sim/cache.hh"
+#include "sim/config.hh"
 #include "sim/frontend.hh"
+#include "sim/lru_sets.hh"
+#include "sim/noc.hh"
 #include "sim/prefetch.hh"
 #include "sim/tlb.hh"
 #include "stats/rng.hh"
@@ -418,6 +422,168 @@ TEST(LruReference, StreamPrefetcherMatchesTheListModel)
             ASSERT_EQ(pf.observe(addr), refObserve(ref, p, addr));
         }
     }
+}
+
+TEST(LruReference, SetIndexIsTagModuloSets)
+{
+    // Power-of-two counts mask, the others divide; a zero-set store
+    // has one set.
+    for (const std::size_t sets : {1u, 2u, 64u, 2048u, 4096u, 12u, 0u}) {
+        const LruSets<> store(sets, 4);
+        stats::Rng s(50 + sets);
+        for (int i = 0; i < kOps; ++i) {
+            const std::uint64_t tag = s.next();
+            ASSERT_EQ(store.setIndex(tag), tag % store.sets())
+                << "sets " << sets << " tag " << tag;
+        }
+    }
+}
+
+/**
+ * One seeded stream of accesses, prefetch inserts and probes through
+ * two LLCs; every outcome must agree.
+ */
+void
+expectSameLlc(LlcNoc &bulk, LlcNoc &loop,
+              const std::vector<std::uint64_t> &lines, std::uint64_t seed)
+{
+    stats::Rng s(seed);
+    for (int op = 0; op < 8 * kOps; ++op) {
+        const std::uint64_t addr =
+            lines[s.below(lines.size())] * 64 + s.below(64);
+        const std::uint64_t kind = s.below(100);
+        SCOPED_TRACE(::testing::Message()
+                     << "op " << op << " kind " << kind << " addr "
+                     << addr);
+        if (kind < 60) {
+            const bool write = kind >= 40;
+            const double cycles = 10.0 * op;
+            const LlcOutcome got = bulk.access(addr, write, 1, cycles);
+            const LlcOutcome want = loop.access(addr, write, 1, cycles);
+            ASSERT_EQ(got.hit, want.hit);
+            ASSERT_EQ(got.evictedUnusedPrefetch,
+                      want.evictedUnusedPrefetch);
+            ASSERT_EQ(got.writeback, want.writeback);
+            ASSERT_EQ(got.latency, want.latency);
+        } else if (kind < 85) {
+            const CacheOutcome got = bulk.insertPrefetch(addr);
+            const CacheOutcome want = loop.insertPrefetch(addr);
+            ASSERT_EQ(got.wasPresent, want.wasPresent);
+            ASSERT_EQ(got.evictedUnusedPrefetch,
+                      want.evictedUnusedPrefetch);
+            ASSERT_EQ(got.writeback, want.writeback);
+        } else {
+            ASSERT_EQ(bulk.contains(addr), loop.contains(addr));
+        }
+    }
+}
+
+struct PreloadCase
+{
+    const char *name;
+    /** Range length in LLC capacities. */
+    double capacities;
+    /** Pre-fill lines in the range's tail (the fallback). */
+    bool residentTail;
+    /** Preload the range a second time, as a second core would. */
+    bool twice;
+    /** Byte offset of the range's base into its first line. */
+    std::uint64_t offset;
+};
+
+/**
+ * LlcNoc::preload against the plain insertPrefetch loop it replaces,
+ * on one machine's LLC. Each case pre-fills both copies with dirty,
+ * demand-touched and prefetched lines, preloads, compares residency
+ * over the range's tail, then drives one stream through both. The
+ * streams concentrate on a few set indices, so their sets see
+ * evictions in LRU order, dirty victims and prefetch hits.
+ */
+void
+checkPreload(const MachineConfig &cfg, std::uint64_t seed)
+{
+    const std::uint64_t capacity = cfg.llc.sizeBytes / cfg.llc.lineBytes;
+    const std::uint64_t sets =
+        capacity / cfg.llcSlices / cfg.llc.associativity;
+    const std::uint64_t base_line = std::uint64_t{1} << 28;
+    const PreloadCase cases[] = {
+        {"below capacity", 0.5, false, false, 0},
+        {"at capacity", 1.0, false, false, 0},
+        {"far above capacity", 4.0, false, false, 0},
+        {"resident tail", 1.5, true, false, 0},
+        {"same range twice", 1.5, false, true, 0},
+        {"unaligned base", 1.25, false, false, 24},
+    };
+    stats::Rng s(seed);
+    for (const PreloadCase &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "llc " << cfg.name << " case " << c.name);
+        LlcNoc bulk(cfg.llc, cfg.llcSlices, cfg.pipe.llcLatency);
+        LlcNoc loop(cfg.llc, cfg.llcSlices, cfg.pipe.llcLatency);
+        const auto range_lines = static_cast<std::uint64_t>(
+            c.capacities * static_cast<double>(capacity));
+        const std::uint64_t base = base_line * 64 + c.offset;
+        const std::uint64_t bytes = range_lines * 64 - c.offset / 2;
+        const std::uint64_t end_line = (base + bytes + 63) / 64;
+
+        // Lines on eight set indices: some before the range, some
+        // after it, and the last ones of the range itself.
+        const std::size_t tail_per_set =
+            3 * cfg.llcSlices * cfg.llc.associativity;
+        std::vector<std::uint64_t> focus;
+        std::vector<std::uint64_t> tail;
+        for (int g = 0; g < 8; ++g) {
+            const std::uint64_t set = s.below(sets);
+            const std::uint64_t after = (end_line / sets + 1) * sets + set;
+            for (std::uint64_t k = 0; k < 16 * cfg.llcSlices; ++k) {
+                focus.push_back(set + k * sets);
+                focus.push_back(after + k * sets);
+            }
+            std::vector<std::uint64_t> own;
+            for (std::uint64_t l = base_line + set; l < end_line; l += sets)
+                own.push_back(l);
+            tail.insert(tail.end(),
+                        own.end() - std::min(own.size(), tail_per_set),
+                        own.end());
+        }
+        std::vector<std::uint64_t> prefill = focus;
+        if (c.residentTail)
+            prefill.insert(prefill.end(), tail.begin(), tail.end());
+        for (int op = 0; op < 8 * kOps; ++op) {
+            const std::uint64_t addr = prefill[s.below(prefill.size())] * 64;
+            const std::uint64_t kind = s.below(3);
+            if (kind == 2) {
+                bulk.insertPrefetch(addr);
+                loop.insertPrefetch(addr);
+            } else {
+                bulk.access(addr, kind == 1, 1, 1.0);
+                loop.access(addr, kind == 1, 1, 1.0);
+            }
+        }
+
+        for (int round = 0; round < (c.twice ? 2 : 1); ++round) {
+            bulk.preload(base, bytes);
+            for (std::uint64_t a = base & ~std::uint64_t{63};
+                 a < base + bytes; a += 64)
+                loop.insertPrefetch(a);
+        }
+
+        const std::uint64_t from =
+            end_line - std::min(end_line - base_line, 2 * capacity);
+        for (std::uint64_t l = from; l < end_line; ++l)
+            ASSERT_EQ(bulk.contains(l * 64), loop.contains(l * 64))
+                << "line " << l;
+        std::vector<std::uint64_t> stream = focus;
+        stream.insert(stream.end(), tail.begin(), tail.end());
+        expectSameLlc(bulk, loop, stream, s.next());
+    }
+}
+
+TEST(LruReference, LlcPreloadMatchesInsertLoop)
+{
+    checkPreload(MachineConfig::intelCoreI99980Xe(), 60); // 11 x 18
+    checkPreload(MachineConfig::intelXeonE52620V4(), 61); // 20 x 8
+    checkPreload(MachineConfig::armServer(), 62);         // 16 x 8
 }
 
 } // namespace
