@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <bit>
 #include <stdexcept>
 
 namespace netchar::sim
@@ -14,6 +15,9 @@ setsFor(const CacheGeometry &geometry, const std::string &name)
 {
     if (geometry.lineBytes == 0 || geometry.associativity == 0)
         throw std::invalid_argument(name + ": zero line size or assoc");
+    if (!std::has_single_bit(geometry.lineBytes))
+        throw std::invalid_argument(
+            name + ": line size not a power of two");
     const std::uint64_t way_bytes =
         static_cast<std::uint64_t>(geometry.lineBytes) *
         geometry.associativity;
@@ -26,7 +30,8 @@ setsFor(const CacheGeometry &geometry, const std::string &name)
 } // namespace
 
 Cache::Cache(const CacheGeometry &geometry, std::string name)
-    : lineBytes_(geometry.lineBytes),
+    : lineShift_(static_cast<unsigned>(
+          std::countr_zero(geometry.lineBytes))),
       lines_(setsFor(geometry, name), geometry.associativity)
 {
 }

@@ -45,9 +45,10 @@ class Cache
 {
   public:
     /**
-     * @param geometry Size/associativity/line size. Size must be a
-     *        multiple of associativity x line bytes (throws
-     *        std::invalid_argument otherwise).
+     * @param geometry Size/associativity/line size. The line size
+     *        must be a power of two and the size a multiple of
+     *        associativity x line bytes (throws std::invalid_argument
+     *        otherwise).
      * @param name Label used in error messages.
      */
     explicit Cache(const CacheGeometry &geometry,
@@ -90,7 +91,13 @@ class Cache
     std::size_t ways() const { return lines_.ways(); }
 
     /** Line size in bytes. */
-    unsigned lineBytes() const { return lineBytes_; }
+    unsigned lineBytes() const { return 1u << lineShift_; }
+
+    /** Number of the line holding `addr`. */
+    std::uint64_t lineFor(std::uint64_t addr) const
+    {
+        return addr >> lineShift_;
+    }
 
     /** The set the line holding `addr` maps to. */
     std::size_t setOf(std::uint64_t addr) const
@@ -122,15 +129,11 @@ class Cache
         bool prefetched = false;
     };
 
-    std::uint64_t lineFor(std::uint64_t addr) const
-    {
-        return addr / lineBytes_;
-    }
-
     /** Fill a missing line; reports what the evicted line leaves. */
     CacheOutcome fill(std::uint64_t line, LineState state);
 
-    unsigned lineBytes_;
+    /** log2 of the line size: line numbers are `addr >> lineShift_`. */
+    unsigned lineShift_;
     LruSets<LineState> lines_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

@@ -4,16 +4,20 @@
  * every tagged structure in sim/: caches, TLBs, the BTB, the DSB, the
  * loop buffer and the stream-prefetcher table.
  *
- * Entries live in one flat set-major array. The set of a tag is
- * `tag % sets`, computed as a mask when the set count is a power of
- * two and with `%` otherwise (a 96-line DSB has 12 sets). A victim is
- * the first invalid way of the set, otherwise its least recently used
- * way.
+ * Tags live in their own flat set-major array, beside a second array
+ * of the rest of each entry (LRU stamp, valid bit, payload), so a probe
+ * scans `ways` contiguous tags: 64 B for an 8-way set. The tag array
+ * starts zeroed and 0 is a real tag, so a probe reads an entry's valid
+ * bit only when its tag matches. The set of a tag is `tag % sets`,
+ * computed as a mask when the set count is a power of two and with `%`
+ * otherwise (a 96-line DSB has 12 sets). A victim is the first invalid
+ * way of the set, otherwise its least recently used way.
  */
 
 #ifndef NETCHAR_SIM_LRU_SETS_HH
 #define NETCHAR_SIM_LRU_SETS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -36,9 +40,9 @@ template <typename Payload = NoPayload>
 class LruSets
 {
   public:
+    /** One way's state apart from its tag, which is in tags_. */
     struct Entry
     {
-        std::uint64_t tag = 0;
         /** Stamp of the last fill or hit; only the order matters. */
         std::uint64_t lastUse = 0;
         bool valid = false;
@@ -49,6 +53,7 @@ class LruSets
         : sets_(sets == 0 ? 1 : sets),
           ways_(sets == 0 ? 0 : ways),
           pow2_((sets_ & (sets_ - 1)) == 0),
+          tags_(sets_ * ways_),
           entries_(sets_ * ways_)
     {
     }
@@ -66,10 +71,11 @@ class LruSets
     /** Probe without any state change; nullptr on a miss. */
     Entry *find(std::uint64_t tag)
     {
-        Entry *set = setFor(tag);
+        const std::size_t first = setIndex(tag) * ways_;
+        const std::uint64_t *tags = tags_.data() + first;
         for (std::size_t w = 0; w < ways_; ++w)
-            if (set[w].valid && set[w].tag == tag)
-                return &set[w];
+            if (tags[w] == tag && entries_[first + w].valid)
+                return &entries_[first + w];
         return nullptr;
     }
 
@@ -105,10 +111,13 @@ class LruSets
         return *v;
     }
 
-    /** Fill `e` with `tag` as the most recently used way. */
+    /**
+     * Fill `e`, an entry of this store, with `tag` as the most
+     * recently used way.
+     */
     void stamp(Entry &e, std::uint64_t tag, const Payload &data = {})
     {
-        e.tag = tag;
+        tags_[static_cast<std::size_t>(&e - entries_.data())] = tag;
         e.lastUse = ++tick_;
         e.valid = true;
         e.data = data;
@@ -133,7 +142,8 @@ class LruSets
     void write(std::size_t set, std::size_t way, std::uint64_t tag,
                std::uint64_t stamp, const Payload &data)
     {
-        entries_[set * ways_ + way] = Entry{tag, stamp, true, data};
+        tags_[set * ways_ + way] = tag;
+        entries_[set * ways_ + way] = Entry{stamp, true, data};
     }
 
     /** touch(), filling the victim on a miss. @return true on a hit. */
@@ -149,8 +159,8 @@ class LruSets
     /** Invalidate every entry. */
     void clear()
     {
-        for (Entry &e : entries_)
-            e = Entry{};
+        std::fill(tags_.begin(), tags_.end(), 0);
+        std::fill(entries_.begin(), entries_.end(), Entry{});
     }
 
   private:
@@ -163,6 +173,8 @@ class LruSets
     std::size_t ways_;
     /** sets_ is a power of two, so setIndex() can mask. */
     bool pow2_;
+    /** Tag of each way, set-major; entries_ holds the rest. */
+    std::vector<std::uint64_t> tags_;
     std::vector<Entry> entries_;
     std::uint64_t tick_ = 0;
 };

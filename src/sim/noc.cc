@@ -25,8 +25,10 @@ LlcNoc::LlcNoc(const CacheGeometry &geometry, unsigned slices,
 std::size_t
 LlcNoc::sliceFor(std::uint64_t addr) const
 {
-    // Cheap line-address hash standing in for Intel's slice hash.
-    std::uint64_t line = addr / 64;
+    // Cheap line-address hash standing in for Intel's slice hash. It
+    // hashes the slices' own line number, so a line's bytes share one
+    // slice.
+    std::uint64_t line = slices_.front().lineFor(addr);
     line ^= line >> 17;
     line *= 0x9E3779B97F4A7C15ULL;
     line ^= line >> 29;

@@ -1,5 +1,6 @@
 #include "sim/tlb.hh"
 
+#include <bit>
 #include <stdexcept>
 
 namespace netchar::sim
@@ -14,6 +15,8 @@ setsFor(const TlbGeometry &geometry)
 {
     if (geometry.pageBytes == 0 || geometry.associativity == 0)
         throw std::invalid_argument("Tlb: zero page size or assoc");
+    if (!std::has_single_bit(geometry.pageBytes))
+        throw std::invalid_argument("Tlb: page size not a power of two");
     if (geometry.entries == 0 ||
         geometry.entries % geometry.associativity != 0)
         throw std::invalid_argument(
@@ -24,7 +27,8 @@ setsFor(const TlbGeometry &geometry)
 } // namespace
 
 Tlb::Tlb(const TlbGeometry &geometry)
-    : pageBytes_(geometry.pageBytes),
+    : pageShift_(static_cast<unsigned>(
+          std::countr_zero(geometry.pageBytes))),
       entries_(setsFor(geometry), geometry.associativity)
 {
 }

@@ -35,7 +35,9 @@ class Tlb
   public:
     /**
      * @param geometry Entry count, associativity and page size. Entry
-     *        count must be a multiple of associativity.
+     *        count must be a multiple of associativity and the page
+     *        size a power of two (throws std::invalid_argument
+     *        otherwise).
      */
     explicit Tlb(const TlbGeometry &geometry);
 
@@ -57,10 +59,11 @@ class Tlb
   private:
     std::uint64_t vpnFor(std::uint64_t addr) const
     {
-        return addr / pageBytes_;
+        return addr >> pageShift_;
     }
 
-    std::uint64_t pageBytes_;
+    /** log2 of the page size: page numbers are `addr >> pageShift_`. */
+    unsigned pageShift_;
     LruSets<> entries_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

@@ -80,6 +80,16 @@ SynthWorkload::SynthWorkload(const WorkloadProfile &profile,
       rng_(stats::Rng(profile.seed).fork(run_seed))
 {
     profile_.validate();
+    const double non_branch = 1.0 - profile_.branchFrac;
+    rates_.load = profile_.loadFrac / non_branch;
+    rates_.store = profile_.storeFrac / non_branch;
+    rates_.mul = profile_.mulFrac / non_branch;
+    rates_.div = profile_.divFrac / non_branch;
+    if (profile_.kernelFrac > 0.0 && profile_.kernelFrac < 1.0)
+        rates_.kernelEntry = profile_.kernelFrac /
+            ((1.0 - profile_.kernelFrac) * profile_.kernelBurstLen);
+    rates_.exception = profile_.exceptionPki / 1000.0;
+    rates_.contention = profile_.contentionPki / 1000.0;
     if (profile_.managed) {
         clr_ = shared_clr
             ? std::move(shared_clr)
@@ -288,11 +298,11 @@ SynthWorkload::userTick(sim::Core &core)
     }
 
     // Rare runtime events.
-    if (rng_.chance(profile_.exceptionPki / 1000.0)) {
+    if (rng_.chance(rates_.exception)) {
         clr_->throwException();
         mode_ = Mode::Exception;
         burstRemaining_ = 200 + rng_.below(200);
-    } else if (rng_.chance(profile_.contentionPki / 1000.0)) {
+    } else if (rng_.chance(rates_.contention)) {
         clr_->contend();
         mode_ = Mode::Contention;
         burstRemaining_ = 100 + rng_.below(150);
@@ -326,12 +336,8 @@ SynthWorkload::userInst()
     if (is_branch_site)
         return userBranch(pc);
 
-    const double non_branch = 1.0 - profile_.branchFrac;
-    const auto kind =
-        pickKind(0.0, profile_.loadFrac / non_branch,
-                 profile_.storeFrac / non_branch,
-                 profile_.mulFrac / non_branch,
-                 profile_.divFrac / non_branch);
+    const auto kind = pickKind(0.0, rates_.load, rates_.store,
+                               rates_.mul, rates_.div);
 
     sim::Inst inst;
     inst.kind = kind;
@@ -503,9 +509,7 @@ SynthWorkload::step(sim::Core &core)
       case Mode::User: {
         // Possible kernel entry (syscall / interrupt service).
         if (profile_.kernelFrac > 0.0 && profile_.kernelFrac < 1.0) {
-            const double entry_rate = profile_.kernelFrac /
-                ((1.0 - profile_.kernelFrac) * profile_.kernelBurstLen);
-            if (rng_.chance(entry_rate)) {
+            if (rng_.chance(rates_.kernelEntry)) {
                 mode_ = Mode::Kernel;
                 burstRemaining_ = std::max<std::uint64_t>(
                     8, static_cast<std::uint64_t>(rng_.exponential(

@@ -118,6 +118,24 @@ class SynthWorkload
     std::uint64_t dataRegionBytes() const;
 
     WorkloadProfile profile_;
+    /**
+     * Per-instruction probabilities derived from profile_, computed
+     * once by the constructor.
+     */
+    struct InstRates
+    {
+        /** Load/store/mul/div shares of non-branch instructions. */
+        double load = 0.0;
+        double store = 0.0;
+        double mul = 0.0;
+        double div = 0.0;
+        /** Kernel-burst entry; used only when 0 < kernelFrac < 1. */
+        double kernelEntry = 0.0;
+        /** Exception and lock-contention bursts (managed only). */
+        double exception = 0.0;
+        double contention = 0.0;
+    };
+    InstRates rates_;
     SpreadFactors spread_;
     stats::Rng rng_;
     std::shared_ptr<rt::Clr> clr_;

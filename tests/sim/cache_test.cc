@@ -30,6 +30,15 @@ TEST(CacheTest, GeometryValidation)
     EXPECT_EQ(ok.lineBytes(), 64u);
 }
 
+TEST(CacheTest, RejectsNonPowerOfTwoLine)
+{
+    // Line numbers are shifts, so a 96 B line cannot be modelled,
+    // even in a geometry whose size is a multiple of ways x line.
+    EXPECT_THROW(Cache({384, 4, 96}), std::invalid_argument);
+    EXPECT_THROW(Cache({96 * 4 * 16, 4, 96}), std::invalid_argument);
+    EXPECT_EQ(Cache({512, 4, 128}).lineBytes(), 128u);
+}
+
 TEST(CacheTest, ColdMissThenHit)
 {
     Cache c(smallGeometry());

@@ -114,6 +114,22 @@ TEST(NocTest, PrefetchInsertLandsInRightSlice)
     EXPECT_TRUE(out.hit);
 }
 
+TEST(NocTest, WideLineStaysInOneSlice)
+{
+    // 128 B lines: both 64 B halves of a line must reach the slice
+    // that holds it, whatever the slice hash.
+    LlcNoc llc({1024 * 1024, 16, 128}, 8, 40.0);
+    int found = 0;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        const std::uint64_t a = 0x10000000 + i * 128 * 37;
+        llc.insertPrefetch(a);
+        if (llc.contains(a + 64) && llc.contains(a + 127))
+            ++found;
+    }
+    EXPECT_EQ(found, 64);
+    EXPECT_TRUE(llc.access(0x10000000 + 64, false, 1, 1.0).hit);
+}
+
 TEST(NocTest, ResetClearsEverything)
 {
     LlcNoc llc(llcGeometry(), 4, 40.0);

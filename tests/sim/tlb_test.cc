@@ -16,6 +16,16 @@ TEST(TlbTest, GeometryValidation)
     EXPECT_THROW(Tlb({63, 4, 4096}), std::invalid_argument);
 }
 
+TEST(TlbTest, RejectsNonPowerOfTwoPage)
+{
+    // Page numbers are shifts, so a 3000 B page cannot be modelled.
+    EXPECT_THROW(Tlb({64, 4, 3000}), std::invalid_argument);
+    Tlb huge({64, 4, 2 * 1024 * 1024});
+    EXPECT_FALSE(huge.access(0x200000));
+    EXPECT_TRUE(huge.access(0x3FFFFF)); // same 2 MiB page
+    EXPECT_FALSE(huge.access(0x400000));
+}
+
 TEST(TlbTest, MissThenHitSamePage)
 {
     Tlb tlb({16, 4, 4096});
