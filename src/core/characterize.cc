@@ -17,6 +17,18 @@
 namespace netchar
 {
 
+std::uint64_t
+retryBackoffMicros(std::uint64_t base, unsigned attempt)
+{
+    if (base == 0 || attempt < 2)
+        return 0;
+    // Double only while under the cap: the product never overflows.
+    std::uint64_t delay = base;
+    for (unsigned k = 2; k < attempt && delay < kMaxBackoffMicros; ++k)
+        delay *= 2;
+    return std::min(delay, kMaxBackoffMicros);
+}
+
 Characterizer::Characterizer(sim::MachineConfig config)
     : config_(std::move(config))
 {
@@ -273,13 +285,9 @@ attemptResiliently(std::size_t i, const std::string &name,
         f.kind = kind;
         f.error = entry.error;
         f.seed = opt.seed;
-        if (retrying && res.backoffBaseMicros > 0) {
-            // base * 2^(a-1), capped at 100 ms of host sleep.
-            const std::uint64_t cap = 100'000;
-            const unsigned shift = std::min(a - 1, 20u);
+        if (retrying)
             f.backoffMicros =
-                std::min(cap, res.backoffBaseMicros << shift);
-        }
+                retryBackoffMicros(res.backoffBaseMicros, a + 1);
         {
             std::lock_guard<std::mutex> lock(state.mu);
             state.failures.push_back(f);

@@ -127,9 +127,9 @@ struct ResilienceOptions
     unsigned quarantineAfter = 0;
     /**
      * Exponential retry backoff base, microseconds of host sleep:
-     * before attempt k the runner sleeps base * 2^(k-2), capped at
-     * 100 ms. 0 = no backoff. (Host-time only; never affects results
-     * or the deterministic ledger beyond the recorded plan value.)
+     * before attempt k the runner sleeps retryBackoffMicros(base, k).
+     * 0 = no backoff. (Host-time only; never affects results or the
+     * deterministic ledger beyond the recorded plan value.)
      */
     std::uint64_t backoffBaseMicros = 0;
     /**
@@ -141,6 +141,18 @@ struct ResilienceOptions
     /** Fault-injection plan (chaos mode); nullptr = no injection. */
     const FaultPlan *chaos = nullptr;
 };
+
+/** Longest retry backoff, microseconds (100 ms). */
+inline constexpr std::uint64_t kMaxBackoffMicros = 100'000;
+
+/**
+ * The one retry backoff schedule, shared by sweeps
+ * (ResilienceOptions::backoffBaseMicros) and serve::Client: the
+ * sleep before attempt `attempt` (1-based) is base * 2^(attempt-2),
+ * saturating at kMaxBackoffMicros however large `base` or `attempt`
+ * is. 0 before the first attempt and for a zero base.
+ */
+std::uint64_t retryBackoffMicros(std::uint64_t base, unsigned attempt);
 
 /** Fan-out policy for suite-scale sweeps (runAll/captureAll). */
 struct Parallelism

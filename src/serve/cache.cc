@@ -1,11 +1,5 @@
 #include "serve/cache.hh"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "core/canonical.hh" // kCanonicalVersion (persist header)
-
 namespace netchar::serve
 {
 
@@ -80,98 +74,6 @@ ResultCache::keysByRecency() const
     for (const Entry &entry : lru_)
         keys.push_back(entry.key);
     return keys;
-}
-
-bool
-ResultCache::save(const std::string &path, std::string &error) const
-{
-    // Temp file + rename(): the old snapshot stays valid until the
-    // new one is complete, so a crash mid-persist loses at most the
-    // work since the previous checkpoint, never the file itself.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            error = "cannot write cache file '" + tmp + "'";
-            return false;
-        }
-        out << "netchar-cache/v" << kCanonicalVersion << '\n'
-            << lru_.size() << '\n';
-        // LRU-first: sequential re-insertion on load() leaves the
-        // same entry at MRU that was MRU when saved.
-        for (auto it = lru_.rbegin(); it != lru_.rend(); ++it)
-            out << it->key << ' ' << it->body.size() << '\n'
-                << it->body << '\n';
-        out.flush();
-        if (!out) {
-            error = "short write to cache file '" + tmp + "'";
-            return false;
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        error = "cannot move cache file '" + tmp + "' into place: " +
-                ec.message();
-        std::error_code ignored;
-        std::filesystem::remove(tmp, ignored);
-        return false;
-    }
-    return true;
-}
-
-bool
-ResultCache::load(const std::string &path, std::string &error)
-{
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec))
-        return true; // fresh daemon: nothing persisted yet
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot read cache file '" + path + "'";
-        return false;
-    }
-    std::string header;
-    if (!std::getline(in, header)) {
-        error = "cache file '" + path + "': missing header";
-        return false;
-    }
-    std::ostringstream want;
-    want << "netchar-cache/v" << kCanonicalVersion;
-    if (header != want.str()) {
-        error = "cache file '" + path + "': schema '" + header +
-                "' does not match '" + want.str() +
-                "' (stale persistence; delete the file)";
-        return false;
-    }
-    std::size_t count = 0;
-    if (!(in >> count)) {
-        error = "cache file '" + path + "': missing entry count";
-        return false;
-    }
-    in.ignore(1); // the newline after the count
-    for (std::size_t i = 0; i < count; ++i) {
-        std::string key;
-        std::size_t length = 0;
-        if (!(in >> key >> length)) {
-            error = "cache file '" + path + "': truncated entry " +
-                    std::to_string(i);
-            return false;
-        }
-        in.ignore(1);
-        std::string body(length, '\0');
-        in.read(body.data(), static_cast<std::streamsize>(length));
-        if (in.gcount() != static_cast<std::streamsize>(length)) {
-            error = "cache file '" + path + "': truncated body " +
-                    std::to_string(i);
-            return false;
-        }
-        in.ignore(1);
-        insert(key, std::move(body));
-    }
-    // Replayed inserts are bookkeeping, not fresh results.
-    counters_.inserts -= count;
-    return true;
 }
 
 } // namespace netchar::serve

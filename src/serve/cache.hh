@@ -13,10 +13,13 @@
  *
  * Eviction is LRU over both an entry-count and a byte budget, with
  * hit/miss/eviction counters exposed through the `stats` verb.
- * Optional persistence writes entries LRU-first so a reload restores
- * both contents and recency order; the format carries the canonical
- * schema version, so a cache persisted before a canonicalization
- * change misses cleanly rather than serving stale bodies.
+ * The cache lives in memory only. A persisting daemon keeps it in
+ * the checksummed journal (serve/journal.hh): compaction walks the
+ * entries LRU-first, and replay restores them in that order, so a
+ * restart recovers both contents and recency. Keys hash the
+ * canonical text, which carries the schema version, so entries
+ * persisted before a canonicalization change are never looked up
+ * again and age out of the LRU.
  *
  * Not thread-safe: the daemon's event loop is single-threaded and
  * owns the cache; parallelism lives below it, in the executor the
@@ -77,10 +80,9 @@ class ResultCache
     void insert(const std::string &key, std::string body);
 
     /**
-     * Replay an entry recovered from persistence (checkpoint or
-     * journal): same placement and eviction as insert(), but not
-     * counted as a fresh insert — counters after a restart reflect
-     * only work done since.
+     * Replay an entry recovered from the journal: same placement
+     * and eviction as insert(), but not counted as a fresh insert —
+     * counters after a restart reflect only work done since.
      */
     void restore(const std::string &key, std::string body);
 
@@ -91,21 +93,17 @@ class ResultCache
     std::vector<std::string> keysByRecency() const;
 
     /**
-     * Write every entry to `path` (LRU-first, so a load() replays
-     * recency). The snapshot is written to `path + ".tmp"` and moved
-     * into place with rename(), so a crash mid-persist can never
-     * leave a half-written file where a valid one was. Returns false
-     * with a message in `error` on I/O failure.
+     * Call `visit(key, body)` for every entry, least-recently-used
+     * first, so restore()-ing the visited pairs in order rebuilds
+     * the same recency. Unlike lookup() it neither bumps recency
+     * nor counts; journal compaction walks the cache with it.
      */
-    bool save(const std::string &path, std::string &error) const;
-
-    /**
-     * Load entries persisted by save() on top of the current
-     * contents. A missing file is not an error (fresh daemon); a
-     * malformed or version-mismatched file is (the daemon should
-     * refuse to serve from a cache it cannot trust).
-     */
-    bool load(const std::string &path, std::string &error);
+    template <typename Visit>
+    void forEachLruFirst(Visit &&visit) const
+    {
+        for (auto it = lru_.rbegin(); it != lru_.rend(); ++it)
+            visit(it->key, it->body);
+    }
 
   private:
     void evictOverBudget();

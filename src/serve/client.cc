@@ -13,27 +13,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "stats/json.hh" // parseJson (structured refusals)
+#include "core/characterize.hh" // retryBackoffMicros
+#include "stats/json.hh"          // parseJson (structured refusals)
 
 namespace netchar::serve
 {
 
 namespace
 {
-
-/** Backoff before attempt k (2-based): base * 2^(k-2), capped at
- *  100 ms — the sweep runner's schedule. */
-std::uint64_t
-backoffMicros(std::uint64_t base, unsigned attempt)
-{
-    if (base == 0 || attempt < 2)
-        return 0;
-    constexpr std::uint64_t kCap = 100'000;
-    std::uint64_t delay = base;
-    for (unsigned k = 2; k < attempt && delay < kCap; ++k)
-        delay *= 2;
-    return delay < kCap ? delay : kCap;
-}
 
 /** Monotonic milliseconds for the overall request deadline. Host
  *  time steers retry policy only; it never reaches a result. */
@@ -248,7 +235,7 @@ Client::request(const std::string &line, std::string &response,
         // An `overloaded` refusal's own hint replaces the default
         // backoff before this attempt.
         std::uint64_t delayMicros =
-            backoffMicros(options_.backoffBaseMicros, attempt);
+            retryBackoffMicros(options_.backoffBaseMicros, attempt);
         if (overloadedHintMs != 0) {
             delayMicros = overloadedHintMs * 1000;
             overloadedHintMs = 0;

@@ -7,9 +7,10 @@
  * sweep/subset answers are pure functions of the request, served
  * through the content-addressed cache; ping/stats are reads), so a
  * request whose response was lost to a connection failure can simply
- * be sent again. The backoff schedule matches the sweep runner's:
- * before attempt k the client sleeps base * 2^(k-2) microseconds,
- * capped at 100 ms — host time only, never visible in results.
+ * be sent again. The backoff schedule is the sweep runner's,
+ * retryBackoffMicros (core/characterize.hh): before attempt k the
+ * client sleeps base * 2^(k-2) microseconds, capped at 100 ms — host
+ * time only, never visible in results.
  *
  * Three failure shapes are handled beyond a torn connection:
  *

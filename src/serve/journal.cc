@@ -88,25 +88,52 @@ CacheJournal::append(const std::string &key, const std::string &body,
 }
 
 bool
-CacheJournal::reset(std::string &error)
+CacheJournal::compact(const ResultCache &cache, std::string &error)
 {
-    if (file_ == nullptr) {
+    if (path_.empty()) {
         error = "journal is not open";
         return false;
     }
-    // Truncate back to a bare header: the checkpoint the caller just
-    // wrote already holds every journaled insert.
-    std::FILE *fresh = std::freopen(path_.c_str(), "wb", file_);
-    if (fresh == nullptr) {
-        file_ = nullptr; // freopen failure closes the old stream
-        error = "cannot truncate journal '" + path_ + "'";
+    // Temp file + rename(): the old journal stays whole until the
+    // compacted one is complete, so a crash mid-compaction loses
+    // nothing the file already held.
+    const std::string tmp = path_ + ".tmp";
+    std::FILE *out = std::fopen(tmp.c_str(), "wb");
+    if (out == nullptr) {
+        error = "cannot write journal '" + tmp + "'";
         return false;
     }
-    file_ = fresh;
-    if (std::fwrite(kJournalHeader.data(), 1, kJournalHeader.size(),
-                    file_) != kJournalHeader.size() ||
-        std::fflush(file_) != 0) {
-        error = "cannot rewrite journal header in '" + path_ + "'";
+    bool written = std::fwrite(kJournalHeader.data(), 1,
+                               kJournalHeader.size(),
+                               out) == kJournalHeader.size();
+    // One record at a time, LRU-first: replay restores in file
+    // order, so the entry that was MRU comes back MRU.
+    cache.forEachLruFirst(
+        [&](const std::string &key, const std::string &body) {
+            if (!written)
+                return;
+            const std::string record = journalRecord(key, body);
+            written = std::fwrite(record.data(), 1, record.size(),
+                                  out) == record.size();
+        });
+    written = std::fflush(out) == 0 && written;
+    written = std::fclose(out) == 0 && written;
+    std::error_code ec;
+    if (written)
+        std::filesystem::rename(tmp, path_, ec);
+    if (!written || ec) {
+        error = written ? "cannot move journal '" + tmp +
+                              "' into place: " + ec.message()
+                        : "short write to journal '" + tmp + "'";
+        std::filesystem::remove(tmp, ec);
+        return false;
+    }
+    if (file_ != nullptr)
+        std::fclose(file_);
+    file_ = std::fopen(path_.c_str(), "ab");
+    if (file_ == nullptr) {
+        bytes_ = 0;
+        error = "cannot reopen journal '" + path_ + "' for append";
         return false;
     }
     bytes_ = kJournalHeader.size();
@@ -124,65 +151,79 @@ CacheJournal::replay(
     if (!std::filesystem::exists(path, ec))
         return true; // fresh daemon: nothing journaled yet
     std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::uint64_t size = std::filesystem::file_size(path, ec);
+    if (!in || ec) {
         error = "cannot read journal '" + path + "'";
         return false;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string data = buffer.str();
-    if (data.empty())
+    if (size == 0)
         return true; // created but never written: clean empty state
 
-    if (data.size() < kJournalHeader.size() ||
-        data.compare(0, kJournalHeader.size(), kJournalHeader) != 0) {
+    // Record by record, never the whole file: a compacted journal
+    // holds the whole cache, and a file-sized buffer beside the
+    // recovered entries would double start-up memory.
+    std::string line(kJournalHeader.size(), '\0');
+    if (size < line.size() ||
+        !in.read(line.data(), static_cast<std::streamsize>(line.size())) ||
+        line != kJournalHeader) {
         // A foreign or torn header means nothing in the file can be
         // trusted — recover an empty cache rather than failing the
-        // start (the snapshot checkpoint is the authoritative base).
-        report.bytesDropped = data.size();
+        // start: the cache refills on demand, answers never change.
+        report.bytesDropped = size;
         report.note = "unrecognized journal header; dropped file";
         return true;
     }
 
-    std::size_t pos = kJournalHeader.size();
-    while (pos < data.size()) {
-        const std::size_t recordStart = pos;
+    std::uint64_t pos = kJournalHeader.size();
+    std::string key;
+    std::string body;
+    while (pos < size) {
+        const std::uint64_t recordStart = pos;
         const auto stop = [&](const char *why) {
             ++report.recordsDropped;
-            report.bytesDropped = data.size() - recordStart;
+            report.bytesDropped = size - recordStart;
             report.note = why;
         };
-        const std::size_t eol = data.find('\n', pos);
-        if (eol == std::string::npos) {
+        // eof() here means the line ran out of file before its '\n'.
+        if (!std::getline(in, line) || in.eof()) {
             stop("torn record header at tail");
             break;
         }
-        const std::string header = data.substr(pos, eol - pos);
-        std::istringstream fields(header);
+        std::istringstream fields(line);
         char tag = '\0';
-        std::size_t keyLen = 0;
-        std::size_t bodyLen = 0;
+        std::uint64_t keyLen = 0;
+        std::uint64_t bodyLen = 0;
         std::string checksum;
         if (!(fields >> tag >> keyLen >> bodyLen >> checksum) ||
             tag != 'R' || checksum.size() != 32) {
             stop("corrupt record header");
             break;
         }
-        const std::size_t payloadStart = eol + 1;
-        // +1 for the record's trailing newline.
-        if (payloadStart + keyLen + bodyLen + 1 > data.size()) {
+        const std::uint64_t payloadStart = pos + line.size() + 1;
+        // Key, body and the trailing newline must fit in what is
+        // left; compared by subtraction, so a corrupt length near
+        // 2^64 cannot wrap the sum.
+        const std::uint64_t remaining = size - payloadStart;
+        if (keyLen > remaining || bodyLen > remaining - keyLen ||
+            remaining - keyLen - bodyLen < 1) {
             stop("torn record payload at tail");
             break;
         }
-        const std::string key = data.substr(payloadStart, keyLen);
-        const std::string body =
-            data.substr(payloadStart + keyLen, bodyLen);
-        if (data[payloadStart + keyLen + bodyLen] != '\n' ||
-            contentHashHex(key + body) != checksum) {
+        key.resize(keyLen);
+        body.resize(bodyLen);
+        char newline = '\0';
+        if (!in.read(key.data(), static_cast<std::streamsize>(keyLen)) ||
+            !in.read(body.data(),
+                     static_cast<std::streamsize>(bodyLen)) ||
+            !in.get(newline)) {
+            error = "cannot read journal '" + path + "'";
+            return false;
+        }
+        if (newline != '\n' || contentHashHex(key + body) != checksum) {
             stop("record checksum mismatch");
             break;
         }
-        entries.emplace_back(key, body);
+        entries.emplace_back(std::move(key), std::move(body));
         ++report.recordsRecovered;
         pos = payloadStart + keyLen + bodyLen + 1;
     }

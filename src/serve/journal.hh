@@ -3,13 +3,14 @@
  * Append-only, crash-safe journal for the serve daemon's result
  * cache.
  *
- * The PR 7 cache persisted only on clean shutdown: a crash lost every
- * result computed since start, and a torn write could poison the next
- * start. The journal closes both holes. Every cache insert is
- * appended as one checksummed, length-prefixed record and flushed;
- * periodically (and on clean shutdown) the cache is checkpointed to
- * the snapshot file via temp-file + rename() and the journal is
- * reset — classic write-ahead compaction.
+ * The journal is the daemon's only persisted state. Every cache
+ * insert is appended as one checksummed, length-prefixed record and
+ * flushed before the response leaves. Compaction (compact()) rewrites
+ * the file as one record per live cache entry, LRU-first, into a
+ * temp file that rename() moves into place; the daemon compacts on
+ * start, when the appended records outgrow its checkpoint budget and
+ * on clean shutdown. Replaying the file restores both the entries
+ * and their recency.
  *
  * On-disk layout (all ASCII framing, bodies raw):
  *
@@ -22,8 +23,9 @@
  * Recovery (replay()) walks records front-to-back and stops at the
  * first torn or corrupt one — everything after a torn tail is
  * untrusted by construction — reporting exactly what it kept and
- * dropped. A truncated journal is therefore always recovered to a
- * prefix of the pre-crash insert sequence: never a corrupt entry,
+ * dropped. A truncated or corrupted journal is therefore always
+ * recovered to a prefix of its record sequence (the entries of the
+ * last compaction, then the inserts since): never a corrupt entry,
  * never a failed start. The kill-at-every-offset sweep in
  * tests/serve/robust_test.cc proves that property byte-by-byte.
  *
@@ -39,6 +41,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "serve/cache.hh"
 
 namespace netchar::serve
 {
@@ -72,8 +76,8 @@ struct JournalRecoveryReport
  * Lifecycle: open() (append mode, creates the file with its header
  * if absent or empty), append() per cache insert (flushed before
  * returning, so an accepted response is never less durable than the
- * socket write that acknowledged it), reset() after each checkpoint
- * compaction, close() on shutdown.
+ * socket write that acknowledged it), compact() at each checkpoint,
+ * close() on shutdown.
  */
 class CacheJournal
 {
@@ -93,11 +97,20 @@ class CacheJournal
     bool append(const std::string &key, const std::string &body,
                 std::string &error);
 
-    /** Truncate back to a bare header (after a checkpoint has made
-     *  the journaled inserts redundant). */
-    bool reset(std::string &error);
+    /**
+     * Rewrite the journal as one record per entry of `cache`,
+     * LRU-first: the records stream into `path() + ".tmp"`, which is
+     * flushed and rename()d over the journal, and the append handle
+     * reopens on the new file. A crash before the rename leaves the
+     * old journal in place, so compaction never loses an entry the
+     * file already held. Afterwards bytes() is back to the header
+     * alone. False with a message in `error` on I/O failure; a
+     * failed reopen leaves isOpen() false until the next compact().
+     */
+    bool compact(const ResultCache &cache, std::string &error);
 
-    /** Current journal size in bytes (0 when closed). */
+    /** The header plus the records appended since open() or the
+     *  last compact() (0 when closed); the compaction trigger. */
     std::uint64_t bytes() const { return bytes_; }
 
     bool isOpen() const { return file_ != nullptr; }
@@ -112,8 +125,9 @@ class CacheJournal
      * first torn/corrupt record and describes the damage in
      * `report`. A missing file recovers zero entries cleanly; so
      * does a file with a foreign header (the whole file is treated
-     * as an untrusted tail). Returns false only on an I/O error
-     * reading an existing file.
+     * as an untrusted tail). The file is read one record at a
+     * time, so memory beyond `entries` stays one record. Returns
+     * false only on an I/O error reading an existing file.
      */
     static bool
     replay(const std::string &path,

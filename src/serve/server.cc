@@ -1,6 +1,7 @@
 #include "serve/server.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -134,15 +135,18 @@ configureAccepted(int fd, bool tcp, std::uint64_t sendTimeoutMs)
     }
 }
 
-/** Async-signal-safe drain request flag: the only thing the
- *  SIGTERM/SIGINT handler touches. Polled by every serve() loop
- *  within one tick. */
-volatile std::sig_atomic_t gDrainRequested = 0;
+/** Drain request flag: the only thing the SIGTERM/SIGINT handler
+ *  touches. The handler runs on whichever thread the signal hits
+ *  while serve() reads and clears the flag, so it is a lock-free
+ *  atomic (async-signal-safe and race-free). Polled by every serve()
+ *  loop within one tick. */
+std::atomic<int> gDrainRequested{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 void
 onDrainSignal(int)
 {
-    gDrainRequested = 1;
+    gDrainRequested.store(1);
 }
 
 } // namespace
@@ -178,16 +182,11 @@ Server::start(std::string &error)
         return false;
     }
     if (!options_.persistPath.empty()) {
-        // Recovery order: snapshot checkpoint first (always written
-        // atomically, so a readable file is a trustworthy base),
-        // then replay the insert journal over it. replay() stops at
+        // The journal is the only persisted state. replay() stops at
         // the first torn or corrupt record — after a crash the
-        // recovered cache is exactly a prefix of the pre-crash
-        // insert sequence, never a corrupt entry, never a refused
-        // start (the kill-at-every-offset sweep in tests/serve/
-        // asserts this).
-        if (!cache_.load(options_.persistPath, error))
-            return false;
+        // recovered cache is exactly a prefix of the file's records,
+        // never a corrupt entry, never a refused start (the
+        // kill-at-every-offset sweep in tests/serve/ asserts this).
         std::vector<std::pair<std::string, std::string>> replayed;
         if (!CacheJournal::replay(journalPath(), replayed, recovery_,
                                   error))
@@ -204,12 +203,10 @@ Server::start(std::string &error)
                          static_cast<unsigned long long>(
                              recovery_.bytesDropped),
                          recovery_.note.c_str());
-        // Fold the replayed inserts into a fresh checkpoint and
-        // start with an empty journal.
-        if (!cache_.save(options_.persistPath, error))
-            return false;
+        // Compact what survived: the torn tail and superseded
+        // records are gone, and appends start after a clean record.
         if (!journal_.open(journalPath(), error) ||
-            !journal_.reset(error))
+            !journal_.compact(cache_, error))
             return false;
     }
 
@@ -369,9 +366,7 @@ Server::checkpoint(std::string &error)
 {
     if (options_.persistPath.empty())
         return true;
-    if (!cache_.save(options_.persistPath, error))
-        return false;
-    if (journal_.isOpen() && !journal_.reset(error))
+    if (!journal_.compact(cache_, error))
         return false;
     ++counters_.checkpoints;
     return true;
@@ -775,10 +770,9 @@ Server::serve()
     constexpr int kTickMs = 50;
     std::vector<Connection> conns;
     while (true) {
-        if (!draining_ && gDrainRequested != 0) {
-            gDrainRequested = 0; // consume: one signal, one drain
+        // Consume: one signal, one drain.
+        if (!draining_ && gDrainRequested.exchange(0) != 0)
             beginDrain();
-        }
 
         const bool listening = listenFd_ >= 0;
         std::vector<pollfd> fds;

@@ -33,11 +33,13 @@
  *    batches finish, buffered and new work is refused with
  *    `draining`, the cache is checkpointed, serve() returns 0.
  *  - Crash safety: every cache insert is appended to a checksummed
- *    journal (serve/journal.hh) before the response is sent; the
- *    journal is compacted into the snapshot checkpoint (temp-file +
- *    rename) when it outgrows ServerOptions::checkpointBytes and on
- *    clean shutdown. start() replays the journal over the snapshot,
- *    skipping any torn tail and reporting what it dropped.
+ *    journal (serve/journal.hh), the daemon's only persisted state,
+ *    before the response is sent. The journal is compacted to one
+ *    record per live entry (temp-file + rename) on start, when the
+ *    records appended since the last compaction outgrow
+ *    ServerOptions::checkpointBytes, and on clean shutdown. start()
+ *    replays it, skipping any torn or corrupt tail and reporting
+ *    what it dropped.
  *  - Wire chaos: a seeded WireFaultPlan (core/faults.hh) perturbs
  *    response delivery (split/merged/stalled frames, mid-response
  *    resets, journal tail truncation) without ever changing
@@ -81,9 +83,9 @@ struct ServerOptions
     unsigned shards = 1;
     /** Result-cache budgets. */
     CacheConfig cache;
-    /** When non-empty: load the cache from this file on start() and
-     *  persist it back on clean shutdown. The insert journal lives
-     *  beside it at `persistPath + ".journal"`. */
+    /** When non-empty: the cache persists in the journal
+     *  `persistPath + ".journal"`, replayed on start(). The file
+     *  `persistPath` itself is neither written nor read. */
     std::string persistPath;
 
     // --- Admission control ---
@@ -104,8 +106,9 @@ struct ServerOptions
     std::uint64_t idleTimeoutMs = 30000;
 
     // --- Crash safety / chaos ---
-    /** Compact the journal into a snapshot checkpoint once it
-     *  exceeds this size (0 = only on shutdown). */
+    /** Compact the journal once the records appended since the
+     *  last compaction exceed this size (0 = only on start and
+     *  shutdown). */
     std::uint64_t checkpointBytes = 1024 * 1024;
     /** Seeded wire-fault plan (disabled by default). */
     WireFaultPlan chaosWire;
@@ -129,7 +132,8 @@ struct ServerCounters
     std::uint64_t idleEvicted = 0;
     /** Wire faults injected by the chaos plan. */
     std::uint64_t wireFaults = 0;
-    /** Journal-compaction checkpoints written. */
+    /** Journal compactions after start(): over budget or at
+     *  shutdown. */
     std::uint64_t checkpoints = 0;
 };
 
@@ -143,11 +147,10 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Bind and listen (and when persistence is configured: load the
-     * snapshot, replay the insert journal over it — skipping a torn
-     * tail, see recovery() — write a fresh checkpoint, and reopen
-     * the journal). Returns false with a message in `error` on any
-     * failure; the daemon must not half-start.
+     * Bind and listen (and when persistence is configured: replay
+     * the journal into the cache — skipping a torn or corrupt tail,
+     * see recovery() — and compact it). Returns false with a message
+     * in `error` on any failure; the daemon must not half-start.
      */
     bool start(std::string &error);
 
@@ -212,7 +215,10 @@ class Server
         return cache_.counters();
     }
 
-    /** What start()'s journal replay recovered and dropped. */
+    /** What start()'s journal replay recovered and dropped. Since
+     *  every compaction rewrites the live entries as records, the
+     *  recovered count includes them, not only the inserts appended
+     *  since the last compaction. */
     const JournalRecoveryReport &recovery() const
     {
         return recovery_;
@@ -238,7 +244,7 @@ class Server
     /** Insert into the cache, journal the insert, and checkpoint
      *  when the journal is over budget. */
     void recordInsert(const std::string &key, const std::string &body);
-    /** Snapshot the cache (temp+rename) and reset the journal. */
+    /** Compact the journal to the cache's live entries. */
     bool checkpoint(std::string &error);
     /** Send one response frame, applying any wire fault the chaos
      *  plan assigns to this response sequence number. */

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "harness.hh"
 #include "stats/json.hh"
@@ -134,8 +137,34 @@ TEST(Aggregate, OrderStatistics)
     EXPECT_DOUBLE_EQ(agg.p50, 2.5);
 }
 
+/** Pins NETCHAR_QUICK to full mode for one scope and restores the
+ *  caller's value (or its absence) afterwards. */
+class FullModeScope
+{
+  public:
+    FullModeScope()
+    {
+        if (const char *env = std::getenv("NETCHAR_QUICK"))
+            saved_ = env;
+        setenv("NETCHAR_QUICK", "0", 1);
+    }
+    ~FullModeScope()
+    {
+        if (saved_)
+            setenv("NETCHAR_QUICK", saved_->c_str(), 1);
+        else
+            unsetenv("NETCHAR_QUICK");
+    }
+    FullModeScope(const FullModeScope &) = delete;
+    FullModeScope &operator=(const FullModeScope &) = delete;
+
+  private:
+    std::optional<std::string> saved_;
+};
+
 TEST(RunEngine, RepeatsAndWallMetric)
 {
+    const FullModeScope fullMode;
     const Registry registry = makeRegistry(false);
     RunConfig config = quietConfig();
     const auto result = runBench(*registry.find("alpha"), config);

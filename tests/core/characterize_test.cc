@@ -341,6 +341,42 @@ TEST(ResilienceTest, RetryClearsATransientFault)
     EXPECT_EQ(stats.failures[0].backoffMicros, 1u);
 }
 
+TEST(ResilienceTest, BackoffScheduleDoublesAndSaturates)
+{
+    EXPECT_EQ(retryBackoffMicros(1000, 1), 0u);
+    EXPECT_EQ(retryBackoffMicros(0, 5), 0u);
+    EXPECT_EQ(retryBackoffMicros(1000, 2), 1000u);
+    EXPECT_EQ(retryBackoffMicros(1000, 3), 2000u);
+    EXPECT_EQ(retryBackoffMicros(1000, 8), 64000u);
+    EXPECT_EQ(retryBackoffMicros(1000, 9), kMaxBackoffMicros);
+    EXPECT_EQ(retryBackoffMicros(1, 1000000), kMaxBackoffMicros);
+    // A base whose doubling would wrap past 2^64 still saturates.
+    const std::uint64_t huge = 9223372036854775813ULL;
+    for (unsigned attempt = 2; attempt < 70; ++attempt)
+        EXPECT_EQ(retryBackoffMicros(huge, attempt), kMaxBackoffMicros)
+            << "attempt " << attempt;
+}
+
+TEST(ResilienceTest, HugeBackoffBaseLedgersTheCap)
+{
+    // Every attempt throws; each retried attempt records the capped
+    // backoff in the ledger, never a wrapped shift.
+    const auto cfg = sim::MachineConfig::intelCoreI99980Xe();
+    Characterizer ch(cfg);
+    const auto profiles = chaosSlice(1);
+    const auto chaos = FaultPlan::parse("rate=1,kinds=throw,seed=9");
+    Parallelism par;
+    par.maxAttempts = 3;
+    par.resilience.chaos = &chaos;
+    par.resilience.backoffBaseMicros = 9223372036854775813ULL;
+    SuiteRunStats stats;
+    ch.runAll(profiles, chaosOptions(), par, &stats);
+    ASSERT_EQ(stats.failures.size(), 3u);
+    EXPECT_EQ(stats.failures[0].backoffMicros, kMaxBackoffMicros);
+    EXPECT_EQ(stats.failures[1].backoffMicros, kMaxBackoffMicros);
+    EXPECT_EQ(stats.failures[2].backoffMicros, 0u); // no retry left
+}
+
 TEST(ResilienceTest, StallFaultIsKilledByTheWatchdog)
 {
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());

@@ -348,6 +348,37 @@ TEST(Journal, ChecksumMismatchStopsAtPrefix)
     std::remove(path.c_str());
 }
 
+TEST(Journal, WrappingLengthsAreATornTailNotAThrow)
+{
+    // A corrupt record header whose two lengths sum past 2^64: the
+    // bounds check must not wrap, so replay keeps the prefix and
+    // drops the record instead of reading out of range.
+    const std::string path =
+        testing::TempDir() + "netchar_journal_wrap.journal";
+    std::remove(path.c_str());
+    std::string error;
+    std::uint64_t intact = 0;
+    {
+        CacheJournal journal;
+        ASSERT_TRUE(journal.open(path, error)) << error;
+        ASSERT_TRUE(journal.append("alpha", "first!", error)) << error;
+        intact = journal.bytes();
+    }
+    writeFile(path, readFile(path) +
+                        "R 9223372036854775808 9223372036854775808 " +
+                        std::string(32, 'f') + "\nxy\n");
+    std::vector<std::pair<std::string, std::string>> entries;
+    JournalRecoveryReport report;
+    ASSERT_TRUE(CacheJournal::replay(path, entries, report, error))
+        << error;
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].first, "alpha");
+    EXPECT_EQ(report.recordsDropped, 1u);
+    EXPECT_EQ(report.bytesDropped, readFile(path).size() - intact);
+    EXPECT_NE(report.note.find("torn"), std::string::npos);
+    std::remove(path.c_str());
+}
+
 TEST(Journal, KillAtEveryOffsetRecoversAPrefix)
 {
     // The crash-safety property, proven byte-by-byte: truncate the
@@ -431,14 +462,14 @@ TEST(Journal, TruncateTailAndReset)
     EXPECT_EQ(readFile(path), "");
     std::remove(path.c_str());
 
-    // reset() returns an appended journal to a bare, replayable
-    // header.
+    // Compacting an empty cache returns an appended journal to a
+    // bare, replayable header.
     CacheJournal journal;
     ASSERT_TRUE(journal.open(path, error)) << error;
     const std::uint64_t headerBytes = journal.bytes();
     ASSERT_TRUE(journal.append("k", "v", error)) << error;
     EXPECT_GT(journal.bytes(), headerBytes);
-    ASSERT_TRUE(journal.reset(error)) << error;
+    ASSERT_TRUE(journal.compact(ResultCache{}, error)) << error;
     EXPECT_EQ(journal.bytes(), headerBytes);
     journal.close();
     std::vector<std::pair<std::string, std::string>> entries;
@@ -455,18 +486,33 @@ TEST(Journal, TruncateTailAndReset)
 TEST(Cache, SaveIsAtomicAndLeavesNoTempFile)
 {
     const std::string path =
-        testing::TempDir() + "netchar_cache_atomic.bin";
+        testing::TempDir() + "netchar_cache_atomic.journal";
+    std::remove(path.c_str());
     ResultCache cache;
     cache.insert("k", "v");
     std::string error;
-    ASSERT_TRUE(cache.save(path, error)) << error;
+    CacheJournal journal;
+    ASSERT_TRUE(journal.open(path, error)) << error;
+    ASSERT_TRUE(journal.append("k", "v", error)) << error;
+    ASSERT_TRUE(journal.compact(cache, error)) << error;
     // rename() already happened: no half-written temp beside the
-    // snapshot.
+    // journal.
     std::ifstream tmp(path + ".tmp");
     EXPECT_FALSE(tmp.good());
+    // The append handle moved to the compacted file.
+    ASSERT_TRUE(journal.append("k2", "v2", error)) << error;
+    journal.close();
+    std::vector<std::pair<std::string, std::string>> entries;
+    JournalRecoveryReport report;
+    ASSERT_TRUE(CacheJournal::replay(path, entries, report, error))
+        << error;
     ResultCache loaded;
-    ASSERT_TRUE(loaded.load(path, error)) << error;
+    for (auto &[key, body] : entries)
+        loaded.restore(key, std::move(body));
+    EXPECT_EQ(report.recordsRecovered, 2u);
     ASSERT_NE(loaded.lookup("k"), nullptr);
+    EXPECT_EQ(*loaded.lookup("k"), "v");
+    ASSERT_NE(loaded.lookup("k2"), nullptr);
     std::remove(path.c_str());
 }
 
@@ -591,6 +637,151 @@ TEST(Recovery, ServerStartsAtEveryJournalTruncationOffset)
     }
     std::remove(persist.c_str());
     std::remove(journalPath.c_str());
+}
+
+/** Answer one `run` line, stripped to the body bytes the cache
+ *  stores (the response ends `,"body":BODY}`). */
+std::string
+runBody(Server &server, const std::string &line, std::string &cache)
+{
+    const std::string response = server.handleLine(line);
+    JsonValue doc;
+    std::string error;
+    if (!parseJson(response, doc, error) || doc.find("cache") == nullptr)
+        return "unparsable response: " + response;
+    cache = doc.find("cache")->string;
+    const std::size_t at = response.find(",\"body\":") + 8;
+    return response.substr(at, response.size() - at - 1);
+}
+
+/** Clean shutdown without a socket: drain, then one serve() tick
+ *  that ends in the shutdown checkpoint. */
+void
+shutDownCleanly(Server &server)
+{
+    server.beginDrain();
+    EXPECT_EQ(server.serve(), 0);
+}
+
+TEST(Recovery, CorruptPersistedBodyIsRecomputedNotServed)
+{
+    // A result persisted by a clean shutdown, then one byte of its
+    // stored body flipped on disk: the restarted daemon must answer
+    // with the correct body, recomputed as a miss, never the
+    // corrupted bytes.
+    const std::string persist =
+        testing::TempDir() + "netchar_recovery_bitflip.bin";
+    const std::string journal = persist + ".journal";
+    std::remove(persist.c_str());
+    std::remove(journal.c_str());
+    const std::string line =
+        R"({"verb":"run","benchmark":"SeekUnroll",)"
+        R"("options":{"warmup":20000,"measure":40000}})";
+    ServerOptions sopts;
+    sopts.listen = "127.0.0.1:0";
+    sopts.persistPath = persist;
+
+    std::string body;
+    {
+        Server server(sopts);
+        std::string error, cache;
+        ASSERT_TRUE(server.start(error)) << error;
+        body = runBody(server, line, cache);
+        EXPECT_EQ(cache, "miss");
+        shutDownCleanly(server);
+    }
+
+    // Flip one digit in the middle of the stored body, in whichever
+    // persisted file holds it.
+    int flipped = 0;
+    for (const std::string &path : {persist, journal}) {
+        std::string bytes = readFile(path);
+        const std::size_t at = bytes.find(body);
+        if (bytes.empty() || at == std::string::npos)
+            continue;
+        std::size_t pos = at + body.size() / 2;
+        while (pos < at + body.size() &&
+               (bytes[pos] < '0' || bytes[pos] > '9'))
+            ++pos;
+        ASSERT_LT(pos, at + body.size());
+        bytes[pos] = bytes[pos] == '9' ? '0' : bytes[pos] + 1;
+        writeFile(path, bytes);
+        ++flipped;
+    }
+    ASSERT_EQ(flipped, 1);
+
+    Server reborn(sopts);
+    std::string error, cache;
+    ASSERT_TRUE(reborn.start(error)) << error;
+    EXPECT_EQ(runBody(reborn, line, cache), body);
+    EXPECT_EQ(cache, "miss");
+    std::remove(persist.c_str());
+    std::remove(journal.c_str());
+}
+
+TEST(Recovery, CheckpointScriptKeepsStatsAndCount)
+{
+    // A fixed request script through one daemon lifetime with a
+    // small checkpoint budget and a small cache: misses, hits,
+    // evictions, re-inserts of evicted keys and over-budget
+    // compactions.
+    // The stats body is pinned byte for byte.
+    const std::string persist =
+        testing::TempDir() + "netchar_recovery_script.bin";
+    const std::string journal = persist + ".journal";
+    std::remove(persist.c_str());
+    std::remove(journal.c_str());
+    const auto runLine = [](int seed) {
+        return std::string(
+                   R"({"verb":"run","benchmark":"SeekUnroll",)"
+                   R"("options":{"warmup":20000,"measure":40000,)"
+                   R"("seed":)") +
+               std::to_string(seed) + "}}";
+    };
+    ServerOptions sopts;
+    sopts.listen = "127.0.0.1:0";
+    sopts.persistPath = persist;
+    sopts.cache.maxEntries = 3;
+    sopts.checkpointBytes = 2500;
+
+    {
+        Server server(sopts);
+        std::string error, cache;
+        ASSERT_TRUE(server.start(error)) << error;
+        for (const int seed : {1, 2, 1, 3, 4, 2, 5, 5, 6, 4})
+            runBody(server, runLine(seed), cache);
+        // Pinned: the trigger and the counts depend on the request
+        // script alone, not on what a compaction writes.
+        EXPECT_EQ(server.counters().checkpoints, 2u);
+        EXPECT_EQ(
+            server.handleLine(R"({"verb":"stats"})"),
+            R"({"ok":true,"verb":"stats","body":{"serving":{)"
+            R"("requests":11,"errors":0,"connections":0,"shard":0,)"
+            R"("shards":1,"jobs":1},"admission":{"overloaded":0,)"
+            R"("deadlineExpired":0,"oversized":0,"drained":0,)"
+            R"("idleEvicted":0,"wireFaults":0},"journal":{)"
+            R"("recovered":0,"dropped":0,"bytesDropped":0,)"
+            R"("checkpoints":2,"bytes":2042},"cache":{"hits":2,)"
+            R"("misses":8,"evictions":5,"inserts":8,"entries":3,)"
+            R"("bytes":2817}}})");
+        shutDownCleanly(server);
+        EXPECT_EQ(server.counters().checkpoints, 3u);
+    }
+
+    // After a restart the compacted records are what replay
+    // recovers: every live entry, each a hit.
+    Server reborn(sopts);
+    std::string error, cache;
+    ASSERT_TRUE(reborn.start(error)) << error;
+    EXPECT_EQ(reborn.recovery().recordsRecovered, 3u);
+    EXPECT_EQ(reborn.recovery().recordsDropped, 0u);
+    EXPECT_EQ(reborn.cacheCounters().entries, 3u);
+    for (const int seed : {4, 5, 6}) {
+        runBody(reborn, runLine(seed), cache);
+        EXPECT_EQ(cache, "hit") << "seed " << seed;
+    }
+    std::remove(persist.c_str());
+    std::remove(journal.c_str());
 }
 
 // -- admission control --------------------------------------------

@@ -12,8 +12,8 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "core/export.hh"
 #include "serve/cache.hh"
 #include "serve/client.hh"
+#include "serve/journal.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/shard.hh"
@@ -343,7 +344,8 @@ TEST(Cache, ReinsertRefreshesBodyAndRecency)
 TEST(Cache, PersistenceRoundTripPreservesRecency)
 {
     const std::string path =
-        testing::TempDir() + "netchar_cache_roundtrip.bin";
+        testing::TempDir() + "netchar_cache_roundtrip.journal";
+    std::remove(path.c_str());
     std::string error;
     {
         ResultCache cache;
@@ -351,10 +353,21 @@ TEST(Cache, PersistenceRoundTripPreservesRecency)
         cache.insert("b", "");
         cache.insert("c", "gamma");
         ASSERT_NE(cache.lookup("a"), nullptr); // recency: a,c,b
-        ASSERT_TRUE(cache.save(path, error)) << error;
+        CacheJournal journal;
+        ASSERT_TRUE(journal.open(path, error)) << error;
+        ASSERT_TRUE(journal.compact(cache, error)) << error;
+        // The compaction walk neither counts nor bumps recency.
+        EXPECT_EQ(cache.counters().hits, 1u);
+        EXPECT_EQ(cache.keysByRecency(),
+                  (std::vector<std::string>{"a", "c", "b"}));
     }
+    std::vector<std::pair<std::string, std::string>> entries;
+    JournalRecoveryReport report;
+    ASSERT_TRUE(CacheJournal::replay(path, entries, report, error))
+        << error;
     ResultCache loaded;
-    ASSERT_TRUE(loaded.load(path, error)) << error;
+    for (auto &[key, body] : entries)
+        loaded.restore(key, std::move(body));
     const auto keys = loaded.keysByRecency();
     ASSERT_EQ(keys.size(), 3u);
     EXPECT_EQ(keys[0], "a");
@@ -365,32 +378,6 @@ TEST(Cache, PersistenceRoundTripPreservesRecency)
     ASSERT_NE(loaded.lookup("b"), nullptr);
     EXPECT_EQ(*loaded.lookup("b"), "");
     std::remove(path.c_str());
-}
-
-TEST(Cache, LoadRejectsSchemaMismatch)
-{
-    const std::string path =
-        testing::TempDir() + "netchar_cache_stale.bin";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "netchar-cache/v0\n0\n";
-    }
-    ResultCache cache;
-    std::string error;
-    EXPECT_FALSE(cache.load(path, error));
-    EXPECT_NE(error.find("schema"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(Cache, LoadOfMissingFileIsFreshStart)
-{
-    ResultCache cache;
-    std::string error;
-    EXPECT_TRUE(cache.load(
-        testing::TempDir() + "netchar_cache_never_written.bin",
-        error))
-        << error;
-    EXPECT_EQ(cache.counters().entries, 0u);
 }
 
 // -- protocol -----------------------------------------------------

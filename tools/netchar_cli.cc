@@ -124,15 +124,16 @@ usage()
         "  --max-attempts N        attempts per sweep run\n"
         "  --cache-entries N       result-cache entries (def. 256)\n"
         "  --cache-bytes N         result-cache byte budget\n"
-        "  --cache-persist FILE    load/save the cache on start/stop\n"
-        "                          (insert journal at FILE.journal)\n"
+        "  --cache-persist FILE    persist the cache in the journal\n"
+        "                          FILE.journal (replayed on start)\n"
         "  --max-pending N         requests admitted per poll round;\n"
         "                          excess shed with `overloaded`\n"
         "  --max-pending-bytes N   request bytes admitted per round\n"
         "  --max-line-bytes N      longest accepted request line\n"
         "  --retry-after-ms N      overloaded retry hint (def. 25)\n"
         "  --idle-timeout-ms N     evict silent peers (def. 30000)\n"
-        "  --checkpoint-bytes N    journal bytes before compaction\n"
+        "  --checkpoint-bytes N    appended journal bytes before\n"
+        "                          compaction\n"
         "  --chaos-wire SPEC       seeded wire faults, e.g. rate=\n"
         "                          0.25,kinds=split+reset,seed=9\n"
         "query options:\n"
