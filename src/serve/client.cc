@@ -3,14 +3,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <stdexcept>
 #include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "core/characterize.hh" // retryBackoffMicros
@@ -21,19 +16,6 @@ namespace netchar::serve
 
 namespace
 {
-
-/** Monotonic milliseconds for the overall request deadline. Host
- *  time steers retry policy only; it never reaches a result. */
-std::uint64_t
-monotonicMillis()
-{
-    // netchar-lint: allow(no-wallclock) -- client retry budget only
-    using Clock = std::chrono::steady_clock;
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::now().time_since_epoch())
-            .count());
-}
 
 /** A structured refusal the client reacts to (rather than treating
  *  the response as final). */
@@ -56,9 +38,9 @@ classifyRefusal(const std::string &response,
         return Refusal::None;
     if (code->string == "overloaded") {
         const JsonValue *hint = root.find("retryAfterMs");
-        if (hint != nullptr && hint->isNumber() && hint->number > 0)
-            retryAfterMs =
-                static_cast<std::uint64_t>(hint->number);
+        std::uint64_t hintMs = 0;
+        if (hint != nullptr && wholeNumber(*hint, hintMs))
+            retryAfterMs = hintMs;
         return Refusal::Overloaded;
     }
     if (code->string == "draining")
@@ -81,86 +63,20 @@ Client::disconnect()
         ::close(fd_);
         fd_ = -1;
     }
-    buffer_.clear();
+    framer_.reset();
 }
 
 bool
-Client::connectOnce(std::string &error)
+Client::connectOnce(Endpoint &endpoint, std::string &error)
 {
     if (fd_ >= 0)
         return true;
-    const std::string &address = options_.address;
-    const auto colon = address.rfind(':');
-    const bool tcp = colon != std::string::npos &&
-                     address.find('/') == std::string::npos;
-    if (tcp) {
-        std::string host = address.substr(0, colon);
-        if (host.empty())
-            host = "127.0.0.1";
-        unsigned long port = 0;
-        try {
-            std::size_t used = 0;
-            const std::string text = address.substr(colon + 1);
-            port = std::stoul(text, &used);
-            if (used != text.size() || port > 65535)
-                throw std::invalid_argument(text);
-        } catch (const std::exception &) {
-            error = "bad port in address '" + address + "'";
-            return false;
-        }
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd_ < 0) {
-            error = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-            error = "bad host in address '" + address + "'";
-            disconnect();
-            return false;
-        }
-        if (::connect(fd_, reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            error = "connect " + address + ": " +
-                    std::strerror(errno);
-            disconnect();
-            return false;
-        }
-    } else {
-        sockaddr_un addr{};
-        if (address.size() >= sizeof(addr.sun_path)) {
-            error = "socket path '" + address + "' too long";
-            return false;
-        }
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd_ < 0) {
-            error = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, address.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd_, reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            error = "connect " + address + ": " +
-                    std::strerror(errno);
-            disconnect();
-            return false;
-        }
-    }
-    if (options_.ioTimeoutMs != 0) {
-        // A stalled peer surfaces as a retryable timeout instead of
-        // blocking the client forever.
-        timeval tv{};
-        tv.tv_sec =
-            static_cast<time_t>(options_.ioTimeoutMs / 1000);
-        tv.tv_usec = static_cast<suseconds_t>(
-            (options_.ioTimeoutMs % 1000) * 1000);
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
+    fd_ = openEndpoint(endpoint, SocketRole::Connect, error);
+    if (fd_ < 0)
+        return false;
+    // A stalled peer surfaces as a retryable timeout instead of
+    // blocking the client forever.
+    setSocketTimeout(fd_, options_.ioTimeoutMs, true);
     return true;
 }
 
@@ -170,33 +86,15 @@ Client::roundTrip(const std::string &line, std::string &response,
 {
     std::string out = line;
     out.push_back('\n');
-    std::size_t sent = 0;
-    while (sent < out.size()) {
-        const ssize_t n =
-            ::send(fd_, out.data() + sent, out.size() - sent,
-                   MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                error = "timeout: send stalled past " +
-                        std::to_string(options_.ioTimeoutMs) + "ms";
-                return false;
-            }
-            error = std::string("send: ") + std::strerror(errno);
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
+    if (!sendAll(fd_, out)) {
+        const int cause = errno;
+        error = cause == EAGAIN || cause == EWOULDBLOCK
+                    ? "timeout: send stalled past " +
+                          std::to_string(options_.ioTimeoutMs) + "ms"
+                    : std::string("send: ") + std::strerror(cause);
+        return false;
     }
-    while (true) {
-        const auto nl = buffer_.find('\n');
-        if (nl != std::string::npos) {
-            response = buffer_.substr(0, nl);
-            buffer_.erase(0, nl + 1);
-            if (!response.empty() && response.back() == '\r')
-                response.pop_back();
-            return true;
-        }
+    while (!framer_.next(response)) {
         char buf[4096];
         const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
         if (n == 0) {
@@ -214,14 +112,19 @@ Client::roundTrip(const std::string &line, std::string &response,
             error = std::string("recv: ") + std::strerror(errno);
             return false;
         }
-        buffer_.append(buf, static_cast<std::size_t>(n));
+        framer_.feed({buf, static_cast<std::size_t>(n)});
     }
+    return true;
 }
 
 bool
 Client::request(const std::string &line, std::string &response,
                 std::string &error)
 {
+    // A malformed address fails alone: no retry can mend it.
+    Endpoint endpoint;
+    if (!parseEndpoint(options_.address, endpoint, error))
+        return false;
     const unsigned attempts =
         options_.maxAttempts < 1 ? 1 : options_.maxAttempts;
     const std::uint64_t startMs =
@@ -250,7 +153,7 @@ Client::request(const std::string &line, std::string &response,
                     (error.empty() ? "" : " (last: " + error + ")");
             return false;
         }
-        if (!connectOnce(error))
+        if (!connectOnce(endpoint, error))
             continue;
         if (!roundTrip(line, response, error)) {
             disconnect(); // a torn connection cannot carry a retry

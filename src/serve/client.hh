@@ -32,6 +32,8 @@
 #include <cstdint>
 #include <string>
 
+#include "serve/protocol.hh" // Endpoint, LineFramer
+
 namespace netchar::serve
 {
 
@@ -74,14 +76,16 @@ class Client
     const std::string &address() const { return options_.address; }
 
   private:
-    bool connectOnce(std::string &error);
+    bool connectOnce(Endpoint &endpoint, std::string &error);
     bool roundTrip(const std::string &line, std::string &response,
                    std::string &error);
     void disconnect();
 
     ClientOptions options_;
     int fd_ = -1;
-    std::string buffer_; ///< bytes received past the last response
+    /** Splits replies into lines; keeps bytes received past the
+     *  last response. */
+    LineFramer framer_;
 };
 
 } // namespace netchar::serve

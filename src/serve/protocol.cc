@@ -1,8 +1,18 @@
 #include "serve/protocol.hh"
 
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "runtime/gc.hh"
 #include "sim/config.hh"
@@ -30,6 +40,16 @@ verbName(Verb verb)
     return "ping";
 }
 
+bool
+wholeNumber(const JsonValue &v, std::uint64_t &out)
+{
+    if (!v.isNumber() || v.number < 0.0 ||
+        v.number != std::floor(v.number) || v.number > 1e18)
+        return false;
+    out = static_cast<std::uint64_t>(v.number);
+    return true;
+}
+
 namespace
 {
 
@@ -40,13 +60,13 @@ protocolError(const std::string &message)
 }
 
 std::uint64_t
-wholeNumber(const JsonValue &v, const std::string &key)
+optionCount(const JsonValue &v, const std::string &key)
 {
-    if (!v.isNumber() || v.number < 0.0 ||
-        v.number != std::floor(v.number) || v.number > 1e18)
+    std::uint64_t value = 0;
+    if (!wholeNumber(v, value))
         protocolError("option '" + key +
                       "' expects a non-negative integer");
-    return static_cast<std::uint64_t>(v.number);
+    return value;
 }
 
 double
@@ -62,16 +82,16 @@ applyOption(RunOptions &options, const std::string &key,
             const JsonValue &v)
 {
     if (key == "warmup") {
-        options.warmupInstructions = wholeNumber(v, key);
+        options.warmupInstructions = optionCount(v, key);
     } else if (key == "measure") {
-        options.measuredInstructions = wholeNumber(v, key);
+        options.measuredInstructions = optionCount(v, key);
     } else if (key == "cores") {
-        const std::uint64_t cores = wholeNumber(v, key);
+        const std::uint64_t cores = optionCount(v, key);
         if (cores == 0 || cores > 1024)
             protocolError("option 'cores' must be in [1,1024]");
         options.cores = static_cast<unsigned>(cores);
     } else if (key == "seed") {
-        options.seed = wholeNumber(v, key);
+        options.seed = optionCount(v, key);
     } else if (key == "jitHint") {
         if (v.kind != JsonValue::Kind::Bool)
             protocolError("option 'jitHint' expects true/false");
@@ -93,16 +113,16 @@ applyOption(RunOptions &options, const std::string &key,
             protocolError("option 'gcAssist' expects \"software\" "
                           "or \"hardware\"");
     } else if (key == "maxHeap") {
-        options.maxHeapBytes = wholeNumber(v, key);
+        options.maxHeapBytes = optionCount(v, key);
     } else if (key == "allocScale") {
         const double scale = finiteNumber(v, key);
         if (scale < 0.0)
             protocolError("option 'allocScale' must be >= 0");
         options.allocScale = scale;
     } else if (key == "quantum") {
-        options.quantum = wholeNumber(v, key);
+        options.quantum = optionCount(v, key);
     } else if (key == "runBudget") {
-        options.runBudgetCycles = wholeNumber(v, key);
+        options.runBudgetCycles = optionCount(v, key);
     } else {
         protocolError("unknown option '" + key + "'");
     }
@@ -161,12 +181,12 @@ parseRequest(const std::string &line)
                 protocolError("'format' expects a string");
             request.format = value.string;
         } else if (key == "size") {
-            const std::uint64_t size = wholeNumber(value, key);
+            const std::uint64_t size = optionCount(value, key);
             if (size == 0)
                 protocolError("'size' must be >= 1");
             request.subsetSize = static_cast<std::size_t>(size);
         } else if (key == "deadlineMs") {
-            request.deadlineMs = wholeNumber(value, key);
+            request.deadlineMs = optionCount(value, key);
         } else if (key == "options") {
             if (!value.isObject())
                 protocolError("'options' expects an object");
@@ -345,6 +365,145 @@ LineFramer::reset()
 {
     buffer_.clear();
     overflowed_ = false;
+}
+
+// ---------------------------------------------------------------
+// Transport.
+// ---------------------------------------------------------------
+
+bool
+parseEndpoint(const std::string &text, Endpoint &out,
+              std::string &error)
+{
+    out = {};
+    out.text = text;
+    const auto colon = text.rfind(':');
+    out.tcp = colon != std::string::npos &&
+              text.find('/') == std::string::npos;
+    if (!out.tcp) {
+        if (text.size() >= sizeof(sockaddr_un::sun_path)) {
+            error = "socket path '" + text + "' too long";
+            return false;
+        }
+        return true;
+    }
+    out.host = colon == 0 ? "127.0.0.1" : text.substr(0, colon);
+    if (!parseUnsigned(std::string_view(text).substr(colon + 1),
+                       out.port)) {
+        error = "bad port in address '" + text + "'";
+        return false;
+    }
+    in_addr host{};
+    if (::inet_pton(AF_INET, out.host.c_str(), &host) != 1) {
+        error = "bad host in address '" + text + "'";
+        return false;
+    }
+    out.ipv4 = host.s_addr;
+    return true;
+}
+
+int
+openEndpoint(Endpoint &endpoint, SocketRole role, std::string &error)
+{
+    const bool listening = role == SocketRole::Listen;
+    const int fd =
+        ::socket(endpoint.tcp ? AF_INET : AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+        error = std::string("socket: ") + std::strerror(errno);
+        return -1;
+    }
+    // Close the half-made socket and name the call that failed.
+    const auto fail = [&](const char *call, bool named) {
+        const int cause = errno;
+        ::close(fd);
+        error = call + (named ? " " + endpoint.text : "") + ": " +
+                std::strerror(cause);
+        return -1;
+    };
+
+    sockaddr_in in{};
+    sockaddr_un un{};
+    const sockaddr *addr = reinterpret_cast<const sockaddr *>(&in);
+    socklen_t len = sizeof(in);
+    if (endpoint.tcp) {
+        in.sin_family = AF_INET;
+        in.sin_port = htons(endpoint.port);
+        in.sin_addr.s_addr = endpoint.ipv4;
+        const int one = 1;
+        if (listening)
+            ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one,
+                         sizeof(one));
+    } else {
+        un.sun_family = AF_UNIX;
+        std::strncpy(un.sun_path, endpoint.text.c_str(),
+                     sizeof(un.sun_path) - 1);
+        addr = reinterpret_cast<const sockaddr *>(&un);
+        len = sizeof(un);
+        if (listening) // stale socket from a crashed daemon
+            ::unlink(endpoint.text.c_str());
+    }
+
+    if (!listening)
+        return ::connect(fd, addr, len) == 0 ? fd
+                                             : fail("connect", true);
+    if (::bind(fd, addr, len) != 0)
+        return fail("bind", true);
+    if (::listen(fd, 64) != 0) {
+        if (!endpoint.tcp)
+            ::unlink(endpoint.text.c_str());
+        return fail("listen", false);
+    }
+    if (endpoint.tcp) {
+        sockaddr_in bound{};
+        socklen_t boundLen = sizeof(bound);
+        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
+                          &boundLen) != 0)
+            return fail("getsockname", false);
+        endpoint.port = ntohs(bound.sin_port);
+    }
+    return fd;
+}
+
+bool
+sendAll(int fd, std::string_view bytes)
+{
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+        const ssize_t n =
+            ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                   MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        sent += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+void
+setSocketTimeout(int fd, std::uint64_t ms, bool receive)
+{
+    if (ms == 0)
+        return;
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(ms / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    if (receive)
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+std::uint64_t
+monotonicMillis()
+{
+    // netchar-lint: allow(no-wallclock) -- admission, idle and retry timers only
+    using Clock = std::chrono::steady_clock;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::now().time_since_epoch())
+            .count());
 }
 
 } // namespace netchar::serve

@@ -47,6 +47,11 @@
  * Everything in a response is a pure function of the request and the
  * registry (no wall times, hostnames or pids), which is what makes
  * cached responses byte-identical to freshly computed ones.
+ *
+ * The transport pieces the daemon (serve/server.hh) and the client
+ * (serve/client.hh) share live here too, once: the address rule, the
+ * send loop, the line framer, the socket-timeout setter and the
+ * monotonic clock.
  */
 
 #ifndef NETCHAR_SERVE_PROTOCOL_HH
@@ -142,6 +147,15 @@ std::string errorCodeResponse(const std::string &code,
 /** A JSON string literal: quoted + escaped. */
 std::string jsonString(const std::string &raw);
 
+/**
+ * The whole-number rule for counts read off the wire: a JSON number
+ * that is integral, non-negative and at most 1e18. False, leaving
+ * `out` unchanged, for anything else, so 1e300 cannot saturate and
+ * 0.5 cannot round to 0. Request options and sweep bodies both read
+ * their counts through it.
+ */
+bool wholeNumber(const JsonValue &v, std::uint64_t &out);
+
 // ---------------------------------------------------------------
 // Framing.
 // ---------------------------------------------------------------
@@ -192,6 +206,67 @@ class LineFramer
     std::size_t maxLineBytes_ = 0;
     bool overflowed_ = false;
 };
+
+// ---------------------------------------------------------------
+// Transport.
+// ---------------------------------------------------------------
+
+/**
+ * A parsed daemon address. Text that contains a ':' and no '/' is TCP
+ * `host:port`, split at the last ':': the host is a dotted IPv4
+ * address (empty = 127.0.0.1) and the port a decimal number in
+ * [0, 65535] read by parseUnsigned. Any other text is a Unix-domain
+ * socket path, so `serve.sock` is a path as much as `/tmp/x.sock`.
+ */
+struct Endpoint
+{
+    std::string text; ///< the address as given; the Unix path
+    bool tcp = false;
+    std::string host; ///< TCP host, "127.0.0.1" when left empty
+    std::uint16_t port = 0; ///< TCP port; the bound one after Listen
+    std::uint32_t ipv4 = 0; ///< TCP host in network byte order
+};
+
+/** Parse `text` into `out`. False with a message in `error` on a bad
+ *  port, a bad host or a path too long for a socket address; the
+ *  daemon and the client word each of these the same. */
+bool parseEndpoint(const std::string &text, Endpoint &out,
+                   std::string &error);
+
+/** Which end of a connection openEndpoint() makes. */
+enum class SocketRole { Listen, Connect };
+
+/**
+ * A stream socket for `endpoint`. Listen binds it (TCP with
+ * SO_REUSEADDR; a Unix path left by a crashed daemon is unlinked
+ * first), listens, and writes the bound TCP port back into
+ * `endpoint.port` (port 0 picks a free one). Connect connects it.
+ * Returns the descriptor, or -1 with a message in `error`.
+ */
+int openEndpoint(Endpoint &endpoint, SocketRole role,
+                 std::string &error);
+
+/**
+ * Send all of `bytes` on `fd`, resuming short writes and EINTR, with
+ * MSG_NOSIGNAL (a closed peer is an error, not a SIGPIPE). False on
+ * failure, with errno naming the cause: EAGAIN or EWOULDBLOCK when a
+ * send timeout expired.
+ */
+bool sendAll(int fd, std::string_view bytes);
+
+/** Bound `fd`'s sends, and its receives too when `receive`, to `ms`
+ *  milliseconds (0 = leave them blocking). A stalled peer then fails
+ *  the call with EAGAIN instead of blocking forever. */
+void setSocketTimeout(int fd, std::uint64_t ms, bool receive);
+
+/**
+ * Monotonic milliseconds, for queue ages, idle timeouts and the
+ * client's retry budget. These values steer *whether* and *when* a
+ * request is answered, never *what* the answer is: they must not
+ * flow into a response or the journal (netchar-lint's taint pass
+ * enforces that).
+ */
+std::uint64_t monotonicMillis();
 
 } // namespace netchar::serve
 

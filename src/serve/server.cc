@@ -11,13 +11,10 @@
 #include <sstream>
 #include <thread>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "core/canonical.hh"
@@ -46,58 +43,80 @@ num(double value)
     return os.str();
 }
 
-/** Split exporter CSV (header + one line per row, each '\n'-
- *  terminated) into its lines, without the newlines. */
-std::vector<std::string>
-csvLines(const std::string &csv)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < csv.size()) {
-        const auto nl = csv.find('\n', start);
-        if (nl == std::string::npos) {
-            lines.push_back(csv.substr(start));
-            break;
-        }
-        lines.push_back(csv.substr(start, nl - start));
-        start = nl + 1;
-    }
-    return lines;
-}
-
-bool
-sendAll(int fd, const std::string &bytes)
-{
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                   MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
 /**
- * Monotonic milliseconds for queue-age and idle-timeout decisions.
- * These values steer *whether* a request is answered (shed, evict),
- * never *what* the answer is — they must not flow into a response or
- * the journal (netchar-lint's taint pass enforces that).
+ * This daemon's share of a sweep: its rows and failures tagged with
+ * their suite indices, so `netchar query --merge` can reassemble the
+ * single-process output from every shard's body.
  */
-std::uint64_t
-monotonicMillis()
+std::string
+sweepBody(const Request &request, const ServerOptions &options,
+          std::size_t suiteSize, const std::vector<std::size_t> &indices,
+          const std::vector<wl::WorkloadProfile> &slice,
+          const std::vector<RunResult> &results,
+          const SuiteRunStats &stats)
 {
-    // netchar-lint: allow(no-wallclock) -- admission/idle timers only
-    using Clock = std::chrono::steady_clock;
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::now().time_since_epoch())
-            .count());
+    SweepPartial partial;
+    partial.suite = request.suite;
+    partial.format = request.format;
+    partial.shard = options.shard;
+    partial.shards = options.shards;
+    partial.suiteSize = suiteSize;
+    std::vector<std::string> names;
+    for (const auto &p : slice)
+        names.push_back(p.name);
+    if (request.format == "json") {
+        for (std::size_t j = 0; j < slice.size(); ++j)
+            partial.rows.push_back(
+                {indices[j], names[j],
+                 runResultJson(names[j], results[j])});
+    } else {
+        // The header line, then one line per row.
+        LineFramer lines;
+        lines.feed(metricsCsv(names, results));
+        std::string text;
+        if (lines.next(text))
+            partial.header = text;
+        for (std::size_t j = 0; j < slice.size() && lines.next(text); ++j)
+            partial.rows.push_back({indices[j], names[j], text});
+    }
+    partial.failures = stats.failures;
+    for (RunFailure &f : partial.failures)
+        f.index = indices[f.index]; // slice pos -> suite index
+    return sweepBodyJson(partial);
+}
+
+/** A subset response body: the representatives Table IV's method
+ *  picks from the suite's surviving runs. */
+std::string
+subsetBody(const Request &request,
+           const std::vector<wl::WorkloadProfile> &profiles,
+           const std::vector<RunResult> &results,
+           const SuiteRunStats &stats)
+{
+    SubsetOptions sopts;
+    sopts.subsetSize = request.subsetSize;
+    const SurvivorSubset survivors =
+        buildSurvivorSubset(results, stats, sopts);
+    const SubsetResult &subset = survivors.subset;
+
+    std::ostringstream body;
+    body << "{\"suite\":" << jsonString(request.suite)
+         << ",\"size\":" << request.subsetSize
+         << ",\"total\":" << profiles.size()
+         << ",\"surviving\":" << survivors.surviving
+         << ",\"prcoVariance\":"
+         << num(subset.pca.cumulativeExplained())
+         << ",\"representatives\":[";
+    for (std::size_t c = 0; c < subset.clusters.size(); ++c) {
+        if (c > 0)
+            body << ',';
+        body << "{\"benchmark\":"
+             << jsonString(profiles[subset.representatives[c]].name)
+             << ",\"clusterSize\":" << subset.clusters[c].size()
+             << '}';
+    }
+    body << "]}";
+    return body.str();
 }
 
 /** Structured shed response for an expired per-request deadline. The
@@ -122,13 +141,7 @@ deadlineError(std::uint64_t deadlineMs)
 void
 configureAccepted(int fd, bool tcp, std::uint64_t sendTimeoutMs)
 {
-    if (sendTimeoutMs != 0) {
-        timeval tv{};
-        tv.tv_sec = static_cast<time_t>(sendTimeoutMs / 1000);
-        tv.tv_usec =
-            static_cast<suseconds_t>((sendTimeoutMs % 1000) * 1000);
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
+    setSocketTimeout(fd, sendTimeoutMs, false);
     if (tcp) {
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -166,7 +179,7 @@ Server::closeListener()
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (unixSocket_ && !unixPath_.empty()) {
+    if (!unixPath_.empty()) {
         ::unlink(unixPath_.c_str());
         unixPath_.clear();
     }
@@ -181,6 +194,9 @@ Server::start(std::string &error)
                 " needs 0 <= shard < shards";
         return false;
     }
+    Endpoint endpoint;
+    if (!parseEndpoint(options_.listen, endpoint, error))
+        return false;
     if (!options_.persistPath.empty()) {
         // The journal is the only persisted state. replay() stops at
         // the first torn or corrupt record — after a crash the
@@ -210,96 +226,13 @@ Server::start(std::string &error)
             return false;
     }
 
-    // `host:port` (no '/') is TCP; anything else is a socket path.
-    const auto colon = options_.listen.rfind(':');
-    const bool tcp = colon != std::string::npos &&
-                     options_.listen.find('/') == std::string::npos;
-    if (tcp) {
-        std::string host = options_.listen.substr(0, colon);
-        if (host.empty())
-            host = "127.0.0.1";
-        const std::string port_text = options_.listen.substr(colon + 1);
-        unsigned long port = 0;
-        try {
-            std::size_t used = 0;
-            port = std::stoul(port_text, &used);
-            if (used != port_text.size() || port > 65535)
-                throw std::invalid_argument(port_text);
-        } catch (const std::exception &) {
-            error = "bad port in listen address '" + options_.listen +
-                    "'";
-            return false;
-        }
-        listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listenFd_ < 0) {
-            error = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        const int one = 1;
-        ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port =
-            htons(static_cast<std::uint16_t>(port));
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-            error = "bad host in listen address '" + options_.listen +
-                    "'";
-            closeListener();
-            return false;
-        }
-        if (::bind(listenFd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            error = "bind " + options_.listen + ": " +
-                    std::strerror(errno);
-            closeListener();
-            return false;
-        }
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        if (::getsockname(listenFd_,
-                          reinterpret_cast<sockaddr *>(&bound),
-                          &len) != 0) {
-            error = std::string("getsockname: ") +
-                    std::strerror(errno);
-            closeListener();
-            return false;
-        }
-        address_ = host + ":" + std::to_string(ntohs(bound.sin_port));
-    } else {
-        sockaddr_un addr{};
-        if (options_.listen.size() >= sizeof(addr.sun_path)) {
-            error = "socket path '" + options_.listen + "' too long";
-            return false;
-        }
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listenFd_ < 0) {
-            error = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        ::unlink(options_.listen.c_str()); // stale socket from a
-                                           // crashed daemon
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, options_.listen.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(listenFd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            error = "bind " + options_.listen + ": " +
-                    std::strerror(errno);
-            closeListener();
-            return false;
-        }
-        unixSocket_ = true;
-        unixPath_ = options_.listen;
-        address_ = options_.listen;
-    }
-    if (::listen(listenFd_, 64) != 0) {
-        error = std::string("listen: ") + std::strerror(errno);
-        closeListener();
+    listenFd_ = openEndpoint(endpoint, SocketRole::Listen, error);
+    if (listenFd_ < 0)
         return false;
-    }
+    if (endpoint.tcp)
+        address_ = endpoint.host + ":" + std::to_string(endpoint.port);
+    else
+        unixPath_ = address_ = options_.listen;
     return true;
 }
 
@@ -393,139 +326,60 @@ Server::handleParsed(const Request &request)
     }
 
     // parseRequest accepted only registered machine and suite keys.
-    const sim::MachineConfig config =
-        sim::findMachineModel(request.machine)->make();
+    const bool sweep = request.verb == Verb::Sweep;
+    const std::string verb(verbName(request.verb));
     const wl::Suite suite = *wl::suiteForKey(request.suite);
     const auto profiles = wl::suiteProfiles(suite);
     // Registry index of profiles[0]: the key table's profile texts.
     const std::size_t first = wl::suiteBegin(suite);
+    // A sweep runs this daemon's shard of the suite. A subset always
+    // runs the full suite (PCA + clustering need the whole metric
+    // matrix), so sharded daemons answer it identically.
+    const auto indices =
+        sweep ? shardIndices(profiles.size(), options_.shard,
+                             options_.shards)
+              : shardIndices(profiles.size(), 0, 1);
 
-    if (request.verb == Verb::Sweep) {
-        const auto indices = shardIndices(
-            profiles.size(), options_.shard, options_.shards);
-        std::ostringstream key_text;
-        key_text << "netchar-key/v" << kCanonicalVersion
-                 << "/sweep{suite=" << request.suite
-                 << ";format=" << request.format
-                 << ";shard=" << options_.shard << '/'
-                 << options_.shards
-                 << ";maxAttempts=" << options_.maxAttempts
-                 << ";machine{" << runKeys_.machineText(request.machine)
-                 << "}options{" << canonicalRunOptions(request.options)
-                 << '}';
-        std::vector<wl::WorkloadProfile> slice;
-        for (const std::size_t idx : indices) {
-            slice.push_back(profiles[idx]);
-            key_text << "profile{" << runKeys_.profileText(first + idx)
-                     << '}';
-        }
-        const std::string key = contentHashHex(key_text.str());
-        if (const std::string *body = cache_.lookup(key))
-            return okCachedResponse("sweep", true, key, *body);
-
-        Characterizer ch(config);
-        Parallelism par;
-        par.jobs = options_.jobs;
-        par.maxAttempts = options_.maxAttempts;
-        SuiteRunStats stats;
-        std::vector<RunResult> results;
-        try {
-            results = ch.runAll(slice, request.options, par, &stats);
-        } catch (const std::exception &ex) {
-            ++counters_.errors;
-            return errorResponse(std::string("sweep: ") + ex.what());
-        }
-
-        SweepPartial partial;
-        partial.suite = request.suite;
-        partial.format = request.format;
-        partial.shard = options_.shard;
-        partial.shards = options_.shards;
-        partial.suiteSize = profiles.size();
-        std::vector<std::string> names;
-        for (const auto &p : slice)
-            names.push_back(p.name);
-        if (request.format == "json") {
-            for (std::size_t j = 0; j < slice.size(); ++j)
-                partial.rows.push_back(
-                    {indices[j], names[j],
-                     runResultJson(names[j], results[j])});
-        } else {
-            const auto lines = csvLines(metricsCsv(names, results));
-            partial.header = lines.empty() ? "" : lines.front();
-            for (std::size_t j = 0; j < slice.size(); ++j)
-                partial.rows.push_back(
-                    {indices[j], names[j], lines[j + 1]});
-        }
-        partial.failures = stats.failures;
-        for (RunFailure &f : partial.failures)
-            f.index = indices[f.index]; // slice pos -> suite index
-
-        std::string body = sweepBodyJson(partial);
-        recordInsert(key, body);
-        return okCachedResponse("sweep", false, key, body);
-    }
-
-    // Subset: always over the full suite (PCA + clustering need the
-    // whole metric matrix), so sharded daemons answer it identically.
     std::ostringstream key_text;
-    key_text << "netchar-key/v" << kCanonicalVersion
-             << "/subset{suite=" << request.suite
-             << ";size=" << request.subsetSize
-             << ";maxAttempts=" << options_.maxAttempts
-             << ";machine{" << runKeys_.machineText(request.machine)
-             << "}options{" << canonicalRunOptions(request.options)
-             << '}';
-    for (std::size_t idx = 0; idx < profiles.size(); ++idx)
+    key_text << "netchar-key/v" << kCanonicalVersion << '/' << verb
+             << "{suite=" << request.suite;
+    if (sweep)
+        key_text << ";format=" << request.format
+                 << ";shard=" << options_.shard << '/'
+                 << options_.shards;
+    else
+        key_text << ";size=" << request.subsetSize;
+    key_text << ";maxAttempts=" << options_.maxAttempts << ";machine{"
+             << runKeys_.machineText(request.machine) << "}options{"
+             << canonicalRunOptions(request.options) << '}';
+    std::vector<wl::WorkloadProfile> slice;
+    for (const std::size_t idx : indices) {
+        slice.push_back(profiles[idx]);
         key_text << "profile{" << runKeys_.profileText(first + idx)
                  << '}';
+    }
     const std::string key = contentHashHex(key_text.str());
     if (const std::string *body = cache_.lookup(key))
-        return okCachedResponse("subset", true, key, *body);
+        return okCachedResponse(verb, true, key, *body);
 
-    Characterizer ch(config);
+    Characterizer ch(sim::findMachineModel(request.machine)->make());
     Parallelism par;
     par.jobs = options_.jobs;
     par.maxAttempts = options_.maxAttempts;
-    SuiteRunStats stats;
-    std::vector<RunResult> results;
+    std::string body;
     try {
-        results = ch.runAll(profiles, request.options, par, &stats);
+        SuiteRunStats stats;
+        const std::vector<RunResult> results =
+            ch.runAll(slice, request.options, par, &stats);
+        body = sweep ? sweepBody(request, options_, profiles.size(),
+                                 indices, slice, results, stats)
+                     : subsetBody(request, slice, results, stats);
     } catch (const std::exception &ex) {
         ++counters_.errors;
-        return errorResponse(std::string("subset: ") + ex.what());
+        return errorResponse(verb + ": " + ex.what());
     }
-
-    SubsetOptions sopts;
-    sopts.subsetSize = request.subsetSize;
-    SurvivorSubset survivors;
-    try {
-        survivors = buildSurvivorSubset(results, stats, sopts);
-    } catch (const std::exception &ex) {
-        ++counters_.errors;
-        return errorResponse(std::string("subset: ") + ex.what());
-    }
-    const SubsetResult &subset = survivors.subset;
-
-    std::ostringstream body;
-    body << "{\"suite\":" << jsonString(request.suite)
-         << ",\"size\":" << request.subsetSize
-         << ",\"total\":" << profiles.size()
-         << ",\"surviving\":" << survivors.surviving
-         << ",\"prcoVariance\":"
-         << num(subset.pca.cumulativeExplained())
-         << ",\"representatives\":[";
-    for (std::size_t c = 0; c < subset.clusters.size(); ++c) {
-        if (c > 0)
-            body << ',';
-        body << "{\"benchmark\":"
-             << jsonString(profiles[subset.representatives[c]].name)
-             << ",\"clusterSize\":" << subset.clusters[c].size()
-             << '}';
-    }
-    body << "]}";
-    recordInsert(key, body.str());
-    return okCachedResponse("subset", false, key, body.str());
+    recordInsert(key, body);
+    return okCachedResponse(verb, false, key, body);
 }
 
 std::vector<std::string>
@@ -749,8 +603,8 @@ Server::deliverResponse(Connection &conn, const std::string &frame)
     if (fault.kind == WireFaultKind::SplitWrite) {
         for (std::size_t off = 0; off < outbound.size();
              off += fault.chunkBytes) {
-            if (!sendAll(conn.fd,
-                         outbound.substr(off, fault.chunkBytes))) {
+            if (!sendAll(conn.fd, std::string_view(outbound).substr(
+                                      off, fault.chunkBytes))) {
                 conn.open = false;
                 return;
             }
@@ -798,7 +652,7 @@ Server::serve()
         if (listening && (fds[0].revents & POLLIN) != 0) {
             const int fd = ::accept(listenFd_, nullptr, nullptr);
             if (fd >= 0) {
-                configureAccepted(fd, !unixSocket_,
+                configureAccepted(fd, unixPath_.empty(),
                                   options_.idleTimeoutMs);
                 Connection conn;
                 conn.fd = fd;

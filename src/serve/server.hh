@@ -264,7 +264,7 @@ class Server
     JournalRecoveryReport recovery_;
     std::uint64_t responseSequence_ = 0;
     int listenFd_ = -1;
-    bool unixSocket_ = false;
+    /** The bound Unix socket path, unlinked on close ("" = TCP). */
     std::string unixPath_;
     bool stopping_ = false;
     bool draining_ = false;

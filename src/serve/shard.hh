@@ -84,9 +84,10 @@ bool parseSweepBody(const JsonValue &body, SweepPartial &out,
  * the single-process `netchar suite <suite> --format <f>` writes to
  * stdout (metricsCsv bytes for csv, suiteJson bytes for json).
  * Requires one partial per shard 0..n-1 (any order), identical
- * (suite, format, shards, suiteSize, header) across partials, and
- * rows covering every suite index exactly once. Returns false with
- * a message in `error` otherwise.
+ * (suite, format, shards, suiteSize, header) across partials, as
+ * many rows in all as suiteSize, and rows covering every suite index
+ * exactly once. Returns false with a message in `error` otherwise
+ * (never throws, whatever the partials hold).
  */
 bool mergeSweep(const std::vector<SweepPartial> &partials,
                 std::string &merged, std::string &error);

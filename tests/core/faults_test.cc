@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "../mutate.hh"
 #include "core/faults.hh"
 #include "stats/hash.hh"
 
@@ -292,48 +293,9 @@ TEST(FaultPlanTest, ErrorMessagesNameTheSpecFamily)
 namespace
 {
 
-/**
- * Seeded byte mutator: 1-4 edits (overwrite, insert, delete,
- * duplicate a span, truncate) drawn from a splitmix64 stream, with
- * replacement bytes biased towards the grammar's own punctuation.
- */
-std::string
-mutate(std::string s, std::uint64_t &state)
-{
-    static const std::string alphabet =
-        ",=+-.0123456789eE xnatr\x7f\xff";
-    const auto next = [&state] { return state = splitmix64(state); };
-    const auto byte = [&]() -> char {
-        const std::uint64_t r = next();
-        return r % 4 == 0 ? static_cast<char>(r >> 8)
-                          : alphabet[(r >> 8) % alphabet.size()];
-    };
-    const unsigned edits = 1 + next() % 4;
-    for (unsigned e = 0; e < edits; ++e) {
-        const std::size_t at = s.empty() ? 0 : next() % (s.size() + 1);
-        switch (next() % 5) {
-        case 0:
-            if (at < s.size())
-                s[at] = byte();
-            break;
-        case 1:
-            s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), byte());
-            break;
-        case 2:
-            if (at < s.size())
-                s.erase(at, 1 + next() % 3);
-            break;
-        case 3:
-            if (at < s.size())
-                s.insert(at, s.substr(at, 1 + next() % 6));
-            break;
-        default:
-            s.resize(at);
-            break;
-        }
-    }
-    return s;
-}
+/** Replacement bytes biased towards the spec grammars' punctuation. */
+constexpr std::string_view kSpecAlphabet =
+    ",=+-.0123456789eE xnatr\x7f\xff";
 
 template <typename Plan>
 void
@@ -342,9 +304,9 @@ fuzzSpecs(const std::vector<std::string> &seeds, const char *prefix,
 {
     unsigned accepted = 0, rejected = 0;
     for (int i = 0; i < 3000; ++i) {
-        const std::string spec =
-            mutate(seeds[static_cast<std::size_t>(i) % seeds.size()],
-                   state);
+        const std::string spec = test::mutate(
+            seeds[static_cast<std::size_t>(i) % seeds.size()], state,
+            kSpecAlphabet);
         try {
             const Plan plan = Plan::parse(spec);
             ++accepted;

@@ -6,7 +6,9 @@
  * admission control and deadline shedding, graceful drain on
  * SIGTERM, and seeded wire chaos — under which clients must still
  * reassemble byte-identical results, including the headline
- * shard-merge-equals-single-process guarantee per machine model.
+ * shard-merge-equals-single-process guarantee per machine model —
+ * and seeded byte mutations of every parser of outside bytes:
+ * request lines, sweep bodies and the journal.
  */
 
 #include <csignal>
@@ -25,6 +27,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "../mutate.hh"
 #include "core/executor.hh"
 #include "core/export.hh"
 #include "core/faults.hh"
@@ -1443,6 +1446,146 @@ TEST(Stats, ReportsAdmissionAndJournalSections)
     const JsonValue *journal = body->find("journal");
     ASSERT_NE(journal, nullptr);
     EXPECT_EQ(journal->find("dropped")->number, 0.0);
+}
+
+// -- seeded mutations of every parser of outside bytes ------------
+
+/** Replacement bytes biased towards JSON punctuation and literals. */
+constexpr std::string_view kJsonAlphabet =
+    "{}[]\":,.-+0123456789eE \\nutrfals";
+
+TEST(ServeFuzz, RequestsParseOrThrowProtocolError)
+{
+    const std::vector<std::string> seeds = {
+        R"({"verb":"ping"})",
+        R"({"verb":"run","benchmark":"SeekUnroll","machine":"xeon",)"
+        R"("options":{"warmup":20000,"measure":40000,"cores":2,)"
+        R"("jitHint":true}})",
+        R"({"verb":"sweep","suite":"spec","format":"json",)"
+        R"("deadlineMs":50,"options":{"seed":7,"gcMode":"server",)"
+        R"("allocScale":1.5}})",
+        R"({"verb":"subset","suite":"dotnet","size":4,"options":)"
+        R"({"maxHeap":1048576,"quantum":1000,"gcAssist":"hardware"}})",
+    };
+    std::uint64_t state = 3;
+    unsigned accepted = 0, rejected = 0;
+    for (std::size_t i = 0; i < 3000; ++i) {
+        const std::string line =
+            test::mutate(seeds[i % seeds.size()], state, kJsonAlphabet);
+        try {
+            const std::string canonical =
+                requestLine(parseRequest(line));
+            ++accepted;
+            // What the parser accepts, the client renders back to a
+            // line the parser reads as the same request.
+            EXPECT_EQ(requestLine(parseRequest(canonical)), canonical)
+                << "line: " << line;
+        } catch (const ProtocolError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "line: " << line << "\nthrew: " << e.what();
+        }
+    }
+    // The mutator must exercise both outcomes to mean anything. The
+    // grammar is strict (unknown keys, leading zeros and trailing
+    // bytes all refuse), so few mutations survive: 47 of these 3000.
+    EXPECT_GT(accepted, 20u);
+    EXPECT_GT(rejected, 100u);
+}
+
+TEST(ServeFuzz, SweepBodiesMergeOrFailWithAMessage)
+{
+    // A 2-shard csv sweep of a 4-benchmark suite: shard 1's body is
+    // mutated and merged with shard 0's intact partial.
+    SweepPartial shard0;
+    shard0.suite = "spec";
+    shard0.format = "csv";
+    shard0.shards = 2;
+    shard0.suiteSize = 4;
+    shard0.header = "benchmark,ipc";
+    shard0.rows = {{0, "A", "A,1.5"}, {2, "C", "C,0.25"}};
+    SweepPartial shard1 = shard0;
+    shard1.shard = 1;
+    shard1.rows = {{1, "B", "B,2"}, {3, "D", "D,0.5"}};
+    RunFailure fail;
+    fail.index = 3;
+    fail.benchmark = "D";
+    fail.kind = "throw";
+    fail.seed = 11;
+    fail.backoffMicros = 250;
+    fail.error = "injected";
+    shard1.failures.push_back(fail);
+    const std::string seed = sweepBodyJson(shard1);
+
+    std::uint64_t state = 5;
+    unsigned merged = 0, refused = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string text = test::mutate(seed, state, kJsonAlphabet);
+        try {
+            JsonValue doc;
+            SweepPartial partial;
+            std::string output, error;
+            if (parseJson(text, doc, error) &&
+                parseSweepBody(doc, partial, error) &&
+                mergeSweep({shard0, partial}, output, error)) {
+                ++merged;
+            } else {
+                ++refused;
+                EXPECT_NE(error, "") << "body: " << text;
+            }
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "body: " << text << "\nthrew: " << e.what();
+        }
+    }
+    // Both outcomes must occur; 51 of these 3000 still merge.
+    EXPECT_GT(merged, 20u);
+    EXPECT_GT(refused, 100u);
+}
+
+TEST(ServeFuzz, JournalReplayRecoversAPrefix)
+{
+    const std::string path =
+        testing::TempDir() + "netchar_journal_fuzz.journal";
+    const std::string mutated =
+        testing::TempDir() + "netchar_journal_fuzz_mutated.journal";
+    std::remove(path.c_str());
+    const std::vector<std::pair<std::string, std::string>> inserted =
+        {{"k-one", "body one\nwith newline"},
+         {"k-two", ""},
+         {"k-three", "R 3 4 body three"},
+         {"k-four", "{\"ok\":true}"}};
+    std::string error;
+    {
+        CacheJournal journal;
+        ASSERT_TRUE(journal.open(path, error)) << error;
+        for (const auto &[key, body] : inserted)
+            ASSERT_TRUE(journal.append(key, body, error)) << error;
+    }
+    const std::string bytes = readFile(path);
+
+    std::uint64_t state = 7;
+    unsigned whole = 0, cut = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string text =
+            test::mutate(bytes, state, "R 0123456789abcdef\nk-");
+        writeFile(mutated, text);
+        std::vector<std::pair<std::string, std::string>> entries;
+        JournalRecoveryReport report;
+        ASSERT_TRUE(CacheJournal::replay(mutated, entries, report, error))
+            << error;
+        ASSERT_LE(entries.size(), inserted.size());
+        for (std::size_t e = 0; e < entries.size(); ++e)
+            ASSERT_EQ(entries[e], inserted[e])
+                << "mutation " << i << " entry " << e;
+        ++(entries.size() == inserted.size() ? whole : cut);
+    }
+    // Both outcomes must occur. Most edits break a checksum or a
+    // record header; 13 of these 3000 keep every record (bytes
+    // appended after the last one, for instance).
+    EXPECT_GT(whole, 5u);
+    EXPECT_GT(cut, 100u);
+    std::remove(path.c_str());
+    std::remove(mutated.c_str());
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -525,6 +526,17 @@ TEST(Shard, SpecParsing)
     EXPECT_FALSE(parseShardSpec("nope", shard, shards, error));
     EXPECT_FALSE(parseShardSpec("1", shard, shards, error));
     EXPECT_FALSE(parseShardSpec("1/x", shard, shards, error));
+    // Both numbers follow the one number rule: no wrap past 2^32, no
+    // sign, no whitespace.
+    EXPECT_FALSE(parseShardSpec("4294967297/4294967298", shard, shards,
+                                error));
+    EXPECT_EQ(error, "shard spec '4294967297/4294967298' must look "
+                     "like i/n");
+    EXPECT_FALSE(parseShardSpec(" 1/2", shard, shards, error));
+    EXPECT_FALSE(parseShardSpec("+1/ 2", shard, shards, error));
+    EXPECT_FALSE(parseShardSpec("1/2/3", shard, shards, error));
+    EXPECT_EQ(shard, 1u);
+    EXPECT_EQ(shards, 4u);
 }
 
 TEST(Shard, SweepBodyRoundTrip)
@@ -562,6 +574,74 @@ TEST(Shard, SweepBodyRoundTrip)
     ASSERT_EQ(back.failures.size(), 1u);
     EXPECT_EQ(back.failures[0].error, "injected \"quote\"");
     EXPECT_EQ(back.failures[0].backoffMicros, 250u);
+}
+
+/** A one-shard csv sweep body with one row; the shard, suiteSize
+ *  and row index are spliced in as raw JSON number text. */
+std::string
+sweepBodyText(const std::string &shard, const std::string &suiteSize,
+              const std::string &rowIndex)
+{
+    return R"({"suite":"spec","format":"csv","shard":)" + shard +
+           R"(,"shards":1,"suiteSize":)" + suiteSize +
+           R"(,"header":"h","rows":[{"index":)" + rowIndex +
+           R"(,"benchmark":"A","text":"A,1"}],"failures":[]})";
+}
+
+/** parseSweepBody over `text`; false with `error` set on rejection. */
+bool
+parseSweepText(const std::string &text, SweepPartial &partial,
+               std::string &error)
+{
+    JsonValue doc;
+    return parseJson(text, doc, error) &&
+           parseSweepBody(doc, partial, error);
+}
+
+TEST(Shard, SweepBodyRejectsAnOverflowingSuiteSize)
+{
+    // 1e300 used to saturate to 0 and merge into an empty sweep.
+    SweepPartial partial;
+    std::string error;
+    EXPECT_FALSE(parseSweepText(sweepBodyText("0", "1e300", "0"),
+                                partial, error));
+    EXPECT_EQ(error, "sweep body: missing or bad count 'suiteSize'");
+}
+
+TEST(Shard, MergeRejectsASuiteSizeBeyondItsRows)
+{
+    // A whole number, so it parses; the merge must refuse it before
+    // sizing its index table by it (that threw std::bad_alloc).
+    SweepPartial partial;
+    std::string merged, error;
+    ASSERT_TRUE(parseSweepText(sweepBodyText("0", "1e12", "0"), partial,
+                               error))
+        << error;
+    EXPECT_EQ(partial.suiteSize, 1000000000000u);
+    EXPECT_FALSE(mergeSweep({partial}, merged, error));
+    EXPECT_EQ(error,
+              "merge: partials carry 1 row(s) for a suite of "
+              "1000000000000");
+}
+
+TEST(Shard, SweepBodyRejectsAShardPastUnsigned)
+{
+    // 2^32 used to truncate to shard 0.
+    SweepPartial partial;
+    std::string error;
+    EXPECT_FALSE(parseSweepText(sweepBodyText("4294967296", "1", "0"),
+                                partial, error));
+    EXPECT_EQ(error, "sweep body: missing or bad count 'shard'");
+}
+
+TEST(Shard, SweepBodyRejectsAFractionalRowIndex)
+{
+    // 0.5 used to be accepted as row 0.
+    SweepPartial partial;
+    std::string error;
+    EXPECT_FALSE(parseSweepText(sweepBodyText("0", "1", "0.5"), partial,
+                                error));
+    EXPECT_EQ(error, "sweep body: missing or bad count 'index'");
 }
 
 TEST(Shard, MergeRejectsIncompleteOrMixedPartials)
@@ -749,7 +829,11 @@ TEST(Socket, PersistedCacheServesHitsAcrossRestart)
 {
     const std::string path =
         testing::TempDir() + "netchar_serve_persist.bin";
+    // The cache lives in the journal beside `path`: a journal left by
+    // an earlier run would turn the first request into a hit.
+    const std::string journal = path + ".journal";
     std::remove(path.c_str());
+    std::remove(journal.c_str());
     const std::string line =
         R"({"verb":"run","benchmark":"SeekUnroll",)"
         R"("options":{"warmup":20000,"measure":40000}})";
@@ -784,12 +868,92 @@ TEST(Socket, PersistedCacheServesHitsAcrossRestart)
     ASSERT_TRUE(reborn.start(error)) << error;
     const std::string cached = reborn.handleLine(line);
     JsonValue doc;
+    ASSERT_TRUE(parseJson(first_response, doc, error)) << error;
+    ASSERT_NE(doc.find("cache"), nullptr) << first_response;
+    EXPECT_EQ(doc.find("cache")->string, "miss");
     ASSERT_TRUE(parseJson(cached, doc, error)) << error;
+    ASSERT_NE(doc.find("cache"), nullptr) << cached;
     EXPECT_EQ(doc.find("cache")->string, "hit");
     // Byte-identical body across the restart.
     EXPECT_EQ(cached.substr(cached.find(",\"body\":")),
               first_response.substr(first_response.find(",\"body\":")));
     std::remove(path.c_str());
+    std::remove(journal.c_str());
+}
+
+TEST(Socket, UnixPathServesAndSharesAddressErrors)
+{
+    // An address with a '/' is a Unix socket path; the daemon
+    // reports it, and clients reach it, as given.
+    const std::string path =
+        testing::TempDir() + "netchar_serve_unix.sock";
+    std::remove(path.c_str());
+    ServerOptions sopts;
+    sopts.listen = path;
+    Server server(sopts);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    EXPECT_EQ(server.address(), path);
+    EXPECT_TRUE(std::filesystem::exists(path));
+
+    std::string pong, run, pingError, runError;
+    Executor executor(2);
+    executor.forEach(2, [&](std::size_t task) {
+        if (task == 0) {
+            server.serve();
+            return;
+        }
+        ClientOptions copts;
+        copts.address = path;
+        copts.maxAttempts = 20;
+        Client client(copts);
+        client.request(R"({"verb":"ping"})", pong, pingError);
+        client.request(R"({"verb":"run","benchmark":"SeekUnroll",)"
+                       R"("options":{"warmup":20000,"measure":40000}})",
+                       run, runError);
+        std::string bye, err;
+        client.request(R"({"verb":"shutdown"})", bye, err);
+    });
+    EXPECT_EQ(pingError, "");
+    EXPECT_EQ(runError, "");
+    EXPECT_EQ(pong, R"({"ok":true,"verb":"ping","body":"pong"})");
+    EXPECT_EQ(run.rfind(R"({"ok":true,"verb":"run","cache":"miss",)", 0),
+              0u)
+        << run;
+    EXPECT_TRUE(server.stopping());
+    // serve() unlinked the socket on its way out.
+    EXPECT_FALSE(std::filesystem::exists(path));
+
+    // One parser, one wording: the daemon and the client refuse each
+    // malformed address with the same message.
+    const std::string longPath = "/" + std::string(200, 'x');
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"127.0.0.1:65536", "bad port in address '127.0.0.1:65536'"},
+        {"127.0.0.1:+80", "bad port in address '127.0.0.1:+80'"},
+        {"127.0.0.1:http", "bad port in address '127.0.0.1:http'"},
+        {"localhost:80", "bad host in address 'localhost:80'"},
+        {longPath, "socket path '" + longPath + "' too long"},
+    };
+    for (const auto &[address, message] : bad) {
+        ServerOptions badOptions;
+        badOptions.listen = address;
+        Server badServer(badOptions);
+        std::string serverError;
+        EXPECT_FALSE(badServer.start(serverError)) << address;
+        EXPECT_EQ(serverError, message);
+
+        ClientOptions copts;
+        copts.address = address;
+        copts.maxAttempts = 1;
+        // Should a bad address connect, the request times out.
+        copts.ioTimeoutMs = 2000;
+        Client client(copts);
+        std::string response, clientError;
+        EXPECT_FALSE(client.request(R"({"verb":"ping"})", response,
+                                    clientError))
+            << address;
+        EXPECT_EQ(clientError, message);
+    }
 }
 
 TEST(Socket, ClientRetriesThenReportsConnectFailure)
