@@ -67,13 +67,20 @@ Client::disconnect()
 }
 
 bool
-Client::connectOnce(Endpoint &endpoint, std::string &error)
+Client::connectOnce(const Endpoint &endpoint, std::string &error)
 {
     if (fd_ >= 0)
         return true;
-    fd_ = openEndpoint(endpoint, SocketRole::Connect, error);
-    if (fd_ < 0)
+    fd_ = ::socket(endpoint.address.ss_family, SOCK_STREAM, 0);
+    if (fd_ < 0) {
+        error = std::string("socket: ") + std::strerror(errno);
         return false;
+    }
+    if (::connect(fd_, endpoint.sockAddress(), endpoint.length) != 0) {
+        error = "connect " + endpoint.text + ": " + std::strerror(errno);
+        disconnect();
+        return false;
+    }
     // A stalled peer surfaces as a retryable timeout instead of
     // blocking the client forever.
     setSocketTimeout(fd_, options_.ioTimeoutMs, true);

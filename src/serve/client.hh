@@ -76,7 +76,7 @@ class Client
     const std::string &address() const { return options_.address; }
 
   private:
-    bool connectOnce(Endpoint &endpoint, std::string &error);
+    bool connectOnce(const Endpoint &endpoint, std::string &error);
     bool roundTrip(const std::string &line, std::string &response,
                    std::string &error);
     void disconnect();

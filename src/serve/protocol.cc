@@ -12,7 +12,6 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
-#include <unistd.h>
 
 #include "runtime/gc.hh"
 #include "sim/config.hh"
@@ -378,90 +377,34 @@ parseEndpoint(const std::string &text, Endpoint &out,
     out = {};
     out.text = text;
     const auto colon = text.rfind(':');
-    out.tcp = colon != std::string::npos &&
-              text.find('/') == std::string::npos;
-    if (!out.tcp) {
-        if (text.size() >= sizeof(sockaddr_un::sun_path)) {
+    if (colon == std::string::npos ||
+        text.find('/') != std::string::npos) {
+        auto &un = reinterpret_cast<sockaddr_un &>(out.address);
+        if (text.size() >= sizeof(un.sun_path)) {
             error = "socket path '" + text + "' too long";
             return false;
         }
+        un.sun_family = AF_UNIX;
+        std::memcpy(un.sun_path, text.c_str(), text.size() + 1);
+        out.length = sizeof(sockaddr_un);
         return true;
     }
-    out.host = colon == 0 ? "127.0.0.1" : text.substr(0, colon);
-    if (!parseUnsigned(std::string_view(text).substr(colon + 1),
-                       out.port)) {
+    auto &in = reinterpret_cast<sockaddr_in &>(out.address);
+    std::uint16_t port = 0;
+    if (!parseUnsigned(std::string_view(text).substr(colon + 1), port)) {
         error = "bad port in address '" + text + "'";
         return false;
     }
-    in_addr host{};
-    if (::inet_pton(AF_INET, out.host.c_str(), &host) != 1) {
+    const std::string host =
+        colon == 0 ? "127.0.0.1" : text.substr(0, colon);
+    if (::inet_pton(AF_INET, host.c_str(), &in.sin_addr) != 1) {
         error = "bad host in address '" + text + "'";
         return false;
     }
-    out.ipv4 = host.s_addr;
+    in.sin_family = AF_INET;
+    in.sin_port = htons(port);
+    out.length = sizeof(sockaddr_in);
     return true;
-}
-
-int
-openEndpoint(Endpoint &endpoint, SocketRole role, std::string &error)
-{
-    const bool listening = role == SocketRole::Listen;
-    const int fd =
-        ::socket(endpoint.tcp ? AF_INET : AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        error = std::string("socket: ") + std::strerror(errno);
-        return -1;
-    }
-    // Close the half-made socket and name the call that failed.
-    const auto fail = [&](const char *call, bool named) {
-        const int cause = errno;
-        ::close(fd);
-        error = call + (named ? " " + endpoint.text : "") + ": " +
-                std::strerror(cause);
-        return -1;
-    };
-
-    sockaddr_in in{};
-    sockaddr_un un{};
-    const sockaddr *addr = reinterpret_cast<const sockaddr *>(&in);
-    socklen_t len = sizeof(in);
-    if (endpoint.tcp) {
-        in.sin_family = AF_INET;
-        in.sin_port = htons(endpoint.port);
-        in.sin_addr.s_addr = endpoint.ipv4;
-        const int one = 1;
-        if (listening)
-            ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                         sizeof(one));
-    } else {
-        un.sun_family = AF_UNIX;
-        std::strncpy(un.sun_path, endpoint.text.c_str(),
-                     sizeof(un.sun_path) - 1);
-        addr = reinterpret_cast<const sockaddr *>(&un);
-        len = sizeof(un);
-        if (listening) // stale socket from a crashed daemon
-            ::unlink(endpoint.text.c_str());
-    }
-
-    if (!listening)
-        return ::connect(fd, addr, len) == 0 ? fd
-                                             : fail("connect", true);
-    if (::bind(fd, addr, len) != 0)
-        return fail("bind", true);
-    if (::listen(fd, 64) != 0) {
-        if (!endpoint.tcp)
-            ::unlink(endpoint.text.c_str());
-        return fail("listen", false);
-    }
-    if (endpoint.tcp) {
-        sockaddr_in bound{};
-        socklen_t boundLen = sizeof(bound);
-        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                          &boundLen) != 0)
-            return fail("getsockname", false);
-        endpoint.port = ntohs(bound.sin_port);
-    }
-    return fd;
 }
 
 bool

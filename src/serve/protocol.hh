@@ -62,6 +62,8 @@
 #include <string>
 #include <string_view>
 
+#include <sys/socket.h>
+
 #include "core/characterize.hh"
 #include "stats/json.hh"
 
@@ -221,10 +223,14 @@ class LineFramer
 struct Endpoint
 {
     std::string text; ///< the address as given; the Unix path
-    bool tcp = false;
-    std::string host; ///< TCP host, "127.0.0.1" when left empty
-    std::uint16_t port = 0; ///< TCP port; the bound one after Listen
-    std::uint32_t ipv4 = 0; ///< TCP host in network byte order
+    sockaddr_storage address{}; ///< AF_INET or AF_UNIX, filled in
+    socklen_t length = 0;       ///< bytes of `address` in use
+
+    bool tcp() const { return address.ss_family == AF_INET; }
+    const sockaddr *sockAddress() const
+    {
+        return reinterpret_cast<const sockaddr *>(&address);
+    }
 };
 
 /** Parse `text` into `out`. False with a message in `error` on a bad
@@ -232,19 +238,6 @@ struct Endpoint
  *  daemon and the client word each of these the same. */
 bool parseEndpoint(const std::string &text, Endpoint &out,
                    std::string &error);
-
-/** Which end of a connection openEndpoint() makes. */
-enum class SocketRole { Listen, Connect };
-
-/**
- * A stream socket for `endpoint`. Listen binds it (TCP with
- * SO_REUSEADDR; a Unix path left by a crashed daemon is unlinked
- * first), listens, and writes the bound TCP port back into
- * `endpoint.port` (port 0 picks a free one). Connect connects it.
- * Returns the descriptor, or -1 with a message in `error`.
- */
-int openEndpoint(Endpoint &endpoint, SocketRole role,
-                 std::string &error);
 
 /**
  * Send all of `bytes` on `fd`, resuming short writes and EINTR, with

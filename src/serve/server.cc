@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -226,13 +227,45 @@ Server::start(std::string &error)
             return false;
     }
 
-    listenFd_ = openEndpoint(endpoint, SocketRole::Listen, error);
-    if (listenFd_ < 0)
+    listenFd_ = ::socket(endpoint.address.ss_family, SOCK_STREAM, 0);
+    if (listenFd_ < 0) {
+        error = std::string("socket: ") + std::strerror(errno);
         return false;
-    if (endpoint.tcp)
-        address_ = endpoint.host + ":" + std::to_string(endpoint.port);
-    else
-        unixPath_ = address_ = options_.listen;
+    }
+    // Name the call that failed and undo what start() made so far.
+    const auto fail = [&](const std::string &call) {
+        error = call + ": " + std::strerror(errno);
+        closeListener();
+        return false;
+    };
+    if (endpoint.tcp()) {
+        const int one = 1;
+        ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
+                     sizeof(one));
+    } else {
+        ::unlink(options_.listen.c_str()); // stale socket from a
+                                           // crashed daemon
+    }
+    if (::bind(listenFd_, endpoint.sockAddress(), endpoint.length) != 0)
+        return fail("bind " + options_.listen);
+    if (!endpoint.tcp())
+        unixPath_ = options_.listen; // closeListener() unlinks it
+    if (::listen(listenFd_, 64) != 0)
+        return fail("listen");
+    if (!endpoint.tcp()) {
+        address_ = unixPath_;
+        return true;
+    }
+    // Port 0 picks a free port: report the one actually bound.
+    sockaddr_in bound{};
+    socklen_t len = sizeof(bound);
+    char host[INET_ADDRSTRLEN] = {};
+    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&bound),
+                      &len) != 0)
+        return fail("getsockname");
+    ::inet_ntop(AF_INET, &bound.sin_addr, host, sizeof(host));
+    address_ = std::string(host) + ":" +
+               std::to_string(ntohs(bound.sin_port));
     return true;
 }
 

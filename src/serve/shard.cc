@@ -1,6 +1,7 @@
 #include "serve/shard.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -114,6 +115,29 @@ wantCount(const JsonValue &obj, const char *key, T &out,
     return true;
 }
 
+/**
+ * A failure's seed: a whole, non-negative number up to 2^64. Seeds
+ * are full 64-bit values (a retry's is a splitmix64 output), so they
+ * are not held to wholeNumber's 1e18 bound. The JSON reader keeps
+ * numbers as doubles, so a seed within 2^10 of the top arrives as
+ * 2^64 and is read as the largest uint64.
+ */
+bool
+wantSeed(const JsonValue &obj, std::uint64_t &out, std::string &error)
+{
+    constexpr double kTwoTo64 = 0x1p64;
+    const JsonValue *v = obj.find("seed");
+    if (v == nullptr || !v->isNumber() || v->number < 0.0 ||
+        v->number != std::floor(v->number) || v->number > kTwoTo64) {
+        error = "sweep body: missing or bad count 'seed'";
+        return false;
+    }
+    out = v->number == kTwoTo64
+              ? std::numeric_limits<std::uint64_t>::max()
+              : static_cast<std::uint64_t>(v->number);
+    return true;
+}
+
 } // namespace
 
 bool
@@ -159,7 +183,7 @@ parseSweepBody(const JsonValue &body, SweepPartial &out,
                         error) ||
             !wantCount(fail, "attempt", parsed.attempt, error) ||
             !wantString(fail, "kind", parsed.kind, error) ||
-            !wantCount(fail, "seed", parsed.seed, error) ||
+            !wantSeed(fail, parsed.seed, error) ||
             !wantCount(fail, "backoff_micros", parsed.backoffMicros,
                        error) ||
             !wantString(fail, "error", parsed.error, error))

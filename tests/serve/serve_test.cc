@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/characterize.hh"
 #include "core/executor.hh"
 #include "core/export.hh"
+#include "core/faults.hh"
 #include "serve/cache.hh"
 #include "serve/client.hh"
 #include "serve/journal.hh"
@@ -642,6 +644,58 @@ TEST(Shard, SweepBodyRejectsAFractionalRowIndex)
     EXPECT_FALSE(parseSweepText(sweepBodyText("0", "1", "0.5"), partial,
                                 error));
     EXPECT_EQ(error, "sweep body: missing or bad count 'index'");
+}
+
+TEST(Shard, SweepBodyKeepsFullRangeSeeds)
+{
+    // A retry's seed is a splitmix64 output, almost always above the
+    // 1e18 bound on other counts; its failure must still parse and
+    // merge (it used to refuse the whole sweep body).
+    const std::uint64_t retrySeed = perturbedSeed(1, "A", 2);
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    ASSERT_GT(retrySeed, 1000000000000000000u);
+    ASSERT_LT(static_cast<double>(retrySeed), 0x1p64);
+    SweepPartial partial;
+    partial.suite = "spec";
+    partial.format = "csv";
+    partial.shards = 1;
+    partial.suiteSize = 1;
+    partial.header = "h";
+    partial.rows.push_back({0, "A", "A,1"});
+    RunFailure fail;
+    fail.benchmark = "A";
+    fail.attempt = 2;
+    fail.kind = "throw";
+    fail.seed = retrySeed;
+    fail.error = "injected";
+    partial.failures.push_back(fail);
+    fail.attempt = 3;
+    fail.seed = top;
+    partial.failures.push_back(fail);
+
+    SweepPartial back;
+    std::string merged, error;
+    ASSERT_TRUE(parseSweepText(sweepBodyJson(partial), back, error))
+        << error;
+    ASSERT_EQ(back.failures.size(), 2u);
+    // Numbers travel as doubles: a seed arrives as its nearest one,
+    // and one that rounds to 2^64 as the largest uint64.
+    EXPECT_EQ(back.failures[0].seed,
+              static_cast<std::uint64_t>(static_cast<double>(retrySeed)));
+    EXPECT_EQ(back.failures[1].seed, top);
+    ASSERT_TRUE(mergeSweep({back}, merged, error)) << error;
+    EXPECT_EQ(merged, "h\nA,1\n");
+    EXPECT_EQ(mergeLedgers({back}).failures.size(), 2u);
+
+    // Past 2^64, fractional or negative is still refused.
+    const std::string body = sweepBodyJson(partial);
+    const std::string topText = std::to_string(top);
+    for (const std::string bad : {"1e20", "0.5", "-1"}) {
+        std::string text = body;
+        text.replace(text.find(topText), topText.size(), bad);
+        EXPECT_FALSE(parseSweepText(text, back, error)) << bad;
+        EXPECT_EQ(error, "sweep body: missing or bad count 'seed'");
+    }
 }
 
 TEST(Shard, MergeRejectsIncompleteOrMixedPartials)
