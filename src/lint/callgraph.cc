@@ -24,26 +24,58 @@ qualifiedSuffixMatches(const std::string &def,
 
 CallGraph::CallGraph(const std::vector<FileModel> &files)
 {
+    // Qualified spelling of each definition, parallel to defs_.
+    std::map<std::string, std::vector<std::string>> defQualified;
     for (std::size_t fi = 0; fi < files.size(); ++fi) {
         const FileModel &file = files[fi];
         for (std::size_t gi = 0; gi < file.functions.size(); ++gi) {
             const FunctionModel &fn = file.functions[gi];
             defs_[fn.name].push_back({fi, gi});
-            defQualified_[fn.name].push_back(
+            defQualified[fn.name].push_back(
                 fn.qualified.empty() ? fn.name : fn.qualified);
         }
     }
-    // Second pass, once every definition is known: caller edges and
-    // the resolved/unresolved link statistics.
+    const auto link =
+        [&](const CallSite &call) -> const std::vector<FunctionRef> & {
+        const auto it = defs_.find(call.callee);
+        if (it == defs_.end())
+            return empty_;
+        const std::vector<FunctionRef> &all = it->second;
+        if (call.qualified.empty() || call.qualified == call.callee)
+            return all;
+        const auto [q, fresh] =
+            qualifiedDefs_.try_emplace(call.qualified);
+        if (fresh) {
+            const std::vector<std::string> &quals =
+                defQualified.at(call.callee);
+            for (std::size_t i = 0; i < all.size(); ++i)
+                if (qualifiedSuffixMatches(quals[i], call.qualified))
+                    q->second.push_back(all[i]);
+        }
+        // Definitions written inside `namespace ns { ... }` carry no
+        // `ns::` in their spelling, so a qualified call may match
+        // none of them textually; keep the conservative bare-name
+        // link set rather than dropping the edge.
+        return q->second.empty() ? all : q->second;
+    };
+    // Second pass, once every definition is known: the resolution
+    // table, caller edges and the link statistics.
+    sites_.resize(files.size());
     for (std::size_t fi = 0; fi < files.size(); ++fi) {
         const FileModel &file = files[fi];
+        std::vector<const std::vector<FunctionRef> *> &table =
+            sites_[fi];
         for (std::size_t gi = 0; gi < file.functions.size(); ++gi)
             for (const Statement &st : file.functions[gi].stmts)
                 for (const CallSite &call : st.calls) {
                     callers_[call.callee].push_back({fi, gi});
                     ++stats_.callSites;
-                    if (resolve(call).empty())
+                    const std::vector<FunctionRef> &defs = link(call);
+                    if (defs.empty())
                         ++stats_.unresolvedCalls;
+                    if (table.size() <= call.ordinal)
+                        table.resize(call.ordinal + 1, &empty_);
+                    table[call.ordinal] = &defs;
                 }
     }
     // A function calling `f` twice is one caller edge.
@@ -59,28 +91,6 @@ CallGraph::definitionsOf(const std::string &name) const
 {
     const auto it = defs_.find(name);
     return it == defs_.end() ? empty_ : it->second;
-}
-
-std::vector<FunctionRef>
-CallGraph::resolve(const CallSite &call) const
-{
-    const auto it = defs_.find(call.callee);
-    if (it == defs_.end())
-        return {};
-    const std::vector<FunctionRef> &all = it->second;
-    if (call.qualified.empty() || call.qualified == call.callee)
-        return all;
-    const std::vector<std::string> &quals =
-        defQualified_.at(call.callee);
-    std::vector<FunctionRef> out;
-    for (std::size_t i = 0; i < all.size(); ++i)
-        if (qualifiedSuffixMatches(quals[i], call.qualified))
-            out.push_back(all[i]);
-    // Definitions written inside `namespace ns { ... }` carry no
-    // `ns::` in their spelling, so a qualified call may match none
-    // of them textually; keep the conservative bare-name link set
-    // rather than dropping the edge.
-    return out.empty() ? all : out;
 }
 
 const std::vector<FunctionRef> &

@@ -13,6 +13,13 @@
  * sorted) input order, so edge ordering — and therefore taint
  * worklist ordering and report bytes — never depends on directory
  * enumeration order.
+ *
+ * Every call site is resolved once, while the graph is built, into a
+ * table indexed by (file index, `CallSite::ordinal`). `resolve` is a
+ * read of that table: it allocates nothing and returns the same list
+ * object for the same call site every time. Bare and member calls
+ * share their name's definition list; a qualified spelling shares
+ * one filtered list across all of its call sites.
  */
 
 #ifndef NETCHAR_LINT_CALLGRAPH_HH
@@ -72,15 +79,25 @@ class CallGraph
     const std::vector<FunctionRef> &
     definitionsOf(const std::string &name) const;
 
+    CallGraph(const CallGraph &) = delete;
+    CallGraph &operator=(const CallGraph &) = delete;
+
     /**
-     * Definitions a call site can reach, in file order. A call
-     * written with a qualifier (`serve::parseRequest(...)`) links only
-     * to definitions whose own qualified spelling ends with the
-     * same `::` components, so `ns::f()` no longer links to every
-     * unrelated `f`. Bare and member calls keep the conservative
-     * all-definitions-of-the-name behavior.
+     * Definitions the call site `call` of file `file` can reach, in
+     * file order. A call written with a qualifier
+     * (`serve::parseRequest(...)`) links only to definitions whose
+     * own qualified spelling ends with the same `::` components, so
+     * `ns::f()` does not link to every unrelated `f`; when none
+     * matches (a definition written inside `namespace ns { ... }`),
+     * it keeps the name's whole list. Bare and member calls keep the
+     * conservative all-definitions-of-the-name behavior. `call` must
+     * belong to file `file` of the set the graph was built over.
      */
-    std::vector<FunctionRef> resolve(const CallSite &call) const;
+    const std::vector<FunctionRef> &
+    resolve(std::size_t file, const CallSite &call) const
+    {
+        return *sites_[file][call.ordinal];
+    }
 
     /** Functions containing a call to `name`, in file order. */
     const std::vector<FunctionRef> &
@@ -90,10 +107,14 @@ class CallGraph
 
   private:
     std::map<std::string, std::vector<FunctionRef>> defs_;
-    /** Qualified spelling of each definition, parallel to defs_. */
-    std::map<std::string, std::vector<std::string>> defQualified_;
+    /** Qualified call spelling → the definitions whose spelling
+     *  its `::` components match (empty when none does). */
+    std::map<std::string, std::vector<FunctionRef>> qualifiedDefs_;
     std::map<std::string, std::vector<FunctionRef>> callers_;
     std::vector<FunctionRef> empty_;
+    /** Per file, per call-site ordinal: the resolved list (an entry
+     *  of defs_ or qualifiedDefs_, or empty_). */
+    std::vector<std::vector<const std::vector<FunctionRef> *>> sites_;
     CallGraphStats stats_;
 };
 

@@ -77,21 +77,26 @@ class Engine
 {
   public:
     Engine(const std::vector<FileModel> &files,
-           const CallGraph &graph, const SummarySet &sums)
-        : files_(files), graph_(graph), sums_(sums)
+           const CallGraph &graph, const SummarySet &sums,
+           LockModel locks)
+        : files_(files), graph_(graph), sums_(sums),
+          locks_(std::move(locks))
     {
     }
 
     ConcurrencyAnalysis run()
     {
-        declType_ = collectDeclTypes(files_);
         collectStatics();
         computeEscapeSet();
         collectLockPairing();
+        // Each function's lock model is used by one analyzeFunction
+        // call, then freed.
         for (std::size_t fi = 0; fi < files_.size(); ++fi)
             for (std::size_t gi = 0;
-                 gi < files_[fi].functions.size(); ++gi)
+                 gi < files_[fi].functions.size(); ++gi) {
                 analyzeFunction({fi, gi});
+                locks_.byFile[fi][gi] = FunctionLocks{};
+            }
         reportMixedAccess();
         out_.escapedFunctions = escaped_.size();
         return std::move(out_);
@@ -109,11 +114,11 @@ class Engine
     std::map<std::string, std::set<FunctionRef>> rawLockers_;
     std::map<std::string, std::set<FunctionRef>> rawUnlockers_;
 
-    /** name → last type-word of its declaration, over all files
-     *  (later files win; files arrive sorted, so this is
-     *  deterministic). Used to spot guard/atomic/mutex objects and
-     *  to type member-call receivers. */
-    DeclTypes declType_;
+    /** The lock model computeSummaries built. Its `types` (name →
+     *  last type-word of its declaration; later files win, and
+     *  files arrive sorted, so this is deterministic) also spot
+     *  guard/atomic/mutex objects and type member-call receivers. */
+    LockModel locks_;
     /** Per file: mutable, non-atomic statics by name. */
     std::vector<std::map<std::string, Site>> statics_;
     /** Per file: object name → atomic access sites. */
@@ -302,7 +307,7 @@ class Engine
             for (const Statement &st : fnOf(ref).stmts)
                 for (const CallSite &call : st.calls)
                     for (const FunctionRef &target :
-                         graph_.resolve(call))
+                         graph_.resolve(ref.file, call))
                         if (escaped_.insert(target).second) {
                             escapeHop_[target] = hop;
                             work.push_back(target);
@@ -377,8 +382,8 @@ class Engine
         if (fn.bodyEnd <= fn.bodyBegin)
             return;
         const auto &toks = file.lexed.tokens;
-        FunctionLocks locks = extractLocks(file, fn, declType_);
-        bindCalleeEffects(locks, graph_, sums_);
+        FunctionLocks &locks = locks_.byFile[ref.file][ref.fn];
+        bindCalleeEffects(locks, ref.file, graph_, sums_);
         const Cfg &cfg = locks.cfg;
         for (const std::vector<LockEvent> &evs : locks.events)
             for (const LockEvent &ev : evs)
@@ -785,7 +790,7 @@ class Engine
                 if (m != "lock" && m != "unlock")
                     continue;
                 if (isGuardReceiver(receiverChain(toks, p), guardVars,
-                                    declType_))
+                                    locks_.types))
                     continue;
                 held += m == "lock" ? 1 : -1;
                 continue;
@@ -817,8 +822,8 @@ class Engine
                 statics_[ref.file].count(name) != 0;
             if (!isStatic && !refAll && byRef.count(name) == 0)
                 continue;
-            if (const auto ty = declType_.find(name);
-                ty != declType_.end() &&
+            if (const auto ty = locks_.types.find(name);
+                ty != locks_.types.end() &&
                 (ty->second.find("atomic") != std::string::npos ||
                  ty->second == "mutex" ||
                  contains(kGuardTypes, ty->second)))
@@ -885,8 +890,8 @@ class Engine
                 if (member) {
                     const std::string recv =
                         p >= 2 ? toks[p - 2].text : "";
-                    const auto ty = declType_.find(recv);
-                    if (ty == declType_.end())
+                    const auto ty = locks_.types.find(recv);
+                    if (ty == locks_.types.end())
                         continue;
                     const std::string want =
                         ty->second + "::" + callee;
@@ -933,8 +938,8 @@ class Engine
         for (std::size_t fi = 0; fi < files_.size(); ++fi) {
             const FileModel &file = files_[fi];
             for (const auto &[name, sites] : atomicSites_[fi]) {
-                const auto ty = declType_.find(name);
-                if (ty == declType_.end() ||
+                const auto ty = locks_.types.find(name);
+                if (ty == locks_.types.end() ||
                     ty->second.find("atomic") != std::string::npos)
                     continue; // unknown or properly atomic
                 const auto writes = plainWrites_[fi].find(name);
@@ -1005,9 +1010,9 @@ concurrencyRuleSeverity(std::string_view rule)
 ConcurrencyAnalysis
 analyzeConcurrency(const std::vector<FileModel> &files,
                    const CallGraph &graph,
-                   const SummarySet &summaries)
+                   const SummarySet &summaries, LockModel locks)
 {
-    return Engine(files, graph, summaries).run();
+    return Engine(files, graph, summaries, std::move(locks)).run();
 }
 
 } // namespace netchar::lint

@@ -94,16 +94,18 @@ std::string_view concurrencyRuleSummary(std::string_view rule);
 Severity concurrencyRuleSeverity(std::string_view rule);
 
 /** Run the pass. `files` must already be in sorted path order;
- *  `graph` and `summaries` must have been built over the same
- *  `files`. Calls to functions with a net lock effect (summary.hh)
- *  are lockset events, so a mutex locked in `acquire()` and released
- *  in `release()` is tracked through the callers that pair them,
- *  and a lock leaked through a helper is reported at the root
- *  caller. */
+ *  `graph`, `summaries` and `locks` must have been built over the
+ *  same `files`, `locks` by the `computeSummaries` call that
+ *  returned `summaries`. The pass rebinds each function's call
+ *  events to `summaries` and frees its lock model once used. Calls
+ *  to functions with a net lock effect (summary.hh) are lockset
+ *  events, so a mutex locked in `acquire()` and released in
+ *  `release()` is tracked through the callers that pair them, and
+ *  a lock leaked through a helper is reported at the root caller. */
 ConcurrencyAnalysis
 analyzeConcurrency(const std::vector<FileModel> &files,
                    const CallGraph &graph,
-                   const SummarySet &summaries);
+                   const SummarySet &summaries, LockModel locks);
 
 } // namespace netchar::lint
 

@@ -226,7 +226,10 @@ assembleUnits(std::vector<FileUnit> units, const LintOptions &opts,
         // passes; their statistics surface in the schema-v4 report
         // either way.
         const CallGraph graph(models);
-        const SummarySet sums = computeSummaries(models, graph);
+        // The concurrency pass reuses the summaries' lock model.
+        LockModel locks;
+        const SummarySet sums = computeSummaries(
+            models, graph, opts.concurrency ? &locks : nullptr);
         result.callSites = graph.stats().callSites;
         result.unresolvedCalls = graph.stats().unresolvedCalls;
         result.summaries = sums.stats();
@@ -238,7 +241,8 @@ assembleUnits(std::vector<FileUnit> units, const LintOptions &opts,
         }
         if (opts.concurrency) {
             ConcurrencyAnalysis conc =
-                analyzeConcurrency(models, graph, sums);
+                analyzeConcurrency(models, graph, sums,
+                                   std::move(locks));
             for (Finding &f : conc.findings)
                 result.findings.push_back(std::move(f));
             result.suppressedCount += conc.suppressed;

@@ -398,6 +398,11 @@ parseFile(const std::string &path, LexedFile lexed)
         }
         ++i;
     }
+    std::size_t ordinal = 0;
+    for (FunctionModel &fn : file.functions)
+        for (Statement &st : fn.stmts)
+            for (CallSite &call : st.calls)
+                call.ordinal = ordinal++;
     return file;
 }
 

@@ -48,6 +48,9 @@ struct CallSite
     std::string qualified;
     int line = 0;
     int column = 0;
+    /** Position among the file's call sites, in function, statement
+     *  and call order: the call graph's resolution table index. */
+    std::size_t ordinal = 0;
     std::size_t begin = 0;       ///< token index of the callee
     std::size_t end = 0;         ///< one past the closing ')'
     std::vector<TokenRange> args; ///< per-argument token ranges

@@ -102,9 +102,6 @@ class Interp
            const CallGraph &graph, const SummarySet &read)
         : files_(files), graph_(graph), read_(read)
     {
-        sanitizers_.reserve(files.size());
-        for (const FileModel &f : files)
-            sanitizers_.push_back(collectFlowSanitizers(f.lexed));
     }
 
     /** Interpret one function. In Build mode `out` receives summary
@@ -150,7 +147,6 @@ class Interp
     const std::vector<FileModel> &files_;
     const CallGraph &graph_;
     const SummarySet &read_;
-    std::vector<std::vector<FlowSanitizer>> sanitizers_;
 
     FlowHop returnedByHop(const FileModel &file,
                           const CallSite &call) const
@@ -211,7 +207,7 @@ class Interp
         for (const TaintSourceHit &hit :
              scanTaintSources(toks, begin, end)) {
             const int line = toks[hit.tok].line;
-            if (flowSanitizedAt(sanitizers_[fi], line, hit.rule))
+            if (flowSanitizedAt(read_.sanitizersOf(fi), line, hit.rule))
                 continue;
             ConcreteTaint t;
             t.rule = std::string(hit.rule);
@@ -237,7 +233,7 @@ class Interp
         for (const CallSite &call : calls) {
             if (call.begin < begin || call.end > end)
                 continue;
-            for (const FunctionRef def : graph_.resolve(call)) {
+            for (const FunctionRef def : graph_.resolve(fi, call)) {
                 const TaintSummary &ts = read_.of(def).taint;
                 const FunctionModel &dfn =
                     files_[def.file].functions[def.fn];
@@ -340,7 +336,7 @@ class Interp
                                        "expression"};
             TaintVal add;
             if (rhs.concrete &&
-                !flowSanitizedAt(sanitizers_[ref.file], stmt.line,
+                !flowSanitizedAt(read_.sanitizersOf(ref.file), stmt.line,
                                  rhs.concrete->rule)) {
                 add.concrete = *rhs.concrete;
                 add.concrete->path.push_back(hop);
@@ -385,7 +381,7 @@ class Interp
         const FlowHop rhop{file.path, stmt.line, stmt.column,
                            "returned from '" + fn.name + "()'"};
         if (wantConcrete && v.concrete &&
-            !flowSanitizedAt(sanitizers_[ref.file], stmt.line,
+            !flowSanitizedAt(read_.sanitizersOf(ref.file), stmt.line,
                              v.concrete->rule)) {
             ConcreteTaint t = *v.concrete;
             t.path.push_back(rhop);
@@ -479,7 +475,8 @@ class Interp
             // Non-sink call: compose the callee's own param→sink
             // flows, so chains through any number of helpers are
             // seen without inlining.
-            for (const FunctionRef def : graph_.resolve(call)) {
+            for (const FunctionRef def :
+                 graph_.resolve(ref.file, call)) {
                 const FunctionModel &dfn =
                     files_[def.file].functions[def.fn];
                 if (ai >= dfn.params.size() ||
@@ -1077,15 +1074,15 @@ extractLocks(const FileModel &file, const FunctionModel &fn,
 }
 
 void
-bindCalleeEffects(FunctionLocks &locks, const CallGraph &graph,
-                  const SummarySet &sums)
+bindCalleeEffects(FunctionLocks &locks, std::size_t file,
+                  const CallGraph &graph, const SummarySet &sums)
 {
     for (std::vector<LockEvent> &evs : locks.events)
         for (LockEvent &ev : evs) {
             if (ev.kind != LockEvent::Kind::Call)
                 continue;
             ev.effects = nullptr;
-            for (const FunctionRef def : graph.resolve(*ev.call))
+            for (const FunctionRef def : graph.resolve(file, *ev.call))
                 if (const LockEffects &e = sums.of(def).locks;
                     e.hasNetEffect()) {
                     ev.effects = &e;
@@ -1252,10 +1249,13 @@ solveLocks(const FunctionLocks &locks)
 
 SummarySet
 computeSummaries(const std::vector<FileModel> &files,
-                 const CallGraph &graph)
+                 const CallGraph &graph, LockModel *keepLocks)
 {
     SummarySet out;
     out.byFile_.resize(files.size());
+    out.sanitizers_.reserve(files.size());
+    for (const FileModel &file : files)
+        out.sanitizers_.push_back(collectFlowSanitizers(file.lexed));
     std::vector<std::size_t> offset(files.size(), 0);
     std::size_t n = 0;
     for (std::size_t fi = 0; fi < files.size(); ++fi) {
@@ -1277,7 +1277,8 @@ computeSummaries(const std::vector<FileModel> &files,
         for (const Statement &stmt :
              files[ref.file].functions[ref.fn].stmts)
             for (const CallSite &call : stmt.calls)
-                for (const FunctionRef def : graph.resolve(call)) {
+                for (const FunctionRef def :
+                     graph.resolve(ref.file, call)) {
                     const std::size_t w =
                         offset[def.file] + def.fn;
                     if (seen.insert(w).second)
@@ -1291,12 +1292,15 @@ computeSummaries(const std::vector<FileModel> &files,
     Interp interp(files, graph, out);
     // Lock events are extracted once; only the Call events'
     // bindings change across fixpoint passes.
-    const DeclTypes types = collectDeclTypes(files);
-    std::vector<FunctionLocks> locks(n);
-    for (std::size_t v = 0; v < n; ++v) {
-        const FileModel &file = files[refs[v].file];
-        locks[v] = extractLocks(file, file.functions[refs[v].fn],
-                                types);
+    LockModel model;
+    model.types = collectDeclTypes(files);
+    model.byFile.resize(files.size());
+    for (std::size_t fi = 0; fi < files.size(); ++fi) {
+        const FileModel &file = files[fi];
+        model.byFile[fi].reserve(file.functions.size());
+        for (const FunctionModel &fn : file.functions)
+            model.byFile[fi].push_back(
+                extractLocks(file, fn, model.types));
     }
 
     SummaryStats &st = out.stats_;
@@ -1319,9 +1323,10 @@ computeSummaries(const std::vector<FileModel> &files,
             bool changed = false;
             interp.runFunction(ref, Interp::Mode::Build, &sum,
                                &changed, nullptr);
-            bindCalleeEffects(locks[v], graph, out);
+            FunctionLocks &locks = model.byFile[ref.file][ref.fn];
+            bindCalleeEffects(locks, ref.file, graph, out);
             LockEffects eff =
-                lockEffectsOf(locks[v], files[ref.file].path);
+                lockEffectsOf(locks, files[ref.file].path);
             if (lockEffectsDiffer(eff, sum.locks))
                 changed = true;
             sum.locks = std::move(eff);
@@ -1354,6 +1359,8 @@ computeSummaries(const std::vector<FileModel> &files,
         if (sum.locks.hasNetEffect())
             ++st.lockEffects;
     }
+    if (keepLocks != nullptr)
+        *keepLocks = std::move(model);
     return out;
 }
 

@@ -28,8 +28,14 @@
  * The module also owns the one lock model of the linter: the lock
  * event extractor (`extractLocks`) and the (must, may) lockset
  * solver (`solveLocks`). Lock effects are the exit state of that
- * solver; the concurrency pass runs the same extractor and solver
- * and reports over the converged states.
+ * solver. `computeSummaries` extracts every function's CFG, lock
+ * events and guard variables once, under one `collectDeclTypes`
+ * table, and can hand that `LockModel` to the concurrency pass,
+ * which rebinds each function's call events to the final summaries,
+ * runs the same solver and reports over the converged states. The
+ * per-file flow sanitizers are likewise collected once and kept in
+ * the `SummarySet` for both taint interpreters and the taint pass's
+ * any-hop suppression check.
  *
  * Consumers: taint.cc composes `paramSinks`/`returnTaint` at call
  * sites so a source→sink chain spanning any number of helper
@@ -175,11 +181,21 @@ FunctionLocks extractLocks(const FileModel &file,
                            const FunctionModel &fn,
                            const DeclTypes &types);
 
-/** Bind every Call event to the callee's first resolved definition
- *  with a net lock effect under `sums`. */
-void bindCalleeEffects(FunctionLocks &locks,
+/** Bind every Call event of `locks`, a function of file `file`, to
+ *  the callee's first resolved definition with a net lock effect
+ *  under `sums`. */
+void bindCalleeEffects(FunctionLocks &locks, std::size_t file,
                        const CallGraph &graph,
                        const SummarySet &sums);
+
+/** The lock facts of every function of a file set and the
+ *  declaration types they were extracted under. */
+struct LockModel
+{
+    DeclTypes types;
+    /** Indexed like FunctionRef: [file][function]. */
+    std::vector<std::vector<FunctionLocks>> byFile;
+};
 
 /**
  * The dataflow element. `must` (∩ at joins) and `may` (∪) are the
@@ -306,19 +322,31 @@ class SummarySet
         return byFile_[ref.file][ref.fn];
     }
     const SummaryStats &stats() const { return stats_; }
+    /** The flow sanitizers of file `file` (collectFlowSanitizers). */
+    const std::vector<FlowSanitizer> &
+    sanitizersOf(std::size_t file) const
+    {
+        return sanitizers_[file];
+    }
 
   private:
     friend SummarySet computeSummaries(const std::vector<FileModel> &,
-                                       const CallGraph &);
+                                       const CallGraph &, LockModel *);
     std::vector<std::vector<FunctionSummary>> byFile_;
+    std::vector<std::vector<FlowSanitizer>> sanitizers_;
     SummaryStats stats_;
 };
 
 /** Compute summaries bottom-up over Tarjan SCCs of the call graph.
  *  `files` must already be in sorted path order; `graph` must have
- *  been built over the same `files`. */
+ *  been built over the same `files`. When `keepLocks` is non-null,
+ *  the lock model the summaries were computed from is moved into it
+ *  (for analyzeConcurrency); otherwise it is freed. Its Call events
+ *  stay bound to whatever the last fixpoint pass saw, so a consumer
+ *  rebinds them with bindCalleeEffects against the returned set. */
 SummarySet computeSummaries(const std::vector<FileModel> &files,
-                            const CallGraph &graph);
+                            const CallGraph &graph,
+                            LockModel *keepLocks);
 
 // ---------------------------------------------------------------
 // Concrete-flow enumeration (the taint pass's reporting engine)

@@ -71,10 +71,10 @@ analyzeTaint(const std::vector<FileModel> &files,
     // Sanitizer spans per file path, for the any-hop suppression
     // check (lint.hh: an allow-flow pragma on any hop of the path
     // silences the flow).
-    std::map<std::string, std::vector<FlowSanitizer>> sanitizers;
-    for (const FileModel &file : files)
-        sanitizers.emplace(file.path,
-                           collectFlowSanitizers(file.lexed));
+    std::map<std::string, const std::vector<FlowSanitizer> *>
+        sanitizers;
+    for (std::size_t fi = 0; fi < files.size(); ++fi)
+        sanitizers.emplace(files[fi].path, &sums.sanitizersOf(fi));
 
     TaintAnalysis out;
     std::set<std::string> flowKeys;
@@ -86,7 +86,7 @@ analyzeTaint(const std::vector<FileModel> &files,
             for (const FlowHop &h : ev.path) {
                 const auto it = sanitizers.find(h.file);
                 if (it != sanitizers.end() &&
-                    flowSanitizedAt(it->second, h.line, ev.rule)) {
+                    flowSanitizedAt(*it->second, h.line, ev.rule)) {
                     sanitized = true;
                     break;
                 }

@@ -1,5 +1,6 @@
 #include "serve/client.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -46,6 +47,16 @@ classifyRefusal(const std::string &response,
     if (code->string == "draining")
         return Refusal::Draining;
     return Refusal::None;
+}
+
+/** `ms` in microseconds, saturating at the longest
+ *  `std::chrono::microseconds` instead of wrapping. */
+std::uint64_t
+millisToMicros(std::uint64_t ms)
+{
+    constexpr auto kMax = static_cast<std::uint64_t>(
+        std::chrono::microseconds::max().count());
+    return ms > kMax / 1000 ? kMax : ms * 1000;
 }
 
 } // namespace
@@ -147,8 +158,18 @@ Client::request(const std::string &line, std::string &response,
         std::uint64_t delayMicros =
             retryBackoffMicros(options_.backoffBaseMicros, attempt);
         if (overloadedHintMs != 0) {
-            delayMicros = overloadedHintMs * 1000;
+            delayMicros = millisToMicros(overloadedHintMs);
             overloadedHintMs = 0;
+        }
+        // Sleep no further than 1 ms past the deadline: a longer
+        // wait could only end in the deadline error below.
+        if (options_.deadlineMs != 0) {
+            const std::uint64_t elapsedMs = monotonicMillis() - startMs;
+            const std::uint64_t leftMs =
+                elapsedMs > options_.deadlineMs
+                    ? 0
+                    : options_.deadlineMs - elapsedMs + 1;
+            delayMicros = std::min(delayMicros, millisToMicros(leftMs));
         }
         if (delayMicros > 0)
             std::this_thread::sleep_for(

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "lint/callgraph.hh"
+#include "lint/concurrency.hh"
 #include "lint/lint.hh"
 #include "lint/summary.hh"
 #include "stats/hash.hh"
@@ -30,6 +31,7 @@ namespace
 using netchar::lint::FileModel;
 using netchar::lint::Finding;
 using netchar::lint::FlowHop;
+using netchar::lint::LintOptions;
 using netchar::lint::LintResult;
 using netchar::lint::lintSources;
 using netchar::lint::renderJson;
@@ -299,6 +301,67 @@ TEST(Summary, DoubleLockThroughHelperCall)
     EXPECT_EQ(f->function, "twice");
     EXPECT_NE(f->message.find("double-lock"), std::string::npos);
     EXPECT_NE(f->message.find("acquire"), std::string::npos);
+}
+
+TEST(Summary, ConcurrencyReportIndependentOfTaintPass)
+{
+    // The lockset pass reuses the lock model the summaries built.
+    // Helper-wrapped raw locks across a mutual-recursion SCC, with
+    // clock flows through the same functions so the taint pass has
+    // work to do in between: the lock findings and the `locksets`
+    // JSON must not depend on whether the taint pass ran.
+    const std::vector<SourceBuffer> tree = {
+        {"src/core/fixture.cc",
+         "static std::mutex mu_;\n"
+         "void acquire() {\n"
+         "    mu_.lock();\n"
+         "}\n"
+         "void release() {\n"
+         "    mu_.unlock();\n"
+         "}\n"
+         "double stepA(int n) {\n"
+         "    acquire();\n"
+         "    return stepB(n);\n"
+         "}\n"
+         "double stepB(int n) {\n"
+         "    if (n)\n"
+         "        return stepA(n - 1);\n"
+         "    release();\n"
+         "    return n;\n"
+         "}\n"
+         "void leakRoot(int n) {\n"
+         "    auto t = std::chrono::steady_clock::now()\n"
+         "                 .time_since_epoch().count();\n"
+         "    row += csvField(stepA(t));\n"
+         "    acquire();\n"
+         "    acquire();\n"
+         "}\n"}};
+    LintOptions noTaint;
+    noTaint.taint = false;
+    const LintResult with = lintSources(tree);
+    const LintResult without = lintSources(tree, noTaint);
+    const auto lockReport = [](const LintResult &r) {
+        std::string out;
+        for (const Finding &f : r.findings) {
+            if (!netchar::lint::isConcurrencyRuleName(f.rule))
+                continue;
+            out += f.file + ":" + std::to_string(f.line) + ":" +
+                   std::to_string(f.column) + " " + f.rule + " " +
+                   f.function + ": " + f.message + "\n";
+            for (const FlowHop &h : f.path)
+                out += "  " + h.file + ":" + std::to_string(h.line) +
+                       ": " + h.note + "\n";
+        }
+        const std::string json = renderJson(r);
+        return out + json.substr(json.find("\"locksets\""));
+    };
+    EXPECT_EQ(lockReport(with), lockReport(without));
+    // The fixture does exercise both passes and the cycle.
+    EXPECT_EQ(with.summaries.largestScc, 2u);
+    EXPECT_GE(countRule(with, "lock-leak"), 1u);
+    EXPECT_GE(countRule(with, "guard-discipline"), 1u);
+    EXPECT_GE(countRule(with, "flow-wallclock"), 1u);
+    EXPECT_EQ(countRule(without, "flow-wallclock"), 0u);
 }
 
 // ---------------------------------------------------------------

@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "lint/callgraph.hh"
+#include "lint/lexer.hh"
 #include "lint/lint.hh"
+#include "lint/parser.hh"
 #include "lint/sarif.hh"
 
 namespace
@@ -462,6 +464,80 @@ TEST(CallGraph, OneCharLongerDefinitionDoesNotCrash)
           "bool XParser::parse(int n) { return n < 0; }\n"
           "void tick() { Parser::parse(3); }\n"}});
     EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(CallGraph, ResolveMatchesTheNameRule)
+{
+    using netchar::lint::CallGraph;
+    using netchar::lint::CallSite;
+    using netchar::lint::FileModel;
+    using netchar::lint::FunctionRef;
+    using netchar::lint::lex;
+    using netchar::lint::parseFile;
+    using netchar::lint::qualifiedSuffixMatches;
+    using netchar::lint::Statement;
+
+    std::vector<FileModel> models;
+    models.push_back(parseFile("src/a.cc",
+                               lex("namespace ns {\n"
+                                   "int parse(int x) { return x; }\n"
+                                   "}\n"
+                                   "int ns::load(int x) { return x; }\n"
+                                   "int other::load(int x) { return x; }\n"
+                                   "int Parser::step(int x) { return x; }\n"
+                                   "void run(Parser &p) {\n"
+                                   "  parse(1);\n"
+                                   "  p.step(2);\n"
+                                   "  ns::load(3);\n"
+                                   "  ns::parse(4);\n"
+                                   "  missing(5);\n"
+                                   "}\n")));
+    models.push_back(parseFile("src/b.cc",
+                               lex("int parse(int y) { return y; }\n"
+                                   "void tick() { parse(6); }\n")));
+    const CallGraph graph(models);
+
+    // The name rule, spelled out: every definition of the name, or
+    // for a qualified call those whose spelling ends with its `::`
+    // components, falling back to all of them when none does.
+    const auto byTheRule = [&](const CallSite &call) {
+        const std::vector<FunctionRef> &all =
+            graph.definitionsOf(call.callee);
+        if (call.qualified.empty() || call.qualified == call.callee)
+            return all;
+        std::vector<FunctionRef> out;
+        for (const FunctionRef ref : all)
+            if (qualifiedSuffixMatches(
+                    models[ref.file].functions[ref.fn].qualified,
+                    call.qualified))
+                out.push_back(ref);
+        return out.empty() ? all : out;
+    };
+
+    std::vector<std::pair<std::string, std::size_t>> seen;
+    for (std::size_t fi = 0; fi < models.size(); ++fi)
+        for (const auto &fn : models[fi].functions)
+            for (const Statement &st : fn.stmts)
+                for (const CallSite &call : st.calls) {
+                    const std::vector<FunctionRef> &got =
+                        graph.resolve(fi, call);
+                    EXPECT_EQ(got, byTheRule(call)) << call.callee;
+                    EXPECT_EQ(&got, &graph.resolve(fi, call))
+                        << call.callee;
+                    seen.emplace_back(call.qualified.empty()
+                                          ? "." + call.callee
+                                          : call.qualified,
+                                      got.size());
+                }
+    // Each kind of call is present and links as documented: bare,
+    // member, qualified, namespace fallback, unknown.
+    const std::vector<std::pair<std::string, std::size_t>> want = {
+        {"parse", 2},     {".step", 1},   {"ns::load", 1},
+        {"ns::parse", 2}, {"missing", 0}, {"parse", 2},
+    };
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(graph.stats().callSites, 6u);
+    EXPECT_EQ(graph.stats().unresolvedCalls, 1u);
 }
 
 } // namespace

@@ -1089,6 +1089,98 @@ TEST(Deadline, ClientBudgetFailsFastAgainstDeadServer)
     EXPECT_NE(error.find("30"), std::string::npos) << error;
 }
 
+/** What a 2-attempt, 200 ms-budget client gets from a fake daemon
+ *  that refuses every line as overloaded with `retryAfterMs` set to
+ *  `hintMs`. */
+struct OverloadedOutcome
+{
+    bool ok = true;
+    std::string error;
+    std::uint64_t tookMs = 0;
+};
+
+OverloadedOutcome
+requestAgainstOverloadedDaemon(const std::string &hintMs)
+{
+    OverloadedOutcome out;
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listener < 0 ||
+        ::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listener, 4) != 0 ||
+        ::getsockname(listener, reinterpret_cast<sockaddr *>(&addr),
+                      &len) != 0) {
+        if (listener >= 0)
+            ::close(listener);
+        out.error = "fake daemon: cannot listen";
+        return out;
+    }
+    timeval tv{};
+    tv.tv_sec = 10; // a hung test should fail, not wedge the suite
+    ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    const std::string refusal =
+        R"({"ok":false,"code":"overloaded","error":"busy",)"
+        R"("retryAfterMs":)" +
+        hintMs + "}\n";
+
+    Executor executor(2);
+    executor.forEach(2, [&](std::size_t task) {
+        if (task == 0) {
+            const int fd = ::accept(listener, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+            // One refusal per line, until the client hangs up.
+            std::string buffer;
+            char buf[4096];
+            for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+                buffer.append(buf, static_cast<std::size_t>(n));
+                while (buffer.find('\n') != std::string::npos) {
+                    buffer.erase(0, buffer.find('\n') + 1);
+                    rawSend(fd, refusal);
+                }
+            }
+            ::close(fd);
+            return;
+        }
+        ClientOptions copts;
+        copts.address =
+            "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+        copts.maxAttempts = 2;
+        copts.deadlineMs = 200;
+        Client client(copts);
+        std::string response;
+        const std::uint64_t start = monotonicMillis();
+        out.ok = client.request(R"({"verb":"ping"})", response,
+                                out.error);
+        out.tookMs = monotonicMillis() - start;
+    });
+    ::close(listener);
+    return out;
+}
+
+TEST(Deadline, OverloadedHintIsCappedByTheBudget)
+{
+    // A 1e11 ms hint (about three years) must not be slept before
+    // the deadline is checked, and 18446744073709552 ms, whose
+    // microseconds wrap a uint64 to 384, must not shrink to a short
+    // sleep and a second attempt. Both end in the deadline error
+    // once the 200 ms budget is spent.
+    for (const char *hint : {"100000000000", "18446744073709552"}) {
+        const OverloadedOutcome got =
+            requestAgainstOverloadedDaemon(hint);
+        EXPECT_FALSE(got.ok) << hint;
+        EXPECT_EQ(got.error.rfind("deadline:", 0), 0u)
+            << hint << ": " << got.error;
+        EXPECT_GE(got.tookMs, 200u) << hint;
+        EXPECT_LT(got.tookMs, 1000u) << hint;
+    }
+}
+
 // -- graceful drain -----------------------------------------------
 
 TEST(Drain, HandleBatchRefusesWhileDraining)
