@@ -1,7 +1,6 @@
 #include "lint/lexer.hh"
 
 #include <array>
-#include <cctype>
 
 namespace netchar::lint
 {
@@ -9,22 +8,33 @@ namespace netchar::lint
 namespace
 {
 
-bool
-isIdentStart(char c)
-{
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
+// Character classes as inline ASCII range checks. The program runs
+// in the C locale (nothing calls setlocale), where <cctype>'s
+// isspace/isalpha/isalnum/isdigit are exactly these ranges and a
+// byte >= 0x80 is in none of them.
 
 bool
-isIdentChar(char c)
+isSpace(char c)
 {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
 bool
 isDigit(char c)
 {
-    return std::isdigit(static_cast<unsigned char>(c));
+    return c >= '0' && c <= '9';
+}
+
+bool
+isIdentStart(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool
+isIdentChar(char c)
+{
+    return isIdentStart(c) || isDigit(c);
 }
 
 /**
@@ -38,6 +48,15 @@ constexpr std::array<std::string_view, 22> kPuncts = {
     "<=",  ">=",  "==",  "!=",  "&&",  "||", "+=", "-=", "*=",
     "/=",  "%=",  "++",  "--",
 };
+
+/** Bytes that begin some kPuncts entry: any other byte is a
+ *  one-byte punctuator without a table lookup. */
+constexpr std::array<bool, 256> kPunctStart = [] {
+    std::array<bool, 256> starts{};
+    for (const std::string_view p : kPuncts)
+        starts[static_cast<unsigned char>(p.front())] = true;
+    return starts;
+}();
 
 /** Cursor over the source with 1-based line/column tracking. */
 struct Cursor
@@ -71,17 +90,31 @@ struct Cursor
         while (n-- > 0 && !done())
             advance();
     }
+    /** Skip `n` bytes the caller knows hold no newline. */
+    void skip(std::size_t n)
+    {
+        pos += n;
+        column += static_cast<int>(n);
+    }
+    /** Skip the run of bytes that satisfy `in`, which holds for
+     *  no newline. */
+    template <typename Pred>
+    void skipWhile(Pred in)
+    {
+        const std::size_t from = pos;
+        while (pos < src.size() && in(src[pos]))
+            ++pos;
+        column += static_cast<int>(pos - from);
+    }
 };
 
 /** Trim ASCII whitespace from both ends. */
 std::string_view
 trim(std::string_view s)
 {
-    while (!s.empty() &&
-           std::isspace(static_cast<unsigned char>(s.front())))
+    while (!s.empty() && isSpace(s.front()))
         s.remove_prefix(1);
-    while (!s.empty() &&
-           std::isspace(static_cast<unsigned char>(s.back())))
+    while (!s.empty() && isSpace(s.back()))
         s.remove_suffix(1);
     return s;
 }
@@ -221,8 +254,10 @@ lex(std::string_view source)
     while (!c.done()) {
         const char ch = c.peek();
 
-        if (std::isspace(static_cast<unsigned char>(ch))) {
-            c.advance();
+        if (isSpace(ch)) {
+            do
+                c.advance();
+            while (!c.done() && isSpace(c.peek()));
             continue;
         }
 
@@ -242,13 +277,14 @@ lex(std::string_view source)
             const int line = c.line;
             const std::size_t start = c.pos;
             while (!c.done()) {
-                if (atSplice(c)) {
+                c.skipWhile(
+                    [](char b) { return b != '\n' && b != '\\'; });
+                if (atSplice(c))
                     eatSplice(c);
-                    continue;
-                }
-                if (c.peek() == '\n')
+                else if (c.peek() == '\\')
+                    c.skip(1);
+                else
                     break;
-                c.advance();
             }
             harvestPragma(out, source.substr(start, c.pos - start),
                           line, c.line);
@@ -259,9 +295,8 @@ lex(std::string_view source)
         if (ch == '/' && c.peek(1) == '*') {
             const int line = c.line;
             const std::size_t start = c.pos;
-            c.advance(2);
-            while (!c.done() && !c.startsWith("*/"))
-                c.advance();
+            // Up to the "*/" (npos runs to end of file), then past it.
+            c.advance(source.find("*/", start + 2) - start);
             c.advance(2);
             harvestPragma(out, source.substr(start, c.pos - start),
                           line, c.line);
@@ -299,18 +334,16 @@ lex(std::string_view source)
             const int line = c.line;
             const int column = c.column;
             std::string text;
-            while (!c.done()) {
+            while (true) {
+                const std::size_t from = c.pos;
+                c.skipWhile(isIdentChar);
+                text.append(source, from, c.pos - from);
                 // A splice inside an identifier joins the halves
                 // into one name (translation phase 2 runs before
                 // tokenization).
-                if (atSplice(c)) {
-                    eatSplice(c);
-                    continue;
-                }
-                if (!isIdentChar(c.peek()))
+                if (!atSplice(c))
                     break;
-                text += c.peek();
-                c.advance();
+                eatSplice(c);
             }
             if (c.peek() == '"' &&
                 (text == "R" || text == "u8R" || text == "uR" ||
@@ -346,57 +379,50 @@ lex(std::string_view source)
             const int line = c.line;
             const int column = c.column;
             std::string text;
-            while (!c.done()) {
+            while (true) {
+                const std::size_t from = c.pos;
+                c.skipWhile(
+                    [](char d) { return isIdentChar(d) || d == '.'; });
+                text.append(source, from, c.pos - from);
                 const char d = c.peek();
-                if (isIdentChar(d) || d == '.') {
-                    text += d;
-                    c.advance();
-                    continue;
-                }
                 // C++14 digit separator: a `'` continues the
                 // pp-number only when followed by an alphanumeric
                 // (`1'000'000`, `0xDEAD'BEEF`). A bare `'` after a
                 // digit opens a character literal instead, and
                 // swallowing it would desync every later token —
                 // and with them pragma line attribution.
-                if (d == '\'' && (isDigit(c.peek(1)) ||
-                                  isIdentChar(c.peek(1)))) {
-                    text += d;
-                    c.advance();
-                    continue;
-                }
-                if ((d == '+' || d == '-') && !text.empty()) {
-                    const char prev = text.back();
-                    if (prev == 'e' || prev == 'E' || prev == 'p' ||
-                        prev == 'P') {
-                        text += d;
-                        c.advance();
-                        continue;
-                    }
-                }
-                break;
+                const bool separator =
+                    d == '\'' && isIdentChar(c.peek(1));
+                const char prev = text.back();
+                const bool sign = (d == '+' || d == '-') &&
+                                  (prev == 'e' || prev == 'E' ||
+                                   prev == 'p' || prev == 'P');
+                if (!separator && !sign)
+                    break;
+                text += d;
+                c.skip(1);
             }
             out.tokens.push_back(
                 {TokenKind::Number, std::move(text), line, column});
             continue;
         }
 
-        // Punctuation, longest munch over the multi-char table.
+        // Punctuation, longest munch over the multi-char table. Only
+        // entries that start with this byte can match.
         {
-            const int line = c.line;
-            const int column = c.column;
-            std::string text;
-            for (const std::string_view p : kPuncts) {
-                if (c.startsWith(p)) {
-                    text = std::string(p);
-                    break;
+            std::size_t size = 1;
+            if (kPunctStart[static_cast<unsigned char>(ch)]) {
+                for (const std::string_view p : kPuncts) {
+                    if (p.front() == ch && c.startsWith(p)) {
+                        size = p.size();
+                        break;
+                    }
                 }
             }
-            if (text.empty())
-                text = std::string(1, ch);
-            c.advance(text.size());
-            out.tokens.push_back(
-                {TokenKind::Punct, std::move(text), line, column});
+            out.tokens.push_back({TokenKind::Punct,
+                                  std::string(source.substr(c.pos, size)),
+                                  c.line, c.column});
+            c.skip(size);
         }
     }
 

@@ -27,6 +27,14 @@
  * a spliced line comment keeps its pragma intact, and a spliced
  * preprocessor directive contributes its continuation tokens without
  * stray `\` punctuation in the stream.
+ *
+ * Characters are classified by inline ASCII range checks, which are
+ * the C locale's <cctype> classes (the program never calls
+ * setlocale): a byte >= 0x80 is neither space nor identifier
+ * character, so it lexes as a one-byte punctuator. Cost is per byte:
+ * identifier and pp-number runs are scanned to their end and their
+ * text copied once, and a punctuator tries only the multi-byte
+ * entries that begin with its first byte.
  */
 
 #ifndef NETCHAR_LINT_LEXER_HH

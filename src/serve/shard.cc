@@ -1,7 +1,6 @@
 #include "serve/shard.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -116,25 +115,21 @@ wantCount(const JsonValue &obj, const char *key, T &out,
 }
 
 /**
- * A failure's seed: a whole, non-negative number up to 2^64. Seeds
- * are full 64-bit values (a retry's is a splitmix64 output), so they
- * are not held to wholeNumber's 1e18 bound. The JSON reader keeps
- * numbers as doubles, so a seed within 2^10 of the top arrives as
- * 2^64 and is read as the largest uint64.
+ * A failure's seed: a plain non-negative integer literal up to
+ * 2^64 - 1, read exactly (`JsonValue::exactUint`). Seeds are full
+ * 64-bit values (a retry's is a splitmix64 output), so they are not
+ * held to wholeNumber's 1e18 bound, and their double would round
+ * any seed above 2^53. The sender prints every seed as an integer.
  */
 bool
 wantSeed(const JsonValue &obj, std::uint64_t &out, std::string &error)
 {
-    constexpr double kTwoTo64 = 0x1p64;
     const JsonValue *v = obj.find("seed");
-    if (v == nullptr || !v->isNumber() || v->number < 0.0 ||
-        v->number != std::floor(v->number) || v->number > kTwoTo64) {
+    if (v == nullptr || !v->exactUint) {
         error = "sweep body: missing or bad count 'seed'";
         return false;
     }
-    out = v->number == kTwoTo64
-              ? std::numeric_limits<std::uint64_t>::max()
-              : static_cast<std::uint64_t>(v->number);
+    out = *v->exactUint;
     return true;
 }
 

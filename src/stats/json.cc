@@ -1,5 +1,6 @@
 #include "stats/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -268,6 +269,13 @@ class Parser
             pos_ = start;
             return fail(error, "non-finite number '" + token + "'");
         }
+        // Unsigned from_chars takes no sign, so it reads only digits;
+        // it refuses a value past 2^64 - 1.
+        std::uint64_t exact = 0;
+        const auto [end, ec] =
+            std::from_chars(token.data(), token.data() + token.size(), exact);
+        if (ec == std::errc() && end == token.data() + token.size())
+            out.exactUint = exact;
         out.kind = JsonValue::Kind::Number;
         return true;
     }

@@ -14,6 +14,8 @@
 #ifndef NETCHAR_STATS_JSON_HH
 #define NETCHAR_STATS_JSON_HH
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,6 +32,10 @@ struct JsonValue
     Kind kind = Kind::Null;
     bool boolean = false;
     double number = 0.0;
+    /** The exact value of a plain non-negative integer literal (only
+     *  digits, at most 2^64 - 1), which `number` rounds above 2^53;
+     *  empty for every other number. */
+    std::optional<std::uint64_t> exactUint;
     std::string string;
     std::vector<JsonValue> array;
     std::vector<std::pair<std::string, JsonValue>> object;

@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "../mutate.hh"
 #include "lint/lexer.hh"
 #include "lint/lint.hh"
 
@@ -728,6 +731,215 @@ TEST(Lexer, BareQuoteAfterDigitOpensCharLiteral)
     EXPECT_EQ(got[1].first, netchar::lint::TokenKind::CharLit);
     EXPECT_EQ(got[2].first, netchar::lint::TokenKind::Number);
     EXPECT_EQ(got[3].first, netchar::lint::TokenKind::CharLit);
+}
+
+// ---------------------------------------------------------------
+// token stream: pinned and fuzzed
+// ---------------------------------------------------------------
+
+struct PinnedToken
+{
+    netchar::lint::TokenKind kind;
+    const char *text;
+    int line;
+    int column;
+};
+
+TEST(Lexer, TokenStreamIsPinned)
+{
+    // Every whitespace byte (tab, \v, \f, CR-LF), a byte >= 0x80, a
+    // `\` that is not a splice, identifiers spliced across LF and
+    // CR-LF, the raw-string prefixes, numbers with separators and
+    // exponent signs, every multi-byte punctuator beside its one-byte
+    // prefixes, and a string left open at end of file.
+    const std::string source =
+    "int\tmain()\v{\f\r\n"
+    "  auto caf\xc3\xa9 = 1;\r\n"
+    "  abc\\ def ra\\\nnd(); x\\\r\ny;\n"
+    "  R\"(a)\" u8R\"d(b)\")d\" LR\"(c)\" R x u8\"s\" L'c';\n"
+    "  1'000 0x1fp+2 1.5e-3 .5 1\\\n2 0b1010'0101u f(1,'a');\n"
+    "  <<= >>= <=> ->* ... :: -> << >> <= >= == != && || += -= *= /="
+    " %= ++ --\n"
+    "  < > - . : = ! & | + * / % ( ) ; , ?\n"
+    "  <<<= a->*b x<=>y .. ::: --- #if\n"
+    "  // line comment\n"
+    "  /* block\n   comment */ z;\n"
+    "  \"esc\\\"aped\" '\\''\n"
+    "  \"unterminated";
+    using K = netchar::lint::TokenKind;
+    const std::vector<PinnedToken> want = {
+        {K::Identifier, "int", 1, 1},
+        {K::Identifier, "main", 1, 5},
+        {K::Punct, "(", 1, 9},
+        {K::Punct, ")", 1, 10},
+        {K::Punct, "{", 1, 12},
+        {K::Identifier, "auto", 2, 3},
+        {K::Identifier, "caf", 2, 8},
+        {K::Punct, "\xc3", 2, 11},
+        {K::Punct, "\xa9", 2, 12},
+        {K::Punct, "=", 2, 14},
+        {K::Number, "1", 2, 16},
+        {K::Punct, ";", 2, 17},
+        {K::Identifier, "abc", 3, 3},
+        {K::Punct, "\\", 3, 6},
+        {K::Identifier, "def", 3, 8},
+        {K::Identifier, "rand", 3, 12},
+        {K::Punct, "(", 4, 3},
+        {K::Punct, ")", 4, 4},
+        {K::Punct, ";", 4, 5},
+        {K::Identifier, "xy", 4, 7},
+        {K::Punct, ";", 5, 2},
+        {K::String, "<raw-string>", 6, 3},
+        {K::String, "<raw-string>", 6, 10},
+        {K::String, "<raw-string>", 6, 23},
+        {K::Identifier, "R", 6, 31},
+        {K::Identifier, "x", 6, 33},
+        {K::Identifier, "u8", 6, 35},
+        {K::String, "<string>", 6, 37},
+        {K::Identifier, "L", 6, 41},
+        {K::CharLit, "<char>", 6, 42},
+        {K::Punct, ";", 6, 45},
+        {K::Number, "1'000", 7, 3},
+        {K::Number, "0x1fp+2", 7, 9},
+        {K::Number, "1.5e-3", 7, 17},
+        {K::Number, ".5", 7, 24},
+        {K::Number, "1", 7, 27},
+        {K::Number, "2", 8, 1},
+        {K::Number, "0b1010'0101u", 8, 3},
+        {K::Identifier, "f", 8, 16},
+        {K::Punct, "(", 8, 17},
+        {K::Number, "1", 8, 18},
+        {K::Punct, ",", 8, 19},
+        {K::CharLit, "<char>", 8, 20},
+        {K::Punct, ")", 8, 23},
+        {K::Punct, ";", 8, 24},
+        {K::Punct, "<<=", 9, 3},
+        {K::Punct, ">>=", 9, 7},
+        {K::Punct, "<=>", 9, 11},
+        {K::Punct, "->*", 9, 15},
+        {K::Punct, "...", 9, 19},
+        {K::Punct, "::", 9, 23},
+        {K::Punct, "->", 9, 26},
+        {K::Punct, "<<", 9, 29},
+        {K::Punct, ">>", 9, 32},
+        {K::Punct, "<=", 9, 35},
+        {K::Punct, ">=", 9, 38},
+        {K::Punct, "==", 9, 41},
+        {K::Punct, "!=", 9, 44},
+        {K::Punct, "&&", 9, 47},
+        {K::Punct, "||", 9, 50},
+        {K::Punct, "+=", 9, 53},
+        {K::Punct, "-=", 9, 56},
+        {K::Punct, "*=", 9, 59},
+        {K::Punct, "/=", 9, 62},
+        {K::Punct, "%=", 9, 65},
+        {K::Punct, "++", 9, 68},
+        {K::Punct, "--", 9, 71},
+        {K::Punct, "<", 10, 3},
+        {K::Punct, ">", 10, 5},
+        {K::Punct, "-", 10, 7},
+        {K::Punct, ".", 10, 9},
+        {K::Punct, ":", 10, 11},
+        {K::Punct, "=", 10, 13},
+        {K::Punct, "!", 10, 15},
+        {K::Punct, "&", 10, 17},
+        {K::Punct, "|", 10, 19},
+        {K::Punct, "+", 10, 21},
+        {K::Punct, "*", 10, 23},
+        {K::Punct, "/", 10, 25},
+        {K::Punct, "%", 10, 27},
+        {K::Punct, "(", 10, 29},
+        {K::Punct, ")", 10, 31},
+        {K::Punct, ";", 10, 33},
+        {K::Punct, ",", 10, 35},
+        {K::Punct, "?", 10, 37},
+        {K::Punct, "<<", 11, 3},
+        {K::Punct, "<=", 11, 5},
+        {K::Identifier, "a", 11, 8},
+        {K::Punct, "->*", 11, 9},
+        {K::Identifier, "b", 11, 12},
+        {K::Identifier, "x", 11, 14},
+        {K::Punct, "<=>", 11, 15},
+        {K::Identifier, "y", 11, 18},
+        {K::Punct, ".", 11, 20},
+        {K::Punct, ".", 11, 21},
+        {K::Punct, "::", 11, 23},
+        {K::Punct, ":", 11, 25},
+        {K::Punct, "--", 11, 27},
+        {K::Punct, "-", 11, 29},
+        {K::Punct, "#", 11, 31},
+        {K::Identifier, "if", 11, 32},
+        {K::Identifier, "z", 14, 15},
+        {K::Punct, ";", 14, 16},
+        {K::String, "<string>", 15, 3},
+        {K::CharLit, "<char>", 15, 15},
+        {K::String, "<string>", 16, 3},
+    };
+    const auto lexed = netchar::lint::lex(source);
+    ASSERT_EQ(lexed.tokens.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const auto &t = lexed.tokens[i];
+        EXPECT_EQ(t.kind, want[i].kind) << "token " << i;
+        EXPECT_EQ(t.text, want[i].text) << "token " << i;
+        EXPECT_EQ(t.line, want[i].line) << "token " << i;
+        EXPECT_EQ(t.column, want[i].column) << "token " << i;
+    }
+    EXPECT_TRUE(lexed.pragmas.empty());
+}
+
+TEST(LexerFuzz, TokensMatchTheirSource)
+{
+    const std::vector<std::string> seeds = {
+        "#include <map>\n"
+        "namespace n {\n"
+        "int f(const std::map<int, long> &m, double d) {\n"
+        "    auto x = m.at(1'000) + 0x1fp+2 * 1.5e-3;\n"
+        "    if (x <= 3 && d != .5) return x->*p ... ;\n"
+        "    s += \"ab\"; c = 'q'; r = R\"d(x)\")d\";\n"
+        "    /* block */ return a::b<c>>=2; // tail\n"
+        "}\n"
+        "}\n",
+        "#define M(a) \\\n  a##_x \\\r\n  + 1\n"
+        "int sp\\\nlit = u8R\"(raw)\" L'c' 0b1010'01u;\n"
+        "s = \"a\\\"b\"; c = '\\'';\n",
+    };
+    std::uint64_t state = 11;
+    unsigned checked = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string text = netchar::test::mutate(
+            seeds[static_cast<std::size_t>(i) % seeds.size()], state,
+            "<>=-+*/%&|!:.;,(){}#'\"\\\n\r\t0123456789eExpPR_");
+        const auto lexed = netchar::lint::lex(text);
+
+        std::vector<std::size_t> lineStart = {0};
+        for (std::size_t at = 0; at < text.size(); ++at)
+            if (text[at] == '\n')
+                lineStart.push_back(at + 1);
+        const bool plain = text.find('\\') == std::string::npos;
+        checked += plain ? 1u : 0u;
+        int line = 0, column = 0;
+        for (const auto &t : lexed.tokens) {
+            ASSERT_TRUE(t.line > line ||
+                        (t.line == line && t.column > column))
+                << "input: " << text;
+            line = t.line;
+            column = t.column;
+            ASSERT_LE(static_cast<std::size_t>(t.line), lineStart.size());
+            const std::size_t at =
+                lineStart[static_cast<std::size_t>(t.line) - 1] +
+                static_cast<std::size_t>(t.column) - 1;
+            ASSERT_LT(at, text.size()) << "input: " << text;
+            if (!plain || t.kind == netchar::lint::TokenKind::String ||
+                t.kind == netchar::lint::TokenKind::CharLit)
+                continue;
+            EXPECT_EQ(std::string_view(text).substr(at, t.text.size()),
+                      t.text)
+                << "input: " << text;
+        }
+    }
+    // The first seed has no `\`, so most of its mutations are
+    // text-checked: 1599 of these 3000 inputs.
+    EXPECT_GT(checked, 1000u);
 }
 
 } // namespace

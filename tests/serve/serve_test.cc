@@ -399,6 +399,22 @@ TEST(Protocol, JsonParserHandlesEscapesAndRejectsGarbage)
     EXPECT_FALSE(parseJson("{}{}", v, err)); // trailing bytes
     EXPECT_FALSE(parseJson("{\"a\":01}", v, err));
     EXPECT_FALSE(parseJson("nope", v, err));
+
+    // Plain non-negative integers also keep their exact value.
+    ASSERT_TRUE(parseJson(
+        R"([0, 13319558431009543222, 18446744073709551615,)"
+        R"( 18446744073709551616, -1, 1.0, 1e3])",
+        v, err))
+        << err;
+    ASSERT_EQ(v.array.size(), 7u);
+    EXPECT_EQ(v.array[0].exactUint, 0u);
+    EXPECT_EQ(v.array[1].exactUint, 13319558431009543222u);
+    EXPECT_EQ(v.array[2].exactUint,
+              std::numeric_limits<std::uint64_t>::max());
+    for (std::size_t i = 3; i < v.array.size(); ++i) {
+        EXPECT_TRUE(v.array[i].isNumber()) << i;
+        EXPECT_FALSE(v.array[i].exactUint) << i;
+    }
 }
 
 TEST(Protocol, RequestRoundTrip)
@@ -678,19 +694,24 @@ TEST(Shard, SweepBodyKeepsFullRangeSeeds)
     ASSERT_TRUE(parseSweepText(sweepBodyJson(partial), back, error))
         << error;
     ASSERT_EQ(back.failures.size(), 2u);
-    // Numbers travel as doubles: a seed arrives as its nearest one,
-    // and one that rounds to 2^64 as the largest uint64.
-    EXPECT_EQ(back.failures[0].seed,
-              static_cast<std::uint64_t>(static_cast<double>(retrySeed)));
+    // Seeds arrive exactly, not as their nearest double.
+    ASSERT_NE(static_cast<std::uint64_t>(static_cast<double>(retrySeed)),
+              retrySeed);
+    EXPECT_EQ(back.failures[0].seed, retrySeed);
     EXPECT_EQ(back.failures[1].seed, top);
     ASSERT_TRUE(mergeSweep({back}, merged, error)) << error;
     EXPECT_EQ(merged, "h\nA,1\n");
-    EXPECT_EQ(mergeLedgers({back}).failures.size(), 2u);
+    const auto ledger = mergeLedgers({back});
+    ASSERT_EQ(ledger.failures.size(), 2u);
+    EXPECT_EQ(ledger.failures[0].seed, retrySeed);
+    EXPECT_EQ(ledger.failures[1].seed, top);
 
-    // Past 2^64, fractional or negative is still refused.
+    // Past 2^64 - 1, not a plain integer, fractional or negative is
+    // refused.
     const std::string body = sweepBodyJson(partial);
     const std::string topText = std::to_string(top);
-    for (const std::string bad : {"1e20", "0.5", "-1"}) {
+    for (const std::string bad :
+         {"18446744073709551616", "1e20", "1e3", "0.5", "-1"}) {
         std::string text = body;
         text.replace(text.find(topText), topText.size(), bad);
         EXPECT_FALSE(parseSweepText(text, back, error)) << bad;
