@@ -16,6 +16,7 @@
 #include "common.hh"
 #include "core/characterize.hh"
 #include "core/report.hh"
+#include "stats/hostclock.hh"
 
 using namespace netchar;
 
@@ -54,14 +55,14 @@ NETCHAR_BENCH(chaos_overhead,
             std::vector<RunResult> hardened;
             SuiteRunStats stats;
             const auto timePlain = [&] {
-                const double t0 = bench::nowSeconds();
+                const double t0 = hostSeconds();
                 plain = ch.run(profiles[i], opts);
-                plain_s += bench::nowSeconds() - t0;
+                plain_s += hostSeconds() - t0;
             };
             const auto timeHardened = [&] {
-                const double t0 = bench::nowSeconds();
+                const double t0 = hostSeconds();
                 hardened = ch.runAll({profiles[i]}, opts, par, &stats);
-                hardened_s += bench::nowSeconds() - t0;
+                hardened_s += hostSeconds() - t0;
             };
             if (i % 2 == 0) {
                 timePlain();

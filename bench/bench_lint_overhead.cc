@@ -19,6 +19,7 @@
 #include "common.hh"
 #include "core/report.hh"
 #include "lint/driver.hh"
+#include "stats/hostclock.hh"
 
 using namespace netchar;
 
@@ -57,14 +58,14 @@ NETCHAR_BENCH(lint_overhead,
 
         lint::DriverOptions taintOnly;
         taintOnly.lint.concurrency = false;
-        const double t0 = bench::nowSeconds();
+        const double t0 = hostSeconds();
         const auto base = lint::runLint(paths, errors, taintOnly);
-        const double taint_s = bench::nowSeconds() - t0;
+        const double taint_s = hostSeconds() - t0;
 
         lint::DriverOptions full; // taint + concurrency (defaults)
-        const double t1 = bench::nowSeconds();
+        const double t1 = hostSeconds();
         const auto both = lint::runLint(paths, errors, full);
-        const double full_s = bench::nowSeconds() - t1;
+        const double full_s = hostSeconds() - t1;
 
         if (!errors.empty()) {
             ctx.fail("lint I/O error: " + errors[0]);

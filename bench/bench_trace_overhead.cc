@@ -13,6 +13,7 @@
 #include "common.hh"
 #include "core/characterize.hh"
 #include "core/report.hh"
+#include "stats/hostclock.hh"
 
 using namespace netchar;
 
@@ -35,13 +36,13 @@ NETCHAR_BENCH(trace_overhead,
     std::uint64_t events = 0, records = 0;
     for (int r = 0; r < reps; ++r) {
         for (const auto &p : profiles) {
-            const double t0 = bench::nowSeconds();
+            const double t0 = hostSeconds();
             const auto plain = ch.run(p, opts);
-            plain_s += bench::nowSeconds() - t0;
+            plain_s += hostSeconds() - t0;
 
-            const double t1 = bench::nowSeconds();
+            const double t1 = hostSeconds();
             const auto cap = ch.capture(p, opts);
-            traced_s += bench::nowSeconds() - t1;
+            traced_s += hostSeconds() - t1;
             events += cap.trace.events.totalPushed();
             records += cap.trace.samples.totalPushed();
 

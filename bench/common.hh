@@ -27,8 +27,8 @@ std::vector<wl::WorkloadProfile> tableIvAspnet();
 /** Table IV: the 8-element SPEC CPU17 representative subset. */
 std::vector<wl::WorkloadProfile> tableIvSpec();
 
-// quickMode()/scaledInstructions()/nowSeconds() live in harness.hh:
-// one clock and one quick-mode policy for every bench.
+// quickMode()/scaledInstructions() live in harness.hh: one
+// quick-mode policy for every bench.
 
 /** Standard §III methodology options (honors quick mode). */
 RunOptions standardOptions();

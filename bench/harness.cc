@@ -1,7 +1,6 @@
 #include "harness.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +12,7 @@
 #include <thread>
 
 #include "core/report.hh"
+#include "stats/hostclock.hh"
 #include "stats/textio.hh"
 
 namespace netchar::bench
@@ -37,18 +37,6 @@ std::uint64_t
 scaledInstructions(std::uint64_t full)
 {
     return quickMode() ? full / 5 : full;
-}
-
-double
-nowSeconds()
-{
-    // The bench harness measures host wall time by design: that is
-    // its output, recorded into reports and gated. Every timing
-    // in bench/ flows from this single sanctioned site.
-    // netchar-lint: allow-flow(flow-wallclock) -- bench measurements are wall time by definition
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 // ---------------------------------------------------------------
@@ -253,33 +241,20 @@ collect(std::vector<SampleSet> &sets, const Context &ctx)
 BenchResult
 runBench(const BenchDef &def, const RunConfig &config)
 {
-    const auto clock = config.clock ? config.clock : &nowSeconds;
-    const unsigned repeats = config.repeatOverride > 0
-        ? config.repeatOverride
-        : static_cast<unsigned>(std::max(
-              1, quickMode() ? def.quickRepeats : def.repeats));
+    const auto now = config.clock ? config.clock : &hostSeconds;
+    const unsigned repeats = std::max(1u, config.repeatOverride);
 
     BenchResult result;
     result.name = def.name;
-
-    for (int w = 0; w < def.warmupRepeats; ++w) {
-        Context ctx(false);
-        def.fn(ctx);
-        if (ctx.failed()) {
-            result.failed = true;
-            result.failure = "warmup: " + ctx.failure();
-            return result;
-        }
-    }
 
     std::vector<SampleSet> sets;
     std::vector<double> walls;
     for (unsigned r = 0; r < repeats; ++r) {
         const bool last = r + 1 == repeats;
         Context ctx(config.echoText && last);
-        const double t0 = clock();
+        const double t0 = now();
         def.fn(ctx);
-        walls.push_back(clock() - t0);
+        walls.push_back(now() - t0);
         collect(sets, ctx);
         if (ctx.failed()) {
             result.failed = true;
@@ -662,7 +637,7 @@ driverUsage(std::FILE *to)
         "  --list-gates         list CI perf gates and exit\n"
         "  --filter SUBSTR      run benches whose name contains\n"
         "                       SUBSTR (repeatable)\n"
-        "  --repeats N          override the per-bench repeat count\n"
+        "  --repeats N          measured repeats per bench (default 1)\n"
         "  --quick | --full     force quick/full mode (otherwise\n"
         "                       the NETCHAR_QUICK environment rules)\n"
         "  --table              print the aggregate table (default\n"

@@ -3,8 +3,8 @@
  * Shared bench harness: every bench_X.cc under bench/ registers
  * itself here as a named benchmark that reports named metrics, and
  * all of them are compiled once, into the netchar_bench driver. The
- * harness owns the clock, quick/full mode, warmup and repeat
- * control, percentile aggregation over repeats, the table/CSV/JSON
+ * harness owns quick/full mode, the repeat count (`--repeats`, one by
+ * default), percentile aggregation over repeats, the table/CSV/JSON
  * reporters, and the `--ci-check` gates (PAR-01, OVH-01, ...). Each
  * gated metric compares two timings taken in the same process and is
  * checked against an absolute threshold, so no stored baseline is
@@ -24,26 +24,19 @@ namespace netchar::bench
 {
 
 // ---------------------------------------------------------------
-// Shared run-mode helpers (the one clock / one quick-mode policy).
+// Shared run-mode helpers (the one quick-mode policy). Host time
+// comes from hostSeconds() (stats/hostclock.hh), as everywhere.
 // ---------------------------------------------------------------
 
 /**
  * True when NETCHAR_QUICK is set in the environment: benches shrink
- * their instruction budgets ~5x and their repeat counts for smoke
- * runs. This is the single quick-mode read in the tree.
+ * their instruction budgets ~5x for smoke runs. This is the single
+ * quick-mode read in the tree.
  */
 bool quickMode();
 
 /** Scale an instruction budget down in quick mode. */
 std::uint64_t scaledInstructions(std::uint64_t full);
-
-/**
- * Monotonic host time in seconds. The single sanctioned wall-clock
- * read under bench/: every measurement in every bench flows from
- * here, so warmup/repeat policy and clock choice cannot drift
- * between benches.
- */
-double nowSeconds();
 
 // ---------------------------------------------------------------
 // Benchmark registration.
@@ -59,9 +52,6 @@ struct BenchDef
     std::string name;        ///< registry key, e.g. "fig03_kernel_frac"
     std::string description; ///< one line, shown by --list
     BenchFn fn = nullptr;
-    int repeats = 1;      ///< full-mode measured repeats
-    int quickRepeats = 1; ///< quick-mode measured repeats
-    int warmupRepeats = 0; ///< unmeasured executions before repeats
 };
 
 /**
@@ -152,18 +142,13 @@ class Context
     bool failed_ = false;
 };
 
-/** Register a benchmark with default repeat policy. */
+/** Register a benchmark. */
 #define NETCHAR_BENCH(ident, desc)                                   \
-    NETCHAR_BENCH_REPEATS(ident, desc, 1, 1, 0)
-
-/** Register a benchmark with explicit full/quick/warmup repeats. */
-#define NETCHAR_BENCH_REPEATS(ident, desc, full, quick, warm)        \
     static void netchar_bench_body_##ident(                          \
         ::netchar::bench::Context &);                                \
     static const ::netchar::bench::Registration                      \
         netchar_bench_reg_##ident{::netchar::bench::BenchDef{        \
-            #ident, desc, &netchar_bench_body_##ident, full, quick,  \
-            warm}};                                                  \
+            #ident, desc, &netchar_bench_body_##ident}};             \
     static void netchar_bench_body_##ident(                          \
         ::netchar::bench::Context &ctx)
 
@@ -232,14 +217,14 @@ struct RunConfig
     /** Substrings; empty = run everything. A bench runs when its
      *  name contains any of the filters. */
     std::vector<std::string> filters;
-    unsigned repeatOverride = 0; ///< >0 forces the measured repeat count
+    unsigned repeatOverride = 0; ///< measured repeats; 0 = one
     bool echoText = true;    ///< stream figure text to stdout live
     bool progress = true;    ///< per-bench progress lines on stderr
-    /** Injectable clock for deterministic tests; null = nowSeconds. */
+    /** Injectable clock for deterministic tests; null = hostSeconds. */
     double (*clock)() = nullptr;
 };
 
-/** Run one definition (warmup + repeats, wall_s auto-metric). */
+/** Run one definition (repeats, wall_s auto-metric). */
 BenchResult runBench(const BenchDef &def, const RunConfig &config);
 
 /** Run every matching definition; result is name-sorted. */

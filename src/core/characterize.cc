@@ -11,6 +11,7 @@
 
 #include "core/executor.hh"
 #include "sim/machine.hh"
+#include "stats/hostclock.hh"
 #include "trace/recorder.hh"
 #include "workloads/synth.hh"
 
@@ -358,8 +359,6 @@ sweep(const std::vector<wl::WorkloadProfile> &profiles,
 {
     // Host wall time feeds only the run ledger (SuiteRunStats),
     // never simulated results.
-    // netchar-lint: allow(no-wallclock) -- wall-time run ledger site
-    using Clock = std::chrono::steady_clock;
     const std::size_t n = profiles.size();
     unsigned jobs = par.jobs != 0
         ? par.jobs
@@ -377,7 +376,7 @@ sweep(const std::vector<wl::WorkloadProfile> &profiles,
     std::vector<Result> out(n);
     std::vector<RunLedgerEntry> ledger(n);
     const auto run_one = [&](std::size_t i) {
-        const auto t0 = Clock::now();
+        const double t0 = hostSeconds();
         RunLedgerEntry entry;
         attemptResiliently(
             i, profiles[i].name, options, state, entry,
@@ -419,12 +418,11 @@ sweep(const std::vector<wl::WorkloadProfile> &profiles,
                 out[i] = std::move(r);
             });
         entry.worker = Executor::workerId();
-        entry.wallSeconds =
-            std::chrono::duration<double>(Clock::now() - t0).count();
+        entry.wallSeconds = hostSeconds() - t0;
         ledger[i] = std::move(entry);
     };
 
-    const auto sweep_start = Clock::now();
+    const double sweep_start = hostSeconds();
     std::uint64_t steals = 0;
     if (jobs <= 1 || n <= 1) {
         jobs = 1;
@@ -439,9 +437,7 @@ sweep(const std::vector<wl::WorkloadProfile> &profiles,
     if (stats) {
         SuiteRunStats s;
         s.jobs = jobs;
-        s.wallSeconds = std::chrono::duration<double>(
-                            Clock::now() - sweep_start)
-                            .count();
+        s.wallSeconds = hostSeconds() - sweep_start;
         for (const auto &e : ledger)
             s.busySeconds += e.wallSeconds;
         s.steals = steals;

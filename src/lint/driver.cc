@@ -13,9 +13,8 @@ runLint(const std::vector<std::string> &paths,
         std::vector<std::string> &errors, const DriverOptions &opts,
         LintStats *stats)
 {
-    LintStats local;
-    LintStats &st = stats != nullptr ? *stats : local;
-    st = LintStats{};
+    if (stats != nullptr)
+        *stats = LintStats{};
 
     const std::vector<std::string> files =
         discoverFiles(paths, errors);
@@ -51,19 +50,7 @@ runLint(const std::vector<std::string> &paths,
             analyzeAt(i);
     }
 
-    // Summed task time, not wall time: with --jobs > 1 the
-    // per-phase numbers can exceed the elapsed clock.
-    for (const FileUnit &unit : units) {
-        st.lexSeconds += unit.lexSeconds;
-        st.rulesSeconds += unit.rulesSeconds;
-        st.parseSeconds += unit.parseSeconds;
-    }
-
-    AssembleTimes times;
-    LintResult result =
-        assembleUnits(std::move(units), opts.lint, &times);
-    st.summarySeconds = times.summarySeconds;
-    return result;
+    return assembleUnits(std::move(units), opts.lint, stats);
 }
 
 } // namespace netchar::lint

@@ -384,6 +384,11 @@ lex(std::string_view source)
                 c.skipWhile(
                     [](char d) { return isIdentChar(d) || d == '.'; });
                 text.append(source, from, c.pos - from);
+                // A splice joins the halves, as in an identifier.
+                if (atSplice(c)) {
+                    eatSplice(c);
+                    continue;
+                }
                 const char d = c.peek();
                 // C++14 digit separator: a `'` continues the
                 // pp-number only when followed by an alphanumeric

@@ -1,13 +1,13 @@
 #include "lint/lint.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <sstream>
 
 #include "lint/concurrency.hh"
 #include "lint/parser.hh"
 #include "lint/taint.hh"
+#include "stats/hostclock.hh"
 #include "stats/textio.hh"
 
 namespace netchar::lint
@@ -41,13 +41,6 @@ isSkippedDir(const fs::path &p)
     return name.empty() || name.front() == '.' ||
            name == "build" || name == "_deps" ||
            name.rfind("build-", 0) == 0;
-}
-
-double
-secondsBetween(std::chrono::steady_clock::time_point a,
-               std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
 }
 
 /** Path-wise ordering of flow hops, the final sort tie-break: two
@@ -183,36 +176,40 @@ LintResult::hasError() const
 FileUnit
 analyzeFileUnit(const std::string &path, std::string_view content)
 {
-    using clock = std::chrono::steady_clock;
     FileUnit unit;
-    const clock::time_point t0 = clock::now();
+    const double t0 = hostSeconds();
     LexedFile lexed = lex(content);
-    const clock::time_point t1 = clock::now();
+    const double t1 = hostSeconds();
     std::vector<Finding> found;
     for (const auto &rule : allRules())
         if (rule->appliesTo(path))
             rule->check(path, lexed, found);
     applyPragmas(path, lexed, found, unit);
-    const clock::time_point t2 = clock::now();
+    const double t2 = hostSeconds();
     unit.model = parseFile(path, std::move(lexed));
-    const clock::time_point t3 = clock::now();
-    unit.lexSeconds = secondsBetween(t0, t1);
-    unit.rulesSeconds = secondsBetween(t1, t2);
-    unit.parseSeconds = secondsBetween(t2, t3);
+    unit.lexSeconds = t1 - t0;
+    unit.rulesSeconds = t2 - t1;
+    unit.parseSeconds = hostSeconds() - t2;
     return unit;
 }
 
 LintResult
 assembleUnits(std::vector<FileUnit> units, const LintOptions &opts,
-              AssembleTimes *times)
+              LintStats *stats)
 {
-    using clock = std::chrono::steady_clock;
     LintResult result;
     result.filesScanned = units.size();
     for (FileUnit &unit : units) {
         for (Finding &f : unit.findings)
             result.findings.push_back(std::move(f));
         result.suppressedCount += unit.suppressed;
+        // Summed task time, not wall time: with --jobs > 1 the
+        // per-file phases can exceed the elapsed clock.
+        if (stats != nullptr) {
+            stats->lexSeconds += unit.lexSeconds;
+            stats->rulesSeconds += unit.rulesSeconds;
+            stats->parseSeconds += unit.parseSeconds;
+        }
     }
 
     const bool crossFile = opts.taint || opts.concurrency;
@@ -221,7 +218,7 @@ assembleUnits(std::vector<FileUnit> units, const LintOptions &opts,
         models.reserve(units.size());
         for (FileUnit &unit : units)
             models.push_back(std::move(unit.model));
-        const clock::time_point t0 = clock::now();
+        const double t0 = hostSeconds();
         // One call graph and one summary set feed both cross-file
         // passes; their statistics surface in the schema-v4 report
         // either way.
@@ -248,9 +245,8 @@ assembleUnits(std::vector<FileUnit> units, const LintOptions &opts,
             result.suppressedCount += conc.suppressed;
             result.escapedFunctions = conc.escapedFunctions;
         }
-        if (times != nullptr)
-            times->summarySeconds +=
-                secondsBetween(t0, clock::now());
+        if (stats != nullptr)
+            stats->summarySeconds += hostSeconds() - t0;
     }
 
     sortFindings(result.findings);

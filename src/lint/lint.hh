@@ -116,13 +116,6 @@ struct FileUnit
     double parseSeconds = 0;
 };
 
-/** Wall time spent in assembleUnits' cross-file phase. */
-struct AssembleTimes
-{
-    /** Call graph + summaries + taint + concurrency, together. */
-    double summarySeconds = 0;
-};
-
 /** --stats payload: per-phase timing. Timings are nondeterministic
  *  by nature, so stats never appear in a report unless explicitly
  *  requested. */
@@ -148,11 +141,12 @@ FileUnit analyzeFileUnit(const std::string &path,
  * findings, build the call graph and interprocedural summaries,
  * run the taint and concurrency passes, sort. `units` must be in
  * sorted model.path order; the result is byte-deterministic given
- * that order. `times` (optional) receives phase wall time.
+ * that order. `stats` (optional) gains the units' summed per-file
+ * times and the cross-file phase's wall time.
  */
 LintResult assembleUnits(std::vector<FileUnit> units,
                          const LintOptions &opts = {},
-                         AssembleTimes *times = nullptr);
+                         LintStats *stats = nullptr);
 
 /**
  * Expand files and directory trees into the sorted, de-duplicated

@@ -26,19 +26,6 @@ report(std::vector<Finding> &out, std::string_view path,
     out.push_back(std::move(f));
 }
 
-/**
- * Directories whose code runs inside the simulated-time universe:
- * a host-clock read here makes output depend on the machine running
- * the reproduction. src/core is included because the sweep engine
- * orders and retries runs — its only sanctioned wall-time use is the
- * run ledger, which carries explicit allow() pragmas.
- */
-constexpr std::array<std::string_view, 6> kDeterministicDirs = {
-    "src/sim",   "src/runtime",   "src/stats",
-    "src/trace", "src/workloads", "src/core",
-};
-
-
 class NoWallclock final : public Rule
 {
   public:
@@ -46,15 +33,16 @@ class NoWallclock final : public Rule
     Severity severity() const override { return Severity::Error; }
     std::string_view summary() const override
     {
-        return "host clocks are banned in determinism-critical "
-               "dirs; time must derive from simulated cycles";
+        return "host clocks are banned in src/ outside "
+               "src/stats/hostclock.cc (hostSeconds); results must "
+               "derive from simulated cycles";
     }
     bool appliesTo(std::string_view path) const override
     {
-        for (const std::string_view dir : kDeterministicDirs)
-            if (pathInDir(path, dir))
-                return true;
-        return false;
+        // hostclock.cc holds the one sanctioned host-clock read.
+        return pathInDir(path, "src") &&
+               path.find("src/stats/hostclock.cc") ==
+                   std::string_view::npos;
     }
     void check(std::string_view path, const LexedFile &lexed,
                std::vector<Finding> &out) const override

@@ -9,7 +9,8 @@
  * at any --jobs value, on any host. The rules encode the ways that
  * invariant has historically been broken in measurement harnesses:
  *
- *  - no-wallclock           host clocks in simulated-time code
+ *  - no-wallclock           host clocks in src/ outside
+ *                           stats/hostclock.cc
  *  - no-ambient-rng         unseeded randomness anywhere
  *  - no-unordered-iteration hash-order iteration feeding output
  *  - no-unguarded-static    unsynchronized mutable static state

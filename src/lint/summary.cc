@@ -30,9 +30,9 @@ constexpr std::string_view kSinkNames[] = {
     "errorCodeResponse", "journalRecord",
 };
 
-/** Run-ledger fields sanctioned to carry host wall time (the two
- *  justified sites from the PR-4 pragma review): assignments into
- *  them are sanitized, the taint stops there. */
+/** Run-ledger fields sanctioned to carry host wall time (the run
+ *  and sweep stamps of SuiteRunStats): assignments into them are
+ *  sanitized, the taint stops there. */
 constexpr std::string_view kLedgerFieldWhitelist[] = {
     "wallSeconds",
 };

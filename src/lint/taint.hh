@@ -17,9 +17,11 @@
  *              any hop of the path; an `allow(<token-rule>)` pragma
  *              on the source site (the token rule and the flow rule
  *              describe the same exception, so one pragma serves
- *              both layers); and the whitelisted run-ledger fields
- *              (SuiteRunStats wall time, the two justified wall-time
- *              sites) as assignment targets
+ *              both layers); and the whitelisted run-ledger field
+ *              (SuiteRunStats' wallSeconds) as an assignment target.
+ *              No pragma covers hostSeconds() (stats/hostclock.cc,
+ *              exempt from no-wallclock by path), so every use of
+ *              the repo's one host clock is tainted
  *  sinks       the serialization surface: the textio csv/json
  *              helpers and every export entry point (suite stats,
  *              failure ledger, trace exporters) — i.e. anything that

@@ -1,7 +1,6 @@
 #include "serve/protocol.hh"
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +14,7 @@
 
 #include "runtime/gc.hh"
 #include "sim/config.hh"
+#include "stats/hostclock.hh"
 #include "stats/textio.hh"
 #include "workloads/registry.hh"
 
@@ -42,6 +42,12 @@ verbName(Verb verb)
 bool
 wholeNumber(const JsonValue &v, std::uint64_t &out)
 {
+    if (v.exactUint) {
+        if (*v.exactUint > 1'000'000'000'000'000'000u)
+            return false;
+        out = *v.exactUint;
+        return true;
+    }
     if (!v.isNumber() || v.number < 0.0 ||
         v.number != std::floor(v.number) || v.number > 1e18)
         return false;
@@ -441,12 +447,7 @@ setSocketTimeout(int fd, std::uint64_t ms, bool receive)
 std::uint64_t
 monotonicMillis()
 {
-    // netchar-lint: allow(no-wallclock) -- admission, idle and retry timers only
-    using Clock = std::chrono::steady_clock;
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::now().time_since_epoch())
-            .count());
+    return static_cast<std::uint64_t>(hostSeconds() * 1000.0);
 }
 
 } // namespace netchar::serve

@@ -151,10 +151,12 @@ std::string jsonString(const std::string &raw);
 
 /**
  * The whole-number rule for counts read off the wire: a JSON number
- * that is integral, non-negative and at most 1e18. False, leaving
- * `out` unchanged, for anything else, so 1e300 cannot saturate and
- * 0.5 cannot round to 0. Request options and sweep bodies both read
- * their counts through it.
+ * that is integral, non-negative and at most 1e18. A plain integer
+ * literal is read exactly (JsonValue::exactUint), so 2^53 + 1 stays
+ * itself; another spelling such as `1e5` is read through the double.
+ * False, leaving `out` unchanged, for anything else, so 1e300 cannot
+ * saturate and 0.5 cannot round to 0. Request options and sweep
+ * bodies both read their counts through it.
  */
 bool wholeNumber(const JsonValue &v, std::uint64_t &out);
 

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "harness.hh"
@@ -67,8 +65,8 @@ makeRegistry(bool reversed)
 {
     Registry registry;
     std::vector<BenchDef> defs{
-        {"alpha", "first", &bodyAlpha, 4, 2, 1},
-        {"beta", "second", &bodyBeta, 1, 1, 0},
+        {"alpha", "first", &bodyAlpha},
+        {"beta", "second", &bodyBeta},
     };
     if (reversed)
         std::reverse(defs.begin(), defs.end());
@@ -137,41 +135,16 @@ TEST(Aggregate, OrderStatistics)
     EXPECT_DOUBLE_EQ(agg.p50, 2.5);
 }
 
-/** Pins NETCHAR_QUICK to full mode for one scope and restores the
- *  caller's value (or its absence) afterwards. */
-class FullModeScope
-{
-  public:
-    FullModeScope()
-    {
-        if (const char *env = std::getenv("NETCHAR_QUICK"))
-            saved_ = env;
-        setenv("NETCHAR_QUICK", "0", 1);
-    }
-    ~FullModeScope()
-    {
-        if (saved_)
-            setenv("NETCHAR_QUICK", saved_->c_str(), 1);
-        else
-            unsetenv("NETCHAR_QUICK");
-    }
-    FullModeScope(const FullModeScope &) = delete;
-    FullModeScope &operator=(const FullModeScope &) = delete;
-
-  private:
-    std::optional<std::string> saved_;
-};
-
 TEST(RunEngine, RepeatsAndWallMetric)
 {
-    const FullModeScope fullMode;
     const Registry registry = makeRegistry(false);
     RunConfig config = quietConfig();
+    config.repeatOverride = 4;
     const auto result = runBench(*registry.find("alpha"), config);
     EXPECT_FALSE(result.failed);
     const auto *throughput = result.find("throughput");
     ASSERT_NE(throughput, nullptr);
-    EXPECT_EQ(throughput->agg.n, 4u); // full-mode repeats
+    EXPECT_EQ(throughput->agg.n, 4u);
     EXPECT_TRUE(throughput->higherIsBetter);
     const auto *wall = result.find("wall_s");
     ASSERT_NE(wall, nullptr);
@@ -182,7 +155,7 @@ TEST(RunEngine, RepeatsAndWallMetric)
 TEST(RunEngine, FailureLatches)
 {
     Registry registry;
-    registry.add({"bad", "always fails", &bodyFails, 1, 1, 0});
+    registry.add({"bad", "always fails", &bodyFails});
     const auto result =
         runBench(*registry.find("bad"), quietConfig());
     EXPECT_TRUE(result.failed);
@@ -192,8 +165,8 @@ TEST(RunEngine, FailureLatches)
 TEST(RunEngine, DuplicateNameThrows)
 {
     Registry registry;
-    registry.add({"dup", "", &bodyBeta, 1, 1, 0});
-    EXPECT_THROW(registry.add({"dup", "", &bodyBeta, 1, 1, 0}),
+    registry.add({"dup", "", &bodyBeta});
+    EXPECT_THROW(registry.add({"dup", "", &bodyBeta}),
                  std::logic_error);
 }
 

@@ -303,3 +303,53 @@ TEST(GoldenDigest, ChaosCaptureAllWithRunBudget)
         s += render(c);
     expectDigest(s + render(stats), "ffe716ad8042ade9840e1bc44adb1229");
 }
+
+TEST(GoldenDigest, ChaosSweepsMatchAtOneAndFourJobs)
+{
+    // The two chaos sweeps above, at other job counts: results land
+    // at their input index, so the digests must not move.
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        {
+            const Characterizer ch(
+                sim::MachineConfig::intelCoreI99980Xe());
+            const FaultPlan plan = FaultPlan::parse("rate=0.5,seed=11");
+            RunOptions o = small();
+            o.runBudgetCycles = 400'000;
+            Parallelism par;
+            par.jobs = jobs;
+            par.maxAttempts = 3;
+            par.resilience.quarantineAfter = 2;
+            par.resilience.chaos = &plan;
+            SuiteRunStats stats;
+            const auto results =
+                ch.runAll(sweepProfiles(), o, par, &stats);
+            std::string s;
+            for (const auto &r : results)
+                s += render(r);
+            expectDigest(s + render(stats),
+                         "22c4a551b6bef96aef7593e37ee2115f");
+        }
+        {
+            const Characterizer ch(
+                sim::MachineConfig::intelXeonE52620V4());
+            const FaultPlan plan = FaultPlan::parse(
+                "rate=0.6,kinds=throw+nan+stall+trace,seed=3");
+            RunOptions o = small();
+            o.runBudgetCycles = 400'000;
+            TraceOptions topts;
+            topts.bufferEvents = 4096;
+            Parallelism par;
+            par.jobs = jobs;
+            par.resilience.chaos = &plan;
+            SuiteRunStats stats;
+            const auto captures =
+                ch.captureAll(sweepProfiles(), o, topts, par, &stats);
+            std::string s;
+            for (const auto &c : captures)
+                s += render(c);
+            expectDigest(s + render(stats),
+                         "ffe716ad8042ade9840e1bc44adb1229");
+        }
+    }
+}

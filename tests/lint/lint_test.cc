@@ -116,6 +116,30 @@ TEST(NoWallclock, MentionInCommentOrStringIgnored)
     EXPECT_TRUE(r.findings.empty());
 }
 
+TEST(NoWallclock, AppliesToAllOfSrc)
+{
+    // No src/ directory is exempt: serve and lint time through
+    // hostSeconds() like the rest.
+    for (const char *path : {"src/serve/fx.cc", "src/lint/fx.cc"}) {
+        const auto r = lintSource(
+            path, "auto t = std::chrono::steady_clock::now();\n");
+        ASSERT_EQ(r.findings.size(), 1u) << path;
+        EXPECT_EQ(r.findings[0].rule, "no-wallclock") << path;
+    }
+}
+
+TEST(NoWallclock, TheOneClockFileIsExempt)
+{
+    const auto r = lintSource(
+        "src/stats/hostclock.cc",
+        "double hostSeconds() {\n"
+        "  return std::chrono::duration<double>(\n"
+        "      std::chrono::steady_clock::now().time_since_epoch())\n"
+        "      .count();\n"
+        "}\n");
+    EXPECT_TRUE(r.findings.empty());
+}
+
 // ---------------------------------------------------------------
 // no-ambient-rng
 // ---------------------------------------------------------------
@@ -803,8 +827,7 @@ TEST(Lexer, TokenStreamIsPinned)
         {K::Number, "0x1fp+2", 7, 9},
         {K::Number, "1.5e-3", 7, 17},
         {K::Number, ".5", 7, 24},
-        {K::Number, "1", 7, 27},
-        {K::Number, "2", 8, 1},
+        {K::Number, "12", 7, 27},
         {K::Number, "0b1010'0101u", 8, 3},
         {K::Identifier, "f", 8, 16},
         {K::Punct, "(", 8, 17},
@@ -885,6 +908,24 @@ TEST(Lexer, TokenStreamIsPinned)
         EXPECT_EQ(t.column, want[i].column) << "token " << i;
     }
     EXPECT_TRUE(lexed.pragmas.empty());
+}
+
+TEST(Lexer, SpliceJoinsAPpNumber)
+{
+    // Translation phase 2 removes a splice before tokenization, so
+    // each of these is one number, as `ab\<LF>c` is one identifier.
+    for (const std::string splice : {"\\\n", "\\\r\n"}) {
+        const auto lexed =
+            netchar::lint::lex("x = 1" + splice + "2 + 1e" + splice +
+                               "+3;");
+        ASSERT_EQ(lexed.tokens.size(), 6u);
+        EXPECT_EQ(lexed.tokens[2].kind, netchar::lint::TokenKind::Number);
+        EXPECT_EQ(lexed.tokens[2].text, "12");
+        EXPECT_EQ(lexed.tokens[2].line, 1);
+        EXPECT_EQ(lexed.tokens[4].text, "1e+3");
+        EXPECT_EQ(lexed.tokens[4].line, 2);
+        EXPECT_EQ(lexed.tokens[5].line, 3);
+    }
 }
 
 TEST(LexerFuzz, TokensMatchTheirSource)

@@ -146,6 +146,30 @@ TEST(Taint, PropagatesThroughParameterAcrossFiles)
     EXPECT_TRUE(sawParamHop);
 }
 
+TEST(Taint, HostSecondsIsASource)
+{
+    // The one sanctioned clock is exempt from no-wallclock, not from
+    // the taint pass: its value reaching a sink in another file is a
+    // flow finding that starts inside it.
+    const auto r = lintSources(
+        {{"src/stats/hostclock.cc",
+          "double hostSeconds() {\n"
+          "  return std::chrono::duration<double>(\n"
+          "      std::chrono::steady_clock::now().time_since_epoch())\n"
+          "      .count();\n"
+          "}\n"},
+         {"bench/fx.cc",
+          "void emit() {\n"
+          "  row += csvField(hostSeconds());\n"
+          "}\n"}});
+    ASSERT_EQ(r.findings.size(), 1u);
+    const auto &f = r.findings[0];
+    EXPECT_EQ(f.rule, "flow-wallclock");
+    EXPECT_EQ(f.file, "bench/fx.cc");
+    ASSERT_FALSE(f.path.empty());
+    EXPECT_EQ(f.path.front().file, "src/stats/hostclock.cc");
+}
+
 TEST(Taint, DistinctSinksAreDistinctFlows)
 {
     const auto r = lintSources(

@@ -417,6 +417,38 @@ TEST(Protocol, JsonParserHandlesEscapesAndRejectsGarbage)
     }
 }
 
+TEST(Protocol, WholeNumberReadsPlainIntegersExactly)
+{
+    const auto read = [](const std::string &text, std::uint64_t &out) {
+        JsonValue v;
+        std::string err;
+        EXPECT_TRUE(parseJson(text, v, err)) << text << ": " << err;
+        return wholeNumber(v, out);
+    };
+    std::uint64_t out = 0;
+    // 2^53 + 1 has no double: read through one, it runs as 2^53.
+    ASSERT_TRUE(read("9007199254740993", out));
+    EXPECT_EQ(out, 9007199254740993u);
+    ASSERT_TRUE(read("1e5", out));
+    EXPECT_EQ(out, 100000u);
+    ASSERT_TRUE(read("1000000000000000000", out));
+    EXPECT_EQ(out, 1000000000000000000u);
+    // The double of 1e18 + 1 is 1e18, inside the bound.
+    out = 7;
+    EXPECT_FALSE(read("1000000000000000001", out));
+    EXPECT_FALSE(read("-1", out));
+    EXPECT_FALSE(read("1.5", out));
+    EXPECT_EQ(out, 7u);
+
+    const Request req = parseRequest(
+        R"({"verb":"run","benchmark":"SeekUnroll",)"
+        R"("options":{"seed":9007199254740993}})");
+    EXPECT_EQ(req.options.seed, 9007199254740993u);
+    EXPECT_THROW(parseRequest(R"({"verb":"run","benchmark":"SeekUnroll",)"
+                              R"("options":{"seed":1000000000000000001}})"),
+                 ProtocolError);
+}
+
 TEST(Protocol, RequestRoundTrip)
 {
     Request req;
