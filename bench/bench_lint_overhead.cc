@@ -18,7 +18,7 @@
 
 #include "common.hh"
 #include "core/report.hh"
-#include "lint/driver.hh"
+#include "lint/lint.hh"
 #include "stats/hostclock.hh"
 
 using namespace netchar;
@@ -40,9 +40,9 @@ NETCHAR_BENCH(lint_overhead,
     // whichever side runs first.
     {
         std::vector<std::string> errors;
-        lint::DriverOptions warm;
-        warm.lint.taint = false;
-        warm.lint.concurrency = false;
+        lint::LintOptions warm;
+        warm.taint = false;
+        warm.concurrency = false;
         lint::runLint(paths, errors, warm);
         if (!errors.empty()) {
             ctx.fail("cannot read the live tree: " + errors[0]);
@@ -56,13 +56,13 @@ NETCHAR_BENCH(lint_overhead,
     for (int r = 0; r < reps; ++r) {
         std::vector<std::string> errors;
 
-        lint::DriverOptions taintOnly;
-        taintOnly.lint.concurrency = false;
+        lint::LintOptions taintOnly;
+        taintOnly.concurrency = false;
         const double t0 = hostSeconds();
         const auto base = lint::runLint(paths, errors, taintOnly);
         const double taint_s = hostSeconds() - t0;
 
-        lint::DriverOptions full; // taint + concurrency (defaults)
+        lint::LintOptions full; // taint + concurrency (defaults)
         const double t1 = hostSeconds();
         const auto both = lint::runLint(paths, errors, full);
         const double full_s = hostSeconds() - t1;

@@ -27,7 +27,7 @@ struct ConcurrencyRule
     std::string_view summary;
 };
 
-constexpr std::array<ConcurrencyRule, 5> kRules = {{
+constexpr std::array<ConcurrencyRule, 4> kRules = {{
     {"race-shared-write", Severity::Error,
      "write to a mutable static or by-reference-captured object "
      "reachable from executor tasks with an empty lockset"},
@@ -39,8 +39,6 @@ constexpr std::array<ConcurrencyRule, 5> kRules = {{
     {"atomic-mixed-access", Severity::Warning,
      "object accessed both atomically (.load/.store/atomic_ref) "
      "and through plain reads/writes"},
-    {"flow-unchecked-error", Severity::Warning,
-     "error-carrying bool return discarded in serve/journal code"},
 }};
 
 /** Executor task submission entry points (escape-set seeds). */
@@ -544,9 +542,6 @@ class Engine
 
         if (seeds_.count(ref) != 0)
             scanTaskLambdas(ref, locks.guardVars);
-        if (pathInDir(file.path, "src/serve") ||
-            file.path.rfind("serve/", 0) == 0)
-            scanDiscardedErrors(ref, cfg);
     }
 
     void checkDiscipline(FunctionRef ref, const FileModel &file,
@@ -846,88 +841,6 @@ class Engine
                      "' shared across executor tasks with an "
                      "empty lockset",
                  std::move(hops), fn.qualified, {});
-        }
-    }
-
-    // -- discarded error-carrying returns in serve code ---------
-
-    void scanDiscardedErrors(FunctionRef ref, const Cfg &cfg)
-    {
-        const FileModel &file = files_[ref.file];
-        const FunctionModel &fn = fnOf(ref);
-        const auto &toks = file.lexed.tokens;
-        for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-            if (!cfg.blocks[b].reachable)
-                continue;
-            for (const CfgStmt &st : cfg.blocks[b].stmts) {
-                if (st.end <= st.begin + 1)
-                    continue;
-                const Token &lead = toks[st.begin];
-                if (lead.kind != TokenKind::Identifier ||
-                    contains(kStmtKeywords, lead.text))
-                    continue;
-                // The whole statement must be one call: an
-                // identifier chain, `(`, and a `)` as the last
-                // token.
-                std::size_t p = st.begin;
-                bool member = false;
-                while (p + 1 < st.end &&
-                       toks[p].kind == TokenKind::Identifier &&
-                       (isPunct(toks[p + 1], ".") ||
-                        isPunct(toks[p + 1], "->") ||
-                        isPunct(toks[p + 1], "::"))) {
-                    member |= !isPunct(toks[p + 1], "::");
-                    p += 2;
-                }
-                if (p + 1 >= st.end ||
-                    toks[p].kind != TokenKind::Identifier ||
-                    !isPunct(toks[p + 1], "("))
-                    continue;
-                if (matchParen(toks, p + 1, st.end) != st.end - 1)
-                    continue;
-                const std::string &callee = toks[p].text;
-                const FunctionModel *target = nullptr;
-                if (member) {
-                    const std::string recv =
-                        p >= 2 ? toks[p - 2].text : "";
-                    const auto ty = locks_.types.find(recv);
-                    if (ty == locks_.types.end())
-                        continue;
-                    const std::string want =
-                        ty->second + "::" + callee;
-                    for (const FunctionRef &d :
-                         graph_.definitionsOf(callee)) {
-                        const FunctionModel &def = fnOf(d);
-                        if (qualifiedSuffixMatches(def.qualified,
-                                                   want)) {
-                            target = &def;
-                            break;
-                        }
-                    }
-                } else {
-                    const auto &defs =
-                        graph_.definitionsOf(callee);
-                    if (defs.empty())
-                        continue;
-                    bool allBool = true;
-                    for (const FunctionRef &d : defs)
-                        allBool &= fnOf(d).retType == "bool";
-                    if (allBool)
-                        target = &fnOf(defs.front());
-                }
-                if (target == nullptr ||
-                    target->retType != "bool")
-                    continue;
-                std::vector<FlowHop> hops;
-                hops.push_back({file.path, lead.line, lead.column,
-                                "error-carrying result discarded "
-                                "here"});
-                emit("flow-unchecked-error", file, lead.line,
-                     lead.column,
-                     "return value of '" + callee +
-                         "' carries an error and is discarded",
-                     std::move(hops), fn.qualified, {});
-            }
         }
     }
 

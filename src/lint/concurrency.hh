@@ -32,7 +32,7 @@
  * in the executor implementation itself — the thread entry
  * universe). Writes in escaped code are the race surface.
  *
- * Five severity-ranked rules, all carrying SARIF codeFlows:
+ * Four severity-ranked rules, all carrying SARIF codeFlows:
  *
  *  race-shared-write (error)  write to a mutable static or a
  *      by-reference-captured enclosing local, in escaped code,
@@ -43,8 +43,10 @@
  *      along any path
  *  atomic-mixed-access (warning)  one object accessed both
  *      atomically (`.load()`/`.store()`/`atomic_ref`) and plainly
- *  flow-unchecked-error (warning) a bool error-carrying return
- *      discarded in serve/journal code
+ *
+ * A discarded error-carrying bool in serve code is the compiler's
+ * job: those functions are [[nodiscard]] and the build uses
+ * -Werror.
  *
  * Suppression uses the existing token pragma machinery: a
  * well-formed `allow(<rule>) -- <reason>` comment on the finding

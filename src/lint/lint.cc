@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "lint/concurrency.hh"
@@ -203,8 +204,6 @@ assembleUnits(std::vector<FileUnit> units, const LintOptions &opts,
         for (Finding &f : unit.findings)
             result.findings.push_back(std::move(f));
         result.suppressedCount += unit.suppressed;
-        // Summed task time, not wall time: with --jobs > 1 the
-        // per-file phases can exceed the elapsed clock.
         if (stats != nullptr) {
             stats->lexSeconds += unit.lexSeconds;
             stats->rulesSeconds += unit.rulesSeconds;
@@ -331,6 +330,27 @@ discoverFiles(const std::vector<std::string> &paths,
     files.erase(std::unique(files.begin(), files.end()),
                 files.end());
     return files;
+}
+
+LintResult
+runLint(const std::vector<std::string> &paths,
+        std::vector<std::string> &errors, const LintOptions &opts,
+        LintStats *stats)
+{
+    if (stats != nullptr)
+        *stats = LintStats{};
+    std::vector<FileUnit> units;
+    for (const std::string &file : discoverFiles(paths, errors)) {
+        std::ifstream in(file, std::ios::binary);
+        if (!in) {
+            errors.push_back(file + ": cannot open");
+            continue;
+        }
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        units.push_back(analyzeFileUnit(file, buf.str()));
+    }
+    return assembleUnits(std::move(units), opts, stats);
 }
 
 std::string

@@ -8,8 +8,7 @@
  * directory enumeration order), findings are sorted by
  * (file, line, column, rule), and the text, JSON and SARIF
  * renderings are pure functions of the sorted finding list —
- * repeated runs over an unchanged tree are byte-identical, at any
- * --jobs count.
+ * repeated runs over an unchanged tree are byte-identical.
  *
  * Three analysis layers feed the same report:
  *  - token rules (rules.hh), checked per file,
@@ -22,19 +21,20 @@
  * summaries of summary.hh, computed bottom-up over the call graph's
  * strongly connected components.
  *
- * The pipeline is split to support parallel driving (driver.hh):
- * analyzeFileUnit() does all the per-file work (lex, token rules,
- * pragma suppression, parse) and is a pure function of (path,
- * content) — safe to fan out over an executor — while
- * assembleUnits() does the cross-file work (call graph, summaries,
- * taint, concurrency) and the final deterministic sort.
+ * runLint() is the whole pipeline over files and directory trees:
+ * discoverFiles(), then analyzeFileUnit() per file in sorted-path
+ * order (lex, token rules, pragma suppression, parse; a pure
+ * function of path and content), then assembleUnits() for the
+ * cross-file work (call graph, summaries, taint, concurrency) and
+ * the final deterministic sort. The parts are public so perfbench
+ * can time each phase.
  *
  * Suppression contract: a token finding is dropped only when a
  * well-formed netchar-lint `allow(<rule>) -- <reason>` pragma
  * comment names its rule on the same line or the line directly
  * above. Flow findings are silenced by `allow-flow(<flow-rule>) --
- * <reason>` on any hop of the path (or by an allow() on the source
- * site — see taint.hh). Malformed pragmas (missing reason, unknown
+ * <reason>` on any hop of the path (or, for flow-wallclock, by an
+ * allow(no-wallclock) on the source site — see taint.hh). Malformed pragmas (missing reason, unknown
  * rule, bad syntax) are themselves findings under the reserved rule
  * name `bad-pragma` and suppress nothing.
  */
@@ -98,9 +98,8 @@ struct SourceBuffer
 /**
  * Everything the per-file phase produces for one source buffer: the
  * parsed declaration model plus the pragma-filtered token findings.
- * A FileUnit is a pure function of (path, content) — no analysis
- * option reaches the per-file phase — which is what makes it the
- * unit of parallelism (driver.hh).
+ * A FileUnit is a pure function of (path, content): no analysis
+ * option reaches the per-file phase.
  */
 struct FileUnit
 {
@@ -129,9 +128,7 @@ struct LintStats
 
 /**
  * Run the per-file phase on one buffer: lex, token rules, pragma
- * validation and suppression, declaration parse. Thread-safe with
- * respect to other analyzeFileUnit calls — it touches only its
- * arguments and the immutable rule registry.
+ * validation and suppression, declaration parse.
  */
 FileUnit analyzeFileUnit(const std::string &path,
                          std::string_view content);
@@ -159,6 +156,17 @@ LintResult assembleUnits(std::vector<FileUnit> units,
 std::vector<std::string>
 discoverFiles(const std::vector<std::string> &paths,
               std::vector<std::string> &errors);
+
+/**
+ * Lint files and directory trees: discoverFiles(), then the
+ * per-file phase on each file in sorted order, then
+ * assembleUnits(). An unreadable path appends to `errors` and is
+ * otherwise skipped. `stats` (optional) receives per-phase timings.
+ */
+LintResult runLint(const std::vector<std::string> &paths,
+                   std::vector<std::string> &errors,
+                   const LintOptions &opts = {},
+                   LintStats *stats = nullptr);
 
 /**
  * Lint one in-memory buffer, token rules only. This is the

@@ -375,18 +375,6 @@ parseFile(const std::string &path, LexedFile lexed)
                     fn.qualified = qualifiedSpelling(toks, i);
                     if (fn.qualified.empty())
                         fn.qualified = fn.name;
-                    // Return type: the identifier directly before
-                    // the (possibly qualified) name, when there is
-                    // one (`bool Cache::save(...)` → "bool").
-                    std::size_t head = i;
-                    while (head >= 2 &&
-                           isPunct(toks[head - 1], "::") &&
-                           toks[head - 2].kind ==
-                               TokenKind::Identifier)
-                        head -= 2;
-                    if (head > 0 && toks[head - 1].kind ==
-                                        TokenKind::Identifier)
-                        fn.retType = toks[head - 1].text;
                     fn.bodyBegin = bodyOpen;
                     fn.bodyEnd = bodyClose;
                     parseBody(toks, bodyOpen, bodyClose, fn);

@@ -85,10 +85,6 @@ struct FunctionModel
     /** The written qualified name (`Executor::forEach` for an
      *  out-of-class definition), equal to `name` when unqualified. */
     std::string qualified;
-    /** Last identifier of the return type when it is a plain word
-     *  (`bool`, `RunResult`); empty for pointers/templates/ctors.
-     *  Used by the concurrency pass to spot error-carrying calls. */
-    std::string retType;
     int line = 0;
     int column = 0;
     /** Token indices of the body braces: `{` at bodyBegin, matching

@@ -428,6 +428,13 @@ class NoRawThread final : public Rule
     }
 };
 
+/** Integral destination types of a pointer-laundering cast. */
+constexpr std::array<std::string_view, 11> kPointerLaunderTargets = {
+    "uintptr_t", "intptr_t",  "size_t",   "ptrdiff_t",
+    "uint64_t",  "uint32_t",  "int64_t",  "uintmax_t",
+    "long",      "unsigned",  "int",
+};
+
 class NoPointerHash final : public Rule
 {
   public:
@@ -498,7 +505,7 @@ class NoPointerHash final : public Rule
         for (std::size_t j = b; j < e; ++j) {
             if (isPunct(toks[j], "*"))
                 return false; // pointer-to-pointer cast
-            if (idIn(toks[j], pointerLaunderTargets()))
+            if (idIn(toks[j], kPointerLaunderTargets))
                 integral = true;
         }
         return integral;
@@ -575,18 +582,6 @@ hostTimeCallNames()
         "time",      "clock",  "gettimeofday", "clock_gettime",
         "localtime", "gmtime", "mktime",       "strftime",
         "timespec_get",
-    };
-    return names;
-}
-
-const std::vector<std::string_view> &
-pointerLaunderTargets()
-{
-    /** Integral destination types of a pointer-laundering cast. */
-    static const std::vector<std::string_view> names = {
-        "uintptr_t", "intptr_t",  "size_t",   "ptrdiff_t",
-        "uint64_t",  "uint32_t",  "int64_t",  "uintmax_t",
-        "long",      "unsigned",  "int",
     };
     return names;
 }

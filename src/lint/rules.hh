@@ -19,6 +19,11 @@
  *  - no-pointer-hash        hashing/laundering raw pointer values
  *                           (addresses differ per run under ASLR)
  *
+ * no-ambient-rng and no-pointer-hash check every path, so they are
+ * the whole check for those sources: the taint pass (taint.hh) does
+ * not trace them to a sink. Host clocks are checked twice, because
+ * no-wallclock exempts hostSeconds() and flow-wallclock does not.
+ *
  * Rules are heuristic token matchers, not a type checker: they err
  * on the side of flagging, and every intentional exception must be
  * written down as an `allow(...)` pragma with a reason — which is
@@ -105,13 +110,12 @@ bool isRuleName(std::string_view name);
 bool pathInDir(std::string_view path, std::string_view dir);
 
 /**
- * Token vocabularies shared between the token rules and the taint
- * source model (taint.cc): the two layers must agree on what a
- * nondeterminism source looks like, so the tables live in one place.
+ * Host-clock vocabularies shared between no-wallclock and the taint
+ * source model (summary.cc): the two layers must agree on what a
+ * host-clock source looks like, so the tables live in one place.
  */
 const std::vector<std::string_view> &clockTypeNames();
 const std::vector<std::string_view> &hostTimeCallNames();
-const std::vector<std::string_view> &pointerLaunderTargets();
 
 } // namespace netchar::lint
 

@@ -37,31 +37,6 @@ constexpr std::string_view kLedgerFieldWhitelist[] = {
     "wallSeconds",
 };
 
-/** Integral-destination check for reinterpret_cast<...>: mirrors
- *  the no-pointer-hash token rule via the shared target table. */
-bool
-laundersPointer(const std::vector<Token> &toks, std::size_t open)
-{
-    int depth = 0;
-    bool integral = false;
-    const std::size_t limit = std::min(toks.size(), open + 64);
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "<"))
-            ++depth;
-        else if (isPunct(toks[j], ">"))
-            --depth;
-        else if (isPunct(toks[j], ">>"))
-            depth -= 2;
-        else if (isPunct(toks[j], "*"))
-            return false;
-        else if (idIn(toks[j], pointerLaunderTargets()))
-            integral = true;
-        if (depth <= 0 && j > open)
-            break;
-    }
-    return integral;
-}
-
 // ---------------------------------------------------------------
 // The taint value and the two-mode interpreter
 // ---------------------------------------------------------------
@@ -854,18 +829,6 @@ isLedgerWhitelistedField(std::string_view name)
     return false;
 }
 
-std::string_view
-tokenRuleAliasFor(std::string_view flowRule)
-{
-    if (flowRule == "flow-wallclock")
-        return "no-wallclock";
-    if (flowRule == "flow-rng")
-        return "no-ambient-rng";
-    if (flowRule == "flow-ptr")
-        return "no-pointer-hash";
-    return {};
-}
-
 std::vector<TaintSourceHit>
 scanTaintSources(const std::vector<Token> &toks, std::size_t begin,
                  std::size_t end)
@@ -889,30 +852,10 @@ scanTaintSources(const std::vector<Token> &toks, std::size_t begin,
                             "host time function '" + t.text + "()'"});
             continue;
         }
-        if (t.text == "random_device" ||
-            t.text == "default_random_engine") {
-            hits.push_back(
-                {j, "flow-rng", "ambient RNG '" + t.text + "'"});
-            continue;
-        }
-        if ((t.text == "rand" || t.text == "srand" ||
-             t.text == "rand_r" || t.text == "drand48") &&
-            n && isPunct(*n, "(")) {
-            hits.push_back(
-                {j, "flow-rng", "ambient RNG '" + t.text + "()'"});
-            continue;
-        }
         if ((t.text == "getenv" || t.text == "secure_getenv") && n &&
             isPunct(*n, "(")) {
             hits.push_back({j, "flow-env",
                             "environment read '" + t.text + "()'"});
-            continue;
-        }
-        if (t.text == "reinterpret_cast" && n && isPunct(*n, "<") &&
-            laundersPointer(toks, j + 1)) {
-            hits.push_back({j, "flow-ptr",
-                            "pointer-to-integer cast "
-                            "'reinterpret_cast'"});
             continue;
         }
         if (t.text == "get_id" && n && isPunct(*n, "(")) {
@@ -945,12 +888,11 @@ collectFlowSanitizers(const LexedFile &lexed)
                     out.push_back({p.line, p.endLine, rule});
                 continue;
             }
-            // An allow(<token-rule>) on the source site also
-            // sanitizes the corresponding flow rule there.
-            for (const std::string_view fr : flowRuleNames())
-                if (tokenRuleAliasFor(fr) == rule)
-                    out.push_back(
-                        {p.line, p.endLine, std::string(fr)});
+            // An allow(no-wallclock) on the source site also
+            // sanitizes flow-wallclock there: the token rule and the
+            // flow rule describe the same exception.
+            if (rule == "no-wallclock")
+                out.push_back({p.line, p.endLine, "flow-wallclock"});
         }
     }
     return out;

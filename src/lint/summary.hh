@@ -47,7 +47,7 @@
  * Determinism contract (same as every lint layer): files arrive in
  * sorted order, SCC member order and every container iteration is
  * fixed, so identical inputs produce identical summaries — and
- * identical reports — on every run at any `--jobs` value.
+ * identical reports — on every run.
  */
 
 #ifndef NETCHAR_LINT_SUMMARY_HH
@@ -94,10 +94,6 @@ bool isTaintSinkName(std::string_view name);
  *  wall time (assignments into it stop the flow). */
 bool isLedgerWhitelistedField(std::string_view name);
 
-/** Token rule whose allow() pragma also sanitizes the flow rule's
- *  source site ("" when the flow rule has no token alias). */
-std::string_view tokenRuleAliasFor(std::string_view flowRule);
-
 /** One sanitizer pragma's coverage span for one flow rule. */
 struct FlowSanitizer
 {
@@ -107,7 +103,7 @@ struct FlowSanitizer
 };
 
 /** The flow sanitizers of one file: allow-flow() pragmas plus
- *  allow(<token-alias>) pragmas, resolved to flow-rule names. */
+ *  allow(no-wallclock) pragmas, which also sanitize flow-wallclock. */
 std::vector<FlowSanitizer> collectFlowSanitizers(const LexedFile &lexed);
 
 /** True when a sanitizer for `rule` covers `line` (a pragma covers

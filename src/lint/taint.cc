@@ -30,7 +30,8 @@ const std::vector<std::string_view> &
 flowRuleNames()
 {
     static const std::vector<std::string_view> names = {
-        "flow-wallclock", "flow-rng", "flow-env", "flow-ptr",
+        "flow-wallclock",
+        "flow-env",
         "flow-threadid",
     };
     return names;
@@ -50,14 +51,8 @@ flowRuleSummary(std::string_view rule)
 {
     if (rule == "flow-wallclock")
         return "a host-clock value flows into serialized output";
-    if (rule == "flow-rng")
-        return "an ambient-randomness value flows into serialized "
-               "output";
     if (rule == "flow-env")
         return "an environment-variable value flows into serialized "
-               "output";
-    if (rule == "flow-ptr")
-        return "an ASLR-random pointer value flows into serialized "
                "output";
     if (rule == "flow-threadid")
         return "a thread-id value flows into serialized output";

@@ -10,15 +10,19 @@
  * (callgraph.hh), with a classic source/sanitizer/sink model:
  *
  *  sources     host clocks (steady_clock/system_clock/... and the C
- *              time functions), ambient RNG (random_device, rand),
- *              environment reads (getenv), pointer-to-integer casts
- *              and pointer hashing, thread ids
+ *              time functions), environment reads (getenv), thread
+ *              ids. Ambient randomness and pointer-to-integer casts
+ *              are not traced: the no-ambient-rng and
+ *              no-pointer-hash token rules flag them at the same
+ *              token on every path, so a flow finding would only
+ *              repeat them
  *  sanitizers  an `allow-flow(<flow-rule>) -- <reason>` pragma on
- *              any hop of the path; an `allow(<token-rule>)` pragma
- *              on the source site (the token rule and the flow rule
- *              describe the same exception, so one pragma serves
- *              both layers); and the whitelisted run-ledger field
- *              (SuiteRunStats' wallSeconds) as an assignment target.
+ *              any hop of the path; an `allow(no-wallclock)` pragma
+ *              on a host-clock source site (the token rule and
+ *              flow-wallclock describe the same exception, so one
+ *              pragma serves both layers); and the whitelisted
+ *              run-ledger field (SuiteRunStats' wallSeconds) as an
+ *              assignment target.
  *              No pragma covers hostSeconds() (stats/hostclock.cc,
  *              exempt from no-wallclock by path), so every use of
  *              the repo's one host clock is tainted
@@ -28,9 +32,9 @@
  *              can end up in a --ledger/--stats/--trace-out stream
  *
  * Findings are reported under the flow-rule namespace
- * (flow-wallclock, flow-rng, flow-env, flow-ptr, flow-threadid),
- * anchored at the sink, and carry the full source→…→sink path, one
- * FlowHop per propagation step. Propagation is monotone (a variable,
+ * (flow-wallclock, flow-env, flow-threadid), anchored at the sink,
+ * and carry the full source→…→sink path, one FlowHop per
+ * propagation step. Propagation is monotone (a variable,
  * parameter or return slot is tainted at most once, first writer
  * wins in deterministic worklist order), so the pass terminates and
  * its report bytes are a pure function of the sorted input set.

@@ -70,13 +70,16 @@ class Client
      * backoff up to maxAttempts; returns false with the last failure
      * in `error` once attempts are exhausted.
      */
+    [[nodiscard]]
     bool request(const std::string &line, std::string &response,
                  std::string &error);
 
     const std::string &address() const { return options_.address; }
 
   private:
+    [[nodiscard]]
     bool connectOnce(const Endpoint &endpoint, std::string &error);
+    [[nodiscard]]
     bool roundTrip(const std::string &line, std::string &response,
                    std::string &error);
     void disconnect();

@@ -91,9 +91,11 @@ class CacheJournal
     /** Open `path` for appending (writing the header when the file
      *  is new or empty). False with a message in `error` on I/O
      *  failure. */
+    [[nodiscard]]
     bool open(const std::string &path, std::string &error);
 
     /** Append one insert record and flush it to the OS. */
+    [[nodiscard]]
     bool append(const std::string &key, const std::string &body,
                 std::string &error);
 
@@ -107,12 +109,14 @@ class CacheJournal
      * alone. False with a message in `error` on I/O failure; a
      * failed reopen leaves isOpen() false until the next compact().
      */
+    [[nodiscard]]
     bool compact(const ResultCache &cache, std::string &error);
 
     /** The header plus the records appended since open() or the
      *  last compact() (0 when closed); the compaction trigger. */
     std::uint64_t bytes() const { return bytes_; }
 
+    [[nodiscard]]
     bool isOpen() const { return file_ != nullptr; }
     const std::string &path() const { return path_; }
 
@@ -129,6 +133,7 @@ class CacheJournal
      * time, so memory beyond `entries` stays one record. Returns
      * false only on an I/O error reading an existing file.
      */
+    [[nodiscard]]
     static bool
     replay(const std::string &path,
            std::vector<std::pair<std::string, std::string>> &entries,
@@ -140,6 +145,7 @@ class CacheJournal
      * the `journal` wire-fault kind. Truncating past the start
      * leaves an empty file.
      */
+    [[nodiscard]]
     static bool truncateTail(const std::string &path,
                              std::uint64_t tailBytes,
                              std::string &error);

@@ -48,8 +48,10 @@ wholeNumber(const JsonValue &v, std::uint64_t &out)
         out = *v.exactUint;
         return true;
     }
+    // Past 2^53 a double no longer tells neighbouring integers apart.
     if (!v.isNumber() || v.number < 0.0 ||
-        v.number != std::floor(v.number) || v.number > 1e18)
+        v.number != std::floor(v.number) ||
+        v.number >= 9007199254740992.0)
         return false;
     out = static_cast<std::uint64_t>(v.number);
     return true;

@@ -153,11 +153,14 @@ std::string jsonString(const std::string &raw);
  * The whole-number rule for counts read off the wire: a JSON number
  * that is integral, non-negative and at most 1e18. A plain integer
  * literal is read exactly (JsonValue::exactUint), so 2^53 + 1 stays
- * itself; another spelling such as `1e5` is read through the double.
- * False, leaving `out` unchanged, for anything else, so 1e300 cannot
+ * itself; another spelling such as `1e5` is read through the double
+ * and must be below 2^53, where every integer has one, so
+ * `9.007199254740993e15` cannot run as its neighbour 2^53. False,
+ * leaving `out` unchanged, for anything else, so 1e300 cannot
  * saturate and 0.5 cannot round to 0. Request options and sweep
  * bodies both read their counts through it.
  */
+[[nodiscard]]
 bool wholeNumber(const JsonValue &v, std::uint64_t &out);
 
 // ---------------------------------------------------------------
@@ -194,9 +197,11 @@ class LineFramer
     /** Pop the next complete line into `line` (delimiter and any
      *  trailing '\r' stripped). False when no complete line is
      *  buffered or the framer has overflowed. */
+    [[nodiscard]]
     bool next(std::string &line);
 
     /** True once any line exceeded the byte budget (sticky). */
+    [[nodiscard]]
     bool overflowed() const { return overflowed_; }
 
     /** Bytes buffered awaiting a delimiter. */
@@ -228,6 +233,7 @@ struct Endpoint
     sockaddr_storage address{}; ///< AF_INET or AF_UNIX, filled in
     socklen_t length = 0;       ///< bytes of `address` in use
 
+    [[nodiscard]]
     bool tcp() const { return address.ss_family == AF_INET; }
     const sockaddr *sockAddress() const
     {
@@ -238,6 +244,7 @@ struct Endpoint
 /** Parse `text` into `out`. False with a message in `error` on a bad
  *  port, a bad host or a path too long for a socket address; the
  *  daemon and the client word each of these the same. */
+[[nodiscard]]
 bool parseEndpoint(const std::string &text, Endpoint &out,
                    std::string &error);
 
@@ -247,6 +254,7 @@ bool parseEndpoint(const std::string &text, Endpoint &out,
  * failure, with errno naming the cause: EAGAIN or EWOULDBLOCK when a
  * send timeout expired.
  */
+[[nodiscard]]
 bool sendAll(int fd, std::string_view bytes);
 
 /** Bound `fd`'s sends, and its receives too when `receive`, to `ms`

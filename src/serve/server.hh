@@ -152,6 +152,7 @@ class Server
      * see recovery() — and compact it). Returns false with a message
      * in `error` on any failure; the daemon must not half-start.
      */
+    [[nodiscard]]
     bool start(std::string &error);
 
     /** Resolved listen address (TCP port 0 filled in). Valid after
@@ -204,9 +205,11 @@ class Server
     static void installDrainSignalHandlers();
 
     /** True once a shutdown request has been answered. */
+    [[nodiscard]]
     bool stopping() const { return stopping_; }
 
     /** True once draining has begun. */
+    [[nodiscard]]
     bool draining() const { return draining_; }
 
     const ServerCounters &counters() const { return counters_; }
@@ -245,6 +248,7 @@ class Server
      *  when the journal is over budget. */
     void recordInsert(const std::string &key, const std::string &body);
     /** Compact the journal to the cache's live entries. */
+    [[nodiscard]]
     bool checkpoint(std::string &error);
     /** Send one response frame, applying any wire fault the chaos
      *  plan assigns to this response sequence number. */

@@ -81,6 +81,7 @@ sweepBodyJson(const SweepPartial &partial)
 namespace
 {
 
+[[nodiscard]]
 bool
 wantString(const JsonValue &obj, const char *key, std::string &out,
            std::string &error)
@@ -98,6 +99,7 @@ wantString(const JsonValue &obj, const char *key, std::string &out,
 /** A count under the request options' whole-number rule that also
  *  fits in T, so 4294967296 cannot truncate to 0 in a 32-bit field. */
 template <typename T>
+[[nodiscard]]
 bool
 wantCount(const JsonValue &obj, const char *key, T &out,
           std::string &error)
@@ -121,6 +123,7 @@ wantCount(const JsonValue &obj, const char *key, T &out,
  * held to wholeNumber's 1e18 bound, and their double would round
  * any seed above 2^53. The sender prints every seed as an integer.
  */
+[[nodiscard]]
 bool
 wantSeed(const JsonValue &obj, std::uint64_t &out, std::string &error)
 {

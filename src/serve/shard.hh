@@ -36,6 +36,7 @@ std::vector<std::size_t> shardIndices(std::size_t n, unsigned shard,
  * Parse a `--shard i/n` spec. Returns false with a message in
  * `error` unless 0 <= i < n and n >= 1.
  */
+[[nodiscard]]
 bool parseShardSpec(const std::string &spec, unsigned &shard,
                     unsigned &shards, std::string &error);
 
@@ -76,6 +77,7 @@ std::string sweepBodyJson(const SweepPartial &partial);
  * Parse a sweep response body. Returns false with a message in
  * `error` on a malformed document.
  */
+[[nodiscard]]
 bool parseSweepBody(const JsonValue &body, SweepPartial &out,
                     std::string &error);
 
@@ -89,6 +91,7 @@ bool parseSweepBody(const JsonValue &body, SweepPartial &out,
  * exactly once. Returns false with a message in `error` otherwise
  * (never throws, whatever the partials hold).
  */
+[[nodiscard]]
 bool mergeSweep(const std::vector<SweepPartial> &partials,
                 std::string &merged, std::string &error);
 

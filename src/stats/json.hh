@@ -53,6 +53,7 @@ struct JsonValue
  * (naming the byte offset) in `error` on malformed input; trailing
  * bytes after the document are an error too.
  */
+[[nodiscard]]
 bool parseJson(std::string_view text, JsonValue &out,
                std::string &error);
 

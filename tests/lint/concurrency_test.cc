@@ -301,68 +301,6 @@ TEST(AtomicMixedAccess, DeclaredAtomicIsClean)
     EXPECT_EQ(countRule(r, "atomic-mixed-access"), 0u);
 }
 
-TEST(FlowUncheckedError, DiscardedBoolReturnInServe)
-{
-    const auto r = lintSources(
-        {{"src/serve/fixture.cc",
-          "bool save(int x) { return x > 0; }\n"
-          "void tick(int x) { save(x); }\n"}});
-    ASSERT_EQ(countRule(r, "flow-unchecked-error"), 1u);
-    const Finding *f = findRule(r, "flow-unchecked-error");
-    EXPECT_EQ(f->severity, Severity::Warning);
-    EXPECT_EQ(f->line, 2);
-}
-
-TEST(FlowUncheckedError, CheckedAndNonServeCallsAreClean)
-{
-    // Same code outside src/serve: out of the rule's scope.
-    const auto outside = lintSources(
-        {{"src/core/fixture.cc",
-          "bool save(int x) { return x > 0; }\n"
-          "void tick(int x) { save(x); }\n"}});
-    EXPECT_EQ(countRule(outside, "flow-unchecked-error"), 0u);
-    // Checked / consumed results are fine in serve code.
-    const auto checked = lintSources(
-        {{"src/serve/fixture.cc",
-          "bool save(int x) { return x > 0; }\n"
-          "void tick(int x) {\n"
-          "    if (!save(x))\n"
-          "        return;\n"
-          "    bool ok = save(x);\n"
-          "}\n"}});
-    EXPECT_EQ(countRule(checked, "flow-unchecked-error"), 0u);
-}
-
-TEST(FlowUncheckedError, ReceiverTypedMemberCalls)
-{
-    const auto r = lintSources(
-        {{"src/serve/fixture.cc",
-          "Journal journal_;\n"
-          "std::string buffer_;\n"
-          "bool Journal::append(int n) { return n > 0; }\n"
-          "void tick() {\n"
-          "    journal_.append(3);\n" // Journal::append is bool
-          "    buffer_.append(3);\n"  // std::string::append: not ours
-          "}\n"}});
-    ASSERT_EQ(countRule(r, "flow-unchecked-error"), 1u);
-    EXPECT_EQ(findRule(r, "flow-unchecked-error")->line, 5);
-}
-
-TEST(FlowUncheckedError, MemberSuffixRequiresScopeBoundary)
-{
-    // declType(parser_) = Parser, so the wanted qualified name is
-    // Parser::parse; the only definition, XParser::parse, is a
-    // textual suffix match but not a `::`-boundary match, so the
-    // rule must stay silent instead of borrowing XParser's return
-    // type.
-    const auto r = lintSources(
-        {{"src/serve/fixture.cc",
-          "Parser parser_;\n"
-          "bool XParser::parse(int n) { return n > 0; }\n"
-          "void tick() { parser_.parse(3); }\n"}});
-    EXPECT_EQ(countRule(r, "flow-unchecked-error"), 0u);
-}
-
 TEST(Concurrency, NoConcurrencyOptionDisablesThePass)
 {
     LintOptions opts;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Driver tests (driver.hh): the parallel front half of netchar-lint.
+ * runLint tests (lint.hh): the file-tree entry point of
+ * netchar-lint.
  *
  * The contract under test is byte-identity: the rendered report
- * must not change with --jobs or with how the --check paths were
- * spelled.
+ * must not change with how the --check paths were spelled.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/driver.hh"
 #include "lint/lint.hh"
 
 namespace fs = std::filesystem;
@@ -22,7 +21,7 @@ namespace fs = std::filesystem;
 namespace
 {
 
-using netchar::lint::DriverOptions;
+using netchar::lint::LintOptions;
 using netchar::lint::LintResult;
 using netchar::lint::LintStats;
 using netchar::lint::renderJson;
@@ -35,7 +34,7 @@ class ScratchTree
   public:
     explicit ScratchTree(const std::string &name)
         : root_(fs::temp_directory_path() /
-                ("netchar_lint_driver_" + name))
+                ("netchar_lint_run_" + name))
     {
         fs::remove_all(root_);
         fs::create_directories(root_ / "bench");
@@ -79,48 +78,13 @@ const char *const kCleanSource =
     "  return v;\n"
     "}\n";
 
-std::string
-jsonOf(const ScratchTree &tree, const DriverOptions &opts)
-{
-    std::vector<std::string> errors;
-    const LintResult r = runLint({tree.dir()}, errors, opts);
-    EXPECT_TRUE(errors.empty());
-    return renderJson(r);
-}
-
-TEST(Driver, JobsDoNotChangeReportBytes)
-{
-    ScratchTree tree("jobs");
-    tree.write("bench/a.cc", kTaintedSource);
-    tree.write("bench/b.cc", kCleanSource);
-    tree.write("bench/c.cc", kCleanSource);
-    tree.write("bench/d.cc",
-               "void emitTwo() {\n"
-               "  int s = rand();\n"
-               "  row += csvField(s);\n"
-               "}\n");
-
-    DriverOptions serial;
-    serial.jobs = 1;
-    DriverOptions wide;
-    wide.jobs = 4;
-    DriverOptions automatic;
-    automatic.jobs = 0; // one per hardware thread
-
-    const std::string a = jsonOf(tree, serial);
-    const std::string b = jsonOf(tree, wide);
-    const std::string c = jsonOf(tree, automatic);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a, c);
-}
-
 TEST(Driver, RepeatedAndOverlappingPathsAreDeduplicated)
 {
     ScratchTree tree("dedup");
     const std::string file = tree.write("bench/a.cc", kTaintedSource);
     tree.write("bench/sub/b.cc", kCleanSource);
 
-    DriverOptions opts;
+    const LintOptions opts;
     std::vector<std::string> errors;
 
     // Once, plainly.

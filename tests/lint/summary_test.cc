@@ -182,16 +182,16 @@ TEST(Summary, TwoCallersLaunderThroughOneHelper)
           "}\n"},
          {"bench/two.cc",
           "void emitTwo() {\n"
-          "  int s = rand();\n"
+          "  auto s = getenv(\"NETCHAR_TWO\");\n"
           "  double b = shape(s);\n"
           "  row += csvField(b);\n"
           "}\n"}});
     const auto flows = flowsOf(r);
     ASSERT_EQ(flows.size(), 2u);
-    // Sorted by sink file: one.cc (wallclock) before two.cc (rng).
+    // Sorted by sink file: one.cc (wallclock) before two.cc (env).
     EXPECT_EQ(flows[0].rule, "flow-wallclock");
     EXPECT_EQ(flows[0].file, "bench/one.cc");
-    EXPECT_EQ(flows[1].rule, "flow-rng");
+    EXPECT_EQ(flows[1].rule, "flow-env");
     EXPECT_EQ(flows[1].file, "bench/two.cc");
     EXPECT_TRUE(anyHopMentions(flows[0], "shape"));
     EXPECT_TRUE(anyHopMentions(flows[1], "shape"));

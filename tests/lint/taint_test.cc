@@ -233,12 +233,59 @@ TEST(Taint, OtherSourceFamilies)
     const auto r = lintSources(
         {{"tools/fx.cc",
           "void emit() {\n"
-          "  auto key = reinterpret_cast<std::uintptr_t>(ptr);\n"
+          "  auto key = getenv(\"NETCHAR_KEY\");\n"
           "  row += csvField(key);\n"
           "}\n"}});
     const auto flows = flowsOf(r);
     ASSERT_EQ(flows.size(), 1u);
-    EXPECT_EQ(flows[0].rule, "flow-ptr");
+    EXPECT_EQ(flows[0].rule, "flow-env");
+}
+
+TEST(Taint, RngAndPointerSourcesAreTokenFindings)
+{
+    // Ambient randomness and pointer-to-integer casts are token
+    // findings wherever they appear, so the taint pass does not
+    // trace them: each source below reaches a sink, yet the report
+    // holds one token finding at the source line and no flow, and
+    // an allow() on that line silences it.
+    struct Source
+    {
+        const char *expr;
+        const char *rule;
+    };
+    const Source sources[] = {
+        {"rand()", "no-ambient-rng"},
+        {"srand(7)", "no-ambient-rng"},
+        {"rand_r(&seed)", "no-ambient-rng"},
+        {"drand48()", "no-ambient-rng"},
+        {"std::random_device{}()", "no-ambient-rng"},
+        {"std::default_random_engine{}()", "no-ambient-rng"},
+        {"reinterpret_cast<std::uintptr_t>(p)", "no-pointer-hash"},
+    };
+    for (const char *path : {"src/core/fx.cc", "bench/fx.cc",
+                             "tools/fx.cc"}) {
+        for (const Source &src : sources) {
+            SCOPED_TRACE(std::string(path) + ": " + src.expr);
+            const std::string body =
+                std::string("  auto v = ") + src.expr + ";\n"
+                "  row += csvField(v);\n"
+                "}\n";
+            const auto r =
+                lintSources({{path, "void emit() {\n" + body}});
+            ASSERT_EQ(r.findings.size(), 1u);
+            EXPECT_EQ(r.findings[0].rule, src.rule);
+            EXPECT_EQ(r.findings[0].line, 2);
+            EXPECT_TRUE(r.findings[0].path.empty());
+
+            const auto allowed = lintSources(
+                {{path, "void emit() {\n"
+                        "  // netchar-lint: allow(" +
+                            std::string(src.rule) +
+                            ") -- fixture\n" + body}});
+            EXPECT_TRUE(allowed.findings.empty());
+            EXPECT_EQ(allowed.suppressedCount, 1u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------

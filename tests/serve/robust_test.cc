@@ -833,7 +833,9 @@ TEST(Admission, RequestBudgetShedsWithRetryHint)
             copts.address = server.address();
             Client client(copts);
             std::string response, err;
-            client.request(R"({"verb":"shutdown"})", response, err);
+            EXPECT_TRUE(client.request(R"({"verb":"shutdown"})", response,
+                                       err))
+                << err;
         }
     });
     ASSERT_EQ(failure, "");
@@ -935,7 +937,9 @@ TEST(Admission, OversizedLineGetsErrorAndClose)
         copts.address = server.address();
         Client client(copts);
         std::string response, err;
-        client.request(R"({"verb":"shutdown"})", response, err);
+        EXPECT_TRUE(client.request(R"({"verb":"shutdown"})", response,
+                                   err))
+            << err;
     });
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_NE(lines[0].find("\"code\":\"oversized\""),
@@ -1010,7 +1014,9 @@ TEST(Accept, TcpConnectionsGetNoDelayAndSendTimeout)
         copts.address = server.address();
         Client client(copts);
         std::string response, err;
-        client.request(R"({"verb":"shutdown"})", response, err);
+        EXPECT_TRUE(client.request(R"({"verb":"shutdown"})", response,
+                                   err))
+            << err;
     });
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_NE(lines[0].find("pong"), std::string::npos) << lines[0];
@@ -1402,7 +1408,8 @@ TEST(Chaos, ClientReassemblesByteIdenticalBodies)
         ClientOptions byeOpts = copts;
         byeOpts.maxAttempts = 1;
         Client bye(byeOpts);
-        bye.request(R"({"verb":"shutdown"})", response, err);
+        static_cast<void>(
+            bye.request(R"({"verb":"shutdown"})", response, err));
     });
     ASSERT_EQ(failure, "");
     EXPECT_EQ(bodyA, refA.substr(refA.find(",\"body\":")));
@@ -1470,7 +1477,8 @@ expectChaosShardMergeMatchesClean(const std::string &machine)
             ClientOptions byeOpts = copts;
             byeOpts.maxAttempts = 1;
             Client bye(byeOpts);
-            bye.request(R"({"verb":"shutdown"})", response, err);
+            static_cast<void>(
+                bye.request(R"({"verb":"shutdown"})", response, err));
         });
         ASSERT_EQ(failure, "") << "shard " << s;
         EXPECT_GE(server.counters().wireFaults, 1u) << "shard " << s;

@@ -438,6 +438,11 @@ TEST(Protocol, WholeNumberReadsPlainIntegersExactly)
     EXPECT_FALSE(read("1000000000000000001", out));
     EXPECT_FALSE(read("-1", out));
     EXPECT_FALSE(read("1.5", out));
+    // Other spellings go through the double, which cannot tell
+    // 2^53 + 1 from 2^53, so at or past 2^53 they are refused.
+    EXPECT_FALSE(read("9007199254740993.0", out));
+    EXPECT_FALSE(read("9.007199254740993e15", out));
+    EXPECT_FALSE(read("1e18", out));
     EXPECT_EQ(out, 7u);
 
     const Request req = parseRequest(
@@ -916,7 +921,9 @@ TEST(Socket, ConcurrentClientsGetConsistentAnswers)
         }
         if (done.fetch_add(1) + 1 == kClients) {
             std::string bye;
-            client.request(R"({"verb":"shutdown"})", bye, err);
+            EXPECT_TRUE(client.request(R"({"verb":"shutdown"})", bye,
+                                       err))
+                << err;
         }
     });
 
@@ -964,7 +971,9 @@ TEST(Socket, PersistedCacheServesHitsAcrossRestart)
             copts.maxAttempts = 20;
             Client client(copts);
             std::string response, err;
-            client.request(R"({"verb":"shutdown"})", response, err);
+            EXPECT_TRUE(client.request(R"({"verb":"shutdown"})", response,
+                                       err))
+                << err;
         });
     }
     ServerOptions sopts;
@@ -1014,12 +1023,17 @@ TEST(Socket, UnixPathServesAndSharesAddressErrors)
         copts.address = path;
         copts.maxAttempts = 20;
         Client client(copts);
-        client.request(R"({"verb":"ping"})", pong, pingError);
-        client.request(R"({"verb":"run","benchmark":"SeekUnroll",)"
-                       R"("options":{"warmup":20000,"measure":40000}})",
-                       run, runError);
+        EXPECT_TRUE(client.request(R"({"verb":"ping"})", pong, pingError))
+            << pingError;
+        EXPECT_TRUE(client.request(
+            R"({"verb":"run","benchmark":"SeekUnroll",)"
+            R"("options":{"warmup":20000,"measure":40000}})",
+            run, runError))
+            << runError;
         std::string bye, err;
-        client.request(R"({"verb":"shutdown"})", bye, err);
+        EXPECT_TRUE(client.request(R"({"verb":"shutdown"})", bye,
+                                   err))
+            << err;
     });
     EXPECT_EQ(pingError, "");
     EXPECT_EQ(runError, "");
@@ -1107,6 +1121,60 @@ TEST(GoldenDigest, SweepAndSubsetResponses)
         EXPECT_EQ(contentHashHex(responses[i]), golden[i])
             << "request: " << requests[i] << "\nresponse:\n"
             << responses[i];
+    }
+}
+
+TEST(GoldenDigest, TwoShardSweepMerge)
+{
+    // Shards 0/2 and 1/2 of the sweep above, merged as `netchar
+    // query --merge` does, give the bytes of the unsharded response
+    // merged the same way, in both formats; the merged bytes are
+    // pinned as well.
+    const std::string options =
+        R"("machine":"i9","options":{"warmup":20000,"measure":40000})";
+    const auto partialOf = [](const std::string &response) {
+        JsonValue doc;
+        std::string error;
+        SweepPartial partial;
+        EXPECT_TRUE(parseJson(response, doc, error)) << error;
+        const JsonValue *body = doc.find("body");
+        EXPECT_NE(body, nullptr) << response;
+        if (body != nullptr) {
+            EXPECT_TRUE(parseSweepBody(*body, partial, error)) << error;
+        }
+        return partial;
+    };
+    const struct
+    {
+        const char *format;
+        const char *golden;
+    } cases[] = {
+        {"csv", "ec2c5ed30e9535d547c01add29877651"},
+        {"json", "d092584d87d87d05c4741eafb6d3b395"},
+    };
+    for (const auto &c : cases) {
+        const std::string line =
+            R"({"verb":"sweep","suite":"spec","format":")" +
+            std::string(c.format) + R"(",)" + options + "}";
+        std::vector<SweepPartial> shards;
+        for (unsigned s = 0; s < 2; ++s) {
+            ServerOptions sopts;
+            sopts.jobs = 2;
+            sopts.shard = s;
+            sopts.shards = 2;
+            Server server(sopts);
+            shards.push_back(partialOf(server.handleLine(line)));
+        }
+        ServerOptions wholeOpts;
+        wholeOpts.jobs = 2;
+        Server whole(wholeOpts);
+        std::string merged, reference, error;
+        ASSERT_TRUE(mergeSweep(shards, merged, error)) << error;
+        ASSERT_TRUE(mergeSweep({partialOf(whole.handleLine(line))},
+                               reference, error))
+            << error;
+        EXPECT_EQ(merged, reference) << c.format;
+        EXPECT_EQ(contentHashHex(merged), c.golden) << c.format;
     }
 }
 
