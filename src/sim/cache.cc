@@ -18,6 +18,8 @@ setsFor(const CacheGeometry &geometry, const std::string &name)
     if (!std::has_single_bit(geometry.lineBytes))
         throw std::invalid_argument(
             name + ": line size not a power of two");
+    if (geometry.lineBytes < 2)
+        throw std::invalid_argument(name + ": line size under 2 bytes");
     const std::uint64_t way_bytes =
         static_cast<std::uint64_t>(geometry.lineBytes) *
         geometry.associativity;
@@ -41,7 +43,7 @@ Cache::fill(std::uint64_t line, LineState state)
 {
     CacheOutcome out;
     auto &victim = lines_.victim(line);
-    if (victim.valid) {
+    if (lines_.occupied(victim)) {
         out.evictedUnusedPrefetch = victim.data.prefetched;
         out.writeback = victim.data.dirty;
     }

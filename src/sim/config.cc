@@ -35,6 +35,10 @@ checkCache(const std::string &machine, const char *which,
         fail(machine, name + " line size " +
                           std::to_string(g.lineBytes) +
                           " is not a power of two");
+    if (g.lineBytes < 2)
+        fail(machine, name + " line size " +
+                          std::to_string(g.lineBytes) +
+                          " is under 2 bytes");
     const std::uint64_t way_bytes =
         static_cast<std::uint64_t>(g.lineBytes) * g.associativity;
     if (g.sizeBytes == 0 || g.sizeBytes % way_bytes != 0)
@@ -59,6 +63,10 @@ checkTlb(const std::string &machine, const char *which,
         fail(machine, name + " page size " +
                           std::to_string(g.pageBytes) +
                           " is not a power of two");
+    if (g.pageBytes < 2)
+        fail(machine, name + " page size " +
+                          std::to_string(g.pageBytes) +
+                          " is under 2 bytes");
 }
 
 void

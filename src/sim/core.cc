@@ -336,9 +336,9 @@ Core::prefaultRegion(std::uint64_t base, std::uint64_t bytes)
 }
 
 void
-Core::preloadLlc(std::uint64_t base, std::uint64_t bytes)
+Core::preloadLlc(std::span<const LlcRange> ranges)
 {
-    llc_.preload(base, bytes);
+    llc_.preload(ranges);
 }
 
 void

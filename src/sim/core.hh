@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_set>
 
 #include "sim/backend.hh"
@@ -107,12 +108,13 @@ class Core
     void prefaultRegion(std::uint64_t base, std::uint64_t bytes);
 
     /**
-     * Pre-load [base, base + bytes) into the shared LLC: the code and
-     * steady-state working set of a long-running process is LLC
+     * Pre-load each range, in order, into the shared LLC: the code
+     * and steady-state working set of a long-running process is LLC
      * resident before any measurement window starts. Uses prefetch
-     * fills, so eviction/usefulness accounting stays consistent.
+     * fills, so eviction/usefulness accounting stays consistent. One
+     * call with every range costs less than one call per range.
      */
-    void preloadLlc(std::uint64_t base, std::uint64_t bytes);
+    void preloadLlc(std::span<const LlcRange> ranges);
 
     /** Raw counters since construction/reset. */
     const PerfCounters &counters() const { return counters_; }

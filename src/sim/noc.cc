@@ -90,32 +90,101 @@ LlcNoc::insertPrefetch(std::uint64_t addr)
 }
 
 void
-LlcNoc::preload(std::uint64_t base, std::uint64_t bytes)
+LlcNoc::preload(std::span<const LlcRange> ranges)
 {
     const std::uint64_t line = slices_.front().lineBytes();
-    const std::uint64_t first = base & ~(line - 1);
-    const std::uint64_t end = base + bytes;
-    const std::uint64_t count =
-        end > first ? (end - first + line - 1) / line : 0;
-    const auto insertEach = [&]() {
-        for (std::uint64_t i = 0; i < count; ++i)
-            insertPrefetch(first + i * line);
+    const std::uint64_t capacity = slices_.size() *
+        slices_.front().numSets() * slices_.front().ways();
+    std::size_t sorted = 0; // ranges [sorted, i) wait to be sorted in
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+        const std::uint64_t first = ranges[i].base & ~(line - 1);
+        const std::uint64_t end = ranges[i].base + ranges[i].bytes;
+        if (end <= first || (end - first + line - 1) / line < capacity)
+            continue;
+        preloadSorted(ranges.subspan(sorted, i - sorted));
+        if (!preloadWhole(ranges[i]))
+            preloadSorted(ranges.subspan(i, 1));
+        sorted = i + 1;
+    }
+    preloadSorted(ranges.subspan(sorted));
+}
+
+void
+LlcNoc::preloadSorted(std::span<const LlcRange> ranges)
+{
+    // A stable counting sort of each chunk by bucket: the sets of a
+    // bucket are consecutive in one slice. Inserts into different
+    // sets commute and every set keeps its lines' order, so this
+    // leaves what inserting them in address order would; walking
+    // the tag and entry arrays upwards is what makes it cheaper.
+    const std::uint64_t line = slices_.front().lineBytes();
+    const std::size_t buckets =
+        ((slices_.front().numSets() - 1) >> kPreloadBucketShift) + 1;
+    const auto bucketOf = [&](std::uint64_t addr) {
+        const std::size_t slice = sliceFor(addr);
+        return slice * buckets +
+            (slices_[slice].setOf(addr) >> kPreloadBucketShift);
     };
+    // Visits up to `limit` lines from line `a` of range `r` on, in
+    // order, and leaves (r, a) after the last one.
+    const auto walk = [&](std::size_t &r, std::uint64_t &a,
+                          std::size_t limit, auto &&visit) {
+        std::size_t n = 0;
+        while (r < ranges.size() && n < limit) {
+            const std::uint64_t end = ranges[r].base + ranges[r].bytes;
+            for (; a < end && n < limit; a += line, ++n)
+                visit(a);
+            if (a >= end && ++r < ranges.size())
+                a = ranges[r].base & ~(line - 1);
+        }
+        return n;
+    };
+
+    std::size_t r = 0;
+    std::uint64_t a = ranges.empty() ? 0 : ranges[0].base & ~(line - 1);
+    while (r < ranges.size()) {
+        std::size_t from_r = r;
+        std::uint64_t from_a = a;
+        preloadStarts_.assign(slices_.size() * buckets + 1, 0);
+        const std::size_t n = walk(r, a, kPreloadChunk, [&](std::uint64_t x) {
+            ++preloadStarts_[bucketOf(x) + 1];
+        });
+        for (std::size_t b = 1; b < preloadStarts_.size(); ++b)
+            preloadStarts_[b] += preloadStarts_[b - 1];
+        preloadLines_.resize(n);
+        walk(from_r, from_a, n, [&](std::uint64_t x) {
+            preloadLines_[preloadStarts_[bucketOf(x)]++] = x;
+        });
+        // preloadStarts_[b] is now where bucket b's lines end.
+        std::size_t k = 0;
+        for (std::size_t slice = 0; slice < slices_.size(); ++slice)
+            for (const std::size_t last =
+                     preloadStarts_[(slice + 1) * buckets - 1];
+                 k < last; ++k)
+                slices_[slice].preloadLine(preloadLines_[k]);
+    }
+}
+
+bool
+LlcNoc::preloadWhole(const LlcRange &range)
+{
+    const std::uint64_t line = slices_.front().lineBytes();
+    const std::uint64_t first = range.base & ~(line - 1);
+    const std::uint64_t count =
+        (range.base + range.bytes - first + line - 1) / line;
     // Per-set state byte: the lines kept so far in pass 1; in pass 2,
     // kWriting | the ways of a full set still to write.
     constexpr std::uint8_t kWriting = 0x80;
     const std::size_t sets = slices_.front().numSets();
     const std::size_t ways = slices_.front().ways();
-    if (count < slices_.size() * sets * ways || ways >= kWriting) {
-        insertEach();
-        return;
-    }
+    if (ways >= kWriting)
+        return false;
 
     // Insert-only fills leave a set holding the last `ways` distinct
     // lines mapped to it, oldest first, if none of them was resident
     // before (an insert of a resident line does not refresh it). Pass
     // 1 walks backwards and counts those lines per set until every
-    // set is full; a resident one sends the whole range to the loop.
+    // set is full; a resident one sends the whole range back.
     std::vector<std::uint8_t> kept(slices_.size() * sets);
     std::size_t unfilled = kept.size();
     std::uint64_t stop = count; // pass 1 walked lines [stop, count)
@@ -125,10 +194,8 @@ LlcNoc::preload(std::uint64_t base, std::uint64_t bytes)
         std::uint8_t &k = kept[slice * sets + slices_[slice].setOf(addr)];
         if (k == ways)
             continue;
-        if (slices_[slice].contains(addr)) {
-            insertEach();
-            return;
-        }
+        if (slices_[slice].contains(addr))
+            return false;
         if (++k == ways)
             --unfilled;
     }
@@ -157,8 +224,9 @@ LlcNoc::preload(std::uint64_t base, std::uint64_t bytes)
             const std::uint64_t addr = first + i * line;
             const std::size_t slice = sliceFor(addr);
             if (kept[slice * sets + slices_[slice].setOf(addr)] < ways)
-                slices_[slice].insertPrefetch(addr);
+                slices_[slice].preloadLine(addr);
         }
+    return true;
 }
 
 bool

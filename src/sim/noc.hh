@@ -15,6 +15,7 @@
 #define NETCHAR_SIM_NOC_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/cache.hh"
@@ -49,6 +50,13 @@ struct LlcOutcome
     bool writeback = false;
     /** Total latency: base LLC latency + NoC queueing delay. */
     double latency = 0.0;
+};
+
+/** One range of an LLC preload: the lines of [base, base + bytes). */
+struct LlcRange
+{
+    std::uint64_t base = 0;
+    std::uint64_t bytes = 0;
 };
 
 /**
@@ -86,13 +94,27 @@ class LlcNoc
     CacheOutcome insertPrefetch(std::uint64_t addr);
 
     /**
-     * Prefetch-fill every line of [base, base + bytes) in address
-     * order. Leaves the state insertPrefetch() of each line would,
-     * but a range of at least the LLC's line count costs O(capacity)
-     * set probes and writes, not one insert per line. Scratch space
-     * is one byte per set.
+     * Prefetch-fill every line of each range, in address order, one
+     * range after another. Leaves the state the insertPrefetch() loop
+     * over those lines would, but cheaper:
+     *  - the lines of consecutive ranges under the LLC's line count
+     *    are inserted a chunk at a time, one slice after another and
+     *    runs of 2^kPreloadBucketShift sets ascending within a slice,
+     *    each set seeing its lines in their original order. The chunk
+     *    buffer is kept between calls and never outgrows
+     *    kPreloadChunk lines.
+     *  - a range of at least the line count costs O(capacity) set
+     *    probes and writes, not one insert per line. Scratch space is
+     *    one byte per set.
      */
-    void preload(std::uint64_t base, std::uint64_t bytes);
+    void preload(std::span<const LlcRange> ranges);
+
+    /** preload() of the one range [base, base + bytes). */
+    void preload(std::uint64_t base, std::uint64_t bytes)
+    {
+        const LlcRange range{base, bytes};
+        preload(std::span(&range, 1));
+    }
 
     /** Probe without state change. */
     bool contains(std::uint64_t addr) const;
@@ -115,7 +137,22 @@ class LlcNoc
     }
 
   private:
+    /** Most lines preload() sorts at once. */
+    static constexpr std::size_t kPreloadChunk = 16384;
+    /** preload() sorts by runs of 2^this sets of one slice. */
+    static constexpr unsigned kPreloadBucketShift = 4;
+
     std::size_t sliceFor(std::uint64_t addr) const;
+
+    /** preload() of ranges under capacity, a sorted chunk at a time. */
+    void preloadSorted(std::span<const LlcRange> ranges);
+
+    /**
+     * preload() of one range of at least the LLC's line count by set
+     * writes. @return false, having changed nothing, if one of its
+     * lines is resident (or the sets are too wide to count).
+     */
+    bool preloadWhole(const LlcRange &range);
 
     std::vector<Cache> slices_;
     double baseLatency_;
@@ -127,6 +164,10 @@ class LlcNoc
     double windowStartCycles_ = 0.0;
     std::uint64_t windowAccesses_ = 0;
     double lastQueueDelay_ = 0.0;
+    /** Scratch of preloadSorted(): one chunk's line addresses in
+     *  bucket order, and where each bucket starts. */
+    std::vector<std::uint64_t> preloadLines_;
+    std::vector<std::uint32_t> preloadStarts_;
 };
 
 } // namespace netchar::sim

@@ -9,7 +9,7 @@ StreamPrefetcher::StreamPrefetcher(const PrefetcherParams &params)
     : params_(params), streams_(1, params.streams)
 {
     if (params_.streams == 0 || params_.lineBytes == 0 ||
-        params_.pageBytes == 0)
+        params_.pageBytes < 2)
         throw std::invalid_argument("StreamPrefetcher: bad params");
 }
 

@@ -33,7 +33,7 @@ struct PrefetcherParams
     unsigned trainThreshold = 2;
     /** Allow prefetches to cross page boundaries. */
     bool crossPageHint = false;
-    /** Page size used for the boundary check. */
+    /** Page size used for the boundary check; at least 2 bytes. */
     std::uint64_t pageBytes = 4096;
     /** Cache line size (prefetch granularity). */
     unsigned lineBytes = 64;

@@ -17,6 +17,8 @@ setsFor(const TlbGeometry &geometry)
         throw std::invalid_argument("Tlb: zero page size or assoc");
     if (!std::has_single_bit(geometry.pageBytes))
         throw std::invalid_argument("Tlb: page size not a power of two");
+    if (geometry.pageBytes < 2)
+        throw std::invalid_argument("Tlb: page size under 2 bytes");
     if (geometry.entries == 0 ||
         geometry.entries % geometry.associativity != 0)
         throw std::invalid_argument(

@@ -36,8 +36,8 @@ class Tlb
     /**
      * @param geometry Entry count, associativity and page size. Entry
      *        count must be a multiple of associativity and the page
-     *        size a power of two (throws std::invalid_argument
-     *        otherwise).
+     *        size a power of two of at least 2 bytes (throws
+     *        std::invalid_argument otherwise).
      */
     explicit Tlb(const TlbGeometry &geometry);
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tag 0 is a real tag: address 0 is line 0, page 0 and BTB tag 0, and
- * the tag store starts (and is cleared to) all-zero tags. A probe must
- * still miss until the entry is filled, so these check that a fresh
- * or invalidated store reports a miss for it first and a hit second.
+ * Tag 0 is a real tag: address 0 is line 0, page 0 and BTB tag 0. The
+ * tag store holds each tag complemented, so its zeroed (and cleared)
+ * array stands for empty ways, not for tag 0. These check that a
+ * fresh or invalidated store reports a miss for tag 0 first and a hit
+ * second.
  */
 
 #include <gtest/gtest.h>
