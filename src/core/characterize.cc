@@ -245,9 +245,10 @@ attemptResiliently(std::size_t i, const std::string &name,
 
     for (unsigned a = 1; a <= state.attempts; ++a) {
         entry.attempts = a;
+        // A re-attempt runs at a perturbed seed, so a seed-dependent
+        // failure is not replayed verbatim; attempt 1 keeps the seed.
         RunOptions opt = base;
-        if (res.perturbSeedOnRetry)
-            opt.seed = perturbedSeed(base.seed, name, a);
+        opt.seed = perturbedSeed(base.seed, name, a);
         const FaultDecision fault = state.inject
             ? state.inject->decide(name, a)
             : FaultDecision{};
@@ -506,9 +507,11 @@ Characterizer::capture(const wl::WorkloadProfile &raw_profile,
     out.trace.machine = config_.name;
     out.trace.ghz = config_.maxGhz;
     out.trace.seed = options.seed;
-    const std::uint64_t chunk = topts.chunkInstructions > 0
-        ? topts.chunkInstructions
-        : std::max<std::uint64_t>(500, options.quantum / 16);
+    // Instructions per core between counter records: the exact chunk
+    // grid live cycle sampling advances on, which re-slice parity
+    // relies on.
+    const std::uint64_t chunk =
+        std::max<std::uint64_t>(500, options.quantum / 16);
     out.trace.chunkInstructions = chunk;
     out.trace.events =
         trace::TraceBuffer<trace::TraceEvent>(topts.bufferEvents);

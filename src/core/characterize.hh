@@ -87,13 +87,6 @@ struct TraceOptions
     /** Counter-record ring capacity. */
     std::size_t bufferSamples = 65'536;
     /**
-     * Instructions per core between counter records (the sampling
-     * cadence); 0 = max(500, quantum / 16), the exact chunk grid
-     * live cycle sampling advances on — the basis of the re-slice
-     * parity guarantee.
-     */
-    std::uint64_t chunkInstructions = 0;
-    /**
      * When > 0, measure until this many aggregate cycles elapsed
      * instead of a fixed instruction count — the trace analogue of
      * sampleCycles' fixed-cycle windows.
@@ -132,12 +125,6 @@ struct ResilienceOptions
      * deterministic ledger beyond the recorded plan value.)
      */
     std::uint64_t backoffBaseMicros = 0;
-    /**
-     * Deterministically perturb the run seed on re-attempts so a
-     * seed-dependent failure is not replayed verbatim (attempt 1
-     * always uses the caller's seed unchanged).
-     */
-    bool perturbSeedOnRetry = true;
     /** Fault-injection plan (chaos mode); nullptr = no injection. */
     const FaultPlan *chaos = nullptr;
 };
@@ -341,7 +328,7 @@ class Characterizer
            const RunOptions &options = {}) const;
 
     /**
-     * As runAll(), fanned out over a work-stealing Executor.
+     * As runAll(), fanned out over a fork-join Executor.
      *
      * Every run builds a fresh sim::Machine, workload set and CLR and
      * draws from its own seeded RNG streams; runs share no mutable

@@ -1,6 +1,10 @@
 #include "core/executor.hh"
 
 #include <algorithm>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <utility>
 
 namespace netchar
 {
@@ -8,10 +12,10 @@ namespace netchar
 namespace
 {
 
-/** Worker index of this thread; see Executor::workerId(). */
+/** Executor index of this thread; see Executor::workerId(). */
 thread_local int tls_worker_id = -1;
 
-/** RAII worker-id assignment for helping threads. */
+/** RAII executor-id assignment for the threads of a batch. */
 struct ScopedWorkerId
 {
     int previous;
@@ -20,6 +24,14 @@ struct ScopedWorkerId
         tls_worker_id = id;
     }
     ~ScopedWorkerId() { tls_worker_id = previous; }
+};
+
+/** One contiguous block of a batch: the next index to take, and the
+ *  block's end. The cursor runs past `end` once the block is dry. */
+struct Block
+{
+    std::atomic<std::size_t> next{0};
+    std::size_t end = 0;
 };
 
 } // namespace
@@ -31,99 +43,10 @@ Executor::workerId()
 }
 
 Executor::Executor(unsigned concurrency)
+    : concurrency_(concurrency != 0
+                       ? concurrency
+                       : std::max(1u, std::thread::hardware_concurrency()))
 {
-    if (concurrency == 0)
-        concurrency =
-            std::max(1u, std::thread::hardware_concurrency());
-    queues_.reserve(concurrency);
-    for (unsigned i = 0; i < concurrency; ++i)
-        queues_.push_back(std::make_unique<Queue>());
-    // The submitting thread owns the last queue; spawn the rest.
-    workers_.reserve(concurrency - 1);
-    for (unsigned i = 0; i + 1 < concurrency; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-Executor::~Executor()
-{
-    stop_.store(true);
-    {
-        std::lock_guard<std::mutex> lock(wakeMutex_);
-    }
-    wake_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-Executor::execute(std::size_t index)
-{
-    Batch &batch = *batch_;
-    try {
-        (*batch.fn)(index);
-    } catch (...) {
-        std::lock_guard<std::mutex> lock(batch.errorMutex);
-        batch.errors.emplace_back(index, std::current_exception());
-    }
-    if (batch.remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(doneMutex_);
-        done_.notify_all();
-    }
-}
-
-bool
-Executor::runOne(unsigned self)
-{
-    const unsigned n = static_cast<unsigned>(queues_.size());
-    // Own queue first (LIFO: freshest block, best locality) ...
-    if (self < n) {
-        Queue &own = *queues_[self];
-        std::unique_lock<std::mutex> lock(own.mutex);
-        if (!own.items.empty()) {
-            const std::size_t index = own.items.back();
-            own.items.pop_back();
-            lock.unlock();
-            queued_.fetch_sub(1, std::memory_order_relaxed);
-            execute(index);
-            return true;
-        }
-    }
-    // ... then steal FIFO from the next victim with work.
-    for (unsigned off = 0; off < n; ++off) {
-        const unsigned victim = (self + 1 + off) % n;
-        if (victim == self)
-            continue;
-        Queue &q = *queues_[victim];
-        std::unique_lock<std::mutex> lock(q.mutex);
-        if (q.items.empty())
-            continue;
-        const std::size_t index = q.items.front();
-        q.items.pop_front();
-        lock.unlock();
-        queued_.fetch_sub(1, std::memory_order_relaxed);
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        execute(index);
-        return true;
-    }
-    return false;
-}
-
-void
-Executor::workerLoop(unsigned self)
-{
-    ScopedWorkerId id(static_cast<int>(self));
-    while (true) {
-        if (runOne(self))
-            continue;
-        std::unique_lock<std::mutex> lock(wakeMutex_);
-        wake_.wait(lock, [this] {
-            return stop_.load() ||
-                   queued_.load(std::memory_order_relaxed) > 0;
-        });
-        if (stop_.load() &&
-            queued_.load(std::memory_order_relaxed) == 0)
-            return;
-    }
 }
 
 std::vector<TaskFailure>
@@ -132,63 +55,65 @@ Executor::forEachCollect(std::size_t n,
 {
     if (n == 0)
         return {};
-    std::lock_guard<std::mutex> submit(submitMutex_);
 
-    Batch batch;
-    batch.fn = &fn;
-    batch.remaining.store(n);
-    batch_ = &batch;
+    // One contiguous block per executor, so the common case is each
+    // executor draining its own block; an executor whose block is dry
+    // takes from the others in ring order.
+    const std::size_t k = std::min<std::size_t>(concurrency_, n);
+    std::vector<Block> blocks(k);
+    for (std::size_t b = 0; b < k; ++b) {
+        blocks[b].next.store(b * n / k, std::memory_order_relaxed);
+        blocks[b].end = (b + 1) * n / k;
+    }
 
-    // Shard contiguous index blocks across the executor queues so
-    // the common case is each executor draining its own block;
-    // stealing only kicks in when blocks run imbalanced.
-    const std::size_t q = queues_.size();
-    const std::size_t block = (n + q - 1) / q;
-    for (std::size_t w = 0; w < q; ++w) {
-        const std::size_t lo = w * block;
-        const std::size_t hi = std::min(n, lo + block);
-        if (lo >= hi)
-            continue;
-        std::lock_guard<std::mutex> lock(queues_[w]->mutex);
-        for (std::size_t i = lo; i < hi; ++i)
-            queues_[w]->items.push_back(i);
-    }
-    queued_.fetch_add(n, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(wakeMutex_);
-    }
-    wake_.notify_all();
-
-    // The submitting thread works its own queue (the last one).
-    {
-        ScopedWorkerId id(static_cast<int>(q - 1));
-        while (runOne(static_cast<unsigned>(q - 1))) {
-        }
-    }
-    {
-        std::unique_lock<std::mutex> lock(doneMutex_);
-        done_.wait(lock,
-                   [&batch] { return batch.remaining.load() == 0; });
-    }
-    batch_ = nullptr;
-
-    // Attribute every failure, in index order (deterministic under
-    // any interleaving), not just the lowest one.
+    std::mutex failureMutex;
     std::vector<TaskFailure> failures;
-    failures.reserve(batch.errors.size());
-    for (auto &[index, error] : batch.errors) {
-        TaskFailure f;
-        f.index = index;
-        f.error = error;
-        try {
-            std::rethrow_exception(error);
-        } catch (const std::exception &ex) {
-            f.what = ex.what();
-        } catch (...) {
-            f.what = "unknown exception";
+    // Called inside a catch handler: current_exception() is the
+    // task's.
+    const auto fail = [&](std::size_t index, std::string what) {
+        std::lock_guard<std::mutex> lock(failureMutex);
+        failures.push_back(
+            {index, std::move(what), std::current_exception()});
+    };
+    const auto drain = [&](std::size_t self) {
+        for (std::size_t off = 0; off < k; ++off) {
+            Block &block = blocks[(self + off) % k];
+            for (std::size_t i;
+                 (i = block.next.fetch_add(
+                      1, std::memory_order_relaxed)) < block.end;) {
+                if (off != 0)
+                    steals_.fetch_add(1, std::memory_order_relaxed);
+                try {
+                    fn(i);
+                } catch (const std::exception &ex) {
+                    fail(i, ex.what());
+                } catch (...) {
+                    fail(i, "unknown exception");
+                }
+            }
         }
-        failures.push_back(std::move(f));
-    }
+    };
+
+    {
+        std::vector<std::jthread> helpers;
+        helpers.reserve(k - 1);
+        try {
+            for (std::size_t b = 0; b + 1 < k; ++b)
+                helpers.emplace_back([&drain, b] {
+                    ScopedWorkerId id(static_cast<int>(b));
+                    drain(b);
+                });
+        } catch (const std::system_error &) {
+            // No more threads: the executors already running, the
+            // caller included, drain every block between them.
+        }
+        // The calling thread drains the last block, then helps.
+        ScopedWorkerId id(static_cast<int>(concurrency_ - 1));
+        drain(k - 1);
+    } // joins the helpers
+
+    // Every failure, in index order (deterministic under any
+    // interleaving), not just the lowest one.
     std::sort(failures.begin(), failures.end(),
               [](const TaskFailure &a, const TaskFailure &b) {
                   return a.index < b.index;

@@ -1,30 +1,25 @@
 /**
  * @file
- * Work-stealing thread pool for suite-scale fan-out.
+ * Fork-join executor for suite-scale fan-out.
  *
  * The paper's experiments sweep thousands of (profile x machine x
  * seed) runs; every run builds a fresh sim::Machine and workload
  * state, so runs are embarrassingly parallel (see
  * docs/ARCHITECTURE.md, "Parallel execution & run ledger"). The
- * Executor turns that invariant into wall-clock speedup: indices are
- * sharded in contiguous blocks across per-executor deques, each
- * executor pops its own block LIFO and steals FIFO from neighbours
- * when it runs dry.
+ * Executor turns that invariant into wall-clock speedup: each batch
+ * splits its indices into contiguous blocks, one per executor, and
+ * starts the threads that drain them. An executor takes its own
+ * block's indices first, then the other blocks' in ring order.
  */
 
 #ifndef NETCHAR_CORE_EXECUTOR_HH
 #define NETCHAR_CORE_EXECUTOR_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace netchar
@@ -43,12 +38,12 @@ struct TaskFailure
 };
 
 /**
- * Fixed-concurrency work-stealing pool. The thread calling forEach()
- * is one of the executors (it owns the last queue), so a pool of
- * concurrency N spawns N-1 worker threads and runs at most N tasks
- * at once. Construction spawns the workers; destruction joins them.
- * forEach() calls are serialized: the pool runs one index batch at a
- * time (concurrent submitters queue behind the running batch).
+ * Fixed-concurrency fork-join executor. The thread calling forEach()
+ * is one of the executors (it drains the last block), so a batch of
+ * n indices at concurrency N starts min(N, n) - 1 helper threads and
+ * runs at most N tasks at once; the helpers are joined before the
+ * call returns. When N >= n every task gets its own thread, so the
+ * tasks of one batch may wait on each other.
  */
 class Executor
 {
@@ -60,25 +55,21 @@ class Executor
      *        loop on the calling thread.
      */
     explicit Executor(unsigned concurrency = 0);
-    ~Executor();
 
     Executor(const Executor &) = delete;
     Executor &operator=(const Executor &) = delete;
 
-    /** Maximum tasks in flight (worker threads + caller). */
-    unsigned concurrency() const
-    {
-        return static_cast<unsigned>(queues_.size());
-    }
+    /** Maximum tasks in flight (helper threads + caller). */
+    unsigned concurrency() const { return concurrency_; }
 
     /**
-     * Run fn(i) for every i in [0, n), distributed over the pool; the
-     * calling thread participates. Blocks until every index has
-     * finished. Every index runs exactly once even when some throw;
-     * after the batch drains, the exception thrown by the *lowest*
-     * index (deterministic under any interleaving) is rethrown —
-     * the other failures are dropped. Use forEachCollect() when
-     * every failure must be attributed.
+     * Run fn(i) for every i in [0, n), distributed over the
+     * executors; the calling thread participates. Blocks until every
+     * index has finished. Every index runs exactly once even when
+     * some throw; after the batch drains, the exception thrown by
+     * the *lowest* index (deterministic under any interleaving) is
+     * rethrown — the other failures are dropped. Use
+     * forEachCollect() when every failure must be attributed.
      */
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &fn);
@@ -92,7 +83,7 @@ class Executor
     forEachCollect(std::size_t n,
                    const std::function<void(std::size_t)> &fn);
 
-    /** Tasks executed by a thread other than their home queue's. */
+    /** Tasks executed by a thread other than their block's own. */
     std::uint64_t stealCount() const
     {
         return steals_.load(std::memory_order_relaxed);
@@ -100,52 +91,14 @@ class Executor
 
     /**
      * Executor index of the current thread: 0..concurrency-2 inside
-     * a worker, concurrency-1 on the thread inside forEach(), -1
+     * a helper, concurrency-1 on the thread inside forEach(), -1
      * elsewhere. For run-ledger attribution.
      */
     static int workerId();
 
   private:
-    struct Queue
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> items;
-    };
-
-    /** State of one forEach() batch. */
-    struct Batch
-    {
-        const std::function<void(std::size_t)> *fn = nullptr;
-        std::atomic<std::size_t> remaining{0};
-        std::mutex errorMutex;
-        /** (index, exception) pairs; lowest index wins the rethrow. */
-        std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
-    };
-
-    void workerLoop(unsigned self);
-
-    /**
-     * Pop one index (own queue first, then steal) and execute it.
-     * @param self Home queue of the calling thread.
-     * @return false when every queue was empty.
-     */
-    bool runOne(unsigned self);
-
-    void execute(std::size_t index);
-
-    std::vector<std::unique_ptr<Queue>> queues_;
-    std::vector<std::thread> workers_;
-
-    std::mutex wakeMutex_;
-    std::condition_variable wake_;
-    std::mutex doneMutex_;
-    std::condition_variable done_;
-    std::mutex submitMutex_; // serializes forEach() batches
-
-    Batch *batch_ = nullptr; // valid while a batch is in flight
-    std::atomic<std::size_t> queued_{0};
+    unsigned concurrency_;
     std::atomic<std::uint64_t> steals_{0};
-    std::atomic<bool> stop_{false};
 };
 
 } // namespace netchar

@@ -39,19 +39,6 @@ Cache::Cache(const CacheGeometry &geometry, std::string name)
 }
 
 CacheOutcome
-Cache::fill(std::uint64_t line, LineState state)
-{
-    CacheOutcome out;
-    auto &victim = lines_.victim(line);
-    if (lines_.occupied(victim)) {
-        out.evictedUnusedPrefetch = victim.data.prefetched;
-        out.writeback = victim.data.dirty;
-    }
-    lines_.stamp(victim, line, state);
-    return out;
-}
-
-CacheOutcome
 Cache::access(std::uint64_t addr, bool is_write)
 {
     ++accesses_;
@@ -66,18 +53,6 @@ Cache::access(std::uint64_t addr, bool is_write)
     }
     ++misses_;
     return fill(line, {is_write, false});
-}
-
-CacheOutcome
-Cache::insertPrefetch(std::uint64_t addr)
-{
-    const std::uint64_t line = lineFor(addr);
-    if (lines_.find(line) != nullptr) {
-        CacheOutcome out;
-        out.wasPresent = true; // nothing to do
-        return out;
-    }
-    return fill(line, {false, true});
 }
 
 bool

@@ -71,7 +71,16 @@ class Cache
      * @return Outcome with evictedUnusedPrefetch/writeback set, or
      *         with only wasPresent set when the line was resident.
      */
-    CacheOutcome insertPrefetch(std::uint64_t addr);
+    CacheOutcome insertPrefetch(std::uint64_t addr)
+    {
+        const std::uint64_t line = lineFor(addr);
+        if (lines_.find(line) != nullptr) {
+            CacheOutcome out;
+            out.wasPresent = true; // nothing to do
+            return out;
+        }
+        return fill(line, {false, true});
+    }
 
     /** Probe without any state change. */
     bool contains(std::uint64_t addr) const;
@@ -107,17 +116,6 @@ class Cache
     }
 
     /**
-     * insertPrefetch() without the outcome, inline for the per-line
-     * loops of LlcNoc::preload.
-     */
-    void preloadLine(std::uint64_t addr)
-    {
-        const std::uint64_t line = lineFor(addr);
-        if (lines_.find(line) == nullptr)
-            lines_.stamp(lines_.victim(line), line, {false, true});
-    }
-
-    /**
      * Bulk-fill primitives (LlcNoc::preload): reserve stamps, then
      * write the line holding `addr`, clean and unused-prefetched, into
      * one way of its set. See LruSets::reserveStamps and write.
@@ -143,7 +141,17 @@ class Cache
     };
 
     /** Fill a missing line; reports what the evicted line leaves. */
-    CacheOutcome fill(std::uint64_t line, LineState state);
+    CacheOutcome fill(std::uint64_t line, LineState state)
+    {
+        CacheOutcome out;
+        auto &victim = lines_.victim(line);
+        if (lines_.occupied(victim)) {
+            out.evictedUnusedPrefetch = victim.data.prefetched;
+            out.writeback = victim.data.dirty;
+        }
+        lines_.stamp(victim, line, state);
+        return out;
+    }
 
     /** log2 of the line size: line numbers are `addr >> lineShift_`. */
     unsigned lineShift_;

@@ -138,8 +138,7 @@ Core::missPath(std::uint64_t addr, bool is_write, SlotNode &node)
     }
     ++counters_.l2Misses;
 
-    const auto llc_out =
-        llc_.access(addr, is_write, activeCores_, counters_.cycles);
+    const auto llc_out = llc_.access(addr, is_write, counters_.cycles);
     if (llc_out.writeback) {
         dram_.access(addr, true);
         counters_.memWriteBytes += cfg_.llc.lineBytes;

@@ -75,9 +75,6 @@ class Core
      */
     void setMlp(double mlp);
 
-    /** Cores concurrently active on the machine (NoC contention). */
-    void setActiveCores(unsigned n) { activeCores_ = n; }
-
     /**
      * Enable the paper's proposed JIT ISA hook (§VII-A1): jitted pages
      * announced via onJitPage() are prefetched into L2 / pre-installed
@@ -169,7 +166,6 @@ class Core
 
     double ilp_ = 2.0;
     double mlp_ = 2.0;
-    unsigned activeCores_ = 1;
     bool jitHintEnabled_ = false;
     std::uint64_t lastFetchLine_ = ~0ULL;
 };

@@ -17,11 +17,9 @@ Machine::Machine(const MachineConfig &cfg, unsigned active_cores,
     const unsigned n =
         std::clamp(active_cores, 1u, cfg_.physicalCores);
     cores_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < n; ++i)
         cores_.push_back(
             std::make_unique<Core>(cfg_, llc_, dram_, processPages_, i, seed));
-        cores_.back()->setActiveCores(n);
-    }
 }
 
 Core &

@@ -36,13 +36,11 @@ LlcNoc::sliceFor(std::uint64_t addr) const
 }
 
 LlcOutcome
-LlcNoc::access(std::uint64_t addr, bool is_write,
-               unsigned active_cores, double core_cycles)
+LlcNoc::access(std::uint64_t addr, bool is_write, double core_cycles)
 {
     LlcOutcome out;
     ++accesses_;
     ++windowAccesses_;
-    (void)active_cores;
 
     // Aggregate arrival-rate estimate: total accesses (all cores)
     // divided by wall-clock progress, where wall clock is the max
@@ -161,7 +159,7 @@ LlcNoc::preloadSorted(std::span<const LlcRange> ranges)
             for (const std::size_t last =
                      preloadStarts_[(slice + 1) * buckets - 1];
                  k < last; ++k)
-                slices_[slice].preloadLine(preloadLines_[k]);
+                slices_[slice].insertPrefetch(preloadLines_[k]);
     }
 }
 
@@ -224,7 +222,7 @@ LlcNoc::preloadWhole(const LlcRange &range)
             const std::uint64_t addr = first + i * line;
             const std::size_t slice = sliceFor(addr);
             if (kept[slice * sets + slices_[slice].setOf(addr)] < ways)
-                slices_[slice].preloadLine(addr);
+                slices_[slice].insertPrefetch(addr);
         }
     return true;
 }

@@ -82,13 +82,11 @@ class LlcNoc
      *
      * @param addr Byte address.
      * @param is_write Marks the line dirty.
-     * @param active_cores How many cores are concurrently generating
-     *        this access pattern (scales the arrival-rate estimate).
      * @param core_cycles The requesting core's current cycle count,
      *        used to estimate its access rate.
      */
     LlcOutcome access(std::uint64_t addr, bool is_write,
-                      unsigned active_cores, double core_cycles);
+                      double core_cycles);
 
     /** Prefetch fill into the right slice. */
     CacheOutcome insertPrefetch(std::uint64_t addr);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/characterize.hh"
@@ -164,6 +168,74 @@ TEST(ExecutorTest, SerialConcurrencyRunsOnCallingThread)
     ex.forEach(1, [&](std::size_t) { worker = Executor::workerId(); });
     EXPECT_EQ(worker, 0);
     EXPECT_EQ(Executor::workerId(), -1); // restored outside forEach
+}
+
+TEST(ExecutorTest, TasksRunConcurrentlyWhenConcurrencyCoversTheBatch)
+{
+    // Each task arrives at a latch and waits for all the others, as
+    // a daemon and its clients in one batch do. Polling against one
+    // deadline per batch turns two tasks sharing a thread into a
+    // failure, not a hang.
+    for (const std::size_t n : {2u, 5u, 8u}) {
+        for (const std::size_t extra : {0u, 3u}) {
+            const auto concurrency = static_cast<unsigned>(n + extra);
+            std::latch arrived(static_cast<std::ptrdiff_t>(n));
+            std::vector<std::atomic<int>> ids(n);
+            std::atomic<std::size_t> metAll{0};
+            const auto deadline = std::chrono::steady_clock::now() +
+                std::chrono::seconds(10);
+            Executor ex(concurrency);
+            ex.forEach(n, [&](std::size_t i) {
+                ids[i].store(Executor::workerId());
+                arrived.count_down();
+                while (!arrived.try_wait()) {
+                    if (std::chrono::steady_clock::now() > deadline)
+                        return;
+                    std::this_thread::yield();
+                }
+                metAll.fetch_add(1);
+            });
+            EXPECT_EQ(metAll.load(), n) << n << " tasks at " << concurrency;
+            // One thread per task: helpers 0..n-2, then the caller.
+            std::vector<int> seen;
+            for (const auto &id : ids)
+                seen.push_back(id.load());
+            std::sort(seen.begin(), seen.end());
+            for (std::size_t w = 0; w + 1 < n; ++w)
+                EXPECT_EQ(seen[w], static_cast<int>(w));
+            EXPECT_EQ(seen.back(), static_cast<int>(concurrency - 1));
+        }
+    }
+}
+
+TEST(ExecutorTest, StealsDrainASlowBlock)
+{
+    // Index 0 opens block 0 and holds its thread until every other
+    // index has run, so the rest of block 0 is taken by the other
+    // executors.
+    constexpr std::size_t kN = 64;
+    std::atomic<std::size_t> done{0};
+    std::atomic<bool> othersFirst{false};
+    Executor ex(4);
+    ex.forEach(kN, [&](std::size_t i) {
+        if (i != 0) {
+            done.fetch_add(1);
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (done.load() < kN - 1 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        othersFirst.store(done.load() == kN - 1);
+    });
+    EXPECT_TRUE(othersFirst.load());
+    EXPECT_GT(ex.stealCount(), 0u);
+
+    // A serial executor has no one to steal from.
+    Executor serial(1);
+    serial.forEach(kN, [&](std::size_t) { done.fetch_add(1); });
+    EXPECT_EQ(serial.stealCount(), 0u);
 }
 
 TEST(ParallelRunAllTest, MatchesSerialBitForBit)

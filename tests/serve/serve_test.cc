@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -548,6 +550,68 @@ TEST(Protocol, BatchedDuplicateRunsShareOneComputation)
     std::string err;
     ASSERT_TRUE(parseJson(responses[2], doc, err)) << err;
     EXPECT_FALSE(doc.find("ok")->boolean);
+}
+
+TEST(Protocol, BatchFanOutMatchesSerial)
+{
+    // One batch of four distinct misses and in-batch duplicates,
+    // computed on one thread and fanned out over four, with the cache
+    // persisted: responses, cache counters and journal bytes match.
+    const auto run = [](const std::string &benchmark, int seed) {
+        return R"({"verb":"run","benchmark":")" + benchmark +
+               R"(","options":{"warmup":20000,"measure":40000,)"
+               R"("seed":)" + std::to_string(seed) + "}}";
+    };
+    const std::vector<std::string> lines = {
+        run("SeekUnroll", 1),   run("System.Linq", 1),
+        run("SeekUnroll", 1),   run("SeekUnroll", 2),
+        run("System.Text", 3),  run("System.Linq", 1),
+        run("SeekUnroll", 2),
+    };
+    struct Outcome
+    {
+        std::vector<std::string> responses;
+        CacheCounters cache;
+        std::string journal;
+    };
+    const auto answer = [&](unsigned jobs) {
+        const std::string persist = testing::TempDir() +
+            "netchar_fanout_" + std::to_string(jobs) + ".bin";
+        const std::string journal = persist + ".journal";
+        std::remove(journal.c_str());
+        Outcome out;
+        {
+            ServerOptions sopts;
+            sopts.listen = "127.0.0.1:0";
+            sopts.persistPath = persist;
+            sopts.jobs = jobs;
+            Server server(sopts);
+            std::string error;
+            EXPECT_TRUE(server.start(error)) << error;
+            out.responses = server.handleBatch(lines);
+            out.cache = server.cacheCounters();
+        }
+        std::ifstream in(journal, std::ios::binary);
+        out.journal.assign(std::istreambuf_iterator<char>(in), {});
+        std::remove(journal.c_str());
+        return out;
+    };
+    const Outcome serial = answer(1);
+    const Outcome fanned = answer(4);
+
+    ASSERT_EQ(serial.responses.size(), lines.size());
+    for (const std::string &r : serial.responses)
+        EXPECT_EQ(r.rfind(R"({"ok":true,)", 0), 0u) << r;
+    EXPECT_EQ(serial.cache.inserts, 4u);
+    EXPECT_EQ(serial.responses, fanned.responses);
+    EXPECT_EQ(serial.cache.hits, fanned.cache.hits);
+    EXPECT_EQ(serial.cache.misses, fanned.cache.misses);
+    EXPECT_EQ(serial.cache.evictions, fanned.cache.evictions);
+    EXPECT_EQ(serial.cache.inserts, fanned.cache.inserts);
+    EXPECT_EQ(serial.cache.entries, fanned.cache.entries);
+    EXPECT_EQ(serial.cache.bytes, fanned.cache.bytes);
+    EXPECT_FALSE(serial.journal.empty());
+    EXPECT_EQ(serial.journal, fanned.journal);
 }
 
 // -- sharding & merge ---------------------------------------------

@@ -110,7 +110,7 @@ class Checked
     }
 
     /**
-     * An insert-only fill, as Cache::preloadLine: find(), and on a
+     * An insert-only fill, as Cache::insertPrefetch: find(), and on a
      * miss stamp() the victim; a held tag stays where it is.
      */
     void insert(std::uint64_t tag, std::uint64_t id)

@@ -458,8 +458,8 @@ expectSameLlc(LlcNoc &bulk, LlcNoc &loop,
         if (kind < 60) {
             const bool write = kind >= 40;
             const double cycles = 10.0 * op;
-            const LlcOutcome got = bulk.access(addr, write, 1, cycles);
-            const LlcOutcome want = loop.access(addr, write, 1, cycles);
+            const LlcOutcome got = bulk.access(addr, write, cycles);
+            const LlcOutcome want = loop.access(addr, write, cycles);
             ASSERT_EQ(got.hit, want.hit);
             ASSERT_EQ(got.evictedUnusedPrefetch,
                       want.evictedUnusedPrefetch);
@@ -556,8 +556,8 @@ checkPreload(const MachineConfig &cfg, std::uint64_t seed)
                 bulk.insertPrefetch(addr);
                 loop.insertPrefetch(addr);
             } else {
-                bulk.access(addr, kind == 1, 1, 1.0);
-                loop.access(addr, kind == 1, 1, 1.0);
+                bulk.access(addr, kind == 1, 1.0);
+                loop.access(addr, kind == 1, 1.0);
             }
         }
 

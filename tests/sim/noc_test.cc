@@ -31,9 +31,9 @@ TEST(NocTest, GeometryValidation)
 TEST(NocTest, MissThenHit)
 {
     LlcNoc llc(llcGeometry(), 4, 40.0);
-    auto first = llc.access(0x10000, false, 1, 100.0);
+    auto first = llc.access(0x10000, false, 100.0);
     EXPECT_FALSE(first.hit);
-    auto second = llc.access(0x10000, false, 1, 200.0);
+    auto second = llc.access(0x10000, false, 200.0);
     EXPECT_TRUE(second.hit);
     EXPECT_EQ(llc.accesses(), 2u);
     EXPECT_EQ(llc.misses(), 1u);
@@ -44,7 +44,7 @@ TEST(NocTest, BaseLatencyWithoutContention)
     NocParams params;
     params.contentionEnabled = false;
     LlcNoc llc(llcGeometry(), 4, 40.0, params);
-    auto out = llc.access(0x10000, false, 16, 100.0);
+    auto out = llc.access(0x10000, false, 100.0);
     EXPECT_DOUBLE_EQ(out.latency, 40.0);
 }
 
@@ -64,8 +64,7 @@ TEST(NocTest, ContentionGrowsWithAggregateRate)
             // per active core.
             cycles += 400.0 / cores;
             total_latency += llc
-                .access(static_cast<std::uint64_t>(i) * 64, false,
-                        cores, cycles)
+                .access(static_cast<std::uint64_t>(i) * 64, false, cycles)
                 .latency;
         }
         return total_latency / n;
@@ -86,8 +85,7 @@ TEST(NocTest, QueueDelayCapped)
     double cycles = 0.0;
     for (int i = 0; i < 10000; ++i) {
         cycles += 1.0; // saturating rate
-        llc.access(static_cast<std::uint64_t>(i) * 64, false, 64,
-                   cycles);
+        llc.access(static_cast<std::uint64_t>(i) * 64, false, cycles);
     }
     EXPECT_LE(llc.lastQueueDelay(), 100.0);
 }
@@ -97,7 +95,7 @@ TEST(NocTest, SlicesPartitionAddressSpace)
     LlcNoc llc(llcGeometry(), 4, 40.0);
     // Whatever the hash, a line inserted must be found again.
     for (std::uint64_t a = 0; a < 64 * 1024; a += 64)
-        llc.access(a, false, 1, 1.0);
+        llc.access(a, false, 1.0);
     int found = 0;
     for (std::uint64_t a = 0; a < 64 * 1024; a += 64)
         if (llc.contains(a))
@@ -110,7 +108,7 @@ TEST(NocTest, PrefetchInsertLandsInRightSlice)
     LlcNoc llc(llcGeometry(), 4, 40.0);
     llc.insertPrefetch(0xABC0);
     EXPECT_TRUE(llc.contains(0xABC0));
-    auto out = llc.access(0xABC0, false, 1, 1.0);
+    auto out = llc.access(0xABC0, false, 1.0);
     EXPECT_TRUE(out.hit);
 }
 
@@ -127,13 +125,13 @@ TEST(NocTest, WideLineStaysInOneSlice)
             ++found;
     }
     EXPECT_EQ(found, 64);
-    EXPECT_TRUE(llc.access(0x10000000 + 64, false, 1, 1.0).hit);
+    EXPECT_TRUE(llc.access(0x10000000 + 64, false, 1.0).hit);
 }
 
 TEST(NocTest, ResetClearsEverything)
 {
     LlcNoc llc(llcGeometry(), 4, 40.0);
-    llc.access(0x1000, false, 1, 1.0);
+    llc.access(0x1000, false, 1.0);
     llc.reset();
     EXPECT_EQ(llc.accesses(), 0u);
     EXPECT_FALSE(llc.contains(0x1000));
@@ -146,7 +144,7 @@ TEST(NocTest, WritebackReportedOnDirtyEviction)
     // Dirty-fill far more lines than capacity.
     bool saw_writeback = false;
     for (std::uint64_t a = 0; a < 256 * 1024; a += 64) {
-        auto out = llc.access(a, true, 1, 1.0);
+        auto out = llc.access(a, true, 1.0);
         saw_writeback = saw_writeback || out.writeback;
     }
     EXPECT_TRUE(saw_writeback);

@@ -64,8 +64,8 @@ expectSameStream(LlcNoc &batch, LlcNoc &loop,
         if (kind < 60) {
             const bool write = kind >= 40;
             const double cycles = 10.0 * op;
-            const LlcOutcome got = batch.access(addr, write, 1, cycles);
-            const LlcOutcome want = loop.access(addr, write, 1, cycles);
+            const LlcOutcome got = batch.access(addr, write, cycles);
+            const LlcOutcome want = loop.access(addr, write, cycles);
             ASSERT_EQ(got.hit, want.hit);
             ASSERT_EQ(got.evictedUnusedPrefetch,
                       want.evictedUnusedPrefetch);
@@ -127,8 +127,8 @@ checkBatch(const MachineConfig &cfg, std::uint64_t seed)
             batch.insertPrefetch(addr);
             loop.insertPrefetch(addr);
         } else {
-            batch.access(addr, kind == 1, 1, 1.0);
-            loop.access(addr, kind == 1, 1, 1.0);
+            batch.access(addr, kind == 1, 1.0);
+            loop.access(addr, kind == 1, 1.0);
         }
     }
 
