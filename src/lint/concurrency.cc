@@ -118,12 +118,12 @@ class Engine
      *  guard/atomic/mutex objects and type member-call receivers. */
     LockModel locks_;
     /** Per file: mutable, non-atomic statics by name. */
-    std::vector<std::map<std::string, Site>> statics_;
+    std::vector<std::map<std::string, Site, std::less<>>> statics_;
     /** Per file: object name → atomic access sites. */
     std::vector<std::map<std::string, std::vector<Site>>>
         atomicSites_;
     /** Per file: object name → plain single-identifier writes. */
-    std::vector<std::map<std::string, std::vector<Site>>>
+    std::vector<std::map<std::string, std::vector<Site>, std::less<>>>
         plainWrites_;
     std::set<FunctionRef> escaped_;
     std::map<FunctionRef, FlowHop> escapeHop_;
@@ -414,7 +414,7 @@ class Engine
                 // statement entry; the statement's own lock events
                 // apply afterwards.
                 if (const Token *w = plainWrite(toks, st)) {
-                    plainWrites_[ref.file][w->text].push_back(
+                    plainWrites_[ref.file][std::string(w->text)].push_back(
                         {w->line, w->column});
                     const auto shared =
                         statics_[ref.file].find(w->text);
@@ -433,7 +433,8 @@ class Engine
                                         "lockset"});
                         emit("race-shared-write", file, w->line,
                              w->column,
-                             "write to shared static '" + w->text +
+                             "write to shared static '" +
+                                 std::string(w->text) +
                                  "' reachable from executor tasks "
                                  "with an empty lockset",
                              std::move(hops), fn.qualified, s.must);
@@ -656,13 +657,13 @@ class Engine
                 if (isPunct(toks[k], "&")) {
                     if (k + 1 < rb &&
                         toks[k + 1].kind == TokenKind::Identifier) {
-                        byRef.insert(toks[k + 1].text);
+                        byRef.emplace(toks[k + 1].text);
                         ++k;
                     } else
                         refAll = true;
                 } else if (toks[k].kind == TokenKind::Identifier &&
                            k + 1 < rb && isPunct(toks[k + 1], "=")) {
-                    locals.insert(toks[k].text); // init capture
+                    locals.emplace(toks[k].text); // init capture
                     ++k;
                 }
             }
@@ -750,7 +751,7 @@ class Engine
                 return;
             for (std::size_t p = s; p < limit; ++p)
                 if (toks[p].kind == TokenKind::Identifier)
-                    locals.insert(toks[p].text);
+                    locals.emplace(toks[p].text);
         };
         for (std::size_t p = ob + 1; p < cb; ++p) {
             const Token &t = toks[p];
@@ -781,7 +782,7 @@ class Engine
                 p + 2 < cb &&
                 toks[p + 1].kind == TokenKind::Identifier &&
                 isPunct(toks[p + 2], "(")) {
-                const std::string &m = toks[p + 1].text;
+                const std::string_view m = toks[p + 1].text;
                 if (m != "lock" && m != "unlock")
                     continue;
                 if (isGuardReceiver(receiverChain(toks, p), guardVars,
@@ -810,7 +811,7 @@ class Engine
                   op.text == "--"));
             if (!isWrite)
                 continue;
-            const std::string &name = t.text;
+            const std::string name(t.text);
             if (locals.count(name) != 0)
                 continue;
             const bool isStatic =

@@ -195,6 +195,29 @@ parsePragma(std::string_view comment, int line, int endLine)
     return p;
 }
 
+/** `text` with every backslash-newline (or backslash-CR-LF) splice
+ *  replaced by `with`. */
+std::string
+replaceSplices(std::string_view text, std::string_view with)
+{
+    std::string flat;
+    flat.reserve(text.size());
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] == '\\') {
+            std::size_t j = i + 1;
+            if (j < text.size() && text[j] == '\r')
+                ++j;
+            if (j < text.size() && text[j] == '\n') {
+                flat += with;
+                i = j;
+                continue;
+            }
+        }
+        flat += text[i];
+    }
+    return flat;
+}
+
 /** Record `comment` as a pragma if it contains the marker. A spliced
  *  comment (backslash-newline continuations) is flattened first so
  *  the pragma grammar never sees the line break. */
@@ -204,26 +227,11 @@ harvestPragma(LexedFile &out, std::string_view comment, int line,
 {
     if (comment.find("netchar-lint:") == std::string_view::npos)
         return;
-    if (comment.find('\\') == std::string_view::npos) {
+    if (comment.find('\\') == std::string_view::npos)
         out.pragmas.push_back(parsePragma(comment, line, endLine));
-        return;
-    }
-    std::string flat;
-    flat.reserve(comment.size());
-    for (std::size_t i = 0; i < comment.size(); ++i) {
-        if (comment[i] == '\\') {
-            std::size_t j = i + 1;
-            if (j < comment.size() && comment[j] == '\r')
-                ++j;
-            if (j < comment.size() && comment[j] == '\n') {
-                flat += ' ';
-                i = j;
-                continue;
-            }
-        }
-        flat += comment[i];
-    }
-    out.pragmas.push_back(parsePragma(flat, line, endLine));
+    else
+        out.pragmas.push_back(
+            parsePragma(replaceSplices(comment, " "), line, endLine));
 }
 
 /** True when the cursor sits on a backslash-newline line splice. */
@@ -246,10 +254,22 @@ eatSplice(Cursor &c)
 } // namespace
 
 LexedFile
-lex(std::string_view source)
+lex(std::string_view input)
 {
     LexedFile out;
+    auto bytes = std::make_shared<SourceText>();
+    bytes->source.assign(input);
+    const std::string_view source = bytes->source;
     Cursor c{source};
+    // The text of the token that spans [from, c.pos): a view of the
+    // source, or of the side store when a line splice runs through it.
+    const auto tokenText = [&](std::size_t from,
+                               bool spliced) -> std::string_view {
+        const std::string_view raw = source.substr(from, c.pos - from);
+        if (!spliced)
+            return raw;
+        return bytes->joined.emplace_front(replaceSplices(raw, ""));
+    };
 
     while (!c.done()) {
         const char ch = c.peek();
@@ -318,9 +338,9 @@ lex(std::string_view source)
             c.advance(1); // closing quote (bounds-checked at EOF)
             out.tokens.push_back({quote == '"' ? TokenKind::String
                                                : TokenKind::CharLit,
+                                  line, column,
                                   quote == '"' ? "<string>"
-                                               : "<char>",
-                                  line, column});
+                                               : "<char>"});
             continue;
         }
 
@@ -333,21 +353,22 @@ lex(std::string_view source)
         if (isIdentStart(ch)) {
             const int line = c.line;
             const int column = c.column;
-            std::string text;
+            const std::size_t start = c.pos;
+            bool spliced = false;
             while (true) {
-                const std::size_t from = c.pos;
                 c.skipWhile(isIdentChar);
-                text.append(source, from, c.pos - from);
                 // A splice inside an identifier joins the halves
                 // into one name (translation phase 2 runs before
                 // tokenization).
                 if (!atSplice(c))
                     break;
                 eatSplice(c);
+                spliced = true;
             }
+            const std::string_view name = tokenText(start, spliced);
             if (c.peek() == '"' &&
-                (text == "R" || text == "u8R" || text == "uR" ||
-                 text == "UR" || text == "LR")) {
+                (name == "R" || name == "u8R" || name == "uR" ||
+                 name == "UR" || name == "LR")) {
                 // Raw string literal: (prefix)R"delim( ... )delim".
                 c.advance(); // opening quote
                 std::string delim;
@@ -362,13 +383,11 @@ lex(std::string_view source)
                     c.advance();
                 c.advance(close.size());
                 out.tokens.push_back(
-                    {TokenKind::String, "<raw-string>", line,
-                     column});
+                    {TokenKind::String, line, column, "<raw-string>"});
                 continue;
             }
             out.tokens.push_back(
-                {TokenKind::Identifier, std::move(text), line,
-                 column});
+                {TokenKind::Identifier, line, column, name});
             continue;
         }
 
@@ -378,15 +397,19 @@ lex(std::string_view source)
             (ch == '.' && isDigit(c.peek(1)))) {
             const int line = c.line;
             const int column = c.column;
-            std::string text;
+            const std::size_t start = c.pos;
+            bool spliced = false;
+            char prev = ch; // last byte of the joined text so far
             while (true) {
                 const std::size_t from = c.pos;
                 c.skipWhile(
                     [](char d) { return isIdentChar(d) || d == '.'; });
-                text.append(source, from, c.pos - from);
+                if (c.pos > from)
+                    prev = source[c.pos - 1];
                 // A splice joins the halves, as in an identifier.
                 if (atSplice(c)) {
                     eatSplice(c);
+                    spliced = true;
                     continue;
                 }
                 const char d = c.peek();
@@ -398,17 +421,16 @@ lex(std::string_view source)
                 // and with them pragma line attribution.
                 const bool separator =
                     d == '\'' && isIdentChar(c.peek(1));
-                const char prev = text.back();
                 const bool sign = (d == '+' || d == '-') &&
                                   (prev == 'e' || prev == 'E' ||
                                    prev == 'p' || prev == 'P');
                 if (!separator && !sign)
                     break;
-                text += d;
+                prev = d;
                 c.skip(1);
             }
-            out.tokens.push_back(
-                {TokenKind::Number, std::move(text), line, column});
+            out.tokens.push_back({TokenKind::Number, line, column,
+                                  tokenText(start, spliced)});
             continue;
         }
 
@@ -424,13 +446,13 @@ lex(std::string_view source)
                     }
                 }
             }
-            out.tokens.push_back({TokenKind::Punct,
-                                  std::string(source.substr(c.pos, size)),
-                                  c.line, c.column});
+            out.tokens.push_back({TokenKind::Punct, c.line, c.column,
+                                  source.substr(c.pos, size)});
             c.skip(size);
         }
     }
 
+    out.bytes = std::move(bytes);
     return out;
 }
 

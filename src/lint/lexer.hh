@@ -32,14 +32,18 @@
  * the C locale's <cctype> classes (the program never calls
  * setlocale): a byte >= 0x80 is neither space nor identifier
  * character, so it lexes as a one-byte punctuator. Cost is per byte:
- * identifier and pp-number runs are scanned to their end and their
- * text copied once, and a punctuator tries only the multi-byte
- * entries that begin with its first byte.
+ * identifier and pp-number runs are scanned to their end, and a
+ * punctuator tries only the multi-byte entries that begin with its
+ * first byte. The source is copied once per file, and token texts
+ * view that copy rather than owning strings of their own.
  */
 
 #ifndef NETCHAR_LINT_LEXER_HH
 #define NETCHAR_LINT_LEXER_HH
 
+#include <cstdint>
+#include <forward_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,7 +51,7 @@
 namespace netchar::lint
 {
 
-enum class TokenKind
+enum class TokenKind : std::uint8_t
 {
     Identifier, ///< keywords are not distinguished from identifiers
     Number,     ///< pp-number: 0x1f, 1'000, 1.5e-3, ...
@@ -56,13 +60,21 @@ enum class TokenKind
     Punct,      ///< operators and punctuation, longest-munch
 };
 
+/**
+ * One token. `text` views bytes owned by the LexedFile the token came
+ * from, and stays valid for as long as any copy of that LexedFile
+ * (or of a FileModel holding it) lives. String and character
+ * literals view the placeholders "<string>", "<raw-string>" and
+ * "<char>" instead.
+ */
 struct Token
 {
     TokenKind kind = TokenKind::Punct;
-    std::string text;
     int line = 0;   ///< 1-based
     int column = 0; ///< 1-based byte column
+    std::string_view text;
 };
+static_assert(sizeof(Token) <= 32);
 
 /** One parsed netchar-lint pragma comment. */
 struct Pragma
@@ -81,17 +93,33 @@ struct Pragma
     std::string error; ///< why the pragma was rejected
 };
 
-/** Token stream plus any lint pragmas found in comments. */
+/** The bytes token texts view: one immutable copy of the source,
+ *  plus the few texts that are not one slice of it. */
+struct SourceText
+{
+    std::string source;
+    /** Identifiers and pp-numbers joined across a line splice
+     *  (`x\<LF>y` is `xy`). A list, so adding one never moves the
+     *  others. */
+    std::forward_list<std::string> joined;
+};
+
+/** Token stream plus any lint pragmas found in comments. Copies
+ *  share `bytes`, so copying or moving a LexedFile never invalidates
+ *  a token's view. */
 struct LexedFile
 {
     std::vector<Token> tokens;
     std::vector<Pragma> pragmas;
+    std::shared_ptr<const SourceText> bytes;
 };
 
 /**
- * Tokenize one translation unit. Never throws on malformed input:
- * an unterminated comment or literal simply ends at end-of-file
- * (the real compiler is the syntax checker, not the linter).
+ * Tokenize one translation unit. The result owns a copy of `source`,
+ * so the caller's buffer may go away afterwards. Never throws on
+ * malformed input: an unterminated comment or literal simply ends at
+ * end-of-file (the real compiler is the syntax checker, not the
+ * linter).
  */
 LexedFile lex(std::string_view source);
 

@@ -207,11 +207,11 @@ qualifiedSpelling(const std::vector<Token> &toks, std::size_t j)
     if (j > 0 &&
         (isPunct(toks[j - 1], ".") || isPunct(toks[j - 1], "->")))
         return "";
-    std::string name = toks[j].text;
+    std::string name(toks[j].text);
     while (j >= 2 && isPunct(toks[j - 1], "::") &&
            toks[j - 2].kind == TokenKind::Identifier) {
         j -= 2;
-        name = toks[j].text + "::" + name;
+        name = std::string(toks[j].text) + "::" + name;
         if (j > 0 && (isPunct(toks[j - 1], ".") ||
                       isPunct(toks[j - 1], "->")))
             return "";

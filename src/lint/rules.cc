@@ -51,7 +51,7 @@ class NoWallclock final : public Rule
         for (std::size_t i = 0; i < toks.size(); ++i) {
             if (idIn(toks[i], clockTypeNames())) {
                 report(out, path, *this, toks[i],
-                       "host clock '" + toks[i].text +
+                       "host clock '" + std::string(toks[i].text) +
                            "' in determinism-critical code; use "
                            "simulated cycles (sim::Machine) or "
                            "pragma the intentional wall-time site");
@@ -61,7 +61,7 @@ class NoWallclock final : public Rule
                 idIn(toks[i], hostTimeCallNames()) &&
                 isPunct(toks[i + 1], "(")) {
                 report(out, path, *this, toks[i],
-                       "host time function '" + toks[i].text +
+                       "host time function '" + std::string(toks[i].text) +
                            "()' in determinism-critical code");
             }
         }
@@ -98,7 +98,7 @@ class NoAmbientRng final : public Rule
                  isId(t, "rand_r") || isId(t, "drand48")) &&
                 i + 1 < toks.size() && isPunct(toks[i + 1], "(")) {
                 report(out, path, *this, t,
-                       "'" + t.text +
+                       std::string("'").append(t.text) +
                            "()' draws from ambient global state; "
                            "use stats::Rng with an explicit seed");
                 continue;
@@ -117,7 +117,7 @@ class NoAmbientRng final : public Rule
             }
             if (idIn(t, kSeedableEngines) && arglessAfter(toks, i))
                 report(out, path, *this, t,
-                       "argless '" + t.text +
+                       "argless '" + std::string(t.text) +
                            "' construction; pass the run seed "
                            "explicitly");
         }
@@ -174,7 +174,7 @@ class NoUnorderedIteration final : public Rule
                std::vector<Finding> &out) const override
     {
         const auto &toks = lexed.tokens;
-        std::vector<std::string> names = declaredNames(toks);
+        const std::vector<std::string_view> names = declaredNames(toks);
 
         for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
             if (!isId(toks[i], "for") || !isPunct(toks[i + 1], "("))
@@ -204,13 +204,13 @@ class NoUnorderedIteration final : public Rule
                 const bool direct = idIn(t, kUnorderedTypes);
                 bool named = false;
                 if (t.kind == TokenKind::Identifier)
-                    for (const std::string &n : names)
+                    for (const std::string_view n : names)
                         if (t.text == n)
                             named = true;
                 if (direct || named) {
                     report(out, path, *this, toks[i],
                            "range-for over unordered container '" +
-                               t.text +
+                               std::string(t.text) +
                                "'; iterate a sorted copy (hash "
                                "order is not reproducible)");
                     break;
@@ -221,10 +221,10 @@ class NoUnorderedIteration final : public Rule
 
   private:
     /** Names declared in this file with an unordered_* type. */
-    static std::vector<std::string>
+    static std::vector<std::string_view>
     declaredNames(const std::vector<Token> &toks)
     {
-        std::vector<std::string> names;
+        std::vector<std::string_view> names;
         for (std::size_t i = 0; i < toks.size(); ++i) {
             if (!idIn(toks[i], kUnorderedTypes))
                 continue;
@@ -413,7 +413,7 @@ class NoRawThread final : public Rule
             if (threadType && (i + 3 >= toks.size() ||
                                !isPunct(toks[i + 3], "::"))) {
                 report(out, path, *this, t,
-                       "raw std::" + t.text +
+                       "raw std::" + std::string(t.text) +
                            " outside src/core/executor; route "
                            "parallelism through the Executor");
                 continue;

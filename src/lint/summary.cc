@@ -52,6 +52,9 @@ struct TaintVal
     bool empty() const { return !concrete && sym.empty(); }
 };
 
+/** A function's variables, looked up by token text. */
+using VarMap = std::map<std::string, TaintVal, std::less<>>;
+
 /**
  * One interpreter, two modes, so the hop vocabulary and evaluation
  * order can never diverge between summary construction and
@@ -89,7 +92,7 @@ class Interp
     {
         const FileModel &file = files_[ref.file];
         const FunctionModel &fn = file.functions[ref.fn];
-        std::map<std::string, TaintVal> vars;
+        VarMap vars;
         if (mode == Mode::Build)
             for (std::size_t p = 0; p < fn.params.size(); ++p)
                 if (!fn.params[p].empty())
@@ -152,7 +155,7 @@ class Interp
      * sources don't count.
      */
     TaintVal evalExpr(std::size_t fi,
-                      const std::map<std::string, TaintVal> &vars,
+                      const VarMap &vars,
                       std::size_t begin, std::size_t end,
                       const std::vector<CallSite> &calls)
     {
@@ -269,7 +272,7 @@ class Interp
      *  slot are set at most once. Returns true on any new fill. */
     bool processAssign(FunctionRef ref, const FunctionModel &,
                        const Statement &stmt,
-                       std::map<std::string, TaintVal> &vars)
+                       VarMap &vars)
     {
         const FileModel &file = files_[ref.file];
         const auto needs = [&](const std::string &name,
@@ -341,7 +344,7 @@ class Interp
 
     void processReturn(FunctionRef ref, const FunctionModel &fn,
                        const Statement &stmt,
-                       const std::map<std::string, TaintVal> &vars,
+                       const VarMap &vars,
                        FunctionSummary *out, bool *summaryChanged,
                        bool &changed)
     {
@@ -394,7 +397,7 @@ class Interp
 
     void processCall(FunctionRef ref, const FunctionModel &,
                      const Statement &stmt, const CallSite &call,
-                     const std::map<std::string, TaintVal> &vars,
+                     const VarMap &vars,
                      Mode mode, FunctionSummary *out,
                      bool *summaryChanged,
                      const std::function<void(SinkEvent)> *emit,
@@ -605,7 +608,7 @@ extractFromStmt(const std::vector<Token> &toks, std::size_t b,
                                           : matchBrace(toks, k + 1, e);
             std::vector<std::string> resources =
                 guardArgResources(toks, k + 1, close);
-            guardVars[toks[k].text] = resources;
+            guardVars[std::string(toks[k].text)] = resources;
             if (!resources.empty())
                 push(Kind::GuardAcquire, std::move(resources), j, t);
             j = close;
@@ -615,7 +618,7 @@ extractFromStmt(const std::vector<Token> &toks, std::size_t b,
         if ((isPunct(t, ".") || isPunct(t, "->")) && j + 2 < e &&
             toks[j + 1].kind == TokenKind::Identifier &&
             isPunct(toks[j + 2], "(")) {
-            const std::string &method = toks[j + 1].text;
+            const std::string_view method = toks[j + 1].text;
             const bool lockOp = method == "lock" || method == "unlock";
             if (!lockOp && !contains(kAtomicOps, method))
                 continue;
@@ -647,7 +650,8 @@ extractFromStmt(const std::vector<Token> &toks, std::size_t b,
                 k = skipAngles(toks, k, e);
             if (k < e && isPunct(toks[k], "(") && k + 1 < e &&
                 toks[k + 1].kind == TokenKind::Identifier)
-                push(Kind::Atomic, {toks[k + 1].text}, j, toks[k + 1]);
+                push(Kind::Atomic, {std::string(toks[k + 1].text)}, j,
+                     toks[k + 1]);
         }
     }
 }
@@ -843,19 +847,21 @@ scanTaintSources(const std::vector<Token> &toks, std::size_t begin,
             continue;
         const Token *n = next(j);
         if (idIn(t, clockTypeNames())) {
-            hits.push_back(
-                {j, "flow-wallclock", "host clock '" + t.text + "'"});
+            hits.push_back({j, "flow-wallclock",
+                            "host clock '" + std::string(t.text) + "'"});
             continue;
         }
         if (idIn(t, hostTimeCallNames()) && n && isPunct(*n, "(")) {
             hits.push_back({j, "flow-wallclock",
-                            "host time function '" + t.text + "()'"});
+                            "host time function '" + std::string(t.text) +
+                                "()'"});
             continue;
         }
         if ((t.text == "getenv" || t.text == "secure_getenv") && n &&
             isPunct(*n, "(")) {
             hits.push_back({j, "flow-env",
-                            "environment read '" + t.text + "()'"});
+                            "environment read '" + std::string(t.text) +
+                                "()'"});
             continue;
         }
         if (t.text == "get_id" && n && isPunct(*n, "(")) {
@@ -941,7 +947,7 @@ collectDeclTypes(const std::vector<FileModel> &files)
                 !isPunct(after, "{") && !isPunct(after, "(") &&
                 !isPunct(after, ","))
                 continue;
-            types[toks[k].text] = toks[j].text;
+            types[std::string(toks[k].text)] = toks[j].text;
         }
     }
     return types;

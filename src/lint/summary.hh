@@ -121,10 +121,11 @@ class SummarySet;
 
 /** name → last type-word of its `Type name` declaration, over all
  *  files. Collisions keep the last writer in sorted file order. */
-using DeclTypes = std::map<std::string, std::string>;
+using DeclTypes = std::map<std::string, std::string, std::less<>>;
 
 /** Guard variable → the resources its declaration locked. */
-using GuardVars = std::map<std::string, std::vector<std::string>>;
+using GuardVars =
+    std::map<std::string, std::vector<std::string>, std::less<>>;
 
 /** Record `Type name` declaration pairs: identifier (last of a `::`
  *  chain), optional `<...>`, identifier, then one of `; = { ( ,`.

@@ -126,7 +126,7 @@ skipAngles(const std::vector<Token> &toks, std::size_t open,
 inline std::string
 receiverChain(const std::vector<Token> &toks, std::size_t dot)
 {
-    std::vector<std::string> parts;
+    std::vector<std::string_view> parts;
     std::size_t j = dot;
     while (j > 0) {
         if (toks[j - 1].kind != TokenKind::Identifier)

@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -716,7 +719,7 @@ TEST(Lexer, DigitSeparatorsAreOneToken)
     std::vector<std::string> numbers;
     for (const auto &t : lexed.tokens)
         if (t.kind == netchar::lint::TokenKind::Number)
-            numbers.push_back(t.text);
+            numbers.emplace_back(t.text);
     ASSERT_EQ(numbers.size(), 3u);
     EXPECT_EQ(numbers[0], "1'000'000");
     EXPECT_EQ(numbers[1], "0xDEAD'BEEFull");
@@ -732,7 +735,7 @@ TEST(Lexer, HexFloatsAreOneToken)
     std::vector<std::string> numbers;
     for (const auto &t : lexed.tokens)
         if (t.kind == netchar::lint::TokenKind::Number)
-            numbers.push_back(t.text);
+            numbers.emplace_back(t.text);
     ASSERT_EQ(numbers.size(), 3u);
     EXPECT_EQ(numbers[0], "0x1.8p-3");
     EXPECT_EQ(numbers[1], "0X1.FP+2");
@@ -926,6 +929,91 @@ TEST(Lexer, SpliceJoinsAPpNumber)
         EXPECT_EQ(lexed.tokens[4].line, 2);
         EXPECT_EQ(lexed.tokens[5].line, 3);
     }
+}
+
+TEST(Lexer, TokensOwnTheirBytes)
+{
+    // Identifiers spliced across LF and CR-LF, a pp-number spliced
+    // before its exponent sign, and all three literal placeholders,
+    // lexed from a buffer that is overwritten and freed at once.
+    auto source = std::make_unique<std::string>(
+        "int a\\\nb = 1\\\n2;\r\n"
+        "auto c\\\r\nd = 0x1p\\\r\n+3 + e\\\n;\n"
+        "s = u8\"str\"; r = LR\"x(raw)x\"; ch = L'q';\n");
+    auto lexed = std::make_optional(netchar::lint::lex(*source));
+    std::fill(source->begin(), source->end(), '#');
+    source.reset();
+
+    // Copy, drop the original, then move the copy through
+    // parseFile and a reallocating vector of units.
+    netchar::lint::LexedFile copy = *lexed;
+    lexed.reset();
+    std::vector<netchar::lint::FileUnit> units(1);
+    units[0].model = netchar::lint::parseFile("src/a.cc", std::move(copy));
+    const std::size_t capacity = units.capacity();
+    while (units.capacity() == capacity)
+        units.emplace_back();
+
+    using K = netchar::lint::TokenKind;
+    const std::vector<PinnedToken> want = {
+        {K::Identifier, "int", 1, 1},
+        {K::Identifier, "ab", 1, 5},
+        {K::Punct, "=", 2, 3},
+        {K::Number, "12", 2, 5},
+        {K::Punct, ";", 3, 2},
+        {K::Identifier, "auto", 4, 1},
+        {K::Identifier, "cd", 4, 6},
+        {K::Punct, "=", 5, 3},
+        {K::Number, "0x1p+3", 5, 5},
+        {K::Punct, "+", 6, 4},
+        {K::Identifier, "e", 6, 6},
+        {K::Punct, ";", 7, 1},
+        {K::Identifier, "s", 8, 1},
+        {K::Punct, "=", 8, 3},
+        {K::Identifier, "u8", 8, 5},
+        {K::String, "<string>", 8, 7},
+        {K::Punct, ";", 8, 12},
+        {K::Identifier, "r", 8, 14},
+        {K::Punct, "=", 8, 16},
+        {K::String, "<raw-string>", 8, 18},
+        {K::Punct, ";", 8, 29},
+        {K::Identifier, "ch", 8, 31},
+        {K::Punct, "=", 8, 34},
+        {K::Identifier, "L", 8, 36},
+        {K::CharLit, "<char>", 8, 37},
+        {K::Punct, ";", 8, 40},
+    };
+    const auto &toks = units.front().model.lexed.tokens;
+    ASSERT_EQ(toks.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(toks[i].kind, want[i].kind) << "token " << i;
+        EXPECT_EQ(toks[i].text, want[i].text) << "token " << i;
+        EXPECT_EQ(toks[i].line, want[i].line) << "token " << i;
+        EXPECT_EQ(toks[i].column, want[i].column) << "token " << i;
+    }
+
+    // Without a splice, every identifier, number and punctuator
+    // views the owned copy at its own byte offset: no text was
+    // copied out of it.
+    const std::string plain =
+        "int f(int x) {\n  return x <<= 0x1.8p-3 + 1'000;\n}\n";
+    const auto owned = netchar::lint::lex(plain);
+    const std::string &bytes = owned.bytes->source;
+    ASSERT_EQ(bytes, plain);
+    ASSERT_NE(bytes.data(), plain.data());
+    std::vector<std::size_t> lineStart = {0};
+    for (std::size_t at = 0; at < plain.size(); ++at)
+        if (plain[at] == '\n')
+            lineStart.push_back(at + 1);
+    for (const auto &t : owned.tokens) {
+        const std::size_t at =
+            lineStart[static_cast<std::size_t>(t.line) - 1] +
+            static_cast<std::size_t>(t.column) - 1;
+        EXPECT_EQ(t.text.data(), bytes.data() + at)
+            << "token '" << t.text << "' at " << t.line << ':'
+            << t.column;
+    }
+    EXPECT_EQ(owned.tokens.size(), 15u);
 }
 
 TEST(LexerFuzz, TokensMatchTheirSource)
