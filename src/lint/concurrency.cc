@@ -27,18 +27,13 @@ struct ConcurrencyRule
     std::string_view summary;
 };
 
-constexpr std::array<ConcurrencyRule, 4> kRules = {{
+constexpr std::array<ConcurrencyRule, 2> kRules = {{
     {"race-shared-write", Severity::Error,
      "write to a mutable static or by-reference-captured object "
      "reachable from executor tasks with an empty lockset"},
     {"lock-leak", Severity::Error,
      "raw .lock() with no .unlock() on some path to the function "
      "exit (use lock_guard/scoped_lock/unique_lock)"},
-    {"guard-discipline", Severity::Error,
-     "double-lock or unlock-without-lock along some path"},
-    {"atomic-mixed-access", Severity::Warning,
-     "object accessed both atomically (.load/.store/atomic_ref) "
-     "and through plain reads/writes"},
 }};
 
 /** Executor task submission entry points (escape-set seeds). */
@@ -95,7 +90,6 @@ class Engine
                 analyzeFunction({fi, gi});
                 locks_.byFile[fi][gi] = FunctionLocks{};
             }
-        reportMixedAccess();
         out_.escapedFunctions = escaped_.size();
         return std::move(out_);
     }
@@ -106,10 +100,9 @@ class Engine
     const SummarySet &sums_;
     ConcurrencyAnalysis out_;
     std::set<std::string> emitted_;
-    /** Per resource: functions that syntactically raw-lock /
-     *  raw-unlock it (from the interprocedural summaries) — the
-     *  basis for pairing wrapper acquire()/release() helpers. */
-    std::map<std::string, std::set<FunctionRef>> rawLockers_;
+    /** Per resource: functions that syntactically raw-unlock it
+     *  (from the interprocedural summaries) — the basis for pairing
+     *  wrapper acquire()/release() helpers. */
     std::map<std::string, std::set<FunctionRef>> rawUnlockers_;
 
     /** The lock model computeSummaries built. Its `types` (name →
@@ -119,12 +112,6 @@ class Engine
     LockModel locks_;
     /** Per file: mutable, non-atomic statics by name. */
     std::vector<std::map<std::string, Site, std::less<>>> statics_;
-    /** Per file: object name → atomic access sites. */
-    std::vector<std::map<std::string, std::vector<Site>>>
-        atomicSites_;
-    /** Per file: object name → plain single-identifier writes. */
-    std::vector<std::map<std::string, std::vector<Site>, std::less<>>>
-        plainWrites_;
     std::set<FunctionRef> escaped_;
     std::map<FunctionRef, FlowHop> escapeHop_;
     std::set<FunctionRef> seeds_;
@@ -188,8 +175,6 @@ class Engine
     void collectStatics()
     {
         statics_.resize(files_.size());
-        atomicSites_.resize(files_.size());
-        plainWrites_.resize(files_.size());
         for (std::size_t fi = 0; fi < files_.size(); ++fi) {
             const auto &toks = files_[fi].lexed.tokens;
             for (std::size_t j = 0; j < toks.size(); ++j) {
@@ -321,25 +306,21 @@ class Engine
             for (std::size_t gi = 0;
                  gi < files_[fi].functions.size(); ++gi) {
                 const FunctionRef ref{fi, gi};
-                const LockEffects &e = sums_.of(ref).locks;
-                for (const std::string &r : e.localLocks)
-                    rawLockers_[r].insert(ref);
-                for (const std::string &r : e.localUnlocks)
+                for (const std::string &r :
+                     sums_.of(ref).locks.localUnlocks)
                     rawUnlockers_[r].insert(ref);
             }
     }
 
-    /** True when `ref` looks like one half of a cross-function
-     *  lock protocol for `r`: some *other* function supplies the
-     *  counterpart operation, and `ref` has callers that can pair
-     *  them. Local-looking imbalances in such helpers are reported
-     *  at the (root) callers instead, via the call effects. */
-    bool pairedElsewhere(
-        const std::map<std::string, std::set<FunctionRef>> &table,
-        const std::string &r, FunctionRef ref) const
+    /** True when `ref` looks like the lock half of a cross-function
+     *  lock protocol for `r`: some *other* function raw-unlocks it,
+     *  and `ref` has callers that can pair them. A leak-looking
+     *  helper is reported at the (root) callers instead, via the
+     *  call effects. */
+    bool pairedElsewhere(const std::string &r, FunctionRef ref) const
     {
-        const auto it = table.find(r);
-        if (it == table.end())
+        const auto it = rawUnlockers_.find(r);
+        if (it == rawUnlockers_.end())
             return false;
         bool other = false;
         for (const FunctionRef &cand : it->second)
@@ -383,11 +364,6 @@ class Engine
         FunctionLocks &locks = locks_.byFile[ref.file][ref.fn];
         bindCalleeEffects(locks, ref.file, graph_, sums_);
         const Cfg &cfg = locks.cfg;
-        for (const std::vector<LockEvent> &evs : locks.events)
-            for (const LockEvent &ev : evs)
-                if (ev.kind == LockEvent::Kind::Atomic)
-                    atomicSites_[ref.file][ev.resources.front()]
-                        .push_back({ev.line, ev.column});
         const std::vector<LockState> in = solveLocks(locks);
 
         // Reporting pass over the converged states, in block and
@@ -398,7 +374,6 @@ class Engine
             it != escapeHop_.end())
             escHop = &it->second;
         std::map<std::string, Site> firstRawLock;
-        std::map<std::string, Site> firstHeldAt;
         /** Resource → the first call that leaves it held. */
         std::map<std::string, const LockEvent *> callIntro;
         for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
@@ -414,8 +389,6 @@ class Engine
                 // statement entry; the statement's own lock events
                 // apply afterwards.
                 if (const Token *w = plainWrite(toks, st)) {
-                    plainWrites_[ref.file][std::string(w->text)].push_back(
-                        {w->line, w->column});
                     const auto shared =
                         statics_[ref.file].find(w->text);
                     if (isEscaped && s.must.empty() &&
@@ -443,32 +416,17 @@ class Engine
                 for (; next < evs.size() && evs[next].token < st.end;
                      ++next) {
                     const LockEvent &ev = evs[next];
-                    checkDiscipline(ref, file, fn, s, ev,
-                                    firstHeldAt);
                     s.apply(ev);
-                    const Site at{ev.line, ev.column};
-                    switch (ev.kind) {
-                    case LockEvent::Kind::RawLock:
-                        firstRawLock.try_emplace(ev.resources.front(),
-                                                 at);
-                        [[fallthrough]];
-                    case LockEvent::Kind::GuardAcquire:
-                    case LockEvent::Kind::GuardRelock:
-                        for (const std::string &r : ev.resources)
-                            firstHeldAt.try_emplace(r, at);
-                        break;
-                    case LockEvent::Kind::Call:
-                        // mustAcquire ⊆ mayAcquire
-                        if (ev.effects != nullptr)
-                            for (const std::string &r :
-                                 ev.effects->mayAcquire) {
-                                callIntro.try_emplace(r, &ev);
-                                firstHeldAt.try_emplace(r, at);
-                            }
-                        break;
-                    default:
-                        break;
-                    }
+                    if (ev.kind == LockEvent::Kind::RawLock)
+                        firstRawLock.try_emplace(
+                            ev.resources.front(),
+                            Site{ev.line, ev.column});
+                    // mustAcquire ⊆ mayAcquire
+                    if (ev.kind == LockEvent::Kind::Call &&
+                        ev.effects != nullptr)
+                        for (const std::string &r :
+                             ev.effects->mayAcquire)
+                            callIntro.try_emplace(r, &ev);
                 }
             }
         }
@@ -484,7 +442,7 @@ class Engine
                     // A helper whose unlock half lives in another
                     // function is not a local leak: the callers
                     // that fail to pair it are reported instead.
-                    if (pairedElsewhere(rawUnlockers_, r, ref))
+                    if (pairedElsewhere(r, ref))
                         continue;
                     std::vector<FlowHop> hops;
                     hops.push_back({file.path, site->second.line,
@@ -543,87 +501,6 @@ class Engine
 
         if (seeds_.count(ref) != 0)
             scanTaskLambdas(ref, locks.guardVars);
-    }
-
-    void checkDiscipline(FunctionRef ref, const FileModel &file,
-                         const FunctionModel &fn,
-                         const LockState &s, const LockEvent &ev,
-                         const std::map<std::string, Site> &held)
-    {
-        // A callee that acquires a lock already (possibly) held is
-        // a double-lock, same as a raw .lock() here.
-        if (ev.kind == LockEvent::Kind::Call) {
-            if (ev.effects == nullptr)
-                return;
-            const std::string &callee = ev.call->callee;
-            for (const std::string &r : ev.effects->mustAcquire)
-                if (s.may.count(r) != 0) {
-                    std::vector<FlowHop> hops;
-                    if (const auto it = held.find(r);
-                        it != held.end())
-                        hops.push_back({file.path,
-                                        it->second.line,
-                                        it->second.column,
-                                        "'" + r +
-                                            "' first locked here"});
-                    hops.push_back({file.path, ev.line, ev.column,
-                                    "call to '" + callee +
-                                        "()' locks it again"});
-                    emit("guard-discipline", file, ev.line,
-                         ev.column,
-                         "double-lock of '" + r + "': call to '" +
-                             callee +
-                             "()' acquires a lock already held "
-                             "on some path",
-                         std::move(hops), fn.qualified, s.must);
-                }
-            return;
-        }
-        // `lk.lock()` on a unique_lock that may already hold the
-        // mutex throws std::system_error at runtime, so the guard
-        // receiver form is a double-lock exactly like a raw one.
-        if (ev.kind == LockEvent::Kind::RawLock ||
-            ev.kind == LockEvent::Kind::GuardRelock) {
-            for (const std::string &r : ev.resources)
-                if (s.may.count(r) != 0) {
-                    std::vector<FlowHop> hops;
-                    if (const auto it = held.find(r);
-                        it != held.end())
-                        hops.push_back({file.path,
-                                        it->second.line,
-                                        it->second.column,
-                                        "'" + r +
-                                            "' first locked here"});
-                    hops.push_back({file.path, ev.line, ev.column,
-                                    "locked again on a path where "
-                                    "it may already be held"});
-                    emit("guard-discipline", file, ev.line,
-                         ev.column,
-                         "double-lock of '" + r +
-                             "': already held on some path "
-                             "reaching this lock()",
-                         std::move(hops), fn.qualified, s.must);
-                }
-            return;
-        }
-        if (ev.kind == LockEvent::Kind::RawUnlock)
-            for (const std::string &r : ev.resources)
-                if (s.must.count(r) == 0) {
-                    // The release half of a cross-function lock
-                    // protocol: the lock half lives elsewhere and
-                    // the callers pair them.
-                    if (pairedElsewhere(rawLockers_, r, ref))
-                        continue;
-                    std::vector<FlowHop> hops;
-                    hops.push_back({file.path, ev.line, ev.column,
-                                    "unlocked on a path where it "
-                                    "is not held"});
-                    emit("guard-discipline", file, ev.line,
-                         ev.column,
-                         "unlock of '" + r +
-                             "' on a path where it is not held",
-                         std::move(hops), fn.qualified, s.must);
-                }
     }
 
     // -- race scan inside executor task lambdas -----------------
@@ -842,40 +719,6 @@ class Engine
                      "' shared across executor tasks with an "
                      "empty lockset",
                  std::move(hops), fn.qualified, {});
-        }
-    }
-
-    // -- atomic vs plain access ---------------------------------
-
-    void reportMixedAccess()
-    {
-        for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-            const FileModel &file = files_[fi];
-            for (const auto &[name, sites] : atomicSites_[fi]) {
-                const auto ty = locks_.types.find(name);
-                if (ty == locks_.types.end() ||
-                    ty->second.find("atomic") != std::string::npos)
-                    continue; // unknown or properly atomic
-                const auto writes = plainWrites_[fi].find(name);
-                if (writes == plainWrites_[fi].end() ||
-                    writes->second.empty())
-                    continue;
-                const Site &atomicSite = sites.front();
-                const Site &plainSite = writes->second.front();
-                std::vector<FlowHop> hops;
-                hops.push_back({file.path, atomicSite.line,
-                                atomicSite.column,
-                                "accessed atomically here"});
-                hops.push_back({file.path, plainSite.line,
-                                plainSite.column,
-                                "written plainly here"});
-                emit("atomic-mixed-access", file, plainSite.line,
-                     plainSite.column,
-                     "'" + name +
-                         "' is accessed both atomically and "
-                         "through plain writes",
-                     std::move(hops), "", {});
-            }
         }
     }
 };

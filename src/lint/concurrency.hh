@@ -12,8 +12,8 @@
  *
  *   must — locks held on EVERY path reaching the point (set
  *          intersection at joins): the safety the code can rely on;
- *   may  — locks held on SOME path (set union at joins): the basis
- *          for double-lock and leak diagnostics.
+ *   may  — locks held on SOME path (set union at joins): what a
+ *          callee may leave held for its callers (summary.hh).
  *
  * The lattice is the powerset of the function's lock resources,
  * ordered by inclusion; transfer functions add and remove single
@@ -32,21 +32,19 @@
  * in the executor implementation itself — the thread entry
  * universe). Writes in escaped code are the race surface.
  *
- * Four severity-ranked rules, all carrying SARIF codeFlows:
+ * Two rules, both errors, both carrying SARIF codeFlows:
  *
- *  race-shared-write (error)  write to a mutable static or a
+ *  race-shared-write  write to a mutable static or a
  *      by-reference-captured enclosing local, in escaped code,
  *      with an empty must-lockset
- *  lock-leak (error)          raw `.lock()` with no `.unlock()` on
- *      some path to the function exit
- *  guard-discipline (error)   double-lock, or unlock-without-lock,
- *      along any path
- *  atomic-mixed-access (warning)  one object accessed both
- *      atomically (`.load()`/`.store()`/`atomic_ref`) and plainly
+ *  lock-leak          raw `.lock()` with no `.unlock()` on some
+ *      path to the function exit
  *
  * A discarded error-carrying bool in serve code is the compiler's
  * job: those functions are [[nodiscard]] and the build uses
- * -Werror.
+ * -Werror. A double-lock or an unlock of an unlocked mutex is
+ * TSan's: the CI `tsan` job reports both on the paths the threaded
+ * tests run (docs/ARCHITECTURE.md, "What each rule catches").
  *
  * Suppression uses the existing token pragma machinery: a
  * well-formed `allow(<rule>) -- <reason>` comment on the finding

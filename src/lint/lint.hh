@@ -16,7 +16,9 @@
  *    into a declaration-level model, links them through the call
  *    graph and reports nondeterminism sources that reach the
  *    serialization surface, carrying the full source→…→sink path,
- *  - the CFG/lockset concurrency pass (concurrency.hh).
+ *  - the CFG/lockset concurrency pass (concurrency.hh), which
+ *    reports unlocked writes to state shared by executor tasks and
+ *    raw locks that a path leaves held at the function exit.
  * Both cross-file passes consume the per-function interprocedural
  * summaries of summary.hh, computed bottom-up over the call graph's
  * strongly connected components.
@@ -205,7 +207,8 @@ std::string renderJson(const LintResult &result,
 std::string renderStatsText(const LintStats &stats);
 
 /** One line per registered rule — token rules, the reserved
- *  bad-pragma rule, the flow rules, then the concurrency rules. */
+ *  bad-pragma rule, the flow rules, then the two concurrency
+ *  rules. */
 std::string listRulesText();
 
 } // namespace netchar::lint

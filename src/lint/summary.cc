@@ -1,7 +1,6 @@
 #include "lint/summary.hh"
 
 #include <algorithm>
-#include <array>
 
 #include "lint/cfg.hh"
 #include "lint/taint.hh"
@@ -517,20 +516,6 @@ class Interp
 // Lock-event extraction and lock effects
 // ---------------------------------------------------------------
 
-/** Member calls that read/write an object atomically. */
-constexpr std::array<std::string_view, 10> kAtomicOps = {
-    "load",
-    "store",
-    "exchange",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "compare_exchange_weak",
-    "compare_exchange_strong",
-};
-
 /** The resources a guard declaration locks: the identifier chain at
  *  the start of each argument in (open, close), `defer_lock` tags
  *  dropped. */
@@ -567,8 +552,8 @@ guardArgResources(const std::vector<Token> &toks, std::size_t open,
     return resources;
 }
 
-/** Append the lock and atomic events of the statement [b, e) in
- *  token order. `guardVars` accumulates across the function. */
+/** Append the lock events of the statement [b, e) in token
+ *  order. `guardVars` accumulates across the function. */
 void
 extractFromStmt(const std::vector<Token> &toks, std::size_t b,
                 std::size_t e, const DeclTypes &types,
@@ -614,21 +599,17 @@ extractFromStmt(const std::vector<Token> &toks, std::size_t b,
             j = close;
             continue;
         }
-        // Member calls: lock/unlock discipline and atomic ops.
+        // Member calls: lock/unlock.
         if ((isPunct(t, ".") || isPunct(t, "->")) && j + 2 < e &&
             toks[j + 1].kind == TokenKind::Identifier &&
             isPunct(toks[j + 2], "(")) {
             const std::string_view method = toks[j + 1].text;
-            const bool lockOp = method == "lock" || method == "unlock";
-            if (!lockOp && !contains(kAtomicOps, method))
+            if (method != "lock" && method != "unlock")
                 continue;
             const std::string recv = receiverChain(toks, j);
             if (recv.empty())
                 continue;
-            if (!lockOp) {
-                push(Kind::Atomic, {lastComponent(recv)}, j + 1,
-                     toks[j + 1]);
-            } else if (isGuardReceiver(recv, guardVars, types)) {
+            if (isGuardReceiver(recv, guardVars, types)) {
                 const auto guard = guardVars.find(recv);
                 if (guard == guardVars.end() || guard->second.empty())
                     continue; // resources unknown
@@ -640,18 +621,6 @@ extractFromStmt(const std::vector<Token> &toks, std::size_t b,
                                       : Kind::RawUnlock,
                      {recv}, j + 1, toks[j + 1]);
             }
-            continue;
-        }
-        // std::atomic_ref<T>(x) wraps x for atomic access.
-        if (t.kind == TokenKind::Identifier &&
-            t.text == "atomic_ref") {
-            std::size_t k = j + 1;
-            if (k < e && isPunct(toks[k], "<"))
-                k = skipAngles(toks, k, e);
-            if (k < e && isPunct(toks[k], "(") && k + 1 < e &&
-                toks[k + 1].kind == TokenKind::Identifier)
-                push(Kind::Atomic, {std::string(toks[k + 1].text)}, j,
-                     toks[k + 1]);
         }
     }
 }
@@ -675,10 +644,8 @@ lockEffectsOf(const FunctionLocks &locks, const std::string &path)
             if (ev.kind == LockEvent::Kind::GuardAcquire)
                 guardResources.insert(ev.resources.begin(),
                                       ev.resources.end());
-            if (ev.kind == LockEvent::Kind::RawLock) {
-                out.localLocks.insert(ev.resources.front());
+            if (ev.kind == LockEvent::Kind::RawLock)
                 firstRawLock.try_emplace(ev.resources.front(), &ev);
-            }
             if (ev.kind == LockEvent::Kind::RawUnlock)
                 out.localUnlocks.insert(ev.resources.front());
         }
@@ -1139,8 +1106,6 @@ LockState::apply(const LockEvent &ev)
             }
         break;
     }
-    case LockEvent::Kind::Atomic:
-        break;
     }
 }
 
@@ -1155,9 +1120,8 @@ solveLocks(const FunctionLocks &locks)
     bool active = false;
     for (const std::vector<LockEvent> &evs : locks.events)
         for (const LockEvent &ev : evs)
-            active |= ev.kind != LockEvent::Kind::Atomic &&
-                      (ev.kind != LockEvent::Kind::Call ||
-                       ev.effects != nullptr);
+            active |= ev.kind != LockEvent::Kind::Call ||
+                      ev.effects != nullptr;
     if (!active) {
         for (std::size_t b = 0; b < n; ++b)
             in[b].reached = blocks[b].reachable;

@@ -149,8 +149,7 @@ struct LockEvent
         GuardRelock,  ///< guard receiver `.lock()`
         RawLock,
         RawUnlock,
-        Call,   ///< a call site; applies the callee's net effects
-        Atomic, ///< atomic access to the object in resources[0]
+        Call, ///< a call site; applies the callee's net effects
     };
     Kind kind = Kind::RawLock;
     std::vector<std::string> resources;
@@ -272,9 +271,8 @@ struct LockEffects
     /** Entry-held resources released on every / some path. */
     std::set<std::string> mustRelease;
     std::set<std::string> mayRelease;
-    /** Resources this function itself raw-locks / raw-unlocks
-     *  anywhere in its body (syntactic, for wrapper pairing). */
-    std::set<std::string> localLocks;
+    /** Resources this function itself raw-unlocks anywhere in its
+     *  body (syntactic, for wrapper pairing). */
     std::set<std::string> localUnlocks;
     /** resource → hops explaining where a net acquisition
      *  ultimately happens (innermost raw lock site first, then the

@@ -478,12 +478,16 @@ TEST(Pragma, EmptyReasonAfterDashesRejected)
 
 TEST(Pragma, UnknownRuleRejected)
 {
-    const auto r = lintSource(
-        "src/core/fixture.cc",
-        "// netchar-lint: allow(no-such-rule) -- typo\n"
-        "int x;\n");
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].rule, "bad-pragma");
+    // A typo, and the two deleted concurrency rules.
+    for (const std::string rule :
+         {"no-such-rule", "guard-discipline", "atomic-mixed-access"}) {
+        const auto r = lintSource(
+            "src/core/fixture.cc",
+            "// netchar-lint: allow(" + rule + ") -- reason\n"
+            "int x;\n");
+        ASSERT_EQ(r.findings.size(), 1u) << rule;
+        EXPECT_EQ(r.findings[0].rule, "bad-pragma") << rule;
+    }
 }
 
 TEST(Pragma, CommaListSuppressesSeveralRules)
@@ -702,12 +706,42 @@ TEST(RuleRegistry, NamesAndScopes)
         "/root/repo/src/sim/core.cc", "src/sim"));
     EXPECT_FALSE(netchar::lint::pathInDir("src/simx/core.cc",
                                           "src/sim"));
-    const std::string rules = netchar::lint::listRulesText();
-    EXPECT_NE(rules.find("no-unguarded-static"), std::string::npos);
-    EXPECT_NE(rules.find("no-pointer-hash"), std::string::npos);
-    EXPECT_NE(rules.find("bad-pragma"), std::string::npos);
-    EXPECT_NE(rules.find("flow-wallclock"), std::string::npos);
-    EXPECT_NE(rules.find("flow-threadid"), std::string::npos);
+    // --list-rules, the pragma grammar and the SARIF rule metadata
+    // read the same registries, so this pins all three: every rule,
+    // in order, and nothing else.
+    EXPECT_EQ(netchar::lint::listRulesText(),
+              "no-wallclock (error): host clocks are banned in src/ "
+              "outside src/stats/hostclock.cc (hostSeconds); results must "
+              "derive from simulated cycles\n"
+              "no-ambient-rng (error): randomness must flow from an "
+              "explicit seed: no rand(), random_device or argless engines\n"
+              "no-unordered-iteration (error): range-for over unordered "
+              "containers visits hash order, which leaks into exported "
+              "output\n"
+              "no-unguarded-static (error): mutable static state in "
+              "library code needs an atomic/mutex guard (or to not exist)\n"
+              "no-silent-catch (error): catch (...) must rethrow or "
+              "record the failure; swallowed errors corrupt sweeps "
+              "silently\n"
+              "no-raw-thread (error): std::thread/std::async only inside "
+              "the deterministic-order executor (src/core/executor)\n"
+              "no-pointer-hash (error): raw pointer values must not be "
+              "hashed or cast to integers; addresses differ per run under "
+              "ASLR\n"
+              "bad-pragma (error): reserved - a netchar-lint pragma that "
+              "is malformed, lacks a reason, or names an unknown rule\n"
+              "flow-wallclock (error): a host-clock value flows into "
+              "serialized output\n"
+              "flow-env (error): an environment-variable value flows into "
+              "serialized output\n"
+              "flow-threadid (error): a thread-id value flows into "
+              "serialized output\n"
+              "race-shared-write (error): write to a mutable static or "
+              "by-reference-captured object reachable from executor tasks "
+              "with an empty lockset\n"
+              "lock-leak (error): raw .lock() with no .unlock() on some "
+              "path to the function exit (use "
+              "lock_guard/scoped_lock/unique_lock)\n");
 }
 
 TEST(Lexer, DigitSeparatorsAreOneToken)
