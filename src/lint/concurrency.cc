@@ -16,26 +16,6 @@ namespace netchar::lint
 namespace
 {
 
-// ---------------------------------------------------------------
-// Rule table
-// ---------------------------------------------------------------
-
-struct ConcurrencyRule
-{
-    std::string_view name;
-    Severity severity;
-    std::string_view summary;
-};
-
-constexpr std::array<ConcurrencyRule, 2> kRules = {{
-    {"race-shared-write", Severity::Error,
-     "write to a mutable static or by-reference-captured object "
-     "reachable from executor tasks with an empty lockset"},
-    {"lock-leak", Severity::Error,
-     "raw .lock() with no .unlock() on some path to the function "
-     "exit (use lock_guard/scoped_lock/unique_lock)"},
-}};
-
 /** Executor task submission entry points (escape-set seeds). */
 constexpr std::array<std::string_view, 2> kSubmitNames = {
     "forEach",
@@ -54,6 +34,27 @@ constexpr std::array<std::string_view, 13> kStmtKeywords = {
 constexpr std::array<std::string_view, 11> kAssignOps = {
     "=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=",
 };
+
+/** The identifier a statement starting at token `p` writes as its
+ *  whole left-hand side (`x = ...`, `x += ...`, `x++`, `++x`), or
+ *  null. The statement ends before token `end`. */
+const Token *
+writtenAt(const std::vector<Token> &toks, std::size_t p, std::size_t end)
+{
+    if (p + 1 >= end)
+        return nullptr;
+    const Token &a = toks[p];
+    const Token &b = toks[p + 1];
+    if (a.kind == TokenKind::Identifier &&
+        !contains(kStmtKeywords, a.text) &&
+        (isPunct(b, "++") || isPunct(b, "--") ||
+         (b.kind == TokenKind::Punct && contains(kAssignOps, b.text))))
+        return &a;
+    if ((isPunct(a, "++") || isPunct(a, "--")) &&
+        b.kind == TokenKind::Identifier)
+        return &b;
+    return nullptr;
+}
 
 /** A source position. */
 struct Site
@@ -158,7 +159,6 @@ class Engine
         f.line = line;
         f.column = column;
         f.rule = std::string(rule);
-        f.severity = concurrencyRuleSeverity(rule);
         f.message = std::move(message);
         f.path = std::move(hops);
         f.function = function;
@@ -332,28 +332,6 @@ class Engine
 
     // -- per-function lockset analysis --------------------------
 
-    /** The identifier a statement writes as its whole left-hand
-     *  side (`x = ...`, `x += ...`, `x++`, `++x`), or null. */
-    static const Token *plainWrite(const std::vector<Token> &toks,
-                                   const CfgStmt &st)
-    {
-        const std::size_t b = st.begin;
-        if (st.end <= b + 1)
-            return nullptr;
-        if (toks[b].kind == TokenKind::Identifier &&
-            !contains(kStmtKeywords, toks[b].text)) {
-            const Token &op = toks[b + 1];
-            if ((op.kind == TokenKind::Punct &&
-                 contains(kAssignOps, op.text)) ||
-                isPunct(op, "++") || isPunct(op, "--"))
-                return &toks[b];
-        }
-        if ((isPunct(toks[b], "++") || isPunct(toks[b], "--")) &&
-            toks[b + 1].kind == TokenKind::Identifier)
-            return &toks[b + 1];
-        return nullptr;
-    }
-
     void analyzeFunction(FunctionRef ref)
     {
         const FileModel &file = files_[ref.file];
@@ -388,7 +366,7 @@ class Engine
                 // A write is checked against the lockset at the
                 // statement entry; the statement's own lock events
                 // apply afterwards.
-                if (const Token *w = plainWrite(toks, st)) {
+                if (const Token *w = writtenAt(toks, st.begin, st.end)) {
                     const auto shared =
                         statics_[ref.file].find(w->text);
                     if (isEscaped && s.must.empty() &&
@@ -632,6 +610,17 @@ class Engine
         };
         for (std::size_t p = ob + 1; p < cb; ++p) {
             const Token &t = toks[p];
+            // A classic for's init-statement declares loop locals
+            // (`for (std::size_t i = 0; ...; ++i)`).
+            if (isId(t, "for") && p + 1 < cb &&
+                isPunct(toks[p + 1], "(")) {
+                const std::size_t close = matchParen(toks, p + 1, cb);
+                std::size_t semi = p + 2;
+                while (semi < close && !isPunct(toks[semi], ";"))
+                    ++semi;
+                if (semi < close)
+                    collectDecl(p + 2, semi);
+            }
             if (isPunct(t, "(") || isPunct(t, "["))
                 ++depth;
             else if (isPunct(t, ")") || isPunct(t, "]"))
@@ -668,7 +657,7 @@ class Engine
                 held += m == "lock" ? 1 : -1;
                 continue;
             }
-            // Statement-leading single-identifier write.
+            // Statement-leading write to a single identifier.
             const bool atStart =
                 isPunct(toks[p - 1], ";") ||
                 isPunct(toks[p - 1], "{") ||
@@ -678,17 +667,10 @@ class Engine
                 (toks[p - 1].kind == TokenKind::Identifier &&
                  (toks[p - 1].text == "else" ||
                   toks[p - 1].text == "do"));
-            if (!atStart || t.kind != TokenKind::Identifier ||
-                contains(kStmtKeywords, t.text) || p + 1 >= cb)
+            const Token *w = atStart ? writtenAt(toks, p, cb) : nullptr;
+            if (w == nullptr)
                 continue;
-            const Token &op = toks[p + 1];
-            const bool isWrite =
-                (op.kind == TokenKind::Punct &&
-                 (contains(kAssignOps, op.text) || op.text == "++" ||
-                  op.text == "--"));
-            if (!isWrite)
-                continue;
-            const std::string name(t.text);
+            const std::string name(w->text);
             if (locals.count(name) != 0)
                 continue;
             const bool isStatic =
@@ -711,10 +693,10 @@ class Engine
                                   "here"
                                 : "captured by reference by an "
                                   "executor task lambda"});
-            hops.push_back({file.path, t.line, t.column,
+            hops.push_back({file.path, w->line, w->column,
                             "written inside the task with an "
                             "empty lockset"});
-            emit("race-shared-write", file, t.line, t.column,
+            emit("race-shared-write", file, w->line, w->column,
                  "write to '" + name +
                      "' shared across executor tasks with an "
                      "empty lockset",
@@ -724,45 +706,6 @@ class Engine
 };
 
 } // namespace
-
-const std::vector<std::string_view> &
-concurrencyRuleNames()
-{
-    static const std::vector<std::string_view> names = [] {
-        std::vector<std::string_view> v;
-        for (const ConcurrencyRule &r : kRules)
-            v.push_back(r.name);
-        return v;
-    }();
-    return names;
-}
-
-bool
-isConcurrencyRuleName(std::string_view name)
-{
-    for (const ConcurrencyRule &r : kRules)
-        if (r.name == name)
-            return true;
-    return false;
-}
-
-std::string_view
-concurrencyRuleSummary(std::string_view rule)
-{
-    for (const ConcurrencyRule &r : kRules)
-        if (r.name == rule)
-            return r.summary;
-    return "";
-}
-
-Severity
-concurrencyRuleSeverity(std::string_view rule)
-{
-    for (const ConcurrencyRule &r : kRules)
-        if (r.name == rule)
-            return r.severity;
-    return Severity::Error;
-}
 
 ConcurrencyAnalysis
 analyzeConcurrency(const std::vector<FileModel> &files,

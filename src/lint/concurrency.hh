@@ -32,13 +32,19 @@
  * in the executor implementation itself — the thread entry
  * universe). Writes in escaped code are the race surface.
  *
- * Two rules, both errors, both carrying SARIF codeFlows:
+ * Two rules, both carrying SARIF codeFlows; their names and
+ * summaries are rows of the rule table (rules.hh):
  *
  *  race-shared-write  write to a mutable static or a
  *      by-reference-captured enclosing local, in escaped code,
  *      with an empty must-lockset
  *  lock-leak          raw `.lock()` with no `.unlock()` on some
  *      path to the function exit
+ *
+ * A write is a statement that starts with an identifier followed by
+ * an assignment operator, `++` or `--`, or with `++`/`--` followed
+ * by an identifier. Escaped functions and executor task lambdas use
+ * the same test.
  *
  * A discarded error-carrying bool in serve code is the compiler's
  * job: those functions are [[nodiscard]] and the build uses
@@ -56,7 +62,6 @@
 #ifndef NETCHAR_LINT_CONCURRENCY_HH
 #define NETCHAR_LINT_CONCURRENCY_HH
 
-#include <string_view>
 #include <vector>
 
 #include "lint/callgraph.hh"
@@ -79,19 +84,6 @@ struct ConcurrencyAnalysis
     /** Functions reachable from executor task submissions. */
     std::size_t escapedFunctions = 0;
 };
-
-/** The concurrency rule namespace, fixed order. These are valid
- *  names inside allow(...). */
-const std::vector<std::string_view> &concurrencyRuleNames();
-
-/** True when `name` names a concurrency rule (pragma validation). */
-bool isConcurrencyRuleName(std::string_view name);
-
-/** One-line description, for --list-rules and SARIF metadata. */
-std::string_view concurrencyRuleSummary(std::string_view rule);
-
-/** Severity of a concurrency rule. */
-Severity concurrencyRuleSeverity(std::string_view rule);
 
 /** Run the pass. `files` must already be in sorted path order;
  *  `graph`, `summaries` and `locks` must have been built over the

@@ -110,20 +110,18 @@ applyPragmas(const std::string &path, const LexedFile &lexed,
             f.line = pragma.line;
             f.column = 1;
             f.rule = "bad-pragma";
-            f.severity = Severity::Error;
             f.message = pragma.error;
             unit.findings.push_back(std::move(f));
             continue;
         }
         for (const std::string &rule : pragma.rules) {
             if (pragma.flow) {
-                if (!isFlowRuleName(rule)) {
+                if (!isRuleIn(rule, RuleFamily::Flow)) {
                     Finding f;
                     f.file = path;
                     f.line = pragma.line;
                     f.column = 1;
                     f.rule = "bad-pragma";
-                    f.severity = Severity::Error;
                     f.message = "allow-flow() names unknown flow "
                                 "rule '" +
                                 rule + "'";
@@ -131,14 +129,13 @@ applyPragmas(const std::string &path, const LexedFile &lexed,
                 }
                 continue;
             }
-            if (!isRuleName(rule) &&
-                !isConcurrencyRuleName(rule)) {
+            if (!isRuleIn(rule, RuleFamily::Token) &&
+                !isRuleIn(rule, RuleFamily::Concurrency)) {
                 Finding f;
                 f.file = path;
                 f.line = pragma.line;
                 f.column = 1;
                 f.rule = "bad-pragma";
-                f.severity = Severity::Error;
                 f.message =
                     "allow() names unknown rule '" + rule + "'";
                 unit.findings.push_back(std::move(f));
@@ -165,15 +162,6 @@ applyPragmas(const std::string &path, const LexedFile &lexed,
 
 } // namespace
 
-bool
-LintResult::hasError() const
-{
-    for (const Finding &f : findings)
-        if (f.severity == Severity::Error)
-            return true;
-    return false;
-}
-
 FileUnit
 analyzeFileUnit(const std::string &path, std::string_view content)
 {
@@ -182,9 +170,16 @@ analyzeFileUnit(const std::string &path, std::string_view content)
     LexedFile lexed = lex(content);
     const double t1 = hostSeconds();
     std::vector<Finding> found;
-    for (const auto &rule : allRules())
-        if (rule->appliesTo(path))
-            rule->check(path, lexed, found);
+    for (const RuleInfo &rule : ruleTable()) {
+        if (rule.check == nullptr || !rule.appliesTo(path))
+            continue;
+        const std::size_t first = found.size();
+        rule.check(lexed.tokens, found);
+        for (std::size_t i = first; i < found.size(); ++i) {
+            found[i].file = path;
+            found[i].rule = std::string(rule.name);
+        }
+    }
     applyPragmas(path, lexed, found, unit);
     const double t2 = hostSeconds();
     unit.model = parseFile(path, std::move(lexed));
@@ -357,8 +352,6 @@ std::string
 renderText(const LintResult &result)
 {
     std::ostringstream out;
-    std::size_t nerror = 0;
-    std::size_t nwarning = 0;
     for (const Finding &f : result.findings) {
         out << f.file << ':' << f.line << ": " << f.rule << ": "
             << f.message << '\n';
@@ -368,14 +361,11 @@ renderText(const LintResult &result)
                 << hop.line << ':' << hop.column << ": " << hop.note
                 << '\n';
         }
-        if (f.severity == Severity::Error)
-            ++nerror;
-        else
-            ++nwarning;
     }
+    // Every rule is an error; the warning count stays in the line.
     out << "netchar-lint: " << result.findings.size()
-        << " finding(s) (" << nerror << " error(s), " << nwarning
-        << " warning(s)), " << result.suppressedCount
+        << " finding(s) (" << result.findings.size()
+        << " error(s), 0 warning(s)), " << result.suppressedCount
         << " suppressed, " << result.filesScanned
         << " file(s) scanned\n";
     return out.str();
@@ -385,20 +375,12 @@ std::string
 renderJson(const LintResult &result, const LintStats *stats)
 {
     std::ostringstream out;
-    std::size_t nerror = 0;
-    std::size_t nwarning = 0;
-    for (const Finding &f : result.findings) {
-        if (f.severity == Severity::Error)
-            ++nerror;
-        else
-            ++nwarning;
-    }
+    // Every rule is an error; the schema keeps its warning count.
     out << "{\n  \"version\": 4,\n  \"filesScanned\": "
         << result.filesScanned
         << ",\n  \"suppressed\": " << result.suppressedCount
-        << ",\n  \"counts\": {\"error\": " << nerror
-        << ", \"warning\": " << nwarning
-        << "},\n  \"callGraph\": {\"callSites\": "
+        << ",\n  \"counts\": {\"error\": " << result.findings.size()
+        << ", \"warning\": 0},\n  \"callGraph\": {\"callSites\": "
         << result.callSites
         << ", \"unresolvedCalls\": " << result.unresolvedCalls
         << ", \"escapedFunctions\": " << result.escapedFunctions
@@ -429,8 +411,8 @@ renderJson(const LintResult &result, const LintStats *stats)
             << "    {\"file\": \"" << jsonEscape(f.file)
             << "\", \"line\": " << f.line
             << ", \"column\": " << f.column << ", \"rule\": \""
-            << jsonEscape(f.rule) << "\", \"severity\": \""
-            << severityName(f.severity) << "\", \"message\": \""
+            << jsonEscape(f.rule)
+            << "\", \"severity\": \"error\", \"message\": \""
             << jsonEscape(f.message) << "\"}";
         first = false;
     }
@@ -459,7 +441,7 @@ renderJson(const LintResult &result, const LintStats *stats)
     out << (first ? "]" : "\n  ]") << ",\n  \"locksets\": [";
     first = true;
     for (const Finding &f : result.findings) {
-        if (!isConcurrencyRuleName(f.rule))
+        if (!isRuleIn(f.rule, RuleFamily::Concurrency))
             continue;
         out << (first ? "\n" : ",\n")
             << "    {\"rule\": \"" << jsonEscape(f.rule)
@@ -495,18 +477,10 @@ std::string
 listRulesText()
 {
     std::ostringstream out;
-    for (const auto &rule : allRules())
-        out << rule->name() << " (" << severityName(rule->severity())
-            << "): " << rule->summary() << '\n';
-    out << "bad-pragma (error): reserved - a netchar-lint pragma "
-           "that is malformed, lacks a reason, or names an "
-           "unknown rule\n";
-    for (const std::string_view fr : flowRuleNames())
-        out << fr << " (error): " << flowRuleSummary(fr) << '\n';
-    for (const std::string_view cr : concurrencyRuleNames())
-        out << cr << " ("
-            << severityName(concurrencyRuleSeverity(cr))
-            << "): " << concurrencyRuleSummary(cr) << '\n';
+    for (const RuleInfo &rule : ruleTable())
+        out << rule.name << " (error): "
+            << (rule.family == RuleFamily::Pragma ? "reserved - " : "")
+            << rule.summary << '\n';
     return out.str();
 }
 

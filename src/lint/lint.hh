@@ -76,8 +76,6 @@ struct LintResult
     /** Interprocedural summary statistics (schema v4 `summaries`
      *  object); zero when neither cross-file pass ran. */
     SummaryStats summaries;
-    /** True when any finding has Severity::Error. */
-    bool hasError() const;
 };
 
 /** Analysis knobs shared by every lint entry point. */
@@ -206,9 +204,8 @@ std::string renderJson(const LintResult &result,
 /** Render the --stats payload as human-readable text lines. */
 std::string renderStatsText(const LintStats &stats);
 
-/** One line per registered rule — token rules, the reserved
- *  bad-pragma rule, the flow rules, then the two concurrency
- *  rules. */
+/** One `name (error): summary` line per row of the rule table
+ *  (rules.hh), in table order. */
 std::string listRulesText();
 
 } // namespace netchar::lint

@@ -1,13 +1,14 @@
 /**
  * @file
- * The netchar-lint rule registry: determinism and concurrency
- * invariants of this repo, expressed as named, severity-ranked
- * checks over the token stream.
+ * The netchar-lint rule table: every rule of every analysis layer,
+ * with its name, family and summary, in one array, plus the token
+ * rules' checks over the token stream.
  *
  * Every result this reproduction publishes rests on one invariant:
  * a (workload, machine, seed) triple produces byte-identical output
- * at any --jobs value, on any host. The rules encode the ways that
- * invariant has historically been broken in measurement harnesses:
+ * at any --jobs value, on any host. The token rules encode the ways
+ * that invariant has historically been broken in measurement
+ * harnesses:
  *
  *  - no-wallclock           host clocks in src/ outside
  *                           stats/hostclock.cc
@@ -18,6 +19,13 @@
  *  - no-raw-thread          parallelism outside the executor
  *  - no-pointer-hash        hashing/laundering raw pointer values
  *                           (addresses differ per run under ASLR)
+ *
+ * The same table also names `bad-pragma` (the pragma grammar), the
+ * flow rules the taint pass reports (taint.hh) and the concurrency
+ * rules of the lockset pass (concurrency.hh). --list-rules, the SARIF
+ * rule metadata, pragma validation, the flow sanitizers and the JSON
+ * `locksets` filter all read this table and nothing else. Every rule
+ * is an error.
  *
  * no-ambient-rng and no-pointer-hash check every path, so they are
  * the whole check for those sources: the taint pass (taint.hh) does
@@ -33,7 +41,7 @@
 #ifndef NETCHAR_LINT_RULES_HH
 #define NETCHAR_LINT_RULES_HH
 
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,15 +50,6 @@
 
 namespace netchar::lint
 {
-
-enum class Severity
-{
-    Warning,
-    Error,
-};
-
-/** "warning" / "error". */
-std::string_view severityName(Severity severity);
 
 /** One step of a taint path (source → ... → sink), for flow
  *  findings. Token-rule findings carry no hops. */
@@ -69,7 +68,6 @@ struct Finding
     int line = 0;
     int column = 0;
     std::string rule;
-    Severity severity = Severity::Error;
     std::string message;
     /** Source→…→sink path; non-empty exactly for flow findings. */
     std::vector<FlowHop> path;
@@ -80,27 +78,46 @@ struct Finding
     std::vector<std::string> lockset;
 };
 
-/** One lint rule: a name, a scope predicate and a token checker. */
-class Rule
+/** Which layer reports a rule. The family also decides which pragma
+ *  may name it: `allow(...)` takes token and concurrency rules,
+ *  `allow-flow(...)` flow rules, and no pragma names `bad-pragma`. */
+enum class RuleFamily
 {
-  public:
-    virtual ~Rule() = default;
-
-    virtual std::string_view name() const = 0;
-    virtual Severity severity() const = 0;
-    /** One-line description for --list-rules and docs. */
-    virtual std::string_view summary() const = 0;
-    /** Whether the rule checks the file at this repo-relative path. */
-    virtual bool appliesTo(std::string_view path) const = 0;
-    virtual void check(std::string_view path, const LexedFile &lexed,
-                       std::vector<Finding> &out) const = 0;
+    Token,       ///< per-file check over the token stream (below)
+    Pragma,      ///< bad-pragma: a pragma that is itself a defect
+    Flow,        ///< the taint pass (taint.hh)
+    Concurrency, ///< the lockset pass (concurrency.hh)
 };
 
-/** The registry, in fixed order (report order never depends on it). */
-const std::vector<std::unique_ptr<Rule>> &allRules();
+/** One row of the rule table. */
+struct RuleInfo
+{
+    std::string_view name;
+    RuleFamily family;
+    /** One-line description for --list-rules and SARIF. */
+    std::string_view summary;
+    /** Token rules only: the path scope. The rule checks files
+     *  inside `dir` (every file when empty) whose path does not
+     *  contain `exempt` (when non-empty). */
+    std::string_view dir = {};
+    std::string_view exempt = {};
+    /** Token rules only: appends one finding per violation, with
+     *  line, column and message set; the caller sets file and
+     *  rule. */
+    void (*check)(const std::vector<Token> &toks,
+                  std::vector<Finding> &out) = nullptr;
 
-/** True when `name` names a registered rule (pragma validation). */
-bool isRuleName(std::string_view name);
+    /** Whether this token rule checks the file at `path`. */
+    bool appliesTo(std::string_view path) const;
+};
+
+/** Every rule, in fixed order: the token rules, bad-pragma, the flow
+ *  rules, then the concurrency rules (report order never depends on
+ *  it; --list-rules and SARIF print it). */
+std::span<const RuleInfo> ruleTable();
+
+/** True when `name` names a rule of `family` in the table. */
+bool isRuleIn(std::string_view name, RuleFamily family);
 
 /**
  * True when `path` (forward slashes) lies inside directory `dir`

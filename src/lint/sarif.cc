@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "lint/concurrency.hh"
-#include "lint/taint.hh"
 #include "stats/textio.hh"
 
 namespace netchar::lint
@@ -18,19 +16,6 @@ int
 atLeastOne(int v)
 {
     return v < 1 ? 1 : v;
-}
-
-void
-emitRule(std::ostringstream &out, bool &first, std::string_view id,
-         std::string_view summary, std::string_view level)
-{
-    out << (first ? "\n" : ",\n") << "          {\"id\": \""
-        << jsonEscape(std::string(id))
-        << "\", \"shortDescription\": {\"text\": \""
-        << jsonEscape(std::string(summary))
-        << "\"}, \"defaultConfiguration\": {\"level\": \"" << level
-        << "\"}}";
-    first = false;
 }
 
 void
@@ -68,19 +53,17 @@ renderSarif(const LintResult &result)
            ",\n"
            "          \"rules\": [";
 
+    // Every rule is an error.
     bool first = true;
-    for (const auto &rule : allRules())
-        emitRule(out, first, rule->name(), rule->summary(),
-                 severityName(rule->severity()));
-    emitRule(out, first, "bad-pragma",
-             "a netchar-lint pragma that is malformed, lacks a "
-             "reason, or names an unknown rule",
-             "error");
-    for (const std::string_view fr : flowRuleNames())
-        emitRule(out, first, fr, flowRuleSummary(fr), "error");
-    for (const std::string_view cr : concurrencyRuleNames())
-        emitRule(out, first, cr, concurrencyRuleSummary(cr),
-                 severityName(concurrencyRuleSeverity(cr)));
+    for (const RuleInfo &rule : ruleTable()) {
+        out << (first ? "\n" : ",\n") << "          {\"id\": \""
+            << jsonEscape(std::string(rule.name))
+            << "\", \"shortDescription\": {\"text\": \""
+            << jsonEscape(std::string(rule.summary))
+            << "\"}, \"defaultConfiguration\": {\"level\": "
+               "\"error\"}}";
+        first = false;
+    }
 
     out << "\n          ]\n"
            "        }\n"
@@ -91,8 +74,7 @@ renderSarif(const LintResult &result)
     for (const Finding &f : result.findings) {
         out << (first ? "\n" : ",\n")
             << "        {\"ruleId\": \"" << jsonEscape(f.rule)
-            << "\", \"level\": \"" << severityName(f.severity)
-            << "\", \"message\": {\"text\": \""
+            << "\", \"level\": \"error\", \"message\": {\"text\": \""
             << jsonEscape(f.message) << "\"}, \"locations\": [";
         emitLocation(out, f.file, f.line, f.column, "");
         out << "]";

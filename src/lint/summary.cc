@@ -857,7 +857,7 @@ collectFlowSanitizers(const LexedFile &lexed)
             continue;
         for (const std::string &rule : p.rules) {
             if (p.flow) {
-                if (isFlowRuleName(rule))
+                if (isRuleIn(rule, RuleFamily::Flow))
                     out.push_back({p.line, p.endLine, rule});
                 continue;
             }

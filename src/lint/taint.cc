@@ -26,39 +26,6 @@ flowKey(const SinkEvent &ev)
 
 } // namespace
 
-const std::vector<std::string_view> &
-flowRuleNames()
-{
-    static const std::vector<std::string_view> names = {
-        "flow-wallclock",
-        "flow-env",
-        "flow-threadid",
-    };
-    return names;
-}
-
-bool
-isFlowRuleName(std::string_view name)
-{
-    for (const std::string_view n : flowRuleNames())
-        if (n == name)
-            return true;
-    return false;
-}
-
-std::string_view
-flowRuleSummary(std::string_view rule)
-{
-    if (rule == "flow-wallclock")
-        return "a host-clock value flows into serialized output";
-    if (rule == "flow-env")
-        return "an environment-variable value flows into serialized "
-               "output";
-    if (rule == "flow-threadid")
-        return "a thread-id value flows into serialized output";
-    return {};
-}
-
 TaintAnalysis
 analyzeTaint(const std::vector<FileModel> &files,
              const CallGraph &graph, const SummarySet &sums)
@@ -97,7 +64,6 @@ analyzeTaint(const std::vector<FileModel> &files,
             f.line = ev.sinkLine;
             f.column = ev.sinkColumn;
             f.rule = ev.rule;
-            f.severity = Severity::Error;
             f.message =
                 ev.path.front().note +
                 " reaches serialization sink '" + ev.sinkCallee +

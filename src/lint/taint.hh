@@ -31,8 +31,9 @@
  *              failure ledger, trace exporters) — i.e. anything that
  *              can end up in a --ledger/--stats/--trace-out stream
  *
- * Findings are reported under the flow-rule namespace
- * (flow-wallclock, flow-env, flow-threadid), anchored at the sink,
+ * Findings are reported under the flow rules (flow-wallclock,
+ * flow-env, flow-threadid; rows of the rule table in rules.hh, which
+ * also names what allow-flow(...) accepts), anchored at the sink,
  * and carry the full source→…→sink path, one FlowHop per
  * propagation step. Propagation is monotone (a variable,
  * parameter or return slot is tainted at most once, first writer
@@ -43,7 +44,6 @@
 #ifndef NETCHAR_LINT_TAINT_HH
 #define NETCHAR_LINT_TAINT_HH
 
-#include <string_view>
 #include <vector>
 
 #include "lint/callgraph.hh"
@@ -62,16 +62,6 @@ struct TaintAnalysis
     /** Distinct flows an allow-flow sanitizer pragma silenced. */
     std::size_t suppressed = 0;
 };
-
-/** The flow-rule namespace, fixed order (reports never depend on
- *  it). These are valid names inside allow-flow(...). */
-const std::vector<std::string_view> &flowRuleNames();
-
-/** True when `name` names a flow rule (pragma validation). */
-bool isFlowRuleName(std::string_view name);
-
-/** One-line description of a flow rule, for --list-rules/SARIF. */
-std::string_view flowRuleSummary(std::string_view rule);
 
 /** Run the taint pass over interprocedural summaries the caller
  *  already computed (summary.hh) — the driver shares one call graph

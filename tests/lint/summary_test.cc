@@ -318,7 +318,8 @@ TEST(Summary, ConcurrencyReportIndependentOfTaintPass)
     const auto lockReport = [](const LintResult &r) {
         std::string out;
         for (const Finding &f : r.findings) {
-            if (!netchar::lint::isConcurrencyRuleName(f.rule))
+            if (!netchar::lint::isRuleIn(
+                    f.rule, netchar::lint::RuleFamily::Concurrency))
                 continue;
             out += f.file + ":" + std::to_string(f.line) + ":" +
                    std::to_string(f.column) + " " + f.rule + " " +

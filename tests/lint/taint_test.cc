@@ -484,6 +484,94 @@ TEST(Taint, SarifEmptyResultsWhenClean)
     expectStructurallyValidJson(sarif);
 }
 
+TEST(Taint, SarifRuleDescriptorsArePinned)
+{
+    // The SARIF of an empty result is the driver.rules table alone:
+    // every rule, in order, with its summary and level.
+    EXPECT_EQ(
+        netchar::lint::renderSarif(netchar::lint::LintResult{}),
+        "{\n"
+        "  \"$schema\": "
+        "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
+        "  \"version\": \"2.1.0\",\n"
+        "  \"runs\": [\n"
+        "    {\n"
+        "      \"tool\": {\n"
+        "        \"driver\": {\n"
+        "          \"name\": \"netchar-lint\",\n"
+        "          \"informationUri\": "
+        "\"https://example.invalid/netchar/docs/ARCHITECTURE.md\",\n"
+        "          \"rules\": [\n"
+        "          {\"id\": \"no-wallclock\", "
+        "\"shortDescription\": {\"text\": \"host clocks are banned "
+        "in src/ outside src/stats/hostclock.cc (hostSeconds); "
+        "results must derive from simulated cycles\"}, "
+        "\"defaultConfiguration\": {\"level\": \"error\"}},\n"
+        "          {\"id\": \"no-ambient-rng\", "
+        "\"shortDescription\": {\"text\": \"randomness must flow "
+        "from an explicit seed: no rand(), random_device or "
+        "argless engines\"}, \"defaultConfiguration\": {\"level\": "
+        "\"error\"}},\n"
+        "          {\"id\": \"no-unordered-iteration\", "
+        "\"shortDescription\": {\"text\": \"range-for over "
+        "unordered containers visits hash order, which leaks into "
+        "exported output\"}, \"defaultConfiguration\": {\"level\": "
+        "\"error\"}},\n"
+        "          {\"id\": \"no-unguarded-static\", "
+        "\"shortDescription\": {\"text\": \"mutable static state "
+        "in library code needs an atomic/mutex guard (or to not "
+        "exist)\"}, \"defaultConfiguration\": {\"level\": "
+        "\"error\"}},\n"
+        "          {\"id\": \"no-silent-catch\", "
+        "\"shortDescription\": {\"text\": \"catch (...) must "
+        "rethrow or record the failure; swallowed errors corrupt "
+        "sweeps silently\"}, \"defaultConfiguration\": {\"level\": "
+        "\"error\"}},\n"
+        "          {\"id\": \"no-raw-thread\", "
+        "\"shortDescription\": {\"text\": \"std::thread/std::async "
+        "only inside the deterministic-order executor "
+        "(src/core/executor)\"}, \"defaultConfiguration\": "
+        "{\"level\": \"error\"}},\n"
+        "          {\"id\": \"no-pointer-hash\", "
+        "\"shortDescription\": {\"text\": \"raw pointer values "
+        "must not be hashed or cast to integers; addresses differ "
+        "per run under ASLR\"}, \"defaultConfiguration\": "
+        "{\"level\": \"error\"}},\n"
+        "          {\"id\": \"bad-pragma\", \"shortDescription\": "
+        "{\"text\": \"a netchar-lint pragma that is malformed, "
+        "lacks a reason, or names an unknown rule\"}, "
+        "\"defaultConfiguration\": {\"level\": \"error\"}},\n"
+        "          {\"id\": \"flow-wallclock\", "
+        "\"shortDescription\": {\"text\": \"a host-clock value "
+        "flows into serialized output\"}, "
+        "\"defaultConfiguration\": {\"level\": \"error\"}},\n"
+        "          {\"id\": \"flow-env\", \"shortDescription\": "
+        "{\"text\": \"an environment-variable value flows into "
+        "serialized output\"}, \"defaultConfiguration\": "
+        "{\"level\": \"error\"}},\n"
+        "          {\"id\": \"flow-threadid\", "
+        "\"shortDescription\": {\"text\": \"a thread-id value "
+        "flows into serialized output\"}, "
+        "\"defaultConfiguration\": {\"level\": \"error\"}},\n"
+        "          {\"id\": \"race-shared-write\", "
+        "\"shortDescription\": {\"text\": \"write to a mutable "
+        "static or by-reference-captured object reachable from "
+        "executor tasks with an empty lockset\"}, "
+        "\"defaultConfiguration\": {\"level\": \"error\"}},\n"
+        "          {\"id\": \"lock-leak\", \"shortDescription\": "
+        "{\"text\": \"raw .lock() with no .unlock() on some path "
+        "to the function exit (use "
+        "lock_guard/scoped_lock/unique_lock)\"}, "
+        "\"defaultConfiguration\": {\"level\": \"error\"}}\n"
+        "          ]\n"
+        "        }\n"
+        "      },\n"
+        "      \"results\": []\n"
+        "    }\n"
+        "  ]\n"
+        "}\n");
+}
+
 TEST(Taint, ReportsAreIndependentOfInputOrder)
 {
     const SourceBuffer a{"bench/fx_main.cc",
