@@ -71,5 +71,5 @@ NETCHAR_BENCH(ablation_gc_compact,
                "(compaction locality); hardware offload keeps that "
                "benefit without paying collector instructions.\n");
     ctx.metric("hw_gc_speedup_geomean", "x",
-               bench::geomeanFloored(hw_speedups), true);
+               bench::geomeanFloored(hw_speedups));
 }

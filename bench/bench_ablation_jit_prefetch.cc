@@ -65,5 +65,5 @@ NETCHAR_BENCH(ablation_jit_prefetch,
                "that the hook targets cold-start latency "
                "specifically.\n");
     ctx.metric("cpi_speedup_geomean", "x",
-               bench::geomeanFloored(cpi_gains), true);
+               bench::geomeanFloored(cpi_gains));
 }

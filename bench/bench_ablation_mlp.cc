@@ -54,6 +54,5 @@ NETCHAR_BENCH(ablation_mlp,
                "insensitive (compute bound).\n");
     ctx.metric("mcf_cpi_ratio_mlp1_vs_mlp8", "x",
                mcf_cpi_mlp8 > 0.0 ? mcf_cpi_mlp1 / mcf_cpi_mlp8
-                                  : 0.0,
-               true);
+                                  : 0.0);
 }

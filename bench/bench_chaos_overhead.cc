@@ -95,7 +95,7 @@ NETCHAR_BENCH(chaos_overhead,
     ctx.printf("%s\n", table.render().c_str());
     ctx.printf("overhead: %+.1f%% (target: <= 10%%)\n",
                100.0 * overhead);
-    // The OVH-02 gate enforces the budget over the best repeat; a
-    // hard failure here would make a single noisy sample fatal.
-    ctx.metric("overhead_frac", "frac", overhead, false);
+    // The OVH-02 gate enforces the budget; the bench fails only on
+    // divergence or unexpected run failures.
+    ctx.metric("overhead_frac", "frac", overhead);
 }

@@ -59,5 +59,5 @@ NETCHAR_BENCH(fig01_dendrogram,
         ctx.printf("\n");
     }
     ctx.metric("clusters", "count",
-               static_cast<double>(subset.clusters.size()), true);
+               static_cast<double>(subset.clusters.size()));
 }

@@ -130,8 +130,8 @@ NETCHAR_BENCH(fig02_validation,
                static_cast<unsigned long long>(
                    optimum.combinationsTried));
     ctx.metric("accuracy_a_pct", "%",
-               subsetAccuracyPct(full, subset_a), true);
-    ctx.metric("accuracy_ao_pct", "%", optimum.accuracyPct, true);
+               subsetAccuracyPct(full, subset_a));
+    ctx.metric("accuracy_ao_pct", "%", optimum.accuracyPct);
     ctx.metric("accuracy_b_pct", "%",
-               subsetAccuracyPct(micro_full, subset_b), true);
+               subsetAccuracyPct(micro_full, subset_b));
 }

@@ -77,5 +77,5 @@ NETCHAR_BENCH(fig05_ctrl_pca,
                "ratio %.2fx (paper: 5.73x)\n",
                sd_spec, sd_dotnet, sd_spec / sd_dotnet);
     ctx.metric("stddev_ratio_spec_vs_dotnet", "x",
-               sd_spec / sd_dotnet, true);
+               sd_spec / sd_dotnet);
 }

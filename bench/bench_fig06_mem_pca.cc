@@ -90,5 +90,5 @@ NETCHAR_BENCH(fig06_mem_pca,
                "-> ratio %.2fx (paper: 1.27x)\n",
                sd_spec, sd_asp, sd_spec / sd_asp);
     ctx.metric("stddev_ratio_spec_vs_aspnet", "x",
-               sd_spec / sd_asp, true);
+               sd_spec / sd_asp);
 }

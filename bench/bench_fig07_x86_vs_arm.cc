@@ -118,7 +118,7 @@ NETCHAR_BENCH(fig07_x86_vs_arm,
                "software stack (code layout, data packing) lags the "
                "Intel stack, on top of the smaller TLBs.\n");
     ctx.metric("itlb_mpki_ratio_arm_vs_x86", "x",
-               itlb_arm / itlb_x86, true);
+               itlb_arm / itlb_x86);
     ctx.metric("llc_mpki_ratio_arm_vs_x86", "x",
-               llc_arm / llc_x86, true);
+               llc_arm / llc_x86);
 }

@@ -121,5 +121,5 @@ NETCHAR_BENCH(fig13a_jit_corr,
                "evict older unused prefetches; the paper's PMU "
                "counts at issue/use time and sees the negative "
                "(jitted pages are prefetchable) signal.\n");
-    ctx.metric("branch_mpki_mean_r", "r", branch_mean_r, true);
+    ctx.metric("branch_mpki_mean_r", "r", branch_mean_r);
 }

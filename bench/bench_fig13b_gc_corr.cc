@@ -215,5 +215,5 @@ NETCHAR_BENCH(fig13b_gc_corr,
                inst_pp.pre, inst_pp.post, pct(inst_pp));
     ctx.metric("llc_mpki_lag1_mean_r", "r", mean_of(lag_llc));
     ctx.metric("gc_events_aligned", "count",
-               static_cast<double>(llc_pp.events), true);
+               static_cast<double>(llc_pp.events));
 }

@@ -206,9 +206,9 @@ NETCHAR_BENCH(fig14_gc_sweep,
                fmtFixed(bench::geomeanFloored(time_ratios), 2)
                    .c_str());
     ctx.metric("gc_trigger_ratio_srv_ws", "x",
-               bench::geomeanFloored(trig_ratios), true);
+               bench::geomeanFloored(trig_ratios));
     ctx.metric("llc_mpki_ratio_srv_ws", "x",
                bench::geomeanFloored(llc_ratios));
     ctx.metric("speedup_ws_over_srv", "x",
-               bench::geomeanFloored(time_ratios), true);
+               bench::geomeanFloored(time_ratios));
 }

@@ -78,10 +78,10 @@ NETCHAR_BENCH(parallel_scaling,
         char metric_name[32];
         std::snprintf(metric_name, sizeof(metric_name),
                       "speedup_%uj", jobs);
-        ctx.metric(metric_name, "x", speedup, true);
+        ctx.metric(metric_name, "x", speedup);
         if (jobs == 4)
             ctx.metric("utilization_4j", "frac",
-                       stats.utilization(), true);
+                       stats.utilization());
         if (!identical) {
             ctx.fail("--jobs " + std::to_string(jobs) +
                      " output differs from --jobs 1");

@@ -67,5 +67,5 @@ NETCHAR_BENCH(table3_pca_loadings,
                "0.107\n");
     ctx.metric("prco1_variance", "frac", pca.explainedVariance[0]);
     ctx.metric("cumulative_variance_top4", "frac",
-               pca.cumulativeExplained(), true);
+               pca.cumulativeExplained());
 }

@@ -77,5 +77,5 @@ NETCHAR_BENCH(table4_subsets,
                "while the clustering itself is the reproduced "
                "artifact (see bench_fig01_dendrogram).\n");
     ctx.metric("subset_size_dotnet", "count",
-               static_cast<double>(dotnet.size()), true);
+               static_cast<double>(dotnet.size()));
 }

@@ -5,7 +5,7 @@
  * overhead — trace emission is a clock read plus a fixed-size ring
  * push, and counter records land once per advance chunk, so the cost
  * stays flat per instruction simulated. The OVH-01 gate bounds it at
- * 15% over the best repeat; the bench fails only on divergence.
+ * 15%; the bench fails only on divergence.
  */
 
 #include <cstdio>
@@ -65,7 +65,8 @@ NETCHAR_BENCH(trace_overhead,
     ctx.printf("%s\n", table.render().c_str());
     ctx.printf("overhead: %+.1f%% (target: <= 10%%)\n",
                100.0 * overhead);
-    // The OVH-01 gate enforces the budget over the best repeat; a
-    // hard failure here would make a single noisy sample fatal.
-    ctx.metric("overhead_frac", "frac", overhead, false);
+    // The OVH-01 gate enforces the 15% budget; the bench fails only
+    // on divergence, so the 10% target above is reported, not
+    // enforced.
+    ctx.metric("overhead_frac", "frac", overhead);
 }

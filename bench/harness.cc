@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -99,9 +98,14 @@ Context::Context(bool echoText) : echo_(echoText) {}
 
 void
 Context::metric(const std::string &name, const std::string &unit,
-                double value, bool higherIsBetter)
+                double value)
 {
-    samples_.push_back(Sample{name, unit, higherIsBetter, value});
+    for (const auto &s : samples_)
+        if (s.name == name) {
+            fail("metric '" + name + "' recorded twice");
+            return;
+        }
+    samples_.push_back(Sample{name, unit, value});
 }
 
 void
@@ -143,47 +147,10 @@ Context::fail(const std::string &why)
 }
 
 // ---------------------------------------------------------------
-// Aggregation.
+// Results.
 // ---------------------------------------------------------------
 
-double
-percentile(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        throw std::invalid_argument("percentile of empty sample set");
-    if (q <= 0.0)
-        return sorted.front();
-    if (q >= 1.0)
-        return sorted.back();
-    const double rank =
-        q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-Aggregate
-aggregate(std::vector<double> samples)
-{
-    if (samples.empty())
-        throw std::invalid_argument("aggregate of empty sample set");
-    std::sort(samples.begin(), samples.end());
-    Aggregate a;
-    a.n = samples.size();
-    a.p50 = percentile(samples, 0.50);
-    a.p90 = percentile(samples, 0.90);
-    a.p99 = percentile(samples, 0.99);
-    a.min = samples.front();
-    a.max = samples.back();
-    double acc = 0.0;
-    for (double s : samples)
-        acc += s;
-    a.mean = acc / static_cast<double>(a.n);
-    return a;
-}
-
-const MetricResult *
+const Context::Sample *
 BenchResult::find(std::string_view metric) const
 {
     for (const auto &m : metrics)
@@ -205,79 +172,21 @@ Report::find(std::string_view bench) const
 // Run engine.
 // ---------------------------------------------------------------
 
-namespace
-{
-
-/** Accumulates per-repeat samples of one named metric. */
-struct SampleSet
-{
-    std::string name;
-    std::string unit;
-    bool higherIsBetter = false;
-    std::vector<double> values;
-};
-
-void
-collect(std::vector<SampleSet> &sets, const Context &ctx)
-{
-    for (const auto &s : ctx.samples()) {
-        SampleSet *set = nullptr;
-        for (auto &existing : sets)
-            if (existing.name == s.name) {
-                set = &existing;
-                break;
-            }
-        if (set == nullptr) {
-            sets.push_back(SampleSet{s.name, s.unit,
-                                     s.higherIsBetter, {}});
-            set = &sets.back();
-        }
-        set->values.push_back(s.value);
-    }
-}
-
-} // namespace
-
 BenchResult
 runBench(const BenchDef &def, const RunConfig &config)
 {
     const auto now = config.clock ? config.clock : &hostSeconds;
-    const unsigned repeats = std::max(1u, config.repeatOverride);
+    Context ctx(config.echoText);
+    const double t0 = now();
+    def.fn(ctx);
+    ctx.metric("wall_s", "s", now() - t0);
 
-    BenchResult result;
-    result.name = def.name;
-
-    std::vector<SampleSet> sets;
-    std::vector<double> walls;
-    for (unsigned r = 0; r < repeats; ++r) {
-        const bool last = r + 1 == repeats;
-        Context ctx(config.echoText && last);
-        const double t0 = now();
-        def.fn(ctx);
-        walls.push_back(now() - t0);
-        collect(sets, ctx);
-        if (ctx.failed()) {
-            result.failed = true;
-            result.failure = ctx.failure();
-            break;
-        }
-    }
-
-    sets.push_back(SampleSet{"wall_s", "s", false, walls});
-    std::sort(sets.begin(), sets.end(),
-              [](const SampleSet &a, const SampleSet &b) {
+    BenchResult result{def.name, ctx.failed(), ctx.failure(),
+                       ctx.samples()};
+    std::sort(result.metrics.begin(), result.metrics.end(),
+              [](const Context::Sample &a, const Context::Sample &b) {
                   return a.name < b.name;
               });
-    for (const auto &set : sets) {
-        if (set.values.empty())
-            continue;
-        MetricResult m;
-        m.name = set.name;
-        m.unit = set.unit;
-        m.higherIsBetter = set.higherIsBetter;
-        m.agg = aggregate(set.values);
-        result.metrics.push_back(std::move(m));
-    }
     return result;
 }
 
@@ -357,19 +266,13 @@ fmtShort(double v)
 std::string
 reportTable(const Report &report)
 {
-    TextTable table({"Bench", "Metric", "Unit", "n", "p50", "p90",
-                     "p99", "mean"});
+    TextTable table({"Bench", "Metric", "Unit", "Value"});
     for (const auto &bench : report.benches) {
         for (const auto &metric : bench.metrics)
             table.addRow({bench.name, metric.name, metric.unit,
-                          std::to_string(metric.agg.n),
-                          fmtShort(metric.agg.p50),
-                          fmtShort(metric.agg.p90),
-                          fmtShort(metric.agg.p99),
-                          fmtShort(metric.agg.mean)});
+                          fmtShort(metric.value)});
         if (bench.failed)
-            table.addRow({bench.name, "(FAILED)", bench.failure, "",
-                          "", "", "", ""});
+            table.addRow({bench.name, "(FAILED)", bench.failure, ""});
     }
     return table.render();
 }
@@ -377,23 +280,13 @@ reportTable(const Report &report)
 std::string
 reportCsv(const Report &report)
 {
-    std::string out = "bench,metric,unit,higher_is_better,n,p50,"
-                      "p90,p99,min,max,mean\n";
-    for (const auto &bench : report.benches) {
-        for (const auto &metric : bench.metrics) {
+    std::string out = "bench,metric,unit,value\n";
+    for (const auto &bench : report.benches)
+        for (const auto &metric : bench.metrics)
             out += csvField(bench.name) + ',' +
                    csvField(metric.name) + ',' +
                    csvField(metric.unit) + ',' +
-                   (metric.higherIsBetter ? "1" : "0") + ',' +
-                   std::to_string(metric.agg.n) + ',' +
-                   jsonNumber(metric.agg.p50) + ',' +
-                   jsonNumber(metric.agg.p90) + ',' +
-                   jsonNumber(metric.agg.p99) + ',' +
-                   jsonNumber(metric.agg.min) + ',' +
-                   jsonNumber(metric.agg.max) + ',' +
-                   jsonNumber(metric.agg.mean) + '\n';
-        }
-    }
+                   jsonNumber(metric.value) + '\n';
     return out;
 }
 
@@ -402,7 +295,7 @@ reportJson(const Report &report)
 {
     std::ostringstream out;
     out << "{\n";
-    out << "  \"schema\": \"netchar-bench/v1\",\n";
+    out << "  \"schema\": \"netchar-bench/v2\",\n";
     out << "  \"mode\": \"" << jsonEscape(report.mode) << "\",\n";
     out << "  \"hardwareThreads\": " << report.hardwareThreads
         << ",\n";
@@ -424,17 +317,8 @@ reportJson(const Report &report)
             out << (m == 0 ? "\n" : ",\n");
             out << "        {\"name\": \""
                 << jsonEscape(metric.name) << "\", \"unit\": \""
-                << jsonEscape(metric.unit)
-                << "\", \"higherIsBetter\": "
-                << (metric.higherIsBetter ? "true" : "false")
-                << ", \"n\": " << metric.agg.n
-                << ",\n         \"p50\": " << jsonNumber(metric.agg.p50)
-                << ", \"p90\": " << jsonNumber(metric.agg.p90)
-                << ", \"p99\": " << jsonNumber(metric.agg.p99)
-                << ", \"min\": " << jsonNumber(metric.agg.min)
-                << ", \"max\": " << jsonNumber(metric.agg.max)
-                << ", \"mean\": " << jsonNumber(metric.agg.mean)
-                << "}";
+                << jsonEscape(metric.unit) << "\", \"value\": "
+                << jsonNumber(metric.value) << "}";
         }
         out << (bench.metrics.empty() ? "]" : "\n      ]") << "\n";
         out << "    }";
@@ -496,16 +380,6 @@ gateCriterion(const Gate &gate)
            fmtShort(gate.threshold);
 }
 
-/** The statistic a gate compares: the best observed sample. On a
- * shared CI host scheduler noise only ever worsens a sample, so a
- * genuine regression degrades even the best repeat, while the p50 of
- * a handful of repeats flaps with load. */
-double
-gateStatistic(const MetricResult &metric)
-{
-    return metric.higherIsBetter ? metric.agg.max : metric.agg.min;
-}
-
 } // namespace
 
 GateReport
@@ -527,7 +401,7 @@ checkGates(const Report &current, const std::vector<Gate> &gates,
         }
 
         const BenchResult *bench = current.find(gate.bench);
-        const MetricResult *metric =
+        const Context::Sample *metric =
             bench != nullptr ? bench->find(gate.metric) : nullptr;
         if (metric == nullptr) {
             outcome.verdict = Verdict::MissingMetric;
@@ -538,7 +412,7 @@ checkGates(const Report &current, const std::vector<Gate> &gates,
             report.outcomes.push_back(std::move(outcome));
             continue;
         }
-        outcome.current = gateStatistic(*metric);
+        outcome.current = metric->value;
         if (bench->failed) {
             outcome.verdict = Verdict::Regress;
             outcome.note = "bench failed: " + bench->failure;
@@ -591,15 +465,9 @@ injectRegression(Report &report, const std::vector<Gate> &gates)
                 // Scaling cannot push a near-zero metric (e.g. an
                 // overhead fraction of ~0) past an absolute bound,
                 // so plant a value that violates it outright.
-                const double bad = gate.kind == GateKind::MinAbsolute
+                metric.value = gate.kind == GateKind::MinAbsolute
                     ? 0.5 * gate.threshold
                     : 2.0 * gate.threshold;
-                metric.agg.p50 = bad;
-                metric.agg.p90 = bad;
-                metric.agg.p99 = bad;
-                metric.agg.min = bad;
-                metric.agg.max = bad;
-                metric.agg.mean = bad;
             }
         }
     }
@@ -630,17 +498,16 @@ driverUsage(std::FILE *to)
     std::fputs(
         "usage: netchar_bench [options]\n"
         "\n"
-        "Run the registered bench suite and report aggregated\n"
-        "metrics (p50/p90/p99 over repeats).\n"
+        "Run the registered bench suite once and report one\n"
+        "value per metric.\n"
         "\n"
         "  --list               list registered benches and exit\n"
         "  --list-gates         list CI perf gates and exit\n"
         "  --filter SUBSTR      run benches whose name contains\n"
         "                       SUBSTR (repeatable)\n"
-        "  --repeats N          measured repeats per bench (default 1)\n"
         "  --quick | --full     force quick/full mode (otherwise\n"
         "                       the NETCHAR_QUICK environment rules)\n"
-        "  --table              print the aggregate table (default\n"
+        "  --table              print the metric table (default\n"
         "                       when no other output is selected)\n"
         "  --csv FILE           write CSV results ('-' = stdout)\n"
         "  --json FILE          write JSON results ('-' = stdout)\n"
@@ -711,20 +578,6 @@ driverMain(int argc, char **argv)
             if (v == nullptr)
                 return 2;
             config.filters.push_back(v);
-        } else if (arg == "--repeats") {
-            const char *v = value("--repeats");
-            if (v == nullptr)
-                return 2;
-            if (!parseUnsigned(std::string_view(v),
-                               config.repeatOverride) ||
-                config.repeatOverride == 0) {
-                std::fprintf(stderr,
-                             "--repeats expects an unsigned integer "
-                             "from 1 to %u, got '%s'\n",
-                             std::numeric_limits<unsigned>::max(),
-                             v);
-                return 2;
-            }
         } else if (arg == "--csv") {
             const char *v = value("--csv");
             if (v == nullptr)

@@ -3,12 +3,12 @@
  * Shared bench harness: every bench_X.cc under bench/ registers
  * itself here as a named benchmark that reports named metrics, and
  * all of them are compiled once, into the netchar_bench driver. The
- * harness owns quick/full mode, the repeat count (`--repeats`, one by
- * default), percentile aggregation over repeats, the table/CSV/JSON
- * reporters, and the `--ci-check` gates (PAR-01, OVH-01, ...). Each
- * gated metric compares two timings taken in the same process and is
- * checked against an absolute threshold, so no stored baseline is
- * needed; end-to-end regressions are perfbench's job.
+ * harness owns quick/full mode, one run of each bench with one value
+ * per metric, the table/CSV/JSON reporters, and the `--ci-check`
+ * gates (PAR-01, OVH-01, ...). Each gated metric compares two timings
+ * taken in the same process and is checked against an absolute
+ * threshold, so no stored baseline is needed; repeated end-to-end
+ * measurement and its regressions are perfbench's job.
  */
 
 #ifndef NETCHAR_BENCH_HARNESS_HH
@@ -91,10 +91,10 @@ struct Registration
 // ---------------------------------------------------------------
 
 /**
- * What a benchmark body talks to: named metric samples (one value
- * per repeat), the figure/table text stream (captured, and streamed
- * to stdout only with --echo, so figures don't interleave), and a
- * failure latch.
+ * What a benchmark body talks to: named metrics (one value each),
+ * the figure/table text stream (captured, and streamed to stdout
+ * only with --echo, so figures don't interleave), and a failure
+ * latch.
  */
 class Context
 {
@@ -102,13 +102,12 @@ class Context
     explicit Context(bool echoText);
 
     /**
-     * Record one sample of a named metric for the current repeat.
-     * Units are free-form but documented per bench in
-     * docs/BENCHMARKS.md; `higherIsBetter` picks the best sample a
-     * gate compares.
+     * Record the value of a named metric. Units are free-form but
+     * documented per bench in docs/BENCHMARKS.md. A second record of
+     * the same name fails the run and keeps the first value.
      */
     void metric(const std::string &name, const std::string &unit,
-                double value, bool higherIsBetter = false);
+                double value);
 
     /** printf-style append to the figure/table text stream. */
     void printf(const char *fmt, ...)
@@ -123,12 +122,11 @@ class Context
     bool failed() const { return failed_; }
     const std::string &failure() const { return failure_; }
 
-    /** One metric sample as recorded. */
+    /** One metric as recorded. */
     struct Sample
     {
         std::string name;
         std::string unit;
-        bool higherIsBetter = false;
         double value = 0.0;
     };
     const std::vector<Sample> &samples() const { return samples_; }
@@ -153,49 +151,18 @@ class Context
         ::netchar::bench::Context &ctx)
 
 // ---------------------------------------------------------------
-// Aggregation.
+// Results.
 // ---------------------------------------------------------------
 
-/** Order statistics of one metric's samples across repeats. */
-struct Aggregate
-{
-    std::size_t n = 0;
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean = 0.0;
-};
-
-/**
- * Linear-interpolation percentile (the numpy/`PERCENTILE.EXC`-free
- * definition: rank = q*(n-1), interpolate between floor and ceil).
- * `sorted` must be ascending and non-empty; q in [0,1].
- */
-double percentile(const std::vector<double> &sorted, double q);
-
-/** Aggregate a sample vector (unsorted ok; must be non-empty). */
-Aggregate aggregate(std::vector<double> samples);
-
-/** One metric after aggregation over repeats. */
-struct MetricResult
-{
-    std::string name;
-    std::string unit;
-    bool higherIsBetter = false;
-    Aggregate agg;
-};
-
-/** One benchmark's aggregated run. */
+/** One benchmark's run. */
 struct BenchResult
 {
     std::string name;
     bool failed = false;
     std::string failure;
-    std::vector<MetricResult> metrics; ///< sorted by name
+    std::vector<Context::Sample> metrics; ///< sorted by name
 
-    const MetricResult *find(std::string_view metric) const;
+    const Context::Sample *find(std::string_view metric) const;
 };
 
 /** A full report: results plus the configuration that produced it. */
@@ -217,14 +184,13 @@ struct RunConfig
     /** Substrings; empty = run everything. A bench runs when its
      *  name contains any of the filters. */
     std::vector<std::string> filters;
-    unsigned repeatOverride = 0; ///< measured repeats; 0 = one
     bool echoText = true;    ///< stream figure text to stdout live
     bool progress = true;    ///< per-bench progress lines on stderr
     /** Injectable clock for deterministic tests; null = hostSeconds. */
     double (*clock)() = nullptr;
 };
 
-/** Run one definition (repeats, wall_s auto-metric). */
+/** Run one definition once, adding the wall_s metric. */
 BenchResult runBench(const BenchDef &def, const RunConfig &config);
 
 /** Run every matching definition; result is name-sorted. */
@@ -250,9 +216,7 @@ enum class GateKind
     MaxAbsolute, ///< current <= threshold
 };
 
-/** One named CI gate over a (bench, metric) pair's best sample
- * (max when higher is better, min otherwise) — robust to scheduler
- * noise on shared CI hosts. */
+/** One named CI gate over a (bench, metric) pair's value. */
 struct Gate
 {
     std::string id;     ///< e.g. "SIM-01"
@@ -283,7 +247,7 @@ struct GateOutcome
 {
     Gate gate;
     Verdict verdict = Verdict::Pass;
-    double current = 0.0; ///< measured best sample (0 if missing)
+    double current = 0.0; ///< measured value (0 if missing)
     std::string note;
 };
 

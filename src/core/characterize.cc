@@ -582,17 +582,6 @@ Characterizer::captureAll(
         });
 }
 
-std::vector<RunResult>
-Characterizer::runAll(const std::vector<wl::WorkloadProfile> &profiles,
-                      const RunOptions &options) const
-{
-    std::vector<RunResult> out;
-    out.reserve(profiles.size());
-    for (const auto &p : profiles)
-        out.push_back(run(p, options));
-    return out;
-}
-
 double
 SuiteRunStats::utilization() const
 {

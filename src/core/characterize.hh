@@ -321,14 +321,9 @@ class Characterizer
                SuiteRunStats *stats = nullptr) const;
 
     /**
-     * Characterize a whole list of profiles (one row per benchmark).
-     */
-    std::vector<RunResult>
-    runAll(const std::vector<wl::WorkloadProfile> &profiles,
-           const RunOptions &options = {}) const;
-
-    /**
-     * As runAll(), fanned out over a fork-join Executor.
+     * Characterize a whole list of profiles (one row per benchmark),
+     * fanned out over a fork-join Executor; run() on each profile in
+     * turn is the serial reference.
      *
      * Every run builds a fresh sim::Machine, workload set and CLR and
      * draws from its own seeded RNG streams; runs share no mutable

@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests for the bench harness: percentile math, the JSON report
- * read back through the repo's JSON parser, gate verdicts (pass /
- * regress / missing-metric / skipped), the self-test regression
- * injector, and byte-determinism of reports under shuffled
- * registration order.
+ * Unit tests for the bench harness: one value per metric per run,
+ * the JSON report read back through the repo's JSON parser, gate
+ * verdicts (pass / regress / missing-metric / skipped), the
+ * self-test regression injector, and byte-determinism of reports
+ * under shuffled registration order.
  */
 
 #include <gtest/gtest.h>
@@ -43,15 +43,22 @@ quietConfig()
 void
 bodyAlpha(Context &ctx)
 {
-    ctx.metric("throughput", "Minstr/s", 10.0, true);
-    ctx.metric("latency", "ms", 2.0, false);
+    ctx.metric("throughput", "Minstr/s", 10.0);
+    ctx.metric("latency", "ms", 2.0);
     ctx.printf("alpha ran\n");
 }
 
 void
 bodyBeta(Context &ctx)
 {
-    ctx.metric("accuracy", "%", 98.5, true);
+    ctx.metric("accuracy", "%", 98.5);
+}
+
+void
+bodyRecordsTwice(Context &ctx)
+{
+    ctx.metric("latency", "ms", 2.0);
+    ctx.metric("latency", "ms", 3.0);
 }
 
 void
@@ -99,57 +106,36 @@ gate(const std::string &id, const std::string &bench,
 
 } // namespace
 
-TEST(Percentile, SingleSample)
-{
-    const std::vector<double> xs{42.0};
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 42.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 42.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.99), 42.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 42.0);
-}
-
-TEST(Percentile, EvenCountInterpolates)
-{
-    const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-    // rank = q * (n-1) = 1.5 at the median of four samples.
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 2.5);
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 4.0);
-    // rank = 0.9 * 3 = 2.7 -> 3 + 0.7 * (4 - 3).
-    EXPECT_NEAR(percentile(xs, 0.9), 3.7, 1e-12);
-}
-
-TEST(Percentile, OddCountHitsExactRanks)
-{
-    const std::vector<double> xs{10.0, 20.0, 30.0};
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 20.0);
-}
-
-TEST(Aggregate, OrderStatistics)
-{
-    const auto agg = aggregate({3.0, 1.0, 2.0, 4.0});
-    EXPECT_EQ(agg.n, 4u);
-    EXPECT_DOUBLE_EQ(agg.min, 1.0);
-    EXPECT_DOUBLE_EQ(agg.max, 4.0);
-    EXPECT_DOUBLE_EQ(agg.mean, 2.5);
-    EXPECT_DOUBLE_EQ(agg.p50, 2.5);
-}
-
 TEST(RunEngine, RepeatsAndWallMetric)
 {
+    // A bench runs once: each metric holds the one value it recorded,
+    // and the harness adds the run's wall time.
     const Registry registry = makeRegistry(false);
-    RunConfig config = quietConfig();
-    config.repeatOverride = 4;
-    const auto result = runBench(*registry.find("alpha"), config);
+    const auto result =
+        runBench(*registry.find("alpha"), quietConfig());
     EXPECT_FALSE(result.failed);
+    ASSERT_EQ(result.metrics.size(), 3u);
     const auto *throughput = result.find("throughput");
     ASSERT_NE(throughput, nullptr);
-    EXPECT_EQ(throughput->agg.n, 4u);
-    EXPECT_TRUE(throughput->higherIsBetter);
+    EXPECT_EQ(throughput->value, 10.0);
     const auto *wall = result.find("wall_s");
     ASSERT_NE(wall, nullptr);
-    EXPECT_EQ(wall->agg.n, 4u);
-    EXPECT_GT(wall->agg.p50, 0.0);
+    EXPECT_EQ(wall->unit, "s");
+    EXPECT_GT(wall->value, 0.0);
+}
+
+TEST(RunEngine, DuplicateMetricFailsTheBench)
+{
+    Registry registry;
+    registry.add({"twice", "records latency twice", &bodyRecordsTwice});
+    const auto result =
+        runBench(*registry.find("twice"), quietConfig());
+    EXPECT_TRUE(result.failed);
+    EXPECT_NE(result.failure.find("'latency'"), std::string::npos)
+        << result.failure;
+    const auto *latency = result.find("latency");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->value, 2.0);
 }
 
 TEST(RunEngine, FailureLatches)
@@ -177,6 +163,9 @@ TEST(Report, JsonRoundTrip)
     std::string error;
     ASSERT_TRUE(netchar::parseJson(reportJson(report), root, error))
         << error;
+    const auto *schema = root.find("schema");
+    ASSERT_NE(schema, nullptr);
+    EXPECT_EQ(schema->string, "netchar-bench/v2");
     const auto *mode = root.find("mode");
     ASSERT_NE(mode, nullptr);
     EXPECT_EQ(mode->string, report.mode);
@@ -202,15 +191,10 @@ TEST(Report, JsonRoundTrip)
             EXPECT_EQ(jm.find("name")->string, rm.name);
             ASSERT_NE(jm.find("unit"), nullptr);
             EXPECT_EQ(jm.find("unit")->string, rm.unit);
-            ASSERT_NE(jm.find("higherIsBetter"), nullptr);
-            EXPECT_EQ(jm.find("higherIsBetter")->boolean,
-                      rm.higherIsBetter);
             // jsonNumber prints the shortest round-tripping form, so
             // the values come back exactly.
-            ASSERT_NE(jm.find("p50"), nullptr);
-            EXPECT_EQ(jm.find("p50")->number, rm.agg.p50);
-            ASSERT_NE(jm.find("p99"), nullptr);
-            EXPECT_EQ(jm.find("p99")->number, rm.agg.p99);
+            ASSERT_NE(jm.find("value"), nullptr);
+            EXPECT_EQ(jm.find("value")->number, rm.value);
         }
     }
 }
@@ -243,19 +227,10 @@ TEST(Gates, PassAndRegress)
         EXPECT_EQ(outcome.verdict, Verdict::Pass);
 
     // Halve throughput: T-01 must regress, the others still pass.
-    // Gates compare the best observed sample, so scale every order
-    // statistic as a uniform slowdown would.
     for (auto &bench : current.benches)
         for (auto &metric : bench.metrics)
-            if (bench.name == "alpha" &&
-                metric.name == "throughput") {
-                metric.agg.p50 *= 0.5;
-                metric.agg.p90 *= 0.5;
-                metric.agg.p99 *= 0.5;
-                metric.agg.min *= 0.5;
-                metric.agg.max *= 0.5;
-                metric.agg.mean *= 0.5;
-            }
+            if (bench.name == "alpha" && metric.name == "throughput")
+                metric.value *= 0.5;
     report = checkGates(current, gates, 8);
     EXPECT_FALSE(report.pass);
     ASSERT_EQ(report.outcomes.size(), 3u);

@@ -148,9 +148,14 @@ TEST(CharacterizerTest, RunAllPreservesOrder)
     auto p1 = quickProfile();
     auto p2 = *wl::findProfile("SeekUnroll");
     p2.instructions = 150'000;
-    const auto results = ch.runAll({p1, p2}, quickOptions());
+    const auto results =
+        ch.runAll({p1, p2}, quickOptions(), Parallelism{});
     ASSERT_EQ(results.size(), 2u);
     EXPECT_NE(results[0].counters.cycles, results[1].counters.cycles);
+    EXPECT_EQ(results[0].counters.cycles,
+              ch.run(p1, quickOptions()).counters.cycles);
+    EXPECT_EQ(results[1].counters.cycles,
+              ch.run(p2, quickOptions()).counters.cycles);
 }
 
 namespace

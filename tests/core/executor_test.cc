@@ -37,6 +37,17 @@ dotnetSlice(std::size_t count)
     return all;
 }
 
+/** The serial reference: one run() per profile, in input order. */
+std::vector<RunResult>
+serialRuns(const Characterizer &ch,
+           const std::vector<wl::WorkloadProfile> &profiles)
+{
+    std::vector<RunResult> out;
+    for (const auto &p : profiles)
+        out.push_back(ch.run(p, quickOptions()));
+    return out;
+}
+
 /** Exact (bit-for-bit) equality of two run results. */
 void
 expectIdentical(const RunResult &a, const RunResult &b)
@@ -243,7 +254,7 @@ TEST(ParallelRunAllTest, MatchesSerialBitForBit)
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = dotnetSlice(6);
     ASSERT_EQ(profiles.size(), 6u);
-    const auto serial = ch.runAll(profiles, quickOptions());
+    const auto serial = serialRuns(ch, profiles);
     Parallelism par;
     par.jobs = 4;
     const auto parallel =
@@ -269,7 +280,7 @@ TEST(ParallelRunAllTest, ExportsAreByteIdenticalOnAllMachines)
     };
     for (const auto &mc : machines) {
         Characterizer ch(mc);
-        const auto serial = ch.runAll(profiles, quickOptions());
+        const auto serial = serialRuns(ch, profiles);
         Parallelism par;
         par.jobs = 3;
         const auto parallel =

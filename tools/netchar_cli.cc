@@ -534,6 +534,30 @@ cmdTrace(const std::string &name, const CliOptions &opts)
     return EXIT_SUCCESS;
 }
 
+/**
+ * The preamble suite and subset share: arm --chaos in `chaos` (the
+ * returned policy points at it, so it must outlive the sweep) and
+ * announce the sweep on stderr.
+ */
+Parallelism
+sweepPolicy(const CliOptions &opts, FaultPlan &chaos, std::size_t count)
+{
+    Parallelism par = opts.par;
+    if (!opts.chaosSpec.empty()) {
+        chaos = FaultPlan::parse(opts.chaosSpec);
+        par.resilience.chaos = &chaos;
+        std::fprintf(stderr, "  chaos: %s\n",
+                     chaos.describe().c_str());
+    }
+    if (par.jobs)
+        std::fprintf(stderr, "  %zu benchmarks, %u job(s) ...\n",
+                     count, par.jobs);
+    else
+        std::fprintf(stderr, "  %zu benchmarks, auto jobs ...\n",
+                     count);
+    return par;
+}
+
 int
 cmdSuite(const std::string &suite_name, const CliOptions &opts)
 {
@@ -542,33 +566,23 @@ cmdSuite(const std::string &suite_name, const CliOptions &opts)
         return usage();
     const auto profiles = wl::suiteProfiles(*suite);
     Characterizer ch(machineFor(opts.machine));
-
-    // The plan must outlive the sweep; par holds a pointer to it.
     FaultPlan chaos;
-    Parallelism par = opts.par;
-    if (!opts.chaosSpec.empty()) {
-        chaos = FaultPlan::parse(opts.chaosSpec);
-        par.resilience.chaos = &chaos;
-        std::fprintf(stderr, "  chaos: %s\n",
-                     chaos.describe().c_str());
-    }
+    const Parallelism par = sweepPolicy(opts, chaos, profiles.size());
 
     std::vector<std::string> names;
     for (const auto &p : profiles)
         names.push_back(p.name);
-    if (par.jobs)
-        std::fprintf(stderr, "  %zu benchmarks, %u job(s) ...\n",
-                     profiles.size(), par.jobs);
-    else
-        std::fprintf(stderr, "  %zu benchmarks, auto jobs ...\n",
-                     profiles.size());
-    if (!opts.traceOut.empty()) {
+    SuiteRunStats stats;
+    std::vector<RunResult> results;
+    std::size_t traces = 0;
+    if (opts.traceOut.empty()) {
+        results = ch.runAll(profiles, opts.run, par, &stats);
+    } else {
         // Capture path: every benchmark runs with tracing on and its
         // chrome trace lands in --trace-out; metrics come from the
         // same runs (capture derives RunResult like run() does).
         TraceOptions topts;
         topts.bufferEvents = opts.bufferEvents;
-        SuiteRunStats stats;
         const auto captures =
             ch.captureAll(profiles, opts.run, topts, par, &stats);
         std::error_code ec;
@@ -579,38 +593,32 @@ cmdSuite(const std::string &suite_name, const CliOptions &opts)
                          ec.message().c_str());
             return EXIT_FAILURE;
         }
-        std::vector<RunResult> results;
         results.reserve(captures.size());
-        for (const auto &cap : captures) {
-            results.push_back(cap.result);
+        for (std::size_t i = 0; i < captures.size(); ++i) {
+            results.push_back(captures[i].result);
+            // A failed capture left an empty default trace at its
+            // slot: it has no benchmark name and nothing to write.
+            if (!stats.runs[i].succeeded)
+                continue;
             const auto path = std::filesystem::path(opts.traceOut) /
-                (fileStem(cap.trace.benchmark) + ".trace.json");
+                (fileStem(captures[i].trace.benchmark) + ".trace.json");
             std::ofstream file(path, std::ios::binary);
             if (!file) {
                 std::fprintf(stderr, "cannot write '%s'\n",
                              path.string().c_str());
                 return EXIT_FAILURE;
             }
-            file << trace::chromeTraceJson(cap.trace) << '\n';
+            file << trace::chromeTraceJson(captures[i].trace) << '\n';
+            ++traces;
         }
-        if (opts.format == "json")
-            std::printf("%s\n", suiteJson(names, results).c_str());
-        else
-            std::printf("%s", metricsCsv(names, results).c_str());
-        std::fprintf(stderr, "  wrote %zu trace(s) to %s\n",
-                     captures.size(), opts.traceOut.c_str());
-        if (opts.stats)
-            printStats(stats, opts.format);
-        if (!writeLedger(stats, opts.ledgerFile))
-            return EXIT_FAILURE;
-        return sweepExitCode(stats);
     }
-    SuiteRunStats stats;
-    const auto results = ch.runAll(profiles, opts.run, par, &stats);
     if (opts.format == "json")
         std::printf("%s\n", suiteJson(names, results).c_str());
     else
         std::printf("%s", metricsCsv(names, results).c_str());
+    if (!opts.traceOut.empty())
+        std::fprintf(stderr, "  wrote %zu trace(s) to %s\n", traces,
+                     opts.traceOut.c_str());
     if (opts.stats)
         printStats(stats, opts.format);
     if (!writeLedger(stats, opts.ledgerFile))
@@ -626,22 +634,9 @@ cmdSubset(const std::string &suite_name, const CliOptions &opts)
         return usage();
     const auto profiles = wl::suiteProfiles(*suite);
     Characterizer ch(machineFor(opts.machine));
-
     FaultPlan chaos;
-    Parallelism par = opts.par;
-    if (!opts.chaosSpec.empty()) {
-        chaos = FaultPlan::parse(opts.chaosSpec);
-        par.resilience.chaos = &chaos;
-        std::fprintf(stderr, "  chaos: %s\n",
-                     chaos.describe().c_str());
-    }
+    const Parallelism par = sweepPolicy(opts, chaos, profiles.size());
 
-    if (par.jobs)
-        std::fprintf(stderr, "  %zu benchmarks, %u job(s) ...\n",
-                     profiles.size(), par.jobs);
-    else
-        std::fprintf(stderr, "  %zu benchmarks, auto jobs ...\n",
-                     profiles.size());
     SuiteRunStats stats;
     const auto results = ch.runAll(profiles, opts.run, par, &stats);
     if (!writeLedger(stats, opts.ledgerFile))
@@ -873,6 +868,7 @@ cmdQuery(int argc, char **argv)
     }
 
     std::vector<std::string> responses;
+    std::vector<JsonValue> docs;
     for (const std::string &address : addresses) {
         serve::ClientOptions one = copts;
         one.address = address;
@@ -917,6 +913,7 @@ cmdQuery(int argc, char **argv)
                          address.c_str(), cache->string.c_str(),
                          key->string.c_str());
         responses.push_back(std::move(response));
+        docs.push_back(std::move(doc));
     }
 
     if (!merge) {
@@ -931,16 +928,8 @@ cmdQuery(int argc, char **argv)
     }
 
     std::vector<serve::SweepPartial> partials;
-    for (std::size_t i = 0; i < responses.size(); ++i) {
-        JsonValue doc;
-        std::string jerr;
-        // Parsed once above; re-parse here to keep ownership simple.
-        if (!parseJson(responses[i], doc, jerr)) {
-            std::fprintf(stderr, "netchar query: %s\n",
-                         jerr.c_str());
-            return EXIT_FAILURE;
-        }
-        const JsonValue *body = doc.find("body");
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+        const JsonValue *body = docs[i].find("body");
         serve::SweepPartial partial;
         std::string perr;
         if (body == nullptr ||
