@@ -1,9 +1,9 @@
 #include "core/canonical.hh"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "stats/hash.hh"
+#include "stats/textio.hh"
 #include "workloads/registry.hh"
 
 namespace netchar
@@ -12,29 +12,20 @@ namespace netchar
 namespace
 {
 
-/**
- * Bit-exact double rendering: %.17g round-trips every IEEE-754
- * double, so two equal values always render identical bytes and two
- * different values never collide.
- */
-std::string
-canonNum(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
-
 void
 field(std::string &os, const char *key, std::string_view v)
 {
     os.append(key).append(1, '=').append(v).append(1, ';');
 }
 
+/** Bit-exact: equal doubles render equal bytes, different ones
+ *  never collide (appendExactDouble). */
 void
 field(std::string &os, const char *key, double v)
 {
-    field(os, key, canonNum(v));
+    os.append(key).append(1, '=');
+    appendExactDouble(os, v);
+    os.append(1, ';');
 }
 
 void
@@ -230,12 +221,24 @@ cacheKeyText(const wl::WorkloadProfile &profile,
            canonicalMachine(config) + canonicalRunOptions(options) + '}';
 }
 
-RunKeyTable::RunKeyTable() : runHead_(std::string(kRunNamespace) + keyHead())
+RunKeyTable::RunKeyTable()
+    : runHead_(std::string(kRunNamespace) + keyHead()),
+      headReverse_(runHead_)
 {
-    for (const wl::WorkloadProfile &p : wl::registeredProfiles())
+    const auto profiles = wl::registeredProfiles();
+    const auto models = sim::machineModels();
+    profiles_.reserve(profiles.size());
+    profileReverse_.reserve(profiles.size());
+    for (const wl::WorkloadProfile &p : profiles) {
         profiles_.push_back(canonicalProfile(p));
-    for (const sim::MachineModel &m : sim::machineModels())
+        profileReverse_.emplace_back(profiles_.back());
+    }
+    machines_.reserve(models.size());
+    machineReverse_.reserve(models.size());
+    for (const sim::MachineModel &m : models) {
         machines_.push_back(canonicalMachine(m.make()));
+        machineReverse_.emplace_back(machines_.back());
+    }
     const std::uint64_t head = fnv1a(runHead_);
     forward_.reserve(profiles_.size() * machines_.size());
     for (const std::string &profile : profiles_) {
@@ -269,10 +272,10 @@ RunKeyTable::runKey(std::size_t profile, std::string_view machineKey,
                     const RunOptions &options) const
 {
     const std::size_t m = machineIndex(machineKey);
-    const std::string_view pieces[] = {runHead_, profiles_.at(profile),
-                                       machines_[m]};
+    const FnvReverse *const reverse[] = {
+        &headReverse_, &profileReverse_.at(profile), &machineReverse_[m]};
     return contentHashHex(
-        {forward_[profile * machines_.size() + m], pieces},
+        {forward_[profile * machines_.size() + m], reverse},
         canonicalRunOptions(options) + '}');
 }
 

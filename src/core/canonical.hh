@@ -27,6 +27,7 @@
 
 #include "core/characterize.hh"
 #include "sim/config.hh"
+#include "stats/hash.hh"
 #include "workloads/profile.hh"
 
 namespace netchar
@@ -63,13 +64,15 @@ std::string cacheKeyText(const wl::WorkloadProfile &profile,
 /**
  * The canonical texts of every registered profile
  * (wl::registeredProfiles()) and machine model (sim::machineModels()),
- * rendered once, plus the forward FNV-1a state of each run key's
- * static head: `"run/" + "netchar-key/v1{" + profile + machine`. A
- * run key then costs one canonicalRunOptions() rendering and one hash
- * over text the table already holds — the serve daemon's cache-hit
- * path. Per (profile, machine) pair it stores 8 bytes, not the ~1.9 KB
- * head text. cacheKeyText() stays the reference: runKey() returns
- * exactly contentHashHex("run/" + cacheKeyText(...)).
+ * rendered once, plus what both hash passes need of each run key's
+ * static head, `"run/" + "netchar-key/v1{" + profile + machine`: the
+ * forward FNV-1a state per (profile, machine) pair (8 bytes each),
+ * and one reverse map (FnvReverse, 2 KB) per piece: the head tag,
+ * each profile text and each machine text. A run key then costs one
+ * canonicalRunOptions() rendering, one hash over that text and three
+ * map lookups in place of the ~1.7 KB head — the serve daemon's
+ * cache-hit path. cacheKeyText() stays the reference: runKey()
+ * returns exactly contentHashHex("run/" + cacheKeyText(...)).
  */
 class RunKeyTable
 {
@@ -104,6 +107,11 @@ class RunKeyTable
     std::vector<std::string> machines_;
     /** fnv1a(runHead_ + profile + machine), profile-major. */
     std::vector<std::uint64_t> forward_;
+    /** The reverse FNV-1a maps of runHead_, of each profile text
+     *  and of each machine text. */
+    FnvReverse headReverse_;
+    std::vector<FnvReverse> profileReverse_;
+    std::vector<FnvReverse> machineReverse_;
 };
 
 } // namespace netchar

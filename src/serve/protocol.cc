@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -260,9 +259,9 @@ requestLine(const Request &request)
     if (o.maxHeapBytes)
         os << ",\"maxHeap\":" << *o.maxHeapBytes;
     if (o.allocScale != 1.0) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", o.allocScale);
-        os << ",\"allocScale\":" << buf;
+        std::string scale;
+        appendExactDouble(scale, o.allocScale);
+        os << ",\"allocScale\":" << scale;
     }
     if (o.quantum != RunOptions{}.quantum)
         os << ",\"quantum\":" << o.quantum;

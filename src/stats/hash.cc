@@ -10,17 +10,6 @@ namespace
 
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-/** FNV-1a continuation over the bytes of `s` in reverse order. */
-std::uint64_t
-fnv1aReversed(std::string_view s, std::uint64_t h)
-{
-    for (auto it = s.rbegin(); it != s.rend(); ++it) {
-        h ^= static_cast<unsigned char>(*it);
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 } // namespace
 
 std::uint64_t
@@ -60,14 +49,39 @@ contentHashHex(std::string_view s)
     return contentHashHex(HashedPrefix{}, s);
 }
 
+FnvReverse::FnvReverse(std::string_view bytes) : scale_(1)
+{
+    // Walk all 256 low bytes at once (independent chains), then
+    // subtract the part that scales with the start state.
+    for (std::uint64_t lo = 0; lo < 256; ++lo)
+        add_[lo] = lo;
+    for (auto it = bytes.rbegin(); it != bytes.rend(); ++it) {
+        const auto b = static_cast<unsigned char>(*it);
+        for (std::uint64_t &h : add_)
+            h = (h ^ b) * kFnvPrime;
+        scale_ *= kFnvPrime;
+    }
+    for (std::uint64_t lo = 0; lo < 256; ++lo)
+        add_[lo] -= lo * scale_;
+}
+
 std::string
 contentHashHex(const HashedPrefix &prefix, std::string_view suffix)
 {
-    const std::uint64_t lo = splitmix64(fnv1a(suffix, prefix.forward));
-    std::uint64_t reversed = fnv1aReversed(suffix, kFnvOffsetBasis);
-    for (auto it = prefix.pieces.rbegin(); it != prefix.pieces.rend();
+    std::uint64_t forward = prefix.forward;
+    std::uint64_t reversed = kFnvOffsetBasis;
+    const std::size_t n = suffix.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        forward = (forward ^ static_cast<unsigned char>(suffix[i])) *
+                  kFnvPrime;
+        reversed =
+            (reversed ^ static_cast<unsigned char>(suffix[n - 1 - i])) *
+            kFnvPrime;
+    }
+    for (auto it = prefix.reverse.rbegin(); it != prefix.reverse.rend();
          ++it)
-        reversed = fnv1aReversed(*it, reversed);
+        reversed = (**it)(reversed);
+    const std::uint64_t lo = splitmix64(forward);
     const std::uint64_t hi = splitmix64(reversed ^ lo);
     static const char digits[] = "0123456789abcdef";
     std::string hex(32, '0');

@@ -5,6 +5,15 @@
 namespace netchar
 {
 
+void
+appendExactDouble(std::string &out, double value)
+{
+    char buf[32]; // "-1.2345678901234567e-308" is the longest: 24
+    const auto result = std::to_chars(buf, buf + sizeof buf, value,
+                                      std::chars_format::general, 17);
+    out.append(buf, result.ptr);
+}
+
 std::string
 csvField(const std::string &raw)
 {

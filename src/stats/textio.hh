@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared text helpers: JSON string escaping, RFC 4180 CSV field
- * quoting, and the one rule for reading an unsigned number from text.
+ * quoting, the one exact rendering of a double, and the one rule for
+ * reading an unsigned number from text.
  *
  * These lived in core/export until the trace exporters needed them
  * too; they sit in the base stats library so every layer (core
@@ -29,6 +30,15 @@ std::string jsonEscape(const std::string &raw);
 
 /** Quote a CSV field when needed (RFC 4180). */
 std::string csvField(const std::string &raw);
+
+/**
+ * Append `value` exactly as printf's "%.17g" writes it; the standard
+ * defines std::to_chars' general format at precision 17 that way,
+ * without printf's multi-precision path. 17 significant digits
+ * round-trip every IEEE-754 double, so equal values give equal bytes
+ * and different values never collide.
+ */
+void appendExactDouble(std::string &out, double value);
 
 /**
  * Read `text` as a decimal unsigned integer that fits in T: digits

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/export.hh"
+#include "stats/rng.hh"
+#include "stats/textio.hh"
 
 using namespace netchar;
 
@@ -80,6 +88,54 @@ TEST(JsonEscapeTest, Utf8RoundTrip)
     EXPECT_EQ(jsonEscape(utf8), utf8);
     // Mixed content: only the ASCII specials are rewritten.
     EXPECT_EQ(jsonEscape("\xC3\xA9\"\n"), "\xC3\xA9\\\"\\n");
+}
+
+TEST(ExactDoubleTest, MatchesPrintfG17)
+{
+    // printf's "%.17g" is the oracle: cache keys and request lines
+    // were rendered with it, so every byte must stay the same.
+    const auto printed = [](double v) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string(buf);
+    };
+    const auto exact = [](double v) {
+        std::string out = "x";
+        appendExactDouble(out, v);
+        return out.substr(1); // appends, keeping what was there
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.5, 123456789.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(), inf, -inf, nan, -nan};
+    // Around %g's switch points (exponent below -5, or at least the
+    // precision 17) and every power of ten in between.
+    for (int e = -8; e <= 20; ++e) {
+        const double p = std::pow(10.0, e);
+        values.push_back(p);
+        values.push_back(std::nextafter(p, 0.0));
+        values.push_back(std::nextafter(p, inf));
+    }
+    values.push_back(1e-5);
+    values.push_back(1e17);
+    values.push_back(99999999999999999.0);
+    values.push_back(0.000099999999999999999);
+    // Seeded bit patterns (every exponent, subnormals and NaN
+    // payloads) and seeded values at every decimal scale.
+    stats::Rng rng(34);
+    for (int i = 0; i < 100000; ++i) {
+        values.push_back(std::bit_cast<double>(rng.next()));
+        values.push_back(rng.uniform(-1.0, 1.0) *
+                         std::pow(10.0, rng.uniform(-320.0, 309.0)));
+    }
+    for (const double v : values)
+        ASSERT_EQ(exact(v), printed(v)) << printed(v);
 }
 
 TEST(MetricsCsvTest, HeaderAndRows)

@@ -103,6 +103,44 @@ TEST(Hash, ContentHashHexKnownAnswers)
     EXPECT_EQ(contentHashHex(key), "70ec9bf7ec6a0e5d1afdb311063675a0");
 }
 
+TEST(Hash, FnvReverseMatchesTheByteWalk)
+{
+    // The reference: FNV-1a continued from `h` over the bytes of `s`
+    // in reverse order.
+    const auto walk = [](std::string_view s, std::uint64_t h) {
+        return fnv1a(std::string(s.rbegin(), s.rend()), h);
+    };
+    stats::Rng rng(34);
+    std::vector<std::string> texts = {"", std::string(1, '\0'),
+                                      std::string(1, '\xff'), "a"};
+    // Every byte value, 0x00 and 0xFF included, in one 2 KB string.
+    std::string every;
+    for (int i = 0; i < 2048; ++i)
+        every.push_back(static_cast<char>((i * 131 + 7) & 0xFF));
+    texts.push_back(every);
+    for (const std::size_t size :
+         {2u, 3u, 17u, 255u, 256u, 257u, 1000u, 2047u, 2048u}) {
+        std::string text;
+        for (std::size_t i = 0; i < size; ++i)
+            text.push_back(static_cast<char>(rng.below(256)));
+        texts.push_back(text);
+    }
+    for (const std::string &text : texts) {
+        const FnvReverse map(text);
+        // Random starts, plus each start's low byte at both ends.
+        std::vector<std::uint64_t> starts = {0, ~0ULL, kFnvOffsetBasis};
+        for (int i = 0; i < 64; ++i)
+            starts.push_back(rng.next());
+        for (const std::uint64_t h : starts) {
+            EXPECT_EQ(map(h), walk(text, h))
+                << text.size() << " bytes from " << h;
+            if (text.empty()) {
+                EXPECT_EQ(map(h), h);
+            }
+        }
+    }
+}
+
 TEST(Hash, HashedPrefixEqualsWholeText)
 {
     // Every split of a text into prefix pieces and a suffix, empty
@@ -112,9 +150,12 @@ TEST(Hash, HashedPrefixEqualsWholeText)
     for (std::size_t a = 0; a <= text.size(); ++a) {
         for (std::size_t b = a; b <= text.size(); b += 3) {
             const std::string_view t = text;
-            const std::string_view pieces[] = {t.substr(0, a), "",
-                                               t.substr(a, b - a)};
-            const HashedPrefix prefix{fnv1a(t.substr(0, b)), pieces};
+            const FnvReverse maps[] = {FnvReverse(t.substr(0, a)),
+                                       FnvReverse(""),
+                                       FnvReverse(t.substr(a, b - a))};
+            const FnvReverse *const reverse[] = {&maps[0], &maps[1],
+                                                 &maps[2]};
+            const HashedPrefix prefix{fnv1a(t.substr(0, b)), reverse};
             EXPECT_EQ(contentHashHex(prefix, t.substr(b)), whole)
                 << a << '/' << b;
         }
