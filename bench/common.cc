@@ -1,6 +1,5 @@
 #include "common.hh"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "stats/summary.hh"
@@ -67,17 +66,22 @@ runSuite(const Characterizer &ch,
          const std::vector<wl::WorkloadProfile> &profiles,
          const RunOptions &options)
 {
-    std::vector<RunResult> out;
-    out.reserve(profiles.size());
-    for (const auto &p : profiles) {
-        auto opts = options;
-        if (opts.measuredInstructions == 0)
-            opts.measuredInstructions =
-                scaledInstructions(p.instructions);
-        std::fprintf(stderr, "  [%s] %s ...\n",
-                     ch.config().name.c_str(), p.name.c_str());
-        out.push_back(ch.run(p, opts));
-    }
+    // The sweep measures a profile's own length unless the options
+    // set one; quick mode scales that length.
+    std::vector<wl::WorkloadProfile> scaled = profiles;
+    for (auto &p : scaled)
+        p.instructions = scaledInstructions(p.instructions);
+    // One attempt: a retry would run at a perturbed seed and change
+    // the figure without a word.
+    Parallelism par;
+    par.jobs = 0;
+    par.maxAttempts = 1;
+    SuiteRunStats stats;
+    auto out = ch.runAll(scaled, options, par, &stats);
+    for (const auto &r : stats.runs)
+        if (!r.succeeded)
+            throw std::runtime_error(r.benchmark + " on " +
+                                     ch.config().name + ": " + r.error);
     return out;
 }
 

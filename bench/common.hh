@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the paper-reproduction benches: the
- * Table IV representative subsets, standard run options, progress
- * reporting, and a quick mode for smoke runs.
+ * Table IV representative subsets, standard run options, the suite
+ * sweep, and a quick mode for smoke runs.
  */
 
 #ifndef NETCHAR_BENCH_COMMON_HH
@@ -34,8 +34,9 @@ std::vector<wl::WorkloadProfile> tableIvSpec();
 RunOptions standardOptions();
 
 /**
- * Characterize a list of profiles with a progress line per benchmark
- * on stderr (stdout stays clean for the reproduced table/figure).
+ * Characterize a list of profiles: one runAll sweep over every
+ * hardware thread, each profile measured for its quick-mode-scaled
+ * length unless `options` sets one. Throws if any run fails.
  */
 std::vector<RunResult>
 runSuite(const Characterizer &ch,

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -197,7 +198,9 @@ struct SweepState
     unsigned attempts = 1;
     ResilienceOptions resilience;
     const FaultInjector *inject = nullptr; // null = no chaos
-    std::atomic<bool> abort{false};
+    /** Fail-fast: the lowest index that failed every attempt so far
+     *  (SIZE_MAX = none). Only a run below it starts. */
+    std::atomic<std::size_t> firstFailed{SIZE_MAX};
     std::mutex mu;
     std::vector<RunFailure> failures;
 };
@@ -209,8 +212,9 @@ struct SweepState
  * attempt's result has already been stored at its slot.
  *
  * Everything recorded in SweepState::failures is a pure function of
- * (inputs, chaos plan) — no wall times, no worker ids — so keep-going
- * ledgers are byte-identical at any job count once sorted.
+ * (inputs, chaos plan) — no wall times, no worker ids — so ledgers
+ * are byte-identical at any job count once sorted (fail-fast ones
+ * once sweep() has made every run above the first failure a skip).
  */
 template <typename AttemptFn>
 void
@@ -222,22 +226,11 @@ attemptResiliently(std::size_t i, const std::string &name,
     entry.index = i;
     const ResilienceOptions &res = state.resilience;
 
-    if (state.abort.load(std::memory_order_relaxed)) {
-        entry.succeeded = false;
-        entry.skipped = true;
-        entry.attempts = 0;
-        entry.error = "skipped: fail-fast abort";
-        RunFailure f;
-        f.index = i;
-        f.benchmark = name;
-        f.attempt = 0;
-        f.kind = "skipped";
-        f.error = entry.error;
-        f.seed = base.seed;
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.failures.push_back(std::move(f));
+    // Fail-fast: a run above a permanent failure never starts; sweep()
+    // turns it into a skip with the runs that finished before that
+    // failure landed.
+    if (i > state.firstFailed.load(std::memory_order_relaxed))
         return;
-    }
 
     const unsigned quarantine_at = res.quarantineAfter == 0
         ? 0
@@ -303,8 +296,32 @@ attemptResiliently(std::size_t i, const std::string &name,
         }
     }
 
-    if (!res.keepGoing)
-        state.abort.store(true, std::memory_order_relaxed);
+    if (!res.keepGoing) {
+        std::size_t first = state.firstFailed.load(std::memory_order_relaxed);
+        while (i < first && !state.firstFailed.compare_exchange_weak(
+                                first, i, std::memory_order_relaxed)) {
+        }
+    }
+}
+
+/** Make `entry` a fail-fast skip, never attempted; returns the skip's
+ *  failure record, at attempt 0 with the sweep's base seed. */
+RunFailure
+skipRun(RunLedgerEntry &entry, std::uint64_t seed)
+{
+    entry.attempts = 0;
+    entry.succeeded = false;
+    entry.skipped = true;
+    entry.quarantined = false;
+    entry.error = "skipped: fail-fast abort";
+    RunFailure f;
+    f.index = entry.index;
+    f.benchmark = entry.benchmark;
+    f.attempt = 0;
+    f.kind = "skipped";
+    f.error = entry.error;
+    f.seed = seed;
+    return f;
 }
 
 /** Sort and publish one sweep's failure ledger into stats. */
@@ -338,14 +355,15 @@ measuredResult(CaptureResult &c)
 }
 
 /**
- * The resilient sweep behind runAll and captureAll: jobs resolution,
- * the fault injector, per-run retries through attemptResiliently,
- * the executor fan-out and the run ledger. `attemptOnce(i, opt,
- * fault)` performs one attempt of profile i. Injected Throw and
- * Stall faults are applied before it, CorruptCounter and the result
- * screen after it; `noun` and `product` word the injected-fault
- * messages ("the run would hang", "before producing results"),
- * which are part of the failure ledger bytes.
+ * The resilient sweep behind runAll and captureAll: the fault
+ * injector, per-run retries through attemptResiliently, the executor
+ * fan-out (on the calling thread alone at jobs 1), the fail-fast
+ * skips and the run ledger. `attemptOnce(i, opt, fault)` performs one
+ * attempt of profile i. Injected Throw and Stall faults are applied
+ * before it, CorruptCounter and the result screen after it; `noun`
+ * and `product` word the injected-fault messages ("the run would
+ * hang", "before producing results"), which are part of the failure
+ * ledger bytes.
  *
  * Results land at their input index, so ordering (and output bytes)
  * are independent of scheduling; see the header contract.
@@ -361,10 +379,6 @@ sweep(const std::vector<wl::WorkloadProfile> &profiles,
     // Host wall time feeds only the run ledger (SuiteRunStats),
     // never simulated results.
     const std::size_t n = profiles.size();
-    unsigned jobs = par.jobs != 0
-        ? par.jobs
-        : std::max(1u, std::thread::hardware_concurrency());
-
     SweepState state;
     state.attempts = std::max(1u, par.maxAttempts);
     state.resilience = par.resilience;
@@ -424,24 +438,31 @@ sweep(const std::vector<wl::WorkloadProfile> &profiles,
     };
 
     const double sweep_start = hostSeconds();
-    std::uint64_t steals = 0;
-    if (jobs <= 1 || n <= 1) {
-        jobs = 1;
-        for (std::size_t i = 0; i < n; ++i)
-            run_one(i);
-    } else {
-        Executor executor(jobs);
-        executor.forEach(n, run_one);
-        steals = executor.stealCount();
+    Executor executor(par.jobs);
+    executor.forEach(n, run_one);
+
+    // Fail-fast: every run above the lowest permanent failure is a
+    // skip, also one that finished before that failure landed, so the
+    // results and ledger are the serial sweep's at any job count.
+    const std::size_t first =
+        state.firstFailed.load(std::memory_order_relaxed);
+    if (first < n) {
+        std::erase_if(state.failures, [first](const RunFailure &f) {
+            return f.index > first;
+        });
+        for (std::size_t i = first + 1; i < n; ++i) {
+            out[i] = Result{};
+            state.failures.push_back(skipRun(ledger[i], options.seed));
+        }
     }
 
     if (stats) {
         SuiteRunStats s;
-        s.jobs = jobs;
+        s.jobs = n <= 1 ? 1 : executor.concurrency();
         s.wallSeconds = hostSeconds() - sweep_start;
         for (const auto &e : ledger)
             s.busySeconds += e.wallSeconds;
-        s.steals = steals;
+        s.steals = executor.stealCount();
         s.runs = std::move(ledger);
         publishFailures(state, s.runs, s);
         *stats = std::move(s);

@@ -107,8 +107,9 @@ struct ResilienceOptions
     /**
      * Keep sweeping after a run exhausts its attempts (default):
      * survivors are returned and failures land in the ledger. False
-     * = fail-fast: the first permanent failure aborts the sweep and
-     * not-yet-started runs are recorded as skipped.
+     * = fail-fast: every run after the first permanent failure in
+     * input order is recorded as skipped, with a default result, at
+     * any Parallelism::jobs.
      */
     bool keepGoing = true;
     /**
@@ -168,9 +169,10 @@ struct RunLedgerEntry
     std::string error;
     /** Host wall seconds spent on this run, all attempts. */
     double wallSeconds = 0.0;
-    /** Executor worker that ran it (-1 for the serial path). */
+    /** Executor id of the thread that ran it (Executor::workerId;
+     *  0 at jobs 1, the calling thread). */
     int worker = -1;
-    /** Never attempted: fail-fast aborted the sweep first. */
+    /** Fail-fast skip: a run above the first permanent failure. */
     bool skipped = false;
     /** Hit the consecutive-failure quarantine threshold. */
     bool quarantined = false;
@@ -211,7 +213,7 @@ struct SuiteRunStats
     double wallSeconds = 0.0;
     /** Sum of per-run wall seconds (work actually done). */
     double busySeconds = 0.0;
-    /** Executor steal count (0 on the serial path). */
+    /** Executor steal count (always 0 at jobs 1). */
     std::uint64_t steals = 0;
     /** One entry per input profile, in input order. */
     std::vector<RunLedgerEntry> runs;

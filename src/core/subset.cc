@@ -50,8 +50,7 @@ buildSubset(const stats::Matrix &metrics, const SubsetOptions &options)
     pca_opts.components = options.components;
     pca_opts.standardize = true;
     result.pca = stats::runPca(clean, pca_opts);
-    result.dendrogram =
-        stats::hierarchicalCluster(result.pca.scores, options.linkage);
+    result.dendrogram = stats::hierarchicalCluster(result.pca.scores);
     result.clusters = result.dendrogram.cut(options.subsetSize);
     result.representatives =
         stats::pickRepresentatives(result.pca.scores, result.clusters);

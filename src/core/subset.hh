@@ -30,8 +30,6 @@ struct SubsetOptions
     std::size_t components = 4;
     /** Representative subset size (§IV-B: 8). */
     std::size_t subsetSize = 8;
-    /** Linkage criterion. */
-    stats::Linkage linkage = stats::Linkage::Average;
 };
 
 /** Output of the subsetting pipeline. */
@@ -65,7 +63,7 @@ struct SubsetResult
  * Throws when fewer than subsetSize finite rows survive.
  *
  * @param metric_rows One MetricVector per benchmark.
- * @param options Component count, subset size, linkage.
+ * @param options Component count and subset size.
  */
 SubsetResult buildSubset(const std::vector<MetricVector> &metric_rows,
                          const SubsetOptions &options = {});

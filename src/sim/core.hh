@@ -81,7 +81,6 @@ class Core
      * into the I-TLB, and relocated branches transplant BTB state.
      */
     void setJitHintEnabled(bool enabled) { jitHintEnabled_ = enabled; }
-    bool jitHintEnabled() const { return jitHintEnabled_; }
 
     /**
      * Runtime callback: a method was jitted into [page_addr,

@@ -26,31 +26,21 @@ namespace
 {
 
 /**
- * Lance-Williams update of the distance between merged cluster (i+j)
- * and cluster k.
+ * Average-linkage (UPGMA) Lance-Williams update of the distance
+ * between merged cluster (i+j) and cluster k.
  */
 double
-lanceWilliams(Linkage linkage, double dik, double djk,
-              std::size_t ni, std::size_t nj)
+lanceWilliams(double dik, double djk, std::size_t ni, std::size_t nj)
 {
-    switch (linkage) {
-      case Linkage::Single:
-        return std::min(dik, djk);
-      case Linkage::Complete:
-        return std::max(dik, djk);
-      case Linkage::Average:
-      default: {
-        const double wi = static_cast<double>(ni) /
-            static_cast<double>(ni + nj);
-        return wi * dik + (1.0 - wi) * djk;
-      }
-    }
+    const double wi =
+        static_cast<double>(ni) / static_cast<double>(ni + nj);
+    return wi * dik + (1.0 - wi) * djk;
 }
 
 } // namespace
 
 Dendrogram
-hierarchicalCluster(const Matrix &scores, Linkage linkage)
+hierarchicalCluster(const Matrix &scores)
 {
     const std::size_t n = scores.rows();
     if (n == 0)
@@ -148,8 +138,8 @@ hierarchicalCluster(const Matrix &scores, Linkage linkage)
         for (std::size_t q = 0; q < n_active; ++q) {
             if (q == pa || q == pb)
                 continue;
-            const auto dd = static_cast<float>(lanceWilliams(
-                linkage, d(pa, q), d(pb, q), na, nb));
+            const auto dd = static_cast<float>(
+                lanceWilliams(d(pa, q), d(pb, q), na, nb));
             d(pa, q) = dd;
             d(q, pa) = dd;
         }

@@ -22,14 +22,6 @@
 namespace netchar::stats
 {
 
-/** Linkage criterion for inter-cluster distance. */
-enum class Linkage
-{
-    Single,   ///< min pairwise distance
-    Complete, ///< max pairwise distance
-    Average,  ///< unweighted average pairwise distance (UPGMA)
-};
-
 /**
  * One node of the dendrogram. Leaves represent input observations;
  * internal nodes record the merge distance. Nodes are stored in a flat
@@ -87,15 +79,13 @@ struct Dendrogram
 };
 
 /**
- * Cluster row-observations of a score matrix.
+ * Cluster row-observations of a score matrix with average linkage
+ * (UPGMA), the paper's criterion.
  *
  * @param scores Observations x features (typically the top-4 PRCOs).
- * @param linkage Inter-cluster distance criterion; the paper's linkage
- *                tables correspond to Average.
  * @return Dendrogram over scores.rows() leaves.
  */
-Dendrogram hierarchicalCluster(const Matrix &scores,
-                               Linkage linkage = Linkage::Average);
+Dendrogram hierarchicalCluster(const Matrix &scores);
 
 /** Euclidean distance between two equal-length vectors. */
 double euclidean(const std::vector<double> &a, const std::vector<double> &b);

@@ -353,8 +353,9 @@ TEST(ParallelRunAllTest, StatsLedgerIsCoherent)
     EXPECT_NE(json.find("\"failed_runs\":0"), std::string::npos);
 }
 
-TEST(ParallelRunAllTest, SerialPathPopulatesStatsToo)
+TEST(ParallelRunAllTest, OneJobRunsOnTheCallingThread)
 {
+    // jobs 1 is Executor(1): no helper thread, the caller is executor 0.
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = dotnetSlice(2);
     SuiteRunStats stats;
@@ -363,5 +364,5 @@ TEST(ParallelRunAllTest, SerialPathPopulatesStatsToo)
     EXPECT_EQ(stats.steals, 0u);
     ASSERT_EQ(stats.runs.size(), 2u);
     for (const auto &r : stats.runs)
-        EXPECT_EQ(r.worker, -1); // no executor on the serial path
+        EXPECT_EQ(r.worker, 0);
 }

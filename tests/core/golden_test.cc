@@ -353,3 +353,30 @@ TEST(GoldenDigest, ChaosSweepsMatchAtOneAndFourJobs)
         }
     }
 }
+
+TEST(GoldenDigest, ChaosFailFastMatchesAtTwoAndFourJobs)
+{
+    // ChaosRunAllFailFast's sweep at other job counts. Its first
+    // permanent failure (Json, index 4) fails at once, while other
+    // executors still run or have not yet started their blocks; the
+    // runs above it are skipped and the ones below it run all the
+    // same, so the digest must not move.
+    for (const unsigned jobs : {2u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const Characterizer ch(sim::MachineConfig::armServer());
+        const FaultPlan plan = FaultPlan::parse("rate=0.4,seed=32");
+        Parallelism par;
+        par.jobs = jobs;
+        par.maxAttempts = 1;
+        par.resilience.keepGoing = false;
+        par.resilience.chaos = &plan;
+        SuiteRunStats stats;
+        const auto results =
+            ch.runAll(sweepProfiles(), small(), par, &stats);
+        std::string s;
+        for (const auto &r : results)
+            s += render(r);
+        expectDigest(s + render(stats),
+                     "d16fd9398f969d53ff61db886e1fe7d0");
+    }
+}

@@ -101,21 +101,6 @@ TEST(ClusterTest, MergeHeightsMonotonicTowardRoot)
     EXPECT_GE(root.height, right.height);
 }
 
-TEST(ClusterTest, LinkageCriteriaOrdering)
-{
-    // Complete linkage roots at the max pairwise distance, single at
-    // the min inter-blob distance; average falls in between.
-    const auto data = twoBlobs();
-    const double single_h = ns::hierarchicalCluster(
-        data, ns::Linkage::Single).nodes.back().height;
-    const double avg_h = ns::hierarchicalCluster(
-        data, ns::Linkage::Average).nodes.back().height;
-    const double complete_h = ns::hierarchicalCluster(
-        data, ns::Linkage::Complete).nodes.back().height;
-    EXPECT_LE(single_h, avg_h + 1e-12);
-    EXPECT_LE(avg_h, complete_h + 1e-12);
-}
-
 TEST(ClusterTest, RenderAsciiContainsAllLabels)
 {
     auto dg = ns::hierarchicalCluster(twoBlobs());
