@@ -9,12 +9,28 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "common.hh"
 #include "core/report.hh"
 #include "core/topdown.hh"
 
 using namespace netchar;
+
+namespace
+{
+
+/** Mean L3-bound share of the runs, summed in run order. */
+double
+meanL3Bound(const std::vector<RunResult> &runs)
+{
+    double sum = 0.0;
+    for (const auto &r : runs)
+        sum += TopDownProfile::fromSlots(r.slots).backend.l3Bound;
+    return sum / static_cast<double>(runs.size());
+}
+
+} // namespace
 
 NETCHAR_BENCH(ablation_noc,
               "Ablation: LLC slice/NoC contention model on vs off "
@@ -31,26 +47,22 @@ NETCHAR_BENCH(ablation_noc,
                      "L3-bound (contention off)"});
     double on_16c = 0.0, off_16c = 0.0;
     for (unsigned cores : core_counts) {
-        double on_sum = 0.0, off_sum = 0.0;
-        for (const auto &p : profiles) {
-            RunOptions on = bench::standardOptions();
-            on.cores = cores;
-            on.measuredInstructions =
-                bench::scaledInstructions(800'000);
-            RunOptions off = on;
-            off.noc.contentionEnabled = false;
-            on_sum += TopDownProfile::fromSlots(ch.run(p, on).slots)
-                          .backend.l3Bound;
-            off_sum += TopDownProfile::fromSlots(ch.run(p, off).slots)
-                           .backend.l3Bound;
-        }
-        const double n = static_cast<double>(profiles.size());
-        table.addRow({std::to_string(cores),
-                      fmtPercent(on_sum / n),
-                      fmtPercent(off_sum / n)});
+        // The options fix the measured length, so runSuite's scaling
+        // of each profile's own length does not apply.
+        RunOptions on = bench::standardOptions();
+        on.cores = cores;
+        on.measuredInstructions = bench::scaledInstructions(800'000);
+        RunOptions off = on;
+        off.noc.contentionEnabled = false;
+        const double on_mean =
+            meanL3Bound(bench::runSuite(ch, profiles, on));
+        const double off_mean =
+            meanL3Bound(bench::runSuite(ch, profiles, off));
+        table.addRow({std::to_string(cores), fmtPercent(on_mean),
+                      fmtPercent(off_mean)});
         if (cores == 16) {
-            on_16c = on_sum / n;
-            off_16c = off_sum / n;
+            on_16c = on_mean;
+            off_16c = off_mean;
         }
         std::fprintf(stderr, "  %u cores done\n", cores);
     }

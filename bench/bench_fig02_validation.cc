@@ -25,17 +25,26 @@ using namespace netchar;
 namespace
 {
 
-/** Seconds per benchmark on one machine. */
+/** Seconds per benchmark, in run order. */
 std::vector<double>
-runTimes(const Characterizer &ch,
-         const std::vector<wl::WorkloadProfile> &profiles,
-         const RunOptions &options)
+secondsOf(const std::vector<RunResult> &runs)
 {
     std::vector<double> seconds;
-    seconds.reserve(profiles.size());
-    for (const auto &r : bench::runSuite(ch, profiles, options))
+    seconds.reserve(runs.size());
+    for (const auto &r : runs)
         seconds.push_back(r.seconds);
     return seconds;
+}
+
+/** Metric rows, in run order. */
+std::vector<MetricVector>
+rowsOf(const std::vector<RunResult> &runs)
+{
+    std::vector<MetricVector> rows;
+    rows.reserve(runs.size());
+    for (const auto &r : runs)
+        rows.push_back(r.metrics);
+    return rows;
 }
 
 } // namespace
@@ -51,18 +60,15 @@ NETCHAR_BENCH(fig02_validation,
     // ---- Category level (Subset A, A(o)) ----
     const auto categories = wl::dotnetCategories();
     const auto opts = bench::standardOptions();
-    const auto base_times = runTimes(baseline, categories, opts);
-    const auto a_times = runTimes(machine_a, categories, opts);
-    const auto scores = benchmarkScores(base_times, a_times);
+    const auto a_runs = bench::runSuite(machine_a, categories, opts);
+    const auto scores = benchmarkScores(
+        secondsOf(bench::runSuite(baseline, categories, opts)),
+        secondsOf(a_runs));
     const double full = compositeScore(scores);
 
-    std::vector<MetricVector> rows;
-    for (const auto &r :
-         bench::runSuite(machine_a, categories, opts))
-        rows.push_back(r.metrics);
     SubsetOptions sopts;
     sopts.subsetSize = 8;
-    const auto subset = buildSubset(rows, sopts);
+    const auto subset = buildSubset(rowsOf(a_runs), sopts);
     const double subset_a =
         compositeScore(scores, subset.representatives);
     const auto optimum = optimumSubset(scores, subset.clusters);
@@ -71,34 +77,27 @@ NETCHAR_BENCH(fig02_validation,
     const std::uint64_t micro_inst =
         bench::scaledInstructions(60'000);
     auto micros = wl::dotnetMicrobenchmarks(micro_inst);
+    // The options fix the measured length, so runSuite's scaling of
+    // each profile's own length does not apply.
     RunOptions micro_opts;
     micro_opts.warmupInstructions =
         bench::scaledInstructions(40'000);
+    micro_opts.measuredInstructions = micro_inst;
     std::fprintf(stderr,
                  "  characterizing %zu microbenchmarks on 2 machines "
                  "(this is the long part)...\n",
                  micros.size());
-    std::vector<double> micro_base, micro_a;
-    std::vector<MetricVector> micro_rows;
-    micro_base.reserve(micros.size());
-    micro_a.reserve(micros.size());
-    for (std::size_t i = 0; i < micros.size(); ++i) {
-        micro_opts.measuredInstructions = micro_inst;
-        const auto rb = baseline.run(micros[i], micro_opts);
-        const auto ra = machine_a.run(micros[i], micro_opts);
-        micro_base.push_back(rb.seconds);
-        micro_a.push_back(ra.seconds);
-        micro_rows.push_back(ra.metrics);
-        if (i % 250 == 0)
-            std::fprintf(stderr, "  ... %zu / %zu\n", i,
-                         micros.size());
-    }
-    const auto micro_scores = benchmarkScores(micro_base, micro_a);
+    const auto micro_a_runs =
+        bench::runSuite(machine_a, micros, micro_opts);
+    const auto micro_scores = benchmarkScores(
+        secondsOf(bench::runSuite(baseline, micros, micro_opts)),
+        secondsOf(micro_a_runs));
     const double micro_full = compositeScore(micro_scores);
 
     SubsetOptions bopts;
     bopts.subsetSize = 64;
-    const auto subset_b_result = buildSubset(micro_rows, bopts);
+    const auto subset_b_result =
+        buildSubset(rowsOf(micro_a_runs), bopts);
     const double subset_b = compositeScore(
         micro_scores, subset_b_result.representatives);
 

@@ -34,11 +34,15 @@ namespace netchar
 {
 
 /**
- * Canonical-form schema version. Embedded in cacheKeyText(): any
- * change to the rendered field set bumps this, so caches persisted
- * under the old schema miss cleanly instead of serving stale bodies.
+ * Cache-key version. Embedded in cacheKeyText(), so a cache persisted
+ * by another version misses cleanly instead of serving stale bodies.
+ * Bump it when the rendered field set changes, and also when the bytes
+ * a key's run returns change for the same fields (a model change that
+ * moves any result): otherwise a daemon restarted on an older journal
+ * serves the old body while a fresh shard computes the new one.
+ * v2: cores that share a CLR warm the LLC once per process.
  */
-inline constexpr int kCanonicalVersion = 1;
+inline constexpr int kCanonicalVersion = 2;
 
 /** Canonical `key=value;` rendering of every profile field. */
 std::string canonicalProfile(const wl::WorkloadProfile &profile);
@@ -65,7 +69,7 @@ std::string cacheKeyText(const wl::WorkloadProfile &profile,
  * The canonical texts of every registered profile
  * (wl::registeredProfiles()) and machine model (sim::machineModels()),
  * rendered once, plus what both hash passes need of each run key's
- * static head, `"run/" + "netchar-key/v1{" + profile + machine`: the
+ * static head, `"run/" + "netchar-key/vN{" + profile + machine`: the
  * forward FNV-1a state per (profile, machine) pair (8 bytes each),
  * and one reverse map (FnvReverse, 2 KB) per piece: the head tag,
  * each profile text and each machine text. A run key then costs one

@@ -50,6 +50,7 @@ Clr::reset()
     jit_.reset();
     trace_.reset();
     allocTickAccum_ = 0;
+    llcWarm_ = false;
 }
 
 } // namespace netchar::rt

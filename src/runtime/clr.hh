@@ -8,6 +8,7 @@
 #define NETCHAR_RUNTIME_CLR_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "runtime/events.hh"
 #include "runtime/gc.hh"
@@ -83,6 +84,13 @@ class Clr
     EventTrace &trace() { return trace_; }
     const EventTrace &trace() const { return trace_; }
 
+    /**
+     * True for the first caller only: the first core to start on this
+     * process loads its working set into the shared LLC, and later
+     * cores find it already warm.
+     */
+    bool claimLlcWarmup() { return !std::exchange(llcWarm_, true); }
+
     /** Restore the runtime to a fresh-process state. */
     void reset();
 
@@ -93,6 +101,7 @@ class Clr
     Jit jit_;
     EventTrace trace_;
     std::uint64_t allocTickAccum_ = 0;
+    bool llcWarm_ = false;
 };
 
 } // namespace netchar::rt

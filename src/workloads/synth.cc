@@ -620,7 +620,10 @@ SynthWorkload::run(sim::Core &core, std::uint64_t count)
             // the footprint fits; LRU naturally keeps the tail.
             llc.push_back({kNativeDataBase, data});
         }
-        core.preloadLlc(llc);
+        // One process, one warm-up: cores sharing a CLR share its
+        // LLC working set, so only the first to start loads it.
+        if (!profile_.managed || clr_->claimLlcWarmup())
+            core.preloadLlc(llc);
         enterMethod(0, core);
     }
     for (std::uint64_t i = 0; i < count; ++i)

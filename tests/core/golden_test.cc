@@ -224,7 +224,7 @@ TEST(GoldenDigest, JitHintAndTwoCores)
     two.cores = 2;
     expectDigest(render(ch.run(profile("SeekUnroll"), jit)) +
                      render(ch.run(profile("Plaintext"), two)),
-                 "acf96a10018d0e51a226bfb9a9f0ee20");
+                 "7562985befc97abd91564371d3edb946");
 }
 
 TEST(GoldenDigest, CaptureByInstructionsAndByCycles)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "sim/machine.hh"
 #include "workloads/registry.hh"
@@ -161,6 +162,35 @@ TEST(SynthTest, SharedClrAcrossCores)
     // Method addresses agree across cores (one process).
     EXPECT_EQ(clr->jit().method(0).address,
               w1.clr()->jit().method(0).address);
+}
+
+TEST(SynthTest, SharedClrWarmsTheLlcOncePerProcess)
+{
+    // Two cores of one process: core 0's start loads the working set
+    // into the shared LLC, and core 1's start must not load it again.
+    const auto p = testProfile();
+    auto clr = wl::SynthWorkload::makeClr(p, 42);
+    sim::Machine m(machineConfig(), 2);
+    wl::SynthWorkload w0(p, 1, clr);
+    wl::SynthWorkload w1(p, 2, clr);
+    w0.run(m.core(0), 1);
+    const std::uint64_t heap_line = clr->heap().base();
+    ASSERT_TRUE(m.llc().contains(heap_line));
+    // Flush the LLC with one large unrelated range.
+    const sim::LlcRange flush{0x0000'2000'0000'0000ULL, 64ULL << 20};
+    m.core(0).preloadLlc(std::span(&flush, 1));
+    ASSERT_FALSE(m.llc().contains(heap_line));
+    w1.run(m.core(1), 1);
+    EXPECT_FALSE(m.llc().contains(heap_line));
+}
+
+TEST(SynthTest, OneCoreManagedStartWarmsTheLlc)
+{
+    const auto p = testProfile();
+    sim::Machine m(machineConfig());
+    wl::SynthWorkload w(p, 1);
+    w.run(m.core(0), 1);
+    EXPECT_TRUE(m.llc().contains(w.clr()->heap().base()));
 }
 
 TEST(SynthTest, ManagedSuiteIsMoreFrontendBoundThanSpecFp)
