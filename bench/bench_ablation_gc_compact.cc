@@ -30,33 +30,40 @@ NETCHAR_BENCH(ablation_gc_compact,
                "pressure), plus a no-GC control\n\n");
     TextTable table({"Benchmark", "LLC noGC", "LLC swGC", "LLC hwGC",
                      "time swGC/noGC", "time hwGC/noGC"});
-    std::vector<double> hw_speedups;
+    // Three cells per benchmark, in one sweep: each cell's GC setup
+    // lives in its profile copy, so every cell shares one RunOptions.
+    std::vector<wl::WorkloadProfile> cells;
     for (const auto &p : profiles) {
-        RunOptions base = bench::standardOptions();
-        base.allocScale = 8.0;
-        base.measuredInstructions =
-            bench::scaledInstructions(1'500'000);
+        auto base = p;
+        base.allocBytesPerInst *= 8.0;
 
-        RunOptions nogc = base;
+        auto nogc = base;
         nogc.gcMode = rt::GcMode::Workstation;
         nogc.maxHeapBytes = 2048 * MiB; // never collects
 
-        RunOptions sw = base;
+        auto sw = base;
         sw.gcMode = rt::GcMode::Server;
         sw.maxHeapBytes = 48 * MiB;
         sw.gcAssist = rt::GcAssist::Software;
 
-        RunOptions hw = sw;
+        auto hw = sw;
         hw.gcAssist = rt::GcAssist::Hardware;
 
-        const auto r_nogc = ch.run(p, nogc);
-        const auto r_sw = ch.run(p, sw);
-        const auto r_hw = ch.run(p, hw);
-        auto llc = [](const RunResult &r) {
-            return r.metrics[static_cast<std::size_t>(
-                MetricId::LlcMpki)];
-        };
-        table.addRow({p.name, fmtFixed(llc(r_nogc), 3),
+        cells.insert(cells.end(), {nogc, sw, hw});
+    }
+    RunOptions opts = bench::standardOptions();
+    opts.measuredInstructions = bench::scaledInstructions(1'500'000);
+    const auto runs = bench::runSuite(ch, cells, opts);
+
+    auto llc = [](const RunResult &r) {
+        return r.metrics[static_cast<std::size_t>(MetricId::LlcMpki)];
+    };
+    std::vector<double> hw_speedups;
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const RunResult &r_nogc = runs[3 * i];
+        const RunResult &r_sw = runs[3 * i + 1];
+        const RunResult &r_hw = runs[3 * i + 2];
+        table.addRow({profiles[i].name, fmtFixed(llc(r_nogc), 3),
                       fmtFixed(llc(r_sw), 3), fmtFixed(llc(r_hw), 3),
                       fmtFixed(r_sw.seconds / r_nogc.seconds, 3),
                       fmtFixed(r_hw.seconds / r_nogc.seconds, 3)});

@@ -32,19 +32,23 @@ NETCHAR_BENCH(ablation_jit_prefetch,
                "hook) off vs on, ASP.NET subset\n\n");
     TextTable table({"Benchmark", "L1i MPKI off", "L1i MPKI on",
                      "LLC off", "LLC on", "CPI off", "CPI on"});
+    // The hint is a machine-level option, so each side is one sweep.
+    RunOptions off = bench::standardOptions();
+    off.maxHeapBytes = 512ULL << 20; // isolate JIT effects
+    RunOptions on = off;
+    on.jitHint = true;
+    const auto runs_off = bench::runSuite(ch, profiles, off);
+    const auto runs_on = bench::runSuite(ch, profiles, on);
+    auto metric = [](const RunResult &r, MetricId id) {
+        return r.metrics[static_cast<std::size_t>(id)];
+    };
     std::vector<double> cpi_gains;
-    for (const auto &p : profiles) {
-        RunOptions off = bench::standardOptions();
-        off.maxHeapBytes = 512ULL << 20; // isolate JIT effects
-        RunOptions on = off;
-        on.jitHint = true;
-        const auto r_off = ch.run(p, off);
-        const auto r_on = ch.run(p, on);
-        auto metric = [](const RunResult &r, MetricId id) {
-            return r.metrics[static_cast<std::size_t>(id)];
-        };
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const RunResult &r_off = runs_off[i];
+        const RunResult &r_on = runs_on[i];
         table.addRow(
-            {p.name, fmtFixed(metric(r_off, MetricId::L1iMpki), 2),
+            {profiles[i].name,
+             fmtFixed(metric(r_off, MetricId::L1iMpki), 2),
              fmtFixed(metric(r_on, MetricId::L1iMpki), 2),
              fmtFixed(metric(r_off, MetricId::LlcMpki), 3),
              fmtFixed(metric(r_on, MetricId::LlcMpki), 3),

@@ -28,15 +28,23 @@ NETCHAR_BENCH(ablation_mlp,
                "parallelism\n\n");
     TextTable table({"MLP", "mcf CPI", "mcf LLC MPKI",
                      "exchange2 CPI"});
-    double mcf_cpi_mlp1 = 0.0, mcf_cpi_mlp8 = 0.0;
+    // mcf and exchange2 at every MLP, in one sweep: the MLP lives in
+    // each profile copy.
+    std::vector<wl::WorkloadProfile> cells;
     for (double mlp : mlps) {
-        auto mcf = *wl::findProfile("mcf");
-        auto exch = *wl::findProfile("exchange2");
-        mcf.mlp = mlp;
-        exch.mlp = mlp;
-        const auto opts = bench::standardOptions();
-        const auto r_mcf = ch.run(mcf, opts);
-        const auto r_exch = ch.run(exch, opts);
+        for (const char *name : {"mcf", "exchange2"}) {
+            auto p = *wl::findProfile(name);
+            p.mlp = mlp;
+            cells.push_back(std::move(p));
+        }
+    }
+    const auto runs =
+        bench::runSuite(ch, cells, bench::standardOptions());
+    double mcf_cpi_mlp1 = 0.0, mcf_cpi_mlp8 = 0.0;
+    for (std::size_t i = 0; i < std::size(mlps); ++i) {
+        const double mlp = mlps[i];
+        const RunResult &r_mcf = runs[2 * i];
+        const RunResult &r_exch = runs[2 * i + 1];
         if (mlp == 1.0)
             mcf_cpi_mlp1 = r_mcf.counters.cpi();
         if (mlp == 8.0)

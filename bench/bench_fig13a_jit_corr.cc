@@ -11,12 +11,14 @@
  * at the page boundary).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "common.hh"
 #include "core/correlation.hh"
 #include "core/report.hh"
+#include "stats/summary.hh"
 #include "trace/analyzer.hh"
 
 using namespace netchar;
@@ -27,7 +29,10 @@ NETCHAR_BENCH(fig13a_jit_corr,
 {
     std::fprintf(stderr, "Figure 13a: JIT-event correlations\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
-    const auto profiles = bench::tableIvAspnet();
+    auto profiles = bench::tableIvAspnet();
+    // Keep tier-up re-JITs flowing through the sampled window.
+    for (auto &p : profiles)
+        p.tierUpCallThreshold = 40;
 
     RunOptions opts = bench::standardOptions();
     // Maximize the heap so GC events do not pollute the JIT signal.
@@ -45,12 +50,8 @@ NETCHAR_BENCH(fig13a_jit_corr,
 
     std::map<std::string, std::vector<double>> by_counter;
     std::map<std::string, std::vector<double>> width_sensitivity;
-    for (const auto &p : profiles) {
-        std::fprintf(stderr, "  capturing %s ...\n", p.name.c_str());
-        auto profile = p;
-        // Keep tier-up re-JITs flowing through the sampled window.
-        profile.tierUpCallThreshold = 40;
-        const auto cap = ch.capture(profile, opts, topts);
+    for (const auto &cap :
+         bench::captureSuite(ch, profiles, opts, topts)) {
         const trace::TraceAnalyzer analyzer(cap.trace);
         const auto series =
             analyzer.reslice(interval_cycles, samples);
@@ -89,31 +90,21 @@ NETCHAR_BENCH(fig13a_jit_corr,
     };
     double branch_mean_r = 0.0;
     for (const auto &[name, rs] : by_counter) {
-        double mean = 0.0, lo = rs.front(), hi = rs.front();
-        for (double r : rs) {
-            mean += r;
-            lo = std::min(lo, r);
-            hi = std::max(hi, r);
-        }
-        mean /= static_cast<double>(rs.size());
+        const double mean = stats::mean(rs);
         if (name == "branch MPKI")
             branch_mean_r = mean;
         auto it = expectations.find(name);
-        table.addRow({name, fmtFixed(mean, 3), fmtFixed(lo, 3),
-                      fmtFixed(hi, 3),
+        table.addRow({name, fmtFixed(mean, 3),
+                      fmtFixed(std::ranges::min(rs), 3),
+                      fmtFixed(std::ranges::max(rs), 3),
                       it != expectations.end() ? it->second : "-"});
     }
     ctx.printf("%s\n", table.render().c_str());
     ctx.printf("Interval sensitivity (branch MPKI r, re-sliced from "
                "the same traces):\n");
-    for (const auto &[label, rs] : width_sensitivity) {
-        double mean = 0.0;
-        for (double r : rs)
-            mean += r;
-        mean /= static_cast<double>(rs.size());
+    for (const auto &[label, rs] : width_sensitivity)
         ctx.printf("  %-6s interval: mean r = %s\n", label.c_str(),
-                   fmtFixed(mean, 3).c_str());
-    }
+                   fmtFixed(stats::mean(rs), 3).c_str());
     ctx.printf("\n");
     ctx.printf("Note: the useless-prefetch correlation comes out "
                "positive here because the simulator charges a "

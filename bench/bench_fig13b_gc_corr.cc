@@ -18,6 +18,7 @@
  * positively overall.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -92,8 +93,6 @@ NETCHAR_BENCH(fig13b_gc_corr,
 {
     std::fprintf(stderr, "Figure 13b: GC-event correlations\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
-    const auto profiles = bench::tableIvAspnet();
-
     const double interval_cycles =
         static_cast<double>(bench::scaledInstructions(120'000));
     const std::size_t samples = 60;
@@ -103,22 +102,25 @@ NETCHAR_BENCH(fig13b_gc_corr,
     topts.measuredCycles =
         interval_cycles * static_cast<double>(samples + 4);
 
-    std::map<std::string, std::vector<double>> same;
-    std::vector<double> lag_llc, lag_ipc;
-    PrePost llc_pp, ipc_pp, inst_pp;
-    for (const auto &p : profiles) {
-        std::fprintf(stderr, "  sampling %s ...\n", p.name.c_str());
-        auto profile = p;
+    // Each capture's GC setup lives in its profile copy, so the
+    // captures share one RunOptions and run as one sweep.
+    auto profiles = bench::tableIvAspnet();
+    for (auto &profile : profiles) {
         profile.tierUpCallThreshold = 0; // quiesce JIT noise
         // LLC-scale working set so compaction matters at this level.
         profile.dataFootprint *= 4;
-        RunOptions o = bench::standardOptions();
-        o.allocScale = 6.0;
+        profile.allocBytesPerInst *= 6.0;
         // Server GC at a small heap: collections every few sampled
         // intervals, as in the paper's small-heap configuration.
-        o.gcMode = rt::GcMode::Server;
-        o.maxHeapBytes = profile.dataFootprint * 2;
-        const auto cap = ch.capture(profile, o, topts);
+        profile.gcMode = rt::GcMode::Server;
+        profile.maxHeapBytes = profile.dataFootprint * 2;
+    }
+
+    std::map<std::string, std::vector<double>> same;
+    std::vector<double> lag_llc, lag_ipc;
+    PrePost llc_pp, ipc_pp, inst_pp;
+    for (const auto &cap : bench::captureSuite(
+             ch, profiles, bench::standardOptions(), topts)) {
         const auto series = trace::TraceAnalyzer(cap.trace)
                                 .reslice(interval_cycles, samples);
         for (const auto &row : correlateEvents(
@@ -130,20 +132,15 @@ NETCHAR_BENCH(fig13b_gc_corr,
         lag_ipc.push_back(lagCorrelation(
             series, rt::RuntimeEventType::GcTriggered,
             CounterSeries::Ipc));
-        const auto llc_i =
-            alignedPrePost(series, CounterSeries::LlcMpki);
-        const auto ipc_i = alignedPrePost(series, CounterSeries::Ipc);
-        const auto inst_i =
-            alignedPrePost(series, CounterSeries::Instructions);
-        llc_pp.pre += llc_i.pre * llc_i.events;
-        llc_pp.post += llc_i.post * llc_i.events;
-        llc_pp.events += llc_i.events;
-        ipc_pp.pre += ipc_i.pre * ipc_i.events;
-        ipc_pp.post += ipc_i.post * ipc_i.events;
-        ipc_pp.events += ipc_i.events;
-        inst_pp.pre += inst_i.pre * inst_i.events;
-        inst_pp.post += inst_i.post * inst_i.events;
-        inst_pp.events += inst_i.events;
+        for (const auto &[pp, counter] :
+             {std::pair{&llc_pp, CounterSeries::LlcMpki},
+              std::pair{&ipc_pp, CounterSeries::Ipc},
+              std::pair{&inst_pp, CounterSeries::Instructions}}) {
+            const auto one = alignedPrePost(series, counter);
+            pp->pre += one.pre * one.events;
+            pp->post += one.post * one.events;
+            pp->events += one.events;
+        }
     }
 
     ctx.printf("Figure 13b: correlation of GC invocations with "
@@ -157,44 +154,26 @@ NETCHAR_BENCH(fig13b_gc_corr,
         {"IPC", "positive"},
     };
     for (const auto &[name, rs] : same) {
-        double mean = 0.0, lo = rs.front(), hi = rs.front();
-        for (double r : rs) {
-            mean += r;
-            lo = std::min(lo, r);
-            hi = std::max(hi, r);
-        }
-        mean /= static_cast<double>(rs.size());
         auto it = expectations.find(name);
-        table.addRow({name, fmtFixed(mean, 3), fmtFixed(lo, 3),
-                      fmtFixed(hi, 3),
+        table.addRow({name, fmtFixed(stats::mean(rs), 3),
+                      fmtFixed(std::ranges::min(rs), 3),
+                      fmtFixed(std::ranges::max(rs), 3),
                       it != expectations.end() ? it->second : "-"});
     }
     ctx.printf("%s\n", table.render().c_str());
 
-    auto mean_of = [](const std::vector<double> &xs) {
-        double acc = 0.0;
-        for (double x : xs)
-            acc += x;
-        return acc / static_cast<double>(xs.size());
-    };
     ctx.printf("Lag-1 correlations (event -> next interval, the "
                "paper's delayed response):\n");
     ctx.printf("  LLC MPKI (next): mean r = %s  (paper: negative)\n",
-               fmtFixed(mean_of(lag_llc), 3).c_str());
+               fmtFixed(stats::mean(lag_llc), 3).c_str());
     ctx.printf("  IPC      (next): mean r = %s  (paper: positive)\n",
-               fmtFixed(mean_of(lag_ipc), 3).c_str());
+               fmtFixed(stats::mean(lag_ipc), 3).c_str());
 
-    if (llc_pp.events > 0) {
-        llc_pp.pre /= llc_pp.events;
-        llc_pp.post /= llc_pp.events;
-    }
-    if (ipc_pp.events > 0) {
-        ipc_pp.pre /= ipc_pp.events;
-        ipc_pp.post /= ipc_pp.events;
-    }
-    if (inst_pp.events > 0) {
-        inst_pp.pre /= inst_pp.events;
-        inst_pp.post /= inst_pp.events;
+    for (PrePost *pp : {&llc_pp, &ipc_pp, &inst_pp}) {
+        if (pp->events > 0) {
+            pp->pre /= pp->events;
+            pp->post /= pp->events;
+        }
     }
     ctx.printf("\nEvent-aligned means over the quiet intervals "
                "before/after each GC (%d events):\n",
@@ -213,7 +192,7 @@ NETCHAR_BENCH(fig13b_gc_corr,
     ctx.printf("  instructions : %.0f -> %.0f (%+.1f%%)   "
                "(paper: footprint increases)\n",
                inst_pp.pre, inst_pp.post, pct(inst_pp));
-    ctx.metric("llc_mpki_lag1_mean_r", "r", mean_of(lag_llc));
+    ctx.metric("llc_mpki_lag1_mean_r", "r", stats::mean(lag_llc));
     ctx.metric("gc_events_aligned", "count",
                static_cast<double>(llc_pp.events));
 }

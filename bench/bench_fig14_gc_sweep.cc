@@ -77,17 +77,12 @@ NETCHAR_BENCH(fig14_gc_sweep,
     const HeapPoint heaps[] = {{"200MiB", 12 * MiB},
                                {"2000MiB", 48 * MiB},
                                {"20000MiB", 192 * MiB}};
-    const struct
-    {
-        rt::GcMode mode;
-        const char *label;
-    } modes[] = {{rt::GcMode::Workstation, "ws"},
-                 {rt::GcMode::Server, "srv"}};
+    const rt::GcMode modes[] = {rt::GcMode::Workstation,
+                                rt::GcMode::Server};
 
     struct Cell
     {
         bool oom = false;
-        bool ran = false;
         double gcPki = 0.0;
         double llcMpki = 0.0;
         double seconds = 0.0;
@@ -95,12 +90,15 @@ NETCHAR_BENCH(fig14_gc_sweep,
     std::vector<std::vector<Cell>> cells(
         profiles.size(), std::vector<Cell>(6));
 
+    // Every runnable cell in one sweep: a cell's GC mode, heap and
+    // allocation pressure live in its profile copy, so all cells
+    // share one RunOptions.
+    std::vector<wl::WorkloadProfile> cell_profiles;
     for (std::size_t b = 0; b < profiles.size(); ++b) {
         for (std::size_t h = 0; h < 3; ++h) {
             for (std::size_t m = 0; m < 2; ++m) {
-                const std::size_t col = h * 2 + m;
-                Cell &cell = cells[b][col];
-                if (paperReportedOom(profiles[b].name, modes[m].mode,
+                Cell &cell = cells[b][h * 2 + m];
+                if (paperReportedOom(profiles[b].name, modes[m],
                                      heaps[h].bytes)) {
                     cell.oom = true;
                     continue;
@@ -110,24 +108,28 @@ NETCHAR_BENCH(fig14_gc_sweep,
                 // without them, heap effects stay invisible to the
                 // 24.75 MiB LLC inside short windows.
                 profile.dataFootprint *= 4;
-                RunOptions opts = bench::standardOptions();
-                opts.gcMode = modes[m].mode;
-                opts.maxHeapBytes = std::max<std::uint64_t>(
+                profile.gcMode = modes[m];
+                profile.maxHeapBytes = std::max<std::uint64_t>(
                     heaps[h].bytes, profile.dataFootprint * 3 / 2);
-                opts.allocScale = 8.0;
-                opts.measuredInstructions =
-                    bench::scaledInstructions(1'500'000);
-                std::fprintf(stderr, "  %s %s@%s ...\n",
-                             profiles[b].name.c_str(),
-                             modes[m].label, heaps[h].label);
-                const auto r = ch.run(profile, opts);
-                cell.ran = true;
-                cell.gcPki = r.metrics[static_cast<std::size_t>(
-                    MetricId::GcTriggeredPki)];
-                cell.llcMpki = r.metrics[static_cast<std::size_t>(
-                    MetricId::LlcMpki)];
-                cell.seconds = r.seconds;
+                profile.allocBytesPerInst *= 8.0;
+                cell_profiles.push_back(std::move(profile));
             }
+        }
+    }
+    RunOptions opts = bench::standardOptions();
+    opts.measuredInstructions = bench::scaledInstructions(1'500'000);
+    const auto runs = bench::runSuite(ch, cell_profiles, opts);
+    auto run = runs.begin(); // in cell order, OOM cells skipped
+    for (auto &row : cells) {
+        for (auto &cell : row) {
+            if (cell.oom)
+                continue;
+            const RunResult &r = *run++;
+            cell.gcPki = r.metrics[static_cast<std::size_t>(
+                MetricId::GcTriggeredPki)];
+            cell.llcMpki =
+                r.metrics[static_cast<std::size_t>(MetricId::LlcMpki)];
+            cell.seconds = r.seconds;
         }
     }
 
@@ -148,7 +150,7 @@ NETCHAR_BENCH(fig14_gc_sweep,
             // (ws@200MiB when it exists, as in the paper).
             const Cell *base = nullptr;
             for (const auto &cell : cells[b]) {
-                if (cell.ran && getter(cell) != 0.0) {
+                if (!cell.oom && getter(cell) != 0.0) {
                     base = &cell;
                     break;
                 }
@@ -184,7 +186,7 @@ NETCHAR_BENCH(fig14_gc_sweep,
         for (std::size_t h = 0; h < 3; ++h) {
             const Cell &ws = cells[b][h * 2 + 0];
             const Cell &srv = cells[b][h * 2 + 1];
-            if (!ws.ran || !srv.ran)
+            if (ws.oom || srv.oom)
                 continue;
             if (ws.gcPki > 0.0 && srv.gcPki > 0.0)
                 trig_ratios.push_back(srv.gcPki / ws.gcPki);

@@ -26,6 +26,35 @@ byNames(const std::vector<const char *> &picks)
     return out;
 }
 
+/**
+ * The one sweep rule of every artifact bench: each profile measured
+ * for its quick-mode-scaled length unless the options set one, every
+ * hardware thread, one attempt per run, and a throw naming the first
+ * failed run. `sweep(profiles, par, stats)` is runAll or captureAll.
+ */
+template <typename SweepFn>
+auto
+sweepOnce(const Characterizer &ch,
+          const std::vector<wl::WorkloadProfile> &profiles,
+          SweepFn &&sweep)
+{
+    std::vector<wl::WorkloadProfile> scaled = profiles;
+    for (auto &p : scaled)
+        p.instructions = scaledInstructions(p.instructions);
+    // One attempt: a retry would run at a perturbed seed and change
+    // the figure without a word.
+    Parallelism par;
+    par.jobs = 0;
+    par.maxAttempts = 1;
+    SuiteRunStats stats;
+    auto out = sweep(scaled, par, &stats);
+    for (const auto &r : stats.runs)
+        if (!r.succeeded)
+            throw std::runtime_error(r.benchmark + " on " +
+                                     ch.config().name + ": " + r.error);
+    return out;
+}
+
 } // namespace
 
 std::vector<wl::WorkloadProfile>
@@ -66,23 +95,19 @@ runSuite(const Characterizer &ch,
          const std::vector<wl::WorkloadProfile> &profiles,
          const RunOptions &options)
 {
-    // The sweep measures a profile's own length unless the options
-    // set one; quick mode scales that length.
-    std::vector<wl::WorkloadProfile> scaled = profiles;
-    for (auto &p : scaled)
-        p.instructions = scaledInstructions(p.instructions);
-    // One attempt: a retry would run at a perturbed seed and change
-    // the figure without a word.
-    Parallelism par;
-    par.jobs = 0;
-    par.maxAttempts = 1;
-    SuiteRunStats stats;
-    auto out = ch.runAll(scaled, options, par, &stats);
-    for (const auto &r : stats.runs)
-        if (!r.succeeded)
-            throw std::runtime_error(r.benchmark + " on " +
-                                     ch.config().name + ": " + r.error);
-    return out;
+    return sweepOnce(ch, profiles, [&](const auto &ps, auto par, auto st) {
+        return ch.runAll(ps, options, par, st);
+    });
+}
+
+std::vector<CaptureResult>
+captureSuite(const Characterizer &ch,
+             const std::vector<wl::WorkloadProfile> &profiles,
+             const RunOptions &options, const TraceOptions &topts)
+{
+    return sweepOnce(ch, profiles, [&](const auto &ps, auto par, auto st) {
+        return ch.captureAll(ps, options, topts, par, st);
+    });
 }
 
 std::vector<std::string>

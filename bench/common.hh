@@ -36,12 +36,20 @@ RunOptions standardOptions();
 /**
  * Characterize a list of profiles: one runAll sweep over every
  * hardware thread, each profile measured for its quick-mode-scaled
- * length unless `options` sets one. Throws if any run fails.
+ * length unless `options` sets one. Throws if any run fails. A bench
+ * whose cells differ in a profile-level knob (GC mode, heap, MLP,
+ * ...) puts it in each cell's profile copy and sweeps them together.
  */
 std::vector<RunResult>
 runSuite(const Characterizer &ch,
          const std::vector<wl::WorkloadProfile> &profiles,
          const RunOptions &options);
+
+/** runSuite's capture twin: one captureAll sweep, same rule. */
+std::vector<CaptureResult>
+captureSuite(const Characterizer &ch,
+             const std::vector<wl::WorkloadProfile> &profiles,
+             const RunOptions &options, const TraceOptions &topts);
 
 /** Names of a profile list. */
 std::vector<std::string>

@@ -135,28 +135,6 @@ measuredOf(const RunOptions &options, const wl::WorkloadProfile &profile)
                                              : profile.instructions;
 }
 
-/**
- * Every per-interval measurement after warm-up: `advanceOne(prev)`
- * moves the rig through one interval that started at snapshot `prev`.
- */
-template <typename AdvanceFn>
-std::vector<IntervalSample>
-sampleWindows(Rig &rig, std::size_t samples, AdvanceFn &&advanceOne)
-{
-    std::vector<IntervalSample> out;
-    out.reserve(samples);
-    Rig::Snapshot prev = rig.snapshot();
-    for (std::size_t i = 0; i < samples; ++i) {
-        advanceOne(prev);
-        const Rig::Snapshot now = rig.snapshot();
-        out.push_back({now.counters.delta(prev.counters),
-                       now.slots.delta(prev.slots),
-                       now.events.delta(prev.events)});
-        prev = now;
-    }
-    return out;
-}
-
 /** A fresh machine and workload set, already warmed up. */
 Rig
 buildRig(const sim::MachineConfig &config,
@@ -484,19 +462,6 @@ Characterizer::run(const wl::WorkloadProfile &raw_profile,
 }
 
 std::vector<IntervalSample>
-Characterizer::sample(const wl::WorkloadProfile &raw_profile,
-                      const RunOptions &options,
-                      std::uint64_t interval_instructions,
-                      std::size_t samples) const
-{
-    const auto profile = applyOverrides(raw_profile, options);
-    Rig rig = buildRig(config_, profile, options);
-    return sampleWindows(rig, samples, [&](const Rig::Snapshot &) {
-        rig.advance(interval_instructions, options.quantum);
-    });
-}
-
-std::vector<IntervalSample>
 Characterizer::sampleCycles(const wl::WorkloadProfile &raw_profile,
                             const RunOptions &options,
                             double interval_cycles,
@@ -508,11 +473,20 @@ Characterizer::sampleCycles(const wl::WorkloadProfile &raw_profile,
     // fills; granularity error is one chunk.
     const std::uint64_t chunk =
         std::max<std::uint64_t>(500, options.quantum / 16);
-    return sampleWindows(rig, samples, [&](const Rig::Snapshot &prev) {
+    std::vector<IntervalSample> out;
+    out.reserve(samples);
+    Rig::Snapshot prev = rig.snapshot();
+    for (std::size_t i = 0; i < samples; ++i) {
         const double target = prev.counters.cycles + interval_cycles;
         while (rig.machine->totalCounters().cycles < target)
             rig.advance(chunk, chunk);
-    });
+        const Rig::Snapshot now = rig.snapshot();
+        out.push_back({now.counters.delta(prev.counters),
+                       now.slots.delta(prev.slots),
+                       now.events.delta(prev.events)});
+        prev = now;
+    }
+    return out;
 }
 
 CaptureResult

@@ -265,22 +265,11 @@ class Characterizer
 
     /**
      * Run one benchmark and capture per-interval deltas after warmup
-     * (the LTTng-style 1 ms sampling of §VII-A, scaled to
-     * instructions).
-     *
-     * @param interval_instructions Instructions per sample.
-     * @param samples Number of samples to take.
-     */
-    std::vector<IntervalSample>
-    sample(const wl::WorkloadProfile &profile, const RunOptions &options,
-           std::uint64_t interval_instructions,
-           std::size_t samples) const;
-
-    /**
-     * As sample(), but intervals are fixed *cycle* windows — the
-     * faithful analogue of the paper's 1 ms wall-clock sampling.
-     * Instruction counts then vary per interval with IPC, which the
-     * §VII correlation studies rely on.
+     * over fixed *cycle* windows — the analogue of the paper's
+     * LTTng-style 1 ms wall-clock sampling (§VII-A). Instruction
+     * counts then vary per interval with IPC, which the §VII
+     * correlation studies rely on. capture() + TraceAnalyzer::reslice
+     * is the production path; this live loop is its reference.
      */
     std::vector<IntervalSample>
     sampleCycles(const wl::WorkloadProfile &profile,

@@ -580,9 +580,12 @@ SynthWorkload::run(sim::Core &core, std::uint64_t count)
             // last collection. Without this, short measurement
             // windows would start from an unrealistically compact
             // heap and underestimate workstation-GC locality loss.
+            // A collection ends the aging: a heap the live set fills
+            // collects on every allocation, and would never get there.
             const auto budget = clr_->gc().budgetBytes(clr_->heap());
-            while (clr_->heap().allocatedSinceGc() < budget / 2)
-                clr_->allocate(16 * 1024);
+            while (clr_->heap().allocatedSinceGc() < budget / 2 &&
+                   !clr_->allocate(16 * 1024).gcTriggered) {
+            }
             const std::uint64_t aged_spread =
                 static_cast<std::uint64_t>(
                     static_cast<double>(clr_->heap().spreadBytes()) *

@@ -8,6 +8,7 @@
 #include "core/characterize.hh"
 #include "core/correlation.hh"
 #include "core/export.hh"
+#include "trace/analyzer.hh"
 #include "workloads/registry.hh"
 
 using namespace netchar;
@@ -29,6 +30,32 @@ quickOptions()
     RunOptions o;
     o.warmupInstructions = 150'000;
     return o;
+}
+
+/** Every field of two run results, compared exactly. */
+void
+expectSameResult(const RunResult &a, const RunResult &b)
+{
+    using C = sim::PerfCounters;
+    for (const auto field :
+         {&C::instructions, &C::kernelInstructions, &C::branches,
+          &C::loads, &C::stores, &C::branchMisses, &C::btbMisses,
+          &C::l1dMisses, &C::l1iMisses, &C::l2Misses, &C::llcMisses,
+          &C::itlbMisses, &C::dtlbLoadMisses, &C::dtlbStoreMisses,
+          &C::memReadBytes, &C::memWriteBytes, &C::dramAccesses,
+          &C::dramRowMisses, &C::pageFaults, &C::prefetchesIssued,
+          &C::prefetchesUseful, &C::prefetchesUseless})
+        EXPECT_EQ(a.counters.*field, b.counters.*field);
+    EXPECT_EQ(a.counters.cycles, b.counters.cycles);
+    EXPECT_EQ(a.slots.slots, b.slots.slots);
+    using E = rt::RuntimeEventCounts;
+    for (const auto field :
+         {&E::gcTriggered, &E::gcAllocationTick, &E::jitStarted,
+          &E::exceptionStart, &E::contentionStart})
+        EXPECT_EQ(a.events.*field, b.events.*field);
+    EXPECT_EQ(a.metrics, b.metrics);
+    EXPECT_EQ(a.seconds, b.seconds);
+    EXPECT_EQ(a.instructionsPerSecond, b.instructionsPerSecond);
 }
 
 } // namespace
@@ -110,14 +137,48 @@ TEST(CharacterizerTest, GcOverridesApply)
                   MetricId::GcTriggeredPki)]);
 }
 
-TEST(CharacterizerTest, SampleProducesRequestedIntervals)
+TEST(CharacterizerTest, ProfileFieldsMatchOptionOverrides)
 {
+    // The benches sweep cells that differ in GC mode, GC assist, heap
+    // and allocation pressure by editing each cell's profile copy
+    // under one RunOptions; that must measure exactly what the
+    // per-run option overrides measure.
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
-    const auto samples =
-        ch.sample(quickProfile(), quickOptions(), 20'000, 10);
-    ASSERT_EQ(samples.size(), 10u);
-    for (const auto &s : samples)
-        EXPECT_EQ(s.counters.instructions, 20'000u);
+    struct Case
+    {
+        rt::GcMode mode;
+        rt::GcAssist assist;
+        std::uint64_t heap;
+        double allocScale;
+    };
+    const Case cases[] = {
+        {rt::GcMode::Server, rt::GcAssist::Software, 48ULL << 20, 8.0},
+        // Below the managed profile's footprint: the heap clamps it.
+        {rt::GcMode::Workstation, rt::GcAssist::Hardware, 256ULL << 10,
+         4.0},
+    };
+    ASSERT_LT(cases[1].heap,
+              wl::findProfile("System.Runtime")->dataFootprint);
+    for (const char *name : {"System.Runtime", "deepsjeng"}) {
+        auto base = *wl::findProfile(name);
+        base.instructions = 100'000;
+        for (const auto &c : cases) {
+            SCOPED_TRACE(std::string(name) + " heap " +
+                         std::to_string(c.heap));
+            RunOptions o = quickOptions();
+            o.gcMode = c.mode;
+            o.gcAssist = c.assist;
+            o.maxHeapBytes = c.heap;
+            o.allocScale = c.allocScale;
+            auto edited = base;
+            edited.gcMode = c.mode;
+            edited.gcAssist = c.assist;
+            edited.maxHeapBytes = c.heap;
+            edited.allocBytesPerInst *= c.allocScale;
+            expectSameResult(ch.run(base, o),
+                             ch.run(edited, quickOptions()));
+        }
+    }
 }
 
 TEST(CharacterizerTest, SampleCyclesHoldsCycleBudget)
@@ -508,7 +569,15 @@ TEST(CorrelationTest, EndToEndJitCorrelationIsPositive)
     RunOptions o;
     o.warmupInstructions = 200'000;
     o.maxHeapBytes = 512ULL << 20;
-    const auto samples = ch.sample(p, o, 25'000, 40);
+    // Fig 13a's path: one capture over a fixed cycle span, re-sliced
+    // into 40 intervals of 25k cycles (4 spare for chunk overshoot).
+    const double interval = 25'000.0;
+    TraceOptions topts;
+    topts.measuredCycles = interval * (40 + 4);
+    const auto cap = ch.capture(p, o, topts);
+    const auto samples =
+        trace::TraceAnalyzer(cap.trace).reslice(interval, 40);
+    ASSERT_EQ(samples.size(), 40u);
     const auto rows =
         correlateEvents(samples, rt::RuntimeEventType::JitStarted);
     double llc_r = 0.0, pf_r = 0.0;
