@@ -11,12 +11,13 @@
  * unexpected run failures.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "common.hh"
 #include "core/characterize.hh"
 #include "core/report.hh"
-#include "stats/hostclock.hh"
 
 using namespace netchar;
 
@@ -44,43 +45,37 @@ NETCHAR_BENCH(chaos_overhead,
         ch.runAll({profiles.front()}, opts, par, &warm_stats);
     }
 
-    // Interleaved per profile, alternating which path goes first:
-    // timing all plain runs and then all hardened runs put seconds of
-    // host-load drift between the two sides, and on a shared host
-    // that alone swung the fraction by +-0.2 from run to run.
-    double plain_s = 0.0, hardened_s = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        for (std::size_t i = 0; i < profiles.size(); ++i) {
-            RunResult plain;
-            std::vector<RunResult> hardened;
+    // Interleaved per (rep, profile), alternating which path goes
+    // first (bench::pairedSeconds): timing all plain runs and then all
+    // hardened runs put seconds of host-load drift between the two
+    // sides, and on a shared host that alone swung the fraction by
+    // +-0.2 from run to run.
+    const std::size_t n = static_cast<std::size_t>(reps) * profiles.size();
+    std::vector<std::uint64_t> plain_insts(n), hardened_insts(n);
+    bool failed = false;
+    const auto [plain_s, hardened_s] = bench::pairedSeconds(
+        n,
+        [&](std::size_t i) {
+            plain_insts[i] = ch.run(profiles[i % profiles.size()], opts)
+                                 .counters.instructions;
+        },
+        [&](std::size_t i) {
             SuiteRunStats stats;
-            const auto timePlain = [&] {
-                const double t0 = hostSeconds();
-                plain = ch.run(profiles[i], opts);
-                plain_s += hostSeconds() - t0;
-            };
-            const auto timeHardened = [&] {
-                const double t0 = hostSeconds();
-                hardened = ch.runAll({profiles[i]}, opts, par, &stats);
-                hardened_s += hostSeconds() - t0;
-            };
-            if (i % 2 == 0) {
-                timePlain();
-                timeHardened();
-            } else {
-                timeHardened();
-                timePlain();
-            }
-
-            if (stats.failedRuns() != 0 || !stats.failures.empty()) {
-                ctx.fail("injection disabled yet runs failed");
-                return;
-            }
-            if (hardened.front().counters.instructions !=
-                plain.counters.instructions) {
-                ctx.fail(profiles[i].name + ": hardened run diverged");
-                return;
-            }
+            const auto hardened = ch.runAll(
+                {profiles[i % profiles.size()]}, opts, par, &stats);
+            failed = failed || stats.failedRuns() != 0 ||
+                     !stats.failures.empty();
+            hardened_insts[i] = hardened.front().counters.instructions;
+        });
+    if (failed) {
+        ctx.fail("injection disabled yet runs failed");
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (hardened_insts[i] != plain_insts[i]) {
+            ctx.fail(profiles[i % profiles.size()].name +
+                     ": hardened run diverged");
+            return;
         }
     }
 

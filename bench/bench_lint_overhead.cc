@@ -7,22 +7,21 @@
  * concurrency pass re-walks every function body (CFG build +
  * fixpoint), so it cannot be free — the gate bounds it at <= 2x the
  * taint-only wall time, keeping the build-time race detection cheap
- * enough to stay in the default CI lint step. Full mode runs three
- * reps and records the minimum of each metric: scheduler noise only
- * ever slows a rep, so the best one is the steadiest statistic.
+ * enough to stay in the default CI lint step. Quick mode runs two
+ * paired reps and full mode four, and each metric sums them.
  *
  * Runs over the live tree (src tools bench tests examples), so it
  * must execute from the repository root — the same working-
  * directory contract as the lint.tree ctest.
  */
 
-#include <algorithm>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "common.hh"
 #include "core/report.hh"
 #include "lint/lint.hh"
-#include "stats/hostclock.hh"
 
 using namespace netchar;
 
@@ -37,7 +36,7 @@ NETCHAR_BENCH(lint_overhead,
     }
     const std::vector<std::string> paths = {
         "src", "tools", "bench", "tests", "examples"};
-    const int reps = bench::quickMode() ? 1 : 3;
+    const std::size_t reps = bench::quickMode() ? 2 : 4;
 
     // Warm the page cache so rep 1 does not charge cold I/O to
     // whichever side runs first.
@@ -53,43 +52,41 @@ NETCHAR_BENCH(lint_overhead,
         }
     }
 
-    ctx.printf("Lint overhead over the live tree (%d rep(s))\n\n",
-               reps);
-    TextTable table({"Rep", "Taint-only s", "Full s", "Ratio"});
-    double best_taint = 0.0, best_full = 0.0, best_ratio = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        std::vector<std::string> errors;
-
-        lint::LintOptions taintOnly;
-        taintOnly.concurrency = false;
-        const double t0 = hostSeconds();
-        const auto base = lint::runLint(paths, errors, taintOnly);
-        const double taint_s = hostSeconds() - t0;
-
-        lint::LintOptions full; // taint + concurrency (defaults)
-        const double t1 = hostSeconds();
-        const auto both = lint::runLint(paths, errors, full);
-        const double full_s = hostSeconds() - t1;
-
-        if (!errors.empty()) {
-            ctx.fail("lint I/O error: " + errors[0]);
-            return;
-        }
-        if (both.filesScanned != base.filesScanned) {
-            ctx.fail("passes scanned different file sets");
-            return;
-        }
-
-        const double ratio =
-            taint_s > 0.0 ? full_s / taint_s : 1.0;
-        best_taint = r == 0 ? taint_s : std::min(best_taint, taint_s);
-        best_full = r == 0 ? full_s : std::min(best_full, full_s);
-        best_ratio = r == 0 ? ratio : std::min(best_ratio, ratio);
-        table.addRow({std::to_string(r + 1), fmtFixed(taint_s, 3),
-                      fmtFixed(full_s, 3), fmtFixed(ratio, 2)});
+    // Each rep lints the tree once per side (bench::pairedSeconds),
+    // so an even rep count runs each side first equally often.
+    std::vector<std::size_t> base_files(reps), full_files(reps);
+    std::vector<std::string> errors;
+    const auto [taint_s, full_s] = bench::pairedSeconds(
+        reps,
+        [&](std::size_t r) {
+            lint::LintOptions taintOnly;
+            taintOnly.concurrency = false;
+            base_files[r] =
+                lint::runLint(paths, errors, taintOnly).filesScanned;
+        },
+        [&](std::size_t r) {
+            lint::LintOptions full; // taint + concurrency (defaults)
+            full_files[r] =
+                lint::runLint(paths, errors, full).filesScanned;
+        });
+    if (!errors.empty()) {
+        ctx.fail("lint I/O error: " + errors[0]);
+        return;
     }
-    ctx.metric("taint_only_s", "s", best_taint);
-    ctx.metric("full_lint_s", "s", best_full);
-    ctx.metric("concurrency_ratio", "x", best_ratio);
-    ctx.print(table.render());
+    if (full_files != base_files) {
+        ctx.fail("passes scanned different file sets");
+        return;
+    }
+
+    const double ratio = taint_s > 0.0 ? full_s / taint_s : 1.0;
+    ctx.printf("Lint overhead over the live tree (%zu rep(s))\n\n",
+               reps);
+    TextTable table({"Pass", "Wall s"});
+    table.addRow({"taint only", fmtFixed(taint_s, 3)});
+    table.addRow({"taint + concurrency", fmtFixed(full_s, 3)});
+    ctx.printf("%s\n", table.render().c_str());
+    ctx.printf("ratio: %.2fx (target: <= 2x)\n", ratio);
+    ctx.metric("taint_only_s", "s", taint_s);
+    ctx.metric("full_lint_s", "s", full_s);
+    ctx.metric("concurrency_ratio", "x", ratio);
 }

@@ -8,12 +8,13 @@
  * 15%; the bench fails only on divergence.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "common.hh"
 #include "core/characterize.hh"
 #include "core/report.hh"
-#include "stats/hostclock.hh"
 
 using namespace netchar;
 
@@ -32,25 +33,28 @@ NETCHAR_BENCH(trace_overhead,
     ch.run(profiles.front(), opts);
     ch.capture(profiles.front(), opts);
 
-    double plain_s = 0.0, traced_s = 0.0;
+    // One item per (rep, profile), timed by the shared paired rule.
+    const std::size_t n = static_cast<std::size_t>(reps) * profiles.size();
+    std::vector<std::uint64_t> plain_insts(n), traced_insts(n);
     std::uint64_t events = 0, records = 0;
-    for (int r = 0; r < reps; ++r) {
-        for (const auto &p : profiles) {
-            const double t0 = hostSeconds();
-            const auto plain = ch.run(p, opts);
-            plain_s += hostSeconds() - t0;
-
-            const double t1 = hostSeconds();
-            const auto cap = ch.capture(p, opts);
-            traced_s += hostSeconds() - t1;
+    const auto [plain_s, traced_s] = bench::pairedSeconds(
+        n,
+        [&](std::size_t i) {
+            plain_insts[i] = ch.run(profiles[i % profiles.size()], opts)
+                                 .counters.instructions;
+        },
+        [&](std::size_t i) {
+            const auto cap =
+                ch.capture(profiles[i % profiles.size()], opts);
+            traced_insts[i] = cap.result.counters.instructions;
             events += cap.trace.events.totalPushed();
             records += cap.trace.samples.totalPushed();
-
-            if (cap.result.counters.instructions !=
-                plain.counters.instructions) {
-                ctx.fail(p.name + ": traced window diverged");
-                return;
-            }
+        });
+    for (std::size_t i = 0; i < n; ++i) {
+        if (traced_insts[i] != plain_insts[i]) {
+            ctx.fail(profiles[i % profiles.size()].name +
+                     ": traced window diverged");
+            return;
         }
     }
 

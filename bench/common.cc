@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "stats/hostclock.hh"
 #include "stats/summary.hh"
 #include "workloads/registry.hh"
 
@@ -118,6 +119,21 @@ names(const std::vector<wl::WorkloadProfile> &profiles)
     for (const auto &p : profiles)
         out.push_back(p.name);
     return out;
+}
+
+std::pair<double, double>
+pairedSeconds(std::size_t n, const std::function<void(std::size_t)> &base,
+              const std::function<void(std::size_t)> &treated)
+{
+    double seconds[2] = {0.0, 0.0}; // base, treated
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t turn = 0; turn < 2; ++turn) {
+            const std::size_t side = (i + turn) % 2;
+            const double t0 = hostSeconds();
+            (side == 0 ? base : treated)(i);
+            seconds[side] += hostSeconds() - t0;
+        }
+    return {seconds[0], seconds[1]};
 }
 
 double

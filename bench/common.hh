@@ -8,7 +8,9 @@
 #ifndef NETCHAR_BENCH_COMMON_HH
 #define NETCHAR_BENCH_COMMON_HH
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/characterize.hh"
@@ -54,6 +56,20 @@ captureSuite(const Characterizer &ch,
 /** Names of a profile list. */
 std::vector<std::string>
 names(const std::vector<wl::WorkloadProfile> &profiles);
+
+/**
+ * Paired host timing, the one rule of every overhead gate: for each
+ * item i < n, run `base(i)` and `treated(i)` back to back, the base
+ * first for even i and second for odd i, and sum each side's
+ * seconds. Interleaving per item keeps host-load drift from landing
+ * on one side; alternating the order keeps cache warmth from
+ * favouring whichever side runs second.
+ *
+ * @return {base seconds, treated seconds}.
+ */
+std::pair<double, double>
+pairedSeconds(std::size_t n, const std::function<void(std::size_t)> &base,
+              const std::function<void(std::size_t)> &treated);
 
 /** Geometric mean that tolerates zeros by flooring at `floor`. */
 double geomeanFloored(const std::vector<double> &xs,

@@ -57,14 +57,9 @@ main(int argc, char **argv)
     std::printf("%s\n", table.render().c_str());
 
     const auto td = TopDownProfile::fromSlots(result.slots);
-    std::printf("%s\n",
-                barChart("Top-Down level 1 (fraction of slots)",
-                         {{"Retiring", td.level1.retiring},
-                          {"Bad_Speculation", td.level1.badSpeculation},
-                          {"Frontend_Bound", td.level1.frontendBound},
-                          {"Backend_Bound", td.level1.backendBound}},
-                         40, 1.0)
-                    .c_str());
+    std::printf("%s\n", barChart("Top-Down level 1 (fraction of slots)",
+                                 level1Rows(td), 40, 1.0)
+                            .c_str());
 
     std::printf("Measured %llu instructions in %.3f ms simulated "
                 "time (IPC %.2f)\n",

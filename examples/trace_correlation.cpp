@@ -44,11 +44,12 @@ main(int argc, char **argv)
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     RunOptions options;
     TraceOptions topts;
-    // Enough simulated time for the 10 ms windows below, and a counter
-    // ring sized so the whole span is retained (one record per ~1250
-    // instruction chunk; undersizing would drop the oldest records).
-    topts.measuredCycles = ch.config().maxGhz * 1e6 * 50.0;
-    topts.bufferSamples = 1u << 18;
+    // Just over three of the 10 ms windows below (a correlation needs
+    // at least 3 samples), and a counter ring sized so the whole span
+    // is retained: one record per ~1250 instruction chunk, about 131k
+    // over 31 ms here (undersizing would drop the oldest records).
+    topts.measuredCycles = ch.config().maxGhz * 1e6 * 31.0;
+    topts.bufferSamples = 140'000;
     const CaptureResult cap = ch.capture(profile, options, topts);
 
     // 2. Summarize. Loss (dropped events/records) is observable, so

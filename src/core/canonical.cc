@@ -279,6 +279,47 @@ RunKeyTable::runKey(std::size_t profile, std::string_view machineKey,
         canonicalRunOptions(options) + '}');
 }
 
+std::string
+RunKeyTable::sweepKey(std::string_view suite, std::string_view format,
+                      unsigned shard, unsigned shards,
+                      unsigned maxAttempts, std::string_view machineKey,
+                      const RunOptions &options,
+                      const std::vector<std::size_t> &profiles) const
+{
+    return suiteKey("sweep{suite=" + std::string(suite) + ";format=" +
+                        std::string(format) + ";shard=" +
+                        std::to_string(shard) + '/' +
+                        std::to_string(shards),
+                    maxAttempts, machineKey, options, profiles);
+}
+
+std::string
+RunKeyTable::subsetKey(std::string_view suite, std::size_t size,
+                       unsigned maxAttempts, std::string_view machineKey,
+                       const RunOptions &options,
+                       const std::vector<std::size_t> &profiles) const
+{
+    return suiteKey("subset{suite=" + std::string(suite) +
+                        ";size=" + std::to_string(size),
+                    maxAttempts, machineKey, options, profiles);
+}
+
+std::string
+RunKeyTable::suiteKey(const std::string &shape, unsigned maxAttempts,
+                      std::string_view machineKey,
+                      const RunOptions &options,
+                      const std::vector<std::size_t> &profiles) const
+{
+    std::string text = "netchar-key/v" +
+                       std::to_string(kCanonicalVersion) + '/' + shape +
+                       ";maxAttempts=" + std::to_string(maxAttempts) +
+                       ";machine{" + machineText(machineKey) +
+                       "}options{" + canonicalRunOptions(options) + '}';
+    for (const std::size_t p : profiles)
+        text += "profile{" + profileText(p) + '}';
+    return contentHashHex(text);
+}
+
 std::size_t
 RunKeyTable::machineIndex(std::string_view machineKey) const
 {

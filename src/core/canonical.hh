@@ -100,9 +100,35 @@ class RunKeyTable
     std::string runKey(std::size_t profile, std::string_view machineKey,
                        const RunOptions &options) const;
 
+    /**
+     * contentHashHex of a sweep response's key text:
+     * `netchar-key/vN/sweep{suite=S;format=F;shard=I/N;maxAttempts=A;`
+     * then `machine{M}options{O}` (M and O the canonical texts of the
+     * model and the options) and one `profile{P}` per registry index
+     * in `profiles`, in order.
+     */
+    std::string sweepKey(std::string_view suite, std::string_view format,
+                         unsigned shard, unsigned shards,
+                         unsigned maxAttempts, std::string_view machineKey,
+                         const RunOptions &options,
+                         const std::vector<std::size_t> &profiles) const;
+
+    /** As sweepKey(), for a subset response:
+     *  `netchar-key/vN/subset{suite=S;size=K;maxAttempts=A;...`. */
+    std::string subsetKey(std::string_view suite, std::size_t size,
+                          unsigned maxAttempts, std::string_view machineKey,
+                          const RunOptions &options,
+                          const std::vector<std::size_t> &profiles) const;
+
   private:
     RunKeyTable();
     std::size_t machineIndex(std::string_view machineKey) const;
+    /** contentHashHex of the version tag, `/`, `shape` (the
+     *  verb's own fields) and the shared tail. */
+    std::string suiteKey(const std::string &shape, unsigned maxAttempts,
+                         std::string_view machineKey,
+                         const RunOptions &options,
+                         const std::vector<std::size_t> &profiles) const;
 
     /** "run/" plus the version tag that opens cacheKeyText(). */
     std::string runHead_;

@@ -19,16 +19,16 @@ requireSameLength(const std::vector<std::string> &names,
             "export: names/results length mismatch");
 }
 
+} // namespace
+
 std::string
-num(double value)
+exportNumber(double value)
 {
     std::ostringstream os;
     os.precision(10);
     os << value;
     return os.str();
 }
-
-} // namespace
 
 std::string
 metricsCsv(const std::vector<std::string> &names,
@@ -43,7 +43,7 @@ metricsCsv(const std::vector<std::string> &names,
     for (std::size_t i = 0; i < results.size(); ++i) {
         os << csvField(names[i]);
         for (double v : results[i].metrics)
-            os << ',' << num(v);
+            os << ',' << exportNumber(v);
         os << '\n';
     }
     return os.str();
@@ -61,22 +61,18 @@ topdownCsv(const std::vector<std::string> &names,
           "be_divider\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto td = TopDownProfile::fromSlots(results[i].slots);
-        os << csvField(names[i]) << ',' << num(td.level1.retiring)
-           << ',' << num(td.level1.badSpeculation) << ','
-           << num(td.level1.frontendBound) << ','
-           << num(td.level1.backendBound) << ','
-           << num(td.frontend.icacheMisses) << ','
-           << num(td.frontend.itlbMisses) << ','
-           << num(td.frontend.branchResteers) << ','
-           << num(td.frontend.msSwitches) << ','
-           << num(td.frontend.dsbBandwidth) << ','
-           << num(td.frontend.miteBandwidth) << ','
-           << num(td.backend.l1Bound) << ',' << num(td.backend.l2Bound)
-           << ',' << num(td.backend.l3Bound) << ','
-           << num(td.backend.dramBound) << ','
-           << num(td.backend.storeBound) << ','
-           << num(td.backend.portsUtilization) << ','
-           << num(td.backend.divider) << '\n';
+        os << csvField(names[i]);
+        for (const double v :
+             {td.level1.retiring, td.level1.badSpeculation,
+              td.level1.frontendBound, td.level1.backendBound,
+              td.frontend.icacheMisses, td.frontend.itlbMisses,
+              td.frontend.branchResteers, td.frontend.msSwitches,
+              td.frontend.dsbBandwidth, td.frontend.miteBandwidth,
+              td.backend.l1Bound, td.backend.l2Bound, td.backend.l3Bound,
+              td.backend.dramBound, td.backend.storeBound,
+              td.backend.portsUtilization, td.backend.divider})
+            os << ',' << exportNumber(v);
+        os << '\n';
     }
     return os.str();
 }
@@ -88,9 +84,9 @@ runResultJson(const std::string &name, const RunResult &result)
     const auto td = TopDownProfile::fromSlots(result.slots);
     std::ostringstream os;
     os << "{\"benchmark\":\"" << jsonEscape(name) << "\",";
-    os << "\"seconds\":" << num(result.seconds) << ',';
+    os << "\"seconds\":" << exportNumber(result.seconds) << ',';
     os << "\"instructions\":" << c.instructions << ',';
-    os << "\"cycles\":" << num(c.cycles) << ',';
+    os << "\"cycles\":" << exportNumber(c.cycles) << ',';
     os << "\"metrics\":{";
     bool first = true;
     for (const auto &info : metricTable()) {
@@ -98,15 +94,16 @@ runResultJson(const std::string &name, const RunResult &result)
             os << ',';
         first = false;
         os << '"' << jsonEscape(std::string(info.name)) << "\":"
-           << num(result.metrics[static_cast<std::size_t>(info.id)]);
+           << exportNumber(
+                  result.metrics[static_cast<std::size_t>(info.id)]);
     }
     os << "},\"topdown\":{";
-    os << "\"retiring\":" << num(td.level1.retiring) << ',';
-    os << "\"bad_speculation\":" << num(td.level1.badSpeculation)
+    os << "\"retiring\":" << exportNumber(td.level1.retiring) << ',';
+    os << "\"bad_speculation\":"
+       << exportNumber(td.level1.badSpeculation) << ',';
+    os << "\"frontend_bound\":" << exportNumber(td.level1.frontendBound)
        << ',';
-    os << "\"frontend_bound\":" << num(td.level1.frontendBound)
-       << ',';
-    os << "\"backend_bound\":" << num(td.level1.backendBound);
+    os << "\"backend_bound\":" << exportNumber(td.level1.backendBound);
     os << "},\"events\":{";
     os << "\"gc_triggered\":" << result.events.gcTriggered << ',';
     os << "\"gc_allocation_tick\":" << result.events.gcAllocationTick
@@ -128,7 +125,7 @@ suiteStatsCsv(const SuiteRunStats &stats)
     for (const auto &r : stats.runs) {
         os << r.index << ',' << csvField(r.benchmark) << ','
            << r.attempts << ',' << (r.succeeded ? 1 : 0) << ','
-           << num(r.wallSeconds) << ',' << r.worker << ','
+           << exportNumber(r.wallSeconds) << ',' << r.worker << ','
            << csvField(r.error) << '\n';
     }
     return os.str();
@@ -139,9 +136,12 @@ suiteStatsJson(const SuiteRunStats &stats)
 {
     std::ostringstream os;
     os << "{\"jobs\":" << stats.jobs << ',';
-    os << "\"wall_seconds\":" << num(stats.wallSeconds) << ',';
-    os << "\"busy_seconds\":" << num(stats.busySeconds) << ',';
-    os << "\"utilization\":" << num(stats.utilization()) << ',';
+    os << "\"wall_seconds\":" << exportNumber(stats.wallSeconds)
+       << ',';
+    os << "\"busy_seconds\":" << exportNumber(stats.busySeconds)
+       << ',';
+    os << "\"utilization\":" << exportNumber(stats.utilization())
+       << ',';
     os << "\"steals\":" << stats.steals << ',';
     os << "\"retried_runs\":" << stats.retriedRuns() << ',';
     os << "\"failed_runs\":" << stats.failedRuns() << ',';
@@ -165,7 +165,7 @@ suiteStatsJson(const SuiteRunStats &stats)
            << ",\"skipped\":" << (r.skipped ? "true" : "false")
            << ",\"quarantined\":"
            << (r.quarantined ? "true" : "false")
-           << ",\"wall_seconds\":" << num(r.wallSeconds)
+           << ",\"wall_seconds\":" << exportNumber(r.wallSeconds)
            << ",\"worker\":" << r.worker << ",\"error\":\""
            << jsonEscape(r.error) << "\"}";
     }

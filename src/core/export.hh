@@ -20,6 +20,12 @@ namespace netchar
 {
 
 /**
+ * A double as every export and serve body renders it: ostream
+ * default notation at 10 significant digits.
+ */
+std::string exportNumber(double value);
+
+/**
  * CSV of Table I metrics: one row per benchmark, one column per
  * metric (header uses the Table I names), preceded by a `benchmark`
  * column. Fields containing commas/quotes are quoted per RFC 4180.

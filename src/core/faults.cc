@@ -244,12 +244,6 @@ perturbedSeed(std::uint64_t base, std::string_view benchmark,
 // Wire faults
 // ---------------------------------------------------------------
 
-std::string_view
-wireFaultKindName(WireFaultKind kind)
-{
-    return nameOf(kind, kWireFaultKinds);
-}
-
 WireFaultPlan
 WireFaultPlan::parse(const std::string &spec)
 {

@@ -224,10 +224,6 @@ enum class WireFaultKind
     TruncateJournal,
 };
 
-/** Short spec-syntax name ("split", "merge", "stall", "reset",
- *  "journal"). */
-std::string_view wireFaultKindName(WireFaultKind kind);
-
 /** What WireFaultPlan::decide() resolved for one response. */
 struct WireFaultDecision
 {

@@ -69,7 +69,7 @@ TopDownProfile::backendShares() const
     return s;
 }
 
-std::vector<TopDownRow>
+std::vector<Bar>
 level1Rows(const TopDownProfile &p)
 {
     return {
@@ -80,7 +80,7 @@ level1Rows(const TopDownProfile &p)
     };
 }
 
-std::vector<TopDownRow>
+std::vector<Bar>
 frontendRows(const TopDownProfile &p)
 {
     const auto s = p.frontendShares();
@@ -94,7 +94,7 @@ frontendRows(const TopDownProfile &p)
     };
 }
 
-std::vector<TopDownRow>
+std::vector<Bar>
 backendRows(const TopDownProfile &p)
 {
     const auto s = p.backendShares();

@@ -8,9 +8,9 @@
 #ifndef NETCHAR_CORE_TOPDOWN_HH
 #define NETCHAR_CORE_TOPDOWN_HH
 
-#include <string>
 #include <vector>
 
+#include "core/report.hh"
 #include "sim/counters.hh"
 
 namespace netchar
@@ -74,21 +74,14 @@ struct TopDownProfile
     static TopDownProfile fromSlots(const sim::SlotAccount &slots);
 };
 
-/** Named (label, value) row for rendering breakdowns. */
-struct TopDownRow
-{
-    std::string label;
-    double value = 0.0;
-};
+/** The level-1 fractions as labeled bars (Figure 9's four). */
+std::vector<Bar> level1Rows(const TopDownProfile &profile);
 
-/** Flatten a level-1 profile into labeled rows. */
-std::vector<TopDownRow> level1Rows(const TopDownProfile &profile);
+/** The frontend shares as labeled bars. */
+std::vector<Bar> frontendRows(const TopDownProfile &profile);
 
-/** Flatten the frontend shares into labeled rows. */
-std::vector<TopDownRow> frontendRows(const TopDownProfile &profile);
-
-/** Flatten the backend shares into labeled rows. */
-std::vector<TopDownRow> backendRows(const TopDownProfile &profile);
+/** The backend shares as labeled bars. */
+std::vector<Bar> backendRows(const TopDownProfile &profile);
 
 } // namespace netchar
 

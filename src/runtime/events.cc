@@ -17,54 +17,28 @@ satSub(std::uint64_t a, std::uint64_t b)
 
 } // namespace
 
-std::string_view
-runtimeEventName(RuntimeEventType type)
-{
-    switch (type) {
-      case RuntimeEventType::GcTriggered: return "GC/Triggered";
-      case RuntimeEventType::GcAllocationTick: return "GC/AllocationTick";
-      case RuntimeEventType::JitStarted: return "Method/JittingStarted";
-      case RuntimeEventType::ExceptionStart: return "Exception/Start";
-      case RuntimeEventType::ContentionStart: return "Contention/Start";
-      default: return "Unknown";
-    }
-}
-
 void
 RuntimeEventCounts::add(const RuntimeEventCounts &other)
 {
-    gcTriggered += other.gcTriggered;
-    gcAllocationTick += other.gcAllocationTick;
-    jitStarted += other.jitStarted;
-    exceptionStart += other.exceptionStart;
-    contentionStart += other.contentionStart;
+    for (const auto field : kEventCountFields)
+        this->*field += other.*field;
 }
 
 RuntimeEventCounts
 RuntimeEventCounts::delta(const RuntimeEventCounts &since) const
 {
     RuntimeEventCounts d;
-    d.gcTriggered = satSub(gcTriggered, since.gcTriggered);
-    d.gcAllocationTick =
-        satSub(gcAllocationTick, since.gcAllocationTick);
-    d.jitStarted = satSub(jitStarted, since.jitStarted);
-    d.exceptionStart = satSub(exceptionStart, since.exceptionStart);
-    d.contentionStart =
-        satSub(contentionStart, since.contentionStart);
+    for (const auto field : kEventCountFields)
+        d.*field = satSub(this->*field, since.*field);
     return d;
 }
 
 std::uint64_t
 RuntimeEventCounts::count(RuntimeEventType type) const
 {
-    switch (type) {
-      case RuntimeEventType::GcTriggered: return gcTriggered;
-      case RuntimeEventType::GcAllocationTick: return gcAllocationTick;
-      case RuntimeEventType::JitStarted: return jitStarted;
-      case RuntimeEventType::ExceptionStart: return exceptionStart;
-      case RuntimeEventType::ContentionStart: return contentionStart;
-      default: return 0;
-    }
+    const auto k = static_cast<std::size_t>(type);
+    return k < std::size(kEventCountFields) ? this->*kEventCountFields[k]
+                                            : 0;
 }
 
 double
@@ -81,27 +55,12 @@ void
 EventTrace::record(RuntimeEventType type, std::uint64_t arg0,
                    std::uint64_t arg1)
 {
-    switch (type) {
-      case RuntimeEventType::GcTriggered:
-        ++counts_.gcTriggered;
-        break;
-      case RuntimeEventType::GcAllocationTick:
-        ++counts_.gcAllocationTick;
-        break;
-      case RuntimeEventType::JitStarted:
-        ++counts_.jitStarted;
-        break;
-      case RuntimeEventType::ExceptionStart:
-        ++counts_.exceptionStart;
-        break;
-      case RuntimeEventType::ContentionStart:
-        ++counts_.contentionStart;
-        break;
-      default:
-        return; // NumTypes misuse guard: no count, no emission
-    }
+    const auto k = static_cast<std::size_t>(type);
+    if (k >= std::size(kEventCountFields))
+        return; // NumKinds misuse guard: no count, no emission
+    ++(counts_.*kEventCountFields[k]);
     if (recorder_)
-        recorder_->emit(toTraceEventKind(type), arg0, arg1);
+        recorder_->emit(type, arg0, arg1);
 }
 
 } // namespace netchar::rt

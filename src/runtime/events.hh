@@ -18,7 +18,7 @@
 #define NETCHAR_RUNTIME_EVENTS_HH
 
 #include <cstdint>
-#include <string_view>
+#include <iterator>
 
 #include "trace/event.hh"
 
@@ -30,27 +30,11 @@ class TraceRecorder;
 namespace netchar::rt
 {
 
-/** CLR event kinds traced by the study. */
-enum class RuntimeEventType : std::size_t
-{
-    GcTriggered = 0,
-    GcAllocationTick,
-    JitStarted,
-    ExceptionStart,
-    ContentionStart,
-    NumTypes,
-};
-
-/** Short LTTng-style name of an event type. */
-std::string_view runtimeEventName(RuntimeEventType type);
-
-/** Timeline event kind of a runtime event type (1:1 by value). */
-constexpr trace::TraceEventKind
-toTraceEventKind(RuntimeEventType type)
-{
-    return static_cast<trace::TraceEventKind>(
-        static_cast<std::size_t>(type));
-}
+/**
+ * CLR event kinds traced by the study: the runtime-side spelling of
+ * trace::TraceEventKind, whose traceEventKindName() names each one.
+ */
+using RuntimeEventType = trace::TraceEventKind;
 
 /** Plain aggregate of event counts, with add/delta for sampling. */
 struct RuntimeEventCounts
@@ -77,6 +61,15 @@ struct RuntimeEventCounts
     double pki(RuntimeEventType type, std::uint64_t instructions) const;
 };
 
+/** The count field of each event kind, in enum order. */
+inline constexpr std::uint64_t RuntimeEventCounts::*kEventCountFields[] = {
+    &RuntimeEventCounts::gcTriggered, &RuntimeEventCounts::gcAllocationTick,
+    &RuntimeEventCounts::jitStarted, &RuntimeEventCounts::exceptionStart,
+    &RuntimeEventCounts::contentionStart,
+};
+static_assert(std::size(kEventCountFields) ==
+              static_cast<std::size_t>(RuntimeEventType::NumKinds));
+
 /**
  * Cumulative event trace for one benchmark run. record() is called by
  * the CLR model as events fire; counts() is snapshotted per sampling
@@ -88,7 +81,7 @@ class EventTrace
     /**
      * Record one occurrence of an event, bumping the aggregate count
      * and, when a recorder is attached, emitting a timestamped
-     * TraceEvent with the given payload. RuntimeEventType::NumTypes
+     * TraceEvent with the given payload. RuntimeEventType::NumKinds
      * is a misuse guard: it is silently ignored.
      */
     void record(RuntimeEventType type, std::uint64_t arg0 = 0,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -24,18 +25,35 @@ namespace netchar::serve
 // Request parsing.
 // ---------------------------------------------------------------
 
+namespace
+{
+
+/** Every verb with its wire name, in the order "valid: ..." lists
+ *  them. */
+constexpr std::pair<Verb, std::string_view> kVerbs[] = {
+    {Verb::Ping, "ping"},     {Verb::Run, "run"},
+    {Verb::Sweep, "sweep"},   {Verb::Subset, "subset"},
+    {Verb::Stats, "stats"},   {Verb::Shutdown, "shutdown"},
+};
+
+} // namespace
+
 std::string_view
 verbName(Verb verb)
 {
-    switch (verb) {
-    case Verb::Ping: return "ping";
-    case Verb::Run: return "run";
-    case Verb::Sweep: return "sweep";
-    case Verb::Subset: return "subset";
-    case Verb::Stats: return "stats";
-    case Verb::Shutdown: return "shutdown";
-    }
+    for (const auto &[v, name] : kVerbs)
+        if (v == verb)
+            return name;
     return "ping";
+}
+
+std::optional<Verb>
+verbNamed(std::string_view name)
+{
+    for (const auto &[verb, n] : kVerbs)
+        if (n == name)
+            return verb;
+    return std::nullopt;
 }
 
 bool
@@ -150,22 +168,15 @@ parseRequest(const std::string &line)
     const JsonValue *verb = root.find("verb");
     if (verb == nullptr || !verb->isString())
         protocolError("request needs a string 'verb'");
-    if (verb->string == "ping")
-        request.verb = Verb::Ping;
-    else if (verb->string == "run")
-        request.verb = Verb::Run;
-    else if (verb->string == "sweep")
-        request.verb = Verb::Sweep;
-    else if (verb->string == "subset")
-        request.verb = Verb::Subset;
-    else if (verb->string == "stats")
-        request.verb = Verb::Stats;
-    else if (verb->string == "shutdown")
-        request.verb = Verb::Shutdown;
-    else
-        protocolError("unknown verb '" + verb->string +
-                      "' (valid: ping, run, sweep, subset, stats, "
-                      "shutdown)");
+    const std::optional<Verb> named = verbNamed(verb->string);
+    if (!named) {
+        std::string valid;
+        for (const auto &[v, name] : kVerbs)
+            valid += (valid.empty() ? "" : ", ") + std::string(name);
+        protocolError("unknown verb '" + verb->string + "' (valid: " +
+                      valid + ")");
+    }
+    request.verb = *named;
 
     for (const auto &[key, value] : root.object) {
         if (key == "verb")

@@ -58,6 +58,7 @@
 #define NETCHAR_SERVE_PROTOCOL_HH
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -87,6 +88,9 @@ enum class Verb { Ping, Run, Sweep, Subset, Stats, Shutdown };
 
 /** Wire name of a verb ("ping", "run", ...). */
 std::string_view verbName(Verb verb);
+
+/** The verb whose wire name is `name`; nullopt for none. */
+std::optional<Verb> verbNamed(std::string_view name);
 
 /** One parsed request. */
 struct Request

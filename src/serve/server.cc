@@ -24,7 +24,6 @@
 #include "serve/protocol.hh"
 #include "serve/shard.hh"
 #include "sim/config.hh"
-#include "stats/hash.hh"
 #include "workloads/registry.hh"
 
 namespace netchar::serve
@@ -32,17 +31,6 @@ namespace netchar::serve
 
 namespace
 {
-
-/** Deterministic number rendering for stats/subset bodies (same
- *  precision the exporters use). */
-std::string
-num(double value)
-{
-    std::ostringstream os;
-    os.precision(10);
-    os << value;
-    return os.str();
-}
 
 /**
  * This daemon's share of a sweep: its rows and failures tagged with
@@ -106,7 +94,7 @@ subsetBody(const Request &request,
          << ",\"total\":" << profiles.size()
          << ",\"surviving\":" << survivors.surviving
          << ",\"prcoVariance\":"
-         << num(subset.pca.cumulativeExplained())
+         << exportNumber(subset.pca.cumulativeExplained())
          << ",\"representatives\":[";
     for (std::size_t c = 0; c < subset.clusters.size(); ++c) {
         if (c > 0)
@@ -373,25 +361,20 @@ Server::handleParsed(const Request &request)
                              options_.shards)
               : shardIndices(profiles.size(), 0, 1);
 
-    std::ostringstream key_text;
-    key_text << "netchar-key/v" << kCanonicalVersion << '/' << verb
-             << "{suite=" << request.suite;
-    if (sweep)
-        key_text << ";format=" << request.format
-                 << ";shard=" << options_.shard << '/'
-                 << options_.shards;
-    else
-        key_text << ";size=" << request.subsetSize;
-    key_text << ";maxAttempts=" << options_.maxAttempts << ";machine{"
-             << runKeys_.machineText(request.machine) << "}options{"
-             << canonicalRunOptions(request.options) << '}';
     std::vector<wl::WorkloadProfile> slice;
+    std::vector<std::size_t> registry;
     for (const std::size_t idx : indices) {
         slice.push_back(profiles[idx]);
-        key_text << "profile{" << runKeys_.profileText(first + idx)
-                 << '}';
+        registry.push_back(first + idx);
     }
-    const std::string key = contentHashHex(key_text.str());
+    const std::string key =
+        sweep ? runKeys_.sweepKey(request.suite, request.format,
+                                  options_.shard, options_.shards,
+                                  options_.maxAttempts, request.machine,
+                                  request.options, registry)
+              : runKeys_.subsetKey(request.suite, request.subsetSize,
+                                   options_.maxAttempts, request.machine,
+                                   request.options, registry);
     if (const std::string *body = cache_.lookup(key))
         return okCachedResponse(verb, true, key, *body);
 

@@ -84,16 +84,6 @@ Matrix::col(std::size_t c) const
 }
 
 Matrix
-Matrix::transposed() const
-{
-    Matrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            t(c, r) = (*this)(r, c);
-    return t;
-}
-
-Matrix
 Matrix::multiply(const Matrix &rhs) const
 {
     if (cols_ != rhs.rows_)

@@ -64,9 +64,6 @@ class Matrix
     /** Copy of column c as a vector. */
     std::vector<double> col(std::size_t c) const;
 
-    /** Transposed copy. */
-    Matrix transposed() const;
-
     /** Matrix product this * rhs; dimensions must agree. */
     Matrix multiply(const Matrix &rhs) const;
 

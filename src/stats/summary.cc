@@ -108,18 +108,6 @@ stddev(std::span<const double> xs)
 }
 
 double
-populationVariance(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    const double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return acc / static_cast<double>(xs.size());
-}
-
-double
 geomean(std::span<const double> xs)
 {
     if (xs.empty())

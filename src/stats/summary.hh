@@ -63,9 +63,6 @@ double mean(std::span<const double> xs);
  */
 double stddev(std::span<const double> xs);
 
-/** Population variance (n denominator); 0 for an empty input. */
-double populationVariance(std::span<const double> xs);
-
 /**
  * Geometric mean. All inputs must be > 0 (throws std::invalid_argument
  * otherwise); 0 for an empty input. Used for composite benchmark

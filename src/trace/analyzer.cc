@@ -15,16 +15,8 @@ rt::RuntimeEventCounts
 toCounts(const std::array<std::uint64_t, kKinds> &by_kind)
 {
     rt::RuntimeEventCounts counts;
-    counts.gcTriggered = by_kind[static_cast<std::size_t>(
-        TraceEventKind::GcTriggered)];
-    counts.gcAllocationTick = by_kind[static_cast<std::size_t>(
-        TraceEventKind::GcAllocationTick)];
-    counts.jitStarted = by_kind[static_cast<std::size_t>(
-        TraceEventKind::JitStarted)];
-    counts.exceptionStart = by_kind[static_cast<std::size_t>(
-        TraceEventKind::ExceptionStart)];
-    counts.contentionStart = by_kind[static_cast<std::size_t>(
-        TraceEventKind::ContentionStart)];
+    for (std::size_t k = 0; k < kKinds; ++k)
+        counts.*rt::kEventCountFields[k] = by_kind[k];
     return counts;
 }
 
@@ -120,12 +112,6 @@ TraceAnalyzer::summary() const
     s.counterSamples = trace_.samples.size();
     s.spanCycles = trace_.endCycles() - trace_.beginCycles();
     return s;
-}
-
-rt::RuntimeEventCounts
-TraceAnalyzer::eventTotals() const
-{
-    return toCounts(prefix_.back());
 }
 
 } // namespace netchar::trace

@@ -83,12 +83,6 @@ class TraceAnalyzer
     /** Event totals, loss counters and span of the trace. */
     TraceSummary summary() const;
 
-    /**
-     * Cumulative counts of the whole retained event stream as the
-     * aggregate RuntimeEventCounts view (what rt::EventTrace keeps).
-     */
-    rt::RuntimeEventCounts eventTotals() const;
-
     const Trace &trace() const { return trace_; }
 
   private:

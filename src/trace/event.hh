@@ -25,7 +25,8 @@
 namespace netchar::trace
 {
 
-/** Kinds of timeline events (mirrors rt::RuntimeEventType). */
+/** Kinds of timeline events: the CLR events the study traces
+ *  (rt::RuntimeEventType is the runtime-side alias). */
 enum class TraceEventKind : std::uint8_t
 {
     GcTriggered = 0,

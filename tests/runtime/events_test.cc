@@ -2,7 +2,8 @@
  * @file
  * Unit tests for rt::RuntimeEventCounts and rt::EventTrace edge
  * cases: zero-instruction pki, saturating deltas, full enumerator
- * coverage (including the NumTypes misuse guard) and the trace
+ * coverage (including the NumKinds misuse guard), the LTTng-style
+ * names and the trace
  * recorder mirroring contract.
  */
 
@@ -71,7 +72,7 @@ TEST(RuntimeEventCountsTest, DeltaDoesNotUnderflowWrap)
     const auto since = makeCounts(10, 20, 30, 40, 50);
     const auto d = now.delta(since);
     for (const auto type : kAllTypes)
-        EXPECT_EQ(d.count(type), 0u) << runtimeEventName(type);
+        EXPECT_EQ(d.count(type), 0u) << trace::traceEventKindName(type);
 }
 
 TEST(RuntimeEventCountsTest, DeltaMixedDirectionsSaturatePerField)
@@ -94,39 +95,31 @@ TEST(RuntimeEventCountsTest, CountCoversEveryEnumerator)
     EXPECT_EQ(counts.count(RuntimeEventType::JitStarted), 3u);
     EXPECT_EQ(counts.count(RuntimeEventType::ExceptionStart), 4u);
     EXPECT_EQ(counts.count(RuntimeEventType::ContentionStart), 5u);
-    // NumTypes is a misuse guard, not a counter.
-    EXPECT_EQ(counts.count(RuntimeEventType::NumTypes), 0u);
+    // NumKinds is a misuse guard, not a counter.
+    EXPECT_EQ(counts.count(RuntimeEventType::NumKinds), 0u);
 }
 
 TEST(RuntimeEventNameTest, NamesEveryEnumerator)
 {
-    EXPECT_EQ(runtimeEventName(RuntimeEventType::GcTriggered),
+    using trace::traceEventKindName;
+    EXPECT_EQ(traceEventKindName(RuntimeEventType::GcTriggered),
               "GC/Triggered");
-    EXPECT_EQ(runtimeEventName(RuntimeEventType::GcAllocationTick),
+    EXPECT_EQ(traceEventKindName(RuntimeEventType::GcAllocationTick),
               "GC/AllocationTick");
-    EXPECT_EQ(runtimeEventName(RuntimeEventType::JitStarted),
+    EXPECT_EQ(traceEventKindName(RuntimeEventType::JitStarted),
               "Method/JittingStarted");
-    EXPECT_EQ(runtimeEventName(RuntimeEventType::ExceptionStart),
+    EXPECT_EQ(traceEventKindName(RuntimeEventType::ExceptionStart),
               "Exception/Start");
-    EXPECT_EQ(runtimeEventName(RuntimeEventType::ContentionStart),
+    EXPECT_EQ(traceEventKindName(RuntimeEventType::ContentionStart),
               "Contention/Start");
-    EXPECT_EQ(runtimeEventName(RuntimeEventType::NumTypes),
+    EXPECT_EQ(traceEventKindName(RuntimeEventType::NumKinds),
               "Unknown");
-}
-
-TEST(RuntimeEventNameTest, MatchesTraceEventKindNames)
-{
-    // The 1:1 mapping into timeline kinds preserves the names, so
-    // exports and aggregate reports never disagree on labels.
-    for (const auto type : kAllTypes)
-        EXPECT_EQ(runtimeEventName(type),
-                  trace::traceEventKindName(toTraceEventKind(type)));
 }
 
 TEST(EventTraceTest, RecordIgnoresNumTypes)
 {
     EventTrace trace;
-    trace.record(RuntimeEventType::NumTypes);
+    trace.record(RuntimeEventType::NumKinds);
     for (const auto type : kAllTypes)
         EXPECT_EQ(trace.counts().count(type), 0u);
 }
@@ -142,7 +135,7 @@ TEST(EventTraceTest, RecorderMirrorsAggregates)
     trace.record(RuntimeEventType::GcTriggered, 111, 222);
     trace.record(RuntimeEventType::JitStarted, 7, 333);
     trace.record(RuntimeEventType::JitStarted, 8, 444);
-    trace.record(RuntimeEventType::NumTypes, 9, 9); // guarded: no-op
+    trace.record(RuntimeEventType::NumKinds, 9, 9); // guarded: no-op
 
     EXPECT_EQ(trace.counts().gcTriggered, 1u);
     EXPECT_EQ(trace.counts().jitStarted, 2u);

@@ -157,14 +157,6 @@ TEST(EventTraceTest, DeltaSupportsSampling)
     EXPECT_EQ(d.gcTriggered, 0u);
 }
 
-TEST(EventTraceTest, NamesAreLttngStyle)
-{
-    EXPECT_EQ(rt::runtimeEventName(rt::RuntimeEventType::GcTriggered),
-              "GC/Triggered");
-    EXPECT_EQ(rt::runtimeEventName(rt::RuntimeEventType::JitStarted),
-              "Method/JittingStarted");
-}
-
 namespace
 {
 

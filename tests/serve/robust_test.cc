@@ -1302,10 +1302,6 @@ TEST(Chaos, WireSpecParsesAndRejects)
                  std::invalid_argument);
     EXPECT_THROW(WireFaultPlan::parse("rate=1,frobnicate=2"),
                  std::invalid_argument);
-
-    EXPECT_EQ(wireFaultKindName(WireFaultKind::TruncateJournal),
-              "journal");
-    EXPECT_EQ(wireFaultKindName(WireFaultKind::StallWrite), "stall");
 }
 
 TEST(Chaos, DecisionsAreSeededAndDeterministic)

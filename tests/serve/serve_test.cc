@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -552,6 +553,30 @@ TEST(Protocol, UnknownKeysListTheValidOnes)
               "unknown suite 'x' (valid: dotnet, aspnet, spec)");
     EXPECT_EQ(message(R"({"verb":"sweep","suite":"spec","machine":"arm"})"),
               "(accepted)");
+}
+
+TEST(Protocol, EveryVerbNameParsesBackToItsVerb)
+{
+    for (const Verb verb : {Verb::Ping, Verb::Run, Verb::Sweep,
+                            Verb::Subset, Verb::Stats, Verb::Shutdown}) {
+        const std::string name(verbName(verb));
+        EXPECT_EQ(verbNamed(name), verb) << name;
+        EXPECT_EQ(parseRequest(R"({"verb":")" + name +
+                               R"(","benchmark":"SeekUnroll",)"
+                               R"("suite":"spec"})")
+                      .verb,
+                  verb)
+            << name;
+    }
+    EXPECT_EQ(verbNamed("Ping"), std::nullopt);
+    try {
+        parseRequest(R"({"verb":"frobnicate"})");
+        FAIL() << "unknown verb accepted";
+    } catch (const ProtocolError &ex) {
+        EXPECT_STREQ(ex.what(),
+                     "unknown verb 'frobnicate' (valid: ping, run, "
+                     "sweep, subset, stats, shutdown)");
+    }
 }
 
 TEST(Protocol, ServerAnswersMalformedLinesWithStructuredErrors)

@@ -68,16 +68,6 @@ TEST(MatrixTest, RowAndColExtraction)
     EXPECT_THROW(m.col(3), std::out_of_range);
 }
 
-TEST(MatrixTest, TransposeRoundTrips)
-{
-    Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-    auto t = m.transposed();
-    EXPECT_EQ(t.rows(), 3u);
-    EXPECT_EQ(t.cols(), 2u);
-    EXPECT_EQ(t(0, 1), 4.0);
-    EXPECT_TRUE(t.transposed().approxEquals(m));
-}
-
 TEST(MatrixTest, IdentityMultiplicationIsNeutral)
 {
     Matrix m{{1.0, 2.0}, {3.0, 4.0}};

@@ -26,12 +26,6 @@ TEST(SummaryTest, StddevKnownValue)
     EXPECT_DOUBLE_EQ(ns::stddev(std::vector<double>{1.0}), 0.0);
 }
 
-TEST(SummaryTest, PopulationVariance)
-{
-    std::vector<double> xs{1.0, 3.0};
-    EXPECT_DOUBLE_EQ(ns::populationVariance(xs), 1.0);
-}
-
 TEST(SummaryTest, GeomeanKnownValue)
 {
     std::vector<double> xs{1.0, 4.0, 16.0};

@@ -284,17 +284,18 @@ TEST(CaptureTest, EventStreamMatchesAggregateCounts)
     const auto cap = ch.capture(managedProfile(), quickOptions());
     ASSERT_EQ(cap.trace.events.dropped(), 0u);
     const trace::TraceAnalyzer analyzer(cap.trace);
-    const auto totals = analyzer.eventTotals();
-    EXPECT_EQ(totals.gcTriggered, cap.result.events.gcTriggered);
-    EXPECT_EQ(totals.gcAllocationTick,
-              cap.result.events.gcAllocationTick);
-    EXPECT_EQ(totals.jitStarted, cap.result.events.jitStarted);
-    EXPECT_EQ(totals.exceptionStart,
-              cap.result.events.exceptionStart);
-    EXPECT_EQ(totals.contentionStart,
-              cap.result.events.contentionStart);
+    const auto summary = analyzer.summary();
+    for (std::size_t k = 0;
+         k < static_cast<std::size_t>(trace::TraceEventKind::NumKinds);
+         ++k) {
+        const auto kind = static_cast<trace::TraceEventKind>(k);
+        EXPECT_EQ(summary.eventCounts[k], cap.result.events.count(kind))
+            << trace::traceEventKindName(kind);
+    }
     // The window produced actual signal worth tracing.
-    EXPECT_GT(totals.jitStarted + totals.gcAllocationTick, 0u);
+    EXPECT_GT(cap.result.events.jitStarted +
+                  cap.result.events.gcAllocationTick,
+              0u);
 }
 
 TEST(CaptureTest, TraceIsDeterministicAcrossRepeatedRuns)

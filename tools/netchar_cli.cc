@@ -438,24 +438,15 @@ cmdCharacterize(const std::string &name, const CliOptions &opts,
     }
     if (topdown_view) {
         const auto td = TopDownProfile::fromSlots(result.slots);
-        std::printf(
-            "%s",
-            barChart(name + " Top-Down level 1",
-                     {{"Retiring", td.level1.retiring},
-                      {"Bad_Speculation", td.level1.badSpeculation},
-                      {"Frontend_Bound", td.level1.frontendBound},
-                      {"Backend_Bound", td.level1.backendBound}},
-                     40, 1.0)
-                .c_str());
-        std::vector<Bar> fe, be;
-        for (const auto &row : frontendRows(td))
-            fe.push_back({row.label, row.value});
-        for (const auto &row : backendRows(td))
-            be.push_back({row.label, row.value});
-        std::printf("%s", barChart("Frontend shares", fe, 40, 1.0)
+        std::printf("%s", barChart(name + " Top-Down level 1",
+                                   level1Rows(td), 40, 1.0)
                               .c_str());
-        std::printf("%s",
-                    barChart("Backend shares", be, 40, 1.0).c_str());
+        std::printf("%s", barChart("Frontend shares", frontendRows(td),
+                                   40, 1.0)
+                              .c_str());
+        std::printf("%s", barChart("Backend shares", backendRows(td),
+                                   40, 1.0)
+                              .c_str());
     } else {
         TextTable table({"Metric", "Value", "Unit"});
         for (const auto &info : metricTable()) {
@@ -831,19 +822,9 @@ cmdQuery(int argc, char **argv)
         }
     }
 
-    if (verb == "ping")
-        req.verb = serve::Verb::Ping;
-    else if (verb == "run")
-        req.verb = serve::Verb::Run;
-    else if (verb == "sweep")
-        req.verb = serve::Verb::Sweep;
-    else if (verb == "subset")
-        req.verb = serve::Verb::Subset;
-    else if (verb == "stats")
-        req.verb = serve::Verb::Stats;
-    else if (verb == "shutdown")
-        req.verb = serve::Verb::Shutdown;
-    else {
+    if (const auto named = serve::verbNamed(verb)) {
+        req.verb = *named;
+    } else {
         std::fprintf(stderr, "netchar query: unknown verb '%s'\n",
                      verb.c_str());
         return EXIT_FAILURE;
