@@ -9,8 +9,6 @@
  * heap, so collections never run).
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 
@@ -20,7 +18,6 @@ NETCHAR_BENCH(ablation_gc_compact,
               "Ablation: software vs hardware-offloaded GC with a "
               "no-GC control over the .NET subset")
 {
-    std::fprintf(stderr, "Ablation: hardware GC offload\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = bench::tableIvDotnet();
     constexpr std::uint64_t MiB = 1024 * 1024;

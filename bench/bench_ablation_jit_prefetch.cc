@@ -11,8 +11,6 @@
  * on, and reports the I-side and branch improvements.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 
@@ -22,7 +20,6 @@ NETCHAR_BENCH(ablation_jit_prefetch,
               "Ablation: proposed JIT page-metadata ISA hint off vs "
               "on over the ASP.NET subset")
 {
-    std::fprintf(stderr, "Ablation: JIT ISA hint\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     auto profiles = bench::tableIvAspnet();
     for (auto &p : profiles)

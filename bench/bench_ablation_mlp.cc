@@ -8,8 +8,6 @@
  * miss latency) is what keeps memory-bound CPIs in realistic ranges.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "workloads/registry.hh"
@@ -20,7 +18,6 @@ NETCHAR_BENCH(ablation_mlp,
               "Ablation: CPI sensitivity of mcf vs exchange2 to the "
               "modeled memory-level parallelism")
 {
-    std::fprintf(stderr, "Ablation: MLP exposure sweep\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const double mlps[] = {1.0, 2.0, 4.0, 8.0};
 

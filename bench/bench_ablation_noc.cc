@@ -8,12 +8,11 @@
  * rather than extra misses.
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "common.hh"
 #include "core/report.hh"
-#include "core/topdown.hh"
+#include "stats/summary.hh"
 
 using namespace netchar;
 
@@ -24,10 +23,10 @@ namespace
 double
 meanL3Bound(const std::vector<RunResult> &runs)
 {
-    double sum = 0.0;
+    std::vector<double> shares;
     for (const auto &r : runs)
-        sum += TopDownProfile::fromSlots(r.slots).backend.l3Bound;
-    return sum / static_cast<double>(runs.size());
+        shares.push_back(r.slots.fraction(sim::SlotNode::BeL3Bound));
+    return stats::mean(shares);
 }
 
 } // namespace
@@ -36,7 +35,6 @@ NETCHAR_BENCH(ablation_noc,
               "Ablation: LLC slice/NoC contention model on vs off "
               "across core counts")
 {
-    std::fprintf(stderr, "Ablation: NoC contention model\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = bench::tableIvAspnet();
     const unsigned core_counts[] = {1, 4, 16};
@@ -64,7 +62,6 @@ NETCHAR_BENCH(ablation_noc,
             on_16c = on_mean;
             off_16c = off_mean;
         }
-        std::fprintf(stderr, "  %u cores done\n", cores);
     }
     ctx.printf("%s\n", table.render().c_str());
     ctx.printf("Expected: with contention on, L3-bound share grows "

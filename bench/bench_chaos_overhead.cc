@@ -12,7 +12,6 @@
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "common.hh"
@@ -25,8 +24,6 @@ NETCHAR_BENCH(chaos_overhead,
               "CI overhead check: hardened runAll vs plain run loop "
               "with injection disabled (target <= 10%)")
 {
-    std::fprintf(stderr,
-                 "Chaos overhead: resilient runAll vs plain runs\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = bench::tableIvDotnet();
     const RunOptions opts = bench::standardOptions();

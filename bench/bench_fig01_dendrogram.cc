@@ -6,8 +6,6 @@
  * representative subset the pipeline selects.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/subset.hh"
@@ -19,7 +17,6 @@ NETCHAR_BENCH(fig01_dendrogram,
               "Figure 1: similarity dendrogram of the 44 .NET "
               "categories with the 8-element subset underlined")
 {
-    std::fprintf(stderr, "Figure 1: .NET dendrogram\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = wl::dotnetCategories();
     const auto results =

@@ -13,8 +13,6 @@
  * Paper accuracies: A = 98.7%, B = 96.3%, A(o) = 99.9%.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/subset.hh"
@@ -53,7 +51,6 @@ NETCHAR_BENCH(fig02_validation,
               "Figure 2: SPECspeed-style validation accuracy of "
               "subsets A, A(o) and B")
 {
-    std::fprintf(stderr, "Figure 2: subset validation\n");
     Characterizer baseline(sim::MachineConfig::intelXeonE52620V4());
     Characterizer machine_a(sim::MachineConfig::intelCoreI99980Xe());
 
@@ -83,10 +80,6 @@ NETCHAR_BENCH(fig02_validation,
     micro_opts.warmupInstructions =
         bench::scaledInstructions(40'000);
     micro_opts.measuredInstructions = micro_inst;
-    std::fprintf(stderr,
-                 "  characterizing %zu microbenchmarks on 2 machines "
-                 "(this is the long part)...\n",
-                 micros.size());
     const auto micro_a_runs =
         bench::runSuite(machine_a, micros, micro_opts);
     const auto micro_scores = benchmarkScores(

@@ -8,10 +8,9 @@
  * services), SPEC CPU17 essentially none.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
+#include "stats/summary.hh"
 
 using namespace netchar;
 
@@ -44,7 +43,6 @@ NETCHAR_BENCH(fig03_kernel_frac,
               "Figure 3: kernel-instruction fraction per benchmark "
               "across the Table IV subsets")
 {
-    std::fprintf(stderr, "Figure 3: kernel instruction fraction\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
 
     ctx.printf("Figure 3: fraction of kernel instructions in each "
@@ -56,18 +54,13 @@ NETCHAR_BENCH(fig03_kernel_frac,
     section(ctx, "SPEC CPU17 subset", ch, bench::tableIvSpec(),
             spec);
 
-    auto mean = [](const std::vector<double> &xs) {
-        double acc = 0.0;
-        for (double x : xs)
-            acc += x;
-        return acc / static_cast<double>(xs.size());
-    };
     ctx.printf("Mean kernel fraction: .NET %s, ASP.NET %s, "
                "SPEC %s\n",
-               fmtPercent(mean(dotnet)).c_str(),
-               fmtPercent(mean(aspnet)).c_str(),
-               fmtPercent(mean(spec)).c_str());
+               fmtPercent(stats::mean(dotnet)).c_str(),
+               fmtPercent(stats::mean(aspnet)).c_str(),
+               fmtPercent(stats::mean(spec)).c_str());
     ctx.printf("Paper shape: ASP.NET >> .NET >> SPEC (networking "
                "stack dominates ASP.NET kernel time).\n");
-    ctx.metric("kernel_frac_mean_aspnet", "frac", mean(aspnet));
+    ctx.metric("kernel_frac_mean_aspnet", "frac",
+               stats::mean(aspnet));
 }

@@ -9,8 +9,6 @@
  * (xalancbmk branchy, FP programs nearly branchless).
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 
@@ -58,7 +56,6 @@ NETCHAR_BENCH(fig04_inst_mix,
               "Figure 4: branch/load/store instruction-mix "
               "breakdown per Table IV subset")
 {
-    std::fprintf(stderr, "Figure 4: instruction mix\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
 
     ctx.printf("Figure 4: percentage of instruction types in each "

@@ -9,8 +9,6 @@
  * far more diverse in control-flow behavior).
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/subset.hh"
@@ -40,7 +38,6 @@ NETCHAR_BENCH(fig05_ctrl_pca,
               "Figure 5: control-flow-metric PCA scatter, .NET vs "
               "SPEC CPU17 diversity")
 {
-    std::fprintf(stderr, "Figure 5: control-flow PCA comparison\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto dotnet = wl::suiteProfiles(wl::Suite::DotNet);
     const auto spec = wl::suiteProfiles(wl::Suite::SpecCpu17);

@@ -9,8 +9,6 @@
  * D-TLB misses, PRCO2 by I-cache and I-TLB misses.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/subset.hh"
@@ -39,7 +37,6 @@ NETCHAR_BENCH(fig06_mem_pca,
               "Figure 6: memory-metric PCA scatter, ASP.NET vs "
               "SPEC CPU17 diversity")
 {
-    std::fprintf(stderr, "Figure 6: memory PCA comparison\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto aspnet = wl::suiteProfiles(wl::Suite::AspNet);
     const auto spec = wl::suiteProfiles(wl::Suite::SpecCpu17);

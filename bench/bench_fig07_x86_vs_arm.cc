@@ -11,7 +11,6 @@
  * the microarchitecture.
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "common.hh"
@@ -59,13 +58,14 @@ groupComparison(bench::Context &ctx, const char *label,
     ctx.printf("   (paper: %s)\n", paper_ratios);
 }
 
+/** Mean of one metric over the rows. */
 double
 meanMetric(const std::vector<MetricVector> &rows, MetricId id)
 {
-    double acc = 0.0;
+    std::vector<double> xs;
     for (const auto &m : rows)
-        acc += m[static_cast<std::size_t>(id)];
-    return acc / static_cast<double>(rows.size());
+        xs.push_back(m[static_cast<std::size_t>(id)]);
+    return stats::mean(xs);
 }
 
 } // namespace
@@ -74,7 +74,6 @@ NETCHAR_BENCH(fig07_x86_vs_arm,
               "Figure 7: x86-64 vs AArch64 PRCO diversity and raw "
               "MPKI ratios over the .NET categories")
 {
-    std::fprintf(stderr, "Figure 7: x86-64 vs AArch64\n");
     Characterizer x86(sim::MachineConfig::intelCoreI99980Xe());
     Characterizer arm(sim::MachineConfig::armServer());
     const auto profiles = wl::dotnetCategories();

@@ -10,8 +10,6 @@
  * higher I-side (L1i, iTLB) MPKIs; ASP.NET has the highest CPI.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 
@@ -42,7 +40,6 @@ NETCHAR_BENCH(fig08_counters,
               "Figure 8: CPI and cache/TLB MPKI counter comparison "
               "across the Table IV subsets")
 {
-    std::fprintf(stderr, "Figure 8: performance counters\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     // The paper's ASP.NET measurements come from a loaded server, so
     // the ASP.NET subset runs on many cores.

@@ -10,11 +10,10 @@
  * speculation, while SPEC's spread is wider.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/topdown.hh"
+#include "stats/summary.hh"
 
 using namespace netchar;
 
@@ -31,12 +30,10 @@ section(bench::Context &ctx, const char *title,
     std::vector<std::string> labels;
     std::vector<std::vector<double>> rows;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto td = TopDownProfile::fromSlots(results[i].slots);
         labels.push_back(profiles[i].name);
-        rows.push_back({td.level1.retiring, td.level1.badSpeculation,
-                        td.level1.frontendBound,
-                        td.level1.backendBound});
-        be_fracs.push_back(td.level1.backendBound);
+        rows.push_back(bench::barValues(level1Rows(results[i].slots)));
+        be_fracs.push_back(results[i].slots.categoryFraction(
+            sim::SlotCategory::Backend));
     }
     ctx.printf("%s\n",
                stackedBars(title, labels,
@@ -52,7 +49,6 @@ NETCHAR_BENCH(fig09_topdown_basic,
               "Figure 9: level-1 Top-Down breakdown for every "
               "Table IV benchmark")
 {
-    std::fprintf(stderr, "Figure 9: basic Top-Down profiles\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     auto asp_opts = bench::standardOptions();
     asp_opts.cores = 16; // the ASP.NET server runs loaded
@@ -67,20 +63,14 @@ NETCHAR_BENCH(fig09_topdown_basic,
     section(ctx, "SPEC CPU17 subset", ch, bench::tableIvSpec(),
             bench::standardOptions(), be_spec);
 
-    auto mean = [](const std::vector<double> &xs) {
-        double acc = 0.0;
-        for (double x : xs)
-            acc += x;
-        return acc / static_cast<double>(xs.size());
-    };
     ctx.printf("Mean backend-bound share: .NET %s, ASP.NET %s, "
                "SPEC %s\n",
-               fmtPercent(mean(be_dotnet)).c_str(),
-               fmtPercent(mean(be_aspnet)).c_str(),
-               fmtPercent(mean(be_spec)).c_str());
+               fmtPercent(stats::mean(be_dotnet)).c_str(),
+               fmtPercent(stats::mean(be_aspnet)).c_str(),
+               fmtPercent(stats::mean(be_spec)).c_str());
     ctx.printf("Paper shape: ASP.NET is significantly backend "
                "bound; managed suites show little bad "
                "speculation.\n");
     ctx.metric("backend_bound_mean_aspnet", "frac",
-               mean(be_aspnet));
+               stats::mean(be_aspnet));
 }

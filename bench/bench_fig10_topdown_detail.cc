@@ -12,8 +12,6 @@
  * bandwidth) stalls.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/topdown.hh"
@@ -33,16 +31,11 @@ section(bench::Context &ctx, const char *name,
     std::vector<std::string> labels;
     std::vector<std::vector<double>> fe_rows, be_rows;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto td = TopDownProfile::fromSlots(results[i].slots);
         labels.push_back(profiles[i].name);
-        const auto fe = td.frontendShares();
-        fe_rows.push_back({fe.icacheMisses, fe.itlbMisses,
-                           fe.branchResteers, fe.msSwitches,
-                           fe.dsbBandwidth, fe.miteBandwidth});
-        const auto be = td.backendShares();
-        be_rows.push_back({be.l1Bound, be.l2Bound, be.l3Bound,
-                           be.dramBound, be.storeBound,
-                           be.portsUtilization, be.divider});
+        fe_rows.push_back(
+            bench::barValues(frontendRows(results[i].slots)));
+        be_rows.push_back(
+            bench::barValues(backendRows(results[i].slots)));
     }
     ctx.printf("%s\n",
                stackedBars(std::string("Frontend breakdown: ") + name,
@@ -66,7 +59,6 @@ NETCHAR_BENCH(fig10_topdown_detail,
               "Figure 10: detailed frontend/backend empty-slot "
               "breakdown per Table IV subset")
 {
-    std::fprintf(stderr, "Figure 10: detailed Top-Down breakdown\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     auto asp_opts = bench::standardOptions();
     asp_opts.cores = 16;

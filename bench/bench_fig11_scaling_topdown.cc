@@ -7,11 +7,10 @@
  * backend bound (driven by L3-bound stalls; see Figure 12).
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/topdown.hh"
+#include "stats/summary.hh"
 
 using namespace netchar;
 
@@ -19,7 +18,6 @@ NETCHAR_BENCH(fig11_scaling_topdown,
               "Figure 11: ASP.NET Top-Down profile vs core count "
               "(1-16 cores)")
 {
-    std::fprintf(stderr, "Figure 11: ASP.NET core scaling\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = bench::tableIvAspnet();
     const unsigned core_counts[] = {1, 2, 4, 8, 16};
@@ -37,19 +35,15 @@ NETCHAR_BENCH(fig11_scaling_topdown,
 
         std::vector<std::string> labels;
         std::vector<std::vector<double>> rows;
-        double be_sum = 0.0;
+        std::vector<double> be_fracs;
         for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto td =
-                TopDownProfile::fromSlots(results[i].slots);
             labels.push_back(profiles[i].name);
-            rows.push_back({td.level1.retiring,
-                            td.level1.badSpeculation,
-                            td.level1.frontendBound,
-                            td.level1.backendBound});
-            be_sum += td.level1.backendBound;
+            rows.push_back(
+                bench::barValues(level1Rows(results[i].slots)));
+            be_fracs.push_back(results[i].slots.categoryFraction(
+                sim::SlotCategory::Backend));
         }
-        mean_be_by_cores.push_back(
-            be_sum / static_cast<double>(results.size()));
+        mean_be_by_cores.push_back(stats::mean(be_fracs));
         ctx.printf("%s\n",
                    stackedBars(
                        std::to_string(cores) + " core(s)", labels,

@@ -10,11 +10,9 @@
  * misses.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
-#include "core/topdown.hh"
+#include "stats/summary.hh"
 
 using namespace netchar;
 
@@ -22,7 +20,6 @@ NETCHAR_BENCH(fig12_l3_bound,
               "Figure 12: ASP.NET L3-bound stall share and per-core "
               "LLC MPKI vs core count")
 {
-    std::fprintf(stderr, "Figure 12: L3-bound scaling\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = bench::tableIvAspnet();
     const unsigned core_counts[] = {1, 2, 4, 8, 16};
@@ -53,9 +50,8 @@ NETCHAR_BENCH(fig12_l3_bound,
             bench::scaledInstructions(1'000'000);
         const auto results = bench::runSuite(ch, profiles, opts);
         for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto td =
-                TopDownProfile::fromSlots(results[i].slots);
-            const double l3 = td.backend.l3Bound;
+            const double l3 =
+                results[i].slots.fraction(sim::SlotNode::BeL3Bound);
             const double mpki = results[i].metrics
                 [static_cast<std::size_t>(MetricId::LlcMpki)];
             rows[i][1 + 2 * ci] = fmtPercent(l3);
@@ -68,21 +64,15 @@ NETCHAR_BENCH(fig12_l3_bound,
         table.addRow(row);
     ctx.printf("%s\n", table.render().c_str());
 
-    auto mean = [](const std::vector<double> &xs) {
-        double acc = 0.0;
-        for (double x : xs)
-            acc += x;
-        return acc / static_cast<double>(xs.size());
-    };
     ctx.printf("Mean across the subset:\n");
     for (std::size_t ci = 0; ci < std::size(core_counts); ++ci)
         ctx.printf("  %2u cores: L3-bound %s of slots, per-core LLC "
                    "MPKI %s\n",
                    core_counts[ci],
-                   fmtPercent(mean(l3_by_cores[ci])).c_str(),
-                   fmtFixed(mean(mpki_by_cores[ci]), 3).c_str());
+                   fmtPercent(stats::mean(l3_by_cores[ci])).c_str(),
+                   fmtFixed(stats::mean(mpki_by_cores[ci]), 3).c_str());
     ctx.printf("Paper shape: L3-bound share rises with cores; "
                "per-core LLC MPKI stays roughly stable.\n");
     ctx.metric("l3_bound_mean_16c", "frac",
-               mean(l3_by_cores.back()));
+               stats::mean(l3_by_cores.back()));
 }

@@ -27,7 +27,6 @@ NETCHAR_BENCH(fig13a_jit_corr,
               "Figure 13a: correlation of JIT-start events with "
               "counters over ASP.NET interval samples")
 {
-    std::fprintf(stderr, "Figure 13a: JIT-event correlations\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     auto profiles = bench::tableIvAspnet();
     // Keep tier-up re-JITs flowing through the sampled window.

@@ -19,7 +19,6 @@
  */
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -91,7 +90,6 @@ NETCHAR_BENCH(fig13b_gc_corr,
               "Figure 13b: correlation of GC invocations with "
               "counters, incl. lag-1 and event-aligned views")
 {
-    std::fprintf(stderr, "Figure 13b: GC-event correlations\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const double interval_cycles =
         static_cast<double>(bench::scaledInstructions(120'000));

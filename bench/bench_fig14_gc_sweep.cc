@@ -21,7 +21,6 @@
  * sizing and are marked, not simulated.
  */
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -63,7 +62,6 @@ NETCHAR_BENCH(fig14_gc_sweep,
               "Figure 14: workstation vs server GC across three "
               "heap sizes for the .NET subset")
 {
-    std::fprintf(stderr, "Figure 14: GC mode x heap size sweep\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
 
     // The Table IV subset plus the categories the paper calls out.

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "common.hh"
@@ -26,7 +25,6 @@ NETCHAR_BENCH(metric_redundancy,
               "SIV-A appendix: metric correlation matrix and PCA "
               "eigen-spectrum over the .NET categories")
 {
-    std::fprintf(stderr, "Metric redundancy analysis (§IV-A)\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = wl::dotnetCategories();
     const auto results =

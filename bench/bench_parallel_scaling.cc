@@ -44,9 +44,6 @@ NETCHAR_BENCH(parallel_scaling,
     const auto names = bench::names(profiles);
     const unsigned hw =
         std::max(1u, std::thread::hardware_concurrency());
-    std::fprintf(stderr,
-                 "parallel scaling: %zu runs, %u hardware thread(s)\n",
-                 profiles.size(), hw);
 
     std::string baselineCsv;
     double baselineWall = 0.0;

@@ -11,8 +11,6 @@
  * instruction-mix and runtime-event metrics.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/subset.hh"
@@ -24,8 +22,6 @@ NETCHAR_BENCH(table3_pca_loadings,
               "Table III: PCA loading factors and explained "
               "variance over the 44 .NET categories")
 {
-    std::fprintf(stderr,
-                 "Table III: PCA loadings over 44 .NET categories\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = wl::dotnetCategories();
     const auto results =

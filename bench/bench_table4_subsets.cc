@@ -11,8 +11,6 @@
  * while cluster structure matches.
  */
 
-#include <cstdio>
-
 #include "common.hh"
 #include "core/report.hh"
 #include "core/subset.hh"
@@ -47,7 +45,6 @@ NETCHAR_BENCH(table4_subsets,
               "Table IV: 8-element representative subsets per "
               "suite from the PCA+clustering pipeline")
 {
-    std::fprintf(stderr, "Table IV: representative subsets\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
 
     const auto dotnet =

@@ -9,7 +9,6 @@
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "common.hh"
@@ -22,7 +21,6 @@ NETCHAR_BENCH(trace_overhead,
               "CI overhead check: traced captures vs plain runs over "
               "the .NET subset (target <= 10%)")
 {
-    std::fprintf(stderr, "Trace overhead: capture vs plain run\n");
     Characterizer ch(sim::MachineConfig::intelCoreI99980Xe());
     const auto profiles = bench::tableIvDotnet();
     const RunOptions opts = bench::standardOptions();

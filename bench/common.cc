@@ -121,6 +121,16 @@ names(const std::vector<wl::WorkloadProfile> &profiles)
     return out;
 }
 
+std::vector<double>
+barValues(const std::vector<Bar> &bars)
+{
+    std::vector<double> out;
+    out.reserve(bars.size());
+    for (const auto &bar : bars)
+        out.push_back(bar.value);
+    return out;
+}
+
 std::pair<double, double>
 pairedSeconds(std::size_t n, const std::function<void(std::size_t)> &base,
               const std::function<void(std::size_t)> &treated)

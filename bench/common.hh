@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/characterize.hh"
+#include "core/report.hh"
 #include "harness.hh"
 #include "workloads/profile.hh"
 
@@ -56,6 +57,9 @@ captureSuite(const Characterizer &ch,
 /** Names of a profile list. */
 std::vector<std::string>
 names(const std::vector<wl::WorkloadProfile> &profiles);
+
+/** Values of a bar list: one stacked bar's segments. */
+std::vector<double> barValues(const std::vector<Bar> &bars);
 
 /**
  * Paired host timing, the one rule of every overhead gate: for each

@@ -56,9 +56,8 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", table.render().c_str());
 
-    const auto td = TopDownProfile::fromSlots(result.slots);
     std::printf("%s\n", barChart("Top-Down level 1 (fraction of slots)",
-                                 level1Rows(td), 40, 1.0)
+                                 level1Rows(result.slots), 40, 1.0)
                             .c_str());
 
     std::printf("Measured %llu instructions in %.3f ms simulated "

@@ -11,7 +11,6 @@
 
 #include "core/characterize.hh"
 #include "core/report.hh"
-#include "core/topdown.hh"
 #include "workloads/registry.hh"
 
 using namespace netchar;
@@ -36,12 +35,11 @@ main()
         opts.warmupInstructions = 400'000;
         opts.cores = cores;
         const auto r = ch.run(server, opts);
-        const auto td = TopDownProfile::fromSlots(r.slots);
         const double mips = r.instructionsPerSecond / 1e6;
         table.addRow(
             {std::to_string(cores), fmtFixed(mips, 0),
              fmtFixed(r.counters.ipc(), 2),
-             fmtPercent(td.backend.l3Bound),
+             fmtPercent(r.slots.fraction(sim::SlotNode::BeL3Bound)),
              fmtFixed(r.metrics[static_cast<std::size_t>(
                           MetricId::LlcMpki)],
                       3)});

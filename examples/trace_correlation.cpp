@@ -5,11 +5,12 @@
  * reproduce the paper's event/counter correlation study (§VII-A,
  * Figure 13) without re-running the benchmark per interval.
  *
- *   ./trace_correlation [benchmark-name]
+ *   ./trace_correlation [benchmark-name [trace-out.json]]
  *
  * Steps: capture (run + timestamped event stream + periodic counter
  * records), summarize the trace, correlate at 0.1 / 1 / 10 simulated
- * ms, and export a chrome://tracing JSON you can load in Perfetto.
+ * ms and, when an output path is given, export a chrome://tracing
+ * JSON you can load in Perfetto (~40 MB for the default benchmark).
  */
 
 #include <cstdio>
@@ -96,11 +97,18 @@ main(int argc, char **argv)
         }
     }
 
-    // 4. Export for Perfetto (chrome://tracing JSON). Deterministic:
-    //    rerunning this example writes byte-identical bytes.
-    const char *out = "trace_correlation.trace.json";
+    // 4. Export for Perfetto (chrome://tracing JSON), if asked.
+    //    Deterministic: rerunning this example writes byte-identical
+    //    bytes.
+    if (argc < 3)
+        return EXIT_SUCCESS;
+    const char *out = argv[2];
     std::ofstream file(out, std::ios::binary);
     file << trace::chromeTraceJson(cap.trace) << '\n';
+    if (!file) {
+        std::fprintf(stderr, "cannot write '%s'\n", out);
+        return EXIT_FAILURE;
+    }
     std::printf("\nwrote %s (load it at https://ui.perfetto.dev)\n",
                 out);
     return EXIT_SUCCESS;

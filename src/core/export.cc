@@ -19,6 +19,14 @@ requireSameLength(const std::vector<std::string> &names,
             "export: names/results length mismatch");
 }
 
+/** A level-2 node: a frontend or backend child, a topdownCsv column. */
+bool
+isLevel2(const sim::SlotNodeInfo &node)
+{
+    return node.category == sim::SlotCategory::Frontend ||
+           node.category == sim::SlotCategory::Backend;
+}
+
 } // namespace
 
 std::string
@@ -55,23 +63,23 @@ topdownCsv(const std::vector<std::string> &names,
 {
     requireSameLength(names, results);
     std::ostringstream os;
-    os << "benchmark,retiring,bad_speculation,frontend_bound,"
-          "backend_bound,fe_icache,fe_itlb,fe_btb,fe_ms,fe_dsb_bw,"
-          "fe_mite_bw,be_l1,be_l2,be_l3,be_dram,be_store,be_ports,"
-          "be_divider\n";
+    os << "benchmark";
+    for (const auto &cat : sim::kSlotCategories)
+        os << ',' << cat.key;
+    for (const auto &node : sim::kSlotNodes)
+        if (isLevel2(node))
+            os << ',' << node.key;
+    os << '\n';
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto td = TopDownProfile::fromSlots(results[i].slots);
+        const auto &slots = results[i].slots;
         os << csvField(names[i]);
-        for (const double v :
-             {td.level1.retiring, td.level1.badSpeculation,
-              td.level1.frontendBound, td.level1.backendBound,
-              td.frontend.icacheMisses, td.frontend.itlbMisses,
-              td.frontend.branchResteers, td.frontend.msSwitches,
-              td.frontend.dsbBandwidth, td.frontend.miteBandwidth,
-              td.backend.l1Bound, td.backend.l2Bound, td.backend.l3Bound,
-              td.backend.dramBound, td.backend.storeBound,
-              td.backend.portsUtilization, td.backend.divider})
-            os << ',' << exportNumber(v);
+        for (std::size_t c = 0; c < std::size(sim::kSlotCategories); ++c)
+            os << ',' << exportNumber(slots.categoryFraction(
+                             static_cast<sim::SlotCategory>(c)));
+        for (std::size_t n = 0; n < std::size(sim::kSlotNodes); ++n)
+            if (isLevel2(sim::kSlotNodes[n]))
+                os << ',' << exportNumber(slots.fraction(
+                                 static_cast<sim::SlotNode>(n)));
         os << '\n';
     }
     return os.str();
@@ -81,7 +89,6 @@ std::string
 runResultJson(const std::string &name, const RunResult &result)
 {
     const auto &c = result.counters;
-    const auto td = TopDownProfile::fromSlots(result.slots);
     std::ostringstream os;
     os << "{\"benchmark\":\"" << jsonEscape(name) << "\",";
     os << "\"seconds\":" << exportNumber(result.seconds) << ',';
@@ -98,20 +105,16 @@ runResultJson(const std::string &name, const RunResult &result)
                   result.metrics[static_cast<std::size_t>(info.id)]);
     }
     os << "},\"topdown\":{";
-    os << "\"retiring\":" << exportNumber(td.level1.retiring) << ',';
-    os << "\"bad_speculation\":"
-       << exportNumber(td.level1.badSpeculation) << ',';
-    os << "\"frontend_bound\":" << exportNumber(td.level1.frontendBound)
-       << ',';
-    os << "\"backend_bound\":" << exportNumber(td.level1.backendBound);
+    for (std::size_t i = 0; i < std::size(sim::kSlotCategories); ++i)
+        os << (i ? "," : "") << '"' << sim::kSlotCategories[i].key
+           << "\":"
+           << exportNumber(result.slots.categoryFraction(
+                  static_cast<sim::SlotCategory>(i)));
     os << "},\"events\":{";
-    os << "\"gc_triggered\":" << result.events.gcTriggered << ',';
-    os << "\"gc_allocation_tick\":" << result.events.gcAllocationTick
-       << ',';
-    os << "\"jit_started\":" << result.events.jitStarted << ',';
-    os << "\"exception_start\":" << result.events.exceptionStart
-       << ',';
-    os << "\"contention_start\":" << result.events.contentionStart;
+    for (std::size_t k = 0; k < std::size(trace::kTraceEventKinds); ++k)
+        os << (k ? "," : "") << '"' << trace::kTraceEventKinds[k].key
+           << "\":"
+           << result.events.count(static_cast<trace::TraceEventKind>(k));
     os << "}}";
     return os.str();
 }

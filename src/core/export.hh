@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/characterize.hh"
-#include "core/topdown.hh"
 #include "stats/textio.hh" // jsonEscape / csvField (shared helpers)
 
 namespace netchar

@@ -3,110 +3,50 @@
 namespace netchar
 {
 
-TopDownProfile
-TopDownProfile::fromSlots(const sim::SlotAccount &slots)
+namespace
 {
-    using sim::SlotCategory;
-    using sim::SlotNode;
-    TopDownProfile p;
-    p.level1.retiring = slots.categoryFraction(SlotCategory::Retiring);
-    p.level1.badSpeculation =
-        slots.categoryFraction(SlotCategory::BadSpeculation);
-    p.level1.frontendBound =
-        slots.categoryFraction(SlotCategory::Frontend);
-    p.level1.backendBound =
-        slots.categoryFraction(SlotCategory::Backend);
 
-    p.frontend.icacheMisses = slots.fraction(SlotNode::FeICache);
-    p.frontend.itlbMisses = slots.fraction(SlotNode::FeITlb);
-    p.frontend.branchResteers =
-        slots.fraction(SlotNode::FeBtbResteer);
-    p.frontend.msSwitches = slots.fraction(SlotNode::FeMsSwitch);
-    p.frontend.dsbBandwidth = slots.fraction(SlotNode::FeDsb);
-    p.frontend.miteBandwidth = slots.fraction(SlotNode::FeMite);
-
-    p.backend.l1Bound = slots.fraction(SlotNode::BeL1Bound);
-    p.backend.l2Bound = slots.fraction(SlotNode::BeL2Bound);
-    p.backend.l3Bound = slots.fraction(SlotNode::BeL3Bound);
-    p.backend.dramBound = slots.fraction(SlotNode::BeDramBound);
-    p.backend.storeBound = slots.fraction(SlotNode::BeStoreBound);
-    p.backend.portsUtilization =
-        slots.fraction(SlotNode::BePortsUtil);
-    p.backend.divider = slots.fraction(SlotNode::BeDivider);
-    return p;
+/** Each node of one category as a bar of its share, its name less
+ *  the first `drop` characters. */
+std::vector<Bar>
+shareRows(const sim::SlotAccount &slots, sim::SlotCategory cat,
+          std::size_t drop)
+{
+    std::vector<Bar> rows;
+    for (std::size_t n = 0; n < std::size(sim::kSlotNodes); ++n) {
+        const auto &node = sim::kSlotNodes[n];
+        if (node.category == cat)
+            rows.push_back({std::string(node.name.substr(drop)),
+                            slots.share(static_cast<sim::SlotNode>(n))});
+    }
+    return rows;
 }
 
-FrontendBreakdown
-TopDownProfile::frontendShares() const
-{
-    FrontendBreakdown s = frontend;
-    const double total = level1.frontendBound;
-    if (total <= 0.0)
-        return FrontendBreakdown{};
-    s.icacheMisses /= total;
-    s.itlbMisses /= total;
-    s.branchResteers /= total;
-    s.msSwitches /= total;
-    s.dsbBandwidth /= total;
-    s.miteBandwidth /= total;
-    return s;
-}
+} // namespace
 
-BackendBreakdown
-TopDownProfile::backendShares() const
+std::vector<Bar>
+level1Rows(const sim::SlotAccount &slots)
 {
-    BackendBreakdown s = backend;
-    const double total = level1.backendBound;
-    if (total <= 0.0)
-        return BackendBreakdown{};
-    s.l1Bound /= total;
-    s.l2Bound /= total;
-    s.l3Bound /= total;
-    s.dramBound /= total;
-    s.storeBound /= total;
-    s.portsUtilization /= total;
-    s.divider /= total;
-    return s;
+    std::vector<Bar> rows;
+    rows.reserve(std::size(sim::kSlotCategories));
+    for (std::size_t c = 0; c < std::size(sim::kSlotCategories); ++c)
+        rows.push_back(
+            {std::string(sim::kSlotCategories[c].label),
+             slots.categoryFraction(static_cast<sim::SlotCategory>(c))});
+    return rows;
 }
 
 std::vector<Bar>
-level1Rows(const TopDownProfile &p)
+frontendRows(const sim::SlotAccount &slots)
 {
-    return {
-        {"Retiring", p.level1.retiring},
-        {"Bad_Speculation", p.level1.badSpeculation},
-        {"Frontend_Bound", p.level1.frontendBound},
-        {"Backend_Bound", p.level1.backendBound},
-    };
+    return shareRows(slots, sim::SlotCategory::Frontend, 0);
 }
 
 std::vector<Bar>
-frontendRows(const TopDownProfile &p)
+backendRows(const sim::SlotAccount &slots)
 {
-    const auto s = p.frontendShares();
-    return {
-        {"FE.ICache_Misses", s.icacheMisses},
-        {"FE.ITLB_Misses", s.itlbMisses},
-        {"FE.Branch_Resteers", s.branchResteers},
-        {"FE.MS_Switches", s.msSwitches},
-        {"FE.DSB_Bandwidth", s.dsbBandwidth},
-        {"FE.MITE_Bandwidth", s.miteBandwidth},
-    };
-}
-
-std::vector<Bar>
-backendRows(const TopDownProfile &p)
-{
-    const auto s = p.backendShares();
-    return {
-        {"MEM.L1_Bound", s.l1Bound},
-        {"MEM.L2_Bound", s.l2Bound},
-        {"MEM.L3_Bound", s.l3Bound},
-        {"MEM.DRAM_Bound", s.dramBound},
-        {"MEM.Store_Bound", s.storeBound},
-        {"CR.Ports_Utilization", s.portsUtilization},
-        {"CR.Divider", s.divider},
-    };
+    return shareRows(slots, sim::SlotCategory::Backend,
+                     std::string_view("BE.").size());
 }
 
 } // namespace netchar

@@ -1,8 +1,9 @@
 /**
  * @file
  * Top-Down analysis (§VI): hierarchical attribution of pipeline slots
- * to bottleneck categories, toplev-style, computed from the
- * simulator's SlotAccount.
+ * to bottleneck categories, toplev-style, as labeled bars read from
+ * the simulator's SlotAccount. The tree itself (nodes, categories,
+ * names and export keys) is sim::kSlotNodes and sim::kSlotCategories.
  */
 
 #ifndef NETCHAR_CORE_TOPDOWN_HH
@@ -16,72 +17,17 @@
 namespace netchar
 {
 
-/** Level-1 Top-Down breakdown (Figure 9 bars). */
-struct TopDownLevel1
-{
-    double retiring = 0.0;
-    double badSpeculation = 0.0;
-    double frontendBound = 0.0;
-    double backendBound = 0.0;
-};
+/** The level-1 fractions of all slots as labeled bars (Figure 9's four). */
+std::vector<Bar> level1Rows(const sim::SlotAccount &slots);
 
-/** Level-2 frontend breakdown (Figure 10 top). */
-struct FrontendBreakdown
-{
-    // Latency-bound
-    double icacheMisses = 0.0;
-    double itlbMisses = 0.0;
-    double branchResteers = 0.0;
-    double msSwitches = 0.0;
-    // Bandwidth-bound
-    double dsbBandwidth = 0.0;
-    double miteBandwidth = 0.0;
-};
+/** Each frontend node's share of frontend slots (Figure 10 top). */
+std::vector<Bar> frontendRows(const sim::SlotAccount &slots);
 
-/** Level-2 backend breakdown (Figure 10 bottom). */
-struct BackendBreakdown
-{
-    // Memory-bound
-    double l1Bound = 0.0;
-    double l2Bound = 0.0;
-    double l3Bound = 0.0;
-    double dramBound = 0.0;
-    double storeBound = 0.0;
-    // Core-bound
-    double portsUtilization = 0.0;
-    double divider = 0.0;
-};
-
-/** Full Top-Down profile of one run. */
-struct TopDownProfile
-{
-    TopDownLevel1 level1;
-    /** Frontend children as fractions of ALL slots. */
-    FrontendBreakdown frontend;
-    /** Backend children as fractions of ALL slots. */
-    BackendBreakdown backend;
-
-    /**
-     * Frontend children renormalized to fractions of frontend slots
-     * (how Figure 10 plots its bars); zeros when no frontend slots.
-     */
-    FrontendBreakdown frontendShares() const;
-
-    /** Backend children as fractions of backend slots. */
-    BackendBreakdown backendShares() const;
-
-    /** Build from a slot account. */
-    static TopDownProfile fromSlots(const sim::SlotAccount &slots);
-};
-
-/** The level-1 fractions as labeled bars (Figure 9's four). */
-std::vector<Bar> level1Rows(const TopDownProfile &profile);
-
-/** The frontend shares as labeled bars. */
-std::vector<Bar> frontendRows(const TopDownProfile &profile);
-
-/** The backend shares as labeled bars. */
-std::vector<Bar> backendRows(const TopDownProfile &profile);
+/**
+ * Each backend node's share of backend slots (Figure 10 bottom),
+ * labeled without the "BE." prefix ("MEM.L1_Bound").
+ */
+std::vector<Bar> backendRows(const sim::SlotAccount &slots);
 
 } // namespace netchar
 

@@ -3,48 +3,40 @@
 namespace netchar::sim
 {
 
-std::string_view
-slotNodeName(SlotNode node)
+namespace
 {
-    switch (node) {
-      case SlotNode::Retiring: return "Retiring";
-      case SlotNode::BadSpeculation: return "Bad_Speculation";
-      case SlotNode::FeICache: return "FE.ICache_Misses";
-      case SlotNode::FeITlb: return "FE.ITLB_Misses";
-      case SlotNode::FeBtbResteer: return "FE.Branch_Resteers";
-      case SlotNode::FeMsSwitch: return "FE.MS_Switches";
-      case SlotNode::FeDsb: return "FE.DSB_Bandwidth";
-      case SlotNode::FeMite: return "FE.MITE_Bandwidth";
-      case SlotNode::BeL1Bound: return "BE.MEM.L1_Bound";
-      case SlotNode::BeL2Bound: return "BE.MEM.L2_Bound";
-      case SlotNode::BeL3Bound: return "BE.MEM.L3_Bound";
-      case SlotNode::BeDramBound: return "BE.MEM.DRAM_Bound";
-      case SlotNode::BeStoreBound: return "BE.MEM.Store_Bound";
-      case SlotNode::BePortsUtil: return "BE.CR.Ports_Utilization";
-      case SlotNode::BeDivider: return "BE.CR.Divider";
-      default: return "Unknown";
-    }
+
+/** Every count field of PerfCounters (all but the double, cycles). */
+constexpr std::uint64_t PerfCounters::*kCounterFields[] = {
+    &PerfCounters::instructions,     &PerfCounters::kernelInstructions,
+    &PerfCounters::branches,         &PerfCounters::loads,
+    &PerfCounters::stores,           &PerfCounters::branchMisses,
+    &PerfCounters::btbMisses,        &PerfCounters::l1dMisses,
+    &PerfCounters::l1iMisses,        &PerfCounters::l2Misses,
+    &PerfCounters::llcMisses,        &PerfCounters::itlbMisses,
+    &PerfCounters::dtlbLoadMisses,   &PerfCounters::dtlbStoreMisses,
+    &PerfCounters::memReadBytes,     &PerfCounters::memWriteBytes,
+    &PerfCounters::dramAccesses,     &PerfCounters::dramRowMisses,
+    &PerfCounters::pageFaults,       &PerfCounters::prefetchesIssued,
+    &PerfCounters::prefetchesUseful, &PerfCounters::prefetchesUseless,
+};
+
+// A field added to PerfCounters but not to the table fails here.
+static_assert(sizeof(PerfCounters) ==
+              sizeof(std::uint64_t) * std::size(kCounterFields) +
+                  sizeof(double));
+
+/** Call fn with a pointer to each field of PerfCounters. */
+template <typename Fn>
+void
+forEachCounterField(Fn &&fn)
+{
+    for (const auto field : kCounterFields)
+        fn(field);
+    fn(&PerfCounters::cycles);
 }
 
-SlotCategory
-slotCategory(SlotNode node)
-{
-    switch (node) {
-      case SlotNode::Retiring:
-        return SlotCategory::Retiring;
-      case SlotNode::BadSpeculation:
-        return SlotCategory::BadSpeculation;
-      case SlotNode::FeICache:
-      case SlotNode::FeITlb:
-      case SlotNode::FeBtbResteer:
-      case SlotNode::FeMsSwitch:
-      case SlotNode::FeDsb:
-      case SlotNode::FeMite:
-        return SlotCategory::Frontend;
-      default:
-        return SlotCategory::Backend;
-    }
-}
+} // namespace
 
 double
 SlotAccount::total() const
@@ -79,6 +71,13 @@ SlotAccount::categoryFraction(SlotCategory cat) const
     return t > 0.0 ? categoryTotal(cat) / t : 0.0;
 }
 
+double
+SlotAccount::share(SlotNode n) const
+{
+    const double c = categoryFraction(slotCategory(n));
+    return c > 0.0 ? fraction(n) / c : 0.0;
+}
+
 void
 SlotAccount::add(const SlotAccount &other)
 {
@@ -98,58 +97,15 @@ SlotAccount::delta(const SlotAccount &since) const
 void
 PerfCounters::add(const PerfCounters &other)
 {
-    instructions += other.instructions;
-    kernelInstructions += other.kernelInstructions;
-    branches += other.branches;
-    loads += other.loads;
-    stores += other.stores;
-    cycles += other.cycles;
-    branchMisses += other.branchMisses;
-    btbMisses += other.btbMisses;
-    l1dMisses += other.l1dMisses;
-    l1iMisses += other.l1iMisses;
-    l2Misses += other.l2Misses;
-    llcMisses += other.llcMisses;
-    itlbMisses += other.itlbMisses;
-    dtlbLoadMisses += other.dtlbLoadMisses;
-    dtlbStoreMisses += other.dtlbStoreMisses;
-    memReadBytes += other.memReadBytes;
-    memWriteBytes += other.memWriteBytes;
-    dramAccesses += other.dramAccesses;
-    dramRowMisses += other.dramRowMisses;
-    pageFaults += other.pageFaults;
-    prefetchesIssued += other.prefetchesIssued;
-    prefetchesUseful += other.prefetchesUseful;
-    prefetchesUseless += other.prefetchesUseless;
+    forEachCounterField([&](auto field) { this->*field += other.*field; });
 }
 
 PerfCounters
 PerfCounters::delta(const PerfCounters &since) const
 {
     PerfCounters d;
-    d.instructions = instructions - since.instructions;
-    d.kernelInstructions = kernelInstructions - since.kernelInstructions;
-    d.branches = branches - since.branches;
-    d.loads = loads - since.loads;
-    d.stores = stores - since.stores;
-    d.cycles = cycles - since.cycles;
-    d.branchMisses = branchMisses - since.branchMisses;
-    d.btbMisses = btbMisses - since.btbMisses;
-    d.l1dMisses = l1dMisses - since.l1dMisses;
-    d.l1iMisses = l1iMisses - since.l1iMisses;
-    d.l2Misses = l2Misses - since.l2Misses;
-    d.llcMisses = llcMisses - since.llcMisses;
-    d.itlbMisses = itlbMisses - since.itlbMisses;
-    d.dtlbLoadMisses = dtlbLoadMisses - since.dtlbLoadMisses;
-    d.dtlbStoreMisses = dtlbStoreMisses - since.dtlbStoreMisses;
-    d.memReadBytes = memReadBytes - since.memReadBytes;
-    d.memWriteBytes = memWriteBytes - since.memWriteBytes;
-    d.dramAccesses = dramAccesses - since.dramAccesses;
-    d.dramRowMisses = dramRowMisses - since.dramRowMisses;
-    d.pageFaults = pageFaults - since.pageFaults;
-    d.prefetchesIssued = prefetchesIssued - since.prefetchesIssued;
-    d.prefetchesUseful = prefetchesUseful - since.prefetchesUseful;
-    d.prefetchesUseless = prefetchesUseless - since.prefetchesUseless;
+    forEachCounterField(
+        [&](auto field) { d.*field = this->*field - since.*field; });
     return d;
 }
 

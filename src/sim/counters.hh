@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 
 namespace netchar::sim
@@ -44,14 +45,74 @@ enum class SlotNode : std::size_t
     NumNodes,
 };
 
-/** Human-readable short name of a SlotNode (toplev-style). */
-std::string_view slotNodeName(SlotNode node);
-
 /** Top-level Top-Down category of a node. */
 enum class SlotCategory { Retiring, BadSpeculation, Frontend, Backend };
 
+/** One level-1 category: its chart label and its export key. */
+struct SlotCategoryInfo
+{
+    std::string_view label; ///< "Frontend_Bound"
+    std::string_view key;   ///< "frontend_bound" (CSV column, JSON key)
+};
+
+/** The level-1 categories, in SlotCategory order. */
+inline constexpr SlotCategoryInfo kSlotCategories[] = {
+    {"Retiring", "retiring"},
+    {"Bad_Speculation", "bad_speculation"},
+    {"Frontend_Bound", "frontend_bound"},
+    {"Backend_Bound", "backend_bound"},
+};
+static_assert(std::size(kSlotCategories) ==
+              static_cast<std::size_t>(SlotCategory::Backend) + 1);
+
+/** One node of the Top-Down tree. */
+struct SlotNodeInfo
+{
+    SlotCategory category;
+    std::string_view name; ///< toplev-style name, "FE.ICache_Misses"
+    std::string_view key;  ///< CSV column, "fe_icache"
+};
+
+/**
+ * The Top-Down tree, in SlotNode order: the one list of its nodes,
+ * their categories, names and export keys.
+ */
+inline constexpr SlotNodeInfo kSlotNodes[] = {
+    {SlotCategory::Retiring, "Retiring", "retiring"},
+    {SlotCategory::BadSpeculation, "Bad_Speculation", "bad_speculation"},
+    {SlotCategory::Frontend, "FE.ICache_Misses", "fe_icache"},
+    {SlotCategory::Frontend, "FE.ITLB_Misses", "fe_itlb"},
+    {SlotCategory::Frontend, "FE.Branch_Resteers", "fe_btb"},
+    {SlotCategory::Frontend, "FE.MS_Switches", "fe_ms"},
+    {SlotCategory::Frontend, "FE.DSB_Bandwidth", "fe_dsb_bw"},
+    {SlotCategory::Frontend, "FE.MITE_Bandwidth", "fe_mite_bw"},
+    {SlotCategory::Backend, "BE.MEM.L1_Bound", "be_l1"},
+    {SlotCategory::Backend, "BE.MEM.L2_Bound", "be_l2"},
+    {SlotCategory::Backend, "BE.MEM.L3_Bound", "be_l3"},
+    {SlotCategory::Backend, "BE.MEM.DRAM_Bound", "be_dram"},
+    {SlotCategory::Backend, "BE.MEM.Store_Bound", "be_store"},
+    {SlotCategory::Backend, "BE.CR.Ports_Utilization", "be_ports"},
+    {SlotCategory::Backend, "BE.CR.Divider", "be_divider"},
+};
+static_assert(std::size(kSlotNodes) ==
+              static_cast<std::size_t>(SlotNode::NumNodes));
+
+/** Human-readable short name of a SlotNode (toplev-style). */
+constexpr std::string_view
+slotNodeName(SlotNode node)
+{
+    const auto n = static_cast<std::size_t>(node);
+    return n < std::size(kSlotNodes) ? kSlotNodes[n].name : "Unknown";
+}
+
 /** Map a SlotNode to its level-1 category. */
-SlotCategory slotCategory(SlotNode node);
+constexpr SlotCategory
+slotCategory(SlotNode node)
+{
+    const auto n = static_cast<std::size_t>(node);
+    return n < std::size(kSlotNodes) ? kSlotNodes[n].category
+                                     : SlotCategory::Backend;
+}
 
 /**
  * Pipeline-slot account. Values are in units of issue slots
@@ -83,6 +144,12 @@ struct SlotAccount
 
     /** Fraction of total slots in a level-1 category. */
     double categoryFraction(SlotCategory cat) const;
+
+    /**
+     * Node n's share of its own category's slots (how Figure 10 plots
+     * its bars); 0 when the category has no slots.
+     */
+    double share(SlotNode n) const;
 
     /** Elementwise accumulate. */
     void add(const SlotAccount &other);

@@ -19,6 +19,7 @@
 #define NETCHAR_TRACE_EVENT_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -37,37 +38,45 @@ enum class TraceEventKind : std::uint8_t
     NumKinds,
 };
 
+/** One event kind's names. */
+struct TraceEventKindInfo
+{
+    std::string_view name; ///< LTTng-style, "GC/Triggered"
+    std::string_view key;  ///< export key, "gc_triggered"
+    std::string_view arg0; ///< name of TraceEvent::arg0
+    std::string_view arg1; ///< name of TraceEvent::arg1
+};
+
+/** The event kinds, in TraceEventKind order. */
+inline constexpr TraceEventKindInfo kTraceEventKinds[] = {
+    {"GC/Triggered", "gc_triggered", "gcInstructions", "bytesScanned"},
+    {"GC/AllocationTick", "gc_allocation_tick", "tickBytes",
+     "allocatedSinceGc"},
+    {"Method/JittingStarted", "jit_started", "method",
+     "compileInstructions"},
+    {"Exception/Start", "exception_start", "arg0", "arg1"},
+    {"Contention/Start", "contention_start", "arg0", "arg1"},
+};
+static_assert(std::size(kTraceEventKinds) ==
+              static_cast<std::size_t>(TraceEventKind::NumKinds));
+
 /** LTTng-style display name of an event kind. */
 constexpr std::string_view
 traceEventKindName(TraceEventKind kind)
 {
-    switch (kind) {
-      case TraceEventKind::GcTriggered: return "GC/Triggered";
-      case TraceEventKind::GcAllocationTick:
-        return "GC/AllocationTick";
-      case TraceEventKind::JitStarted:
-        return "Method/JittingStarted";
-      case TraceEventKind::ExceptionStart: return "Exception/Start";
-      case TraceEventKind::ContentionStart:
-        return "Contention/Start";
-      default: return "Unknown";
-    }
+    const auto k = static_cast<std::size_t>(kind);
+    return k < std::size(kTraceEventKinds) ? kTraceEventKinds[k].name
+                                           : "Unknown";
 }
 
 /** Names of the two payload arguments of an event kind. */
 constexpr std::pair<std::string_view, std::string_view>
 traceEventArgNames(TraceEventKind kind)
 {
-    switch (kind) {
-      case TraceEventKind::GcTriggered:
-        return {"gcInstructions", "bytesScanned"};
-      case TraceEventKind::GcAllocationTick:
-        return {"tickBytes", "allocatedSinceGc"};
-      case TraceEventKind::JitStarted:
-        return {"method", "compileInstructions"};
-      default:
+    const auto k = static_cast<std::size_t>(kind);
+    if (k >= std::size(kTraceEventKinds))
         return {"arg0", "arg1"};
-    }
+    return {kTraceEventKinds[k].arg0, kTraceEventKinds[k].arg1};
 }
 
 /**

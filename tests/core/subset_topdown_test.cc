@@ -265,13 +265,15 @@ TEST(TopDownTest, Level1FractionsSumToOne)
     slots[sim::SlotNode::BadSpeculation] = 100.0;
     slots[sim::SlotNode::FeICache] = 200.0;
     slots[sim::SlotNode::BeL3Bound] = 300.0;
-    const auto p = TopDownProfile::fromSlots(slots);
-    EXPECT_NEAR(p.level1.retiring + p.level1.badSpeculation +
-                    p.level1.frontendBound + p.level1.backendBound,
+    using sim::SlotCategory;
+    EXPECT_NEAR(slots.categoryFraction(SlotCategory::Retiring) +
+                    slots.categoryFraction(SlotCategory::BadSpeculation) +
+                    slots.categoryFraction(SlotCategory::Frontend) +
+                    slots.categoryFraction(SlotCategory::Backend),
                 1.0, 1e-12);
-    EXPECT_DOUBLE_EQ(p.level1.retiring, 0.4);
-    EXPECT_DOUBLE_EQ(p.level1.frontendBound, 0.2);
-    EXPECT_DOUBLE_EQ(p.level1.backendBound, 0.3);
+    EXPECT_DOUBLE_EQ(slots.categoryFraction(SlotCategory::Retiring), 0.4);
+    EXPECT_DOUBLE_EQ(slots.categoryFraction(SlotCategory::Frontend), 0.2);
+    EXPECT_DOUBLE_EQ(slots.categoryFraction(SlotCategory::Backend), 0.3);
 }
 
 TEST(TopDownTest, SharesRenormalizeWithinCategory)
@@ -280,26 +282,24 @@ TEST(TopDownTest, SharesRenormalizeWithinCategory)
     slots[sim::SlotNode::FeICache] = 30.0;
     slots[sim::SlotNode::FeITlb] = 10.0;
     slots[sim::SlotNode::Retiring] = 60.0;
-    const auto p = TopDownProfile::fromSlots(slots);
-    const auto fe = p.frontendShares();
-    EXPECT_NEAR(fe.icacheMisses, 0.75, 1e-12);
-    EXPECT_NEAR(fe.itlbMisses, 0.25, 1e-12);
+    EXPECT_NEAR(slots.share(sim::SlotNode::FeICache), 0.75, 1e-12);
+    EXPECT_NEAR(slots.share(sim::SlotNode::FeITlb), 0.25, 1e-12);
 }
 
 TEST(TopDownTest, EmptyAccountYieldsZeros)
 {
-    const auto p = TopDownProfile::fromSlots(sim::SlotAccount{});
-    EXPECT_DOUBLE_EQ(p.level1.retiring, 0.0);
-    EXPECT_DOUBLE_EQ(p.frontendShares().icacheMisses, 0.0);
-    EXPECT_DOUBLE_EQ(p.backendShares().l3Bound, 0.0);
+    const sim::SlotAccount slots;
+    EXPECT_DOUBLE_EQ(
+        slots.categoryFraction(sim::SlotCategory::Retiring), 0.0);
+    EXPECT_DOUBLE_EQ(slots.share(sim::SlotNode::FeICache), 0.0);
+    EXPECT_DOUBLE_EQ(slots.share(sim::SlotNode::BeL3Bound), 0.0);
 }
 
 TEST(TopDownTest, RowHelpersCoverAllNodes)
 {
     sim::SlotAccount slots;
     slots[sim::SlotNode::Retiring] = 1.0;
-    const auto p = TopDownProfile::fromSlots(slots);
-    EXPECT_EQ(level1Rows(p).size(), 4u);
-    EXPECT_EQ(frontendRows(p).size(), 6u);
-    EXPECT_EQ(backendRows(p).size(), 7u);
+    EXPECT_EQ(level1Rows(slots).size(), 4u);
+    EXPECT_EQ(frontendRows(slots).size(), 6u);
+    EXPECT_EQ(backendRows(slots).size(), 7u);
 }

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/characterize.hh"
-#include "core/topdown.hh"
 #include "workloads/registry.hh"
 
 using namespace netchar;
@@ -108,11 +107,10 @@ TEST(PaperShapeTest, ManagedFrontendBoundSpecFpBackendBound)
     // Fig 9.
     const auto asp = runNamed("Plaintext");
     const auto fp = runNamed("bwaves");
-    const auto td_asp = TopDownProfile::fromSlots(asp.slots);
-    const auto td_fp = TopDownProfile::fromSlots(fp.slots);
-    EXPECT_GT(td_asp.level1.frontendBound, 0.25);
-    EXPECT_LT(td_fp.level1.frontendBound, 0.15);
-    EXPECT_GT(td_fp.level1.backendBound, 0.40);
+    using sim::SlotCategory;
+    EXPECT_GT(asp.slots.categoryFraction(SlotCategory::Frontend), 0.25);
+    EXPECT_LT(fp.slots.categoryFraction(SlotCategory::Frontend), 0.15);
+    EXPECT_GT(fp.slots.categoryFraction(SlotCategory::Backend), 0.40);
 }
 
 TEST(PaperShapeTest, BadSpeculationIsModestForManagedSuites)
@@ -120,9 +118,9 @@ TEST(PaperShapeTest, BadSpeculationIsModestForManagedSuites)
     // Fig 9: neither managed suite shows a large bad-spec share.
     for (const char *name : {"System.Runtime", "Json"}) {
         const auto r = runNamed(name);
-        EXPECT_LT(TopDownProfile::fromSlots(r.slots)
-                      .level1.badSpeculation,
-                  0.25)
+        EXPECT_LT(
+            r.slots.categoryFraction(sim::SlotCategory::BadSpeculation),
+            0.25)
             << name;
     }
 }
@@ -136,10 +134,9 @@ TEST(PaperShapeTest, L3BoundGrowsWithCoreCount)
     const auto one = i9().run(p, opts);
     opts.cores = 16;
     const auto sixteen = i9().run(p, opts);
-    const double l3_one =
-        TopDownProfile::fromSlots(one.slots).backend.l3Bound;
+    const double l3_one = one.slots.fraction(sim::SlotNode::BeL3Bound);
     const double l3_sixteen =
-        TopDownProfile::fromSlots(sixteen.slots).backend.l3Bound;
+        sixteen.slots.fraction(sim::SlotNode::BeL3Bound);
     EXPECT_GT(l3_sixteen, 1.5 * l3_one);
 }
 

@@ -437,15 +437,14 @@ cmdCharacterize(const std::string &name, const CliOptions &opts,
         return EXIT_SUCCESS;
     }
     if (topdown_view) {
-        const auto td = TopDownProfile::fromSlots(result.slots);
         std::printf("%s", barChart(name + " Top-Down level 1",
-                                   level1Rows(td), 40, 1.0)
+                                   level1Rows(result.slots), 40, 1.0)
                               .c_str());
-        std::printf("%s", barChart("Frontend shares", frontendRows(td),
-                                   40, 1.0)
+        std::printf("%s", barChart("Frontend shares",
+                                   frontendRows(result.slots), 40, 1.0)
                               .c_str());
-        std::printf("%s", barChart("Backend shares", backendRows(td),
-                                   40, 1.0)
+        std::printf("%s", barChart("Backend shares",
+                                   backendRows(result.slots), 40, 1.0)
                               .c_str());
     } else {
         TextTable table({"Metric", "Value", "Unit"});
