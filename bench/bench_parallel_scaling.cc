@@ -10,7 +10,7 @@
  * H hardware threads the ideal curve is min(jobs, H). The ≥3x-at-8
  * target therefore needs H >= 8; on smaller hosts the bench still
  * verifies determinism and prints the measured curve with the bound
- * noted. Honors NETCHAR_QUICK.
+ * noted. `netchar_bench --quick` shrinks its budgets.
  */
 
 #include <cstdio>

@@ -21,15 +21,19 @@ namespace netchar::bench
 // Shared run-mode helpers.
 // ---------------------------------------------------------------
 
+namespace
+{
+
+/** The run's mode: set by driverMain from --quick/--full before any
+ *  bench runs, full by default. */
+bool quick = false;
+
+} // namespace
+
 bool
 quickMode()
 {
-    // NETCHAR_QUICK only scales iteration counts; the quick/full
-    // choice is part of the run's recorded configuration (the
-    // report's "mode" field), not a hidden nondeterminism source.
-    // netchar-lint: allow-flow(flow-env) -- quick-mode scaling is recorded run configuration
-    const char *env = std::getenv("NETCHAR_QUICK");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
+    return quick;
 }
 
 std::uint64_t
@@ -505,8 +509,7 @@ driverUsage(std::FILE *to)
         "  --list-gates         list CI perf gates and exit\n"
         "  --filter SUBSTR      run benches whose name contains\n"
         "                       SUBSTR (repeatable)\n"
-        "  --quick | --full     force quick/full mode (otherwise\n"
-        "                       the NETCHAR_QUICK environment rules)\n"
+        "  --quick | --full     quick or full mode (default full)\n"
         "  --table              print the metric table (default\n"
         "                       when no other output is selected)\n"
         "  --csv FILE           write CSV results ('-' = stdout)\n"
@@ -521,15 +524,6 @@ driverUsage(std::FILE *to)
         "exit codes: 0 success; 1 bench failure or gate\n"
         "regression; 2 usage or I/O error\n",
         to);
-}
-
-int
-setQuickEnv(bool quick)
-{
-    // One-shot mode override for this process and the benches it
-    // runs; quickMode() keeps reading the environment so there is
-    // exactly one quick/full policy.
-    return setenv("NETCHAR_QUICK", quick ? "1" : "0", 1);
 }
 
 } // namespace
@@ -566,9 +560,9 @@ driverMain(int argc, char **argv)
         } else if (arg == "--no-progress") {
             config.progress = false;
         } else if (arg == "--quick") {
-            setQuickEnv(true);
+            quick = true;
         } else if (arg == "--full") {
-            setQuickEnv(false);
+            quick = false;
         } else if (arg == "--self-test-regress") {
             selfTestRegress = true;
         } else if (arg == "--ci-check") {

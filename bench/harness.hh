@@ -29,9 +29,9 @@ namespace netchar::bench
 // ---------------------------------------------------------------
 
 /**
- * True when NETCHAR_QUICK is set in the environment: benches shrink
- * their instruction budgets ~5x for smoke runs. This is the single
- * quick-mode read in the tree.
+ * True when the run was started with `netchar_bench --quick`:
+ * benches shrink their instruction budgets ~5x for smoke runs. This
+ * is the single quick-mode read in the tree.
  */
 bool quickMode();
 

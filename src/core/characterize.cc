@@ -175,7 +175,8 @@ struct SweepState
 {
     unsigned attempts = 1;
     ResilienceOptions resilience;
-    const FaultInjector *inject = nullptr; // null = no chaos
+    /** Machine name the chaos plan's decisions key on. */
+    std::string machine;
     /** Fail-fast: the lowest index that failed every attempt so far
      *  (SIZE_MAX = none). Only a run below it starts. */
     std::atomic<std::size_t> firstFailed{SIZE_MAX};
@@ -220,8 +221,8 @@ attemptResiliently(std::size_t i, const std::string &name,
         // failure is not replayed verbatim; attempt 1 keeps the seed.
         RunOptions opt = base;
         opt.seed = perturbedSeed(base.seed, name, a);
-        const FaultDecision fault = state.inject
-            ? state.inject->decide(name, a)
+        const FaultDecision fault = res.chaos
+            ? res.chaos->decide(name, state.machine, a)
             : FaultDecision{};
 
         std::string kind = "error";
@@ -309,10 +310,7 @@ publishFailures(SweepState &state,
                 SuiteRunStats &s)
 {
     std::sort(state.failures.begin(), state.failures.end(),
-              [](const RunFailure &a, const RunFailure &b) {
-                  return a.index != b.index ? a.index < b.index
-                                            : a.attempt < b.attempt;
-              });
+              ledgerOrder);
     s.failures = std::move(state.failures);
     for (const auto &e : ledger)
         if (e.quarantined)
@@ -333,15 +331,15 @@ measuredResult(CaptureResult &c)
 }
 
 /**
- * The resilient sweep behind runAll and captureAll: the fault
- * injector, per-run retries through attemptResiliently, the executor
- * fan-out (on the calling thread alone at jobs 1), the fail-fast
- * skips and the run ledger. `attemptOnce(i, opt, fault)` performs one
- * attempt of profile i. Injected Throw and Stall faults are applied
- * before it, CorruptCounter and the result screen after it; `noun`
- * and `product` word the injected-fault messages ("the run would
- * hang", "before producing results"), which are part of the failure
- * ledger bytes.
+ * The resilient sweep behind runAll and captureAll: the chaos
+ * plan's decisions, per-run retries through attemptResiliently, the
+ * executor fan-out (on the calling thread alone at jobs 1), the
+ * fail-fast skips and the run ledger. `attemptOnce(i, opt, fault)`
+ * performs one attempt of profile i. Injected Throw and Stall
+ * faults are applied before it, CorruptCounter and the result screen
+ * after it; `noun` and `product` word the injected-fault messages
+ * ("the run would hang", "before producing results"), which are part
+ * of the failure ledger bytes.
  *
  * Results land at their input index, so ordering (and output bytes)
  * are independent of scheduling; see the header contract.
@@ -360,11 +358,7 @@ sweep(const std::vector<wl::WorkloadProfile> &profiles,
     SweepState state;
     state.attempts = std::max(1u, par.maxAttempts);
     state.resilience = par.resilience;
-    std::optional<FaultInjector> injector;
-    if (par.resilience.chaos && par.resilience.chaos->enabled()) {
-        injector.emplace(*par.resilience.chaos, machine);
-        state.inject = &*injector;
-    }
+    state.machine = machine;
 
     std::vector<Result> out(n);
     std::vector<RunLedgerEntry> ledger(n);

@@ -204,6 +204,15 @@ struct RunFailure
     std::uint64_t backoffMicros = 0;
 };
 
+/** The failure ledger's one order, by (index, attempt): a sweep's
+ *  ledger and a merge of shard ledgers both sort with it. */
+inline bool
+ledgerOrder(const RunFailure &a, const RunFailure &b)
+{
+    return a.index != b.index ? a.index < b.index
+                              : a.attempt < b.attempt;
+}
+
 /** Observability surface of one runAll/captureAll sweep. */
 struct SuiteRunStats
 {

@@ -106,7 +106,6 @@ correlateEvents(const std::vector<IntervalSample> &samples,
         row.name = counterSeriesName(series);
         const auto counter_series = extractSeries(samples, series);
         row.r = stats::pearson(event_series, counter_series);
-        row.rho = stats::spearman(event_series, counter_series);
         rows.push_back(std::move(row));
     }
     return rows;

@@ -53,8 +53,6 @@ struct CorrelationRow
     std::string name;
     /** Pearson correlation coefficient. */
     double r = 0.0;
-    /** Spearman rank correlation (robustness cross-check). */
-    double rho = 0.0;
 };
 
 /**

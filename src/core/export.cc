@@ -39,22 +39,51 @@ exportNumber(double value)
 }
 
 std::string
+metricsCsvHeader()
+{
+    std::string header = "benchmark";
+    for (const auto &info : metricTable())
+        header += ',' + csvField(std::string(info.name));
+    return header;
+}
+
+std::string
+metricsCsvRow(const std::string &name, const RunResult &result)
+{
+    std::string row = csvField(name);
+    for (double v : result.metrics)
+        row += ',' + exportNumber(v);
+    return row;
+}
+
+std::string
+suiteText(bool csv, const std::string &header,
+          const std::vector<std::string> &rows)
+{
+    std::string out;
+    if (csv) {
+        out = header + '\n';
+        for (const auto &row : rows)
+            out += row + '\n';
+        return out;
+    }
+    out = '[';
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        out += (i > 0 ? "," : "") + rows[i];
+    out += ']';
+    return out;
+}
+
+std::string
 metricsCsv(const std::vector<std::string> &names,
            const std::vector<RunResult> &results)
 {
     requireSameLength(names, results);
-    std::ostringstream os;
-    os << "benchmark";
-    for (const auto &info : metricTable())
-        os << ',' << csvField(std::string(info.name));
-    os << '\n';
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        os << csvField(names[i]);
-        for (double v : results[i].metrics)
-            os << ',' << exportNumber(v);
-        os << '\n';
-    }
-    return os.str();
+    std::vector<std::string> rows;
+    rows.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i)
+        rows.push_back(metricsCsvRow(names[i], results[i]));
+    return suiteText(true, metricsCsvHeader(), rows);
 }
 
 std::string
@@ -193,10 +222,16 @@ failureLedgerCsv(const SuiteRunStats &stats)
 std::string
 failureLedgerJson(const SuiteRunStats &stats)
 {
+    return failureLedgerJson(stats.failures);
+}
+
+std::string
+failureLedgerJson(const std::vector<RunFailure> &failures)
+{
     std::ostringstream os;
     os << '[';
-    for (std::size_t i = 0; i < stats.failures.size(); ++i) {
-        const auto &f = stats.failures[i];
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+        const auto &f = failures[i];
         if (i > 0)
             os << ',';
         os << "{\"index\":" << f.index << ",\"benchmark\":\""
@@ -215,15 +250,11 @@ suiteJson(const std::vector<std::string> &names,
           const std::vector<RunResult> &results)
 {
     requireSameLength(names, results);
-    std::ostringstream os;
-    os << '[';
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (i > 0)
-            os << ',';
-        os << runResultJson(names[i], results[i]);
-    }
-    os << ']';
-    return os.str();
+    std::vector<std::string> rows;
+    rows.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i)
+        rows.push_back(runResultJson(names[i], results[i]));
+    return suiteText(false, {}, rows);
 }
 
 } // namespace netchar

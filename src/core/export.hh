@@ -24,6 +24,23 @@ namespace netchar
  */
 std::string exportNumber(double value);
 
+/** metricsCsv's header line (`benchmark`, then the Table I names),
+ *  without its newline. */
+std::string metricsCsvHeader();
+
+/** One metricsCsv data row, without its newline. */
+std::string metricsCsvRow(const std::string &name,
+                          const RunResult &result);
+
+/**
+ * The one suite-text joiner behind metricsCsv, suiteJson and the
+ * merged serve sweep. CSV (`csv` true): `header`, then each row,
+ * every line ending in a newline. JSON: the rows as the elements of
+ * one array; `header` is unused.
+ */
+std::string suiteText(bool csv, const std::string &header,
+                      const std::vector<std::string> &rows);
+
 /**
  * CSV of Table I metrics: one row per benchmark, one column per
  * metric (header uses the Table I names), preceded by a `benchmark`
@@ -80,6 +97,10 @@ std::string failureLedgerCsv(const SuiteRunStats &stats);
 
 /** JSON array form of failureLedgerCsv (same fields, same order). */
 std::string failureLedgerJson(const SuiteRunStats &stats);
+
+/** The same JSON array for a bare failure list: the one renderer,
+ *  shared with a serve sweep body's `failures`. */
+std::string failureLedgerJson(const std::vector<RunFailure> &failures);
 
 } // namespace netchar
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "stats/hash.hh" // fnv1a / splitmix64 / unitInterval
@@ -13,12 +14,14 @@ namespace netchar
 namespace
 {
 
-/** One fault kind and its spec-syntax name. */
+/** One fault kind and its spec-syntax name. An alias is accepted
+ *  by parse() but never printed or listed. */
 template <typename Kind>
 struct KindName
 {
     Kind kind;
     std::string_view name;
+    bool alias = false;
 };
 
 /** Simulator fault kinds, in default-plan order. */
@@ -27,6 +30,7 @@ constexpr KindName<FaultKind> kFaultKinds[] = {
     {FaultKind::CorruptCounter, "corrupt"},
     {FaultKind::Stall, "stall"},
     {FaultKind::TraceExhaust, "trace"},
+    {FaultKind::CorruptCounter, "nan", true},
 };
 
 /** Wire fault kinds, in default-plan order. */
@@ -38,24 +42,38 @@ constexpr KindName<WireFaultKind> kWireFaultKinds[] = {
     {WireFaultKind::TruncateJournal, "journal"},
 };
 
-template <typename Kind, std::size_t N>
-std::string_view
-nameOf(Kind kind, const KindName<Kind> (&table)[N])
+/** The name table of a kind's family. */
+std::span<const KindName<FaultKind>>
+kindNames(FaultKind)
 {
-    for (const auto &k : table)
+    return kFaultKinds;
+}
+
+std::span<const KindName<WireFaultKind>>
+kindNames(WireFaultKind)
+{
+    return kWireFaultKinds;
+}
+
+template <typename Kind>
+std::string_view
+nameOf(Kind kind)
+{
+    for (const auto &k : kindNames(kind))
         if (k.kind == kind)
             return k.name;
     return "none";
 }
 
-/** "throw, corrupt, stall, trace": the table's names, in order. */
-template <typename Kind, std::size_t N>
+/** "throw, corrupt, stall, trace": the family's names, in order. */
+template <typename Kind>
 std::string
-nameList(const KindName<Kind> (&table)[N])
+nameList()
 {
     std::string out;
-    for (const auto &k : table)
-        out += (out.empty() ? "" : ", ") + std::string(k.name);
+    for (const auto &k : kindNames(Kind{}))
+        if (!k.alias)
+            out += (out.empty() ? "" : ", ") + std::string(k.name);
     return out;
 }
 
@@ -65,23 +83,17 @@ specError(std::string_view what, const std::string &message)
     throw std::invalid_argument(std::string(what) + ": " + message);
 }
 
-/**
- * The `rate=...,kinds=...,seed=...` grammar both fault plans share.
- * `what` prefixes every error ("chaos spec"), `example` is the spec
- * the errors suggest, and `alias` (optional) is one more accepted
- * kind name. Unset fields keep their defaults: every kind in table
- * order, seed 1. Throws std::invalid_argument naming the bad field.
- */
-template <typename Kind, std::size_t N>
+} // namespace
+
+template <typename Kind>
 void
-parseSpec(const std::string &spec, std::string_view what,
-          std::string_view example, const KindName<Kind> (&table)[N],
-          double &rate, std::vector<Kind> &kinds, std::uint64_t &seed,
-          const KindName<Kind> *alias = nullptr)
+FaultSpec<Kind>::read(const std::string &spec, std::string_view what,
+                      std::string_view example)
 {
-    kinds.clear();
-    for (const auto &k : table)
-        kinds.push_back(k.kind);
+    kinds_.clear();
+    for (const auto &k : kindNames(Kind{}))
+        if (!k.alias)
+            kinds_.push_back(k.kind);
     bool have_rate = false;
 
     std::istringstream fields(spec);
@@ -99,39 +111,37 @@ parseSpec(const std::string &spec, std::string_view what,
         if (key == "rate") {
             try {
                 std::size_t used = 0;
-                rate = std::stod(value, &used);
+                rate_ = std::stod(value, &used);
                 if (used != value.size())
                     throw std::invalid_argument(value);
             } catch (const std::exception &) {
                 specError(what, "rate expects a number in [0,1], got '" +
                                     value + "'");
             }
-            if (!(rate >= 0.0 && rate <= 1.0))
+            if (!(rate_ >= 0.0 && rate_ <= 1.0))
                 specError(what,
                           "rate must be in [0,1], got '" + value + "'");
             have_rate = true;
         } else if (key == "kinds") {
-            kinds.clear();
+            kinds_.clear();
             std::istringstream names(value);
             std::string name;
             while (std::getline(names, name, '+')) {
                 const KindName<Kind> *found = nullptr;
-                for (const auto &k : table)
+                for (const auto &k : kindNames(Kind{}))
                     if (k.name == name)
                         found = &k;
-                if (!found && alias && alias->name == name)
-                    found = alias;
                 if (!found)
                     specError(what, "unknown kind '" + name +
-                                        "' (valid: " + nameList(table) +
+                                        "' (valid: " + nameList<Kind>() +
                                         ")");
-                kinds.push_back(found->kind);
+                kinds_.push_back(found->kind);
             }
-            if (kinds.empty())
+            if (kinds_.empty())
                 specError(what, "kinds= needs at least one of " +
-                                    nameList(table));
+                                    nameList<Kind>());
         } else if (key == "seed") {
-            if (!parseUnsigned(value, seed))
+            if (!parseUnsigned(value, seed_))
                 specError(what,
                           "seed expects an integer, got '" + value + "'");
         } else {
@@ -144,44 +154,33 @@ parseSpec(const std::string &spec, std::string_view what,
                             std::string(example) + ")");
 }
 
-/** Canonical spec text: parseSpec(describeSpec(...)) round-trips. */
-template <typename Kind, std::size_t N>
+template <typename Kind>
 std::string
-describeSpec(double rate, const std::vector<Kind> &kinds,
-             std::uint64_t seed, const KindName<Kind> (&table)[N])
+FaultSpec<Kind>::describe() const
 {
     std::ostringstream os;
-    os << "rate=" << rate << ",kinds=";
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-        os << (i > 0 ? "+" : "") << nameOf(kinds[i], table);
-    os << ",seed=" << seed;
+    os << "rate=" << rate_ << ",kinds=";
+    for (std::size_t i = 0; i < kinds_.size(); ++i)
+        os << (i > 0 ? "+" : "") << nameOf(kinds_[i]);
+    os << ",seed=" << seed_;
     return os.str();
 }
 
-} // namespace
+template class FaultSpec<FaultKind>;
+template class FaultSpec<WireFaultKind>;
 
 std::string_view
 faultKindName(FaultKind kind)
 {
-    return nameOf(kind, kFaultKinds);
+    return nameOf(kind);
 }
 
 FaultPlan
 FaultPlan::parse(const std::string &spec)
 {
-    static constexpr KindName<FaultKind> kNanAlias{
-        FaultKind::CorruptCounter, "nan"};
     FaultPlan plan;
-    parseSpec(spec, "chaos spec", "rate=0.1,kinds=throw+stall,seed=7",
-              kFaultKinds, plan.rate_, plan.kinds_, plan.seed_,
-              &kNanAlias);
+    plan.read(spec, "chaos spec", "rate=0.1,kinds=throw+stall,seed=7");
     return plan;
-}
-
-std::string
-FaultPlan::describe() const
-{
-    return describeSpec(rate_, kinds_, seed_, kFaultKinds);
 }
 
 FaultDecision
@@ -248,16 +247,9 @@ WireFaultPlan
 WireFaultPlan::parse(const std::string &spec)
 {
     WireFaultPlan plan;
-    parseSpec(spec, "chaos-wire spec",
-              "rate=0.25,kinds=split+reset,seed=9", kWireFaultKinds,
-              plan.rate_, plan.kinds_, plan.seed_);
+    plan.read(spec, "chaos-wire spec",
+              "rate=0.25,kinds=split+reset,seed=9");
     return plan;
-}
-
-std::string
-WireFaultPlan::describe() const
-{
-    return describeSpec(rate_, kinds_, seed_, kWireFaultKinds);
 }
 
 WireFaultDecision

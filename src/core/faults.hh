@@ -71,37 +71,56 @@ struct FaultDecision
 };
 
 /**
- * A seeded fault-injection plan: overall rate, enabled kinds, seed.
+ * What a fault plan's spec holds, for either fault family: overall
+ * rate, enabled kinds, seed. Each plan adds its own parse() and
+ * decide().
  *
- * Spec syntax (parse()): comma-separated key=value pairs —
+ * Spec syntax: comma-separated key=value pairs —
  *
- *   rate=0.1                  fraction of attempts hit (required)
- *   kinds=throw+corrupt+stall+trace
- *                             enabled kinds (default: all four)
+ *   rate=0.1                  fraction of decisions hit (required)
+ *   kinds=a+b                 enabled kinds (default: all of the
+ *                             family's, in its table order)
  *   seed=7                    plan seed, a decimal unsigned 64-bit
  *                             integer without sign (default 1)
- *
- * e.g. "rate=0.1,kinds=throw+stall,seed=42". `nan` is an alias for
- * `corrupt`.
  */
-class FaultPlan
+template <typename Kind>
+class FaultSpec
 {
   public:
-    FaultPlan() = default;
-
-    /** Parse a spec string; throws std::invalid_argument with a
-     *  descriptive message on any malformed field. */
-    static FaultPlan parse(const std::string &spec);
-
     /** True when the plan can inject anything at all. */
     bool enabled() const { return rate_ > 0.0 && !kinds_.empty(); }
 
     double rate() const { return rate_; }
     std::uint64_t seed() const { return seed_; }
-    const std::vector<FaultKind> &kinds() const { return kinds_; }
+    const std::vector<Kind> &kinds() const { return kinds_; }
 
-    /** Canonical one-line rendering (for logs and ledgers). */
+    /** Canonical one-line rendering (for logs and ledgers); parse()
+     *  of it gives the same plan. */
     std::string describe() const;
+
+  protected:
+    /** Read a spec; throws std::invalid_argument naming the bad
+     *  field after `what` ("chaos spec: ..."), suggesting `example`. */
+    void read(const std::string &spec, std::string_view what,
+              std::string_view example);
+
+    double rate_ = 0.0;
+    std::vector<Kind> kinds_;
+    std::uint64_t seed_ = 1;
+};
+
+/**
+ * A seeded fault-injection plan for simulator runs. Its kinds are
+ * throw, corrupt, stall and trace, e.g.
+ * "rate=0.1,kinds=throw+stall,seed=42"; `nan` is an alias for
+ * `corrupt`.
+ */
+class FaultPlan : public FaultSpec<FaultKind>
+{
+  public:
+    /** Parse a spec string; throws std::invalid_argument with a
+     *  descriptive message on any malformed field. */
+    static FaultPlan parse(const std::string &spec);
 
     /**
      * Decide the fault (if any) for one run attempt. Pure function of
@@ -115,36 +134,6 @@ class FaultPlan
     FaultDecision decide(std::string_view benchmark,
                          std::string_view machine,
                          unsigned attempt) const;
-
-  private:
-    double rate_ = 0.0;
-    std::vector<FaultKind> kinds_;
-    std::uint64_t seed_ = 1;
-};
-
-/**
- * A FaultPlan bound to one machine: the per-sweep view the resilient
- * runner holds, addressable by (benchmark, attempt) only.
- */
-class FaultInjector
-{
-  public:
-    FaultInjector(const FaultPlan &plan, std::string machine)
-        : plan_(&plan), machine_(std::move(machine))
-    {
-    }
-
-    FaultDecision decide(std::string_view benchmark,
-                         unsigned attempt) const
-    {
-        return plan_->decide(benchmark, machine_, attempt);
-    }
-
-    const FaultPlan &plan() const { return *plan_; }
-
-  private:
-    const FaultPlan *plan_;
-    std::string machine_;
 };
 
 /** Exception thrown by an injected Throw/Stall fault. */
@@ -242,38 +231,20 @@ struct WireFaultDecision
 };
 
 /**
- * A seeded wire-fault plan: overall rate, enabled kinds, seed.
- *
- * Spec syntax (parse()) is FaultPlan::parse()'s grammar — one parser
- * serves both families — with the wire kinds:
- *
- *   rate=0.25                 fraction of responses hit (required)
- *   kinds=split+merge+stall+reset+journal
- *                             enabled kinds (default: all five)
- *   seed=9                    plan seed (default 1)
+ * A seeded wire-fault plan. Its spec is FaultSpec's grammar with the
+ * wire kinds split, merge, stall, reset and journal, e.g.
+ * "rate=0.25,kinds=split+reset,seed=9".
  *
  * Decisions are a pure hash of (seed, sequence): for a given request
  * arrival order the daemon injects the identical fault set on any
  * host, so a chaos-wire sweep is replayable.
  */
-class WireFaultPlan
+class WireFaultPlan : public FaultSpec<WireFaultKind>
 {
   public:
-    WireFaultPlan() = default;
-
     /** Parse a spec string; throws std::invalid_argument with a
      *  descriptive message on any malformed field. */
     static WireFaultPlan parse(const std::string &spec);
-
-    /** True when the plan can inject anything at all. */
-    bool enabled() const { return rate_ > 0.0 && !kinds_.empty(); }
-
-    double rate() const { return rate_; }
-    std::uint64_t seed() const { return seed_; }
-    const std::vector<WireFaultKind> &kinds() const { return kinds_; }
-
-    /** Canonical one-line rendering (for logs). */
-    std::string describe() const;
 
     /**
      * Decide the fault (if any) for the `sequence`-th response the
@@ -281,11 +252,6 @@ class WireFaultPlan
      * function of (plan, sequence).
      */
     WireFaultDecision decide(std::uint64_t sequence) const;
-
-  private:
-    double rate_ = 0.0;
-    std::vector<WireFaultKind> kinds_;
-    std::uint64_t seed_ = 1;
 };
 
 } // namespace netchar

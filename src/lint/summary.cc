@@ -23,6 +23,7 @@ constexpr std::string_view kSinkNames[] = {
     "csvField",         "jsonEscape",       "chromeTraceJson",
     "traceCsv",         "suiteStatsCsv",    "suiteStatsJson",
     "failureLedgerCsv", "failureLedgerJson", "metricsCsv",
+    "metricsCsvHeader", "metricsCsvRow",    "suiteText",
     "topdownCsv",       "runResultJson",    "suiteJson",
     "okResponse",       "okCachedResponse", "errorResponse",
     "jsonString",       "requestLine",      "sweepBodyJson",

@@ -50,24 +50,14 @@ sweepBody(const Request &request, const ServerOptions &options,
     partial.shard = options.shard;
     partial.shards = options.shards;
     partial.suiteSize = suiteSize;
-    std::vector<std::string> names;
-    for (const auto &p : slice)
-        names.push_back(p.name);
-    if (request.format == "json") {
-        for (std::size_t j = 0; j < slice.size(); ++j)
-            partial.rows.push_back(
-                {indices[j], names[j],
-                 runResultJson(names[j], results[j])});
-    } else {
-        // The header line, then one line per row.
-        LineFramer lines;
-        lines.feed(metricsCsv(names, results));
-        std::string text;
-        if (lines.next(text))
-            partial.header = text;
-        for (std::size_t j = 0; j < slice.size() && lines.next(text); ++j)
-            partial.rows.push_back({indices[j], names[j], text});
-    }
+    const bool csv = request.format == "csv";
+    if (csv)
+        partial.header = metricsCsvHeader();
+    for (std::size_t j = 0; j < slice.size(); ++j)
+        partial.rows.push_back(
+            {indices[j], slice[j].name,
+             csv ? metricsCsvRow(slice[j].name, results[j])
+                 : runResultJson(slice[j].name, results[j])});
     partial.failures = stats.failures;
     for (RunFailure &f : partial.failures)
         f.index = indices[f.index]; // slice pos -> suite index

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "core/export.hh"
 #include "stats/textio.hh"
 
 namespace netchar::serve
@@ -61,20 +62,8 @@ sweepBodyJson(const SweepPartial &partial)
            << ",\"benchmark\":" << jsonString(row.benchmark)
            << ",\"text\":" << jsonString(row.text) << '}';
     }
-    os << "],\"failures\":[";
-    for (std::size_t i = 0; i < partial.failures.size(); ++i) {
-        const RunFailure &f = partial.failures[i];
-        if (i > 0)
-            os << ',';
-        os << "{\"index\":" << f.index
-           << ",\"benchmark\":" << jsonString(f.benchmark)
-           << ",\"attempt\":" << f.attempt
-           << ",\"kind\":" << jsonString(f.kind)
-           << ",\"seed\":" << f.seed
-           << ",\"backoff_micros\":" << f.backoffMicros
-           << ",\"error\":" << jsonString(f.error) << '}';
-    }
-    os << "]}";
+    os << "],\"failures\":" << failureLedgerJson(partial.failures)
+       << '}';
     return os.str();
 }
 
@@ -250,21 +239,11 @@ mergeSweep(const std::vector<SweepPartial> &partials,
         }
     }
 
-    std::ostringstream os;
-    if (first.format == "csv") {
-        os << first.header << '\n';
-        for (const SweepRow *row : by_index)
-            os << row->text << '\n';
-    } else {
-        os << '[';
-        for (std::size_t i = 0; i < by_index.size(); ++i) {
-            if (i > 0)
-                os << ',';
-            os << by_index[i]->text;
-        }
-        os << ']';
-    }
-    merged = os.str();
+    std::vector<std::string> texts;
+    texts.reserve(by_index.size());
+    for (const SweepRow *row : by_index)
+        texts.push_back(row->text);
+    merged = suiteText(first.format == "csv", first.header, texts);
     return true;
 }
 
@@ -276,11 +255,7 @@ mergeLedgers(const std::vector<SweepPartial> &partials)
         stats.failures.insert(stats.failures.end(),
                               p.failures.begin(), p.failures.end());
     std::sort(stats.failures.begin(), stats.failures.end(),
-              [](const RunFailure &a, const RunFailure &b) {
-                  if (a.index != b.index)
-                      return a.index < b.index;
-                  return a.attempt < b.attempt;
-              });
+              ledgerOrder);
     return stats;
 }
 

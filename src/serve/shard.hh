@@ -46,8 +46,8 @@ struct SweepRow
     /** Original index in the full suite profile list. */
     std::size_t index = 0;
     std::string benchmark;
-    /** metricsCsv data row (csv) or runResultJson object (json),
-     *  without any trailing newline. */
+    /** metricsCsvRow (csv) or runResultJson (json) text, without
+     *  any trailing newline. */
     std::string text;
 };
 
@@ -60,7 +60,7 @@ struct SweepPartial
     unsigned shards = 1;
     /** Total benchmarks in the full suite (merge coverage check). */
     std::size_t suiteSize = 0;
-    /** metricsCsv header line (csv format only, no newline). */
+    /** metricsCsvHeader() (csv format only, no newline). */
     std::string header;
     std::vector<SweepRow> rows;
     /** Failed attempts with original suite indices. */
@@ -84,7 +84,8 @@ bool parseSweepBody(const JsonValue &body, SweepPartial &out,
 /**
  * Merge n shard partials into the full sweep output: exactly what
  * the single-process `netchar suite <suite> --format <f>` writes to
- * stdout (metricsCsv bytes for csv, suiteJson bytes for json).
+ * stdout: the rows in suite order, joined by suiteText as metricsCsv
+ * and suiteJson join theirs.
  * Requires one partial per shard 0..n-1 (any order), identical
  * (suite, format, shards, suiteSize, header) across partials, as
  * many rows in all as suiteSize, and rows covering every suite index
@@ -98,8 +99,14 @@ bool mergeSweep(const std::vector<SweepPartial> &partials,
 /**
  * Merge the partials' failure ledgers into a SuiteRunStats whose
  * failureLedgerCsv/Json bytes equal the single-process sweep's
- * (failures sorted by (index, attempt); the ledger format contains
- * no wall times or worker ids, so shard boundaries leave no trace).
+ * (failures sorted by ledgerOrder; the ledger format contains no
+ * wall times or worker ids, so shard boundaries leave no trace).
+ *
+ * Only `failures` is filled: a sweep body carries failed attempts,
+ * not run outcomes, so `runs` stays empty. `netchar query --merge`
+ * therefore exits 2 whenever the merged ledger is non-empty, also
+ * for an attempt a later retry recovered, never exits 1 for a sweep
+ * whose every run failed, and warns once per failed attempt.
  */
 SuiteRunStats mergeLedgers(const std::vector<SweepPartial> &partials);
 

@@ -143,44 +143,6 @@ pearson(std::span<const double> xs, std::span<const double> ys)
     return sxy / std::sqrt(sxx * syy);
 }
 
-std::vector<double>
-fractionalRanks(std::span<const double> xs)
-{
-    const std::size_t n = xs.size();
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return xs[a] < xs[b];
-              });
-    std::vector<double> ranks(n, 0.0);
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i;
-        while (j + 1 < n && xs[order[j + 1]] == xs[order[i]])
-            ++j;
-        // Average rank for the tie group [i, j].
-        const double avg =
-            (static_cast<double>(i) + static_cast<double>(j)) / 2.0 +
-            1.0;
-        for (std::size_t k = i; k <= j; ++k)
-            ranks[order[k]] = avg;
-        i = j + 1;
-    }
-    return ranks;
-}
-
-double
-spearman(std::span<const double> xs, std::span<const double> ys)
-{
-    if (xs.size() != ys.size())
-        throw std::invalid_argument("spearman: length mismatch");
-    const auto rx = fractionalRanks(xs);
-    const auto ry = fractionalRanks(ys);
-    return pearson(rx, ry);
-}
-
 Summary
 summarize(std::span<const double> xs)
 {

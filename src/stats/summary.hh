@@ -77,19 +77,6 @@ double geomean(std::span<const double> xs);
  */
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
-/**
- * Spearman rank correlation: Pearson over fractional ranks (ties get
- * the average rank). Robust to outliers and monotone-nonlinear
- * couplings; used as a cross-check in the §VII correlation studies.
- */
-double spearman(std::span<const double> xs, std::span<const double> ys);
-
-/**
- * Fractional ranks of a series (1-based; ties share the average of
- * the ranks they span).
- */
-std::vector<double> fractionalRanks(std::span<const double> xs);
-
 /** Min/max/mean/stddev bundle for reporting. */
 struct Summary
 {

@@ -174,19 +174,6 @@ TEST(FaultPlanTest, TraceCapacityStaysInTheDocumentedRange)
     }
 }
 
-TEST(FaultInjectorTest, BindsTheMachineName)
-{
-    const auto plan = FaultPlan::parse("rate=0.5,seed=13");
-    const FaultInjector inj(plan, "i9");
-    for (int i = 0; i < 50; ++i) {
-        const std::string name = "bench-" + std::to_string(i);
-        const auto direct = plan.decide(name, "i9", 1);
-        const auto bound = inj.decide(name, 1);
-        EXPECT_EQ(direct.kind, bound.kind);
-        EXPECT_EQ(direct.selector, bound.selector);
-    }
-}
-
 TEST(FaultKindTest, NamesRoundTheEnum)
 {
     EXPECT_EQ(faultKindName(FaultKind::None), "none");

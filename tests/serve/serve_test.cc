@@ -761,6 +761,41 @@ TEST(Shard, SweepBodyRoundTrip)
     EXPECT_EQ(back.failures[0].backoffMicros, 250u);
 }
 
+TEST(Shard, SweepBodyBytesArePinned)
+{
+    // The round trip above cannot see a change both sides share, so
+    // the rendered bytes are pinned too: escapes in `error`, a seed
+    // above 2^63 and a non-zero backoff.
+    SweepPartial partial;
+    partial.suite = "dotnet";
+    partial.format = "csv";
+    partial.shard = 1;
+    partial.shards = 3;
+    partial.suiteSize = 5;
+    partial.header = "benchmark,ipc";
+    partial.rows.push_back({1, "B", "B,1.5"});
+    partial.rows.push_back({4, "E", "\"E,x\",0.25"});
+    RunFailure fail;
+    fail.index = 4;
+    fail.benchmark = "E";
+    fail.attempt = 2;
+    fail.kind = "throw";
+    fail.seed = 13319558431009543222u;
+    fail.backoffMicros = 400;
+    fail.error = "a \"quote\", a back\\slash and a \x01 control\n";
+    partial.failures.push_back(fail);
+    fail.attempt = 3;
+    fail.kind = "skipped";
+    fail.seed = 1;
+    fail.backoffMicros = 0;
+    fail.error = "tab\there";
+    partial.failures.push_back(fail);
+
+    const std::string body = sweepBodyJson(partial);
+    EXPECT_EQ(contentHashHex(body), "fdd9ca4982466af1b94c89f673f9c185")
+        << body;
+}
+
 /** A one-shard csv sweep body with one row; the shard, suiteSize
  *  and row index are spliced in as raw JSON number text. */
 std::string

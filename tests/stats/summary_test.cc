@@ -63,38 +63,6 @@ TEST(SummaryTest, PearsonLengthMismatchThrows)
     EXPECT_THROW(ns::pearson(a, b), std::invalid_argument);
 }
 
-TEST(SummaryTest, FractionalRanksWithTies)
-{
-    std::vector<double> xs{10.0, 20.0, 20.0, 5.0};
-    const auto ranks = ns::fractionalRanks(xs);
-    EXPECT_DOUBLE_EQ(ranks[3], 1.0);
-    EXPECT_DOUBLE_EQ(ranks[0], 2.0);
-    EXPECT_DOUBLE_EQ(ranks[1], 3.5); // tie averages ranks 3 and 4
-    EXPECT_DOUBLE_EQ(ranks[2], 3.5);
-}
-
-TEST(SummaryTest, SpearmanMonotoneNonlinearIsOne)
-{
-    // x^3 is monotone: Spearman 1 even though Pearson < 1 on a
-    // skewed sample.
-    std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 50.0};
-    std::vector<double> ys;
-    for (double x : xs)
-        ys.push_back(x * x * x);
-    EXPECT_NEAR(ns::spearman(xs, ys), 1.0, 1e-12);
-    EXPECT_NEAR(ns::spearman(ys, xs), 1.0, 1e-12);
-}
-
-TEST(SummaryTest, SpearmanAntitone)
-{
-    std::vector<double> xs{1.0, 2.0, 3.0};
-    std::vector<double> ys{9.0, 4.0, 1.0};
-    EXPECT_NEAR(ns::spearman(xs, ys), -1.0, 1e-12);
-    std::vector<double> a{1.0};
-    std::vector<double> b{1.0, 2.0};
-    EXPECT_THROW(ns::spearman(a, b), std::invalid_argument);
-}
-
 TEST(SummaryTest, CorrelationMatrixStructure)
 {
     // Col 0 and col 1 perfectly correlated; col 2 constant.

